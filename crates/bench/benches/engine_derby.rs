@@ -1,4 +1,4 @@
-//! **Engine derby** — all four hot-path engines raced head to head on
+//! **Engine derby** — every hot-path engine raced head to head on
 //! identical batched workloads.
 //!
 //! For every parameter set (LightSaber / Saber / FireSaber) and every
@@ -50,7 +50,7 @@ fn workload(bound: i8, batch: usize, state: &mut u64) -> (Vec<PolyQ>, SecretPoly
 }
 
 fn main() {
-    println!("\n=== Engine derby: cached vs swar vs toom vs ntt, batched hot path ===\n");
+    println!("\n=== Engine derby: cached vs swar vs toom vs ntt vs ct, batched hot path ===\n");
 
     let mut criterion = Criterion::default().configure_from_args();
     let mut report = DerbyReport::default();

@@ -5,8 +5,9 @@
 //!
 //! Roles:
 //!
-//! - `negative-control`: `SABER_ENGINE=ct` targets — the constant-time
-//!   scan must show |t| under the gate threshold.
+//! - `negative-control`: `SABER_ENGINE=ct` targets and the secret
+//!   sampler — the constant-time scan, the KEM built on it, and
+//!   `gen_secret` must show |t| under the gate threshold.
 //! - `positive-control`: the `saber_core::fault::TimingFault` mutants —
 //!   bit-exact products with secret-dependent timing that the detector
 //!   must flag, or a passing gate proves nothing.
@@ -24,7 +25,9 @@ use saber_core::fault::{TimingFault, TimingLeakMultiplier};
 use saber_kem::params::LIGHT_SABER;
 use saber_ring::{EngineKind, PolyQ, SecretPoly};
 use saber_testkit::Rng;
-use saber_timing::{detect, DecapsTarget, EncapsTarget, LeakReport, MulTarget, TimingConfig, Verdict};
+use saber_timing::{
+    detect, DecapsTarget, EncapsTarget, LeakReport, MulTarget, SamplerTarget, TimingConfig, Verdict,
+};
 use saber_trace::MonotonicClock;
 
 fn verdict_label(v: Verdict) -> &'static str {
@@ -92,6 +95,19 @@ fn main() {
     let mut encaps = EncapsTarget::new(EngineKind::Ct, &LIGHT_SABER, &mut rng);
     let run = detect(&mut encaps, &kem_cfg, &mut MonotonicClock);
     record(&mut report, "kem/encaps-ct", "negative-control", &run);
+
+    // The secret sampler at four times the multiply budget, as in the
+    // CI timing gate.
+    let sampler_cfg = TimingConfig {
+        seed: cfg.seed,
+        threshold: cfg.threshold,
+        crop_percentile: cfg.crop_percentile,
+        ..TimingConfig::with_samples(4 * cfg.samples)
+    };
+    let mut rng = Rng::new(cfg.seed ^ 0x5A3B);
+    let mut sampler = SamplerTarget::new(&LIGHT_SABER, &mut rng);
+    let run = detect(&mut sampler, &sampler_cfg, &mut MonotonicClock);
+    record(&mut report, "kem/gen-secret", "negative-control", &run);
 
     // Planted mutants: the detector's positive controls.
     for fault in TimingFault::ALL {

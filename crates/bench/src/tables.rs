@@ -864,8 +864,9 @@ impl TimingReport {
         });
     }
 
-    /// Slowdown of the ct engine vs the cached baseline (e.g. `1.8`
-    /// means the constant-time scan costs 1.8× a cached multiply).
+    /// Cost of the ct engine relative to the cached baseline (e.g.
+    /// `1.8` means the constant-time scan costs 1.8× a cached multiply;
+    /// below 1 it is the faster of the two).
     #[must_use]
     pub fn ct_overhead(&self) -> Option<f64> {
         (self.cached_ns_per_product > 0.0 && self.ct_ns_per_product > 0.0)

@@ -32,7 +32,7 @@
 //! ```
 
 use saber_hw::mac::multiples;
-use saber_ring::{ntt_crt, schoolbook, toom, PolyMultiplier, PolyQ, SecretPoly, N};
+use saber_ring::{ct, ntt_crt, schoolbook, toom, PolyMultiplier, PolyQ, SecretPoly, N};
 
 use crate::dsp_packed::{self, pack, SignPlan, MAX_PACKED_MAGNITUDE, PACK_SHIFT};
 use crate::engine::rotated;
@@ -212,8 +212,9 @@ impl PolyMultiplier for FaultyMultiplier {
 /// product, and these never do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimingFault {
-    /// The constant-time scan with its uniformity removed: zero secret
-    /// coefficients skip their entire accumulation pass (a
+    /// The shipped constant-time scan (the u16-lane kernel of
+    /// `saber_ring::ct`, called verbatim) with its uniformity removed:
+    /// zero secret coefficients skip their entire accumulation pass (a
     /// "harmless-looking" optimization that makes runtime proportional
     /// to the secret's support — the exact leak
     /// `saber_ring::ct::CtSchoolbookMultiplier` exists to avoid).
@@ -290,22 +291,21 @@ fn fold_negacyclic(acc: &[i64; 2 * N]) -> PolyQ {
     PolyQ::from_signed(&folded)
 }
 
-/// The ct scan with a secret-dependent early exit: zero coefficients
-/// contribute nothing, so skipping them is *functionally* free — and
-/// makes runtime proportional to the secret's support.
+/// The shipped ct scan ([`saber_ring::ct::mac_row`] over a `2N` u16
+/// arena, then [`saber_ring::ct::fold`]) with a secret-dependent early
+/// exit: zero coefficients contribute nothing, so skipping them is
+/// *functionally* free — and makes runtime proportional to the secret's
+/// support.
 fn ct_scan_early_exit(public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-    let a = public.to_i64();
-    let mut acc = [0i64; 2 * N];
+    let a = public.coeffs();
+    let mut acc = [0u16; 2 * N];
     for (j, &c) in secret.coeffs().iter().enumerate() {
         if c == 0 {
             continue; // the planted leak: work ∝ nonzero count
         }
-        let sj = i64::from(c);
-        for (slot, &av) in acc[j..j + N].iter_mut().zip(a.iter()) {
-            *slot += sj * av;
-        }
+        ct::mac_row(&mut acc[j..], a, c);
     }
-    fold_negacyclic(&acc)
+    ct::fold(&acc)
 }
 
 /// A row pipeline with a data-dependent sign branch: every coefficient

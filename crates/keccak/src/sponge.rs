@@ -92,18 +92,37 @@ impl Sponge {
 
     /// Absorbs `input` into the state, permuting at each full rate block.
     ///
+    /// While the block offset is lane-aligned, input moves a whole
+    /// little-endian 64-bit lane at a time; the bytes before the first
+    /// lane boundary and after the last whole lane go one at a time.
+    ///
     /// # Panics
     ///
     /// Panics if called after squeezing has started; a sponge is one-way.
-    pub fn absorb(&mut self, input: &[u8]) {
+    pub fn absorb(&mut self, mut input: &[u8]) {
         assert_eq!(
             self.phase,
             Phase::Absorbing,
             "cannot absorb after squeezing has started"
         );
-        for &byte in input {
-            self.xor_byte(self.offset, byte);
-            self.offset += 1;
+        while !input.is_empty() {
+            let lanes = self.aligned_lanes(input.len());
+            if lanes > 0 {
+                let first = self.offset / 8;
+                let (head, rest) = input.split_at(8 * lanes);
+                for (lane, bytes) in self.state[first..first + lanes]
+                    .iter_mut()
+                    .zip(head.chunks_exact(8))
+                {
+                    *lane ^= u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+                }
+                self.offset += 8 * lanes;
+                input = rest;
+            } else {
+                self.xor_byte(self.offset, input[0]);
+                self.offset += 1;
+                input = &input[1..];
+            }
             if self.offset == self.rate {
                 keccak_f1600(&mut self.state);
                 self.offset = 0;
@@ -129,16 +148,31 @@ impl Sponge {
     /// Squeezes `output.len()` bytes of sponge output.
     ///
     /// May be called repeatedly; output continues where the previous call
-    /// stopped (XOF semantics).
-    pub fn squeeze(&mut self, output: &mut [u8]) {
+    /// stopped (XOF semantics). Like [`absorb`](Self::absorb), it copies
+    /// whole lanes while the block offset is lane-aligned.
+    pub fn squeeze(&mut self, mut output: &mut [u8]) {
         self.finalize();
-        for byte in output.iter_mut() {
+        while !output.is_empty() {
             if self.offset == self.rate {
                 keccak_f1600(&mut self.state);
                 self.offset = 0;
             }
-            *byte = self.read_byte(self.offset);
-            self.offset += 1;
+            let lanes = self.aligned_lanes(output.len());
+            let step = if lanes > 0 { 8 * lanes } else { 1 };
+            let (head, rest) = std::mem::take(&mut output).split_at_mut(step);
+            if lanes > 0 {
+                let first = self.offset / 8;
+                for (bytes, lane) in head
+                    .chunks_exact_mut(8)
+                    .zip(&self.state[first..first + lanes])
+                {
+                    bytes.copy_from_slice(&lane.to_le_bytes());
+                }
+            } else {
+                head[0] = self.read_byte(self.offset);
+            }
+            self.offset += step;
+            output = rest;
         }
     }
 
@@ -147,6 +181,17 @@ impl Sponge {
         let mut out = [0u8; N];
         self.squeeze(&mut out);
         out
+    }
+
+    /// Whole lanes that can move at the current offset with `len` bytes
+    /// pending: zero unless the offset is lane-aligned, and never past
+    /// the end of the rate block.
+    fn aligned_lanes(&self, len: usize) -> usize {
+        if self.offset.is_multiple_of(8) {
+            ((self.rate - self.offset) / 8).min(len / 8)
+        } else {
+            0
+        }
     }
 
     fn xor_byte(&mut self, byte_index: usize, value: u8) {

@@ -1,29 +1,101 @@
-//! Property-based tests of the sponge layer: chunking invariance, XOF
-//! prefix consistency, and domain separation over random inputs.
+//! Property-based tests of the sponge layer: chunking invariance at
+//! every rate in use (lane-aligned, unaligned and block-crossing
+//! splits), XOF prefix consistency, and domain separation over random
+//! inputs.
 //!
 //! Driven by the deterministic `saber-testkit` harness (the offline
 //! replacement for proptest).
 
-use saber_keccak::{Sha3_256, Sha3_512, Shake128, Shake256};
-use saber_testkit::cases;
+use saber_keccak::{DomainSuffix, Sha3_256, Sha3_512, Shake128, Shake256, Sponge};
+use saber_testkit::{cases, Rng};
 
 const CASES: usize = 48;
 
-#[test]
-fn sha3_absorb_chunking_invariance() {
-    for mut rng in cases(CASES) {
-        let msg = rng.byte_vec(599);
-        let cut = rng.range_usize(0, 599).min(msg.len());
-        let mut split = Sha3_256::new();
-        split.update(&msg[..cut]);
-        split.update(&msg[cut..]);
-        assert_eq!(
-            split.finalize(),
-            Sha3_256::digest(&msg),
-            "case seed {}",
-            rng.seed()
+/// The three Keccak rates in use: SHA3-512 (72 bytes), SHA3-256 and
+/// SHAKE-256 (136), SHAKE-128 (168).
+const RATES: [usize; 3] = [72, 136, 168];
+
+/// A random sequence of chunk lengths in `0..=2·rate` (zero-length
+/// calls included) that covers exactly `total` bytes.
+fn chunk_lengths(rng: &mut Rng, rate: usize, total: usize) -> Vec<usize> {
+    let mut lengths = Vec::new();
+    let mut left = total;
+    while left > 0 {
+        let len = rng.range_usize(0, 2 * rate).min(left);
+        lengths.push(len);
+        left -= len;
+    }
+    lengths
+}
+
+/// Counts which sponge paths the generated splits reached, so the
+/// properties cannot pass vacuously: whole-lane moves from a
+/// lane-aligned offset, byte moves from an unaligned one, and calls
+/// that cross a rate-block boundary.
+#[derive(Debug, Default)]
+struct SplitCoverage {
+    aligned: usize,
+    unaligned: usize,
+    crossing: usize,
+}
+
+impl SplitCoverage {
+    fn record(&mut self, rate: usize, start: usize, len: usize) {
+        let offset = start % rate;
+        if offset.is_multiple_of(8) && len >= 8 {
+            self.aligned += 1;
+        }
+        if !offset.is_multiple_of(8) && len > 0 {
+            self.unaligned += 1;
+        }
+        if offset + len > rate {
+            self.crossing += 1;
+        }
+    }
+
+    fn assert_complete(&self) {
+        assert!(
+            self.aligned > 0 && self.unaligned > 0 && self.crossing > 0,
+            "splits missed a sponge path: {self:?}"
         );
     }
+}
+
+fn squeeze_vec(mut sponge: Sponge, len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    sponge.squeeze(&mut out);
+    out
+}
+
+#[test]
+fn sponge_absorb_chunking_invariance() {
+    // Absorbing in one call, byte by byte (the byte path only), and in
+    // random chunks must leave the same state at every rate.
+    let mut coverage = SplitCoverage::default();
+    for mut rng in cases(CASES) {
+        for rate in RATES {
+            let msg = rng.byte_vec(5 * rate);
+            let mut oneshot = Sponge::new(rate, DomainSuffix::Sha3);
+            oneshot.absorb(&msg);
+            let mut bytewise = Sponge::new(rate, DomainSuffix::Sha3);
+            for byte in &msg {
+                bytewise.absorb(std::slice::from_ref(byte));
+            }
+            let mut split = Sponge::new(rate, DomainSuffix::Sha3);
+            let mut at = 0;
+            for len in chunk_lengths(&mut rng, rate, msg.len()) {
+                coverage.record(rate, at, len);
+                split.absorb(&msg[at..at + len]);
+                at += len;
+            }
+            let out_len = 2 * rate + 3;
+            let expected = squeeze_vec(oneshot, out_len);
+            let case = format!("rate {rate}, {} bytes, case seed {}", msg.len(), rng.seed());
+            assert_eq!(squeeze_vec(bytewise, out_len), expected, "bytewise, {case}");
+            assert_eq!(squeeze_vec(split, out_len), expected, "chunked, {case}");
+        }
+    }
+    coverage.assert_complete();
 }
 
 #[test]
@@ -45,18 +117,39 @@ fn shake_output_prefix_property() {
 }
 
 #[test]
-fn shake_read_chunking_invariance() {
+fn sponge_squeeze_chunking_invariance() {
+    // Squeezing in one call, byte by byte, and in random chunks must
+    // yield the same stream at every rate.
+    let mut coverage = SplitCoverage::default();
     for mut rng in cases(CASES) {
-        let seed = rng.byte_vec(63);
-        let chunk = rng.range_usize(1, 96);
-        let oneshot = Shake256::xof(&seed, 400);
-        let mut xof = Shake256::from_seed(&seed);
-        let mut chunked = vec![0u8; 400];
-        for part in chunked.chunks_mut(chunk) {
-            xof.read(part);
+        for rate in RATES {
+            let seed = rng.byte_vec(2 * rate);
+            let total = rng.range_usize(0, 6 * rate);
+            let fresh = || {
+                let mut sponge = Sponge::new(rate, DomainSuffix::Shake);
+                sponge.absorb(&seed);
+                sponge
+            };
+            let oneshot = squeeze_vec(fresh(), total);
+            let mut bytewise = vec![0u8; total];
+            let mut sponge = fresh();
+            for byte in bytewise.chunks_mut(1) {
+                sponge.squeeze(byte);
+            }
+            let mut chunked = vec![0u8; total];
+            let mut sponge = fresh();
+            let mut at = 0;
+            for len in chunk_lengths(&mut rng, rate, total) {
+                coverage.record(rate, at, len);
+                sponge.squeeze(&mut chunked[at..at + len]);
+                at += len;
+            }
+            let case = format!("rate {rate}, {total} bytes, case seed {}", rng.seed());
+            assert_eq!(bytewise, oneshot, "bytewise, {case}");
+            assert_eq!(chunked, oneshot, "chunked, {case}");
         }
-        assert_eq!(oneshot, chunked, "case seed {}", rng.seed());
     }
+    coverage.assert_complete();
 }
 
 #[test]

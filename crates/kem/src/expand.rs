@@ -18,9 +18,16 @@ const DOMAIN_MATRIX: u8 = 0x41;
 /// Domain-separation byte appended to the seed when sampling secrets.
 const DOMAIN_SECRET: u8 = 0x53;
 
-/// A bit-granular reader over a SHAKE stream.
+/// A bit-granular reader over a SHAKE-128 stream.
+///
+/// It squeezes one whole rate block (168 bytes, one permutation) at a
+/// time and serves bits from that buffer, so the sponge is entered once
+/// per block rather than once per byte.
 struct BitReader {
     xof: Shake128,
+    block: [u8; Shake128::RATE_BYTES],
+    /// Next unread byte of `block`.
+    pos: usize,
     buffer: u64,
     bits: u32,
 }
@@ -29,6 +36,8 @@ impl BitReader {
     fn new(xof: Shake128) -> Self {
         Self {
             xof,
+            block: [0; Shake128::RATE_BYTES],
+            pos: Shake128::RATE_BYTES,
             buffer: 0,
             bits: 0,
         }
@@ -38,9 +47,12 @@ impl BitReader {
     fn read(&mut self, count: u32) -> u32 {
         debug_assert!(count <= 32);
         while self.bits < count {
-            let mut byte = [0u8; 1];
-            self.xof.read(&mut byte);
-            self.buffer |= u64::from(byte[0]) << self.bits;
+            if self.pos == self.block.len() {
+                self.xof.read(&mut self.block);
+                self.pos = 0;
+            }
+            self.buffer |= u64::from(self.block[self.pos]) << self.bits;
+            self.pos += 1;
             self.bits += 8;
         }
         let out = (self.buffer & ((1u64 << count) - 1)) as u32;

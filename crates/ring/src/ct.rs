@@ -13,7 +13,7 @@
 //! - Toom/NTT evaluate the secret operand through data-dependent
 //!   normalization steps.
 //!
-//! [`CtSchoolbookMultiplier`] is the hardened alternative
+//! [`CtSchoolbookMultiplier`] is the hardened engine, and the default
 //! (`SABER_ENGINE=ct`): a fixed-order 256 × 256 multiply-accumulate
 //! scan whose iteration count, branch trace, and memory addresses are
 //! identical for every secret in the domain. There is no zero skip, no
@@ -26,18 +26,32 @@
 //! (true of every mainstream 64-bit core; see DESIGN.md §14 for the
 //! threat model). The `saber-timing` crate's dudect-style harness is
 //! the *measured* check on that assumption: this engine is the one
-//! backend expected to pass the fixed-vs-random leakage gate.
+//! backend expected to pass the fixed-vs-random leakage gate. It is
+//! also the fastest engine in the workspace (README "Engines").
 //!
-//! Bound: `|acc[k]| ≤ 256 · 5 · 8191 < 2^24`, and the negacyclic fold
-//! subtracts two such terms, so an `i64` accumulator is exact with room
-//! to spare under `overflow-checks`.
+//! Exactness: the scan accumulates in wrapping `u16` lanes. Every
+//! operation in it — multiply, add, and the negacyclic fold's subtract —
+//! is a ring operation mod 2^16, and reduction mod 2^16 followed by
+//! reduction mod q = 2^13 equals reduction mod 2^13, because 2^13
+//! divides 2^16. So the wrapped lanes agree with the exact integer
+//! product in their low 13 bits, which is all a `PolyQ` keeps. This is
+//! the paper's HS-I observation (§3.1: 13-bit MAC registers make the
+//! mod-q reduction free) at lane width 16. No intermediate bound is
+//! needed, and the `wrapping_*` operations carry no overflow check even
+//! under `overflow-checks = true`, so LLVM vectorizes the inner loop
+//! (8-lane SSE2 `pmullw`/`paddw` on baseline x86-64) with no branch or
+//! address that depends on the secret.
 
-use crate::modulus::N;
+use crate::modulus::{EPS_Q, N};
 use crate::mul::PolyMultiplier;
 use crate::poly::PolyQ;
 use crate::secret::SecretPoly;
 
-/// Constant-time fixed-scan schoolbook backend (`SABER_ENGINE=ct`).
+// The u16 lanes are exact only while q divides 2^16.
+const _: () = assert!(EPS_Q <= 16);
+
+/// Constant-time fixed-scan schoolbook backend (`SABER_ENGINE=ct`, the
+/// default engine).
 ///
 /// # Examples
 ///
@@ -51,49 +65,63 @@ use crate::secret::SecretPoly;
 /// let mut oracle = SchoolbookMultiplier;
 /// assert_eq!(ct.multiply(&a, &s), oracle.multiply(&a, &s));
 /// ```
-#[derive(Debug, Clone)]
-pub struct CtSchoolbookMultiplier {
-    /// 2N-wide product accumulator, reused across calls so the hot loop
-    /// never allocates. Its address pattern is independent of the
-    /// secret: pass `j` always writes `acc[j .. j + N]`.
-    acc: Vec<i64>,
-}
-
-impl Default for CtSchoolbookMultiplier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct CtSchoolbookMultiplier;
 
 impl CtSchoolbookMultiplier {
-    /// A fresh engine with its accumulator arena allocated up front.
+    /// A fresh engine. It holds no state: the product arena lives on the
+    /// stack of each call.
     #[must_use]
     pub fn new() -> Self {
-        Self { acc: vec![0i64; 2 * N] }
+        Self
     }
+}
+
+/// One pass of the fixed scan: `window[i] += a[i] · s_j` in wrapping
+/// `u16` lanes, for secret coefficient `s_j` (sign-extended to 16 bits).
+///
+/// [`CtSchoolbookMultiplier`] calls this for every `j` on the window
+/// `acc[j .. j + N]` of its `2N` arena; it is public so that timing
+/// mutants can reuse the shipped kernel verbatim.
+///
+/// # Panics
+///
+/// Panics if `window` is shorter than `N`.
+#[inline]
+pub fn mac_row(window: &mut [u16], a: &[u16; N], sj: i8) {
+    // `as` sign-extends: -1 becomes 0xffff ≡ -1 (mod 2^16).
+    let s = sj as u16;
+    for (slot, &av) in window[..N].iter_mut().zip(a.iter()) {
+        *slot = slot.wrapping_add(av.wrapping_mul(s));
+    }
+}
+
+/// Negacyclic fold of a `2N` product arena: `x^(k+N) ≡ -x^k` in
+/// `Z[x]/(x^N + 1)`, so coefficient `k` is `acc[k] - acc[k + N]`. The
+/// fold reads every slot unconditionally, so it is as uniform as the
+/// scan.
+#[inline]
+#[must_use]
+pub fn fold(acc: &[u16; 2 * N]) -> PolyQ {
+    let (low, high) = acc.split_at(N);
+    let mut folded = [0u16; N];
+    for ((out, &lo), &hi) in folded.iter_mut().zip(low).zip(high) {
+        *out = lo.wrapping_sub(hi);
+    }
+    PolyQ::from_coeffs(folded)
 }
 
 impl PolyMultiplier for CtSchoolbookMultiplier {
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        let a = public.to_i64();
-        self.acc.fill(0);
+        let a = public.coeffs();
+        let mut acc = [0u16; 2 * N];
         // Fixed scan: every secret coefficient — zero, positive, or
         // negative — performs exactly N multiply-accumulates over the
         // same contiguous window. No early exit, no sign branch.
         for (j, &c) in secret.coeffs().iter().enumerate() {
-            let sj = i64::from(c);
-            for (slot, &av) in self.acc[j..j + N].iter_mut().zip(a.iter()) {
-                *slot += sj * av;
-            }
+            mac_row(&mut acc[j..], a, c);
         }
-        // Negacyclic fold: x^(k+N) ≡ -x^k in Z[x]/(x^N + 1). The fold
-        // reads every slot unconditionally, so it is as uniform as the
-        // scan above.
-        let mut folded = [0i64; N];
-        for (k, out) in folded.iter_mut().enumerate() {
-            *out = self.acc[k] - self.acc[k + N];
-        }
-        PolyQ::from_signed(&folded)
+        fold(&acc)
     }
 
     // multiply_batch: the trait default (a plain map over `multiply`)

@@ -5,14 +5,14 @@
 //! ([`CachedSchoolbookMultiplier`]), the HS-II SWAR mirror
 //! ([`SwarMultiplier`]), batched Toom-Cook-4 ([`ToomCook4Engine`]),
 //! batched NTT-over-CRT ([`NttCrtEngine`]), and the constant-time
-//! fixed-scan schoolbook ([`CtSchoolbookMultiplier`] — slower, but its
-//! timing is secret-independent and the `saber-timing` leakage gate
-//! holds it to that). [`EngineKind`] names them, parses the
-//! `SABER_ENGINE` environment variable, and builds boxed shards for the
-//! service layer's worker threads. The pseudo-kind [`EngineKind::Auto`]
-//! defers the choice to a startup calibration ([`crate::autotune`])
-//! that races every candidate on a seeded workload and keeps the
-//! winner.
+//! fixed-scan schoolbook ([`CtSchoolbookMultiplier`] — the default: the
+//! fastest of the five, and its timing is secret-independent, which the
+//! `saber-timing` leakage gate holds it to). [`EngineKind`] names them,
+//! parses the `SABER_ENGINE` environment variable, and builds boxed
+//! shards for the service layer's worker threads. The pseudo-kind
+//! [`EngineKind::Auto`] defers the choice to a startup calibration
+//! ([`crate::autotune`]) that races every candidate on a seeded
+//! workload and keeps the winner.
 //!
 //! # Examples
 //!
@@ -43,8 +43,7 @@ pub const ENGINE_ENV: &str = "SABER_ENGINE";
 /// Which multiplier backend serves the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// HS-I mirror: multiple caching + bucket scans (the default).
-    #[default]
+    /// HS-I mirror: multiple caching + bucket scans.
     Cached,
     /// HS-II mirror: SWAR lane packing + complement rows.
     Swar,
@@ -52,7 +51,9 @@ pub enum EngineKind {
     Toom,
     /// Batched two-prime NTT with CRT recombination.
     Ntt,
-    /// Constant-time fixed-scan schoolbook: secret-independent timing.
+    /// Constant-time fixed-scan schoolbook: secret-independent timing,
+    /// u16-lane MACs (the default).
+    #[default]
     Ct,
     /// Startup calibration picks the fastest concrete engine per shard.
     Auto,
@@ -88,7 +89,7 @@ impl EngineKind {
         }
     }
 
-    /// Reads `SABER_ENGINE` (default [`EngineKind::Cached`]).
+    /// Reads `SABER_ENGINE` (default [`EngineKind::Ct`]).
     ///
     /// # Panics
     ///
@@ -220,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn default_is_cached() {
-        assert_eq!(EngineKind::default(), EngineKind::Cached);
+    fn default_is_ct() {
+        assert_eq!(EngineKind::default(), EngineKind::Ct);
     }
 }

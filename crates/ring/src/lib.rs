@@ -32,8 +32,9 @@
 //!   evaluations cached) and batched two-prime NTT-CRT (per-secret
 //!   forward transforms cached), both allocation-free after warmup;
 //! * [`ct`] — the constant-time fixed-scan schoolbook engine
-//!   (`SABER_ENGINE=ct`): secret-independent scan order and memory
-//!   access pattern, held to that claim by the `saber-timing` gate;
+//!   (`SABER_ENGINE=ct`, the default and the fastest): wrapping `u16`
+//!   MAC lanes, secret-independent scan order and memory access
+//!   pattern, held to that claim by the `saber-timing` gate;
 //! * [`autotune`] — the startup calibration that picks the fastest
 //!   engine per shard when `SABER_ENGINE=auto`;
 //! * [`rounding`], [`packing`], [`matrix`] — the scaling, serialization

@@ -91,27 +91,44 @@ impl SecretPoly {
     pub fn from_fn<F: FnMut(usize) -> i8>(mut f: F) -> Self {
         let mut coeffs = [0i8; N];
         for (i, c) in coeffs.iter_mut().enumerate() {
-            let v = f(i);
-            assert!(
-                v.abs() <= MAX_SECRET_MAGNITUDE,
-                "secret coefficient {v} at index {i} out of range"
-            );
-            *c = v;
+            *c = f(i);
         }
-        Self { coeffs }
+        match Self::try_from_coeffs(coeffs) {
+            Ok(secret) => secret,
+            Err(SecretRangeError { index, value }) => {
+                panic!("secret coefficient {value} at index {index} out of range")
+            }
+        }
     }
 
     /// Fallible constructor from raw coefficients.
+    ///
+    /// The range check is branch-free over the coefficients: it ORs
+    /// every coefficient's violation flag and branches once, after the
+    /// loop, so a valid secret's check takes the same path whatever its
+    /// values. (A per-coefficient `abs` test compiles to a sign branch
+    /// whose prediction history differs between secrets.)
     ///
     /// # Errors
     ///
     /// Returns [`SecretRangeError`] for the first coefficient with
     /// |value| > 5.
     pub fn try_from_coeffs(raw: [i8; N]) -> Result<Self, SecretRangeError> {
-        for (index, &value) in raw.iter().enumerate() {
-            if value.abs() > MAX_SECRET_MAGNITUDE {
-                return Err(SecretRangeError { index, value });
-            }
+        let bound = MAX_SECRET_MAGNITUDE.unsigned_abs();
+        let mut out_of_range = false;
+        for &value in &raw {
+            out_of_range |= value.unsigned_abs() > bound;
+        }
+        if out_of_range {
+            // Rejected input only: locating the offender may branch.
+            let index = raw
+                .iter()
+                .position(|value| value.unsigned_abs() > bound)
+                .expect("an out-of-range coefficient was flagged");
+            return Err(SecretRangeError {
+                index,
+                value: raw[index],
+            });
         }
         Ok(Self { coeffs: raw })
     }
@@ -228,6 +245,30 @@ mod tests {
         assert_eq!(err.index, 17);
         assert_eq!(err.value, 6);
         assert!(err.to_string().contains("index 17"));
+    }
+
+    #[test]
+    fn range_check_reports_the_first_of_several_offenders() {
+        let mut raw = [0i8; N];
+        raw[200] = 7;
+        raw[40] = i8::MIN;
+        raw[90] = -6;
+        let err = SecretPoly::try_from_coeffs(raw).unwrap_err();
+        assert_eq!((err.index, err.value), (40, i8::MIN));
+        raw[40] = -5;
+        raw[90] = 5;
+        raw[200] = 0;
+        assert!(SecretPoly::try_from_coeffs(raw).is_ok(), "|s| = 5 is legal");
+    }
+
+    #[test]
+    #[should_panic(expected = "secret coefficient -6 at index 3 out of range")]
+    fn from_fn_panics_on_the_first_offender() {
+        let _ = SecretPoly::from_fn(|i| match i {
+            3 => -6,
+            9 => 6,
+            _ => 0,
+        });
     }
 
     #[test]

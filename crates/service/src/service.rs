@@ -22,9 +22,9 @@
 //! the hard cap.
 //!
 //! Each worker owns one multiplier shard built from the configured
-//! [`EngineKind`] — the cached HS-I mirror by default, or the SWAR
-//! HS-II mirror, batched Toom-Cook-4, batched NTT-over-CRT, or the
-//! `auto` policy, which runs **one** startup calibration shared by all
+//! [`EngineKind`] — the constant-time u16-lane schoolbook by default,
+//! or the cached HS-I mirror, the SWAR HS-II mirror, batched
+//! Toom-Cook-4, batched NTT-over-CRT, or the `auto` policy, which runs **one** startup calibration shared by all
 //! shards (`ServiceConfig::engine`, honouring `SABER_ENGINE`) — the
 //! software analogue of the paper replicating a verified datapath per
 //! compute unit. The concrete engine each shard resolved to is recorded
@@ -196,8 +196,8 @@ impl Default for ServiceConfig {
     /// Four workers over a 64-deep queue: a deliberately fixed default
     /// (not `available_parallelism`) so behaviour is identical on every
     /// host; size explicitly for production use. The engine honours the
-    /// `SABER_ENGINE` environment variable (default: the cached HS-I
-    /// mirror), the scheduler honours `SABER_SCHED` (default: work
+    /// `SABER_ENGINE` environment variable (default: the constant-time
+    /// `ct` engine), the scheduler honours `SABER_SCHED` (default: work
     /// stealing), the overload policy honours `SABER_OVERLOAD`
     /// (default: reject), and the steal seed honours `SABER_STEAL_SEED`
     /// — so CI can sweep the whole test battery per engine, scheduler,

@@ -63,4 +63,4 @@ pub use harness::{
     DEFAULT_TIMING_SEED,
 };
 pub use stats::{crop_cutoff, welch_t, Welford};
-pub use targets::{DecapsTarget, EncapsTarget, MulTarget};
+pub use targets::{DecapsTarget, EncapsTarget, MulTarget, SamplerTarget};

@@ -1,5 +1,6 @@
-//! Ready-made [`TimingTarget`]s: every hot-path multiplier engine, and
-//! the full KEM encapsulation/decapsulation pipelines.
+//! Ready-made [`TimingTarget`]s: every hot-path multiplier engine, the
+//! secret sampler, and the full KEM encapsulation/decapsulation
+//! pipelines.
 //!
 //! Class semantics follow dudect's fixed-vs-random recipe, with the
 //! *secret* as the class variable and everything public randomized in
@@ -17,7 +18,11 @@
 //!   index, not a keygen.
 //! - [`EncapsTarget`]: fixed class reuses one entropy input against a
 //!   fixed public key; random class draws fresh entropy.
+//! - [`SamplerTarget`]: fixed class expands one secret seed; random
+//!   class draws a fresh seed, so the sampled secret differs per
+//!   sample.
 
+use saber_kem::expand::gen_secret;
 use saber_kem::{decaps, encaps, keygen, Ciphertext, KemSecretKey, PublicKey, SaberParams};
 use saber_ring::{EngineKind, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::Rng;
@@ -175,6 +180,42 @@ impl TimingTarget for EncapsTarget {
     }
 }
 
+/// Times one secret-vector expansion (`saber_kem::expand::gen_secret`:
+/// SHAKE-128, the centered binomial sampler, the range check) per
+/// sample: fixed vs fresh seed. Keygen, encaps and the decaps
+/// re-encryption all run this on secret seeds.
+pub struct SamplerTarget {
+    params: SaberParams,
+    fixed_seed: [u8; 32],
+}
+
+impl SamplerTarget {
+    /// Draws the fixed-class seed for `params`.
+    #[must_use]
+    pub fn new(params: &SaberParams, rng: &mut Rng) -> Self {
+        Self {
+            params: *params,
+            fixed_seed: rng.bytes32(),
+        }
+    }
+}
+
+impl TimingTarget for SamplerTarget {
+    type Input = [u8; 32];
+
+    fn prepare(&mut self, class: Class, rng: &mut Rng) -> Self::Input {
+        match class {
+            Class::Fixed => self.fixed_seed,
+            Class::Random => rng.bytes32(),
+        }
+    }
+
+    fn execute(&mut self, input: &Self::Input) {
+        let secret = gen_secret(input, &self.params);
+        std::hint::black_box(secret[0].coeff(0));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,5 +259,17 @@ mod tests {
             let input = enc.prepare(class, &mut rng);
             enc.execute(&input);
         }
+    }
+
+    #[test]
+    fn sampler_target_classes_differ_only_in_the_seed() {
+        let mut rng = Rng::new(11);
+        let mut target = SamplerTarget::new(&LIGHT_SABER, &mut rng);
+        let fixed = target.prepare(Class::Fixed, &mut rng);
+        assert_eq!(fixed, target.prepare(Class::Fixed, &mut rng));
+        let random = target.prepare(Class::Random, &mut rng);
+        assert_ne!(random, target.prepare(Class::Random, &mut rng));
+        target.execute(&fixed);
+        target.execute(&random);
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! Two halves, and both matter:
 //!
-//! - **Negative control**: the constant-time engine (`SABER_ENGINE=ct`,
+//! - **Negative control**: the engine that ships
+//!   (`EngineKind::default()`, the constant-time
 //!   `saber_ring::ct::CtSchoolbookMultiplier`) must show |t| under the
 //!   threshold on fixed-vs-random secret classes — for the raw
-//!   multiply and for the full KEM pipelines built on it.
+//!   multiply, for the secret sampler, and for the full KEM pipelines
+//!   built on them.
 //! - **Positive controls**: the two planted timing mutants
 //!   (`saber_core::fault::TimingFault`) compute bit-exact products with
 //!   secret-dependent timing; the detector must flag both within the
@@ -18,14 +20,16 @@
 
 use saber_core::fault::{TimingFault, TimingLeakMultiplier};
 use saber_ring::EngineKind;
-use saber_timing::{detect, DecapsTarget, EncapsTarget, MulTarget, TimingConfig, Verdict};
 use saber_testkit::Rng;
+use saber_timing::{
+    detect, DecapsTarget, EncapsTarget, MulTarget, SamplerTarget, TimingConfig, Verdict,
+};
 use saber_trace::MonotonicClock;
 
 #[test]
 fn ct_engine_is_timing_clean_on_fixed_vs_random_secrets() {
     let cfg = TimingConfig::from_env();
-    let mut target = MulTarget::engine(EngineKind::Ct);
+    let mut target = MulTarget::engine(EngineKind::default());
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,
@@ -72,7 +76,7 @@ fn kem_decaps_on_the_ct_engine_is_timing_clean() {
     };
     cfg.samples /= 4;
     let mut rng = Rng::new(cfg.seed ^ 0xDECA);
-    let mut target = DecapsTarget::new(EngineKind::Ct, &saber_kem::LIGHT_SABER, 8, &mut rng);
+    let mut target = DecapsTarget::new(EngineKind::default(), &saber_kem::LIGHT_SABER, 8, &mut rng);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,
@@ -91,11 +95,34 @@ fn kem_encaps_on_the_ct_engine_is_timing_clean() {
     };
     cfg.samples /= 4;
     let mut rng = Rng::new(cfg.seed ^ 0xE9CA);
-    let mut target = EncapsTarget::new(EngineKind::Ct, &saber_kem::LIGHT_SABER, &mut rng);
+    let mut target = EncapsTarget::new(EngineKind::default(), &saber_kem::LIGHT_SABER, &mut rng);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,
         Verdict::Pass,
         "ct-engine encaps failed the leakage gate: {report}"
+    );
+}
+
+#[test]
+fn secret_sampler_is_timing_clean_on_fixed_vs_random_seeds() {
+    // A per-coefficient sign branch in the range check made fresh
+    // secrets about 2 µs slower than a repeated one and was flagged
+    // within 512–1,408 samples. Four times the multiply budget keeps a
+    // wide margin over that, and one expansion costs only microseconds.
+    let env = TimingConfig::from_env();
+    let cfg = TimingConfig {
+        seed: env.seed,
+        threshold: env.threshold,
+        crop_percentile: env.crop_percentile,
+        ..TimingConfig::with_samples(4 * env.samples)
+    };
+    let mut rng = Rng::new(cfg.seed ^ 0x5A3B);
+    let mut target = SamplerTarget::new(&saber_kem::LIGHT_SABER, &mut rng);
+    let report = detect(&mut target, &cfg, &mut MonotonicClock);
+    assert_eq!(
+        report.verdict,
+        Verdict::Pass,
+        "secret sampler failed the leakage gate: {report}"
     );
 }

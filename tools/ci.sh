@@ -78,8 +78,8 @@ if want ct_engine_gate || [ "$STAGE" = "timing_gate" ]; then
 fi
 
 # Timing-leakage gate (dudect-style fixed-vs-random Welch t-test):
-# the constant-time engine and the KEM pipelines built on it must stay
-# under the |t| threshold, and both planted timing mutants must be
+# the default (constant-time) engine, the secret sampler, and the KEM
+# pipelines built on them must stay under the |t| threshold, and both planted timing mutants must be
 # flagged within the sample budget — the detector is only trusted
 # because its positive controls fire. The seed is pinned so a CI
 # failure reproduces locally with the identical measurement schedule;
@@ -130,13 +130,13 @@ if want service; then
         SABER_ENGINE=$e cargo test -q --release -p saber-service --test concurrency_equivalence
     done
 
-    # Soak the default engine at full depth, then every alternative
+    # Soak the default engine (ct) at full depth, then every alternative
     # engine at a reduced budget (the soak is oracle-spot-checked, so
     # even the short runs would catch an engine corrupting state across
     # jobs).
     echo "==> service soak: SABER_SOAK_OPS=10000 (release)"
     SABER_SOAK_OPS=10000 cargo test -q --release -p saber-service --test soak
-    for e in swar toom ntt ct auto; do
+    for e in cached swar toom ntt auto; do
         echo "    SABER_ENGINE=$e SABER_SOAK_OPS=2000"
         SABER_ENGINE=$e SABER_SOAK_OPS=2000 cargo test -q --release -p saber-service --test soak
     done
