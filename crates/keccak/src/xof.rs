@@ -21,10 +21,6 @@ pub type Shake128 = Shake<168>;
 pub type Shake256 = Shake<136>;
 
 impl<const RATE: usize> Shake<RATE> {
-    /// Rate (block size) in bytes: one permutation yields this many
-    /// output bytes.
-    pub const RATE_BYTES: usize = RATE;
-
     /// Creates an empty XOF.
     #[must_use]
     pub fn new() -> Self {

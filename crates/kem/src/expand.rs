@@ -9,7 +9,7 @@
 //! preserved; see DESIGN.md §2.
 
 use saber_keccak::Shake128;
-use saber_ring::{PolyMatrix, PolyQ, SecretPoly, SecretVec, N};
+use saber_ring::{packing, PolyMatrix, PolyQ, SecretPoly, SecretVec, EPS_Q, N};
 
 use crate::params::SaberParams;
 
@@ -18,55 +18,15 @@ const DOMAIN_MATRIX: u8 = 0x41;
 /// Domain-separation byte appended to the seed when sampling secrets.
 const DOMAIN_SECRET: u8 = 0x53;
 
-/// A bit-granular reader over a SHAKE-128 stream.
-///
-/// It squeezes one whole rate block (168 bytes, one permutation) at a
-/// time and serves bits from that buffer, so the sponge is entered once
-/// per block rather than once per byte.
-struct BitReader {
-    xof: Shake128,
-    block: [u8; Shake128::RATE_BYTES],
-    /// Next unread byte of `block`.
-    pos: usize,
-    buffer: u64,
-    bits: u32,
-}
-
-impl BitReader {
-    fn new(xof: Shake128) -> Self {
-        Self {
-            xof,
-            block: [0; Shake128::RATE_BYTES],
-            pos: Shake128::RATE_BYTES,
-            buffer: 0,
-            bits: 0,
-        }
-    }
-
-    /// Reads `count ≤ 32` bits, little-endian first.
-    fn read(&mut self, count: u32) -> u32 {
-        debug_assert!(count <= 32);
-        while self.bits < count {
-            if self.pos == self.block.len() {
-                self.xof.read(&mut self.block);
-                self.pos = 0;
-            }
-            self.buffer |= u64::from(self.block[self.pos]) << self.bits;
-            self.pos += 1;
-            self.bits += 8;
-        }
-        let out = (self.buffer & ((1u64 << count) - 1)) as u32;
-        self.buffer >>= count;
-        self.bits -= count;
-        out
-    }
-}
+/// XOF bytes behind one matrix polynomial: 256 13-bit coefficients.
+const MATRIX_POLY_BYTES: usize = N * EPS_Q as usize / 8;
 
 /// Expands the `ℓ×ℓ` public matrix `A` from a 32-byte seed with
 /// SHAKE-128.
 ///
-/// Entries are row-major; each polynomial consumes `256·13` bits of XOF
-/// output as a little-endian bitstream of 13-bit coefficients.
+/// Entries are row-major; each polynomial squeezes the next 416 bytes of
+/// XOF output and decodes them as a little-endian bitstream of 13-bit
+/// coefficients (the layout `saber-coproc`'s `UnpackPoly` reads).
 ///
 /// # Examples
 ///
@@ -84,30 +44,45 @@ pub fn gen_matrix(seed: &[u8; 32], params: &SaberParams) -> PolyMatrix {
     let mut xof = Shake128::new();
     xof.absorb(seed);
     xof.absorb(&[DOMAIN_MATRIX]);
-    let mut reader = BitReader::new(xof);
-    let rank = params.rank;
-    let mut entries = Vec::with_capacity(rank * rank);
-    for _ in 0..rank * rank {
-        let mut poly = PolyQ::zero();
-        for i in 0..N {
-            poly.set_coeff(i, reader.read(13) as u16);
-        }
-        entries.push(poly);
-    }
-    PolyMatrix::from_entries(rank, entries)
+    let mut bytes = [0u8; MATRIX_POLY_BYTES];
+    let mut coeffs = [0u16; N];
+    let entries = (0..params.rank * params.rank)
+        .map(|_| {
+            xof.read(&mut bytes);
+            packing::unpack_bits_into(&bytes, EPS_Q, &mut coeffs);
+            PolyQ::from_coeffs(coeffs)
+        })
+        .collect();
+    PolyMatrix::from_entries(params.rank, entries)
 }
 
-/// Samples one `β_µ` coefficient from `µ` stream bits:
-/// `popcount(first µ/2) − popcount(last µ/2)`.
-fn cbd_coefficient(reader: &mut BitReader, mu: u32) -> i8 {
+/// Samples `β_µ` coefficients from `µ`-bit values: each is
+/// `popcount(low µ/2 bits) − popcount(high µ/2 bits)`.
+///
+/// SWAR, branch-free and table-free: the two half-fields of a value go
+/// into the two bytes of a `u16` lane, and one byte-wise popcount counts
+/// both. Shifts and masks depend only on the public `µ`, so the loop
+/// over all 256 lanes vectorizes. No step wraps (a byte counts at most
+/// `µ/2 ≤ 8` bits); the `wrapping_*` forms only drop the release
+/// profile's overflow checks, which would keep the loop scalar.
+fn cbd(values: &[u16; N], mu: u32, coeffs: &mut [i8; N]) {
     let half = mu / 2;
-    let a = reader.read(half).count_ones() as i8;
-    let b = reader.read(half).count_ones() as i8;
-    a - b
+    let field = (1u16 << half) - 1;
+    for (c, &v) in coeffs.iter_mut().zip(values) {
+        let mut x = (v & field) | ((v >> half) & field) << 8;
+        x = x.wrapping_sub((x >> 1) & 0x5555);
+        x = (x & 0x3333).wrapping_add((x >> 2) & 0x3333);
+        x = x.wrapping_add(x >> 4) & 0x0f0f;
+        *c = ((x & 0xff) as i8).wrapping_sub((x >> 8) as i8);
+    }
 }
 
 /// Samples a secret vector of `ℓ` polynomials with `β_µ`-distributed
 /// coefficients from a 32-byte seed with SHAKE-128.
+///
+/// Each polynomial squeezes the next `256·µ/8` bytes of XOF output and
+/// decodes them as 256 `µ`-bit values, whose half-fields are counted
+/// with a SWAR popcount.
 ///
 /// # Examples
 ///
@@ -124,18 +99,131 @@ pub fn gen_secret(seed: &[u8; 32], params: &SaberParams) -> SecretVec {
     let mut xof = Shake128::new();
     xof.absorb(seed);
     xof.absorb(&[DOMAIN_SECRET]);
-    let mut reader = BitReader::new(xof);
+    let mut bytes = [0u8; N * 16 / 8];
+    let bytes = &mut bytes[..params.secret_bytes_per_poly()];
+    let mut values = [0u16; N];
     let polys = (0..params.rank)
         .map(|_| {
+            xof.read(bytes);
+            packing::unpack_bits_into(bytes, params.mu, &mut values);
             let mut coeffs = [0i8; N];
-            for c in coeffs.iter_mut() {
-                *c = cbd_coefficient(&mut reader, params.mu);
-            }
+            cbd(&values, params.mu, &mut coeffs);
             SecretPoly::try_from_coeffs(coeffs)
                 .expect("β_µ samples are within the secret range by construction")
         })
         .collect();
     SecretVec::from_polys(polys)
+}
+
+/// A bounded cache of expanded public matrices, keyed by
+/// `(seed_A, rank)`: one per service worker.
+///
+/// `A` is a public, pure function of `seed_A` and the rank, so a hit
+/// returns exactly what [`gen_matrix`] would, and outputs cannot change.
+/// A server decapsulating against its own static key meets the same
+/// `seed_A` on every request, so after the first miss each worker's
+/// decaps (and encaps against that key) skips the expansion.
+///
+/// Holds at most [`CAPACITY`](Self::CAPACITY) matrices and replaces them
+/// round-robin once full, so its coefficients take at most
+/// 8 × 16 × 512 B = 64 KiB at FireSaber (`ℓ = 4`).
+///
+/// # Examples
+///
+/// ```
+/// use saber_kem::expand::{gen_matrix, MatrixCache};
+/// use saber_kem::params::SABER;
+///
+/// let mut cache = MatrixCache::new();
+/// let seed = [7u8; 32];
+/// assert_eq!(*cache.matrix(&seed, &SABER), gen_matrix(&seed, &SABER));
+/// assert_eq!(*cache.matrix(&seed, &SABER), gen_matrix(&seed, &SABER));
+/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
+/// ```
+#[derive(Debug, Default)]
+pub struct MatrixCache {
+    entries: Vec<CachedMatrix>,
+    /// Slot the next miss replaces once the cache is full.
+    next: usize,
+    hits: u64,
+    misses: u64,
+}
+
+#[derive(Debug)]
+struct CachedMatrix {
+    seed: [u8; 32],
+    rank: usize,
+    matrix: PolyMatrix,
+}
+
+impl MatrixCache {
+    /// Matrices held at most.
+    pub const CAPACITY: usize = 8;
+
+    /// An empty cache (allocates nothing until the first miss).
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            entries: Vec::new(),
+            next: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The matrix of `(seed, params.rank)`: cached, or expanded with
+    /// [`gen_matrix`] and cached.
+    pub fn matrix(&mut self, seed: &[u8; 32], params: &SaberParams) -> &PolyMatrix {
+        let found = self
+            .entries
+            .iter()
+            .position(|e| e.rank == params.rank && e.seed == *seed);
+        let slot = if let Some(slot) = found {
+            self.hits += 1;
+            slot
+        } else {
+            self.misses += 1;
+            let entry = CachedMatrix {
+                seed: *seed,
+                rank: params.rank,
+                matrix: gen_matrix(seed, params),
+            };
+            if self.entries.len() < Self::CAPACITY {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            } else {
+                let slot = self.next;
+                self.entries[slot] = entry;
+                self.next = (slot + 1) % Self::CAPACITY;
+                slot
+            }
+        };
+        &self.entries[slot].matrix
+    }
+
+    /// Matrices currently held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether no matrix is held.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Lookups answered from the cache.
+    #[must_use]
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Lookups that expanded the matrix.
+    #[must_use]
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
 }
 
 #[cfg(test)]
@@ -197,16 +285,5 @@ mod tests {
         let a = gen_matrix(&[13u8; 32], &LIGHT_SABER);
         let high = (0..N).filter(|&i| a.entry(0, 0).coeff(i) >= 4096).count();
         assert!(high > 64, "only {high} of 256 coefficients above q/2");
-    }
-
-    #[test]
-    fn bit_reader_is_little_endian_within_bytes() {
-        let mut xof = Shake128::from_seed(b"bit order probe");
-        let mut first = [0u8; 2];
-        xof.read(&mut first);
-        let mut reader = BitReader::new(Shake128::from_seed(b"bit order probe"));
-        let lo = reader.read(8) as u8;
-        let hi = reader.read(8) as u8;
-        assert_eq!([lo, hi], first);
     }
 }

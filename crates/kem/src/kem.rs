@@ -16,14 +16,18 @@
 //! plain owned data — `Send + Sync`, enforced at compile time below —
 //! which is what lets `saber-service` fan the three operations out
 //! across a worker pool and still promise sequential-equivalent
-//! results. The only per-call mutable state is the multiplier backend,
-//! which each worker owns exclusively (`&mut M`).
+//! results. The only per-call mutable state is the multiplier backend
+//! and, in [`encaps_cached`]/[`decaps_cached`], the matrix cache, both
+//! of which each worker owns exclusively (`&mut`). The cache holds only
+//! public matrices, each a pure function of its key, so it changes how
+//! fast a call runs, never what it returns.
 
 use std::fmt;
 
 use saber_keccak::{Sha3_256, Sha3_512, Shake256};
 use saber_ring::PolyMultiplier;
 
+use crate::expand::MatrixCache;
 use crate::params::SaberParams;
 use crate::pke::{self, Ciphertext, CpaSecretKey, PublicKey};
 use crate::serialize;
@@ -220,11 +224,24 @@ fn final_key(khat: &[u8; 32], ct_bytes: &[u8]) -> SharedSecret {
 ///
 /// `entropy` is the caller-supplied randomness; it is hashed before use
 /// (`m = SHA3-256(entropy)`) exactly as the spec hashes the sampled
-/// message to de-bias it.
+/// message to de-bias it. Expands `A` afresh: this is
+/// [`encaps_cached`] with an empty cache.
 #[must_use]
 pub fn encaps<M: PolyMultiplier + ?Sized>(
     pk: &PublicKey,
     entropy: &[u8; 32],
+    backend: &mut M,
+) -> (Ciphertext, SharedSecret) {
+    encaps_cached(pk, entropy, &mut MatrixCache::new(), backend)
+}
+
+/// [`encaps`] taking `pk`'s matrix `A` from `matrices` (see
+/// [`pke::encrypt_cached`]); the output is byte-identical.
+#[must_use]
+pub fn encaps_cached<M: PolyMultiplier + ?Sized>(
+    pk: &PublicKey,
+    entropy: &[u8; 32],
+    matrices: &mut MatrixCache,
     backend: &mut M,
 ) -> (Ciphertext, SharedSecret) {
     let _span = saber_trace::span("kem", "kem.encaps");
@@ -236,23 +253,40 @@ pub fn encaps<M: PolyMultiplier + ?Sized>(
         )
     };
     let (khat, coins) = g_split(&pk_hash, &m);
-    let ct = pke::encrypt(pk, &m, &coins, backend);
+    let ct = pke::encrypt_cached(pk, &m, &coins, matrices, backend);
     let ct_bytes = serialize::ciphertext_to_bytes(&ct, &pk.params);
     (ct, final_key(&khat, &ct_bytes))
 }
 
 /// Decapsulation with implicit rejection: an invalid ciphertext yields a
-/// pseudorandom secret derived from `z` instead of an error.
+/// pseudorandom secret derived from `z` instead of an error. Expands `A`
+/// afresh for the re-encryption: this is [`decaps_cached`] with an empty
+/// cache.
 #[must_use]
 pub fn decaps<M: PolyMultiplier + ?Sized>(
     sk: &KemSecretKey,
     ct: &Ciphertext,
     backend: &mut M,
 ) -> SharedSecret {
+    decaps_cached(sk, ct, &mut MatrixCache::new(), backend)
+}
+
+/// [`decaps`] taking the re-encryption's matrix `A` from `matrices`,
+/// keyed by the embedded public key's `seed_A` (see
+/// [`pke::encrypt_cached`]); the output is byte-identical. A server
+/// decapsulating against its own static key hits on every call after
+/// the first.
+#[must_use]
+pub fn decaps_cached<M: PolyMultiplier + ?Sized>(
+    sk: &KemSecretKey,
+    ct: &Ciphertext,
+    matrices: &mut MatrixCache,
+    backend: &mut M,
+) -> SharedSecret {
     let _span = saber_trace::span("kem", "kem.decaps");
     let m_prime = pke::decrypt(&sk.cpa, ct, backend);
     let (khat_prime, coins_prime) = g_split(&sk.pk_hash, &m_prime);
-    let ct_prime = pke::encrypt(&sk.public_key, &m_prime, &coins_prime, backend);
+    let ct_prime = pke::encrypt_cached(&sk.public_key, &m_prime, &coins_prime, matrices, backend);
     let ct_bytes = serialize::ciphertext_to_bytes(ct, sk.params());
     // FO re-encryption check in constant time: a short-circuiting `==`
     // would leak how long a forged ciphertext's matching prefix is.

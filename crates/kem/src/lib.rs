@@ -10,7 +10,8 @@
 //! the `saber_kem_hw` example at the workspace root).
 //!
 //! * [`params`] — LightSaber / Saber / FireSaber parameter sets;
-//! * [`expand`] — matrix expansion and `β_µ` secret sampling (SHAKE-128);
+//! * [`expand`] — matrix expansion and `β_µ` secret sampling (SHAKE-128),
+//!   and the bounded per-worker cache of expanded matrices;
 //! * [`pke`] — the IND-CPA encryption scheme;
 //! * [`kem`] — the CCA-secure KEM (FO transform, implicit rejection);
 //! * [`serialize`] — spec-sized byte encodings;
@@ -41,7 +42,8 @@ pub mod pke;
 pub mod secret;
 pub mod serialize;
 
-pub use kem::{decaps, encaps, keygen, KemSecretKey, SharedSecret};
+pub use expand::MatrixCache;
+pub use kem::{decaps, decaps_cached, encaps, encaps_cached, keygen, KemSecretKey, SharedSecret};
 pub use secret::Zeroize;
 pub use params::{SaberParams, ALL_PARAMS, FIRE_SABER, LIGHT_SABER, SABER};
 pub use pke::{Ciphertext, PublicKey};

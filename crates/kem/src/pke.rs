@@ -9,7 +9,7 @@ use std::fmt;
 use saber_ring::rounding::{h1, h2};
 use saber_ring::{packing, PolyMultiplier, PolyP, PolyQ, PolyVec, SecretVec, EPS_P, N};
 
-use crate::expand::{gen_matrix, gen_secret};
+use crate::expand::{gen_matrix, gen_secret, MatrixCache};
 use crate::params::SaberParams;
 
 /// A polynomial compressed to `bits`-wide coefficients (the ciphertext
@@ -57,6 +57,16 @@ impl CompressedPoly {
         packing::pack_bits(&self.values, self.bits)
     }
 
+    /// Allocation-free [`to_bytes`](Self::to_bytes): `out` must hold
+    /// exactly `256·bits/8` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has the wrong length.
+    pub(crate) fn to_bytes_into(&self, out: &mut [u8]) {
+        packing::pack_bits_into(&self.values, self.bits, out);
+    }
+
     /// Deserializes from a little-endian bitstream.
     ///
     /// # Panics
@@ -64,9 +74,8 @@ impl CompressedPoly {
     /// Panics if `bytes` is too short for 256 `bits`-wide values.
     #[must_use]
     pub fn from_bytes(bytes: &[u8], bits: u32) -> Self {
-        let unpacked = packing::unpack_bits(bytes, bits, N);
         let mut values = [0u16; N];
-        values.copy_from_slice(&unpacked);
+        packing::unpack_bits_into(bytes, bits, &mut values);
         Self::new(values, bits)
     }
 }
@@ -146,7 +155,8 @@ pub fn keygen<M: PolyMultiplier + ?Sized>(
 }
 
 /// IND-CPA encryption of a 32-byte message with explicit coins
-/// (Algorithm 18).
+/// (Algorithm 18), expanding `A` from `pk.seed_a` afresh: this is
+/// [`encrypt_cached`] with an empty cache.
 #[must_use]
 pub fn encrypt<M: PolyMultiplier + ?Sized>(
     pk: &PublicKey,
@@ -154,10 +164,25 @@ pub fn encrypt<M: PolyMultiplier + ?Sized>(
     coins: &[u8; 32],
     backend: &mut M,
 ) -> Ciphertext {
+    encrypt_cached(pk, message, coins, &mut MatrixCache::new(), backend)
+}
+
+/// [`encrypt`] taking `A` from `matrices`, which looks it up by the
+/// key's own `seed_A` and rank (expanding it on a miss). The matrix
+/// never comes from the caller, so it cannot belong to another key, and
+/// the ciphertext is byte-identical to [`encrypt`]'s.
+#[must_use]
+pub fn encrypt_cached<M: PolyMultiplier + ?Sized>(
+    pk: &PublicKey,
+    message: &[u8; 32],
+    coins: &[u8; 32],
+    matrices: &mut MatrixCache,
+    backend: &mut M,
+) -> Ciphertext {
     let _span = saber_trace::span("kem", "pke.encrypt");
     let params = &pk.params;
     let rank = params.rank;
-    let a = gen_matrix(&pk.seed_a, params);
+    let a = matrices.matrix(&pk.seed_a, params);
     let s_prime = gen_secret(coins, params);
 
     // Both products of encryption — the mat-vec A·s' and the inner

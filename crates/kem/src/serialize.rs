@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use saber_ring::{packing, PolyP, PolyVec, N};
+use saber_ring::{packing, PolyVec, N};
 
 use crate::params::SaberParams;
 use crate::pke::{Ciphertext, CompressedPoly, PublicKey};
@@ -21,6 +21,15 @@ pub enum DecodeError {
         /// Received byte count.
         got: usize,
     },
+    /// A secret-key nibble decodes outside the Saber secret range.
+    SecretCoefficient {
+        /// Polynomial of the secret vector holding the coefficient.
+        poly: usize,
+        /// Index of the first offending coefficient in that polynomial.
+        index: usize,
+        /// The decoded value.
+        value: i8,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -29,35 +38,46 @@ impl fmt::Display for DecodeError {
             DecodeError::Length { expected, got } => {
                 write!(f, "invalid encoding length: expected {expected}, got {got}")
             }
+            DecodeError::SecretCoefficient { poly, index, value } => write!(
+                f,
+                "invalid secret key: coefficient {index} of polynomial {poly} decodes to \
+                 {value}, outside the secret range"
+            ),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-fn polyvec10_to_bytes(v: &PolyVec<10>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * N * 10 / 8);
-    for poly in v.iter() {
-        out.extend_from_slice(&packing::poly_to_bytes(poly));
+/// Bytes of one 10-bit polynomial.
+const POLY10_BYTES: usize = N * 10 / 8;
+
+/// Packs each polynomial of `v` into consecutive 320-byte slots of `out`.
+fn polyvec10_into(v: &PolyVec<10>, out: &mut [u8]) {
+    assert_eq!(
+        v.len() * POLY10_BYTES,
+        out.len(),
+        "vector length must match the parameter set's rank"
+    );
+    for (poly, slot) in v.iter().zip(out.chunks_exact_mut(POLY10_BYTES)) {
+        packing::poly_to_bytes_into(poly, slot);
     }
-    out
 }
 
 fn polyvec10_from_bytes(bytes: &[u8], rank: usize) -> PolyVec<10> {
-    let per_poly = N * 10 / 8;
-    let polys = (0..rank)
-        .map(|k| packing::poly_from_bytes::<10>(&bytes[k * per_poly..(k + 1) * per_poly]))
-        .collect::<Vec<PolyP>>();
-    PolyVec::from_polys(polys)
+    bytes
+        .chunks_exact(POLY10_BYTES)
+        .take(rank)
+        .map(packing::poly_from_bytes::<10>)
+        .collect()
 }
 
-/// Serializes a public key (`seed_A ‖ b`).
+/// Serializes a public key (`seed_A ‖ b`) into one buffer.
 #[must_use]
 pub fn public_key_to_bytes(pk: &PublicKey) -> Vec<u8> {
-    let mut out = Vec::with_capacity(pk.params.public_key_bytes());
-    out.extend_from_slice(&pk.seed_a);
-    out.extend_from_slice(&polyvec10_to_bytes(&pk.b));
-    debug_assert_eq!(out.len(), pk.params.public_key_bytes());
+    let mut out = vec![0u8; pk.params.public_key_bytes()];
+    out[..32].copy_from_slice(&pk.seed_a);
+    polyvec10_into(&pk.b, &mut out[32..]);
     out
 }
 
@@ -85,13 +105,13 @@ pub fn public_key_from_bytes(bytes: &[u8], params: &SaberParams) -> Result<Publi
     })
 }
 
-/// Serializes a ciphertext (`b' ‖ c_m`).
+/// Serializes a ciphertext (`b' ‖ c_m`) into one buffer.
 #[must_use]
 pub fn ciphertext_to_bytes(ct: &Ciphertext, params: &SaberParams) -> Vec<u8> {
-    let mut out = Vec::with_capacity(params.ciphertext_bytes());
-    out.extend_from_slice(&polyvec10_to_bytes(&ct.b_prime));
-    out.extend_from_slice(&ct.cm.to_bytes());
-    debug_assert_eq!(out.len(), params.ciphertext_bytes());
+    let mut out = vec![0u8; params.ciphertext_bytes()];
+    let (b_prime, cm) = out.split_at_mut(params.rank * POLY10_BYTES);
+    polyvec10_into(&ct.b_prime, b_prime);
+    ct.cm.to_bytes_into(cm);
     out
 }
 
@@ -112,7 +132,7 @@ pub fn ciphertext_from_bytes(
             got: bytes.len(),
         });
     }
-    let split = params.rank * N * 10 / 8;
+    let split = params.rank * POLY10_BYTES;
     let b_prime = polyvec10_from_bytes(&bytes[..split], params.rank);
     let cm = CompressedPoly::from_bytes(&bytes[split..], params.eps_t);
     Ok(Ciphertext { b_prime, cm })
@@ -147,9 +167,9 @@ pub fn secret_key_to_bytes(sk: &crate::kem::KemSecretKey) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError::Length`] on a size mismatch. A nibble outside
-/// the Saber secret range also yields a length error (the encoding is
-/// rejected as malformed).
+/// Returns [`DecodeError::Length`] on a size mismatch, and
+/// [`DecodeError::SecretCoefficient`], naming the first offending
+/// coefficient, when a nibble decodes outside the Saber secret range.
 pub fn secret_key_from_bytes(
     bytes: &[u8],
     params: &SaberParams,
@@ -164,7 +184,7 @@ pub fn secret_key_from_bytes(
     let sec_words_per_poly = N / 16;
     let mut offset = 0usize;
     let mut polys = Vec::with_capacity(params.rank);
-    for _ in 0..params.rank {
+    for poly_index in 0..params.rank {
         let mut words = [0u64; 16];
         for word in words.iter_mut() {
             let mut raw = [0u8; 8];
@@ -173,11 +193,13 @@ pub fn secret_key_from_bytes(
             offset += 8;
         }
         debug_assert_eq!(words.len(), sec_words_per_poly);
-        let poly =
-            saber_ring::packing::secret_from_words(&words).map_err(|_| DecodeError::Length {
-                expected,
-                got: bytes.len(),
-            })?;
+        let poly = saber_ring::packing::secret_from_words(&words).map_err(|e| {
+            DecodeError::SecretCoefficient {
+                poly: poly_index,
+                index: e.index,
+                value: e.value,
+            }
+        })?;
         polys.push(poly);
     }
     let s = saber_ring::SecretVec::from_polys(polys);
@@ -260,7 +282,30 @@ mod tests {
         let (_, sk) = crate::kem::keygen(&SABER, &[7; 32], &mut backend);
         let mut bytes = secret_key_to_bytes(&sk);
         bytes[0] = 0x77; // nibble 7 = +7, outside |s| ≤ 5
-        assert!(secret_key_from_bytes(&bytes, &SABER).is_err());
+        let err = secret_key_from_bytes(&bytes, &SABER).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::SecretCoefficient {
+                poly: 0,
+                index: 0,
+                value: 7
+            }
+        );
+        assert!(
+            err.to_string().contains("coefficient 0 of polynomial 0"),
+            "{err}"
+        );
+        // The second polynomial's first nibble is reported as such.
+        let mut bytes = secret_key_to_bytes(&sk);
+        bytes[N / 2] = 0x08; // nibble 8 = −8
+        assert_eq!(
+            secret_key_from_bytes(&bytes, &SABER).unwrap_err(),
+            DecodeError::SecretCoefficient {
+                poly: 1,
+                index: 0,
+                value: -8
+            }
+        );
     }
 
     #[test]

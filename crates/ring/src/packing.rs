@@ -2,10 +2,13 @@
 //!
 //! Two families of layouts live here:
 //!
-//! * **Byte-stream packing** ([`pack_bits`] / [`unpack_bits`]) — the
-//!   little-endian bitstream encoding used by Saber's wire formats
-//!   (13-bit secret-key words, 10-bit public-key words, `ε_T`-bit
-//!   ciphertext words, 1-bit messages);
+//! * **Byte-stream packing** ([`pack_bits`] / [`unpack_bits`], and the
+//!   allocation-free [`pack_bits_into`] / [`unpack_bits_into`]) — the
+//!   little-endian bitstream encoding used by Saber's wire formats and
+//!   XOF expansion (13-bit matrix coefficients, 10-bit public-key words,
+//!   `ε_T`-bit ciphertext words, 1-bit messages). It is a group codec:
+//!   eight `bits`-wide values occupy exactly `bits` bytes, so each group
+//!   moves through one little-endian `u128` instead of bit by bit;
 //! * **64-bit memory-word layouts** ([`words_from_coeffs`] /
 //!   [`coeffs_from_words`]) — the exact BRAM image the paper's hardware
 //!   multipliers stream: 13-bit public/accumulator coefficients packed
@@ -18,6 +21,79 @@ use crate::modulus::N;
 use crate::poly::Poly;
 use crate::secret::{SecretPoly, SecretRangeError};
 
+/// Values per codec group: eight `bits`-wide values fill exactly `bits`
+/// bytes, so groups never share a byte.
+const GROUP: usize = 8;
+
+/// One group's eight `width`-bit values as a little-endian word.
+#[inline(always)]
+fn join_group(group: &[u16; GROUP], width: usize) -> u128 {
+    group
+        .iter()
+        .enumerate()
+        .fold(0, |word, (j, &v)| word | u128::from(v) << (j * width))
+}
+
+/// Splits a little-endian word into eight `width`-bit values.
+#[inline(always)]
+fn split_group(word: u128, width: usize, group: &mut [u16; GROUP]) {
+    let mask = (1u128 << width) - 1;
+    for (j, v) in group.iter_mut().enumerate() {
+        *v = ((word >> (j * width)) & mask) as u16;
+    }
+}
+
+#[inline(always)]
+fn pack_groups(values: &[u16], width: usize, out: &mut [u8]) {
+    let len = out.len();
+    let mut store = |g: usize, word: u128| {
+        let start = g * width;
+        match out.get_mut(start..start + 16) {
+            // A full 16-byte store: the bytes past this group's `width`
+            // are zero here and the next group overwrites them.
+            Some(window) => window.copy_from_slice(&word.to_le_bytes()),
+            None => out[start..].copy_from_slice(&word.to_le_bytes()[..len - start]),
+        }
+    };
+    let mut groups = values.chunks_exact(GROUP);
+    for (g, group) in groups.by_ref().enumerate() {
+        store(g, join_group(group.try_into().expect("full group"), width));
+    }
+    let rest = groups.remainder();
+    if !rest.is_empty() {
+        let mut padded = [0u16; GROUP];
+        padded[..rest.len()].copy_from_slice(rest);
+        store(values.len() / GROUP, join_group(&padded, width));
+    }
+}
+
+#[inline(always)]
+fn unpack_groups(bytes: &[u8], width: usize, out: &mut [u16]) {
+    let load = |g: usize| {
+        let start = g * width;
+        match bytes.get(start..start + 16) {
+            Some(window) => u128::from_le_bytes(window.try_into().expect("16-byte window")),
+            None => {
+                let tail = &bytes[start..bytes.len().min(start + width)];
+                let mut padded = [0u8; 16];
+                padded[..tail.len()].copy_from_slice(tail);
+                u128::from_le_bytes(padded)
+            }
+        }
+    };
+    let count = out.len();
+    let mut groups = out.chunks_exact_mut(GROUP);
+    for (g, group) in groups.by_ref().enumerate() {
+        split_group(load(g), width, group.try_into().expect("full group"));
+    }
+    let rest = groups.into_remainder();
+    if !rest.is_empty() {
+        let mut padded = [0u16; GROUP];
+        split_group(load(count / GROUP), width, &mut padded);
+        rest.copy_from_slice(&padded[..rest.len()]);
+    }
+}
+
 /// Packs `values`, each `bits` wide, into a little-endian bitstream.
 ///
 /// # Panics
@@ -25,28 +101,45 @@ use crate::secret::{SecretPoly, SecretRangeError};
 /// Panics if `bits` is 0 or > 16, or if any value exceeds `bits` bits.
 #[must_use]
 pub fn pack_bits(values: &[u16], bits: u32) -> Vec<u8> {
-    assert!((1..=16).contains(&bits), "bit width out of range");
-    let total_bits = values.len() * bits as usize;
-    let mut out = vec![0u8; total_bits.div_ceil(8)];
-    let mut bit_pos = 0usize;
-    for &v in values {
-        assert!(
-            u32::from(v) < (1u32 << bits),
-            "value {v} exceeds {bits} bits"
-        );
-        let mut remaining = bits;
-        let mut chunk = u32::from(v);
-        while remaining > 0 {
-            let byte = bit_pos / 8;
-            let offset = (bit_pos % 8) as u32;
-            let take = remaining.min(8 - offset);
-            out[byte] |= ((chunk & ((1 << take) - 1)) as u8) << offset;
-            chunk >>= take;
-            bit_pos += take as usize;
-            remaining -= take;
-        }
-    }
+    let mut out = vec![0u8; (values.len() * bits as usize).div_ceil(8)];
+    pack_bits_into(values, bits, &mut out);
     out
+}
+
+/// Allocation-free [`pack_bits`]: writes the bitstream into `out`, which
+/// must hold exactly `⌈values.len()·bits/8⌉` bytes (every byte is
+/// overwritten, so it need not be zeroed).
+///
+/// Each group of eight values is assembled in one little-endian `u128`
+/// and stored as `bits` bytes; a partial last group is zero-padded and
+/// stores only the bytes it reaches.
+///
+/// # Panics
+///
+/// Panics if `bits` is 0 or > 16, if `out` has the wrong length, or if
+/// any value exceeds `bits` bits.
+pub fn pack_bits_into(values: &[u16], bits: u32, out: &mut [u8]) {
+    assert!((1..=16).contains(&bits), "bit width out of range");
+    assert_eq!(
+        out.len(),
+        (values.len() * bits as usize).div_ceil(8),
+        "output buffer must hold exactly the packed bytes"
+    );
+    let overflow = values.iter().fold(0, |acc, &v| acc | v >> (bits - 1) >> 1);
+    if overflow != 0 {
+        // Rejected input only: locating the offender may branch.
+        let v = values
+            .iter()
+            .find(|&&v| u32::from(v) >= 1 << bits)
+            .expect("an oversized value was flagged");
+        panic!("value {v} exceeds {bits} bits");
+    }
+    // Saber's two hot widths get copies with constant shifts.
+    match bits {
+        10 => pack_groups(values, 10, out),
+        13 => pack_groups(values, 13, out),
+        _ => pack_groups(values, bits as usize, out),
+    }
 }
 
 /// Unpacks `count` values of `bits` width from a little-endian bitstream.
@@ -56,37 +149,52 @@ pub fn pack_bits(values: &[u16], bits: u32) -> Vec<u8> {
 /// Panics if the stream is too short or `bits` is out of range.
 #[must_use]
 pub fn unpack_bits(bytes: &[u8], bits: u32, count: usize) -> Vec<u16> {
+    let mut out = vec![0u16; count];
+    unpack_bits_into(bytes, bits, &mut out);
+    out
+}
+
+/// Allocation-free [`unpack_bits`]: fills `out` with the first
+/// `out.len()` values of the bitstream.
+///
+/// Each group of eight values is read from its `bits` bytes as one
+/// little-endian `u128` (a full 16-byte load while the stream is long
+/// enough, a zero-padded copy near its end) and split with shifts and
+/// masks.
+///
+/// # Panics
+///
+/// Panics if the stream is too short or `bits` is out of range.
+pub fn unpack_bits_into(bytes: &[u8], bits: u32, out: &mut [u16]) {
     assert!((1..=16).contains(&bits), "bit width out of range");
-    let needed_bits = count * bits as usize;
+    let needed_bits = out.len() * bits as usize;
     assert!(
         bytes.len() * 8 >= needed_bits,
         "bitstream too short: need {} bits, have {}",
         needed_bits,
         bytes.len() * 8
     );
-    let mut out = Vec::with_capacity(count);
-    let mut bit_pos = 0usize;
-    for _ in 0..count {
-        let mut v = 0u32;
-        let mut got = 0u32;
-        while got < bits {
-            let byte = bit_pos / 8;
-            let offset = (bit_pos % 8) as u32;
-            let take = (bits - got).min(8 - offset);
-            let chunk = (u32::from(bytes[byte]) >> offset) & ((1 << take) - 1);
-            v |= chunk << got;
-            got += take;
-            bit_pos += take as usize;
-        }
-        out.push(v as u16);
+    match bits {
+        10 => unpack_groups(bytes, 10, out),
+        13 => unpack_groups(bytes, 13, out),
+        _ => unpack_groups(bytes, bits as usize, out),
     }
-    out
 }
 
 /// Serializes a polynomial as a `QBITS`-bit little-endian bitstream.
 #[must_use]
 pub fn poly_to_bytes<const QBITS: u32>(poly: &Poly<QBITS>) -> Vec<u8> {
     pack_bits(poly.coeffs(), QBITS)
+}
+
+/// Allocation-free [`poly_to_bytes`]: `out` must hold exactly
+/// `256·QBITS/8` bytes.
+///
+/// # Panics
+///
+/// Panics if `out` has the wrong length.
+pub fn poly_to_bytes_into<const QBITS: u32>(poly: &Poly<QBITS>, out: &mut [u8]) {
+    pack_bits_into(poly.coeffs(), QBITS, out);
 }
 
 /// Deserializes a polynomial from a `QBITS`-bit little-endian bitstream.
@@ -96,8 +204,9 @@ pub fn poly_to_bytes<const QBITS: u32>(poly: &Poly<QBITS>) -> Vec<u8> {
 /// Panics if `bytes` is shorter than `⌈256·QBITS/8⌉`.
 #[must_use]
 pub fn poly_from_bytes<const QBITS: u32>(bytes: &[u8]) -> Poly<QBITS> {
-    let values = unpack_bits(bytes, QBITS, N);
-    Poly::from_fn(|i| values[i])
+    let mut coeffs = [0u16; N];
+    unpack_bits_into(bytes, QBITS, &mut coeffs);
+    Poly::from_coeffs(coeffs)
 }
 
 /// Number of 64-bit memory words holding one polynomial of `bits`-wide

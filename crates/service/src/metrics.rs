@@ -218,6 +218,8 @@ pub struct Metrics {
     steal_hits: AtomicU64,
     stolen_jobs: AtomicU64,
     degraded: AtomicU64,
+    matrix_cache_hits: AtomicU64,
+    matrix_cache_misses: AtomicU64,
     ops: [LatencyHistogram; 4],
     queue_wait: [LatencyHistogram; 4],
     execute: [LatencyHistogram; 4],
@@ -258,6 +260,18 @@ impl Metrics {
     pub fn record_steal_hit(&self, moved: u64) {
         self.steal_hits.fetch_add(1, Ordering::Relaxed);
         self.stolen_jobs.fetch_add(moved, Ordering::Relaxed);
+    }
+
+    /// A worker's job looked its matrix `A` up `hits + misses` times in
+    /// the worker's cache (zero for jobs that take no matrix).
+    pub fn record_matrix_lookups(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.matrix_cache_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if misses > 0 {
+            self.matrix_cache_misses
+                .fetch_add(misses, Ordering::Relaxed);
+        }
     }
 
     /// A job completed successfully. The two halves of its life are
@@ -325,6 +339,8 @@ impl Metrics {
             steal_hits: self.steal_hits.load(Ordering::Relaxed),
             stolen_jobs: self.stolen_jobs.load(Ordering::Relaxed),
             degraded_admissions: self.degraded.load(Ordering::Relaxed),
+            matrix_cache_hits: self.matrix_cache_hits.load(Ordering::Relaxed),
+            matrix_cache_misses: self.matrix_cache_misses.load(Ordering::Relaxed),
             ops: OpKind::ALL
                 .into_iter()
                 .map(|op| (op, self.ops[op.index()].snapshot()))
@@ -375,6 +391,12 @@ pub struct ServiceReport {
     /// Jobs admitted above the soft capacity under the degrade
     /// overload policy. Zero under the reject policy.
     pub degraded_admissions: u64,
+    /// Encaps/decaps lookups of the matrix `A` that a worker's cache
+    /// answered, summed over workers.
+    pub matrix_cache_hits: u64,
+    /// Encaps/decaps lookups that expanded `A` (and cached it), summed
+    /// over workers.
+    pub matrix_cache_misses: u64,
     /// Concrete engine label each worker shard resolved to (sorted;
     /// one entry per worker startup). Under `SABER_ENGINE=auto` this is
     /// where the calibrated per-shard choice is recorded.
@@ -457,6 +479,8 @@ impl ServiceReport {
             ("steal_hits".into(), int(self.steal_hits)),
             ("stolen_jobs".into(), int(self.stolen_jobs)),
             ("degraded_admissions".into(), int(self.degraded_admissions)),
+            ("matrix_cache_hits".into(), int(self.matrix_cache_hits)),
+            ("matrix_cache_misses".into(), int(self.matrix_cache_misses)),
             (
                 "engines".into(),
                 Value::Array(
@@ -583,6 +607,8 @@ impl ServiceReport {
             steal_hits: int("steal_hits")?,
             stolen_jobs: int("stolen_jobs")?,
             degraded_admissions: int("degraded_admissions")?,
+            matrix_cache_hits: int("matrix_cache_hits")?,
+            matrix_cache_misses: int("matrix_cache_misses")?,
             engines,
             ops,
             queue_wait,
@@ -624,6 +650,12 @@ impl ServiceReport {
         }
         if self.degraded_admissions > 0 {
             line.push_str(&format!(" degraded={}", self.degraded_admissions));
+        }
+        if self.matrix_cache_hits > 0 || self.matrix_cache_misses > 0 {
+            line.push_str(&format!(
+                " matrix_cache[hits={} misses={}]",
+                self.matrix_cache_hits, self.matrix_cache_misses
+            ));
         }
         for (op, h) in &self.ops {
             if h.count > 0 {
@@ -794,6 +826,24 @@ mod tests {
         let summary = r.format_summary();
         assert!(summary.contains("steals[attempts=5 hits=2 moved=4]"), "{summary}");
         assert!(summary.contains("degraded=1"), "{summary}");
+    }
+
+    #[test]
+    fn matrix_cache_counters_survive_json_and_summary() {
+        let m = Metrics::default();
+        m.record_matrix_lookups(0, 1);
+        m.record_matrix_lookups(1, 0);
+        m.record_matrix_lookups(1, 0);
+        m.record_matrix_lookups(0, 0);
+        let r = m.snapshot(2, 8, 0);
+        assert_eq!((r.matrix_cache_hits, r.matrix_cache_misses), (2, 1));
+        let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
+        assert_eq!(back, r);
+        let summary = r.format_summary();
+        assert!(
+            summary.contains("matrix_cache[hits=2 misses=1]"),
+            "{summary}"
+        );
     }
 
     #[test]

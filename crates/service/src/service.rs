@@ -28,10 +28,15 @@
 //! shards (`ServiceConfig::engine`, honouring `SABER_ENGINE`) — the
 //! software analogue of the paper replicating a verified datapath per
 //! compute unit. The concrete engine each shard resolved to is recorded
-//! in the [`ServiceReport`] `engines` field. The shard is worker-local,
-//! so the hot path (multiple caching or lane scans, Keccak) runs with
-//! **no lock held and no sharing**; the only synchronized structures
-//! are the O(1) queue operations and the one-shot result slots.
+//! in the [`ServiceReport`] `engines` field. Each worker also owns a
+//! bounded [`MatrixCache`] of expanded public matrices `A`, keyed by
+//! `(seed_A, rank)`, which its encaps and decaps jobs share: a server
+//! decapsulating against its own key expands `A` once per worker, not
+//! once per request (hits and misses are in the report). The shard and
+//! the cache are worker-local, so the hot path (multiple caching or
+//! lane scans, Keccak) runs with **no lock held and no sharing**; the
+//! only synchronized structures are the O(1) queue operations and the
+//! one-shot result slots.
 //!
 //! ## Failure containment
 //!
@@ -54,7 +59,7 @@ use std::thread;
 use std::time::Instant;
 
 use saber_kem::params::SaberParams;
-use saber_kem::{Ciphertext, KemSecretKey, PublicKey, SharedSecret};
+use saber_kem::{Ciphertext, KemSecretKey, MatrixCache, PublicKey, SharedSecret};
 use saber_ring::autotune::Calibration;
 use saber_ring::{EngineKind, PolyMatrix, PolyMultiplier, PolyVec, SecretVec};
 use saber_testkit::Rng;
@@ -815,17 +820,23 @@ impl Drop for KemService {
     }
 }
 
-fn run_request(shard: &mut dyn PolyMultiplier, request: Request) -> Response {
+fn run_request(
+    shard: &mut dyn PolyMultiplier,
+    matrices: &mut MatrixCache,
+    request: Request,
+) -> Response {
     match request {
         Request::Keygen { params, seed } => {
             let (pk, sk) = saber_kem::keygen(params, &seed, shard);
             Response::Keygen(Box::new((pk, sk)))
         }
         Request::Encaps { pk, entropy } => {
-            let (ct, ss) = saber_kem::encaps(&pk, &entropy, shard);
+            let (ct, ss) = saber_kem::encaps_cached(&pk, &entropy, matrices, shard);
             Response::Encaps(Box::new((ct, ss)))
         }
-        Request::Decaps { sk, ct } => Response::Decaps(saber_kem::decaps(&sk, &ct, shard)),
+        Request::Decaps { sk, ct } => {
+            Response::Decaps(saber_kem::decaps_cached(&sk, &ct, matrices, shard))
+        }
         Request::MatVec { matrix, secret } => Response::MatVec(matrix.mul_vec(&secret, shard)),
         Request::MatVecBatch { matrix, secrets } => Response::MatVecBatch(
             secrets
@@ -859,6 +870,10 @@ fn worker_loop(inner: &Inner, worker: usize) {
     let kind = inner.engine;
     let mut shard = kind.build();
     inner.metrics.record_engine(kind.label());
+    // The worker's own cache of expanded matrices `A`, which its encaps
+    // and decaps jobs share. Entries are public and complete (a panic
+    // mid-expansion inserts nothing), so it survives a shard rebuild.
+    let mut matrices = MatrixCache::new();
     // Every steal/victim decision this worker makes is drawn from a
     // seeded stream: the pool seed mixed with the worker index
     // (SplitMix64-style odd-constant spread so adjacent workers do not
@@ -890,7 +905,15 @@ fn worker_loop(inner: &Inner, worker: usize) {
                 .as_nanos(),
         )
         .unwrap_or(u64::MAX);
-        match catch_unwind(AssertUnwindSafe(|| run_request(shard.as_mut(), request))) {
+        let lookups = (matrices.hits(), matrices.misses());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_request(shard.as_mut(), &mut matrices, request)
+        }));
+        inner.metrics.record_matrix_lookups(
+            matrices.hits() - lookups.0,
+            matrices.misses() - lookups.1,
+        );
+        match outcome {
             Ok(response) => {
                 let exec_ns =
                     u64::try_from(dequeued.elapsed().as_nanos()).unwrap_or(u64::MAX);

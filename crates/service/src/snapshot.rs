@@ -22,8 +22,9 @@
 //! decimal bounds + `"+Inf"`), and the exposition uses **cumulative**
 //! bucket counts as the `le` semantics require.
 //!
-//! Versioning: `SCHEMA_VERSION` is 2 (version 2 added the service
-//! report's steal/degraded counters). Parsers reject documents with a
+//! Versioning: `SCHEMA_VERSION` is 3 (version 2 added the service
+//! report's steal/degraded counters, version 3 its matrix-cache
+//! hit/miss counters). Parsers reject documents with a
 //! different version rather than guessing — additive fields bump the
 //! version, and a reader for version N refuses N+1 documents instead of
 //! silently dropping sections.
@@ -35,7 +36,7 @@ use crate::metrics::{bucket_edge_label, ServiceReport, BUCKET_COUNT};
 use crate::obs;
 
 /// Version of the snapshot document schema.
-pub const SCHEMA_VERSION: i64 = 2;
+pub const SCHEMA_VERSION: i64 = 3;
 
 /// Flight-recorder status at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -482,6 +483,18 @@ impl MetricsSnapshot {
             "Jobs admitted above the soft capacity under the degrade policy.",
             s.degraded_admissions,
         );
+        counter(
+            &mut out,
+            "saber_matrix_cache_hits_total",
+            "Encaps/decaps matrix lookups answered by a worker's cache.",
+            s.matrix_cache_hits,
+        );
+        counter(
+            &mut out,
+            "saber_matrix_cache_misses_total",
+            "Encaps/decaps matrix lookups that expanded the matrix.",
+            s.matrix_cache_misses,
+        );
 
         if !s.engines.is_empty() {
             let _ = writeln!(
@@ -911,11 +924,18 @@ mod tests {
     fn unknown_schema_version_is_refused() {
         let snap = sample_snapshot();
         let text = snap.to_json_string().replace(
-            "\"schema_version\": 2",
             "\"schema_version\": 3",
+            "\"schema_version\": 4",
         );
         let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
-        assert!(err.contains("unsupported snapshot schema version 3"), "{err}");
+        assert!(err.contains("unsupported snapshot schema version 4"), "{err}");
+        // Version 2 documents predate the matrix-cache counters.
+        let text = snap.to_json_string().replace(
+            "\"schema_version\": 3",
+            "\"schema_version\": 2",
+        );
+        let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
+        assert!(err.contains("unsupported snapshot schema version 2"), "{err}");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use saber_kem::params::ALL_PARAMS;
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_ring::CachedSchoolbookMultiplier;
 use saber_service::loadgen::{build_plan, run_sequential, run_service, LoadProfile, OpMix};
-use saber_service::{KemService, ServiceConfig};
+use saber_service::{KemService, OpKind, ServiceConfig};
 
 /// Worker counts under test: the env override or the full {1, 2, 8}
 /// matrix.
@@ -42,10 +42,18 @@ fn ops_per_config() -> usize {
 fn mixed_kem_load_matches_sequential_for_all_sets_and_worker_counts() {
     for params in &ALL_PARAMS {
         let mut profile = LoadProfile::new(params, 0x0D0C_2021, ops_per_config());
+        // Two keys: they repeat across jobs and workers, so the workers'
+        // matrix caches hit while the transcript must stay identical.
         profile.keyring = 2;
         let plan = build_plan(&profile);
         let mut reference_backend = CachedSchoolbookMultiplier::new();
         let reference = run_sequential(&plan, &mut reference_backend);
+        let lookups = plan
+            .ops
+            .iter()
+            .filter(|op| matches!(op.kind(), OpKind::Encaps | OpKind::Decaps))
+            .count() as u64;
+        let mut hits = 0;
 
         for workers in worker_matrix() {
             let service = KemService::spawn(&ServiceConfig {
@@ -67,7 +75,27 @@ fn mixed_kem_load_matches_sequential_for_all_sets_and_worker_counts() {
                 "{}: every op completes exactly once",
                 params.name
             );
+            // One matrix lookup per encaps/decaps; each worker misses at
+            // most once per key (the keyring fits its cache).
+            assert_eq!(
+                report.matrix_cache_hits + report.matrix_cache_misses,
+                lookups,
+                "{} with {workers} workers: one lookup per encaps/decaps",
+                params.name
+            );
+            assert!(
+                report.matrix_cache_misses <= (workers * profile.keyring) as u64,
+                "{} with {workers} workers: {} misses",
+                params.name,
+                report.matrix_cache_misses
+            );
+            hits += report.matrix_cache_hits;
         }
+        assert!(
+            hits > 0,
+            "{}: repeated keys never hit a worker's cache",
+            params.name
+        );
     }
 }
 

@@ -8,7 +8,9 @@ use std::sync::Arc;
 use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::{LIGHT_SABER, SABER};
 use saber_service::metrics::{bucket_index, BUCKET_BOUNDS_NS, BUCKET_COUNT};
-use saber_service::{KemService, OpKind, ServiceConfig, ServiceReport};
+use saber_service::{
+    lint_prometheus, KemService, MetricsSnapshot, OpKind, ServiceConfig, ServiceReport,
+};
 
 #[test]
 fn bucket_boundaries_partition_the_latency_axis() {
@@ -192,4 +194,80 @@ fn malformed_reports_are_rejected_with_field_names() {
             .expect_err("bucket count mismatch")
             .contains("buckets"),
     );
+}
+
+#[test]
+fn matrix_cache_hits_on_repeated_keys_and_not_on_distinct_ones() {
+    let service = KemService::spawn(&ServiceConfig {
+        workers: 1,
+        queue_capacity: 8,
+        ..ServiceConfig::default()
+    });
+    let keys: Vec<_> = (0..3u8)
+        .map(|i| {
+            service
+                .submit_keygen(&SABER, [0x80 + i; 32])
+                .unwrap()
+                .wait()
+                .unwrap()
+        })
+        .collect();
+    let before = service.report();
+    assert_eq!(
+        (before.matrix_cache_hits, before.matrix_cache_misses),
+        (0, 0),
+        "keygen takes no cached matrix"
+    );
+
+    // Distinct keys: one encaps against each, every lookup a miss.
+    for (i, (pk, _)) in keys.iter().enumerate() {
+        let _ = service
+            .submit_encaps(pk.clone(), [i as u8; 32])
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+    let distinct = service.report();
+    assert_eq!(distinct.matrix_cache_hits, 0, "distinct keys never hit");
+    assert_eq!(distinct.matrix_cache_misses, 3);
+
+    // A server's static key: decaps after decaps against the first key
+    // reuse its matrix.
+    let (pk, sk) = &keys[0];
+    for e in 0..4u8 {
+        let (ct, ss) = service
+            .submit_encaps(pk.clone(), [0x40 + e; 32])
+            .unwrap()
+            .wait()
+            .unwrap();
+        let got = service
+            .submit_decaps(sk.clone(), ct)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(got, ss);
+    }
+    let report = service.shutdown();
+    assert_eq!(
+        report.matrix_cache_misses, 3,
+        "the repeated key was already cached"
+    );
+    assert_eq!(
+        report.matrix_cache_hits, 8,
+        "every repeated-key lookup hits"
+    );
+
+    // The counters travel through the snapshot's JSON and Prometheus
+    // forms.
+    let snap = MetricsSnapshot::new(report);
+    let back = MetricsSnapshot::from_json_str(&snap.to_json_string()).expect("round-trip");
+    assert_eq!(back, snap);
+    let text = snap.to_prometheus();
+    lint_prometheus(&text).expect("exposition lints clean");
+    for series in [
+        "saber_matrix_cache_hits_total 8",
+        "saber_matrix_cache_misses_total 3",
+    ] {
+        assert!(text.contains(series), "missing {series:?} in:\n{text}");
+    }
 }

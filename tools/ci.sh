@@ -6,7 +6,7 @@
 #                             # + fault/engine/timing gates + benches
 #   tools/ci.sh timing_gate   # one named stage (plus its dependencies)
 #
-# Stage names: lint build test fuzz swar_gate fault_gate
+# Stage names: lint build test kem_path fuzz swar_gate fault_gate
 # fast_engine_gate ct_engine_gate timing_gate soc_gate service
 # sched_gate trace obs_gate bench_reports bench
 set -eu
@@ -29,6 +29,18 @@ fi
 if want test; then
     echo "==> cargo test -q"
     cargo test -q
+fi
+
+# KEM non-multiply path: the group bitstream codec against its
+# bit-serial reference at every width, matrix expansion and secret
+# sampling against the bit-serial expansion for all three parameter
+# sets, the per-worker matrix cache, and the pinned KEM regression
+# vectors (release; tier-1 `cargo test -q` runs only the umbrella crate).
+if want kem_path; then
+    echo "==> kem path: codec + expansion oracles, matrix cache, regression vectors (release)"
+    cargo test -q --release -p saber-ring --test group_codec
+    cargo test -q --release -p saber-kem --test expansion_oracle --test matrix_cache \
+        --test regression_vectors
 fi
 
 # Differential fuzz sweep: a fixed seed and an explicit case budget
