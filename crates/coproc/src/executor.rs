@@ -46,6 +46,16 @@ pub enum ExecError {
         /// What the instruction expected.
         expected: &'static str,
     },
+    /// A byte register is shorter than the range the instruction reads
+    /// (a truncated public key or ciphertext, for instance).
+    ShortRegister {
+        /// The register.
+        reg: Reg,
+        /// Bytes the instruction needs the register to hold.
+        needed: usize,
+        /// Bytes the register holds.
+        held: usize,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -54,6 +64,12 @@ impl fmt::Display for ExecError {
             ExecError::UnsetRegister(reg) => write!(f, "register {reg} read before write"),
             ExecError::TypeMismatch { reg, expected } => {
                 write!(f, "register {reg} does not hold a {expected}")
+            }
+            ExecError::ShortRegister { reg, needed, held } => {
+                write!(
+                    f,
+                    "register {reg} holds {held} bytes; the instruction reads {needed}"
+                )
             }
         }
     }
@@ -162,6 +178,21 @@ impl<'m> Coprocessor<'m> {
         }
     }
 
+    /// Entry `index` of the byte register `reg` read as consecutive
+    /// `len`-byte entries: bytes `index·len .. (index + 1)·len`.
+    fn entry(&self, reg: Reg, index: usize, len: usize) -> Result<&[u8], ExecError> {
+        let bytes = self.bytes(reg)?;
+        let needed = index.saturating_add(1).saturating_mul(len);
+        if bytes.len() < needed {
+            return Err(ExecError::ShortRegister {
+                reg,
+                needed,
+                held: bytes.len(),
+            });
+        }
+        Ok(&bytes[needed - len..needed])
+    }
+
     fn poly(&self, reg: Reg) -> Result<&PolyQ, ExecError> {
         match self.registers.get(&reg) {
             Some(Value::Poly(p)) => Ok(p),
@@ -249,16 +280,14 @@ impl<'m> Coprocessor<'m> {
             }
             Instruction::UnpackPoly { dst, src, index } => {
                 let per_poly = N * 13 / 8;
-                let bytes = self.bytes(*src)?;
-                let slice = &bytes[index * per_poly..(index + 1) * per_poly];
+                let slice = self.entry(*src, *index, per_poly)?;
                 let poly = packing::poly_from_bytes::<13>(slice);
                 self.cycles.poly_ops += POLY_OP_CYCLES;
                 self.registers.insert(*dst, Value::Poly(Box::new(poly)));
             }
             Instruction::UnpackPoly10 { dst, src, index } => {
                 let per_poly = N * 10 / 8;
-                let bytes = self.bytes(*src)?;
-                let slice = &bytes[index * per_poly..(index + 1) * per_poly];
+                let slice = self.entry(*src, *index, per_poly)?;
                 let poly = packing::poly_from_bytes::<10>(slice).embed_to::<13>();
                 self.cycles.poly_ops += bus_cycles(per_poly) + 2;
                 self.registers.insert(*dst, Value::Poly(Box::new(poly)));
@@ -270,8 +299,7 @@ impl<'m> Coprocessor<'m> {
                 index,
             } => {
                 let per_poly = N * *bits as usize / 8;
-                let bytes = self.bytes(*src)?;
-                let slice = &bytes[index * per_poly..(index + 1) * per_poly];
+                let slice = self.entry(*src, *index, per_poly)?;
                 let coeffs = packing::unpack_bits(slice, *bits, N);
                 let poly = PolyQ::from_fn(|i| coeffs[i]);
                 self.cycles.poly_ops += bus_cycles(per_poly) + 2;
@@ -284,8 +312,7 @@ impl<'m> Coprocessor<'m> {
                 mu,
             } => {
                 let per_poly = N * *mu as usize / 8;
-                let bytes = self.bytes(*src)?;
-                let slice = &bytes[index * per_poly..(index + 1) * per_poly];
+                let slice = self.entry(*src, *index, per_poly)?;
                 let mut sampler = SamplerCore::new(*mu);
                 let mut coeffs = Vec::with_capacity(N);
                 for chunk in slice.chunks(8) {
@@ -350,9 +377,8 @@ impl<'m> Coprocessor<'m> {
                 self.registers.insert(*dst, Value::Bytes(out));
             }
             Instruction::SubMessage { poly, msg } => {
-                let msg_bytes = self.bytes(*msg)?;
                 let mut msg_arr = [0u8; 32];
-                msg_arr.copy_from_slice(&msg_bytes[..32]);
+                msg_arr.copy_from_slice(self.entry(*msg, 0, 32)?);
                 let m_poly = packing::message_to_poly(&msg_arr);
                 let p = self.poly(*poly)?;
                 let updated =
@@ -444,6 +470,71 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, ExecError::TypeMismatch { .. }));
+    }
+
+    #[test]
+    fn short_byte_registers_are_reported() {
+        let mut hw = CentralizedMultiplier::new(256);
+        let mut cpu = Coprocessor::new(&mut hw);
+        cpu.step(&Instruction::LoadBytes {
+            dst: Reg(0),
+            bytes: vec![0; 500],
+        })
+        .unwrap();
+        // Entry 1 of 416-byte polynomials ends at byte 832.
+        let err = cpu
+            .step(&Instruction::UnpackPoly {
+                dst: Reg(1),
+                src: Reg(0),
+                index: 1,
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::ShortRegister {
+                reg: Reg(0),
+                needed: 832,
+                held: 500
+            }
+        );
+        assert!(err.to_string().contains("r0 holds 500 bytes"));
+        // Entry 0 fits and still decodes.
+        cpu.step(&Instruction::UnpackPoly {
+            dst: Reg(1),
+            src: Reg(0),
+            index: 0,
+        })
+        .unwrap();
+        // A message shorter than 32 bytes.
+        cpu.step(&Instruction::LoadBytes {
+            dst: Reg(2),
+            bytes: vec![0; 31],
+        })
+        .unwrap();
+        let err = cpu
+            .step(&Instruction::SubMessage {
+                poly: Reg(1),
+                msg: Reg(2),
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::ShortRegister {
+                reg: Reg(2),
+                needed: 32,
+                held: 31
+            }
+        );
+        // An absurd index saturates instead of overflowing.
+        let err = cpu
+            .step(&Instruction::Sample {
+                dst: Reg(3),
+                src: Reg(0),
+                index: usize::MAX,
+                mu: 8,
+            })
+            .unwrap_err();
+        assert!(matches!(err, ExecError::ShortRegister { held: 500, .. }));
     }
 
     #[test]

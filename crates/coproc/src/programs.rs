@@ -495,8 +495,9 @@ pub fn decaps_program(params: &SaberParams, pk: &[u8], seed_s: &[u8; 32], ct: &[
 ///
 /// # Errors
 ///
-/// Propagates [`ExecError`] from the program (a bug, not a data
-/// condition).
+/// Propagates [`ExecError`] from the program: a truncated ciphertext or
+/// public key is [`ExecError::ShortRegister`]; any other error is a bug
+/// in the program.
 pub fn run_decaps(
     params: &SaberParams,
     pk: &[u8],
@@ -547,6 +548,8 @@ pub fn run_decaps(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saber_core::CentralizedMultiplier;
+    use saber_kem::serialize::public_key_to_bytes;
 
     #[test]
     fn programs_have_sensible_sizes() {
@@ -560,5 +563,44 @@ mod tests {
         );
         let enc = encaps_program(&params, &vec![0u8; params.public_key_bytes()], &[2; 32]);
         assert!(enc.len() > 40);
+    }
+
+    #[test]
+    fn truncated_ciphertext_is_an_error_not_a_panic() {
+        let params = saber_kem::params::SABER;
+        let mut sw = saber_ring::mul::SchoolbookMultiplier;
+        let (pk, _) = saber_kem::keygen(&params, &[3; 32], &mut sw);
+        let pk = public_key_to_bytes(&pk);
+        let mut hw = CentralizedMultiplier::new(256);
+        let err = run_decaps(&params, &pk, &[4; 32], &[5; 32], &[0u8; 100], &mut hw).unwrap_err();
+        // b' is the ciphertext's first rank·320 bytes; its first
+        // polynomial already runs past the 100 bytes held.
+        assert_eq!(
+            err,
+            ExecError::ShortRegister {
+                reg: R_BP_BYTES,
+                needed: 320,
+                held: 100
+            }
+        );
+    }
+
+    #[test]
+    fn truncated_public_key_is_an_error_not_a_panic() {
+        let params = saber_kem::params::SABER;
+        let mut hw = CentralizedMultiplier::new(256);
+        let mut cpu = Coprocessor::new(&mut hw);
+        let err = cpu
+            .run(&encaps_program(&params, &[0u8; 100], &[6; 32]))
+            .unwrap_err();
+        // The 32-byte seed_A leaves 68 bytes of b.
+        assert_eq!(
+            err,
+            ExecError::ShortRegister {
+                reg: R_B_BYTES,
+                needed: 320,
+                held: 68
+            }
+        );
     }
 }

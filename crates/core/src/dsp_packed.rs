@@ -50,7 +50,7 @@ use saber_hw::platform::{CriticalPath, Fpga};
 use saber_hw::{Activity, CycleReport};
 use saber_ring::{PolyMultiplier, PolyQ, SecretPoly, N};
 
-use crate::engine::rotated;
+use crate::engine::negacyclic_extension;
 use crate::report::{ArchitectureReport, HwMultiplier};
 
 /// Packing offset: coefficient pairs are packed 15 bits apart.
@@ -64,7 +64,7 @@ const MASK15: i64 = (1 << 15) - 1;
 
 /// The sign-handling decisions for one packed pair (the blue blocks of
 /// Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SignPlan {
     /// Negate `a0` before packing (signs of `s0`, `s1` differ).
     pub invert_a0: bool,
@@ -101,6 +101,7 @@ pub struct UnpackedProducts {
 /// and the small-multiplier C-port contribution.
 ///
 /// Returns `(a_lo, s_lo, c)` such that `a_lo·s_lo + c = A·S − a'·s'·2^43`.
+#[inline]
 pub(crate) fn split_for_dsp(packed_a: i64, packed_s: i64) -> (i64, i64, i64) {
     let a_lo = packed_a & ((1 << A_UNSIGNED_WIDTH) - 1); // unsigned 26 bits
     let a_hi = packed_a >> A_UNSIGNED_WIDTH; // signed 2 bits (−2..=1)
@@ -127,21 +128,25 @@ pub(crate) fn split_for_dsp(packed_a: i64, packed_s: i64) -> (i64, i64, i64) {
 /// Panics if `a0`/`a1` exceed 13 bits or |s| > 4 (the §3.2 packing
 /// budget).
 #[must_use]
+#[inline]
 pub fn pack(a0: u16, a1: u16, s0: i8, s1: i8) -> (i64, i64, SignPlan) {
     assert!(
         u32::from(a0) <= MASK13 && u32::from(a1) <= MASK13,
         "operand exceeds 13 bits"
     );
+    // The magnitudes, not `abs`, so the check does not branch on the
+    // secret's sign (and −128 is rejected like any other wide value).
+    let max = MAX_PACKED_MAGNITUDE.unsigned_abs();
     assert!(
-        s0.abs() <= MAX_PACKED_MAGNITUDE && s1.abs() <= MAX_PACKED_MAGNITUDE,
+        s0.unsigned_abs() <= max && s1.unsigned_abs() <= max,
         "secret magnitude exceeds the 15-bit packing budget (|s| ≤ 4)"
     );
     let plan = SignPlan::for_secrets(s0, s1);
-    let a0_signed = if plan.invert_a0 {
-        -i64::from(a0)
-    } else {
-        i64::from(a0)
-    };
+    // The ±a0 packer is a conditional negate driven by the sign plan:
+    // `invert` is all ones when a0 is negated, and `(a0 ^ invert) −
+    // invert` is then `−a0`.
+    let invert = -i64::from(plan.invert_a0);
+    let a0_signed = (i64::from(a0) ^ invert) - invert;
     let packed_a = a0_signed + (i64::from(a1) << PACK_SHIFT);
     let packed_s = i64::from(s0.unsigned_abs()) + (i64::from(s1.unsigned_abs()) << PACK_SHIFT);
     (packed_a, packed_s, plan)
@@ -152,7 +157,11 @@ pub fn pack(a0: u16, a1: u16, s0: i8, s1: i8) -> (i64, i64, SignPlan) {
 ///
 /// `a0_zero`, `s0_mag`, and the LSBs of `a1`/`|s1|` are the side-band
 /// signals the correction network taps (all cheap wires in hardware).
+///
+/// The correction network is combinational: every repair is computed
+/// from masks, with no branch on the secret's signs.
 #[must_use]
+#[inline]
 pub fn unpack(
     p: i64,
     plan: SignPlan,
@@ -162,45 +171,41 @@ pub fn unpack(
     s1_mag_lsb: u16,
 ) -> UnpackedProducts {
     let r0 = (p & MASK15) as u32;
-    let mut r1 = ((p >> PACK_SHIFT) & MASK15) as u32;
-    let mut r2 = ((p >> (2 * PACK_SHIFT)) & i64::from(MASK13)) as u32;
+    let r1 = ((p >> PACK_SHIFT) & MASK15) as u32;
+    let r2 = ((p >> (2 * PACK_SHIFT)) & i64::from(MASK13)) as u32;
 
     // Borrow repair: the low field a0·s0 is negative exactly when a0 was
     // negated and neither operand is zero; its borrow stole 1 from the
     // middle field.
-    if plan.invert_a0 && !a0_is_zero && !s0_mag_is_zero {
-        r1 = (r1 + 1) & MASK15 as u32;
-    }
+    let borrow = u32::from(plan.invert_a0 & !a0_is_zero & !s0_mag_is_zero);
+    let r1 = (r1 + borrow) & MASK15 as u32;
     // Carry/borrow repair on the third field via the paper's LSB check:
-    // the true LSB of a1·|s1| is a1[0] & s1[0].
+    // the true LSB of a1·|s1| is a1[0] & s1[0]. Coherent middle sums can
+    // only carry (+1 → subtract one, as the paper says); sign-mixed
+    // middles can only borrow (−1 → add one). The step is +1 or
+    // 2^32 − 1, and adding the latter is a decrement mod 2^13: r2 = 0
+    // wraps to q − 1 under the mask (the field is a residue mod
+    // q = 2^13, not a count).
     let expected_lsb = u32::from(a1_lsb & s1_mag_lsb & 1);
-    if (r2 & 1) != expected_lsb {
-        // Coherent middle sums can only carry (+1 → subtract one, as the
-        // paper says); sign-mixed middles can only borrow (−1 → add one).
-        r2 = if plan.invert_a0 {
-            (r2 + 1) & MASK13
-        } else {
-            // Decrement mod 2^13: r2 = 0 must wrap to q − 1 under the
-            // mask (the field is a residue mod q = 2^13, not a count).
-            r2.wrapping_sub(1) & MASK13
-        };
-    }
+    let mismatch = 0u32.wrapping_sub((r2 & 1) ^ expected_lsb);
+    let step = (u32::from(plan.invert_a0) << 1).wrapping_sub(1);
+    let r2 = r2.wrapping_add(mismatch & step) & MASK13;
 
-    let fix_sign = |v: u32, negate: bool| -> u16 {
-        let v = v & MASK13;
-        if negate {
-            // Negation mod 2^13: 0 − v wraps in u32, and the mask
-            // reduces 2^32 − v to 2^13 − v because 2^13 | 2^32.
-            (0u32.wrapping_sub(v) & MASK13) as u16
-        } else {
-            v as u16
-        }
-    };
     UnpackedProducts {
-        low: fix_sign(r0, plan.negate_outer),
-        mid: fix_sign(r1, plan.negate_mid),
-        high: fix_sign(r2, plan.negate_outer),
+        low: negate_if(r0, plan.negate_outer),
+        mid: negate_if(r1, plan.negate_mid),
+        high: negate_if(r2, plan.negate_outer),
     }
+}
+
+/// `±v mod 2^13`, negated when `negate` — by mask, not by branch.
+/// Negation mod 2^13: `(v ^ m) − m` with `m` all ones is `0 − v`, which
+/// wraps in u32, and the mask reduces `2^32 − v` to `2^13 − v` because
+/// 2^13 | 2^32.
+#[inline]
+fn negate_if(v: u32, negate: bool) -> u16 {
+    let m = 0u32.wrapping_sub(u32::from(negate));
+    (((v & MASK13) ^ m).wrapping_sub(m) & MASK13) as u16
 }
 
 /// Ablation variant: unpacking with **only** the correction the paper's
@@ -255,16 +260,16 @@ pub fn expected_products(a0: u16, a1: u16, s0: i8, s1: i8) -> UnpackedProducts {
     }
 }
 
-/// Metadata accompanying one in-flight DSP operation.
-#[derive(Debug, Clone, Copy)]
+/// Metadata accompanying one in-flight DSP operation. The unit's odd
+/// accumulator position `j = 2k + 1` follows from its index `k` within
+/// the bank.
+#[derive(Debug, Clone, Copy, Default)]
 struct InFlight {
     plan: SignPlan,
     a0_is_zero: bool,
     s0_mag_is_zero: bool,
     a1_lsb: u16,
     s1_mag_lsb: u16,
-    /// Odd accumulator position of the MAC unit.
-    position: usize,
 }
 
 /// The HS-II multiplier: 128 DSP-MAC units, 131-cycle multiplication.
@@ -411,13 +416,16 @@ enum DspPhase {
 #[derive(Debug, Clone)]
 pub struct DspPackedSim {
     public: PolyQ,
-    secret: SecretPoly,
+    /// The secret's negacyclic extension: the secret rotated by `x^r` is
+    /// the window `ext[N − r..2N − r]`.
+    ext: [i8; 2 * N],
     dsps: Vec<Dsp48>,
     banks: usize,
-    /// Rotating ring of in-flight metadata batches, one slot per DSP
-    /// pipeline stage — reused every issue cycle instead of building a
-    /// fresh `Vec`.
-    inflight: Vec<Vec<InFlight>>,
+    /// Rotating ring of in-flight metadata batches, one batch of one
+    /// entry per DSP for each pipeline stage: batch `b` is
+    /// `inflight[b·dsps..(b + 1)·dsps]`, overwritten in place every
+    /// issue cycle.
+    inflight: Vec<InFlight>,
     acc: [u16; N],
     core_cycles: u64,
     outer: usize,   // the outer index pair (2t, 2t+1)
@@ -447,10 +455,10 @@ impl DspPackedSim {
         let dsps = DSP_COUNT * banks;
         Self {
             public: public.clone(),
-            secret: secret.clone(),
+            ext: negacyclic_extension(secret),
             dsps: (0..dsps).map(|_| Dsp48::new(DSP_LATENCY)).collect(),
             banks,
-            inflight: (0..DSP_LATENCY).map(|_| Vec::with_capacity(dsps)).collect(),
+            inflight: vec![InFlight::default(); DSP_LATENCY * dsps],
             acc: [0u16; N],
             core_cycles: 0,
             outer: 0,
@@ -527,69 +535,63 @@ impl DspPackedSim {
 
     /// One cycle of the issue → clock-edge → retire core loop.
     ///
-    /// The rotating secret buffer is modelled as a logical rotation
-    /// (offset + negacyclic sign, see `rotated`), so no per-cycle
-    /// clone/shift of the secret is needed; the in-flight metadata
-    /// reuses the sim-owned ring of `DSP_LATENCY` batch buffers.
+    /// One pass issues to every DSP; a second runs each DSP's clock
+    /// edge and, on retire cycles, unpacks and accumulates the result
+    /// that edge brought out. The DSPs share no state, so ticking and
+    /// retiring unit by unit leaves every DSP, output and accumulator
+    /// coefficient exactly as ticking all of them first would.
+    ///
+    /// The rotating secret buffer is modelled as a logical rotation (a
+    /// window of the negacyclic extension, whose lanes are what
+    /// `engine::rotated` returns), so no per-cycle clone/shift of the
+    /// secret is needed; the in-flight metadata reuses the sim-owned
+    /// ring of `DSP_LATENCY` batches.
     fn core_step(&mut self) {
-        let banks = self.banks;
-        let units = (DSP_COUNT * banks) as u64;
-
-        // Issue phase.
+        let dsps = self.dsps.len();
         let issuing = self.outer < N;
+        let issue_batch = self.issued % DSP_LATENCY * dsps;
         if issuing {
-            let batch = &mut self.inflight[self.issued % DSP_LATENCY];
-            batch.clear();
-            for bank in 0..banks {
+            self.issued += 1;
+        }
+        self.core_cycles += 1;
+        let retiring = self.core_cycles >= DSP_LATENCY as u64 && self.retired < self.issued;
+        let retire_batch = self.retired % DSP_LATENCY * dsps;
+
+        if issuing {
+            for (bank, bank_dsps) in self.dsps.chunks_exact_mut(DSP_COUNT).enumerate() {
                 // Bank `b` handles outer pair (outer + 2b) against the
                 // secret shifted by x^(outer + 2b).
-                let a0 = self.public.coeff(self.outer + 2 * bank);
-                let a1 = self.public.coeff(self.outer + 2 * bank + 1);
                 let rot = self.outer + 2 * bank;
-                for k in 0..DSP_COUNT {
-                    let dsp = &mut self.dsps[bank * DSP_COUNT + k];
-                    let j = 2 * k + 1; // odd accumulator position
-                    let s1 = rotated(&self.secret, rot, j);
-                    let s0 = rotated(&self.secret, rot, j - 1); // (σ·x)[j], odd j ≥ 1
+                let a0 = self.public.coeff(rot);
+                let a1 = self.public.coeff(rot + 1);
+                let lanes = &self.ext[N - rot..2 * N - rot];
+                let batch = &mut self.inflight[issue_batch + bank * DSP_COUNT..][..DSP_COUNT];
+                // Unit k sits at odd position j = 2k + 1 and reads lanes
+                // j − 1 and j of the rotated secret: s0 = (σ·x)[j].
+                for ((dsp, pair), meta) in
+                    bank_dsps.iter_mut().zip(lanes.chunks_exact(2)).zip(batch)
+                {
+                    let (s0, s1) = (pair[0], pair[1]);
                     let (pa, ps, plan) = pack(a0, a1, s0, s1);
                     let (a_lo, s_lo, c) = split_for_dsp(pa, ps);
                     dsp.issue(a_lo, s_lo, c)
                         .expect("split operands fit the DSP ports by construction");
-                    batch.push(InFlight {
+                    *meta = InFlight {
                         plan,
                         a0_is_zero: a0 == 0,
                         s0_mag_is_zero: s0 == 0,
                         a1_lsb: a1 & 1,
                         s1_mag_lsb: u16::from(s1.unsigned_abs()) & 1,
-                        position: j,
-                    });
+                    };
                 }
             }
-            self.issued += 1;
-            self.outer += 2 * banks;
         }
-
-        // Clock edge.
-        for dsp in self.dsps.iter_mut() {
-            dsp.tick();
-        }
-        self.core_cycles += 1;
-        if issuing {
-            // Each DSP accepted one packed operation computing four
-            // coefficient products (low, two middles, high).
-            self.timeline.push_phase("issue", 1, 4 * units);
-        } else {
-            self.timeline.push_phase("pipeline_drain", 1, 0);
-        }
-
-        // Retire phase: results emerge after DSP_LATENCY edges.
-        if self.core_cycles >= DSP_LATENCY as u64 && self.retired < self.issued {
-            let slot = self.retired % DSP_LATENCY;
-            for unit in 0..self.inflight[slot].len() {
-                let info = self.inflight[slot][unit];
-                let p = self.dsps[unit % self.dsps.len()]
-                    .output()
-                    .expect("a result emerges every retire cycle");
+        // Clock edge; results emerge DSP_LATENCY edges after issue.
+        if retiring {
+            let batch = &self.inflight[retire_batch..retire_batch + dsps];
+            for (unit, (dsp, info)) in self.dsps.iter_mut().zip(batch).enumerate() {
+                dsp.tick();
+                let p = dsp.output().expect("a result emerges every retire cycle");
                 let products = unpack(
                     p,
                     info.plan,
@@ -598,7 +600,8 @@ impl DspPackedSim {
                     info.a1_lsb,
                     info.s1_mag_lsb,
                 );
-                let j = info.position;
+                // Entry `unit` came from DSP `unit`: unit k of its bank.
+                let j = 2 * (unit % DSP_COUNT) + 1;
                 add13(&mut self.acc[j], products.mid, false);
                 add13(&mut self.acc[j - 1], products.low, false);
                 if j + 1 < N {
@@ -608,6 +611,21 @@ impl DspPackedSim {
                     add13(&mut self.acc[0], products.high, true);
                 }
             }
+        } else {
+            for dsp in &mut self.dsps {
+                dsp.tick();
+            }
+        }
+
+        if issuing {
+            self.outer += 2 * self.banks;
+            // Each DSP accepted one packed operation computing four
+            // coefficient products (low, two middles, high).
+            self.timeline.push_phase("issue", 1, 4 * dsps as u64);
+        } else {
+            self.timeline.push_phase("pipeline_drain", 1, 0);
+        }
+        if retiring {
             self.retired += 1;
         }
     }
@@ -665,6 +683,7 @@ impl PolyMultiplier for DspPackedMultiplier {
 // sum deliberately wrap in u32 — the trailing `& MASK13` reduces every
 // intermediate exactly because 2^13 divides 2^32, so wrapped values are
 // congruent mod q.
+#[inline]
 fn add13(slot: &mut u16, value: u16, negate: bool) {
     let v = if negate {
         0u32.wrapping_sub(u32::from(value))

@@ -71,7 +71,8 @@ pub fn simulate(
 #[derive(Debug, Clone)]
 pub struct ComputeKernel {
     a: PolyQ,
-    s: SecretPoly,
+    /// The secret's negacyclic extension (see [`negacyclic_extension`]).
+    ext: [i8; 2 * N],
     style: MacStyle,
     unroll: usize,
     acc: [u16; N],
@@ -92,7 +93,7 @@ impl ComputeKernel {
         );
         Self {
             a: a.clone(),
-            s: s.clone(),
+            ext: negacyclic_extension(s),
             style,
             unroll: macs / N,
             acc: [0u16; N],
@@ -122,29 +123,31 @@ impl ComputeKernel {
     /// (a call on a finished kernel is a no-op returning `false`).
     ///
     /// The accumulator is an explicit register; the rotating secret
-    /// buffer is modelled as a *logical* rotation (an offset into the
-    /// original secret with negacyclic sign, see [`rotated`]) so the
-    /// simulation clones and copies nothing per cycle — the RTL's
-    /// physical rotation and this offset view read identical values.
+    /// buffer is modelled as a *logical* rotation — the `N` lanes of the
+    /// secret rotated by `x^r` are one contiguous window of the
+    /// negacyclic extension built at construction — so the simulation
+    /// clones and copies nothing per cycle. The RTL's physical rotation,
+    /// this window and the lane-by-lane [`rotated`] read identical
+    /// values.
     pub fn step(&mut self) -> bool {
         if self.is_done() {
             return false;
         }
-        match self.style {
-            MacStyle::Centralized => {
-                // One shared multiple set per unrolled public coefficient.
-                for u in 0..self.unroll {
-                    let m = multiples(self.a.coeff(self.i + u));
-                    for (j, slot) in self.acc.iter_mut().enumerate() {
-                        *slot = select_multiple(&m, rotated(&self.s, self.i + u, j), *slot);
+        for r in self.i..self.i + self.unroll {
+            let lanes = &self.ext[N - r..2 * N - r];
+            match self.style {
+                MacStyle::Centralized => {
+                    // One shared multiple set per unrolled public
+                    // coefficient.
+                    let m = multiples(self.a.coeff(r));
+                    for (slot, &sel) in self.acc.iter_mut().zip(lanes) {
+                        *slot = select_multiple(&m, sel, *slot);
                     }
                 }
-            }
-            MacStyle::PerMac => {
-                for u in 0..self.unroll {
-                    let ai = self.a.coeff(self.i + u);
-                    for (j, slot) in self.acc.iter_mut().enumerate() {
-                        *slot = baseline_mac(ai, rotated(&self.s, self.i + u, j), *slot);
+                MacStyle::PerMac => {
+                    let ai = self.a.coeff(r);
+                    for (slot, &sel) in self.acc.iter_mut().zip(lanes) {
+                        *slot = baseline_mac(ai, sel, *slot);
                     }
                 }
             }
@@ -356,7 +359,9 @@ pub fn simulate_inner_product(
 /// physically rotating secret buffer holds in lane `j` after `r` shifts.
 ///
 /// The rotation group has order `2N` (`x^256 = −1`, `x^512 = 1`): indices
-/// that wrap past the top re-enter negated.
+/// that wrap past the top re-enter negated. This lane-by-lane form is the
+/// reference the fault mutants replay; the simulators read the same
+/// values from [`negacyclic_extension`].
 #[inline]
 pub(crate) fn rotated(s: &SecretPoly, r: usize, j: usize) -> i8 {
     let t = (j + 2 * N - (r % (2 * N))) % (2 * N);
@@ -366,6 +371,22 @@ pub(crate) fn rotated(s: &SecretPoly, r: usize, j: usize) -> i8 {
         // Negacyclic wrap: x^256 = −1.
         -s.coeff(t - N)
     }
+}
+
+/// The secret's negacyclic extension `[−s, s]`, built once per
+/// multiplication: for `0 ≤ r ≤ N`, lane `j` of the rotated secret
+/// `x^r · s` is `ext[N + j − r]`, so all `N` lanes of one rotation are
+/// the contiguous window `ext[N − r..2N − r]` — the values [`rotated`]
+/// computes one lane at a time.
+pub(crate) fn negacyclic_extension(s: &SecretPoly) -> [i8; 2 * N] {
+    let mut ext = [0i8; 2 * N];
+    let (wrapped, direct) = ext.split_at_mut(N);
+    for ((w, d), &c) in wrapped.iter_mut().zip(direct).zip(s.coeffs()) {
+        // Negacyclic wrap: x^256 = −1.
+        *w = -c;
+        *d = c;
+    }
+    ext
 }
 
 /// Flip-flop inventory shared by both parallel architectures: the
@@ -394,6 +415,18 @@ mod tests {
             PolyQ::from_fn(|i| (i as u16).wrapping_mul(seed) ^ (seed << 3)),
             SecretPoly::from_fn(|i| ((((i as u32 + 3) * seed as u32) % 11) as i8) - 5),
         )
+    }
+
+    #[test]
+    fn negacyclic_extension_windows_equal_rotated_lanes() {
+        let s = SecretPoly::from_fn(|i| ((((i as u32 + 1) * 37) % 11) as i8) - 5);
+        let ext = negacyclic_extension(&s);
+        for r in 0..=N {
+            let window = &ext[N - r..2 * N - r];
+            for (j, &lane) in window.iter().enumerate() {
+                assert_eq!(lane, rotated(&s, r, j), "r = {r}, j = {j}");
+            }
+        }
     }
 
     #[test]

@@ -185,8 +185,14 @@ pub struct LightweightSim {
     acc: [u16; N],
     timeline: saber_trace::CycleTimeline,
     compute_cycles: u64,
+    /// MAC cycles since the last non-compute phase, pushed to the
+    /// timeline as one `compute` phase when the run ends.
+    compute_run: u64,
     block: usize,
     block_secrets: [i8; BLOCK_COEFFS],
+    /// The shared generator's multiples of public coefficient `i`,
+    /// formed once per coefficient and broadcast to its four MAC cycles.
+    multiples: [u16; 6],
     pub_loaded: usize,
     buffer_bits: u32,
     i: usize,
@@ -211,8 +217,10 @@ impl LightweightSim {
             acc: [0u16; N],
             timeline: saber_trace::CycleTimeline::new("lw-4", MACS as u64),
             compute_cycles: 0,
+            compute_run: 0,
             block: 0,
             block_secrets: [0; BLOCK_COEFFS],
+            multiples: [0; 6],
             pub_loaded: 0,
             buffer_bits: 0,
             i: 0,
@@ -257,15 +265,28 @@ impl LightweightSim {
             self.g = 0;
             // Consuming coefficient i drains 13 bits of the buffer.
             self.buffer_bits -= 13;
+            self.multiples = multiples(self.a.coeff(self.i));
             self.begin_coeff_cycle();
         } else {
             self.phase = LwPhase::AccDrain { step: 0 };
         }
     }
 
+    /// Records the MAC cycles run since the last non-compute phase as
+    /// one `compute` phase (the merge `push_phase` would do per cycle).
+    fn end_compute_run(&mut self) {
+        self.timeline
+            .push_phase("compute", self.compute_run, MACS as u64 * self.compute_run);
+        self.compute_run = 0;
+    }
+
     /// Advances exactly one clock cycle (one [`Bram::tick`]); returns
     /// `true` while the run is still in progress (a call on a finished
     /// sim is a no-op returning `false`).
+    ///
+    /// Each state issues this cycle's port accesses, and the one clock
+    /// edge at the end commits them: a read issued here is visible to
+    /// the next step's `read_data`.
     ///
     /// # Panics
     ///
@@ -276,12 +297,11 @@ impl LightweightSim {
             // --- Load the block's 16 secret coefficients (2 cycles). ---
             LwPhase::SecretLoad { step: 0 } => {
                 self.mem.issue_read(SEC_BASE + self.block).expect("port free");
-                self.mem.tick();
                 self.phase = LwPhase::SecretLoad { step: 1 };
             }
             LwPhase::SecretLoad { .. } => {
+                // Latch the word into the secret register.
                 let secret_word = self.mem.read_data().expect("secret word arrives");
-                self.mem.tick(); // latch into the secret register
                 self.block_secrets = decode_secret_word(secret_word);
                 self.timeline.push_phase("secret_load", 2, 0);
                 debug_assert_eq!(
@@ -298,13 +318,12 @@ impl LightweightSim {
                 self.mem
                     .issue_read(PUB_BASE + usize::from(step))
                     .expect("port free");
-                self.mem.tick();
                 self.pub_loaded += 1;
                 self.buffer_bits += 64;
                 self.phase = LwPhase::PublicPrefill { step: step + 1 };
             }
             LwPhase::PublicPrefill { .. } => {
-                self.mem.tick(); // final latch
+                // Final latch.
                 self.timeline.push_phase("public_prefill", 3, 0);
                 self.phase = LwPhase::AccPrime { step: 0 };
             }
@@ -313,33 +332,34 @@ impl LightweightSim {
                 self.mem
                     .issue_read(acc_word_addr(self.block, 0))
                     .expect("port free");
-                self.mem.tick();
                 self.phase = LwPhase::AccPrime { step: 1 };
             }
             LwPhase::AccPrime { .. } => {
-                self.mem.tick();
                 self.timeline.push_phase("acc_prime", 2, 0);
                 // --- Compute: 256 coefficients × 4 cycles. ---
                 self.i = 0;
                 self.g = 0;
                 self.buffer_bits -= 13;
+                self.multiples = multiples(self.a.coeff(0));
                 self.begin_coeff_cycle();
             }
             LwPhase::StreamStall { step: 0 } => {
-                self.mem.tick(); // drain in-flight MAC result
+                // The compute run ends; this cycle drains the in-flight
+                // MAC result.
+                self.end_compute_run();
                 self.phase = LwPhase::StreamStall { step: 1 };
             }
             LwPhase::StreamStall { step: 1 } => {
+                // The stolen read port fetches the word.
                 self.mem
                     .issue_read(PUB_BASE + self.pub_loaded)
                     .expect("port stolen cleanly");
-                self.mem.tick(); // word arrives
                 self.pub_loaded += 1;
                 self.buffer_bits += 64;
                 self.phase = LwPhase::StreamStall { step: 2 };
             }
             LwPhase::StreamStall { .. } => {
-                self.mem.tick(); // refill the pipeline
+                // Refill the pipeline.
                 self.timeline.push_phase("stream_stall", 3, 0);
                 self.timeline.add_counter("port_steals", 1);
                 self.phase = LwPhase::Mac;
@@ -348,7 +368,6 @@ impl LightweightSim {
             // finalized last, update 4 coefficients.
             LwPhase::Mac => {
                 let (i, g, block) = (self.i, self.g, self.block);
-                let m = multiples(self.a.coeff(i));
                 let window = (i + 4 * g + 5) / 4 % ACC_WORDS;
                 self.mem
                     .issue_read(acc_word_addr(block, window))
@@ -360,26 +379,25 @@ impl LightweightSim {
                 for t in 0..MACS {
                     let k = BLOCK_COEFFS * block + 4 * g + t;
                     let pos = (i + k) % N;
-                    let wraps = i + k >= N;
-                    let sk = self.block_secrets[4 * g + t];
-                    let selector = if wraps { -sk } else { sk };
-                    self.acc[pos] = select_multiple(&m, selector, self.acc[pos]);
+                    // Past x^255 the product re-enters negated: the wrap
+                    // comparator drives the selector's sign line.
+                    let wrap = -i8::from(i + k >= N);
+                    let selector = (self.block_secrets[4 * g + t] ^ wrap).wrapping_sub(wrap);
+                    self.acc[pos] = select_multiple(&self.multiples, selector, self.acc[pos]);
                 }
-                self.mem.tick();
                 self.compute_cycles += 1;
-                self.timeline.push_phase("compute", 1, MACS as u64);
+                self.compute_run += 1;
                 self.advance_position();
             }
             // --- Drain the final window (2 cycles). ---
             LwPhase::AccDrain { step: 0 } => {
+                self.end_compute_run();
                 self.mem
                     .issue_write(acc_word_addr(self.block, ACC_WORDS - 1), 0)
                     .expect("port free");
-                self.mem.tick();
                 self.phase = LwPhase::AccDrain { step: 1 };
             }
             LwPhase::AccDrain { .. } => {
-                self.mem.tick();
                 self.timeline.push_phase("acc_drain", 2, 0);
                 self.block += 1;
                 self.phase = if self.block == BLOCKS {
@@ -388,8 +406,9 @@ impl LightweightSim {
                     LwPhase::SecretLoad { step: 0 }
                 };
             }
-            LwPhase::Done => {}
+            LwPhase::Done => return false,
         }
+        self.mem.tick();
         !self.is_done()
     }
 

@@ -109,6 +109,7 @@ impl Bram {
     ///
     /// Panics if `addr` is out of range (an address-width violation is a
     /// hardware design error, not a runtime condition).
+    #[inline]
     pub fn issue_read(&mut self, addr: usize) -> Result<(), PortConflict> {
         assert!(addr < self.words.len(), "read address {addr} out of range");
         if self.pending_read.is_some() {
@@ -131,6 +132,7 @@ impl Bram {
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
+    #[inline]
     pub fn issue_write(&mut self, addr: usize, data: u64) -> Result<(), PortConflict> {
         assert!(addr < self.words.len(), "write address {addr} out of range");
         if self.pending_write.is_some() {
@@ -149,6 +151,7 @@ impl Bram {
     /// Write-before-read semantics: a read and a write to the *same*
     /// address in the same cycle returns the **new** data (Xilinx
     /// `WRITE_FIRST` mode).
+    #[inline]
     pub fn tick(&mut self) {
         self.stats.cycles += 1;
         let mut used = false;
@@ -170,12 +173,14 @@ impl Bram {
     }
 
     /// The data latched by the read issued in the previous cycle, if any.
+    #[inline]
     #[must_use]
     pub fn read_data(&self) -> Option<u64> {
         self.read_data
     }
 
     /// Access statistics so far.
+    #[inline]
     #[must_use]
     pub fn stats(&self) -> BramStats {
         self.stats

@@ -8,7 +8,6 @@
 //! to **26×17** — the constraint that forces HS-II's `A = a + a'·2^26`,
 //! `S = s + s'·2^17` split.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Signed operand width of port A.
@@ -45,10 +44,17 @@ impl fmt::Display for OperandWidthError {
 
 impl std::error::Error for OperandWidthError {}
 
+#[inline]
 fn fits_signed(value: i64, width: u32) -> bool {
     let bound = 1i64 << (width - 1);
     (-bound..bound).contains(&value)
 }
+
+/// Deepest configurable pipeline; also the size of the stage ring,
+/// which must be a power of two so that ring indices wrap by masking.
+const MAX_LATENCY: usize = 4;
+const RING_MASK: usize = MAX_LATENCY - 1;
+const _: () = assert!(MAX_LATENCY.is_power_of_two());
 
 /// One in-flight DSP operation.
 #[derive(Debug, Clone, Copy)]
@@ -56,6 +62,19 @@ struct Op {
     a: i64,
     b: i64,
     c: i64,
+}
+
+impl Op {
+    /// The P register: `a·b + c`, wrapped to 48 bits like the silicon.
+    ///
+    /// `issue` admitted only port-legal operands, so `|a·b| < 2^43` and
+    /// `|c| ≤ 2^47`: the `i64` sum is exact, and shifting its low 48
+    /// bits to the top and back sign-extends them.
+    #[inline]
+    fn p(self) -> i64 {
+        let wide = self.a * self.b + self.c;
+        (wide << (64 - P_WIDTH)) >> (64 - P_WIDTH)
+    }
 }
 
 /// A pipelined DSP48E2 slice.
@@ -77,8 +96,14 @@ struct Op {
 #[derive(Debug, Clone)]
 pub struct Dsp48 {
     latency: usize,
-    /// Slot `0` is the oldest stage; `None` is a bubble.
-    pipeline: VecDeque<Option<Op>>,
+    /// The pipeline stages as a ring of [`MAX_LATENCY`] slots (`None` is
+    /// a bubble). With `now` the ticks so far (mod the ring size), the
+    /// edge at tick `now` emerges slot `now` and `issue` writes slot
+    /// `now + latency − 1`: an operation emerges exactly `latency` edges
+    /// after its issue, and no slot is rewritten before it emerges
+    /// because `latency ≤ MAX_LATENCY`.
+    stages: [Option<Op>; MAX_LATENCY],
+    now: usize,
     output: Option<i64>,
     issued: u64,
 }
@@ -92,10 +117,14 @@ impl Dsp48 {
     /// Panics if `latency` is 0 or greater than 4.
     #[must_use]
     pub fn new(latency: usize) -> Self {
-        assert!((1..=4).contains(&latency), "DSP latency out of range");
+        assert!(
+            (1..=MAX_LATENCY).contains(&latency),
+            "DSP latency out of range"
+        );
         Self {
             latency,
-            pipeline: VecDeque::from(vec![None; latency]),
+            stages: [None; MAX_LATENCY],
+            now: 0,
             output: None,
             issued: 0,
         }
@@ -121,6 +150,7 @@ impl Dsp48 {
     /// width — exactly the check that makes the HS-II packing proofs
     /// meaningful (a 28-bit packed operand *must* be split before it can
     /// enter the slice).
+    #[inline]
     pub fn issue(&mut self, a: i64, b: i64, c: i64) -> Result<(), OperandWidthError> {
         if !fits_signed(a, A_WIDTH) {
             return Err(OperandWidthError {
@@ -143,39 +173,24 @@ impl Dsp48 {
                 width: P_WIDTH,
             });
         }
-        let back = self
-            .pipeline
-            .back_mut()
-            .expect("pipeline always has `latency` slots");
-        assert!(back.is_none(), "operands already issued this cycle");
-        *back = Some(Op { a, b, c });
+        let youngest = &mut self.stages[(self.now + self.latency - 1) & RING_MASK];
+        assert!(youngest.is_none(), "operands already issued this cycle");
+        *youngest = Some(Op { a, b, c });
         self.issued += 1;
         Ok(())
     }
 
-    /// Advances one clock edge.
+    /// Advances one clock edge: the oldest stage emerges at P.
+    #[inline]
     pub fn tick(&mut self) {
-        if let Some(Some(op)) = self.pipeline.pop_front() {
-            // The P register is 48 bits; wrap like the silicon does.
-            let wide = i128::from(op.a) * i128::from(op.b) + i128::from(op.c);
-            let mask = (1i128 << P_WIDTH) - 1;
-            let wrapped = wide & mask;
-            // Sign-extend from 48 bits.
-            let result = if wrapped >= (1i128 << (P_WIDTH - 1)) {
-                wrapped - (1i128 << P_WIDTH)
-            } else {
-                wrapped
-            };
-            self.output = Some(result as i64);
-        } else {
-            self.output = None;
-        }
-        self.pipeline.push_back(None);
+        self.output = self.stages[self.now].take().map(Op::p);
+        self.now = (self.now + 1) & RING_MASK;
     }
 
     /// The result that emerged from the pipeline at the last tick, if
     /// any.
     #[must_use]
+    #[inline]
     pub fn output(&self) -> Option<i64> {
         self.output
     }
@@ -243,6 +258,100 @@ mod tests {
         dsp.tick();
         // 2^47 wraps to −2^47.
         assert_eq!(dsp.output(), Some(-(1i64 << 47)));
+    }
+
+    /// The P register as the model first computed it: `a·b + c` in
+    /// `i128`, masked to 48 bits and sign-extended.
+    fn p_reference(a: i64, b: i64, c: i64) -> i64 {
+        let wide = i128::from(a) * i128::from(b) + i128::from(c);
+        let wrapped = wide & ((1i128 << P_WIDTH) - 1);
+        let result = if wrapped >= (1i128 << (P_WIDTH - 1)) {
+            wrapped - (1i128 << P_WIDTH)
+        } else {
+            wrapped
+        };
+        result as i64
+    }
+
+    /// Seeded port-legal operands plus every combination of the port
+    /// extremes of A, B and C.
+    fn legal_operands() -> Vec<(i64, i64, i64)> {
+        let extremes = |width: u32| {
+            let bound = 1i64 << (width - 1);
+            vec![-bound, -bound + 1, -1, 0, 1, bound - 2, bound - 1]
+        };
+        let mut ops = Vec::new();
+        for &a in &extremes(A_WIDTH) {
+            for &b in &extremes(B_WIDTH) {
+                for &c in &extremes(P_WIDTH) {
+                    ops.push((a, b, c));
+                }
+            }
+        }
+        let mut rng = saber_testkit::Rng::new(0x0D5B_48E2);
+        let mut port = |width: u32| {
+            let bound = 1i64 << (width - 1);
+            rng.range_i64(-bound, bound - 1)
+        };
+        for _ in 0..4096 {
+            ops.push((port(A_WIDTH), port(B_WIDTH), port(P_WIDTH)));
+        }
+        ops
+    }
+
+    #[test]
+    fn p_register_matches_the_i128_reference_at_every_latency() {
+        let ops = legal_operands();
+        for latency in 1..=4 {
+            let mut dsp = Dsp48::new(latency);
+            let mut outputs = Vec::new();
+            // Back-to-back issue, then `latency` ticks to drain.
+            for cycle in 0..ops.len() + latency {
+                if let Some(&(a, b, c)) = ops.get(cycle) {
+                    dsp.issue(a, b, c).unwrap();
+                }
+                dsp.tick();
+                outputs.extend(dsp.output());
+            }
+            assert_eq!(outputs.len(), ops.len(), "latency {latency}");
+            for (&(a, b, c), &p) in ops.iter().zip(&outputs) {
+                assert_eq!(
+                    p,
+                    p_reference(a, b, c),
+                    "latency {latency}: a = {a}, b = {b}, c = {c}"
+                );
+            }
+            assert_eq!(dsp.issued(), ops.len() as u64);
+        }
+    }
+
+    #[test]
+    fn results_emerge_after_exactly_latency_ticks() {
+        for latency in 1..=4 {
+            let mut dsp = Dsp48::new(latency);
+            // Issue every other cycle: bubbles must stay bubbles.
+            let mut seen = Vec::new();
+            for cycle in 0..12usize {
+                if cycle % 2 == 0 && cycle < 8 {
+                    dsp.issue(cycle as i64 + 1, 3, 0).unwrap();
+                }
+                dsp.tick();
+                if let Some(p) = dsp.output() {
+                    seen.push((cycle, p));
+                }
+            }
+            let expected: Vec<(usize, i64)> = (0..8)
+                .step_by(2)
+                .map(|c| (c + latency - 1, 3 * (c as i64 + 1)))
+                .collect();
+            assert_eq!(seen, expected, "latency {latency}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "latency out of range")]
+    fn latency_beyond_four_rejected() {
+        let _ = Dsp48::new(5);
     }
 
     #[test]

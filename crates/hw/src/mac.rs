@@ -44,6 +44,7 @@ pub const MAX_MULTIPLE: u8 = 5;
 /// assert_eq!(shift_add_multiply(8191, 4), (8191 * 4) % 8192);
 /// ```
 #[must_use]
+#[inline]
 pub fn shift_add_multiply(a: u16, s_mag: u8) -> u16 {
     assert!(u32::from(a) <= MASK13, "operand exceeds 13 bits");
     assert!(s_mag <= MAX_MULTIPLE, "selector exceeds Algorithm 2 range");
@@ -63,6 +64,7 @@ pub fn shift_add_multiply(a: u16, s_mag: u8) -> u16 {
 /// The HS-I centralized precomputation: all multiples `{0·a .. 5·a}` of
 /// one public coefficient, computed once and broadcast to every MAC.
 #[must_use]
+#[inline]
 pub fn multiples(a: u16) -> [u16; 6] {
     [
         shift_add_multiply(a, 0),
@@ -77,35 +79,41 @@ pub fn multiples(a: u16) -> [u16; 6] {
 /// The HS-I per-MAC residue: select the right multiple by |s| and add or
 /// subtract it from the accumulator depending on the sign of `s`.
 ///
+/// The sign acts as a mask, not a branch (the add/subtract unit of the
+/// MAC), and the range check reads the magnitude, so the host's control
+/// flow does not follow the secret's sign either.
+///
 /// # Panics
 ///
 /// Panics if `|s| > 5` or the accumulator exceeds 13 bits.
 #[must_use]
+#[inline]
 pub fn select_multiple(multiples: &[u16; 6], s: i8, acc: u16) -> u16 {
-    assert!(s.abs() <= MAX_MULTIPLE as i8, "selector exceeds range");
+    let magnitude = s.unsigned_abs();
+    assert!(magnitude <= MAX_MULTIPLE, "selector exceeds range");
     assert!(u32::from(acc) <= MASK13, "accumulator exceeds 13 bits");
-    let m = u32::from(multiples[s.unsigned_abs() as usize]);
-    let acc = u32::from(acc);
-    let sum = if s >= 0 {
-        acc.wrapping_add(m)
-    } else {
-        acc.wrapping_sub(m)
-    };
-    (sum & MASK13) as u16
+    let m = u32::from(multiples[usize::from(magnitude)]);
+    accumulate_signed(acc, m, s)
 }
 
 /// A baseline MAC step: multiply inside the MAC (Algorithm 2), then
 /// accumulate — the \[10\] structure.
 #[must_use]
+#[inline]
 pub fn baseline_mac(a: u16, s: i8, acc: u16) -> u16 {
     let product = u32::from(shift_add_multiply(a, s.unsigned_abs()));
-    let acc = u32::from(acc);
-    let sum = if s >= 0 {
-        acc.wrapping_add(product)
-    } else {
-        acc.wrapping_sub(product)
-    };
-    (sum & MASK13) as u16
+    accumulate_signed(acc, product, s)
+}
+
+/// `acc ± m mod 2^13`, with the sign of `s` choosing between them.
+///
+/// `neg` is all ones when `s < 0`, and `(m ^ neg) − neg` is then `−m`;
+/// the wrapping arithmetic is exact mod 2^13 because 2^13 divides 2^32.
+#[inline]
+fn accumulate_signed(acc: u16, m: u32, s: i8) -> u16 {
+    let neg = (i32::from(s) >> 7) as u32;
+    let term = (m ^ neg).wrapping_sub(neg);
+    (u32::from(acc).wrapping_add(term) & MASK13) as u16
 }
 
 /// Area of a baseline MAC (its own shift-add multiplier + accumulator
@@ -160,18 +168,37 @@ mod tests {
     #[test]
     fn centralized_equals_baseline_mac() {
         // The HS-I claim: centralization does not change the computation.
-        for a in (0u16..8192).step_by(97) {
+        // Every 13-bit public coefficient, every selector and the
+        // accumulator's boundary values, against the integer reference
+        // `acc + s·a mod 2^13` as well.
+        for a in 0u16..8192 {
             let m = multiples(a);
             for s in -5i8..=5 {
-                for acc in [0u16, 1, 4095, 8191] {
+                for acc in [0u16, 1, 4095, 4096, 8191] {
+                    let expected =
+                        (i32::from(acc) + i32::from(s) * i32::from(a)).rem_euclid(8192) as u16;
+                    let centralized = select_multiple(&m, s, acc);
+                    assert_eq!(centralized, expected, "a = {a}, s = {s}, acc = {acc}");
                     assert_eq!(
-                        select_multiple(&m, s, acc),
+                        centralized,
                         baseline_mac(a, s, acc),
                         "a = {a}, s = {s}, acc = {acc}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "selector exceeds range")]
+    fn select_multiple_rejects_a_wide_selector() {
+        let _ = select_multiple(&multiples(1), -6, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator exceeds 13 bits")]
+    fn select_multiple_rejects_a_wide_accumulator() {
+        let _ = select_multiple(&multiples(1), 1, 8192);
     }
 
     #[test]

@@ -105,12 +105,15 @@ impl CycleTimeline {
     /// Appends a phase of `cycles` cycles issuing `ops` operations,
     /// starting where the previous phase ended. Zero-length phases are
     /// ignored (they arise naturally from loop bookkeeping).
-    pub fn push_phase(&mut self, name: impl Into<String>, cycles: u64, ops: u64) {
+    ///
+    /// The name is copied only when the phase starts a new entry, so a
+    /// cycle loop may push one cycle at a time without allocating.
+    #[inline]
+    pub fn push_phase(&mut self, name: &str, cycles: u64, ops: u64) {
         if cycles == 0 {
             return;
         }
         let start = self.total_cycles();
-        let name = name.into();
         // Merge with the previous phase when it has the same name — the
         // cycle loops of the models emit per-segment slices (compute
         // resumed after a port steal, etc.) that belong to one phase.
@@ -122,19 +125,19 @@ impl CycleTimeline {
             }
         }
         self.phases.push(CyclePhase {
-            name,
+            name: name.to_owned(),
             start_cycle: start,
             end_cycle: start + cycles,
             ops,
         });
     }
 
-    /// Adds `value` to the named counter (creating it at 0).
-    pub fn add_counter(&mut self, name: impl Into<String>, value: u64) {
-        let name = name.into();
-        match self.counters.iter_mut().find(|(n, _)| *n == name) {
+    /// Adds `value` to the named counter (creating it at 0; the name is
+    /// copied only then).
+    pub fn add_counter(&mut self, name: &str, value: u64) {
+        match self.counters.iter_mut().find(|(n, _)| n == name) {
             Some((_, v)) => *v += value,
-            None => self.counters.push((name, value)),
+            None => self.counters.push((name.to_owned(), value)),
         }
     }
 

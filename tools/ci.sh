@@ -6,9 +6,9 @@
 #                             # + fault/engine/timing gates + benches
 #   tools/ci.sh timing_gate   # one named stage (plus its dependencies)
 #
-# Stage names: lint build test kem_path fuzz swar_gate fault_gate
-# fast_engine_gate ct_engine_gate timing_gate soc_gate service
-# sched_gate trace obs_gate bench_reports bench
+# Stage names: lint build test kem_path sim_gate fuzz swar_gate
+# fault_gate fast_engine_gate ct_engine_gate timing_gate soc_gate
+# service sched_gate trace obs_gate bench_reports bench
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,6 +41,26 @@ if want kem_path; then
     cargo test -q --release -p saber-ring --test group_codec
     cargo test -q --release -p saber-kem --test expansion_oracle --test matrix_cache \
         --test regression_vectors
+fi
+
+# Simulator gate: host-speed work on the cycle-accurate models must
+# leave every simulated statistic identical. Runs the saber-core suite
+# (including the sim_fingerprint freeze of every model's products,
+# cycle reports, activity and timeline phases), the ignored exhaustive
+# HS-II packing sweep, the saber-hw primitive oracles (MAC, BRAM, DSP48
+# P register) and the coprocessor tests, the KEM-on-hardware and
+# Table 1 suites, and the fault-injection sensitivity gate (release;
+# tier-1 `cargo test -q` runs only the umbrella crate).
+if want sim_gate; then
+    echo "==> sim gate: saber-core incl. sim_fingerprint + exhaustive packing sweep (release)"
+    cargo test -q --release -p saber-core
+    cargo test -q --release -p saber-core -- --ignored exhaustive
+    echo "==> sim gate: saber-hw + saber-coproc (release)"
+    cargo test -q --release -p saber-hw -p saber-coproc
+    echo "==> sim gate: KEM on hardware + Table 1 invariants (release)"
+    cargo test -q --release --test kem_on_hardware --test table1_invariants
+    echo "==> sim gate: fault-injection sensitivity (release)"
+    cargo test -q --release -p saber-verify --test fault_sensitivity
 fi
 
 # Differential fuzz sweep: a fixed seed and an explicit case budget
