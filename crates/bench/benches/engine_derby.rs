@@ -4,10 +4,12 @@
 //! For every parameter set (LightSaber / Saber / FireSaber) and every
 //! batch size in {1, 4, 16, 64}, each engine in [`EngineKind::ALL`]
 //! multiplies the same `B` public polynomials against one shared
-//! secret through its `multiply_batch` path — the shape the service
-//! layer's mat-vec and KEM traffic produces, where the batched engines
-//! amortize their per-secret precomputation (bucket builds, Toom
-//! evaluation points, forward NTT of `s`) across the batch.
+//! secret through its `multiply_batch` path — the shape where the
+//! batched engines amortize their per-secret precomputation (bucket
+//! builds, Toom evaluation points, forward NTT of `s`) across the
+//! batch. The KEM's mat-vec and inner products do not produce it:
+//! they make one `inner_product` call per output, over pairs that hold
+//! different secrets.
 //!
 //! Emits `BENCH_derby.json` via
 //! [`DerbyReport`](saber_bench::tables::DerbyReport): per-cell

@@ -212,9 +212,9 @@ impl PolyMultiplier for FaultyMultiplier {
 /// product, and these never do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimingFault {
-    /// The shipped constant-time scan (the u16-lane kernel of
+    /// The shipped constant-time kernel (the u16-lane block pass of
     /// `saber_ring::ct`, called verbatim) with its uniformity removed:
-    /// zero secret coefficients skip their entire accumulation pass (a
+    /// blocks of all-zero secret lanes skip their accumulation pass (a
     /// "harmless-looking" optimization that makes runtime proportional
     /// to the secret's support — the exact leak
     /// `saber_ring::ct::CtSchoolbookMultiplier` exists to avoid).
@@ -291,21 +291,32 @@ fn fold_negacyclic(acc: &[i64; 2 * N]) -> PolyQ {
     PolyQ::from_signed(&folded)
 }
 
-/// The shipped ct scan ([`saber_ring::ct::mac_row`] over a `2N` u16
-/// arena, then [`saber_ring::ct::fold`]) with a secret-dependent early
-/// exit: zero coefficients contribute nothing, so skipping them is
-/// *functionally* free — and makes runtime proportional to the secret's
-/// support.
+/// The shipped ct kernel ([`saber_ring::ct::mac_block`], called
+/// verbatim) run as a plain blocked schoolbook — each public half times
+/// the whole secret, into one `2N` arena — with a secret-dependent early
+/// exit: a block whose secret lanes are all zero contributes nothing, so
+/// skipping it is *functionally* free — and makes runtime proportional
+/// to the secret's support.
 fn ct_scan_early_exit(public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-    let a = public.coeffs();
     let mut acc = [0u16; 2 * N];
-    for (j, &c) in secret.coeffs().iter().enumerate() {
-        if c == 0 {
-            continue; // the planted leak: work ∝ nonzero count
+    for (i, half) in public.coeffs().chunks_exact(ct::HALF).enumerate() {
+        let mut padded = [0u16; ct::PADDED];
+        padded[ct::BLOCK - 1..][..ct::HALF].copy_from_slice(half);
+        for (j, block) in secret.coeffs().chunks_exact(ct::BLOCK).enumerate() {
+            if block.iter().all(|&c| c == 0) {
+                continue; // the planted leak: work ∝ nonzero blocks
+            }
+            // `as` sign-extends, as in the engine.
+            let lanes: [u16; ct::BLOCK] = std::array::from_fn(|t| block[t] as u16);
+            let start = i * ct::HALF + j * ct::BLOCK;
+            let window = (&mut acc[start..start + ct::WINDOW])
+                .try_into()
+                .expect("WINDOW lanes");
+            ct::mac_block(window, &padded, &lanes);
         }
-        ct::mac_row(&mut acc[j..], a, c);
     }
-    ct::fold(&acc)
+    let (low, high) = acc.split_at(N);
+    PolyQ::from_fn(|k| low[k].wrapping_sub(high[k]))
 }
 
 /// A row pipeline with a data-dependent sign branch: every coefficient

@@ -7,7 +7,7 @@
 use std::fmt;
 
 use saber_ring::rounding::{h1, h2};
-use saber_ring::{packing, PolyMultiplier, PolyP, PolyQ, PolyVec, SecretVec, EPS_P, N};
+use saber_ring::{packing, PolyMultiplier, PolyP, PolyVec, SecretVec, EPS_P, N};
 
 use crate::expand::{gen_matrix, gen_secret, MatrixCache};
 use crate::params::SaberParams;
@@ -181,47 +181,22 @@ pub fn encrypt_cached<M: PolyMultiplier + ?Sized>(
 ) -> Ciphertext {
     let _span = saber_trace::span("kem", "pke.encrypt");
     let params = &pk.params;
-    let rank = params.rank;
     let a = matrices.matrix(&pk.seed_a, params);
     let s_prime = gen_secret(coins, params);
 
-    // Both products of encryption — the mat-vec A·s' and the inner
-    // product bᵀ·s' — consume the same ephemeral secret, so present all
-    // rank·(rank + 1) pairs as ONE batch: a batch-aware backend then
-    // decomposes each s'[col] once instead of once per product. The
-    // mod-p operands of the inner product run on the 13-bit backend via
-    // zero-extension (see `PolyVec::inner_product_mod_p`).
-    let wides: Vec<PolyQ> = pk.b.iter().map(|b| b.embed_to::<13>()).collect();
-    let mut ops = Vec::with_capacity(rank * (rank + 1));
-    for col in 0..rank {
-        for row in 0..rank {
-            ops.push((a.entry(row, col), &s_prime[col]));
-        }
-        ops.push((&wides[col], &s_prime[col]));
-    }
-    let products = {
+    // b' = ((A·s' + h) mod q) >> (ε_q − ε_p) takes one inner product per
+    // row of A, and v' = bᵀ·(s' mod p) + h1 mod p takes one more.
+    let (product, v) = {
         let _matvec = saber_trace::span("kem", "matvec");
-        backend.multiply_batch(&ops)
+        (
+            a.mul_vec(&s_prime, backend),
+            pk.b.inner_product_mod_p(&s_prime, backend),
+        )
     };
 
     let _rounding = saber_trace::span("kem", "rounding");
-    // b' = ((A·s' + h) mod q) >> (ε_q − ε_p)
-    let mut b_rows = vec![PolyQ::zero(); rank];
-    let mut v_acc = PolyQ::zero();
-    for (k, product) in products.iter().enumerate() {
-        let slot = k % (rank + 1);
-        if slot < rank {
-            b_rows[slot] += product;
-        } else {
-            v_acc += product;
-        }
-    }
-    let b_prime = PolyVec::from_polys(b_rows)
-        .add_constant(h1())
-        .scale_round_to_p_floor();
-
-    // v' = bᵀ·(s' mod p) + h1 mod p
-    let v_prime = v_acc.reduce_to::<10>().add_constant(h1());
+    let b_prime = product.add_constant(h1()).scale_round_to_p_floor();
+    let v_prime = v.add_constant(h1());
 
     // c_m = (v' − 2^(ε_p−1)·m mod p) >> (ε_p − ε_T)
     let m_poly = packing::message_to_poly(message);

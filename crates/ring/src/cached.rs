@@ -25,8 +25,9 @@
 //!
 //! The batch entry point ([`PolyMultiplier::multiply_batch`]) adds the
 //! module-lattice dimension the paper's Table 5 exploits with its
-//! secret-resident scheduling: in a rank-`l` matrix–vector product every
-//! secret polynomial is paired with `l` different publics, so the
+//! secret-resident scheduling: in a rank-`l` matrix–vector product
+//! presented as one batch, every secret polynomial is paired with `l`
+//! different publics, so the
 //! decomposition from step 1 is computed once per *secret* rather than
 //! once per *product*.
 

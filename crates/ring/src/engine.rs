@@ -5,9 +5,10 @@
 //! ([`CachedSchoolbookMultiplier`]), the HS-II SWAR mirror
 //! ([`SwarMultiplier`]), batched Toom-Cook-4 ([`ToomCook4Engine`]),
 //! batched NTT-over-CRT ([`NttCrtEngine`]), and the constant-time
-//! fixed-scan schoolbook ([`CtSchoolbookMultiplier`] — the default: the
-//! fastest of the five, and its timing is secret-independent, which the
-//! `saber-timing` leakage gate holds it to). [`EngineKind`] names them,
+//! Karatsuba-over-blocked-schoolbook engine ([`CtSchoolbookMultiplier`]
+//! — the default: the fastest of the five, and its timing is
+//! secret-independent, which the `saber-timing` leakage gate holds it
+//! to). [`EngineKind`] names them,
 //! parses the `SABER_ENGINE` environment variable, and builds boxed
 //! shards for the service layer's worker threads. The pseudo-kind
 //! [`EngineKind::Auto`] defers the choice to a startup calibration
@@ -51,8 +52,8 @@ pub enum EngineKind {
     Toom,
     /// Batched two-prime NTT with CRT recombination.
     Ntt,
-    /// Constant-time fixed-scan schoolbook: secret-independent timing,
-    /// u16-lane MACs (the default).
+    /// Constant-time Karatsuba over a blocked schoolbook:
+    /// secret-independent timing, u16-lane MACs (the default).
     #[default]
     Ct,
     /// Startup calibration picks the fastest concrete engine per shard.

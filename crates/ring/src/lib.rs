@@ -31,9 +31,10 @@
 //!   engines: batched Toom-4 (Karatsuba base case, per-secret point
 //!   evaluations cached) and batched two-prime NTT-CRT (per-secret
 //!   forward transforms cached), both allocation-free after warmup;
-//! * [`ct`] — the constant-time fixed-scan schoolbook engine
-//!   (`SABER_ENGINE=ct`, the default and the fastest): wrapping `u16`
-//!   MAC lanes, secret-independent scan order and memory access
+//! * [`ct`] — the constant-time engine (`SABER_ENGINE=ct`, the default
+//!   and the fastest): one Karatsuba level over a register-blocked
+//!   schoolbook in wrapping `u16` MAC lanes, folding once per inner
+//!   product, with a secret-independent scan order and memory access
 //!   pattern, held to that claim by the `saber-timing` gate;
 //! * [`autotune`] — the startup calibration that picks the fastest
 //!   engine per shard when `SABER_ENGINE=auto`;

@@ -109,7 +109,8 @@ impl PolyVec<13> {
 
 impl PolyVec<10> {
     /// Inner product with a secret vector, computed mod `p` by running the
-    /// 13-bit backend on zero-extended operands and masking down.
+    /// 13-bit backend's [`PolyMultiplier::inner_product`] on zero-extended
+    /// operands and masking down.
     ///
     /// # Panics
     ///
@@ -122,12 +123,8 @@ impl PolyVec<10> {
     ) -> PolyP {
         assert_eq!(self.len(), secret.len(), "vector length mismatch");
         let wides: Vec<PolyQ> = self.polys.iter().map(|b| b.embed_to::<13>()).collect();
-        let ops: Vec<(&PolyQ, &SecretPoly)> = wides.iter().zip(secret.iter()).collect();
-        let mut acc = PolyQ::zero();
-        for product in &backend.multiply_batch(&ops) {
-            acc += product;
-        }
-        acc.reduce_to::<10>()
+        let pairs: Vec<(&PolyQ, &SecretPoly)> = wides.iter().zip(secret.iter()).collect();
+        backend.inner_product(&pairs).reduce_to::<10>()
     }
 }
 
@@ -300,7 +297,8 @@ impl PolyMatrix {
         &self.entries[row * self.rank + col]
     }
 
-    /// Matrix–vector product `A·s` using the given multiplier backend.
+    /// Matrix–vector product `A·s` using the given multiplier backend: one
+    /// [`PolyMultiplier::inner_product`] call per row.
     ///
     /// # Panics
     ///
@@ -335,26 +333,23 @@ impl PolyMatrix {
         transpose: bool,
     ) -> PolyVec<13> {
         assert_eq!(s.len(), self.rank, "vector length must equal matrix rank");
-        // Present all rank² pairs to the backend as one batch, grouped by
-        // secret (column-major) so batch-aware backends amortize each
-        // secret's decomposition across the `rank` rows it touches.
-        let mut ops = Vec::with_capacity(self.rank * self.rank);
-        for col in 0..self.rank {
-            for row in 0..self.rank {
-                let a = if transpose {
-                    self.entry(col, row)
-                } else {
-                    self.entry(row, col)
-                };
-                ops.push((a, &s[col]));
-            }
-        }
-        let products = backend.multiply_batch(&ops);
-        let mut out = vec![PolyQ::zero(); self.rank];
-        for (k, product) in products.iter().enumerate() {
-            out[k % self.rank] += product;
-        }
-        PolyVec::from_polys(out)
+        // Each output row is one inner product, so a backend that folds
+        // once per inner product folds once per row.
+        (0..self.rank)
+            .map(|row| {
+                let pairs: Vec<(&PolyQ, &SecretPoly)> = (0..self.rank)
+                    .map(|col| {
+                        let a = if transpose {
+                            self.entry(col, row)
+                        } else {
+                            self.entry(row, col)
+                        };
+                        (a, &s[col])
+                    })
+                    .collect();
+                backend.inner_product(&pairs)
+            })
+            .collect()
     }
 }
 

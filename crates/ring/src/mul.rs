@@ -47,11 +47,29 @@ pub trait PolyMultiplier {
     /// amortize per-operand work across the batch — notably
     /// [`CachedSchoolbookMultiplier`](crate::cached::CachedSchoolbookMultiplier),
     /// which decomposes each distinct secret once no matter how many
-    /// publics it is paired with — override this. Matrix–vector products
-    /// route through here so rank-`l` products present all `l²` pairs at
-    /// once.
+    /// publics it is paired with — override this.
     fn multiply_batch(&mut self, ops: &[(&PolyQ, &SecretPoly)]) -> Vec<PolyQ> {
         ops.iter().map(|(a, s)| self.multiply(a, s)).collect()
+    }
+
+    /// Computes the inner product `Σ public_k · secret_k` over the pairs;
+    /// no pairs give the zero polynomial.
+    ///
+    /// Every output of the KEM's module arithmetic is one inner product:
+    /// a row of [`PolyMatrix::mul_vec`](crate::PolyMatrix::mul_vec) and
+    /// [`PolyVec::inner_product_mod_p`](crate::PolyVec::inner_product_mod_p)
+    /// each make one call. The default sums
+    /// [`multiply_batch`](Self::multiply_batch), so a backend that keeps
+    /// it — every cycle-accurate model — makes exactly one per-product
+    /// call per pair. [`CtSchoolbookMultiplier`](crate::CtSchoolbookMultiplier)
+    /// overrides it to accumulate every pair before it interpolates and
+    /// folds once.
+    fn inner_product(&mut self, pairs: &[(&PolyQ, &SecretPoly)]) -> PolyQ {
+        let mut acc = PolyQ::zero();
+        for product in &self.multiply_batch(pairs) {
+            acc += product;
+        }
+        acc
     }
 
     /// Human-readable backend name for reports and tables.

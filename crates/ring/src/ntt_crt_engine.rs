@@ -11,9 +11,9 @@
 //! 4. Garner CRT recombination with a centered lift.
 //!
 //! Of the six transforms a naive call performs, the two secret-side
-//! forwards are loop-invariant across a mat-vec batch; the batch path
-//! computes them once per distinct secret and reuses the spectrum,
-//! counted by the `ntt.forward_skipped` trace counter. All state is
+//! forwards are loop-invariant across a batch sharing a secret; the
+//! batch path computes them once per distinct secret and reuses the
+//! spectrum, counted by the `ntt.forward_skipped` trace counter. All state is
 //! fixed-size arrays owned by the engine — the hot path touches the heap
 //! only for the returned products.
 

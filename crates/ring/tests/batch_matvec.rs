@@ -1,16 +1,17 @@
-//! Regression coverage for the batched matrix–vector path: routing
-//! `mul_vec` / `mul_vec_transposed` / `inner_product_mod_p` through
-//! `multiply_batch` must not change any result, for any rank Saber uses
-//! (2, 3, 4) and for both the default-batch and the batch-optimized
-//! backends.
+//! Regression coverage for the matrix–vector path: routing `mul_vec` /
+//! `mul_vec_transposed` / `inner_product_mod_p` through one
+//! `PolyMultiplier::inner_product` call per output must not change any
+//! result, for any rank Saber uses (2, 3, 4), for backends that keep the
+//! default (which sums `multiply_batch`, including the batch-optimized
+//! HS-I mirror) and for the constant-time engine's fold-once override.
 //!
 //! Driven by the deterministic `saber-testkit` harness (the offline
 //! replacement for proptest).
 
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_ring::{
-    schoolbook, CachedSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyP, PolyQ, PolyVec,
-    SecretPoly, SecretVec,
+    schoolbook, CachedSchoolbookMultiplier, CtSchoolbookMultiplier, PolyMatrix, PolyMultiplier,
+    PolyP, PolyQ, PolyVec, SecretPoly, SecretVec,
 };
 use saber_testkit::{cases, Rng};
 
@@ -29,9 +30,8 @@ fn rand_secret_vec(rng: &mut Rng, rank: usize, bound: i8) -> SecretVec {
     )
 }
 
-/// The pre-batching reference: one `multiply` per (row, col) pair,
-/// accumulated per row — exactly what `mul_vec_inner` did before it
-/// routed through `multiply_batch`.
+/// The reference: one schoolbook product per (row, col) pair, summed
+/// per row.
 fn reference_mul_vec(a: &PolyMatrix, s: &SecretVec, transpose: bool) -> PolyVec<13> {
     let rank = a.rank();
     let mut out = Vec::with_capacity(rank);
@@ -63,9 +63,11 @@ fn mul_vec_unchanged_for_all_saber_ranks() {
 
             let mut oracle = SchoolbookMultiplier;
             let mut cached = CachedSchoolbookMultiplier::new();
+            let mut ct = CtSchoolbookMultiplier::new();
             for backend in [
                 &mut oracle as &mut dyn PolyMultiplier,
                 &mut cached as &mut dyn PolyMultiplier,
+                &mut ct as &mut dyn PolyMultiplier,
             ] {
                 assert_eq!(
                     a.mul_vec(&s, backend),
@@ -97,7 +99,7 @@ fn inner_product_mod_p_unchanged_for_all_saber_ranks() {
             );
             let s = rand_secret_vec(&mut rng, rank, bound);
 
-            // Pre-batching reference: term-by-term embed + multiply.
+            // Reference: term-by-term embed + schoolbook multiply.
             let mut acc = PolyQ::zero();
             for k in 0..rank {
                 let wide: PolyQ = b[k].embed_to::<13>();
@@ -107,9 +109,11 @@ fn inner_product_mod_p_unchanged_for_all_saber_ranks() {
 
             let mut oracle = SchoolbookMultiplier;
             let mut cached = CachedSchoolbookMultiplier::new();
+            let mut ct = CtSchoolbookMultiplier::new();
             for backend in [
                 &mut oracle as &mut dyn PolyMultiplier,
                 &mut cached as &mut dyn PolyMultiplier,
+                &mut ct as &mut dyn PolyMultiplier,
             ] {
                 assert_eq!(
                     b.inner_product_mod_p(&s, backend),

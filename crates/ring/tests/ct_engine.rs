@@ -3,13 +3,15 @@
 //! bit-exact against the schoolbook oracle across all three Saber
 //! parameter-set secret bounds and batch sizes 1/4/16/64, with the
 //! batch path identical to the mapped path — mirroring
-//! `engine_batch.rs` for the Toom/NTT engines.
+//! `engine_batch.rs` for the Toom/NTT engines — and the fold-once
+//! `inner_product` identical to the summed oracle products.
 //!
-//! The adversarial shapes lean on what a *broken* constant-time scan
+//! The adversarial shapes lean on what a *broken* constant-time kernel
 //! would get wrong: all-zero secrets (anything with an early exit
-//! degenerates here), single-coefficient secrets at both ends of the
-//! ring (the negacyclic fold), and saturated ±bound secrets (the
-//! accumulator bound).
+//! degenerates here), single-coefficient secrets at every position (the
+//! negacyclic wrap and the seam between the Karatsuba halves), and
+//! saturated operands (the accumulator bound, and `lo + hi` sums of
+//! ±10).
 
 use saber_ring::{schoolbook, CtSchoolbookMultiplier, EngineKind, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::Rng;
@@ -91,9 +93,10 @@ fn ct_engine_handles_adversarial_secret_shapes() {
 
 #[test]
 fn ct_engine_state_does_not_bleed_between_calls() {
-    // The engine reuses its accumulator arena across calls; a missing
-    // reset would poison later products. Interleave dense and zero
-    // secrets and re-check against fresh-engine results.
+    // The engine holds no state between calls: its arenas live on the
+    // stack of each call. Interleave dense and zero secrets and re-check
+    // against fresh-engine results, so state added later cannot leak
+    // one product into the next.
     let mut rng = Rng::new(0x5C7A7E);
     let mut reused = CtSchoolbookMultiplier::new();
     for round in 0..12 {
@@ -109,5 +112,92 @@ fn ct_engine_state_does_not_bleed_between_calls() {
             fresh.multiply(&a, &s),
             "round {round}"
         );
+    }
+}
+
+fn summed_oracle(pairs: &[(&PolyQ, &SecretPoly)]) -> PolyQ {
+    let mut acc = PolyQ::zero();
+    for (a, s) in pairs {
+        acc += &schoolbook::mul_asym(a, s);
+    }
+    acc
+}
+
+#[test]
+fn inner_product_equals_summed_oracle_for_zero_to_four_pairs() {
+    // Zero pairs must give the zero polynomial.
+    let mut engine = CtSchoolbookMultiplier::new();
+    for (i, bound) in BOUNDS.into_iter().enumerate() {
+        for len in 0..=4 {
+            for case in 0..4u64 {
+                let seed = 0x019E_7A0D ^ ((i as u64) << 16) ^ ((len as u64) << 8) ^ case;
+                let (publics, secrets) = workload(seed, bound, len, len);
+                let pairs: Vec<(&PolyQ, &SecretPoly)> = publics.iter().zip(&secrets).collect();
+                assert_eq!(
+                    engine.inner_product(&pairs),
+                    summed_oracle(&pairs),
+                    "bound {bound}, {len} pairs, case {case}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn saturated_operands_stay_exact() {
+    // Every public coefficient is 0x1fff, so `a_lo + a_hi` is 0x3ffe in
+    // every lane. Each secret saturates the bound in every lane, with
+    // equal halves, so the Karatsuba sum `s_lo + s_hi` is +10 or -10 in
+    // every lane: all +10, all -10, alternating, and in runs of 64.
+    let a = PolyQ::from_fn(|_| 0x1fff);
+    let secrets = [
+        SecretPoly::from_fn(|_| 5),
+        SecretPoly::from_fn(|_| -5),
+        SecretPoly::from_fn(|i| if i % 2 == 0 { 5 } else { -5 }),
+        SecretPoly::from_fn(|i| if i % 128 < 64 { 5 } else { -5 }),
+    ];
+    let mut engine = CtSchoolbookMultiplier::new();
+    for s in &secrets {
+        assert_eq!(engine.multiply(&a, s), schoolbook::mul_asym(&a, s));
+    }
+    for len in 1..=4 {
+        for s in &secrets {
+            let pairs = vec![(&a, s); len];
+            assert_eq!(
+                engine.inner_product(&pairs),
+                summed_oracle(&pairs),
+                "{len} pairs"
+            );
+        }
+    }
+}
+
+#[test]
+fn basis_sweep_covers_every_position_and_value() {
+    // 256 positions × 11 values = 2,816 products: the negacyclic wrap at
+    // 255 and the 127/128 seam between the Karatsuba halves included.
+    let mut rng = Rng::new(0xBA515);
+    let a = PolyQ::from_fn(|_| (rng.next_u32() & 0x1fff) as u16);
+    let mut engine = CtSchoolbookMultiplier::new();
+    for position in 0..256 {
+        for value in -5i8..=5 {
+            let s = SecretPoly::from_fn(|i| if i == position { value } else { 0 });
+            assert_eq!(
+                engine.multiply(&a, &s),
+                schoolbook::mul_asym(&a, &s),
+                "position {position}, value {value}"
+            );
+        }
+    }
+}
+
+#[test]
+fn multiply_is_the_inner_product_of_one_pair() {
+    let mut engine = CtSchoolbookMultiplier::new();
+    for (i, bound) in BOUNDS.into_iter().enumerate() {
+        let (publics, secrets) = workload(0x9A1E ^ i as u64, bound, 8, 8);
+        for (a, s) in publics.iter().zip(&secrets) {
+            assert_eq!(engine.multiply(a, s), engine.inner_product(&[(a, s)]));
+        }
     }
 }

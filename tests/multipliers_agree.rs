@@ -1,7 +1,8 @@
 //! Cross-crate integration: every multiplier backend in the workspace —
-//! six software algorithms and six cycle-accurate hardware models —
-//! must compute identical products, and every backend's `multiply_batch`
-//! must equal the mapped `multiply`.
+//! seven software algorithms and six cycle-accurate hardware models —
+//! must compute identical products, every backend's `multiply_batch`
+//! must equal the mapped `multiply`, and every backend's `inner_product`
+//! must equal the summed `multiply`.
 //!
 //! Driven by the deterministic `saber-testkit` harness (the offline
 //! replacement for proptest).
@@ -13,7 +14,10 @@ use saber::arch::{
 use saber::ring::mul::{
     KaratsubaMultiplier, NttMultiplier, SchoolbookMultiplier, ToomCook4Multiplier,
 };
-use saber::ring::{CachedSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly, SwarMultiplier};
+use saber::ring::{
+    CachedSchoolbookMultiplier, CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly,
+    SwarMultiplier,
+};
 use saber_testkit::{cases, Rng};
 
 fn rand_poly(rng: &mut Rng) -> PolyQ {
@@ -38,6 +42,7 @@ fn saber_range_backends() -> Vec<Box<dyn PolyMultiplier>> {
         Box::new(NttMultiplier),
         Box::new(CachedSchoolbookMultiplier::new()),
         Box::new(SwarMultiplier::new()),
+        Box::new(CtSchoolbookMultiplier::new()),
         Box::new(BaselineMultiplier::new(256)),
         Box::new(BaselineMultiplier::new(512)),
         Box::new(CentralizedMultiplier::new(256)),
@@ -80,6 +85,7 @@ fn lightsaber_range_backends_agree() {
             Box::new(ToomCook4Multiplier),
             Box::new(CachedSchoolbookMultiplier::new()),
             Box::new(SwarMultiplier::new()),
+            Box::new(CtSchoolbookMultiplier::new()),
             Box::new(CentralizedMultiplier::new(512)),
             Box::new(LightweightMultiplier::new()),
         ];
@@ -123,6 +129,34 @@ fn multiply_batch_equals_mapped_multiply_for_every_backend() {
                 backend.name(),
                 rng.seed()
             );
+        }
+    }
+}
+
+/// `inner_product` must equal the summed per-call products for EVERY
+/// backend: the default sums `multiply_batch`, and the constant-time
+/// engine overrides it with its fold-once kernel. Zero pairs give the
+/// zero polynomial.
+#[test]
+fn inner_product_equals_summed_multiply_for_every_backend() {
+    for mut rng in cases(4) {
+        let secrets: Vec<SecretPoly> = (0..4).map(|_| rand_saber_secret(&mut rng)).collect();
+        let publics: Vec<PolyQ> = (0..4).map(|_| rand_poly(&mut rng)).collect();
+        let pairs: Vec<(&PolyQ, &SecretPoly)> = publics.iter().zip(&secrets).collect();
+        for backend in saber_range_backends().iter_mut() {
+            for len in 0..=pairs.len() {
+                let mut summed = PolyQ::zero();
+                for (a, s) in &pairs[..len] {
+                    summed += &backend.multiply(a, s);
+                }
+                assert_eq!(
+                    backend.inner_product(&pairs[..len]),
+                    summed,
+                    "backend {}, {len} pairs, case seed {}",
+                    backend.name(),
+                    rng.seed()
+                );
+            }
         }
     }
 }

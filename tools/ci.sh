@@ -100,13 +100,20 @@ if want fast_engine_gate; then
 fi
 
 # Constant-time engine gate: SABER_ENGINE=ct must stay bit-exact over
-# the full release budget, and the planted *timing* mutants must be
+# the full release budget, for single products and for the fold-once
+# inner products (rank 2/3/4), and the planted *timing* mutants must be
 # functionally invisible to the differential fuzzer (they leak time,
 # not values — that separation is what makes them valid positive
 # controls for the timing gate below, which depends on this stage).
+# Then the ct engine's property battery (basis sweep, saturated
+# operands, inner products of 0-4 pairs) and the mat-vec/inner-product
+# regression suite, in release (tier-1 `cargo test -q` runs only the
+# umbrella crate).
 if want ct_engine_gate || [ "$STAGE" = "timing_gate" ]; then
     echo "==> ct-engine gate: bit-exactness + mutant invisibility (release)"
     SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test ct_engine_gate
+    echo "==> ct-engine gate: ct property battery + mat-vec regression (release)"
+    cargo test -q --release -p saber-ring --test ct_engine --test batch_matvec
 fi
 
 # Timing-leakage gate (dudect-style fixed-vs-random Welch t-test):
