@@ -1,29 +1,22 @@
-//! **Timing derby** — the dudect-style leakage detector
-//! (`saber-timing`) run over every hot-path engine, the KEM pipelines
-//! on the constant-time engine, and the two planted timing mutants,
-//! plus the ct engine's throughput cost against the cached baseline.
+//! **Timing leakage** — the dudect-style leakage detector
+//! (`saber-timing`) run over the constant-time engine, the KEM
+//! pipelines and the secret sampler built on it, and the two planted
+//! timing mutants.
 //!
 //! Roles:
 //!
-//! - `negative-control`: `SABER_ENGINE=ct` targets and the secret
-//!   sampler — the constant-time scan, the KEM built on it, and
-//!   `gen_secret` must show |t| under the gate threshold.
+//! - `negative-control`: the constant-time scan, the KEM built on it,
+//!   and `gen_secret` must show |t| under the gate threshold.
 //! - `positive-control`: the `saber_core::fault::TimingFault` mutants —
 //!   bit-exact products with secret-dependent timing that the detector
 //!   must flag, or a passing gate proves nothing.
-//! - `survey`: the variable-time engines (cached/swar/toom/ntt). Their
-//!   t-statistics are informative — zero-skip caches and sign branches
-//!   *should* light up here — and never fail the report.
 //!
 //! Emits `BENCH_timing.json` via
-//! [`TimingReport`](saber_bench::tables::TimingReport); the README
-//! "Constant time" section quotes its overhead number.
+//! [`TimingReport`](saber_bench::tables::TimingReport).
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::tables::TimingReport;
 use saber_core::fault::{TimingFault, TimingLeakMultiplier};
 use saber_kem::params::LIGHT_SABER;
-use saber_ring::{EngineKind, PolyQ, SecretPoly};
 use saber_testkit::Rng;
 use saber_timing::{
     detect, DecapsTarget, EncapsTarget, LeakReport, MulTarget, SamplerTarget, TimingConfig, Verdict,
@@ -57,7 +50,7 @@ fn record(report: &mut TimingReport, target: &str, role: &str, run: &LeakReport)
 }
 
 fn main() {
-    println!("\n=== Timing derby: fixed-vs-random leakage per engine, ct overhead ===\n");
+    println!("\n=== Timing leakage: fixed-vs-random on the ct engine and its controls ===\n");
     let cfg = TimingConfig::from_env();
     println!(
         "budget {} samples, |t| gate {}, seed {:#x}\n",
@@ -66,18 +59,9 @@ fn main() {
 
     let mut report = TimingReport::default();
 
-    // Per-engine t-statistics. Only the ct engine is a control; the
-    // variable-time engines are surveyed for the table.
-    for kind in EngineKind::ALL {
-        let role = if kind == EngineKind::Ct {
-            "negative-control"
-        } else {
-            "survey"
-        };
-        let mut target = MulTarget::engine(kind);
-        let run = detect(&mut target, &cfg, &mut MonotonicClock);
-        record(&mut report, &format!("mul/{}", kind.label()), role, &run);
-    }
+    let mut target = MulTarget::ct();
+    let run = detect(&mut target, &cfg, &mut MonotonicClock);
+    record(&mut report, "mul/ct", "negative-control", &run);
 
     // Full KEM pipelines on the ct engine (quarter budget: one decaps
     // is ~20 multiplies plus hashing).
@@ -88,11 +72,11 @@ fn main() {
     };
     kem_cfg.samples /= 4;
     let mut rng = Rng::new(cfg.seed ^ 0xDECA);
-    let mut decaps = DecapsTarget::new(EngineKind::Ct, &LIGHT_SABER, 8, &mut rng);
+    let mut decaps = DecapsTarget::new(&LIGHT_SABER, 8, &mut rng);
     let run = detect(&mut decaps, &kem_cfg, &mut MonotonicClock);
     record(&mut report, "kem/decaps-ct", "negative-control", &run);
     let mut rng = Rng::new(cfg.seed ^ 0xE9CA);
-    let mut encaps = EncapsTarget::new(EngineKind::Ct, &LIGHT_SABER, &mut rng);
+    let mut encaps = EncapsTarget::new(&LIGHT_SABER, &mut rng);
     let run = detect(&mut encaps, &kem_cfg, &mut MonotonicClock);
     record(&mut report, "kem/encaps-ct", "negative-control", &run);
 
@@ -116,38 +100,9 @@ fn main() {
         let run = detect(&mut target, &cfg, &mut MonotonicClock);
         let label = match fault {
             TimingFault::CtScanEarlyExit => "mutant/ct-scan-early-exit",
-            TimingFault::SwarRowSelectBranch => "mutant/swar-row-select",
+            TimingFault::CtSignBranch => "mutant/ct-sign-branch",
         };
         record(&mut report, label, "positive-control", &run);
-    }
-
-    // Throughput cost of constant time: single-product latency, ct vs
-    // the cached baseline, on a shared dense workload.
-    let mut criterion = Criterion::default().configure_from_args();
-    let mut state = cfg.seed | 1;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    let a = PolyQ::from_fn(|_| (next() & 0x1fff) as u16);
-    let s = SecretPoly::from_fn(|_| ((next() % 11) as i8) - 5);
-    let mut group = criterion.benchmark_group("timing_cost");
-    for kind in [EngineKind::Ct, EngineKind::Cached] {
-        group.bench_function(kind.label(), |b| {
-            let mut shard = kind.build();
-            b.iter(|| black_box(shard.multiply(black_box(&a), black_box(&s))));
-        });
-    }
-    group.finish();
-    for (id, m) in criterion.results() {
-        let ns = m.mean.as_nanos() as f64;
-        match id.as_str() {
-            "timing_cost/ct" => report.ct_ns_per_product = ns,
-            "timing_cost/cached" => report.cached_ns_per_product = ns,
-            _ => {}
-        }
     }
 
     println!("\n{}", report.format_text());
@@ -162,6 +117,4 @@ fn main() {
         Ok(()) => println!("wrote {path}"),
         Err(e) => println!("could not write {path}: {e}"),
     }
-
-    criterion.final_summary();
 }

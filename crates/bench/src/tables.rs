@@ -110,571 +110,6 @@ pub fn format_table1() -> String {
     out
 }
 
-/// One measured batch-throughput data point (one backend × one
-/// operation × one parameter set).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchBenchEntry {
-    /// Parameter set name (`LightSaber` / `Saber` / `FireSaber`).
-    pub params: String,
-    /// Operation measured (`matvec`, `kem_roundtrip`, …).
-    pub op: String,
-    /// Backend label (`schoolbook_percall`, `cached_batched`, …).
-    pub backend: String,
-    /// Mean time per operation in nanoseconds.
-    pub ns_per_op: f64,
-}
-
-impl BatchBenchEntry {
-    /// Operations per second implied by the mean time.
-    #[must_use]
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.ns_per_op > 0.0 {
-            1e9 / self.ns_per_op
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The `BENCH_batch.json` report produced by the `batch_throughput`
-/// bench: single-call vs batched throughput per operation and parameter
-/// set, plus the derived speedups.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchBenchReport {
-    /// All recorded data points.
-    pub entries: Vec<BatchBenchEntry>,
-}
-
-impl BatchBenchReport {
-    /// Records one data point.
-    pub fn push(&mut self, params: &str, op: &str, backend: &str, ns_per_op: f64) {
-        self.entries.push(BatchBenchEntry {
-            params: params.into(),
-            op: op.into(),
-            backend: backend.into(),
-            ns_per_op,
-        });
-    }
-
-    /// Speedup of `fast` over `baseline` for one (params, op) cell, if
-    /// both measurements are present.
-    #[must_use]
-    pub fn speedup(&self, params: &str, op: &str, baseline: &str, fast: &str) -> Option<f64> {
-        let find = |backend: &str| {
-            self.entries
-                .iter()
-                .find(|e| e.params == params && e.op == op && e.backend == backend)
-        };
-        match (find(baseline), find(fast)) {
-            (Some(b), Some(f)) if f.ns_per_op > 0.0 => Some(b.ns_per_op / f.ns_per_op),
-            _ => None,
-        }
-    }
-
-    /// Serializes the report as `BENCH_batch.json`-compatible JSON (the
-    /// schema consumed by the repo's benchmark tracking: a `bench` tag,
-    /// the flat entry list, and the per-cell speedups).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_json_as("batch_throughput", "schoolbook_percall", "cached_batched")
-    }
-
-    /// [`to_json`](Self::to_json) generalized to any bench tag and
-    /// speedup pair — the `swar_throughput` tier reports `swar_batched`
-    /// against the `cached_batched` baseline through this.
-    #[must_use]
-    pub fn to_json_as(&self, bench: &str, baseline: &str, fast: &str) -> String {
-        let mut out = format!("{{\n  \"bench\": \"{bench}\",\n  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"params\": \"{}\", \"op\": \"{}\", \"backend\": \"{}\", \
-                 \"ns_per_op\": {:.1}, \"ops_per_sec\": {:.2}}}{}\n",
-                e.params,
-                e.op,
-                e.backend,
-                e.ns_per_op,
-                e.ops_per_sec(),
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"speedups\": [\n");
-        let mut cells: Vec<(String, String)> = Vec::new();
-        for e in &self.entries {
-            let cell = (e.params.clone(), e.op.clone());
-            if !cells.contains(&cell) {
-                cells.push(cell);
-            }
-        }
-        let lines: Vec<String> = cells
-            .iter()
-            .filter_map(|(params, op)| {
-                self.speedup(params, op, baseline, fast).map(|s| {
-                    format!(
-                        "    {{\"params\": \"{params}\", \"op\": \"{op}\", \"speedup\": {s:.2}}}"
-                    )
-                })
-            })
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Formats the report as a printable text table.
-    #[must_use]
-    pub fn format_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<12} {:<14} {:<20} {:>12} {:>12}\n",
-            "params", "op", "backend", "ns/op", "ops/sec"
-        ));
-        out.push_str(&format!("{}\n", "-".repeat(74)));
-        for e in &self.entries {
-            out.push_str(&format!(
-                "{:<12} {:<14} {:<20} {:>12.0} {:>12.1}\n",
-                e.params,
-                e.op,
-                e.backend,
-                e.ns_per_op,
-                e.ops_per_sec()
-            ));
-        }
-        out
-    }
-}
-
-/// The `BENCH_derby.json` report produced by the `engine_derby` bench:
-/// every hot-path engine raced on the same batched workload, per
-/// parameter set and batch size.
-///
-/// Unlike [`BatchBenchReport`] (one baseline, one challenger) the derby
-/// is many-way, so the document carries a per-cell `winners` section
-/// and the speedup of *every* engine against the `cached` baseline —
-/// the numbers the README "Engines" table and the auto-tuner sanity
-/// gate (`auto` never slower than `cached`) are read from.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DerbyReport {
-    /// All recorded data points (`op` is `batch1`/`batch4`/…; `backend`
-    /// is the engine label; `ns_per_op` is per *product*, not per batch
-    /// call, so cells are comparable across batch sizes).
-    pub entries: Vec<BatchBenchEntry>,
-}
-
-impl DerbyReport {
-    /// Records one cell: `ns_per_product` for `engine` on a
-    /// `batch`-product workload under `params`.
-    pub fn push(&mut self, params: &str, batch: usize, engine: &str, ns_per_product: f64) {
-        self.entries.push(BatchBenchEntry {
-            params: params.into(),
-            op: format!("batch{batch}"),
-            backend: engine.into(),
-            ns_per_op: ns_per_product,
-        });
-    }
-
-    /// The fastest engine for one (params, batch) cell, if measured.
-    #[must_use]
-    pub fn winner(&self, params: &str, batch: usize) -> Option<&BatchBenchEntry> {
-        let op = format!("batch{batch}");
-        self.entries
-            .iter()
-            .filter(|e| e.params == params && e.op == op)
-            .min_by(|a, b| a.ns_per_op.total_cmp(&b.ns_per_op))
-    }
-
-    /// Speedup of `engine` over the `cached` baseline for one cell.
-    #[must_use]
-    pub fn speedup_vs_cached(&self, params: &str, batch: usize, engine: &str) -> Option<f64> {
-        let op = format!("batch{batch}");
-        let find = |backend: &str| {
-            self.entries
-                .iter()
-                .find(|e| e.params == params && e.op == op && e.backend == backend)
-        };
-        match (find("cached"), find(engine)) {
-            (Some(b), Some(f)) if f.ns_per_op > 0.0 => Some(b.ns_per_op / f.ns_per_op),
-            _ => None,
-        }
-    }
-
-    /// Serializes as the `BENCH_derby.json` document: the flat entry
-    /// list, per-cell winners, and every engine's speedup vs `cached`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"bench\": \"engine_derby\",\n  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"params\": \"{}\", \"op\": \"{}\", \"engine\": \"{}\", \
-                 \"ns_per_product\": {:.1}, \"products_per_sec\": {:.2}}}{}\n",
-                e.params,
-                e.op,
-                e.backend,
-                e.ns_per_op,
-                e.ops_per_sec(),
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"winners\": [\n");
-        let mut cells: Vec<(String, String)> = Vec::new();
-        for e in &self.entries {
-            let cell = (e.params.clone(), e.op.clone());
-            if !cells.contains(&cell) {
-                cells.push(cell);
-            }
-        }
-        let winner_lines: Vec<String> = cells
-            .iter()
-            .filter_map(|(params, op)| {
-                let batch: usize = op.strip_prefix("batch")?.parse().ok()?;
-                self.winner(params, batch).map(|w| {
-                    format!(
-                        "    {{\"params\": \"{params}\", \"op\": \"{op}\", \
-                         \"engine\": \"{}\", \"ns_per_product\": {:.1}}}",
-                        w.backend, w.ns_per_op
-                    )
-                })
-            })
-            .collect();
-        out.push_str(&winner_lines.join(",\n"));
-        out.push_str("\n  ],\n  \"speedups_vs_cached\": [\n");
-        let speedup_lines: Vec<String> = self
-            .entries
-            .iter()
-            .filter_map(|e| {
-                let batch: usize = e.op.strip_prefix("batch")?.parse().ok()?;
-                self.speedup_vs_cached(&e.params, batch, &e.backend).map(|s| {
-                    format!(
-                        "    {{\"params\": \"{}\", \"op\": \"{}\", \"engine\": \"{}\", \
-                         \"speedup\": {s:.2}}}",
-                        e.params, e.op, e.backend
-                    )
-                })
-            })
-            .collect();
-        out.push_str(&speedup_lines.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Formats the derby as a printable text table, one row per cell
-    /// with the winner flagged.
-    #[must_use]
-    pub fn format_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<12} {:<10} {:<10} {:>16} {:>16}  {}\n",
-            "params", "batch", "engine", "ns/product", "products/sec", "winner"
-        ));
-        out.push_str(&format!("{}\n", "-".repeat(78)));
-        for e in &self.entries {
-            let batch: Option<usize> = e.op.strip_prefix("batch").and_then(|b| b.parse().ok());
-            let is_winner = batch
-                .and_then(|b| self.winner(&e.params, b))
-                .is_some_and(|w| std::ptr::eq(w, e));
-            out.push_str(&format!(
-                "{:<12} {:<10} {:<10} {:>16.0} {:>16.1}  {}\n",
-                e.params,
-                e.op,
-                e.backend,
-                e.ns_per_op,
-                e.ops_per_sec(),
-                if is_winner { "◀" } else { "" }
-            ));
-        }
-        out
-    }
-}
-
-/// One service-scaling data point: one operation on one parameter set
-/// at one worker count, with both the measured time and the model's
-/// projection (see [`ServiceBenchReport`] for the basis policy).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceBenchEntry {
-    /// Parameter set name (`LightSaber` / `Saber` / `FireSaber`).
-    pub params: String,
-    /// Operation measured (`matvec`, `kem_mixed`, …).
-    pub op: String,
-    /// Worker threads in the service pool.
-    pub workers: u64,
-    /// `std::thread::available_parallelism()` on the measuring host,
-    /// recorded **per entry at measurement time** — a report assembled
-    /// across hosts (or a host whose visible cores change mid-run)
-    /// keeps each entry's basis honest.
-    pub host_parallelism: u64,
-    /// Measured mean time per operation on *this* host, nanoseconds.
-    pub measured_ns_per_op: f64,
-    /// Modeled time per operation on a host with ≥ `workers` cores:
-    /// `work_ns / workers + dispatch_overhead_ns`, where `work_ns` is
-    /// the measured single-thread batched-engine time and the overhead
-    /// is calibrated from the 1-worker service measurement.
-    pub projected_ns_per_op: f64,
-    /// Which number is authoritative for this entry: `"measured"` when
-    /// the host had at least `workers` cores **and** the measurement is
-    /// consistent with the model (real parallelism was exercised);
-    /// `"projected"` when the host was core-starved (the roofline model
-    /// is the honest estimate — same convention as the
-    /// `coprocessor_projection` bench); `"degraded"` when the host
-    /// nominally had enough cores but the measurement exceeded the
-    /// projection by more than 2× — an oversubscribed/noisy host whose
-    /// number must not be published as clean scaling.
-    pub basis: String,
-}
-
-impl ServiceBenchEntry {
-    /// The basis-selected time per operation. A `degraded` entry keeps
-    /// its measurement (that *is* what the host did — it just isn't a
-    /// scaling claim), so the degradation stays visible downstream.
-    #[must_use]
-    pub fn effective_ns_per_op(&self) -> f64 {
-        if self.basis == "projected" {
-            self.projected_ns_per_op
-        } else {
-            self.measured_ns_per_op
-        }
-    }
-
-    /// Operations per second implied by the basis-selected time.
-    #[must_use]
-    pub fn ops_per_sec(&self) -> f64 {
-        let ns = self.effective_ns_per_op();
-        if ns > 0.0 {
-            1e9 / ns
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The `BENCH_service.json` report produced by the `service_throughput`
-/// bench: worker-count scaling of the concurrent KEM service against
-/// the single-thread batched engine.
-///
-/// Every entry carries measured *and* projected numbers plus an
-/// explicit `basis` tag, because scaling measurements are only
-/// meaningful when the host has as many cores as the pool has workers;
-/// on a smaller host the per-entry basis switches to the calibrated
-/// projection, and the JSON says so rather than publishing a
-/// core-starved measurement as if it were scaling.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServiceBenchReport {
-    /// `std::thread::available_parallelism()` on the host that started
-    /// the bench run (summary convenience; each entry records its own).
-    pub host_parallelism: u64,
-    /// All recorded data points.
-    pub entries: Vec<ServiceBenchEntry>,
-    /// Open-loop overload soak results (goodput + wait quantiles).
-    pub soak: Vec<SoakBenchEntry>,
-}
-
-impl ServiceBenchReport {
-    /// Records one data point. `host_parallelism` is the core count
-    /// observed **when this entry was measured**; the basis derives
-    /// from it: `projected` when core-starved (`host_parallelism <
-    /// workers`), `degraded` when the host had the cores but the
-    /// measurement exceeds the projection by more than 2× (an
-    /// oversubscribed host masquerading as a scaling result), else
-    /// `measured`.
-    pub fn push(
-        &mut self,
-        params: &str,
-        op: &str,
-        workers: u64,
-        host_parallelism: u64,
-        measured_ns_per_op: f64,
-        projected_ns_per_op: f64,
-    ) {
-        let basis = if host_parallelism < workers {
-            "projected"
-        } else if measured_ns_per_op > 2.0 * projected_ns_per_op {
-            "degraded"
-        } else {
-            "measured"
-        };
-        self.entries.push(ServiceBenchEntry {
-            params: params.into(),
-            op: op.into(),
-            workers,
-            host_parallelism,
-            measured_ns_per_op,
-            projected_ns_per_op,
-            basis: basis.into(),
-        });
-    }
-
-    /// The entry for one (params, op, workers) cell.
-    #[must_use]
-    pub fn entry(&self, params: &str, op: &str, workers: u64) -> Option<&ServiceBenchEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.params == params && e.op == op && e.workers == workers)
-    }
-
-    /// Throughput speedup of the `workers`-worker pool over the
-    /// 1-worker pool for one (params, op) cell, using each entry's
-    /// basis-selected time.
-    #[must_use]
-    pub fn speedup_vs_single(&self, params: &str, op: &str, workers: u64) -> Option<f64> {
-        let one = self.entry(params, op, 1)?;
-        let n = self.entry(params, op, workers)?;
-        if n.effective_ns_per_op() > 0.0 {
-            Some(one.effective_ns_per_op() / n.effective_ns_per_op())
-        } else {
-            None
-        }
-    }
-
-    /// Serializes as `BENCH_service.json`: the `bench` tag, the host
-    /// core count, the flat entry list (measured + projected + basis),
-    /// and the derived worker-scaling speedups.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"bench\": \"service_throughput\",\n  \"host_parallelism\": {},\n  \"entries\": [\n",
-            self.host_parallelism
-        );
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"params\": \"{}\", \"op\": \"{}\", \"workers\": {}, \
-                 \"host_parallelism\": {}, \
-                 \"measured_ns_per_op\": {:.1}, \"projected_ns_per_op\": {:.1}, \
-                 \"basis\": \"{}\", \"ops_per_sec\": {:.2}}}{}\n",
-                e.params,
-                e.op,
-                e.workers,
-                e.host_parallelism,
-                e.measured_ns_per_op,
-                e.projected_ns_per_op,
-                e.basis,
-                e.ops_per_sec(),
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"scaling\": [\n");
-        let lines: Vec<String> = self
-            .entries
-            .iter()
-            .filter(|e| e.workers > 1)
-            .filter_map(|e| {
-                self.speedup_vs_single(&e.params, &e.op, e.workers).map(|s| {
-                    format!(
-                        "    {{\"params\": \"{}\", \"op\": \"{}\", \"workers\": {}, \
-                         \"speedup_vs_1\": {s:.2}, \"basis\": \"{}\"}}",
-                        e.params, e.op, e.workers, e.basis
-                    )
-                })
-            })
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  ],\n  \"soak\": [\n");
-        let soak_lines: Vec<String> = self
-            .soak
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"trace\": \"{}\", \"policy\": \"{}\", \"workers\": {}, \
-                     \"overload_x\": {:.2}, \"offered_per_sec\": {:.2}, \
-                     \"goodput_per_sec\": {:.2}, \"shed\": {}, \
-                     \"degraded_admissions\": {}, \"p50_wait_ns\": {}, \
-                     \"p99_wait_ns\": {}}}",
-                    s.trace,
-                    s.policy,
-                    s.workers,
-                    s.overload_x,
-                    s.offered_per_sec,
-                    s.goodput_per_sec,
-                    s.shed,
-                    s.degraded_admissions,
-                    s.p50_wait_ns,
-                    s.p99_wait_ns
-                )
-            })
-            .collect();
-        out.push_str(&soak_lines.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Formats the report as a printable text table.
-    #[must_use]
-    pub fn format_text(&self) -> String {
-        let mut out = format!("host parallelism: {} cores\n", self.host_parallelism);
-        out.push_str(&format!(
-            "{:<12} {:<10} {:>7} {:>5} {:>14} {:>14} {:<10} {:>9}\n",
-            "params", "op", "workers", "cores", "measured ns", "projected ns", "basis", "vs 1w"
-        ));
-        out.push_str(&format!("{}\n", "-".repeat(88)));
-        for e in &self.entries {
-            let speedup = self
-                .speedup_vs_single(&e.params, &e.op, e.workers)
-                .map_or_else(|| "-".into(), |s| format!("{s:.2}x"));
-            out.push_str(&format!(
-                "{:<12} {:<10} {:>7} {:>5} {:>14.0} {:>14.0} {:<10} {:>9}\n",
-                e.params,
-                e.op,
-                e.workers,
-                e.host_parallelism,
-                e.measured_ns_per_op,
-                e.projected_ns_per_op,
-                e.basis,
-                speedup
-            ));
-        }
-        if !self.soak.is_empty() {
-            out.push_str(&format!(
-                "\nsoak (open-loop overload)\n{:<8} {:<8} {:>7} {:>6} {:>12} {:>12} {:>6} {:>9} {:>12} {:>12}\n",
-                "trace", "policy", "workers", "over", "offered/s", "goodput/s", "shed",
-                "degraded", "p50 wait ns", "p99 wait ns"
-            ));
-            out.push_str(&format!("{}\n", "-".repeat(100)));
-            for s in &self.soak {
-                out.push_str(&format!(
-                    "{:<8} {:<8} {:>7} {:>5.1}x {:>12.1} {:>12.1} {:>6} {:>9} {:>12} {:>12}\n",
-                    s.trace,
-                    s.policy,
-                    s.workers,
-                    s.overload_x,
-                    s.offered_per_sec,
-                    s.goodput_per_sec,
-                    s.shed,
-                    s.degraded_admissions,
-                    s.p50_wait_ns,
-                    s.p99_wait_ns
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// One open-loop overload soak result: a seeded arrival trace offered
-/// at a multiple of the pool's measured capacity, under one overload
-/// policy — the honest "what does saturation cost" measurement the
-/// closed-loop scaling entries cannot make.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoakBenchEntry {
-    /// Arrival process label (`poisson` / `bursty`).
-    pub trace: String,
-    /// Overload policy label (`reject` / `degrade`).
-    pub policy: String,
-    /// Worker threads in the pool under soak.
-    pub workers: u64,
-    /// Offered load as a multiple of measured closed-loop capacity
-    /// (≥ 2.0 for the committed report).
-    pub overload_x: f64,
-    /// Offered jobs per second of wall clock.
-    pub offered_per_sec: f64,
-    /// Completed jobs per second of wall clock.
-    pub goodput_per_sec: f64,
-    /// Jobs shed at submit time.
-    pub shed: u64,
-    /// Jobs admitted above the soft capacity (degrade policy only).
-    pub degraded_admissions: u64,
-    /// Median queue wait, nanoseconds.
-    pub p50_wait_ns: u64,
-    /// 99th-percentile queue wait, nanoseconds.
-    pub p99_wait_ns: u64,
-}
-
 /// One architecture's occupancy/stall summary, derived from the
 /// [`saber_trace::CycleTimeline`] its cycle model records while
 /// simulating (the evidence behind the Table-1 cycle budgets).
@@ -817,8 +252,7 @@ pub struct TimingLeakEntry {
     /// Target label, e.g. `mul/ct`, `kem/decaps-ct`,
     /// `mutant/ct-scan-early-exit`.
     pub target: String,
-    /// `negative-control` (must pass), `positive-control` (must leak),
-    /// or `survey` (informative only — the variable-time engines).
+    /// `negative-control` (must pass) or `positive-control` (must leak).
     pub role: String,
     /// Detector verdict: `pass`, `leak`, or `inconclusive`.
     pub verdict: String,
@@ -830,17 +264,11 @@ pub struct TimingLeakEntry {
     pub cropped: usize,
 }
 
-/// The `BENCH_timing.json` document: per-target leakage verdicts plus
-/// the constant-time engine's throughput cost against the `cached`
-/// baseline.
+/// The `BENCH_timing.json` document: per-target leakage verdicts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimingReport {
     /// All detector runs, controls included.
     pub entries: Vec<TimingLeakEntry>,
-    /// Single-product latency of the ct engine (ns), if measured.
-    pub ct_ns_per_product: f64,
-    /// Single-product latency of the cached baseline (ns), if measured.
-    pub cached_ns_per_product: f64,
 }
 
 impl TimingReport {
@@ -864,17 +292,8 @@ impl TimingReport {
         });
     }
 
-    /// Cost of the ct engine relative to the cached baseline (e.g.
-    /// `1.8` means the constant-time scan costs 1.8× a cached multiply;
-    /// below 1 it is the faster of the two).
-    #[must_use]
-    pub fn ct_overhead(&self) -> Option<f64> {
-        (self.cached_ns_per_product > 0.0 && self.ct_ns_per_product > 0.0)
-            .then(|| self.ct_ns_per_product / self.cached_ns_per_product)
-    }
-
     /// Whether every control behaved: negative controls pass, positive
-    /// controls leak. Survey rows never fail the report.
+    /// controls leak.
     #[must_use]
     pub fn controls_hold(&self) -> bool {
         self.entries.iter().all(|e| match e.role.as_str() {
@@ -903,16 +322,8 @@ impl TimingReport {
         }
         out.push_str("  ],\n");
         out.push_str(&format!(
-            "  \"controls_hold\": {},\n",
+            "  \"controls_hold\": {}\n}}\n",
             self.controls_hold()
-        ));
-        out.push_str(&format!(
-            "  \"ct_ns_per_product\": {:.1},\n  \"cached_ns_per_product\": {:.1},\n",
-            self.ct_ns_per_product, self.cached_ns_per_product
-        ));
-        out.push_str(&format!(
-            "  \"ct_overhead_vs_cached\": {:.2}\n}}\n",
-            self.ct_overhead().unwrap_or(0.0)
         ));
         out
     }
@@ -931,12 +342,6 @@ impl TimingReport {
                 e.target, e.role, e.verdict, e.t_stat, e.samples, e.cropped
             ));
         }
-        if let Some(overhead) = self.ct_overhead() {
-            out.push_str(&format!(
-                "ct engine cost: {:.0} ns/product vs cached {:.0} ns/product ({overhead:.2}x)\n",
-                self.ct_ns_per_product, self.cached_ns_per_product
-            ));
-        }
         out
     }
 }
@@ -946,42 +351,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn derby_report_ranks_winners_and_speedups() {
-        let mut r = DerbyReport::default();
-        r.push("Saber", 16, "cached", 1000.0);
-        r.push("Saber", 16, "swar", 500.0);
-        r.push("Saber", 16, "toom", 2000.0);
-        assert_eq!(r.winner("Saber", 16).unwrap().backend, "swar");
-        assert_eq!(r.speedup_vs_cached("Saber", 16, "swar"), Some(2.0));
-        assert_eq!(r.speedup_vs_cached("Saber", 16, "toom"), Some(0.5));
-        assert_eq!(r.speedup_vs_cached("Saber", 4, "swar"), None, "unmeasured cell");
-        let json = r.to_json();
-        assert!(json.contains("\"bench\": \"engine_derby\""));
-        assert!(json.contains("\"winners\""));
-        assert!(json.contains("\"speedups_vs_cached\""));
-        assert!(json.contains("\"op\": \"batch16\", \"engine\": \"swar\""));
-        let text = r.format_text();
-        assert!(text.lines().any(|l| l.contains("swar") && l.contains('◀')));
-        assert!(!text.lines().any(|l| l.contains("toom") && l.contains('◀')));
-    }
-
-    #[test]
-    fn timing_report_checks_controls_and_computes_overhead() {
+    fn timing_report_checks_controls() {
         let mut r = TimingReport::default();
         r.push("mul/ct", "negative-control", "pass", 0.8, 2000, 160);
         r.push("mutant/early-exit", "positive-control", "leak", 64.2, 512, 40);
-        r.push("mul/swar", "survey", "leak", 31.0, 700, 55);
         assert!(r.controls_hold());
-        r.ct_ns_per_product = 90_000.0;
-        r.cached_ns_per_product = 30_000.0;
-        assert_eq!(r.ct_overhead(), Some(3.0));
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"timing_leakage\""));
         assert!(json.contains("\"controls_hold\": true"));
-        assert!(json.contains("\"ct_overhead_vs_cached\": 3.00"));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
         let text = r.format_text();
         assert!(text.contains("mutant/early-exit"));
-        assert!(text.contains("3.00x"));
     }
 
     #[test]
@@ -992,8 +372,6 @@ mod tests {
         let mut r = TimingReport::default();
         r.push("mutant/early-exit", "positive-control", "pass", 1.0, 2000, 160);
         assert!(!r.controls_hold(), "an undetected mutant must fail");
-        let survey_only = TimingReport::default();
-        assert!(survey_only.ct_overhead().is_none(), "unmeasured overhead");
     }
 
     #[test]
@@ -1043,161 +421,6 @@ mod tests {
         ] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
-    }
-
-    fn sample_batch_report() -> BatchBenchReport {
-        let mut r = BatchBenchReport::default();
-        r.push("Saber", "matvec", "schoolbook_percall", 3000.0);
-        r.push("Saber", "matvec", "cached_batched", 1000.0);
-        r.push("FireSaber", "kem_roundtrip", "schoolbook_percall", 9000.0);
-        r
-    }
-
-    #[test]
-    fn batch_report_speedup_is_baseline_over_fast() {
-        let r = sample_batch_report();
-        let s = r
-            .speedup("Saber", "matvec", "schoolbook_percall", "cached_batched")
-            .unwrap();
-        assert!((s - 3.0).abs() < 1e-9);
-        // Missing cell → no speedup.
-        assert!(r
-            .speedup("FireSaber", "kem_roundtrip", "schoolbook_percall", "cached_batched")
-            .is_none());
-    }
-
-    #[test]
-    fn batch_report_json_shape() {
-        let json = sample_batch_report().to_json();
-        assert!(json.contains("\"bench\": \"batch_throughput\""));
-        assert!(json.contains("\"backend\": \"cached_batched\""));
-        assert!(json.contains("\"speedup\": 3.00"));
-        // ops/sec is the reciprocal of ns/op.
-        assert!(json.contains("\"ops_per_sec\": 1000000.00"));
-        // Balanced braces/brackets (cheap well-formedness check without a
-        // JSON parser in the dependency-free workspace).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn batch_report_text_lists_entries() {
-        let text = sample_batch_report().format_text();
-        assert!(text.contains("schoolbook_percall"));
-        assert!(text.contains("Saber"));
-    }
-
-    /// A 2-core host measuring a 4-worker pool: 1- and 2-worker entries
-    /// are measured, 4-worker falls back to the projection.
-    fn sample_service_report() -> ServiceBenchReport {
-        let mut r = ServiceBenchReport {
-            host_parallelism: 2,
-            ..ServiceBenchReport::default()
-        };
-        // work = 4000ns, overhead = 100ns → projected(N) = 4000/N + 100.
-        r.push("Saber", "matvec", 1, 2, 4100.0, 4100.0);
-        r.push("Saber", "matvec", 2, 2, 2150.0, 2100.0);
-        r.push("Saber", "matvec", 4, 2, 4100.0, 1100.0);
-        r
-    }
-
-    #[test]
-    fn service_report_basis_follows_host_core_count() {
-        let r = sample_service_report();
-        assert_eq!(r.entry("Saber", "matvec", 1).unwrap().basis, "measured");
-        assert_eq!(r.entry("Saber", "matvec", 2).unwrap().basis, "measured");
-        let four = r.entry("Saber", "matvec", 4).unwrap();
-        assert_eq!(four.basis, "projected", "core-starved → projection");
-        assert!((four.effective_ns_per_op() - 1100.0).abs() < 1e-9);
-        assert!(r.entries.iter().all(|e| e.host_parallelism == 2));
-    }
-
-    #[test]
-    fn service_report_degraded_basis_flags_oversubscribed_measurements() {
-        let mut r = ServiceBenchReport {
-            host_parallelism: 8,
-            ..ServiceBenchReport::default()
-        };
-        // Enough cores, but the measurement is >2× the projection: an
-        // oversubscribed host must not publish this as "measured".
-        r.push("Saber", "matvec", 1, 8, 4100.0, 4100.0);
-        r.push("Saber", "matvec", 4, 8, 4000.0, 1100.0);
-        // Within 2× of the projection stays measured.
-        r.push("Saber", "matvec", 2, 8, 2900.0, 2100.0);
-        let four = r.entry("Saber", "matvec", 4).unwrap();
-        assert_eq!(four.basis, "degraded");
-        assert!(
-            (four.effective_ns_per_op() - 4000.0).abs() < 1e-9,
-            "degraded keeps the (suspect) measurement visible"
-        );
-        assert_eq!(r.entry("Saber", "matvec", 2).unwrap().basis, "measured");
-        let json = r.to_json();
-        assert!(json.contains("\"basis\": \"degraded\""), "{json}");
-    }
-
-    #[test]
-    fn soak_entries_serialize_into_their_own_section() {
-        let mut r = sample_service_report();
-        r.soak.push(SoakBenchEntry {
-            trace: "poisson".into(),
-            policy: "reject".into(),
-            workers: 4,
-            overload_x: 2.0,
-            offered_per_sec: 1000.0,
-            goodput_per_sec: 480.5,
-            shed: 519,
-            degraded_admissions: 0,
-            p50_wait_ns: 4_096_000,
-            p99_wait_ns: 16_384_000,
-        });
-        let json = r.to_json();
-        assert!(json.contains("\"soak\": ["), "{json}");
-        assert!(json.contains("\"trace\": \"poisson\""));
-        assert!(json.contains("\"policy\": \"reject\""));
-        assert!(json.contains("\"overload_x\": 2.00"));
-        assert!(json.contains("\"goodput_per_sec\": 480.50"));
-        assert!(json.contains("\"p99_wait_ns\": 16384000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let text = r.format_text();
-        assert!(text.contains("soak (open-loop overload)"), "{text}");
-        assert!(text.contains("poisson"));
-    }
-
-    #[test]
-    fn service_report_scaling_uses_basis_selected_times() {
-        let r = sample_service_report();
-        // measured 2-worker vs measured 1-worker.
-        let two = r.speedup_vs_single("Saber", "matvec", 2).unwrap();
-        assert!((two - 4100.0 / 2150.0).abs() < 1e-9);
-        // projected 4-worker vs measured 1-worker; comfortably >1.5x.
-        let four = r.speedup_vs_single("Saber", "matvec", 4).unwrap();
-        assert!((four - 4100.0 / 1100.0).abs() < 1e-9);
-        assert!(four > 1.5);
-        assert!(r.speedup_vs_single("Saber", "kem_mixed", 4).is_none());
-    }
-
-    #[test]
-    fn service_report_json_shape() {
-        let json = sample_service_report().to_json();
-        assert!(json.contains("\"bench\": \"service_throughput\""));
-        assert!(json.contains("\"host_parallelism\": 2"));
-        assert!(json.contains("\"basis\": \"projected\""));
-        assert!(json.contains("\"speedup_vs_1\": 3.73"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn service_report_text_lists_scaling() {
-        let text = sample_service_report().format_text();
-        assert!(text.contains("host parallelism: 2 cores"));
-        assert!(text.contains("projected"));
-        assert!(text.contains("3.73x"));
     }
 
     #[test]

@@ -37,57 +37,6 @@ struct Schema {
 
 const SCHEMAS: &[Schema] = &[
     Schema {
-        file: "BENCH_batch.json",
-        bench_tag: "batch_throughput",
-        top: &[],
-        entry: &[
-            ("params", Kind::Str),
-            ("op", Kind::Str),
-            ("backend", Kind::Str),
-            ("ns_per_op", Kind::Num),
-            ("ops_per_sec", Kind::Num),
-        ],
-    },
-    Schema {
-        file: "BENCH_derby.json",
-        bench_tag: "engine_derby",
-        top: &[],
-        entry: &[
-            ("params", Kind::Str),
-            ("op", Kind::Str),
-            ("engine", Kind::Str),
-            ("ns_per_product", Kind::Num),
-            ("products_per_sec", Kind::Num),
-        ],
-    },
-    Schema {
-        file: "BENCH_service.json",
-        bench_tag: "service_throughput",
-        top: &[("host_parallelism", Kind::Int)],
-        entry: &[
-            ("params", Kind::Str),
-            ("op", Kind::Str),
-            ("workers", Kind::Int),
-            ("host_parallelism", Kind::Int),
-            ("measured_ns_per_op", Kind::Num),
-            ("projected_ns_per_op", Kind::Num),
-            ("basis", Kind::Str),
-            ("ops_per_sec", Kind::Num),
-        ],
-    },
-    Schema {
-        file: "BENCH_swar.json",
-        bench_tag: "swar_throughput",
-        top: &[],
-        entry: &[
-            ("params", Kind::Str),
-            ("op", Kind::Str),
-            ("backend", Kind::Str),
-            ("ns_per_op", Kind::Num),
-            ("ops_per_sec", Kind::Num),
-        ],
-    },
-    Schema {
         file: "BENCH_timing.json",
         bench_tag: "timing_leakage",
         top: &[],
@@ -178,103 +127,6 @@ fn every_committed_bench_report_matches_its_schema() {
                 check_field(entry, name, *kind, &ctx);
             }
         }
-    }
-}
-
-/// The service report's measurement-honesty contract: every basis is
-/// one of the three known values; a `measured` basis is only legal when
-/// the entry's own recorded host core count covers its workers; and no
-/// multi-worker entry published as `measured` on a multi-core host may
-/// show sub-1.1× scaling — a flat "measured speedup" is exactly the
-/// projected-as-measured dishonesty this schema exists to block.
-#[test]
-fn service_report_bases_are_honest() {
-    let doc = load("BENCH_service.json");
-    let entries = doc.get("entries").and_then(Value::as_array).expect("entries");
-    let effective = |e: &Value| -> f64 {
-        let basis = e.str_field("basis").expect("basis");
-        let key = if basis == "projected" {
-            "projected_ns_per_op"
-        } else {
-            "measured_ns_per_op"
-        };
-        e.get(key).and_then(Value::as_number).expect("ns_per_op")
-    };
-    for (i, entry) in entries.iter().enumerate() {
-        let basis = entry.str_field("basis").expect("basis");
-        assert!(
-            matches!(basis, "measured" | "projected" | "degraded"),
-            "entry {i}: unknown basis {basis:?}"
-        );
-        let workers = entry.int_field("workers").expect("workers");
-        let cores = entry.int_field("host_parallelism").expect("host_parallelism");
-        if basis == "measured" {
-            assert!(
-                cores >= workers,
-                "entry {i}: measured basis on a {cores}-core host with {workers} workers"
-            );
-            if workers > 1 && cores > 1 {
-                let params = entry.str_field("params").expect("params");
-                let op = entry.str_field("op").expect("op");
-                let single = entries
-                    .iter()
-                    .find(|e| {
-                        e.str_field("params").ok() == Some(params)
-                            && e.str_field("op").ok() == Some(op)
-                            && e.int_field("workers").ok() == Some(1)
-                    })
-                    .unwrap_or_else(|| panic!("entry {i}: no 1-worker baseline"));
-                let speedup = effective(single) / effective(entry);
-                assert!(
-                    speedup >= 1.1,
-                    "entry {i} ({params}/{op}/{workers}w): measured basis with only \
-                     {speedup:.2}x scaling on a {cores}-core host"
-                );
-            }
-        }
-    }
-}
-
-/// The soak section must cover both arrival traces at ≥2× overload with
-/// well-formed goodput/wait fields.
-#[test]
-fn service_report_soak_section_covers_both_traces_under_overload() {
-    let doc = load("BENCH_service.json");
-    let soak = doc.get("soak").and_then(Value::as_array).expect("soak array");
-    assert!(!soak.is_empty(), "soak section must be non-empty");
-    for (trace, policy) in [
-        ("poisson", "reject"),
-        ("poisson", "degrade"),
-        ("bursty", "reject"),
-        ("bursty", "degrade"),
-    ] {
-        let entry = soak
-            .iter()
-            .find(|e| {
-                e.str_field("trace").ok() == Some(trace)
-                    && e.str_field("policy").ok() == Some(policy)
-            })
-            .unwrap_or_else(|| panic!("soak missing {trace}/{policy}"));
-        let ctx = format!("soak {trace}/{policy}");
-        for (name, kind) in [
-            ("workers", Kind::Int),
-            ("overload_x", Kind::Num),
-            ("offered_per_sec", Kind::Num),
-            ("goodput_per_sec", Kind::Num),
-            ("shed", Kind::Int),
-            ("degraded_admissions", Kind::Int),
-            ("p50_wait_ns", Kind::Int),
-            ("p99_wait_ns", Kind::Int),
-        ] {
-            check_field(entry, name, kind, &ctx);
-        }
-        let overload = entry.get("overload_x").and_then(Value::as_number).unwrap();
-        assert!(overload >= 2.0, "{ctx}: overload_x {overload} below the 2x floor");
-        let goodput = entry
-            .get("goodput_per_sec")
-            .and_then(Value::as_number)
-            .unwrap();
-        assert!(goodput > 0.0, "{ctx}: zero goodput");
     }
 }
 

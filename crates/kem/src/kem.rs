@@ -382,7 +382,7 @@ mod tests {
         // The re-entrancy contract: the full keygen → encaps → decaps
         // pipeline run on four threads at once, each with its own
         // backend, reproduces the sequential transcripts bit for bit.
-        let mut backend = saber_ring::CachedSchoolbookMultiplier::new();
+        let mut backend = saber_ring::CtSchoolbookMultiplier::new();
         let expected: Vec<_> = (0..4u8)
             .map(|i| {
                 let (pk, sk) = keygen(&SABER, &[i; 32], &mut backend);
@@ -395,7 +395,7 @@ mod tests {
             let handles: Vec<_> = (0..4u8)
                 .map(|i| {
                     scope.spawn(move || {
-                        let mut backend = saber_ring::CachedSchoolbookMultiplier::new();
+                        let mut backend = saber_ring::CtSchoolbookMultiplier::new();
                         let (pk, sk) = keygen(&SABER, &[i; 32], &mut backend);
                         let (ct, ss_enc) = encaps(&pk, &[i ^ 0x5a; 32], &mut backend);
                         let ss_dec = decaps(&sk, &ct, &mut backend);
@@ -417,7 +417,7 @@ mod tests {
     fn pipeline_spans_nest_under_the_kem_stages() {
         let session = saber_trace::start();
         saber_trace::instant_event("test", "sentinel.kem");
-        let mut backend = saber_ring::CachedSchoolbookMultiplier::new();
+        let mut backend = saber_ring::CtSchoolbookMultiplier::new();
         let (pk, sk) = keygen(&SABER, &[21; 32], &mut backend);
         let (ct, _) = encaps(&pk, &[22; 32], &mut backend);
         let _ = decaps(&sk, &ct, &mut backend);

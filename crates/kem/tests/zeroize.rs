@@ -14,7 +14,7 @@ use saber_kem::params::LIGHT_SABER;
 use saber_kem::secret::{
     assert_zeroize_clears, ct_eq, CPA_ZEROIZED, KEM_SK_ZEROIZED, SHARED_ZEROIZED,
 };
-use saber_ring::EngineKind;
+use saber_ring::CtSchoolbookMultiplier;
 
 /// Secret bytes of a KEM secret key: the implicit-rejection secret `z`
 /// plus every coefficient of the CPA secret vector. `pk_hash` and the
@@ -28,8 +28,8 @@ fn kem_sk_secret_bytes(sk: &KemSecretKey) -> Vec<u8> {
 }
 
 fn fresh_key(seed: u8) -> KemSecretKey {
-    let mut backend = EngineKind::Cached.build();
-    keygen(&LIGHT_SABER, &[seed; 32], backend.as_mut()).1
+    let mut backend = CtSchoolbookMultiplier::new();
+    keygen(&LIGHT_SABER, &[seed; 32], &mut backend).1
 }
 
 #[test]
@@ -48,9 +48,9 @@ fn cpa_secret_key_zeroize_wipes_the_secret_vector() {
 
 #[test]
 fn shared_secret_zeroize_wipes_the_key_bytes() {
-    let mut backend = EngineKind::Cached.build();
-    let (pk, _) = keygen(&LIGHT_SABER, &[0x33; 32], backend.as_mut());
-    let (_, ss) = encaps(&pk, &[0x44; 32], backend.as_mut());
+    let mut backend = CtSchoolbookMultiplier::new();
+    let (pk, _) = keygen(&LIGHT_SABER, &[0x33; 32], &mut backend);
+    let (_, ss) = encaps(&pk, &[0x44; 32], &mut backend);
     assert_zeroize_clears(ss, |ss: &SharedSecret| ss.as_bytes().to_vec());
 }
 
@@ -58,10 +58,10 @@ fn shared_secret_zeroize_wipes_the_key_bytes() {
 fn dropping_secrets_fires_the_zeroize_counters() {
     let session = saber_trace::start();
     {
-        let mut backend = EngineKind::Cached.build();
-        let (pk, sk) = keygen(&LIGHT_SABER, &[0x55; 32], backend.as_mut());
-        let (ct, ss_enc) = encaps(&pk, &[0x66; 32], backend.as_mut());
-        let ss_dec = decaps(&sk, &ct, backend.as_mut());
+        let mut backend = CtSchoolbookMultiplier::new();
+        let (pk, sk) = keygen(&LIGHT_SABER, &[0x55; 32], &mut backend);
+        let (ct, ss_enc) = encaps(&pk, &[0x66; 32], &mut backend);
+        let ss_dec = decaps(&sk, &ct, &mut backend);
         assert_eq!(ss_enc, ss_dec);
         // sk, ss_enc, ss_dec all drop here; the nested CPA key's own
         // `Drop` fires right after the KEM key wipes `z`, so one KEM

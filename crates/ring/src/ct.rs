@@ -2,21 +2,13 @@
 //! schoolbook, with a secret-independent scan order and memory access
 //! pattern.
 //!
-//! The fast software engines in this workspace all trade timing
-//! uniformity for speed in ways that depend on the *secret* operand:
-//!
-//! - the HS-I cached engine ([`crate::cached`]) builds value-indexed
-//!   buckets and scans only the positions holding each nonzero secret
-//!   value, so its work is proportional to the secret's support;
-//! - the HS-II SWAR engine ([`crate::swar`]) takes a complement-trick
-//!   path only for negative packed rows, so its work depends on the
-//!   secret's sign pattern;
-//! - Toom/NTT evaluate the secret operand through data-dependent
-//!   normalization steps.
-//!
-//! [`CtSchoolbookMultiplier`] is the hardened engine, and the default
-//! (`SABER_ENGINE=ct`). It is also the fastest engine in the workspace
-//! (README "Engines").
+//! The shortcuts that make a software multiplier fast tend to depend on
+//! the *secret* operand: scanning only the positions that hold each
+//! nonzero secret value makes the work proportional to the secret's
+//! support, and a separate path for negative coefficients makes it
+//! depend on the sign pattern. [`CtSchoolbookMultiplier`] takes neither,
+//! and is still the fastest multiplier in the workspace and the one
+//! hot-path engine (README "Engines").
 //!
 //! # The kernel
 //!
@@ -98,8 +90,8 @@ const ARENA: usize = 2 * HALF;
 
 const _: () = assert!(HALF.is_multiple_of(BLOCK));
 
-/// Constant-time Karatsuba-over-blocked-schoolbook backend
-/// (`SABER_ENGINE=ct`, the default engine).
+/// Constant-time Karatsuba-over-blocked-schoolbook backend, the
+/// hot-path engine.
 ///
 /// # Examples
 ///

@@ -16,98 +16,6 @@ use crate::secret::SecretPoly;
 /// (2^8 = 256 → single-coefficient base case).
 pub const MAX_LEVELS: u32 = 8;
 
-/// Operand length at which the allocation-free recursion switches to
-/// schoolbook. 16 coefficients is where the add/sub bookkeeping stops
-/// paying for itself on 64-bit lanes.
-pub const INTO_CUTOFF: usize = 16;
-
-/// Scratch slots required by [`karatsuba_into`] for length-`n` operands.
-///
-/// Per recursion level the three sub-products, the two operand sums and
-/// the deeper level's own scratch all live in one caller-provided arena,
-/// so an engine can size the buffer once at construction and never
-/// allocate on the hot path.
-#[must_use]
-pub const fn into_scratch_len(n: usize) -> usize {
-    if n <= INTO_CUTOFF || n < 2 {
-        0
-    } else {
-        let half = n.div_ceil(2);
-        // p_lo + p_hi + p_mid + a_sum + b_sum, then the deepest child
-        // (the lo/mid recursions on `half` dominate the hi recursion).
-        (2 * half - 1) + (2 * (n - half) - 1) + (2 * half - 1) + 2 * half + into_scratch_len(half)
-    }
-}
-
-/// Schoolbook base case of the allocation-free path: overwrites
-/// `out[..2n−1]` with the full linear product.
-fn schoolbook_into(a: &[i64], b: &[i64], out: &mut [i64]) {
-    out.fill(0);
-    for (i, &ai) in a.iter().enumerate() {
-        for (j, &bj) in b.iter().enumerate() {
-            out[i + j] += ai * bj;
-        }
-    }
-}
-
-/// Allocation-free Karatsuba: writes the full linear product of two
-/// equal-length operands into `out` (exactly `2n − 1` slots), keeping
-/// every recursion temporary inside the caller-provided `scratch` arena.
-///
-/// This is the inner multiplier of the Toom-4 engine's 64-coefficient
-/// base case: the engine owns one arena of [`into_scratch_len`]`(64)`
-/// slots and reuses it for all seven point products of every multiply.
-///
-/// # Panics
-///
-/// Panics if `scratch` is smaller than [`into_scratch_len`]`(n)` or if
-/// `out` is not exactly `2n − 1` slots.
-pub fn karatsuba_into(a: &[i64], b: &[i64], out: &mut [i64], scratch: &mut [i64]) {
-    let n = a.len();
-    assert_eq!(n, b.len(), "operands must have equal length");
-    assert!(n >= 1, "empty operands");
-    assert_eq!(out.len(), 2 * n - 1, "output must be exactly 2n-1 slots");
-    if n <= INTO_CUTOFF {
-        schoolbook_into(a, b, out);
-        return;
-    }
-    let half = n.div_ceil(2);
-    let (a_lo, a_hi) = a.split_at(half);
-    let (b_lo, b_hi) = b.split_at(half);
-
-    let (p_lo, rest) = scratch.split_at_mut(2 * half - 1);
-    let (p_hi, rest) = rest.split_at_mut(2 * (n - half) - 1);
-    let (p_mid, rest) = rest.split_at_mut(2 * half - 1);
-    let (a_sum, rest) = rest.split_at_mut(half);
-    let (b_sum, rest) = rest.split_at_mut(half);
-
-    karatsuba_into(a_lo, b_lo, p_lo, rest);
-    karatsuba_into(a_hi, b_hi, p_hi, rest);
-    a_sum.copy_from_slice(a_lo);
-    for (dst, &src) in a_sum.iter_mut().zip(a_hi.iter()) {
-        *dst += src;
-    }
-    b_sum.copy_from_slice(b_lo);
-    for (dst, &src) in b_sum.iter_mut().zip(b_hi.iter()) {
-        *dst += src;
-    }
-    karatsuba_into(a_sum, b_sum, p_mid, rest);
-
-    // Assemble: lo + (mid − lo − hi)·x^half + hi·x^(2·half).
-    out.fill(0);
-    for (k, &v) in p_lo.iter().enumerate() {
-        out[k] += v;
-        out[k + half] -= v;
-    }
-    for (k, &v) in p_hi.iter().enumerate() {
-        out[k + 2 * half] += v;
-        out[k + half] -= v;
-    }
-    for (k, &v) in p_mid.iter().enumerate() {
-        out[k + half] += v;
-    }
-}
-
 /// Linear product with `levels` of Karatsuba recursion; below the cutoff
 /// (or at level 0) falls back to schoolbook.
 ///
@@ -235,38 +143,6 @@ mod tests {
             karatsuba_linear(&a, &b, 3),
             crate::schoolbook::linear_mul_i64(&a, &b)
         );
-    }
-
-    #[test]
-    fn into_matches_allocating_path_across_lengths() {
-        // 64 is the Toom base case; the others exercise cutoff and odd
-        // splits of the arena layout.
-        for n in [1usize, 5, 16, 17, 31, 33, 64, 100, 128] {
-            let a: Vec<i64> = (0..n).map(|i| (i as i64 * 37) % 97 - 48).collect();
-            let b: Vec<i64> = (0..n).map(|i| (i as i64 * 101) % 89 - 44).collect();
-            let mut out = vec![0i64; 2 * n - 1];
-            let mut scratch = vec![0i64; into_scratch_len(n)];
-            karatsuba_into(&a, &b, &mut out, &mut scratch);
-            assert_eq!(out, linear_mul_i64(&a, &b), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn into_overwrites_stale_output() {
-        let a = [3i64; 64];
-        let b = [-2i64; 64];
-        let mut out = vec![i64::MAX / 2; 127];
-        let mut scratch = vec![77i64; into_scratch_len(64)];
-        karatsuba_into(&a, &b, &mut out, &mut scratch);
-        assert_eq!(out, linear_mul_i64(&a, &b));
-    }
-
-    #[test]
-    #[should_panic(expected = "2n-1")]
-    fn into_rejects_misshapen_output() {
-        let mut out = vec![0i64; 10];
-        let mut scratch = [0i64; 0];
-        karatsuba_into(&[1, 2], &[3, 4], &mut out, &mut scratch);
     }
 
     #[test]

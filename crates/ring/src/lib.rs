@@ -13,31 +13,21 @@
 //!   power-of-two modulus ([`PolyQ`] = mod `2^13`, [`PolyP`] = mod `2^10`);
 //! * [`secret::SecretPoly`] — the small-coefficient operand (|s| ≤ 5);
 //! * [`schoolbook`] — the obviously-correct reference multiplier
-//!   (Algorithm 1 of the paper);
-//! * [`cached`] — the schoolbook algorithm restructured the way the
-//!   paper's HS-I architecture computes it (multiple caching + secret
-//!   value buckets), the fast software path behind batched mat-vec;
-//! * [`swar`] — the paper's HS-II sub-word packing transposed onto
-//!   64-bit words (two coefficients per `u64`, conditional negation via
-//!   lane complements, explicit middle-carry repair), selectable as the
-//!   hot-path engine via [`engine::EngineKind`];
-//! * [`karatsuba`] — recursive Karatsuba, including the fully-unrolled
-//!   8-level variant used by the high-performance design of Zhu et al.;
-//! * [`toom`] — Toom-Cook 4-way, the multiplier of the original Saber
-//!   submission and the DAC 2020 co-processor;
-//! * [`ntt`] — multiplication via an NTT over a 64-bit prime field,
-//!   the "NTT for NTT-unfriendly rings" approach of Chung et al.;
-//! * [`toom_engine`], [`ntt_crt_engine`] — the fast-algorithm hot-path
-//!   engines: batched Toom-4 (Karatsuba base case, per-secret point
-//!   evaluations cached) and batched two-prime NTT-CRT (per-secret
-//!   forward transforms cached), both allocation-free after warmup;
-//! * [`ct`] — the constant-time engine (`SABER_ENGINE=ct`, the default
-//!   and the fastest): one Karatsuba level over a register-blocked
-//!   schoolbook in wrapping `u16` MAC lanes, folding once per inner
-//!   product, with a secret-independent scan order and memory access
-//!   pattern, held to that claim by the `saber-timing` gate;
-//! * [`autotune`] — the startup calibration that picks the fastest
-//!   engine per shard when `SABER_ENGINE=auto`;
+//!   (Algorithm 1 of the paper), the oracle every other multiplier is
+//!   checked against;
+//! * [`ct`] — the one hot-path engine: one Karatsuba level over a
+//!   register-blocked schoolbook in wrapping `u16` MAC lanes, folding
+//!   once per inner product, with a secret-independent scan order and
+//!   memory access pattern, held to that claim by the `saber-timing`
+//!   gate;
+//! * [`karatsuba`], [`toom`], [`ntt`] — one scalar reference per
+//!   asymptotically faster algorithm the paper compares against:
+//!   recursive Karatsuba (up to the fully-unrolled 8 levels of Zhu et
+//!   al.), Toom-Cook 4-way (the original Saber submission and the DAC
+//!   2020 co-processor), and an NTT over a 64-bit prime field (the "NTT
+//!   for NTT-unfriendly rings" approach of Chung et al.). They serve
+//!   `saber-core`'s Karatsuba and Toom models and the §5 benches, never
+//!   the hot path;
 //! * [`rounding`], [`packing`], [`matrix`] — the scaling, serialization
 //!   and module-lattice plumbing required by the Saber KEM;
 //! * [`mul::PolyMultiplier`] — the backend trait implemented both by the
@@ -58,8 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autotune;
-pub mod cached;
 pub mod ct;
 pub mod engine;
 pub mod karatsuba;
@@ -67,25 +55,17 @@ pub mod matrix;
 pub mod modulus;
 pub mod mul;
 pub mod ntt;
-pub mod ntt_crt;
-pub mod ntt_crt_engine;
 pub mod packing;
 pub mod poly;
 pub mod rounding;
 pub mod schoolbook;
 pub mod secret;
-pub mod swar;
 pub mod toom;
-pub mod toom_engine;
 
-pub use cached::CachedSchoolbookMultiplier;
 pub use ct::CtSchoolbookMultiplier;
 pub use engine::EngineKind;
 pub use matrix::{PolyMatrix, PolyVec, SecretVec};
 pub use modulus::{EPS_P, EPS_Q, N, P, Q};
 pub use mul::PolyMultiplier;
-pub use ntt_crt_engine::NttCrtEngine;
 pub use poly::{Poly, PolyP, PolyQ};
 pub use secret::SecretPoly;
-pub use swar::SwarMultiplier;
-pub use toom_engine::ToomCook4Engine;

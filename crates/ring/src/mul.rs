@@ -43,11 +43,9 @@ pub trait PolyMultiplier {
     /// order.
     ///
     /// The default implementation loops over [`multiply`](Self::multiply),
-    /// so every backend is automatically batch-capable. Backends that can
-    /// amortize per-operand work across the batch — notably
-    /// [`CachedSchoolbookMultiplier`](crate::cached::CachedSchoolbookMultiplier),
-    /// which decomposes each distinct secret once no matter how many
-    /// publics it is paired with — override this.
+    /// so every backend is automatically batch-capable. A backend that
+    /// can amortize per-operand work across the batch may override it;
+    /// wrappers that time or count calls override it to forward.
     fn multiply_batch(&mut self, ops: &[(&PolyQ, &SecretPoly)]) -> Vec<PolyQ> {
         ops.iter().map(|(a, s)| self.multiply(a, s)).collect()
     }
@@ -142,21 +140,6 @@ impl PolyMultiplier for NttMultiplier {
     }
 }
 
-/// Two-small-prime CRT-NTT backend (the technique \[14\] deploys on
-/// word-sized embedded targets).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrtNttMultiplier;
-
-impl PolyMultiplier for CrtNttMultiplier {
-    fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        crate::ntt_crt::mul_asym(public, secret)
-    }
-
-    fn name(&self) -> &str {
-        "ntt-crt-2x14bit (software)"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +161,6 @@ mod tests {
             Box::new(KaratsubaMultiplier { levels: 8 }),
             Box::new(ToomCook4Multiplier),
             Box::new(NttMultiplier),
-            Box::new(CrtNttMultiplier),
         ];
         for backend in backends.iter_mut() {
             assert_eq!(

@@ -188,16 +188,6 @@ impl<const QBITS: u32> Poly<QBITS> {
         }
         out
     }
-
-    /// Lifts coefficients to centered `i64` representatives.
-    #[must_use]
-    pub fn to_i64_centered(&self) -> [i64; N] {
-        let mut out = [0i64; N];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = i64::from(self.coeff_centered(i));
-        }
-        out
-    }
 }
 
 impl<const QBITS: u32> Default for Poly<QBITS> {

@@ -30,12 +30,6 @@ pub const FINITE_POINTS: [i128; POINTS - 1] = [0, 1, -1, 2, -2, 3];
 /// Limb count of Toom-4.
 pub const LIMBS: usize = 4;
 
-/// Coefficients per limb for ring-sized (`N = 256`) operands.
-pub const LIMB: usize = N / LIMBS;
-
-/// Length of one ring-sized limb product (`2·LIMB − 1`).
-pub const PROD: usize = 2 * LIMB - 1;
-
 /// An exact fraction over `i128`, used only for the tiny 7×7 inversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Fraction {
@@ -159,22 +153,19 @@ fn invert(m: &[[Fraction; POINTS]; POINTS]) -> [[Fraction; POINTS]; POINTS] {
 /// exact over ℤ.
 ///
 /// Derived once from the exact rational inverse by clearing the rows to
-/// their least common denominator; the hot path then needs only integer
+/// their least common denominator; interpolation then needs only integer
 /// multiply-accumulate plus one exact division per output coefficient.
-/// Exposed (read-only) so fault mutants can corrupt a single term and
-/// prove the fuzzer notices.
 #[derive(Debug, Clone, Copy)]
-pub struct ScaledInterpolation {
+struct ScaledInterpolation {
     /// Numerators scaled to the common denominator, row per output limb
     /// coefficient, column per evaluation point.
-    pub num: [[i128; POINTS]; POINTS],
+    num: [[i128; POINTS]; POINTS],
     /// The shared positive denominator.
-    pub den: i128,
+    den: i128,
 }
 
 /// The integer form of the interpolation matrix (computed once).
-#[must_use]
-pub fn scaled_interpolation() -> &'static ScaledInterpolation {
+fn scaled_interpolation() -> &'static ScaledInterpolation {
     static SCALED: OnceLock<ScaledInterpolation> = OnceLock::new();
     SCALED.get_or_init(|| {
         let inv = interpolation_matrix();
@@ -192,52 +183,6 @@ pub fn scaled_interpolation() -> &'static ScaledInterpolation {
         }
         ScaledInterpolation { num, den }
     })
-}
-
-/// Evaluates the four [`LIMB`]-coefficient limbs of a ring-sized operand
-/// at the seven Toom points without allocating (the ∞ row is the leading
-/// limb itself).
-///
-/// This is the per-operand half of the engine hot path; the batched
-/// engine runs it once per distinct *secret* and reuses the result
-/// across the whole batch.
-pub fn evaluate_points(src: &[i64; N], out: &mut [[i64; LIMB]; POINTS]) {
-    for (row, &t) in FINITE_POINTS.iter().enumerate() {
-        let t = t as i64;
-        for (idx, slot) in out[row].iter_mut().enumerate() {
-            // Horner over the four limbs: ((a3·t + a2)·t + a1)·t + a0.
-            let mut acc = src[3 * LIMB + idx];
-            for limb in (0..3).rev() {
-                acc = acc * t + src[limb * LIMB + idx];
-            }
-            *slot = acc;
-        }
-    }
-    out[POINTS - 1].copy_from_slice(&src[(LIMBS - 1) * LIMB..]);
-}
-
-/// Interpolates the seven ring-sized limb products into the
-/// 511-coefficient linear product without allocating.
-///
-/// # Panics
-///
-/// Debug builds panic if any interpolation division is inexact (a logic
-/// error, never bad input).
-pub fn interpolate_points(products: &[[i64; PROD]; POINTS], out: &mut [i64; 2 * N - 1]) {
-    let scaled = scaled_interpolation();
-    out.fill(0);
-    for (k, row) in scaled.num.iter().enumerate() {
-        for idx in 0..PROD {
-            let mut acc: i128 = 0;
-            for (j, &c) in row.iter().enumerate() {
-                if c != 0 {
-                    acc += c * i128::from(products[j][idx]);
-                }
-            }
-            debug_assert_eq!(acc % scaled.den, 0, "Toom-4 interpolation must be exact");
-            out[k * LIMB + idx] += (acc / scaled.den) as i64;
-        }
-    }
 }
 
 /// Evaluates the four limbs of `poly` (length 4·`limb`) at point `t`.
@@ -394,34 +339,6 @@ mod tests {
                 assert_eq!(s * f.den, f.num * scaled.den);
             }
         }
-    }
-
-    #[test]
-    fn fixed_size_helpers_match_generic_path() {
-        let a: [i64; N] = std::array::from_fn(|i| ((i as i64 * 29) % 8192) - 4096);
-        let b: [i64; N] = std::array::from_fn(|i| ((i as i64 * 7) % 11) - 5);
-        let mut ea = [[0i64; LIMB]; POINTS];
-        let mut eb = [[0i64; LIMB]; POINTS];
-        evaluate_points(&a, &mut ea);
-        evaluate_points(&b, &mut eb);
-        let mut products = [[0i64; PROD]; POINTS];
-        for (p, prod) in products.iter_mut().enumerate() {
-            let full = linear_mul_i64(&ea[p], &eb[p]);
-            prod.copy_from_slice(&full);
-        }
-        let mut linear = [0i64; 2 * N - 1];
-        interpolate_points(&products, &mut linear);
-        assert_eq!(linear.to_vec(), toom4_linear(&a, &b));
-    }
-
-    #[test]
-    fn evaluate_points_leading_limb_is_infinity_row() {
-        let a: [i64; N] = std::array::from_fn(|i| i as i64);
-        let mut ea = [[0i64; LIMB]; POINTS];
-        evaluate_points(&a, &mut ea);
-        assert_eq!(&ea[POINTS - 1][..], &a[3 * LIMB..]);
-        // Point 0 reads the low limb directly.
-        assert_eq!(&ea[0][..], &a[..LIMB]);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Regression coverage for the matrix–vector path: routing `mul_vec` /
 //! `mul_vec_transposed` / `inner_product_mod_p` through one
 //! `PolyMultiplier::inner_product` call per output must not change any
-//! result, for any rank Saber uses (2, 3, 4), for backends that keep the
-//! default (which sums `multiply_batch`, including the batch-optimized
-//! HS-I mirror) and for the constant-time engine's fold-once override.
+//! result, for any rank Saber uses (2, 3, 4), for a backend that keeps
+//! the default (which sums `multiply_batch`) and for the constant-time
+//! engine's fold-once override.
 //!
 //! Driven by the deterministic `saber-testkit` harness (the offline
 //! replacement for proptest).
 
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_ring::{
-    schoolbook, CachedSchoolbookMultiplier, CtSchoolbookMultiplier, PolyMatrix, PolyMultiplier,
-    PolyP, PolyQ, PolyVec, SecretPoly, SecretVec,
+    schoolbook, CtSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyP, PolyQ, PolyVec,
+    SecretPoly, SecretVec,
 };
 use saber_testkit::{cases, Rng};
 
@@ -62,11 +62,9 @@ fn mul_vec_unchanged_for_all_saber_ranks() {
             let expected_t = reference_mul_vec(&a, &s, true);
 
             let mut oracle = SchoolbookMultiplier;
-            let mut cached = CachedSchoolbookMultiplier::new();
             let mut ct = CtSchoolbookMultiplier::new();
             for backend in [
                 &mut oracle as &mut dyn PolyMultiplier,
-                &mut cached as &mut dyn PolyMultiplier,
                 &mut ct as &mut dyn PolyMultiplier,
             ] {
                 assert_eq!(
@@ -108,11 +106,9 @@ fn inner_product_mod_p_unchanged_for_all_saber_ranks() {
             let expected = acc.reduce_to::<10>();
 
             let mut oracle = SchoolbookMultiplier;
-            let mut cached = CachedSchoolbookMultiplier::new();
             let mut ct = CtSchoolbookMultiplier::new();
             for backend in [
                 &mut oracle as &mut dyn PolyMultiplier,
-                &mut cached as &mut dyn PolyMultiplier,
                 &mut ct as &mut dyn PolyMultiplier,
             ] {
                 assert_eq!(
@@ -130,8 +126,8 @@ fn inner_product_mod_p_unchanged_for_all_saber_ranks() {
 #[test]
 fn repeated_secrets_in_a_batch_share_state_safely() {
     // A pathological batch: the same secret reference many times, plus a
-    // value-equal clone at a different address — both must hit the
-    // decomposition cache without corrupting results.
+    // value-equal clone at a different address — reuse must not corrupt
+    // any result.
     for mut rng in cases(8) {
         let s = SecretPoly::from_fn(|_| rng.secret_coeff(5));
         let s_clone = s.clone();
@@ -143,8 +139,8 @@ fn repeated_secrets_in_a_batch_share_state_safely() {
             .enumerate()
             .map(|(k, a)| (a, if k % 2 == 0 { &s } else { &s_clone }))
             .collect();
-        let mut cached = CachedSchoolbookMultiplier::new();
-        let batched = cached.multiply_batch(&ops);
+        let mut ct = CtSchoolbookMultiplier::new();
+        let batched = ct.multiply_batch(&ops);
         for (k, (a, secret)) in ops.iter().enumerate() {
             assert_eq!(
                 batched[k],

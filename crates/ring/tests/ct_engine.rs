@@ -1,9 +1,8 @@
 //! Property battery for the constant-time engine
-//! ([`saber_ring::ct::CtSchoolbookMultiplier`], `SABER_ENGINE=ct`):
+//! ([`saber_ring::ct::CtSchoolbookMultiplier`], the hot-path engine):
 //! bit-exact against the schoolbook oracle across all three Saber
 //! parameter-set secret bounds and batch sizes 1/4/16/64, with the
-//! batch path identical to the mapped path — mirroring
-//! `engine_batch.rs` for the Toom/NTT engines — and the fold-once
+//! batch path identical to the mapped path, and the fold-once
 //! `inner_product` identical to the summed oracle products.
 //!
 //! The adversarial shapes lean on what a *broken* constant-time kernel
@@ -13,7 +12,7 @@
 //! saturated operands (the accumulator bound, and `lo + hi` sums of
 //! ±10).
 
-use saber_ring::{schoolbook, CtSchoolbookMultiplier, EngineKind, PolyMultiplier, PolyQ, SecretPoly};
+use saber_ring::{schoolbook, CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::Rng;
 
 /// Secret bounds of LightSaber / Saber / FireSaber.
@@ -47,13 +46,13 @@ fn ct_batch_matches_mapped_and_oracle_across_bounds_and_batch_sizes() {
                 .iter()
                 .map(|(a, s)| schoolbook::mul_asym(a, s))
                 .collect();
-            let mut batch_shard = EngineKind::Ct.build();
+            let mut batch_shard = CtSchoolbookMultiplier::new();
             assert_eq!(
                 batch_shard.multiply_batch(&ops),
                 expected,
                 "ct batch path, bound {bound}, batch {batch}"
             );
-            let mut mapped_shard = EngineKind::Ct.build();
+            let mut mapped_shard = CtSchoolbookMultiplier::new();
             let mapped: Vec<PolyQ> = ops
                 .iter()
                 .map(|(a, s)| mapped_shard.multiply(a, s))

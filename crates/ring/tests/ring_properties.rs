@@ -6,8 +6,7 @@
 //! seed needed to replay it.
 
 use saber_ring::{
-    karatsuba, modulus::N, ntt, ntt_crt, packing, rounding, schoolbook, toom, Poly, PolyP, PolyQ,
-    SecretPoly,
+    karatsuba, modulus::N, ntt, packing, rounding, schoolbook, toom, Poly, PolyP, PolyQ, SecretPoly,
 };
 use saber_testkit::{cases, Rng};
 
@@ -144,33 +143,6 @@ fn ntt_symmetric_matches_schoolbook() {
         let (a, b) = (rand_poly_q(&mut rng), rand_poly_q(&mut rng));
         assert_eq!(
             ntt::mul(&a, &b),
-            schoolbook::mul(&a, &b),
-            "case seed {}",
-            rng.seed()
-        );
-    }
-}
-
-#[test]
-fn ntt_crt_matches_schoolbook() {
-    for mut rng in cases(CASES) {
-        let a = rand_poly_q(&mut rng);
-        let s = rand_secret(&mut rng);
-        assert_eq!(
-            ntt_crt::mul_asym(&a, &s),
-            schoolbook::mul_asym(&a, &s),
-            "case seed {}",
-            rng.seed()
-        );
-    }
-}
-
-#[test]
-fn ntt_crt_symmetric_matches_schoolbook() {
-    for mut rng in cases(CASES) {
-        let (a, b) = (rand_poly_q(&mut rng), rand_poly_q(&mut rng));
-        assert_eq!(
-            ntt_crt::mul(&a, &b),
             schoolbook::mul(&a, &b),
             "case seed {}",
             rng.seed()

@@ -2,10 +2,10 @@
 //! Saber multiplier reproduction.
 //!
 //! The paper's high-speed designs win by keeping many MAC lanes busy on
-//! one shared operand stream; the batched
-//! [`CachedSchoolbookMultiplier`](saber_ring::CachedSchoolbookMultiplier)
-//! engine (PR 1) is that idea in software, but on one thread. This
-//! crate scales the same verified datapath across cores the way the
+//! one shared operand stream; the
+//! [`CtSchoolbookMultiplier`](saber_ring::CtSchoolbookMultiplier)
+//! engine's `u16` MAC lanes are that idea in software, but on one
+//! thread. This crate scales the same verified datapath across cores the way the
 //! ASIC design-space work replicates compute units: a fixed pool of
 //! worker threads, each owning its **own multiplier shard** (no lock,
 //! no sharing on the hot path), fed by **per-worker bounded deques with
@@ -33,8 +33,8 @@
 //!   arming and the crash-dump panic hook (both installed by
 //!   [`KemService::spawn`]);
 //! * [`snapshot`] — the unified [`MetricsSnapshot`] registry merging
-//!   the service report, trace counters, flight status, auto-tune
-//!   decision, and SoC fingerprint into one versioned JSON document
+//!   the service report, trace counters, flight status, and SoC
+//!   fingerprint into one versioned JSON document
 //!   plus a linted Prometheus text exposition.
 //!
 //! # Examples

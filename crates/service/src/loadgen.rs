@@ -35,7 +35,7 @@ use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::SaberParams;
 use saber_kem::{serialize, Ciphertext, KemSecretKey, PublicKey};
 use saber_ring::{
-    CachedSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyVec, SecretVec,
+    CtSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyVec, SecretVec,
 };
 use saber_testkit::Rng;
 
@@ -216,7 +216,7 @@ impl std::error::Error for LoadError {}
 pub fn build_plan(profile: &LoadProfile) -> LoadPlan {
     assert!(profile.mix.total() > 0, "op mix must have positive weight");
     let mut rng = Rng::new(profile.seed);
-    let mut backend = CachedSchoolbookMultiplier::new();
+    let mut backend = CtSchoolbookMultiplier::new();
 
     let pool = profile.keyring.max(1);
     let keyring: Vec<(PublicKey, KemSecretKey)> = (0..pool)
@@ -700,8 +700,8 @@ mod tests {
     #[test]
     fn sequential_transcript_is_reproducible() {
         let plan = build_plan(&LoadProfile::new(&SABER, 3, 8));
-        let mut b1 = CachedSchoolbookMultiplier::new();
-        let mut b2 = CachedSchoolbookMultiplier::new();
+        let mut b1 = CtSchoolbookMultiplier::new();
+        let mut b2 = CtSchoolbookMultiplier::new();
         assert_eq!(run_sequential(&plan, &mut b1), run_sequential(&plan, &mut b2));
     }
 

@@ -300,10 +300,8 @@ impl Metrics {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker shard came up on the named concrete engine. Called once
-    /// per worker at pool startup — for `SABER_ENGINE=auto` the label is
-    /// the calibrated winner, so the report records what actually served
-    /// traffic, not the selection policy.
+    /// A worker shard came up on the named engine. Called once per
+    /// worker at pool startup.
     pub fn record_engine(&self, label: &str) {
         self.engines
             .lock()
@@ -397,9 +395,8 @@ pub struct ServiceReport {
     /// Encaps/decaps lookups that expanded `A` (and cached it), summed
     /// over workers.
     pub matrix_cache_misses: u64,
-    /// Concrete engine label each worker shard resolved to (sorted;
-    /// one entry per worker startup). Under `SABER_ENGINE=auto` this is
-    /// where the calibrated per-shard choice is recorded.
+    /// Engine label of each worker shard (sorted; one entry per worker
+    /// startup).
     pub engines: Vec<String>,
     /// Per-operation end-to-end (enqueue→completion) latency
     /// histograms, in [`OpKind::ALL`] order.

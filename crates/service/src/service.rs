@@ -21,20 +21,17 @@
 //! capacity, metering the over-capacity admissions, and shed only at
 //! the hard cap.
 //!
-//! Each worker owns one multiplier shard built from the configured
-//! [`EngineKind`] — the constant-time u16-lane schoolbook by default,
-//! or the cached HS-I mirror, the SWAR HS-II mirror, batched
-//! Toom-Cook-4, batched NTT-over-CRT, or the `auto` policy, which runs **one** startup calibration shared by all
-//! shards (`ServiceConfig::engine`, honouring `SABER_ENGINE`) — the
+//! Each worker owns one multiplier shard built from
+//! [`ServiceConfig::engine`], the constant-time u16-lane engine — the
 //! software analogue of the paper replicating a verified datapath per
-//! compute unit. The concrete engine each shard resolved to is recorded
-//! in the [`ServiceReport`] `engines` field. Each worker also owns a
+//! compute unit. The engine each shard runs is recorded in the
+//! [`ServiceReport`] `engines` field. Each worker also owns a
 //! bounded [`MatrixCache`] of expanded public matrices `A`, keyed by
 //! `(seed_A, rank)`, which its encaps and decaps jobs share: a server
 //! decapsulating against its own key expands `A` once per worker, not
 //! once per request (hits and misses are in the report). The shard and
-//! the cache are worker-local, so the hot path (multiple caching or
-//! lane scans, Keccak) runs with **no lock held and no sharing**; the
+//! the cache are worker-local, so the hot path (the multiply lane
+//! scans, Keccak) runs with **no lock held and no sharing**; the
 //! only synchronized structures are the O(1) queue operations and the
 //! one-shot result slots.
 //!
@@ -60,7 +57,6 @@ use std::time::Instant;
 
 use saber_kem::params::SaberParams;
 use saber_kem::{Ciphertext, KemSecretKey, MatrixCache, PublicKey, SharedSecret};
-use saber_ring::autotune::Calibration;
 use saber_ring::{EngineKind, PolyMatrix, PolyMultiplier, PolyVec, SecretVec};
 use saber_testkit::Rng;
 
@@ -182,9 +178,7 @@ pub struct ServiceConfig {
     /// Bounded queue capacity; submissions beyond it are rejected
     /// (under [`OverloadPolicy::Degrade`], beyond the hard cap).
     pub queue_capacity: usize,
-    /// Multiplier engine each worker shard is built from: one of the
-    /// four oracle-verified software backends, or [`EngineKind::Auto`]
-    /// to let one shared startup calibration pick the fastest.
+    /// Multiplier engine each worker shard is built from.
     pub engine: EngineKind,
     /// Dispatch scheduler: per-worker stealing deques (default) or the
     /// single-FIFO baseline.
@@ -200,18 +194,17 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     /// Four workers over a 64-deep queue: a deliberately fixed default
     /// (not `available_parallelism`) so behaviour is identical on every
-    /// host; size explicitly for production use. The engine honours the
-    /// `SABER_ENGINE` environment variable (default: the constant-time
-    /// `ct` engine), the scheduler honours `SABER_SCHED` (default: work
-    /// stealing), the overload policy honours `SABER_OVERLOAD`
-    /// (default: reject), and the steal seed honours `SABER_STEAL_SEED`
-    /// — so CI can sweep the whole test battery per engine, scheduler,
-    /// and steal order.
+    /// host; size explicitly for production use. The engine is the
+    /// constant-time `ct` engine, the scheduler honours `SABER_SCHED`
+    /// (default: work stealing), the overload policy honours
+    /// `SABER_OVERLOAD` (default: reject), and the steal seed honours
+    /// `SABER_STEAL_SEED` — so CI can sweep the whole test battery per
+    /// scheduler and steal order.
     fn default() -> Self {
         Self {
             workers: 4,
             queue_capacity: 64,
-            engine: EngineKind::from_env(),
+            engine: EngineKind::default(),
             scheduler: SchedulerKind::from_env(),
             overload: OverloadPolicy::from_env(),
             steal_seed: steal_seed_from_env(),
@@ -473,11 +466,8 @@ struct Inner {
     queue: Dispatch,
     metrics: Metrics,
     workers: usize,
-    /// The concrete engine every shard builds — `Auto` is resolved
-    /// exactly once in [`KemService::spawn`], never per worker.
+    /// The engine every shard builds.
     engine: EngineKind,
-    /// The shared calibration outcome when the config asked for `Auto`.
-    calibration: Option<Calibration>,
     /// The configured (soft) capacity reported to callers; the
     /// dispatch's hard bound may be larger under `Degrade`.
     soft_capacity: usize,
@@ -526,17 +516,6 @@ impl KemService {
         // panic hook — both idempotent, both process-wide.
         crate::obs::arm_flight_recorder();
         crate::obs::install_panic_hook();
-        // Resolve `Auto` exactly once, before any worker exists:
-        // concurrent per-shard calibrations race each other's timing on
-        // a loaded host and can resolve *different* engines across
-        // shards. One calibration, one winner, every shard builds it.
-        let (engine, calibration) = match config.engine {
-            EngineKind::Auto => {
-                let cal = saber_ring::autotune::calibrate();
-                (cal.chosen, Some(cal))
-            }
-            concrete => (concrete, None),
-        };
         let hard_capacity = match config.overload {
             OverloadPolicy::Reject => config.queue_capacity,
             OverloadPolicy::Degrade => config
@@ -553,8 +532,7 @@ impl KemService {
             queue,
             metrics: Metrics::default(),
             workers: config.workers,
-            engine,
-            calibration,
+            engine: config.engine,
             soft_capacity: config.queue_capacity,
             overload: config.overload,
             steal_seed: config.steal_seed,
@@ -569,13 +547,6 @@ impl KemService {
             })
             .collect();
         Self { inner, handles }
-    }
-
-    /// The shared calibration outcome, when the pool was spawned with
-    /// [`EngineKind::Auto`] — all shards build its single winner.
-    #[must_use]
-    pub fn calibration(&self) -> Option<&Calibration> {
-        self.inner.calibration.as_ref()
     }
 
     /// Worker count the pool was sized with.
@@ -863,10 +834,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn worker_loop(inner: &Inner, worker: usize) {
-    // `inner.engine` is already concrete: `spawn` resolved `Auto`
-    // through ONE shared calibration before any worker existed, so
-    // every shard builds the same winner (and a panic-recovery rebuild
-    // never re-calibrates mid-traffic).
     let kind = inner.engine;
     let mut shard = kind.build();
     inner.metrics.record_engine(kind.label());
@@ -943,8 +910,8 @@ fn worker_loop(inner: &Inner, worker: usize) {
             }
             Err(payload) => {
                 // The shard's scratch state is suspect after an unwind
-                // mid-multiplication: rebuild it (same concrete engine
-                // the worker calibrated to), fail only this job.
+                // mid-multiplication: rebuild it (same engine), fail
+                // only this job.
                 shard = kind.build();
                 inner.metrics.record_failed_panic();
                 // The panic hook already dumped at panic time; this

@@ -3,8 +3,7 @@
 //!
 //! Each layer already produces its own artifact — [`ServiceReport`]
 //! counters and wait/exec histograms, `saber_trace` counter probes, the
-//! engine auto-tuner's calibration decision, the SoC co-simulation
-//! fingerprint. A [`MetricsSnapshot`] is the umbrella: a single
+//! SoC co-simulation fingerprint. A [`MetricsSnapshot`] is the umbrella: a single
 //! point-in-time document with a `schema_version` field, serialized two
 //! ways from the same data:
 //!
@@ -27,9 +26,10 @@
 //! hit/miss counters). Parsers reject documents with a
 //! different version rather than guessing — additive fields bump the
 //! version, and a reader for version N refuses N+1 documents instead of
-//! silently dropping sections.
+//! silently dropping sections. Within a version, keys the reader does
+//! not know are ignored: version 3 documents written while the engine
+//! auto-tuner existed still load, and its section is dropped.
 
-use saber_ring::autotune::Calibration;
 use saber_testkit::json::Value;
 
 use crate::metrics::{bucket_edge_label, ServiceReport, BUCKET_COUNT};
@@ -63,40 +63,6 @@ impl FlightStatus {
             dump_count: saber_trace::flight::dump_count(),
             panic_dumps: obs::panic_dump_count(),
             capacity: saber_trace::flight::CAPACITY as u64,
-        }
-    }
-}
-
-/// One engine's score from the startup calibration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AutotuneSample {
-    /// Engine label (`"cached"`, `"swar"`, …).
-    pub engine: String,
-    /// Best full-sweep wall-clock nanoseconds (clamped to `u64`).
-    pub total_nanos: u64,
-}
-
-/// The engine auto-tuner's decision, when a calibration ran.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AutotuneSection {
-    /// The winning engine's label.
-    pub chosen: String,
-    /// Every candidate's measurement, in candidate order.
-    pub samples: Vec<AutotuneSample>,
-}
-
-impl From<&Calibration> for AutotuneSection {
-    fn from(cal: &Calibration) -> Self {
-        AutotuneSection {
-            chosen: cal.chosen.label().to_string(),
-            samples: cal
-                .samples
-                .iter()
-                .map(|s| AutotuneSample {
-                    engine: s.engine.label().to_string(),
-                    total_nanos: u64::try_from(s.total_nanos).unwrap_or(u64::MAX),
-                })
-                .collect(),
         }
     }
 }
@@ -141,8 +107,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, i64)>,
     /// Flight-recorder status.
     pub flight: FlightStatus,
-    /// Engine auto-tune decision, when a calibration ran.
-    pub autotune: Option<AutotuneSection>,
     /// SoC co-simulation summary, when a probed run is attached.
     pub soc: Option<SocSection>,
 }
@@ -157,7 +121,6 @@ impl MetricsSnapshot {
             service,
             counters: Vec::new(),
             flight: FlightStatus::capture(),
-            autotune: None,
             soc: None,
         }
     }
@@ -168,13 +131,6 @@ impl MetricsSnapshot {
     pub fn with_counters(mut self, mut counters: Vec<(String, i64)>) -> Self {
         counters.sort();
         self.counters = counters;
-        self
-    }
-
-    /// Attaches the auto-tuner's calibration decision.
-    #[must_use]
-    pub fn with_autotune(mut self, calibration: &Calibration) -> Self {
-        self.autotune = Some(AutotuneSection::from(calibration));
         self
     }
 
@@ -213,28 +169,6 @@ impl MetricsSnapshot {
                 ]),
             ),
         ];
-        if let Some(auto) = &self.autotune {
-            fields.push((
-                "autotune".into(),
-                Value::Object(vec![
-                    ("chosen".into(), Value::Str(auto.chosen.clone())),
-                    (
-                        "samples".into(),
-                        Value::Array(
-                            auto.samples
-                                .iter()
-                                .map(|s| {
-                                    Value::Object(vec![
-                                        ("engine".into(), Value::Str(s.engine.clone())),
-                                        ("total_nanos".into(), int(s.total_nanos)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
         if let Some(soc) = &self.soc {
             fields.push((
                 "soc".into(),
@@ -317,26 +251,6 @@ impl MetricsSnapshot {
             panic_dumps: uint(flight_value, "panic_dumps")?,
             capacity: uint(flight_value, "capacity")?,
         };
-        let autotune = match value.get("autotune") {
-            None => None,
-            Some(auto) => {
-                let mut samples = Vec::new();
-                for entry in auto
-                    .get("samples")
-                    .and_then(Value::as_array)
-                    .ok_or("missing autotune samples array")?
-                {
-                    samples.push(AutotuneSample {
-                        engine: entry.str_field("engine")?.to_string(),
-                        total_nanos: uint(entry, "total_nanos")?,
-                    });
-                }
-                Some(AutotuneSection {
-                    chosen: auto.str_field("chosen")?.to_string(),
-                    samples,
-                })
-            }
-        };
         let soc = match value.get("soc") {
             None => None,
             Some(section) => {
@@ -366,7 +280,6 @@ impl MetricsSnapshot {
             service,
             counters,
             flight,
-            autotune,
             soc,
         })
     }
@@ -497,10 +410,7 @@ impl MetricsSnapshot {
         );
 
         if !s.engines.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP saber_engine_shards Worker shards per resolved engine."
-            );
+            let _ = writeln!(out, "# HELP saber_engine_shards Worker shards per engine.");
             let _ = writeln!(out, "# TYPE saber_engine_shards gauge");
             let mut seen: Vec<(String, u64)> = Vec::new();
             for label in &s.engines {
@@ -598,29 +508,6 @@ impl MetricsSnapshot {
                     escape_label(name)
                 );
             }
-        }
-
-        if let Some(auto) = &self.autotune {
-            let _ = writeln!(
-                out,
-                "# HELP saber_autotune_sweep_ns Calibration sweep cost per engine."
-            );
-            let _ = writeln!(out, "# TYPE saber_autotune_sweep_ns gauge");
-            for sample in &auto.samples {
-                let _ = writeln!(
-                    out,
-                    "saber_autotune_sweep_ns{{engine=\"{}\"}} {}",
-                    escape_label(&sample.engine),
-                    sample.total_nanos
-                );
-            }
-            let _ = writeln!(out, "# HELP saber_autotune_chosen The calibrated winner.");
-            let _ = writeln!(out, "# TYPE saber_autotune_chosen gauge");
-            let _ = writeln!(
-                out,
-                "saber_autotune_chosen{{engine=\"{}\"}} 1",
-                escape_label(&auto.chosen)
-            );
         }
 
         if let Some(soc) = &self.soc {
@@ -936,6 +823,38 @@ mod tests {
         );
         let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
         assert!(err.contains("unsupported snapshot schema version 2"), "{err}");
+    }
+
+    #[test]
+    fn v3_snapshots_from_the_auto_tuner_era_still_load() {
+        // Written the way version 3 snapshots were written while the
+        // engine auto-tuner existed: its decision as an object between
+        // `flight` and `soc`, under this key.
+        const REMOVED: &str = "autotune";
+        let snap = sample_snapshot();
+        let section = saber_testkit::json::parse(
+            r#"{"chosen": "ct", "samples": [
+                {"engine": "cached", "total_nanos": 9130412},
+                {"engine": "swar", "total_nanos": 3904417},
+                {"engine": "toom", "total_nanos": 2417780},
+                {"engine": "ntt", "total_nanos": 2955030},
+                {"engine": "ct", "total_nanos": 1186902}
+            ]}"#,
+        )
+        .expect("the removed section parses");
+        let Value::Object(mut fields) = snap.to_json_value() else {
+            panic!("a snapshot serializes to an object");
+        };
+        let soc = fields.iter().position(|(k, _)| k == "soc").expect("soc section");
+        fields.insert(soc, (REMOVED.into(), section));
+        let old = saber_testkit::json::write(&Value::Object(fields));
+        assert!(old.contains(&format!("\"{REMOVED}\"")));
+
+        let back = MetricsSnapshot::from_json_str(&old).expect("a v3 document loads");
+        assert_eq!(back, snap);
+        let rewritten = back.to_json_string();
+        assert!(!rewritten.contains(REMOVED), "{rewritten}");
+        assert!(!back.to_prometheus().contains(REMOVED));
     }
 
     #[test]

@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use saber_kem::params::ALL_PARAMS;
 use saber_ring::mul::SchoolbookMultiplier;
-use saber_ring::CachedSchoolbookMultiplier;
 use saber_service::loadgen::{build_plan, run_sequential, run_service, LoadProfile, OpMix};
 use saber_service::{KemService, OpKind, ServiceConfig};
 
@@ -46,8 +45,7 @@ fn mixed_kem_load_matches_sequential_for_all_sets_and_worker_counts() {
         // matrix caches hit while the transcript must stay identical.
         profile.keyring = 2;
         let plan = build_plan(&profile);
-        let mut reference_backend = CachedSchoolbookMultiplier::new();
-        let reference = run_sequential(&plan, &mut reference_backend);
+        let reference = run_sequential(&plan, &mut SchoolbookMultiplier);
         let lookups = plan
             .ops
             .iter()
@@ -107,7 +105,7 @@ fn matvec_only_load_matches_sequential() {
         profile.keyring = 3;
         let plan = build_plan(&profile);
         // The oracle transcript runs on plain schoolbook — agreement
-        // also re-proves cached-vs-schoolbook equivalence under load.
+        // also re-proves ct-vs-schoolbook equivalence under load.
         let reference = run_sequential(&plan, &mut SchoolbookMultiplier);
 
         for workers in worker_matrix() {
@@ -132,7 +130,7 @@ fn typed_submissions_match_direct_calls() {
     // The typed handle API (not just the load generator) returns exactly
     // what a direct single-threaded call returns.
     let params = &ALL_PARAMS[1]; // Saber
-    let mut backend = CachedSchoolbookMultiplier::new();
+    let mut backend = SchoolbookMultiplier;
     let (pk, sk) = saber_kem::keygen(params, &[5; 32], &mut backend);
     let (ct, ss_enc) = saber_kem::encaps(&pk, &[6; 32], &mut backend);
     let ss_dec = saber_kem::decaps(&sk, &ct, &mut backend);

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use saber_kem::kem::{decaps, encaps, keygen, KemSecretKey};
 use saber_kem::params::LIGHT_SABER;
 use saber_kem::secret::KEM_SK_ZEROIZED;
-use saber_ring::EngineKind;
+use saber_ring::CtSchoolbookMultiplier;
 use saber_service::{Gate, JobError, KemService, ServiceConfig, SubmitError};
 
 const WORKERS: usize = 2;
@@ -40,10 +40,10 @@ const ENCAPS_JOBS: usize = 3;
 
 #[test]
 fn mid_batch_panics_are_contained_counted_once_and_leak_nothing() {
-    let mut backend = EngineKind::Cached.build();
-    let (pk, sk) = keygen(&LIGHT_SABER, &[0x42; 32], backend.as_mut());
-    let (ct, ss_expected) = encaps(&pk, &[0x43; 32], backend.as_mut());
-    assert_eq!(decaps(&sk, &ct, backend.as_mut()), ss_expected);
+    let mut backend = CtSchoolbookMultiplier::new();
+    let (pk, sk) = keygen(&LIGHT_SABER, &[0x42; 32], &mut backend);
+    let (ct, ss_expected) = encaps(&pk, &[0x43; 32], &mut backend);
+    assert_eq!(decaps(&sk, &ct, &mut backend), ss_expected);
 
     let session = saber_trace::start();
     let panic_dumps_before = saber_service::obs::panic_dump_count();
@@ -52,7 +52,6 @@ fn mid_batch_panics_are_contained_counted_once_and_leak_nothing() {
         let service = KemService::spawn(&ServiceConfig {
             workers: WORKERS,
             queue_capacity: QUEUE,
-            engine: EngineKind::Cached,
             ..ServiceConfig::default()
         });
 
@@ -134,7 +133,7 @@ fn mid_batch_panics_are_contained_counted_once_and_leak_nothing() {
         for handle in encaps_handles {
             let (ct2, ss2) = handle.wait().expect("encaps drained");
             assert_eq!(
-                decaps(&sk, &ct2, backend.as_mut()),
+                decaps(&sk, &ct2, &mut backend),
                 ss2,
                 "post-panic encaps results round-trip"
             );

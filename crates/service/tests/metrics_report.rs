@@ -1,7 +1,6 @@
 //! Metrics battery: histogram bucket boundaries, counter monotonicity
 //! under live traffic, and `ServiceReport` JSON round-trips through the
-//! in-tree codec (promoted from `crates/verify/src/json.rs` into
-//! `saber-testkit`, still re-exported by `saber_verify::json`).
+//! in-tree codec (`saber_testkit::json`).
 
 use std::sync::Arc;
 
@@ -123,25 +122,9 @@ fn service_report_roundtrips_through_json() {
     let back = ServiceReport::from_json_str(&text).expect("parse own output");
     assert_eq!(back, report);
 
-    // The saber_verify::json re-export is the *same* codec: parsing the
-    // report through it must reconstruct the identical document.
-    let via_verify = saber_verify::json::parse(&text).expect("shim parses");
-    assert_eq!(via_verify, report.to_json_value());
-    assert_eq!(
-        ServiceReport::from_json_value(&via_verify).expect("decode"),
-        report
-    );
-
-    // Every worker recorded the concrete engine its shard resolved to
-    // (never the `auto` policy itself), and the labels survive JSON.
-    assert_eq!(report.engines.len(), 2, "one label per worker");
-    for label in &report.engines {
-        assert_ne!(label, "auto", "report records the calibrated winner");
-        assert!(
-            saber_ring::EngineKind::parse(label).is_some(),
-            "unknown engine label {label:?}"
-        );
-    }
+    // Every worker recorded the engine its shard runs, and the labels
+    // survive JSON.
+    assert_eq!(report.engines, ["ct", "ct"], "one label per worker");
     assert!(text.contains("\"engines\""));
     assert_eq!(back.engines, report.engines);
 

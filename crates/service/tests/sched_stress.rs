@@ -24,7 +24,8 @@ use std::sync::Arc;
 
 use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::SABER;
-use saber_ring::{CachedSchoolbookMultiplier, EngineKind};
+use saber_ring::mul::SchoolbookMultiplier;
+use saber_ring::CtSchoolbookMultiplier;
 use saber_service::loadgen::{build_plan, run_sequential, run_service, LoadProfile};
 use saber_service::metrics::Metrics;
 use saber_service::snapshot::{lint_prometheus, MetricsSnapshot};
@@ -57,8 +58,7 @@ fn every_steal_seed_and_scheduler_reproduces_the_sequential_transcript() {
     let mut profile = LoadProfile::new(&SABER, 0x57EA_15EED, scaled(8, 40));
     profile.keyring = 2;
     let plan = build_plan(&profile);
-    let mut backend = CachedSchoolbookMultiplier::new();
-    let reference = run_sequential(&plan, &mut backend);
+    let reference = run_sequential(&plan, &mut SchoolbookMultiplier);
 
     let mut configs: Vec<ServiceConfig> = [0u64, 1, 2, 0xDEAD_BEEF]
         .into_iter()
@@ -96,7 +96,6 @@ fn pinned_worker_forces_a_counted_steal() {
     let service = KemService::spawn(&ServiceConfig {
         workers: 2,
         queue_capacity: 32,
-        engine: EngineKind::Cached,
         scheduler: SchedulerKind::WorkSteal,
         ..ServiceConfig::default()
     });
@@ -143,7 +142,6 @@ fn shutdown_under_load_drains_every_admitted_job() {
     let service = KemService::spawn(&ServiceConfig {
         workers: 2,
         queue_capacity: 64,
-        engine: EngineKind::Cached,
         ..ServiceConfig::default()
     });
     let matrix = Arc::new(gen_matrix(&[0x41; 32], &SABER));
@@ -183,7 +181,7 @@ fn convoy_p99_wait(scheduler: SchedulerKind) -> u64 {
     const BATCH: usize = scaled(32, 256);
     const SMALLS: usize = 6;
 
-    let mut backend = CachedSchoolbookMultiplier::new();
+    let mut backend = CtSchoolbookMultiplier::new();
     let (pk, sk) = saber_kem::keygen(&SABER, &[0x51; 32], &mut backend);
     let (ct, _) = saber_kem::encaps(&pk, &[0x52; 32], &mut backend);
     let matrix = Arc::new(gen_matrix(&[0x53; 32], &SABER));
@@ -194,7 +192,6 @@ fn convoy_p99_wait(scheduler: SchedulerKind) -> u64 {
     let service = KemService::spawn(&ServiceConfig {
         workers: 1,
         queue_capacity: 64,
-        engine: EngineKind::Cached,
         scheduler,
         ..ServiceConfig::default()
     });
@@ -272,7 +269,6 @@ fn degrade_policy_admits_past_soft_capacity_and_meters_it() {
     let service = KemService::spawn(&ServiceConfig {
         workers: 1,
         queue_capacity: 2,
-        engine: EngineKind::Cached,
         overload: OverloadPolicy::Degrade,
         ..ServiceConfig::default()
     });

@@ -1,5 +1,5 @@
 //! `saber-timing`: a dudect-style statistical timing-leakage detector
-//! for every multiplier engine and the full KEM.
+//! for the hot-path multiplier and the full KEM.
 //!
 //! The workspace models the paper's *power* side channel
 //! (`saber-core::leakage`); this crate gives the *timing* side channel
@@ -39,13 +39,12 @@
 //! # Example
 //!
 //! ```
-//! use saber_ring::EngineKind;
 //! use saber_timing::{detect, MulTarget, TimingConfig, Verdict};
 //! use saber_trace::MonotonicClock;
 //!
 //! let mut cfg = TimingConfig::with_samples(64); // doc-sized budget
 //! cfg.min_kept = usize::MAX;                    // force Inconclusive
-//! let mut target = MulTarget::engine(EngineKind::Ct);
+//! let mut target = MulTarget::ct();
 //! let report = detect(&mut target, &cfg, &mut MonotonicClock);
 //! assert_eq!(report.verdict, Verdict::Inconclusive);
 //! assert_eq!(report.samples_collected, 64);

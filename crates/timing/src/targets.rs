@@ -1,6 +1,6 @@
-//! Ready-made [`TimingTarget`]s: every hot-path multiplier engine, the
-//! secret sampler, and the full KEM encapsulation/decapsulation
-//! pipelines.
+//! Ready-made [`TimingTarget`]s: the hot-path multiplier (or any boxed
+//! backend), the secret sampler, and the full KEM
+//! encapsulation/decapsulation pipelines.
 //!
 //! Class semantics follow dudect's fixed-vs-random recipe, with the
 //! *secret* as the class variable and everything public randomized in
@@ -24,7 +24,7 @@
 
 use saber_kem::expand::gen_secret;
 use saber_kem::{decaps, encaps, keygen, Ciphertext, KemSecretKey, PublicKey, SaberParams};
-use saber_ring::{EngineKind, PolyMultiplier, PolyQ, SecretPoly};
+use saber_ring::{CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::Rng;
 
 use crate::harness::{Class, TimingTarget};
@@ -39,10 +39,11 @@ pub struct MulTarget {
 }
 
 impl MulTarget {
-    /// Target for a selectable engine, at the full LightSaber bound.
+    /// Target for the constant-time hot-path engine, at the full
+    /// LightSaber bound.
     #[must_use]
-    pub fn engine(kind: EngineKind) -> Self {
-        Self::from_backend(kind.build(), 5)
+    pub fn ct() -> Self {
+        Self::from_backend(Box::new(CtSchoolbookMultiplier::new()), 5)
     }
 
     /// Target for an arbitrary backend (the timing mutants enter here),
@@ -103,11 +104,11 @@ pub struct DecapsTarget {
 
 impl DecapsTarget {
     /// Builds the fixed pair and a `pool_size`-entry random pool for
-    /// `params`, running all key generation up front (outside any timed
-    /// region).
+    /// `params` on the constant-time engine, running all key generation
+    /// up front (outside any timed region).
     #[must_use]
-    pub fn new(kind: EngineKind, params: &SaberParams, pool_size: usize, rng: &mut Rng) -> Self {
-        let mut backend = kind.build();
+    pub fn new(params: &SaberParams, pool_size: usize, rng: &mut Rng) -> Self {
+        let mut backend: Backend = Box::new(CtSchoolbookMultiplier::new());
         let mut pair = |rng: &mut Rng| {
             let (pk, sk) = keygen(params, &rng.bytes32(), backend.as_mut());
             let (ct, _ss) = encaps(&pk, &rng.bytes32(), backend.as_mut());
@@ -150,10 +151,11 @@ pub struct EncapsTarget {
 }
 
 impl EncapsTarget {
-    /// Builds the key pair up front (outside any timed region).
+    /// Builds the key pair on the constant-time engine, up front
+    /// (outside any timed region).
     #[must_use]
-    pub fn new(kind: EngineKind, params: &SaberParams, rng: &mut Rng) -> Self {
-        let mut backend = kind.build();
+    pub fn new(params: &SaberParams, rng: &mut Rng) -> Self {
+        let mut backend: Backend = Box::new(CtSchoolbookMultiplier::new());
         let (pk, _sk) = keygen(params, &rng.bytes32(), backend.as_mut());
         let fixed_entropy = rng.bytes32();
         Self {
@@ -223,7 +225,7 @@ mod tests {
 
     #[test]
     fn mul_target_classes_differ_only_in_the_secret() {
-        let mut target = MulTarget::engine(EngineKind::Cached);
+        let mut target = MulTarget::ct();
         let mut rng = Rng::new(42);
         let (_, s_fixed) = target.prepare(Class::Fixed, &mut rng);
         let (_, s_fixed2) = target.prepare(Class::Fixed, &mut rng);
@@ -235,26 +237,24 @@ mod tests {
     }
 
     #[test]
-    fn mul_target_executes_on_every_engine() {
+    fn mul_target_executes_on_the_ct_engine() {
         let mut rng = Rng::new(7);
-        for kind in EngineKind::ALL {
-            let mut target = MulTarget::engine(kind);
-            for class in [Class::Fixed, Class::Random] {
-                let input = target.prepare(class, &mut rng);
-                target.execute(&input);
-            }
+        let mut target = MulTarget::ct();
+        for class in [Class::Fixed, Class::Random] {
+            let input = target.prepare(class, &mut rng);
+            target.execute(&input);
         }
     }
 
     #[test]
     fn kem_targets_run_end_to_end() {
         let mut rng = Rng::new(9);
-        let mut dec = DecapsTarget::new(EngineKind::Cached, &LIGHT_SABER, 4, &mut rng);
+        let mut dec = DecapsTarget::new(&LIGHT_SABER, 4, &mut rng);
         for class in [Class::Fixed, Class::Random] {
             let input = dec.prepare(class, &mut rng);
             dec.execute(&input);
         }
-        let mut enc = EncapsTarget::new(EngineKind::Cached, &LIGHT_SABER, &mut rng);
+        let mut enc = EncapsTarget::new(&LIGHT_SABER, &mut rng);
         for class in [Class::Fixed, Class::Random] {
             let input = enc.prepare(class, &mut rng);
             enc.execute(&input);

@@ -2,8 +2,7 @@
 //!
 //! Two halves, and both matter:
 //!
-//! - **Negative control**: the engine that ships
-//!   (`EngineKind::default()`, the constant-time
+//! - **Negative control**: the engine that ships (the constant-time
 //!   `saber_ring::ct::CtSchoolbookMultiplier`) must show |t| under the
 //!   threshold on fixed-vs-random secret classes — for the raw
 //!   multiply, for the secret sampler, and for the full KEM pipelines
@@ -19,7 +18,6 @@
 //! reruns.
 
 use saber_core::fault::{TimingFault, TimingLeakMultiplier};
-use saber_ring::EngineKind;
 use saber_testkit::Rng;
 use saber_timing::{
     detect, DecapsTarget, EncapsTarget, MulTarget, SamplerTarget, TimingConfig, Verdict,
@@ -29,7 +27,7 @@ use saber_trace::MonotonicClock;
 #[test]
 fn ct_engine_is_timing_clean_on_fixed_vs_random_secrets() {
     let cfg = TimingConfig::from_env();
-    let mut target = MulTarget::engine(EngineKind::default());
+    let mut target = MulTarget::ct();
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,
@@ -52,9 +50,9 @@ fn ct_scan_early_exit_mutant_is_flagged_within_budget() {
 }
 
 #[test]
-fn swar_row_select_branch_mutant_is_flagged_within_budget() {
+fn ct_sign_branch_mutant_is_flagged_within_budget() {
     let cfg = TimingConfig::from_env();
-    let mutant = TimingLeakMultiplier::new(TimingFault::SwarRowSelectBranch);
+    let mutant = TimingLeakMultiplier::new(TimingFault::CtSignBranch);
     let mut target = MulTarget::from_backend(Box::new(mutant), 5);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert!(
@@ -76,7 +74,7 @@ fn kem_decaps_on_the_ct_engine_is_timing_clean() {
     };
     cfg.samples /= 4;
     let mut rng = Rng::new(cfg.seed ^ 0xDECA);
-    let mut target = DecapsTarget::new(EngineKind::default(), &saber_kem::LIGHT_SABER, 8, &mut rng);
+    let mut target = DecapsTarget::new(&saber_kem::LIGHT_SABER, 8, &mut rng);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,
@@ -95,7 +93,7 @@ fn kem_encaps_on_the_ct_engine_is_timing_clean() {
     };
     cfg.samples /= 4;
     let mut rng = Rng::new(cfg.seed ^ 0xE9CA);
-    let mut target = EncapsTarget::new(EngineKind::default(), &saber_kem::LIGHT_SABER, &mut rng);
+    let mut target = EncapsTarget::new(&saber_kem::LIGHT_SABER, &mut rng);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
         report.verdict,

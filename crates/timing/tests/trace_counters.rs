@@ -1,6 +1,5 @@
 //! The detector's `timing.*` trace counters must round-trip through the
-//! Chrome trace-event export and its schema validator, exactly like the
-//! `toom.*`/`ntt.*` engine counters do.
+//! Chrome trace-event export and its schema validator.
 //!
 //! Run as its own integration binary (own process), so the captured
 //! session sees only this test's counters. The target runs on a virtual

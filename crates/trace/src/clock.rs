@@ -1,7 +1,7 @@
 //! Injectable time sources for measurement harnesses.
 //!
-//! Anything that *measures* durations — the `ring::autotune` startup
-//! calibration, the `saber-timing` leakage detector — reads time through
+//! Anything that *measures* durations — such as the `saber-timing`
+//! leakage detector — reads time through
 //! the [`Clock`] trait instead of calling [`Instant`] directly, so tests
 //! can script the timestamps and assert the downstream statistics
 //! machinery deterministically:

@@ -10,8 +10,7 @@
 //! - **Wall-clock capture** ([`span`], [`counter`], [`instant_event`]
 //!   inside a [`start`]/[`TraceSession::finish`] window): thread-local
 //!   span stacks with monotonic timing, used by `saber-kem` (matrix
-//!   expansion / mat-vec / rounding / hashing stages), `saber-ring`'s
-//!   HS-I multiple cache (bucket hit/build counters) and
+//!   expansion / mat-vec / rounding / hashing stages) and
 //!   `saber-service` (per-job queue-wait vs. execute spans). When no
 //!   session is active a probe costs one relaxed atomic load, and with
 //!   the `capture` feature disabled it compiles to nothing — the

@@ -112,9 +112,9 @@ pub enum EventKind {
 /// capture path never allocates for identification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Subsystem label (`"kem"`, `"ring"`, `"service"`, …).
+    /// Subsystem label (`"kem"`, `"service"`, …).
     pub category: &'static str,
-    /// Event name (`"kem.encaps"`, `"hs1.bucket_build"`, …).
+    /// Event name (`"kem.encaps"`, `"matvec"`, …).
     pub name: &'static str,
     /// Compact thread id (1-based, assigned per thread on first probe).
     pub tid: u64,

@@ -11,13 +11,8 @@ use saber_core::{
     LightweightMultiplier, MemoryStrategy, ScaledLightweightMultiplier,
     SlidingLightweightMultiplier, ToomCookHwMultiplier,
 };
-use saber_ring::mul::{
-    CrtNttMultiplier, KaratsubaMultiplier, NttMultiplier, ToomCook4Multiplier,
-};
-use saber_ring::{
-    CachedSchoolbookMultiplier, CtSchoolbookMultiplier, NttCrtEngine, PolyMultiplier,
-    SwarMultiplier, ToomCook4Engine,
-};
+use saber_ring::mul::{KaratsubaMultiplier, NttMultiplier, ToomCook4Multiplier};
+use saber_ring::{CtSchoolbookMultiplier, PolyMultiplier};
 
 /// One registered backend: how to build it and what it accepts.
 pub struct BackendEntry {
@@ -62,26 +57,17 @@ pub fn registry() -> Vec<BackendEntry> {
     }
     vec![
         // Software algorithms (crates/ring).
-        entry("cached-schoolbook", 5, || {
-            Box::new(CachedSchoolbookMultiplier::new())
-        }),
         entry("karatsuba-1", 5, || {
             Box::new(KaratsubaMultiplier { levels: 1 })
         }),
         entry("karatsuba-8", 5, || {
             Box::new(KaratsubaMultiplier { levels: 8 })
         }),
-        entry("swar", 5, || Box::new(SwarMultiplier::new())),
         entry("toom-cook-4", 5, || Box::new(ToomCook4Multiplier)),
         entry("ntt", 5, || Box::new(NttMultiplier)),
-        entry("crt-ntt", 5, || Box::new(CrtNttMultiplier)),
-        // Batched hot-path engines (crates/ring): the scratch-owning,
-        // secret-caching variants behind SABER_ENGINE=toom|ntt.
-        entry("toom-engine", 5, || Box::new(ToomCook4Engine::new())),
-        entry("ntt-engine", 5, || Box::new(NttCrtEngine::new())),
-        // Constant-time engine (crates/ring): SABER_ENGINE=ct. Its
-        // *timing* contract is the saber-timing gate's job; here it is
-        // just one more backend that must stay bit-exact.
+        // The hot-path engine (crates/ring). Its *timing* contract is
+        // the saber-timing gate's job; here it is just one more backend
+        // that must stay bit-exact.
         entry("ct-schoolbook", 5, || Box::new(CtSchoolbookMultiplier::new())),
         // Cycle-accurate hardware models (crates/core).
         entry("baseline-256", 5, || Box::new(BaselineMultiplier::new(256))),
@@ -117,7 +103,7 @@ mod tests {
     #[test]
     fn registry_is_stable_and_named_uniquely() {
         let reg = registry();
-        assert_eq!(reg.len(), 22, "keep the registry in sync with the workspace");
+        assert_eq!(reg.len(), 17, "keep the registry in sync with the workspace");
         let mut names: Vec<&str> = reg.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();

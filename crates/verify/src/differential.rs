@@ -203,8 +203,8 @@ mod tests {
             cases_per_set: 6,
         });
         assert!(report.mismatches.is_empty(), "{report}");
-        // LightSaber skips the two HS-II lanes: 20 + 22 + 22 backends.
-        assert_eq!(report.products_checked, 6 * (20 + 22 + 22));
+        // LightSaber skips the two HS-II lanes: 15 + 17 + 17 backends.
+        assert_eq!(report.products_checked, 6 * (15 + 17 + 17));
     }
 
     #[test]

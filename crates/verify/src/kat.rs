@@ -30,7 +30,7 @@ use saber_ring::{schoolbook, PolyQ, SecretPoly, N};
 use saber_testkit::{hex, Rng};
 
 use crate::corpus;
-use crate::json::Value;
+use saber_testkit::json::Value;
 
 /// Root seed for the Rust-generated vector families.
 const KAT_SEED: u64 = 0x4B41_5453; // "KATS"
@@ -50,7 +50,7 @@ pub fn load(stem: &str) -> Result<Value, String> {
     let path = kats_dir().join(format!("{stem}.json"));
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    crate::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    saber_testkit::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -483,12 +483,10 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        assert_eq!(crate::json::write(&gen_ring()), crate::json::write(&gen_ring()));
-        assert_eq!(crate::json::write(&gen_kem()), crate::json::write(&gen_kem()));
-        assert_eq!(
-            crate::json::write(&gen_cycles()),
-            crate::json::write(&gen_cycles())
-        );
+        use saber_testkit::json::write;
+        assert_eq!(write(&gen_ring()), write(&gen_ring()));
+        assert_eq!(write(&gen_kem()), write(&gen_kem()));
+        assert_eq!(write(&gen_cycles()), write(&gen_cycles()));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    workspace ([`backends`]) against the schoolbook oracle, for all
 //!    three parameter sets. Failures shrink to minimal reproducers
 //!    ([`shrink`]).
-//! 2. **Golden KATs** ([`kat`], [`json`]) — checked-in JSON
+//! 2. **Golden KATs** ([`kat`]) — checked-in JSON
 //!    known-answer vectors for ring multiplication, keccak, PKE and full
 //!    KEM round trips, generated once (`gen-kats` binary +
 //!    `tools/gen_keccak_json_kats.py`) and replayed in CI, so
@@ -44,7 +44,6 @@
 pub mod backends;
 pub mod corpus;
 pub mod differential;
-pub mod json;
 pub mod kat;
 pub mod shrink;
 

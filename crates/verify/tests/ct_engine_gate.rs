@@ -1,7 +1,7 @@
 //! CI gate for the constant-time engine
-//! (`saber_ring::ct::CtSchoolbookMultiplier`, `SABER_ENGINE=ct`).
+//! (`saber_ring::ct::CtSchoolbookMultiplier`, the hot-path engine).
 //!
-//! Mirrors `fast_engine_gate.rs`: the ct engine must be bit-exact
+//! The ct engine must be bit-exact
 //! against the schoolbook oracle over the full configured fuzz budget
 //! (2,048 cases per set in release CI), for single products and for the
 //! fold-once inner products that mat-vec and the PKE run on it. The

@@ -13,10 +13,10 @@ use saber_service::{
 };
 
 fn main() {
-    // A fixed pool: 4 workers, each owning its own multiplier shard
-    // built from the selected engine (`SABER_ENGINE`, the constant-time
-    // `ct` engine by default); a 32-deep bounded queue (submissions beyond it are
-    // rejected with SubmitError::QueueFull, never buffered unboundedly).
+    // A fixed pool: 4 workers, each owning its own shard of the
+    // constant-time `ct` multiplier; a 32-deep bounded queue (submissions
+    // beyond it are rejected with SubmitError::QueueFull, never buffered
+    // unboundedly).
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: 32,

@@ -12,8 +12,7 @@
 //!
 //! * **pid 1** — wall-clock spans (1 tick = 1 ns): `kem.keygen` /
 //!   `kem.encaps` / `kem.decaps` with the nested `pke.*`, `expand.*`,
-//!   `matvec`, `rounding` and `hash` phases, plus the HS-I cache's
-//!   bucket build/hit counters from the ring layer;
+//!   `matvec`, `rounding` and `hash` phases;
 //! * **pid ≥ 2** — one lane per hardware architecture (1 tick = 1
 //!   cycle): the phase timeline each cycle model records while
 //!   simulating the same multiplication (secret load, compute/issue,
@@ -27,13 +26,13 @@ use std::fs;
 use saber::arch::{CentralizedMultiplier, DspPackedMultiplier, HwMultiplier, LightweightMultiplier};
 use saber::kem::params::SABER;
 use saber::kem::{decaps, encaps, keygen};
-use saber::ring::{CachedSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly};
+use saber::ring::{CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Capture wall-clock spans across one full KEM round trip on the
-    //    HS-I software mirror.
+    //    hot-path engine.
     let session = saber::trace::start();
-    let mut backend = CachedSchoolbookMultiplier::new();
+    let mut backend = CtSchoolbookMultiplier::new();
     let (pk, sk) = keygen(&SABER, &[0x42; 32], &mut backend);
     let (ct, ss_enc) = encaps(&pk, &[0x43; 32], &mut backend);
     let ss_dec = decaps(&sk, &ct, &mut backend);
@@ -78,12 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             trace.spans_named(name).len()
         );
     }
-    println!(
-        "HS-I bucket counters: build={} hit={} miss={}",
-        trace.counter_total("hs1.bucket_build"),
-        trace.counter_total("hs1.bucket_hit"),
-        trace.counter_total("hs1.bucket_miss"),
-    );
     for t in &timelines {
         println!(
             "cycle lane {:<8} {:>6} cycles, {:>5} stalled, utilization {:.3}",

@@ -1,5 +1,5 @@
 //! Cross-crate integration: every multiplier backend in the workspace —
-//! seven software algorithms and six cycle-accurate hardware models —
+//! five software algorithms and six cycle-accurate hardware models —
 //! must compute identical products, every backend's `multiply_batch`
 //! must equal the mapped `multiply`, and every backend's `inner_product`
 //! must equal the summed `multiply`.
@@ -14,10 +14,7 @@ use saber::arch::{
 use saber::ring::mul::{
     KaratsubaMultiplier, NttMultiplier, SchoolbookMultiplier, ToomCook4Multiplier,
 };
-use saber::ring::{
-    CachedSchoolbookMultiplier, CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly,
-    SwarMultiplier,
-};
+use saber::ring::{CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::{cases, Rng};
 
 fn rand_poly(rng: &mut Rng) -> PolyQ {
@@ -40,8 +37,6 @@ fn saber_range_backends() -> Vec<Box<dyn PolyMultiplier>> {
         Box::new(KaratsubaMultiplier { levels: 8 }),
         Box::new(ToomCook4Multiplier),
         Box::new(NttMultiplier),
-        Box::new(CachedSchoolbookMultiplier::new()),
-        Box::new(SwarMultiplier::new()),
         Box::new(CtSchoolbookMultiplier::new()),
         Box::new(BaselineMultiplier::new(256)),
         Box::new(BaselineMultiplier::new(512)),
@@ -75,16 +70,13 @@ fn all_backends_agree_on_saber_range() {
 #[test]
 fn lightsaber_range_backends_agree() {
     // Hardware HS-II excluded: its 15-bit packing requires |s| ≤ 4
-    // (§3.2). The software SWAR mirror is NOT excluded — its 32-bit
-    // lanes absorb the full LightSaber range.
+    // (§3.2).
     for mut rng in cases(24) {
         let a = rand_poly(&mut rng);
         let s = rand_lightsaber_secret(&mut rng);
         let expected = SchoolbookMultiplier.multiply(&a, &s);
         let mut backends: Vec<Box<dyn PolyMultiplier>> = vec![
             Box::new(ToomCook4Multiplier),
-            Box::new(CachedSchoolbookMultiplier::new()),
-            Box::new(SwarMultiplier::new()),
             Box::new(CtSchoolbookMultiplier::new()),
             Box::new(CentralizedMultiplier::new(512)),
             Box::new(LightweightMultiplier::new()),
@@ -103,15 +95,13 @@ fn lightsaber_range_backends_agree() {
 }
 
 /// The batch entry point must be extensionally equal to the mapped
-/// per-call path for EVERY backend — both for those inheriting the
-/// default loop and for `CachedSchoolbookMultiplier`, which overrides
-/// it with the shared-decomposition fast path.
+/// per-call path for EVERY backend.
 #[test]
 fn multiply_batch_equals_mapped_multiply_for_every_backend() {
     for mut rng in cases(8) {
         // A mat-vec-shaped batch: 3 distinct secrets, each paired with
-        // 3 distinct publics (so the batch has repeated-secret structure
-        // to exercise decomposition reuse).
+        // 3 distinct publics (so the batch has repeated-secret
+        // structure).
         let secrets: Vec<SecretPoly> = (0..3).map(|_| rand_saber_secret(&mut rng)).collect();
         let publics: Vec<PolyQ> = (0..9).map(|_| rand_poly(&mut rng)).collect();
         let ops: Vec<(&PolyQ, &SecretPoly)> = publics
@@ -174,7 +164,8 @@ fn empty_batch_is_empty() {
 
 #[test]
 fn adversarial_operands() {
-    // Deterministic corner cases across all hardware models.
+    // Deterministic corner cases across the hardware models and the
+    // hot-path engine.
     let cases: Vec<(PolyQ, SecretPoly)> = vec![
         (PolyQ::zero(), SecretPoly::zero()),
         (PolyQ::from_fn(|_| 8191), SecretPoly::from_fn(|_| 4)),
@@ -191,8 +182,7 @@ fn adversarial_operands() {
     for (idx, (a, s)) in cases.iter().enumerate() {
         let expected = SchoolbookMultiplier.multiply(a, s);
         let mut backends: Vec<Box<dyn PolyMultiplier>> = vec![
-            Box::new(CachedSchoolbookMultiplier::new()),
-            Box::new(SwarMultiplier::new()),
+            Box::new(CtSchoolbookMultiplier::new()),
             Box::new(CentralizedMultiplier::new(256)),
             Box::new(DspPackedMultiplier::new()),
             Box::new(LightweightMultiplier::new()),

@@ -6,14 +6,24 @@
 #                             # + fault/engine/timing gates + benches
 #   tools/ci.sh timing_gate   # one named stage (plus its dependencies)
 #
-# Stage names: lint build test kem_path sim_gate fuzz swar_gate
-# fault_gate fast_engine_gate ct_engine_gate timing_gate soc_gate
-# service sched_gate trace obs_gate bench_reports bench
+# The stage names are listed once, in STAGES below; any other name
+# exits 2 and prints them.
 set -eu
+
+STAGES="lint build test kem_path sim_gate fuzz fault_gate ct_engine_gate
+timing_gate soc_gate service sched_gate trace obs_gate bench_reports bench"
 
 cd "$(dirname "$0")/.."
 
 STAGE="${1:-all}"
+known=0
+for name in all $STAGES; do
+    if [ "$name" = "$STAGE" ]; then known=1; fi
+done
+if [ "$known" -eq 0 ]; then
+    echo "ci: unknown stage '$STAGE'; valid stages:" all $STAGES >&2
+    exit 2
+fi
 want() { [ "$STAGE" = "all" ] || [ "$STAGE" = "$1" ]; }
 
 if want lint; then
@@ -72,15 +82,6 @@ if want fuzz; then
     SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test differential_fuzz
 fi
 
-# SWAR backend gate: the packed HS-II software mirror must stay
-# bit-exact against the schoolbook oracle over the same 2,048-case
-# release budget, and its seeded mutant (dropped middle-carry repair)
-# must be detected by the fuzzer within a 64-case budget.
-if want swar_gate; then
-    echo "==> swar gate: bit-exactness + mutant detection (release)"
-    SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test swar_gate
-fi
-
 # Fault-injection sensitivity gate: every seeded mutant of the
 # cycle-accurate datapaths must be flagged by the fuzzer — 100 %
 # detection or the corpus has a blind spot.
@@ -89,35 +90,28 @@ if want fault_gate; then
     cargo test -q --release -p saber-verify --test fault_sensitivity
 fi
 
-# Fast-engine gate: the batched Toom-Cook-4 and NTT-CRT hot-path
-# engines must stay bit-exact over the full 2,048-case release budget,
-# their seeded mutants (dropped Toom interpolation term, wrong CRT
-# recombination constant) must be caught within 64 cases, and every
-# engine must agree on a shared fuzzed batch.
-if want fast_engine_gate; then
-    echo "==> fast-engine gate: toom + ntt bit-exactness + mutants (release)"
-    SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test fast_engine_gate
-fi
-
-# Constant-time engine gate: SABER_ENGINE=ct must stay bit-exact over
-# the full release budget, for single products and for the fold-once
-# inner products (rank 2/3/4), and the planted *timing* mutants must be
-# functionally invisible to the differential fuzzer (they leak time,
-# not values — that separation is what makes them valid positive
-# controls for the timing gate below, which depends on this stage).
-# Then the ct engine's property battery (basis sweep, saturated
-# operands, inner products of 0-4 pairs) and the mat-vec/inner-product
-# regression suite, in release (tier-1 `cargo test -q` runs only the
-# umbrella crate).
+# Constant-time engine gate: the hot-path engine must stay bit-exact
+# over the full release budget, for single products and for the
+# fold-once inner products (rank 2/3/4), and the planted *timing*
+# mutants must be functionally invisible to the differential fuzzer
+# (they leak time, not values — that separation is what makes them
+# valid positive controls for the timing gate below, which depends on
+# this stage). Then the whole saber-ring suite — the ct unit tests, its
+# property battery (basis sweep, saturated operands, inner products of
+# 0-4 pairs), the mat-vec/inner-product regression suite and the ring
+# properties — and the KEM transcript equivalence (ct against the
+# schoolbook oracle, byte for byte, all three parameter sets), in
+# release (tier-1 `cargo test -q` runs only the umbrella crate).
 if want ct_engine_gate || [ "$STAGE" = "timing_gate" ]; then
     echo "==> ct-engine gate: bit-exactness + mutant invisibility (release)"
     SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test ct_engine_gate
-    echo "==> ct-engine gate: ct property battery + mat-vec regression (release)"
-    cargo test -q --release -p saber-ring --test ct_engine --test batch_matvec
+    echo "==> ct-engine gate: saber-ring suite + KEM transcript equivalence (release)"
+    cargo test -q --release -p saber-ring
+    cargo test -q --release -p saber-kem --test engine_equivalence
 fi
 
 # Timing-leakage gate (dudect-style fixed-vs-random Welch t-test):
-# the default (constant-time) engine, the secret sampler, and the KEM
+# the constant-time engine, the secret sampler, and the KEM
 # pipelines built on them must stay under the |t| threshold, and both planted timing mutants must be
 # flagged within the sample budget — the detector is only trusted
 # because its positive controls fire. The seed is pinned so a CI
@@ -158,27 +152,10 @@ if want service; then
         SABER_SERVICE_WORKERS=$w cargo test -q --release -p saber-service --test concurrency_equivalence
     done
 
-    # Engine matrix: the same equivalence battery with each selectable
-    # multiplier engine driving the worker shards
-    # (ServiceConfig::default reads SABER_ENGINE), so every hot-path
-    # backend — and the auto calibration policy — is exercised under
-    # real worker concurrency, not just single-threaded fuzzing.
-    echo "==> service stress: engine matrix cached/swar/toom/ntt/ct/auto (release)"
-    for e in cached swar toom ntt ct auto; do
-        echo "    SABER_ENGINE=$e"
-        SABER_ENGINE=$e cargo test -q --release -p saber-service --test concurrency_equivalence
-    done
-
-    # Soak the default engine (ct) at full depth, then every alternative
-    # engine at a reduced budget (the soak is oracle-spot-checked, so
-    # even the short runs would catch an engine corrupting state across
-    # jobs).
+    # The soak is oracle-spot-checked, so it would catch the engine
+    # corrupting state across jobs.
     echo "==> service soak: SABER_SOAK_OPS=10000 (release)"
     SABER_SOAK_OPS=10000 cargo test -q --release -p saber-service --test soak
-    for e in cached swar toom ntt auto; do
-        echo "    SABER_ENGINE=$e SABER_SOAK_OPS=2000"
-        SABER_ENGINE=$e SABER_SOAK_OPS=2000 cargo test -q --release -p saber-service --test soak
-    done
 fi
 
 # Scheduler gate: the work-stealing dispatcher's stress battery —
@@ -187,9 +164,7 @@ fi
 # regression, a shutdown-under-load drain check, and the degrade-policy
 # admission contract. Then the steal-seed sweep: the equivalence battery
 # must be transcript-identical under several steal seeds *and* under the
-# single-queue baseline scheduler, and the committed BENCH_service.json
-# must satisfy the measurement-honesty schema (per-entry
-# host_parallelism, legal basis values, soak section).
+# single-queue baseline scheduler.
 if want sched_gate; then
     echo "==> sched gate: steal stress battery (release)"
     cargo test -q --release -p saber-service --test sched_stress
@@ -201,9 +176,6 @@ if want sched_gate; then
     done
     echo "    SABER_SCHED=single"
     SABER_SCHED=single cargo test -q --release -p saber-service --test concurrency_equivalence
-
-    echo "==> sched gate: BENCH_service.json measurement-honesty schema"
-    cargo test -q -p saber-bench --test bench_reports_schema
 fi
 
 if want trace; then
