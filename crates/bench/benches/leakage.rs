@@ -10,8 +10,9 @@
 //! trace collection.
 
 use saber_bench::microbench::{black_box, Criterion};
-use saber_core::leakage::{hamming_trace, leakage_samples, mac_value_trace, welch_t, TraceStyle};
+use saber_core::leakage::{hamming_trace, leakage_samples, mac_value_trace, TraceStyle};
 use saber_ring::{PolyQ, SecretPoly};
+use saber_timing::{welch_t, Welford};
 
 fn print_leakage_report() {
     let a = PolyQ::from_fn(|i| (i as u16).wrapping_mul(2718) & 0x1fff);
@@ -31,14 +32,14 @@ fn print_leakage_report() {
 
     // TVLA-style statistics over the Hamming leakage proxy.
     let seeds: Vec<u16> = (1..60).collect();
-    let fixed_a = leakage_samples(&s, &seeds);
-    let fixed_b = leakage_samples(&s, &seeds);
+    let samples =
+        |secret: &SecretPoly| -> Welford { leakage_samples(secret, &seeds).into_iter().collect() };
+    let fixed_a = samples(&s);
+    let fixed_b = samples(&s);
     // Maximum-contrast secret pair (all +4 vs all 0): the leakage the
     // Hamming model must expose in any unprotected datapath.
-    let heavy = SecretPoly::from_fn(|_| 4);
-    let light = SecretPoly::from_fn(|_| 0);
-    let heavy_samples = leakage_samples(&heavy, &seeds);
-    let light_samples = leakage_samples(&light, &seeds);
+    let heavy_samples = samples(&SecretPoly::from_fn(|_| 4));
+    let light_samples = samples(&SecretPoly::from_fn(|_| 0));
     println!(
         "TVLA control (same secret twice):         t = {:+.2}  (threshold ±4.5)",
         welch_t(&fixed_a, &fixed_b)

@@ -11,13 +11,15 @@
 //!   HS-I by construction — asserted in tests);
 //! * [`hamming_trace`] maps a value trace to the Hamming-weight leakage
 //!   proxy standard in power side-channel analysis;
-//! * [`welch_t`] computes the fixed-vs-fixed / fixed-vs-random Welch
-//!   t-statistic (TVLA-style), so tests can certify both what the
-//!   designs guarantee (identical traces across architectures,
-//!   data-independent *timing*) and what unprotected hardware does not
-//!   (value-dependent power — large t for different secrets, as
-//!   expected of every architecture in the paper, which claims constant
-//!   time, not masking).
+//! * [`leakage_samples`] turns a fixed secret and a set of public
+//!   operands into per-measurement leakage samples.
+//!
+//! Tests feed those samples to the fixed-vs-fixed Welch t-test of
+//! `saber_timing` (TVLA-style), so they certify both what the designs
+//! guarantee (identical traces across architectures, data-independent
+//! *timing*) and what unprotected hardware does not (value-dependent
+//! power — large t for different secrets, as expected of every
+//! architecture in the paper, which claims constant time, not masking).
 
 use saber_hw::mac::{baseline_mac, multiples, select_multiple};
 use saber_ring::{PolyQ, SecretPoly, N};
@@ -73,29 +75,6 @@ pub fn hamming_trace(value_trace: &[Vec<u16>]) -> Vec<f64> {
         .collect()
 }
 
-/// Welch's t-statistic between two sample sets (per TVLA practice; |t| >
-/// 4.5 is the customary leakage threshold).
-///
-/// # Panics
-///
-/// Panics if either set has fewer than two samples.
-#[must_use]
-pub fn welch_t(a: &[f64], b: &[f64]) -> f64 {
-    assert!(a.len() >= 2 && b.len() >= 2, "need at least two samples");
-    let mean = |x: &[f64]| x.iter().sum::<f64>() / x.len() as f64;
-    let var = |x: &[f64], m: f64| {
-        x.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (x.len() as f64 - 1.0)
-    };
-    let (ma, mb) = (mean(a), mean(b));
-    let (va, vb) = (var(a, ma), var(b, mb));
-    let denom = (va / a.len() as f64 + vb / b.len() as f64).sqrt();
-    if denom == 0.0 {
-        0.0
-    } else {
-        (ma - mb) / denom
-    }
-}
-
 /// Collects the mean Hamming leakage of one multiplication per trace
 /// point (a "measurement"), for `count` random public operands against a
 /// fixed secret — the building block of a fixed-vs-random TVLA campaign.
@@ -114,6 +93,7 @@ pub fn leakage_samples(secret: &SecretPoly, seeds: &[u16]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saber_timing::{welch_t, Welford};
 
     fn operands(seed: u16) -> (PolyQ, SecretPoly) {
         (
@@ -153,8 +133,8 @@ mod tests {
         // produce a t-statistic of exactly zero.
         let (_, s) = operands(5);
         let seeds: Vec<u16> = (1..40).collect();
-        let a = leakage_samples(&s, &seeds);
-        let b = leakage_samples(&s, &seeds);
+        let a: Welford = leakage_samples(&s, &seeds).into_iter().collect();
+        let b: Welford = leakage_samples(&s, &seeds).into_iter().collect();
         assert_eq!(welch_t(&a, &b), 0.0);
     }
 
@@ -166,8 +146,8 @@ mod tests {
         let s1 = SecretPoly::from_fn(|_| 4);
         let s2 = SecretPoly::from_fn(|_| 0);
         let seeds: Vec<u16> = (1..60).collect();
-        let a = leakage_samples(&s1, &seeds);
-        let b = leakage_samples(&s2, &seeds);
+        let a: Welford = leakage_samples(&s1, &seeds).into_iter().collect();
+        let b: Welford = leakage_samples(&s2, &seeds).into_iter().collect();
         let t = welch_t(&a, &b);
         assert!(
             t.abs() > 4.5,
@@ -184,11 +164,5 @@ mod tests {
             let s = SecretPoly::from_fn(|i| (((i as i16 * seed as i16) % 9) - 4) as i8);
             assert_eq!(mac_value_trace(&a, &s, TraceStyle::Centralized).len(), N);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two samples")]
-    fn welch_needs_samples() {
-        let _ = welch_t(&[1.0], &[2.0, 3.0]);
     }
 }

@@ -50,7 +50,6 @@ pub mod platform;
 pub mod power;
 pub mod report;
 pub mod sampler;
-pub mod trace;
 pub mod wires;
 
 pub use area::Area;
@@ -62,5 +61,4 @@ pub use platform::{CriticalPath, Fpga};
 pub use power::{Activity, PowerModel, PowerReport};
 pub use report::CycleReport;
 pub use sampler::SamplerCore;
-pub use trace::Tracer;
 pub use wires::UBits;

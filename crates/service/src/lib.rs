@@ -9,20 +9,18 @@
 //! ASIC design-space work replicates compute units: a fixed pool of
 //! worker threads, each owning its **own multiplier shard** (no lock,
 //! no sharing on the hot path), fed by **per-worker bounded deques with
-//! seeded work stealing** (or the original single MPMC queue via
-//! `SABER_SCHED=single`) whose backpressure policy is reject-with-error
-//! — a saturated service degrades into explicit
-//! [`SubmitError::QueueFull`] responses, never into unbounded buffering
-//! or blocked submitters (the `degrade` overload policy admits a
-//! metered burst past the soft capacity before rejecting).
+//! seeded work stealing** whose backpressure policy is reject-with-error
+//! — a saturated service answers with explicit
+//! [`SubmitError::QueueFull`] responses, never with unbounded buffering
+//! or blocked submitters. The service is deterministic given the same
+//! seeds and [`ServiceConfig`]; the configuration is written in code and
+//! no environment variable changes it.
 //!
 //! Everything is `std`-only (`std::thread` + `std::sync`) and fully
 //! offline, like the rest of the workspace.
 //!
-//! * [`queue`] — the single bounded MPMC queue (backpressure +
-//!   draining close) — the `SABER_SCHED=single` baseline;
-//! * [`steal`] — per-worker bounded deques with seeded work stealing,
-//!   the default dispatch;
+//! * [`steal`] — per-worker bounded deques with seeded work stealing
+//!   (backpressure + draining close), the service's dispatch;
 //! * [`service`] — the [`KemService`] pool: typed job handles, panic
 //!   containment, graceful shutdown;
 //! * [`metrics`] — atomic counters, fixed-bucket latency histograms,
@@ -59,14 +57,12 @@
 pub mod loadgen;
 pub mod metrics;
 pub mod obs;
-pub mod queue;
 pub mod service;
 pub mod snapshot;
 pub mod steal;
 
 pub use loadgen::{
-    arrival_gaps, build_plan, run_open_loop, run_sequential, run_service, ArrivalProcess,
-    LoadPlan, LoadProfile, OpMix, SoakOutcome, Transcript,
+    build_plan, run_sequential, run_service, LoadPlan, LoadProfile, OpMix, Transcript,
 };
 pub use metrics::{OpKind, ServiceReport};
 pub use service::{

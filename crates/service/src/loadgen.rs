@@ -10,13 +10,12 @@
 //!   reference transcript;
 //! * [`run_service`] — through a [`KemService`] pool with a bounded
 //!   in-flight window, riding the backpressure path when the queue
-//!   fills;
-//! * [`run_open_loop`] — through a pool at a fixed *offered* rate
-//!   drawn from a seeded [`ArrivalProcess`] (Poisson or bursty
-//!   heavy-tail): the submitter never blocks and never retries, so
-//!   overload surfaces as shed jobs and queue-wait growth instead of
-//!   submitter self-throttling — the honest saturation measurement a
-//!   closed loop cannot make.
+//!   fills.
+//!
+//! This is a closed loop: the submitter waits on its oldest job when
+//! the window or the queue is full. Open-loop traffic, timed from each
+//! request's scheduled arrival, is perfbench's `kem_open` workload,
+//! which brings its own arrival generator.
 //!
 //! Because every KEM operation is a pure function of its planned inputs
 //! (see the re-entrancy contract in `saber_kem::kem`), both executions
@@ -28,7 +27,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use saber_keccak::Sha3_256;
 use saber_kem::expand::{gen_matrix, gen_secret};
@@ -39,7 +37,7 @@ use saber_ring::{
 };
 use saber_testkit::Rng;
 
-use crate::metrics::{HistogramSnapshot, OpKind};
+use crate::metrics::OpKind;
 use crate::service::{JobError, JobHandle, KemService, SubmitError};
 
 /// Relative weights of the four operations in a generated load.
@@ -453,216 +451,6 @@ fn drain_front(
     Ok(())
 }
 
-/// The inter-arrival process of an open-loop (offered-rate) load.
-///
-/// Both processes are parameterized by their mean gap and expanded into
-/// a concrete gap vector by [`arrival_gaps`] from one seeded stream, so
-/// a soak's arrival schedule is as reproducible as its op plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalProcess {
-    /// Memoryless arrivals: exponentially distributed gaps (the classic
-    /// open-system model — smooth load at the configured rate).
-    Poisson {
-        /// Mean inter-arrival gap, nanoseconds.
-        mean_gap_ns: u64,
-    },
-    /// Heavy-tailed arrivals: Pareto-distributed gaps (`α = 1.5`), so
-    /// most jobs arrive in tight bursts separated by occasional long
-    /// lulls — the convoy-forming shape real KEM front-ends see.
-    Bursty {
-        /// Mean inter-arrival gap, nanoseconds (tail capped at 50×).
-        mean_gap_ns: u64,
-    },
-}
-
-impl ArrivalProcess {
-    /// Stable label used in bench reports (`"poisson"` / `"bursty"`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ArrivalProcess::Poisson { .. } => "poisson",
-            ArrivalProcess::Bursty { .. } => "bursty",
-        }
-    }
-
-    /// The configured mean inter-arrival gap, nanoseconds.
-    #[must_use]
-    pub fn mean_gap_ns(self) -> u64 {
-        match self {
-            ArrivalProcess::Poisson { mean_gap_ns } | ArrivalProcess::Bursty { mean_gap_ns } => {
-                mean_gap_ns
-            }
-        }
-    }
-}
-
-/// Uniform draw in `(0, 1]` — the `+1.0` excludes an exact zero so the
-/// inverse-CDF transforms below never take `ln(0)` or divide by zero.
-fn uniform01(rng: &mut Rng) -> f64 {
-    ((rng.next_u64() >> 11) as f64 + 1.0) / 9_007_199_254_740_992.0
-}
-
-/// Expands an arrival process into `n` concrete inter-arrival gaps
-/// (nanoseconds) via inverse-CDF sampling of one seeded stream.
-/// Deterministic: equal `(process, n, seed)` ⇒ equal gaps.
-#[must_use]
-pub fn arrival_gaps(process: ArrivalProcess, n: usize, seed: u64) -> Vec<u64> {
-    let mut rng = Rng::new(seed);
-    let mean = process.mean_gap_ns() as f64;
-    (0..n)
-        .map(|_| {
-            let u = uniform01(&mut rng);
-            let gap = match process {
-                // Exponential via inverse CDF: gap = −mean·ln(u).
-                ArrivalProcess::Poisson { .. } => -mean * u.ln(),
-                // Pareto(α=1.5): gap = xm·u^(−1/α) with xm = mean/3 so
-                // the distribution mean is α·xm/(α−1) = 3·xm = mean.
-                // The tail is capped at 50× the mean: an uncapped
-                // α=1.5 Pareto has infinite variance and a single
-                // pathological draw would stall the whole soak.
-                ArrivalProcess::Bursty { .. } => {
-                    let xm = mean / 3.0;
-                    (xm * u.powf(-1.0 / 1.5)).min(mean * 50.0)
-                }
-            };
-            gap as u64
-        })
-        .collect()
-}
-
-/// What an open-loop soak observed: admission accounting, goodput, and
-/// queue-wait quantiles under the offered load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SoakOutcome {
-    /// Jobs the arrival process offered.
-    pub offered: u64,
-    /// Jobs the service admitted.
-    pub admitted: u64,
-    /// Admitted jobs that completed successfully.
-    pub completed: u64,
-    /// Jobs shed at submit time (queue full / hard cap).
-    pub shed: u64,
-    /// Admitted jobs that failed (worker panic).
-    pub failed: u64,
-    /// Jobs admitted above the soft capacity under the degrade policy.
-    pub degraded_admissions: u64,
-    /// Wall-clock duration of the soak (first submit → last drain).
-    pub duration_ns: u64,
-    /// Median queue wait across all admitted jobs, nanoseconds.
-    pub p50_wait_ns: u64,
-    /// 99th-percentile queue wait across all admitted jobs, nanoseconds.
-    pub p99_wait_ns: u64,
-}
-
-impl SoakOutcome {
-    /// Completed jobs per second of wall clock (goodput, not offered
-    /// throughput — shed and failed jobs don't count).
-    #[must_use]
-    pub fn goodput_per_sec(&self) -> f64 {
-        if self.duration_ns == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 1e9 / self.duration_ns as f64
-    }
-
-    /// Offered jobs per second of wall clock.
-    #[must_use]
-    pub fn offered_per_sec(&self) -> f64 {
-        if self.duration_ns == 0 {
-            return 0.0;
-        }
-        self.offered as f64 * 1e9 / self.duration_ns as f64
-    }
-}
-
-/// Executes the plan through a service pool **open-loop**: each op is
-/// submitted at its scheduled arrival instant (from [`arrival_gaps`])
-/// regardless of how far behind the service is. The submitter never
-/// blocks on backpressure — a full queue sheds the job and moves on —
-/// so offered load is held at the configured rate and overload shows up
-/// as shed counts and queue-wait growth, not submitter slowdown.
-///
-/// Queue-wait quantiles are read from the service's own metrics at the
-/// end of the run, so the service should be **freshly spawned** for the
-/// soak (a reused pool would fold earlier traffic into the histograms).
-///
-/// # Errors
-///
-/// [`LoadError::Submit`] only if the service is shut down mid-run;
-/// shed jobs and worker-panic failures are outcomes, not errors.
-pub fn run_open_loop(
-    plan: &LoadPlan,
-    service: &KemService,
-    process: ArrivalProcess,
-    seed: u64,
-) -> Result<SoakOutcome, LoadError> {
-    let gaps = arrival_gaps(process, plan.ops.len(), seed);
-    let start = Instant::now();
-    let mut next_arrival_ns: u64 = 0;
-    let mut pending: Vec<Pending> = Vec::with_capacity(plan.ops.len());
-    let mut offered = 0u64;
-    let mut shed = 0u64;
-
-    for (op, &gap) in plan.ops.iter().zip(gaps.iter()) {
-        next_arrival_ns = next_arrival_ns.saturating_add(gap);
-        loop {
-            let elapsed = start.elapsed().as_nanos() as u64;
-            if elapsed >= next_arrival_ns {
-                break;
-            }
-            // Sleep the bulk of the gap, spin the last stretch — OS
-            // sleep granularity is far coarser than sub-µs gaps.
-            let remaining = next_arrival_ns - elapsed;
-            if remaining > 100_000 {
-                std::thread::sleep(Duration::from_nanos(remaining - 50_000));
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        offered += 1;
-        match submit_op(plan, service, op) {
-            Ok(handle) => pending.push(handle),
-            Err(SubmitError::QueueFull { .. }) => shed += 1,
-            Err(err @ SubmitError::ShutDown) => return Err(LoadError::Submit(err)),
-        }
-    }
-
-    let admitted = pending.len() as u64;
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    for handle in pending {
-        let ok = match handle {
-            Pending::Keygen(h) => h.wait().is_ok(),
-            Pending::Encaps(h) => h.wait().is_ok(),
-            Pending::Decaps(h) => h.wait().is_ok(),
-            Pending::MatVec(h) => h.wait().is_ok(),
-        };
-        if ok {
-            completed += 1;
-        } else {
-            failed += 1;
-        }
-    }
-    let duration_ns = (start.elapsed().as_nanos() as u64).max(1);
-
-    let report = service.report();
-    let mut wait = HistogramSnapshot::default();
-    for (_, h) in &report.queue_wait {
-        wait.merge(h);
-    }
-    Ok(SoakOutcome {
-        offered,
-        admitted,
-        completed,
-        shed,
-        failed,
-        degraded_admissions: report.degraded_admissions,
-        duration_ns,
-        p50_wait_ns: wait.quantile_ns(0.5),
-        p99_wait_ns: wait.quantile_ns(0.99),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,66 +491,6 @@ mod tests {
         let mut b1 = CtSchoolbookMultiplier::new();
         let mut b2 = CtSchoolbookMultiplier::new();
         assert_eq!(run_sequential(&plan, &mut b1), run_sequential(&plan, &mut b2));
-    }
-
-    #[test]
-    fn arrival_gaps_are_deterministic_and_roughly_hit_the_mean() {
-        for process in [
-            ArrivalProcess::Poisson { mean_gap_ns: 10_000 },
-            ArrivalProcess::Bursty { mean_gap_ns: 10_000 },
-        ] {
-            let a = arrival_gaps(process, 4096, 42);
-            let b = arrival_gaps(process, 4096, 42);
-            assert_eq!(a, b, "{} gaps must be seed-deterministic", process.label());
-            assert_ne!(a, arrival_gaps(process, 4096, 43), "seed must matter");
-            let mean = a.iter().sum::<u64>() as f64 / a.len() as f64;
-            assert!(
-                (mean - 10_000.0).abs() < 3_000.0,
-                "{} empirical mean {mean} too far from 10µs",
-                process.label()
-            );
-        }
-    }
-
-    #[test]
-    fn bursty_gaps_are_heavy_tailed_but_capped() {
-        let gaps = arrival_gaps(ArrivalProcess::Bursty { mean_gap_ns: 10_000 }, 4096, 7);
-        let max = *gaps.iter().max().unwrap();
-        assert!(max <= 50 * 10_000, "tail cap exceeded: {max}");
-        assert!(max > 5 * 10_000, "no heavy tail at all: {max}");
-        // Pareto minimum is xm = mean/3: no gap can undershoot it.
-        assert!(gaps.iter().all(|&g| g >= 10_000 / 3), "gap below Pareto minimum");
-        // Burstiness: the median sits well below the mean.
-        let mut sorted = gaps.clone();
-        sorted.sort_unstable();
-        assert!(sorted[sorted.len() / 2] < 8_000, "median should be below the mean");
-    }
-
-    #[test]
-    fn open_loop_accounting_conserves_jobs() {
-        use crate::service::{KemService, ServiceConfig};
-        let plan = build_plan(&LoadProfile::new(&SABER, 11, 48));
-        let service = KemService::spawn(&ServiceConfig {
-            workers: 2,
-            queue_capacity: 4,
-            ..ServiceConfig::default()
-        });
-        // Offered far faster than a 2-worker pool can serve: some
-        // shedding is possible and the books must still balance.
-        let outcome = run_open_loop(
-            &plan,
-            &service,
-            ArrivalProcess::Poisson { mean_gap_ns: 1_000 },
-            99,
-        )
-        .expect("soak runs");
-        assert_eq!(outcome.offered, 48);
-        assert_eq!(outcome.offered, outcome.admitted + outcome.shed);
-        assert_eq!(outcome.admitted, outcome.completed + outcome.failed);
-        assert_eq!(outcome.failed, 0);
-        assert!(outcome.duration_ns > 0);
-        assert!(outcome.goodput_per_sec() > 0.0);
-        let _ = service.shutdown();
     }
 
     #[test]

@@ -217,7 +217,6 @@ pub struct Metrics {
     steal_attempts: AtomicU64,
     steal_hits: AtomicU64,
     stolen_jobs: AtomicU64,
-    degraded: AtomicU64,
     matrix_cache_hits: AtomicU64,
     matrix_cache_misses: AtomicU64,
     ops: [LatencyHistogram; 4],
@@ -240,12 +239,6 @@ impl Metrics {
     /// A submission was rejected by backpressure.
     pub fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A submission was admitted above the soft capacity under the
-    /// degrade overload policy.
-    pub fn record_degraded(&self) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A worker ran `n` victim scans while looking for work to steal
@@ -336,7 +329,6 @@ impl Metrics {
             steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
             steal_hits: self.steal_hits.load(Ordering::Relaxed),
             stolen_jobs: self.stolen_jobs.load(Ordering::Relaxed),
-            degraded_admissions: self.degraded.load(Ordering::Relaxed),
             matrix_cache_hits: self.matrix_cache_hits.load(Ordering::Relaxed),
             matrix_cache_misses: self.matrix_cache_misses.load(Ordering::Relaxed),
             ops: OpKind::ALL
@@ -379,16 +371,12 @@ pub struct ServiceReport {
     /// Highest queue depth observed at submit time.
     pub queue_high_water: u64,
     /// Victim scans run by workers looking for stealable work (only
-    /// counted while the queue was non-empty). Zero under the
-    /// single-queue scheduler.
+    /// counted while the queue was non-empty).
     pub steal_attempts: u64,
     /// Successful steals (victim scans that migrated at least one job).
     pub steal_hits: u64,
     /// Jobs migrated between worker deques by stealing.
     pub stolen_jobs: u64,
-    /// Jobs admitted above the soft capacity under the degrade
-    /// overload policy. Zero under the reject policy.
-    pub degraded_admissions: u64,
     /// Encaps/decaps lookups of the matrix `A` that a worker's cache
     /// answered, summed over workers.
     pub matrix_cache_hits: u64,
@@ -475,7 +463,6 @@ impl ServiceReport {
             ("steal_attempts".into(), int(self.steal_attempts)),
             ("steal_hits".into(), int(self.steal_hits)),
             ("stolen_jobs".into(), int(self.stolen_jobs)),
-            ("degraded_admissions".into(), int(self.degraded_admissions)),
             ("matrix_cache_hits".into(), int(self.matrix_cache_hits)),
             ("matrix_cache_misses".into(), int(self.matrix_cache_misses)),
             (
@@ -603,7 +590,6 @@ impl ServiceReport {
             steal_attempts: int("steal_attempts")?,
             steal_hits: int("steal_hits")?,
             stolen_jobs: int("stolen_jobs")?,
-            degraded_admissions: int("degraded_admissions")?,
             matrix_cache_hits: int("matrix_cache_hits")?,
             matrix_cache_misses: int("matrix_cache_misses")?,
             engines,
@@ -644,9 +630,6 @@ impl ServiceReport {
                 " steals[attempts={} hits={} moved={}]",
                 self.steal_attempts, self.steal_hits, self.stolen_jobs
             ));
-        }
-        if self.degraded_admissions > 0 {
-            line.push_str(&format!(" degraded={}", self.degraded_admissions));
         }
         if self.matrix_cache_hits > 0 || self.matrix_cache_misses > 0 {
             line.push_str(&format!(
@@ -807,22 +790,19 @@ mod tests {
     }
 
     #[test]
-    fn steal_and_degraded_counters_survive_json_and_summary() {
+    fn steal_counters_survive_json_and_summary() {
         let m = Metrics::default();
         m.record_steal_attempts(5);
         m.record_steal_hit(3);
         m.record_steal_hit(1);
-        m.record_degraded();
         let r = m.snapshot(2, 8, 0);
         assert_eq!(r.steal_attempts, 5);
         assert_eq!(r.steal_hits, 2);
         assert_eq!(r.stolen_jobs, 4);
-        assert_eq!(r.degraded_admissions, 1);
         let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back, r);
         let summary = r.format_summary();
         assert!(summary.contains("steals[attempts=5 hits=2 moved=4]"), "{summary}");
-        assert!(summary.contains("degraded=1"), "{summary}");
     }
 
     #[test]

@@ -10,16 +10,13 @@
 //!   SubmitError::QueueFull    work stealing)      worker N ─┘  multiplier each)
 //! ```
 //!
-//! Dispatch is per-worker bounded deques with seeded work stealing by
-//! default ([`crate::steal::WorkStealQueue`]; owner pops newest-first,
-//! thieves take the older half from a victim's back), jointly bounded
-//! by one global capacity; `ServiceConfig::scheduler` (env
-//! `SABER_SCHED=single`) selects the original single-FIFO
-//! `BoundedQueue` baseline instead. Overload behaviour is a policy knob
-//! (`ServiceConfig::overload`): reject at capacity (default), or
-//! degrade — keep admitting up to [`DEGRADE_HARD_CAP_FACTOR`] × the
-//! capacity, metering the over-capacity admissions, and shed only at
-//! the hard cap.
+//! Dispatch is per-worker bounded deques with seeded work stealing
+//! ([`crate::steal::WorkStealQueue`]; owner pops newest-first, thieves
+//! take the older half from a victim's back), jointly bounded by one
+//! global capacity. At that capacity a submission is rejected with
+//! [`SubmitError::QueueFull`]; nothing is buffered past it. The whole
+//! configuration is the [`ServiceConfig`] value the pool is spawned
+//! with — no environment variable changes how jobs are dispatched.
 //!
 //! Each worker owns one multiplier shard built from
 //! [`ServiceConfig::engine`], the constant-time u16-lane engine — the
@@ -61,112 +58,48 @@ use saber_ring::{EngineKind, PolyMatrix, PolyMultiplier, PolyVec, SecretVec};
 use saber_testkit::Rng;
 
 use crate::metrics::{Metrics, OpKind, ServiceReport};
-use crate::queue::{BoundedQueue, PushError};
-use crate::steal::{StealTally, WorkStealQueue};
+use crate::steal::{PushError, WorkStealQueue};
 
-/// Environment variable selecting the dispatch scheduler
-/// (`"steal"` / `"single"`).
-pub const SCHED_ENV: &str = "SABER_SCHED";
-
-/// Environment variable overriding the steal-decision seed (a `u64`,
-/// decimal or `0x`-prefixed hex).
-pub const STEAL_SEED_ENV: &str = "SABER_STEAL_SEED";
-
-/// Environment variable selecting the overload policy
-/// (`"reject"` / `"degrade"`).
-pub const OVERLOAD_ENV: &str = "SABER_OVERLOAD";
-
-/// Default steal-decision seed when [`STEAL_SEED_ENV`] is unset.
+/// The steal-decision seed of [`ServiceConfig::default`].
 pub const DEFAULT_STEAL_SEED: u64 = 0x5ABE_57EA;
 
-/// Under [`OverloadPolicy::Degrade`] the queue keeps admitting up to
-/// this multiple of the configured capacity before finally shedding.
-pub const DEGRADE_HARD_CAP_FACTOR: usize = 4;
-
-/// Which dispatch structure feeds the workers.
+/// The dispatch structure feeding the workers: per-worker bounded
+/// deques with seeded work stealing ([`WorkStealQueue`]), the only one
+/// the service has. The type remains so reports can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// The original single MPMC FIFO [`BoundedQueue`] — kept as the
-    /// baseline the convoy regression measures against.
-    SingleQueue,
-    /// Per-worker bounded deques with seeded work stealing
-    /// ([`WorkStealQueue`]); the default.
+    /// Per-worker bounded deques with seeded work stealing.
     WorkSteal,
 }
 
 impl SchedulerKind {
-    /// Stable label used in reports and env parsing.
+    /// Stable label used in reports.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            SchedulerKind::SingleQueue => "single",
             SchedulerKind::WorkSteal => "steal",
         }
     }
-
-    /// Inverse of [`label`](Self::label).
-    #[must_use]
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "single" => Some(SchedulerKind::SingleQueue),
-            "steal" => Some(SchedulerKind::WorkSteal),
-            _ => None,
-        }
-    }
-
-    /// Reads [`SCHED_ENV`]; unset or unrecognized values fall back to
-    /// [`SchedulerKind::WorkSteal`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var(SCHED_ENV)
-            .ok()
-            .and_then(|v| SchedulerKind::parse(&v))
-            .unwrap_or(SchedulerKind::WorkSteal)
-    }
 }
 
-/// What the service does when a submission arrives at a full queue.
+/// What the service does when a submission arrives at a full queue:
+/// reject it, the only policy the service has. The type remains so
+/// reports can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadPolicy {
-    /// Reject at the configured capacity (the original contract):
-    /// overload degrades into explicit [`SubmitError::QueueFull`]
-    /// responses and the wait-time distribution stays bounded.
+    /// Reject at the configured capacity: overload turns into explicit
+    /// [`SubmitError::QueueFull`] responses and the wait-time
+    /// distribution stays bounded.
     Reject,
-    /// Degrade, then shed: keep admitting up to
-    /// [`DEGRADE_HARD_CAP_FACTOR`] × capacity — every admission beyond
-    /// the configured capacity is counted as *degraded* (it will see
-    /// convoy-length waits) — and reject only at the hard cap.
-    Degrade,
 }
 
 impl OverloadPolicy {
-    /// Stable label used in reports and env parsing.
+    /// Stable label used in reports.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             OverloadPolicy::Reject => "reject",
-            OverloadPolicy::Degrade => "degrade",
         }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    #[must_use]
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "reject" => Some(OverloadPolicy::Reject),
-            "degrade" => Some(OverloadPolicy::Degrade),
-            _ => None,
-        }
-    }
-
-    /// Reads [`OVERLOAD_ENV`]; unset or unrecognized values fall back
-    /// to [`OverloadPolicy::Reject`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var(OVERLOAD_ENV)
-            .ok()
-            .and_then(|v| OverloadPolicy::parse(&v))
-            .unwrap_or(OverloadPolicy::Reject)
     }
 }
 
@@ -175,19 +108,17 @@ impl OverloadPolicy {
 pub struct ServiceConfig {
     /// Worker threads (= multiplier shards). Must be ≥ 1.
     pub workers: usize,
-    /// Bounded queue capacity; submissions beyond it are rejected
-    /// (under [`OverloadPolicy::Degrade`], beyond the hard cap).
+    /// Bounded queue capacity; submissions beyond it are rejected.
     pub queue_capacity: usize,
     /// Multiplier engine each worker shard is built from.
     pub engine: EngineKind,
-    /// Dispatch scheduler: per-worker stealing deques (default) or the
-    /// single-FIFO baseline.
+    /// Dispatch scheduler (work stealing, the only one).
     pub scheduler: SchedulerKind,
-    /// What to do at a full queue: reject (default) or degrade-then-shed.
+    /// What to do at a full queue (reject, the only policy).
     pub overload: OverloadPolicy,
     /// Seed driving every steal/victim decision. Fixed default so runs
-    /// are reproducible; sweep it (or `SABER_STEAL_SEED`) to stress
-    /// different steal orders.
+    /// are reproducible; tests sweep it to stress different steal
+    /// orders.
     pub steal_seed: u64,
 }
 
@@ -195,32 +126,19 @@ impl Default for ServiceConfig {
     /// Four workers over a 64-deep queue: a deliberately fixed default
     /// (not `available_parallelism`) so behaviour is identical on every
     /// host; size explicitly for production use. The engine is the
-    /// constant-time `ct` engine, the scheduler honours `SABER_SCHED`
-    /// (default: work stealing), the overload policy honours
-    /// `SABER_OVERLOAD` (default: reject), and the steal seed honours
-    /// `SABER_STEAL_SEED` — so CI can sweep the whole test battery per
-    /// scheduler and steal order.
+    /// constant-time `ct` engine and the steal seed is
+    /// [`DEFAULT_STEAL_SEED`]. Nothing here is read from the
+    /// environment.
     fn default() -> Self {
         Self {
             workers: 4,
             queue_capacity: 64,
             engine: EngineKind::default(),
-            scheduler: SchedulerKind::from_env(),
-            overload: OverloadPolicy::from_env(),
-            steal_seed: steal_seed_from_env(),
+            scheduler: SchedulerKind::WorkSteal,
+            overload: OverloadPolicy::Reject,
+            steal_seed: DEFAULT_STEAL_SEED,
         }
     }
-}
-
-fn steal_seed_from_env() -> u64 {
-    let Some(raw) = std::env::var(STEAL_SEED_ENV).ok().filter(|v| !v.is_empty()) else {
-        return DEFAULT_STEAL_SEED;
-    };
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    parsed.unwrap_or(DEFAULT_STEAL_SEED)
 }
 
 impl ServiceConfig {
@@ -416,62 +334,12 @@ struct Job {
     enqueued: Instant,
 }
 
-/// The dispatch structure feeding the pool: the stealing deques or the
-/// single-FIFO baseline, behind one push/pop surface.
-enum Dispatch {
-    Single(BoundedQueue<Job>),
-    Steal(WorkStealQueue<Job>),
-}
-
-impl Dispatch {
-    fn try_push(&self, job: Job) -> Result<usize, PushError<Job>> {
-        match self {
-            Dispatch::Single(q) => q.try_push(job),
-            Dispatch::Steal(q) => q.try_push(job),
-        }
-    }
-
-    fn pop(&self, worker: usize, rng: &mut Rng) -> Option<(Job, StealTally)> {
-        match self {
-            Dispatch::Single(q) => q.pop().map(|job| (job, StealTally::default())),
-            Dispatch::Steal(q) => q.pop(worker, rng),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            Dispatch::Single(q) => q.close(),
-            Dispatch::Steal(q) => q.close(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Dispatch::Single(q) => q.len(),
-            Dispatch::Steal(q) => q.len(),
-        }
-    }
-
-    /// The hard admission bound (= configured capacity under
-    /// [`OverloadPolicy::Reject`]).
-    fn hard_capacity(&self) -> usize {
-        match self {
-            Dispatch::Single(q) => q.capacity(),
-            Dispatch::Steal(q) => q.capacity(),
-        }
-    }
-}
-
 struct Inner {
-    queue: Dispatch,
+    queue: WorkStealQueue<Job>,
     metrics: Metrics,
     workers: usize,
     /// The engine every shard builds.
     engine: EngineKind,
-    /// The configured (soft) capacity reported to callers; the
-    /// dispatch's hard bound may be larger under `Degrade`.
-    soft_capacity: usize,
-    overload: OverloadPolicy,
     steal_seed: u64,
 }
 
@@ -516,25 +384,11 @@ impl KemService {
         // panic hook — both idempotent, both process-wide.
         crate::obs::arm_flight_recorder();
         crate::obs::install_panic_hook();
-        let hard_capacity = match config.overload {
-            OverloadPolicy::Reject => config.queue_capacity,
-            OverloadPolicy::Degrade => config
-                .queue_capacity
-                .saturating_mul(DEGRADE_HARD_CAP_FACTOR),
-        };
-        let queue = match config.scheduler {
-            SchedulerKind::SingleQueue => Dispatch::Single(BoundedQueue::new(hard_capacity)),
-            SchedulerKind::WorkSteal => {
-                Dispatch::Steal(WorkStealQueue::new(hard_capacity, config.workers))
-            }
-        };
         let inner = Arc::new(Inner {
-            queue,
+            queue: WorkStealQueue::new(config.queue_capacity, config.workers),
             metrics: Metrics::default(),
             workers: config.workers,
             engine: config.engine,
-            soft_capacity: config.queue_capacity,
-            overload: config.overload,
             steal_seed: config.steal_seed,
         });
         let handles = (0..config.workers)
@@ -555,12 +409,10 @@ impl KemService {
         self.inner.workers
     }
 
-    /// Configured queue capacity (the soft bound; under
-    /// [`OverloadPolicy::Degrade`] the hard admission cap is
-    /// [`DEGRADE_HARD_CAP_FACTOR`] × this).
+    /// Configured queue capacity: the most jobs admitted at once.
     #[must_use]
     pub fn queue_capacity(&self) -> usize {
-        self.inner.soft_capacity
+        self.inner.queue.capacity()
     }
 
     /// Submits a KEM key generation from a 32-byte master seed.
@@ -724,20 +576,12 @@ impl KemService {
         match self.inner.queue.try_push(job) {
             Ok(depth) => {
                 self.inner.metrics.record_submitted(depth);
-                // A `Degrade` admission past the soft capacity is work
-                // we accepted knowing it will see convoy-length waits:
-                // meter it so the overload soak can report honestly.
-                if self.inner.overload == OverloadPolicy::Degrade
-                    && depth > self.inner.soft_capacity
-                {
-                    self.inner.metrics.record_degraded();
-                }
                 Ok(JobHandle { slot, extract })
             }
             Err(PushError::Full(_)) => {
                 self.inner.metrics.record_rejected();
                 Err(SubmitError::QueueFull {
-                    capacity: self.inner.queue.hard_capacity(),
+                    capacity: self.inner.queue.capacity(),
                 })
             }
             Err(PushError::Closed(_)) => Err(SubmitError::ShutDown),
@@ -749,7 +593,7 @@ impl KemService {
     pub fn report(&self) -> ServiceReport {
         self.inner.metrics.snapshot(
             self.inner.workers,
-            self.inner.soft_capacity,
+            self.inner.queue.capacity(),
             self.inner.queue.len(),
         )
     }
@@ -774,7 +618,7 @@ impl KemService {
         }
         self.inner.metrics.snapshot(
             self.inner.workers,
-            self.inner.soft_capacity,
+            self.inner.queue.capacity(),
             self.inner.queue.len(),
         )
     }

@@ -22,13 +22,16 @@
 //! bucket counts as the `le` semantics require.
 //!
 //! Versioning: `SCHEMA_VERSION` is 3 (version 2 added the service
-//! report's steal/degraded counters, version 3 its matrix-cache
-//! hit/miss counters). Parsers reject documents with a
-//! different version rather than guessing — additive fields bump the
-//! version, and a reader for version N refuses N+1 documents instead of
-//! silently dropping sections. Within a version, keys the reader does
-//! not know are ignored: version 3 documents written while the engine
-//! auto-tuner existed still load, and its section is dropped.
+//! report's steal counters, version 3 its matrix-cache hit/miss
+//! counters). Parsers reject documents with a different version rather
+//! than guessing — additive fields bump the version, and a reader for
+//! version N refuses N+1 documents instead of silently dropping
+//! sections. Removed fields keep the version. Within a version, keys the
+//! reader does not know are ignored, so version 3 documents written
+//! while the engine auto-tuner or the degrade overload policy existed
+//! still load; the tuner's section and the policy's admission counter
+//! are dropped. A reader from before a removal refuses the newer
+//! document and names the field it lacks, so it cannot misread it.
 
 use saber_testkit::json::Value;
 
@@ -389,12 +392,6 @@ impl MetricsSnapshot {
             "saber_stolen_jobs_total",
             "Jobs migrated between worker deques by stealing.",
             s.stolen_jobs,
-        );
-        counter(
-            &mut out,
-            "saber_degraded_admissions_total",
-            "Jobs admitted above the soft capacity under the degrade policy.",
-            s.degraded_admissions,
         );
         counter(
             &mut out,
@@ -828,9 +825,12 @@ mod tests {
     #[test]
     fn v3_snapshots_from_the_auto_tuner_era_still_load() {
         // Written the way version 3 snapshots were written while the
-        // engine auto-tuner existed: its decision as an object between
-        // `flight` and `soc`, under this key.
-        const REMOVED: &str = "autotune";
+        // engine auto-tuner and the degrade overload policy existed: the
+        // tuner's decision as an object between `flight` and `soc`, and
+        // the policy's admission counter in the service report after
+        // `stolen_jobs`, under these keys.
+        const REMOVED_SECTION: &str = "autotune";
+        const REMOVED_COUNTER: &str = "degraded_admissions";
         let snap = sample_snapshot();
         let section = saber_testkit::json::parse(
             r#"{"chosen": "ct", "samples": [
@@ -845,16 +845,35 @@ mod tests {
         let Value::Object(mut fields) = snap.to_json_value() else {
             panic!("a snapshot serializes to an object");
         };
+        let Some((_, Value::Object(report))) = fields.iter_mut().find(|(k, _)| k == "service")
+        else {
+            panic!("a snapshot carries the service report as an object");
+        };
+        let stolen = report
+            .iter()
+            .position(|(k, _)| k == "stolen_jobs")
+            .expect("stolen_jobs counter");
+        report.insert(stolen + 1, (REMOVED_COUNTER.into(), Value::Int(6)));
         let soc = fields.iter().position(|(k, _)| k == "soc").expect("soc section");
-        fields.insert(soc, (REMOVED.into(), section));
+        fields.insert(soc, (REMOVED_SECTION.into(), section));
         let old = saber_testkit::json::write(&Value::Object(fields));
-        assert!(old.contains(&format!("\"{REMOVED}\"")));
 
         let back = MetricsSnapshot::from_json_str(&old).expect("a v3 document loads");
         assert_eq!(back, snap);
         let rewritten = back.to_json_string();
-        assert!(!rewritten.contains(REMOVED), "{rewritten}");
-        assert!(!back.to_prometheus().contains(REMOVED));
+        let exposition = back.to_prometheus();
+        for removed in [REMOVED_SECTION, REMOVED_COUNTER] {
+            assert!(old.contains(&format!("\"{removed}\"")));
+            assert!(!rewritten.contains(removed), "{rewritten}");
+            assert!(!exposition.contains(removed), "{exposition}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_input_is_an_error_not_an_abort() {
+        let text = "[".repeat(100_000);
+        assert!(MetricsSnapshot::from_json_str(&text).is_err());
+        assert!(ServiceReport::from_json_str(&text).is_err());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Per-worker bounded deques with randomized-seeded work stealing —
-//! the dispatch structure that replaced the single MPMC
-//! [`BoundedQueue`](crate::queue::BoundedQueue) in front of the pool.
+//! the service's dispatch structure in front of the worker pool.
 //!
 //! ## Layout
 //!
@@ -16,11 +15,15 @@
 //! ```
 //!
 //! One deque per worker, all jointly bounded by a single global
-//! capacity (an atomic admission counter), so the backpressure contract
-//! is *identical* to the single queue: `try_push` admits exactly
-//! `capacity` outstanding jobs and then rejects with
+//! capacity (an atomic admission counter). The backpressure contract is
+//! *reject, don't buffer*: `try_push` never blocks, admits exactly
+//! `capacity` outstanding jobs and then returns the item back with
 //! [`PushError::Full`], regardless of how the jobs are distributed over
-//! shards.
+//! shards. A traffic burst therefore degrades into explicit errors, not
+//! unbounded memory growth or submitter stalls. After
+//! [`close`](WorkStealQueue::close), pushes fail with
+//! [`PushError::Closed`] while pops keep draining admitted jobs, so a
+//! closed queue loses nothing it accepted.
 //!
 //! ## Steal policy
 //!
@@ -31,8 +34,7 @@
 //!   first. LIFO is what breaks the convoy: a large batch job parked in
 //!   a shard does not force every small job queued behind it to wait
 //!   out the batch, because fresh small jobs overtake it (the
-//!   `sched_stress` convoy regression pins this against the FIFO
-//!   single-queue baseline).
+//!   `sched_stress` convoy regression pins this order exactly).
 //! * **Thieves** scan the other shards in a freshly drawn seeded
 //!   Fisher–Yates permutation and take the **older half from the back**
 //!   of the first non-empty victim: one job to execute now, the rest
@@ -56,8 +58,8 @@
 //! notifying, so a worker that observed "empty" under the mutex is
 //! guaranteed to be inside `wait` before the notification fires —
 //! no lost wakeups. [`WorkStealQueue::close`] uses `notify_all` so
-//! every blocked worker drains out (the same contract the
-//! `BoundedQueue` regression test with ≥ 4 blocked poppers pins).
+//! every blocked worker drains out (a regression test parks six
+//! poppers and requires every one to return).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -65,7 +67,16 @@ use std::sync::{Condvar, Mutex};
 
 use saber_testkit::Rng;
 
-use crate::queue::PushError;
+/// Why a push was refused; carries the rejected item back to the caller.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PushError<T> {
+    /// The queue is at capacity: backpressure. The submitter decides
+    /// whether to retry, shed the job, or surface the rejection.
+    Full(T),
+    /// The queue was closed (service shutting down); no new work is
+    /// admitted.
+    Closed(T),
+}
 
 /// What one [`WorkStealQueue::pop`] did to find its job — the worker
 /// loop folds this into the steal metrics and trace counters.
@@ -91,6 +102,22 @@ struct Shard<T> {
 
 /// Per-worker bounded deques with seeded work stealing (see the module
 /// docs for layout, policy, and the wakeup protocol).
+///
+/// # Examples
+///
+/// ```
+/// use saber_service::steal::{PushError, WorkStealQueue};
+/// use saber_testkit::Rng;
+///
+/// let q = WorkStealQueue::new(1, 2);
+/// q.try_push(1).unwrap();
+/// assert_eq!(q.try_push(2), Err(PushError::Full(2)));
+/// q.close();
+/// let mut rng = Rng::new(7);
+/// // Admitted jobs drain after close, stolen if they sit on another shard.
+/// assert_eq!(q.pop(1, &mut rng).map(|(job, _)| job), Some(1));
+/// assert_eq!(q.pop(1, &mut rng), None);
+/// ```
 pub struct WorkStealQueue<T> {
     capacity: usize,
     /// Admitted jobs across all shards — the single global bound.
@@ -185,7 +212,7 @@ impl<T> WorkStealQueue<T> {
             return Err(PushError::Full(item));
         };
         // Close raced the reservation: give the slot back and refuse,
-        // exactly as the single queue's push-under-lock would have.
+        // so nothing is admitted after close() returns.
         if self.closed.load(Ordering::SeqCst) {
             self.len.fetch_sub(1, Ordering::SeqCst);
             return Err(PushError::Closed(item));
@@ -393,24 +420,39 @@ mod tests {
 
     #[test]
     fn close_wakes_at_least_four_blocked_poppers() {
-        // The ≥4-blocked-poppers shutdown regression, mirrored from the
-        // BoundedQueue: every parked worker must observe the close (the
-        // notify_all contract), not wake one-at-a-time or never.
-        let q = Arc::new(WorkStealQueue::<u8>::new(4, 6));
-        let handles: Vec<_> = (0..6)
+        // Regression guard for the shutdown drain: `close()` must
+        // broadcast (`notify_all`), because a one-at-a-time wakeup
+        // strands all but one of N parked workers until a further push
+        // or close call that never comes. Park strictly more poppers
+        // than a single notify could wake and require every one of them
+        // to return.
+        const POPPERS: usize = 6;
+        let q = Arc::new(WorkStealQueue::<u8>::new(4, POPPERS));
+        let parked = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..POPPERS)
             .map(|w| {
                 let q = Arc::clone(&q);
+                let parked = Arc::clone(&parked);
                 std::thread::spawn(move || {
                     let mut r = Rng::new(0xB10C_0000 + w as u64);
+                    parked.fetch_add(1, Ordering::SeqCst);
                     q.pop(w, &mut r).map(|(v, _)| v)
                 })
             })
             .collect();
-        // Give the workers a moment to actually park.
-        std::thread::yield_now();
+        // Wait until every popper has at least reached pop(); the
+        // condvar wait is entered after re-checking `closed` under the
+        // sleep mutex, so after close() below no popper can re-park.
+        while parked.load(Ordering::SeqCst) < POPPERS {
+            std::thread::yield_now();
+        }
         q.close();
         for h in handles {
-            assert_eq!(h.join().unwrap(), None);
+            assert_eq!(
+                h.join().unwrap(),
+                None,
+                "a popper missed the close broadcast"
+            );
         }
     }
 

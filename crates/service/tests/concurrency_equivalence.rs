@@ -1,30 +1,36 @@
 //! Concurrency correctness: for fixed seeds, an N-worker service run is
-//! byte-identical to sequential execution — for N in {1, 2, 8}, all
-//! three parameter sets, across keygen/encaps/decaps and mat-vec.
+//! byte-identical to sequential execution — for N in {1, 2, 8}, under
+//! several steal seeds, all three parameter sets, across
+//! keygen/encaps/decaps and mat-vec.
 //!
 //! The transcripts compare SHA3-256 digests of the *serialized* results
 //! (public/secret key bytes, ciphertext bytes, shared-secret bytes,
 //! mat-vec coefficients), so agreement means bit-identical wire output,
 //! not merely equal structs.
-//!
-//! `SABER_SERVICE_WORKERS=<n>` narrows the matrix to one worker count —
-//! `tools/ci.sh` uses this to run the 1/2/8 matrix as separate release
-//! stages.
 
 use std::sync::Arc;
 
 use saber_kem::params::ALL_PARAMS;
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_service::loadgen::{build_plan, run_sequential, run_service, LoadProfile, OpMix};
+use saber_service::service::DEFAULT_STEAL_SEED;
 use saber_service::{KemService, OpKind, ServiceConfig};
 
-/// Worker counts under test: the env override or the full {1, 2, 8}
-/// matrix.
-fn worker_matrix() -> Vec<usize> {
-    match std::env::var("SABER_SERVICE_WORKERS") {
-        Ok(v) => vec![v.parse().expect("SABER_SERVICE_WORKERS must be a worker count")],
-        Err(_) => vec![1, 2, 8],
+/// The configurations under test: worker counts {1, 2, 8} × steal seeds
+/// {default, 1, 2, 3}, each with the given queue capacity.
+fn config_matrix(queue_capacity: usize) -> Vec<ServiceConfig> {
+    let mut configs = Vec::new();
+    for workers in [1, 2, 8] {
+        for steal_seed in [DEFAULT_STEAL_SEED, 1, 2, 3] {
+            configs.push(ServiceConfig {
+                workers,
+                queue_capacity,
+                steal_seed,
+                ..ServiceConfig::default()
+            });
+        }
     }
+    configs
 }
 
 /// Debug builds run the cycle-accurate-slow path; keep the fixed-seed
@@ -53,17 +59,14 @@ fn mixed_kem_load_matches_sequential_for_all_sets_and_worker_counts() {
             .count() as u64;
         let mut hits = 0;
 
-        for workers in worker_matrix() {
-            let service = KemService::spawn(&ServiceConfig {
-                workers,
-                queue_capacity: 16,
-                ..ServiceConfig::default()
-            });
+        for config in config_matrix(16) {
+            let (workers, seed) = (config.workers, config.steal_seed);
+            let service = KemService::spawn(&config);
             let got = run_service(&plan, &service, 12).expect("load run");
             let report = service.shutdown();
             assert_eq!(
                 got, reference,
-                "{} with {workers} workers diverged from sequential",
+                "{} with {workers} workers, seed {seed:#x}, diverged from sequential",
                 params.name
             );
             assert_eq!(report.failed, 0, "{}: no job may fail", params.name);
@@ -108,18 +111,14 @@ fn matvec_only_load_matches_sequential() {
         // also re-proves ct-vs-schoolbook equivalence under load.
         let reference = run_sequential(&plan, &mut SchoolbookMultiplier);
 
-        for workers in worker_matrix() {
-            let service = KemService::spawn(&ServiceConfig {
-                workers,
-                queue_capacity: 8,
-                ..ServiceConfig::default()
-            });
+        for config in config_matrix(8) {
+            let service = KemService::spawn(&config);
             let got = run_service(&plan, &service, 8).expect("load run");
             drop(service);
             assert_eq!(
                 got, reference,
-                "{} mat-vec with {workers} workers diverged",
-                params.name
+                "{} mat-vec with {} workers, seed {:#x}, diverged",
+                params.name, config.workers, config.steal_seed
             );
         }
     }
@@ -135,12 +134,9 @@ fn typed_submissions_match_direct_calls() {
     let (ct, ss_enc) = saber_kem::encaps(&pk, &[6; 32], &mut backend);
     let ss_dec = saber_kem::decaps(&sk, &ct, &mut backend);
 
-    for workers in worker_matrix() {
-        let service = KemService::spawn(&ServiceConfig {
-            workers,
-            queue_capacity: 8,
-            ..ServiceConfig::default()
-        });
+    for config in config_matrix(8) {
+        let workers = config.workers;
+        let service = KemService::spawn(&config);
         let (pk2, sk2) = service
             .submit_keygen(params, [5; 32])
             .unwrap()
@@ -171,12 +167,9 @@ fn matvec_handles_resolve_to_backend_products() {
     let secret = Arc::new(gen_secret(&[0x22; 32], params));
     let expected = matrix.mul_vec(&secret, &mut SchoolbookMultiplier);
 
-    for workers in worker_matrix() {
-        let service = KemService::spawn(&ServiceConfig {
-            workers,
-            queue_capacity: 8,
-            ..ServiceConfig::default()
-        });
+    for config in config_matrix(8) {
+        let workers = config.workers;
+        let service = KemService::spawn(&config);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 service

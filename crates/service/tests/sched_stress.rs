@@ -2,9 +2,8 @@
 //!
 //! Five properties of the per-worker-deque dispatcher:
 //!
-//! 1. **Seeded steal-order stress** — the steal-decision RNG seed (and
-//!    the scheduler choice itself) must be *transcript-invariant*:
-//!    every seed, and the single-queue baseline, produces the same
+//! 1. **Seeded steal-order stress** — the steal-decision RNG seed must
+//!    be *transcript-invariant*: every seed produces the same
 //!    byte-identical transcript as sequential execution. This is the
 //!    soc fuzzer's seeded-shuffle pattern applied to victim order.
 //! 2. **Forced steal** — with one worker pinned and jobs balanced onto
@@ -12,11 +11,11 @@
 //!    and the steal counters must advance.
 //! 3. **Shutdown under load** — closing a loaded pool drains every
 //!    admitted job: `completed + failed == submitted`, depth 0.
-//! 4. **Convoy regression** — one deep mat-vec batch plus many small
-//!    decaps on one worker: newest-first owner pops run the smalls
-//!    before the batch, so small-job p99 queue wait must beat the
-//!    FIFO single-queue baseline by better than 2×.
-//! 5. **Steal-counter round-trip** — steal/degraded counters survive
+//! 4. **Convoy regression** — one deep mat-vec batch queued ahead of
+//!    six small decaps on one pinned worker: newest-first owner pops
+//!    must run every small before the batch, which the exact queue-wait
+//!    maxima prove with no timing threshold.
+//! 5. **Steal-counter round-trip** — steal counters survive
 //!    `MetricsSnapshot` JSON round-trip and appear in the linted
 //!    Prometheus exposition.
 
@@ -29,9 +28,7 @@ use saber_ring::CtSchoolbookMultiplier;
 use saber_service::loadgen::{build_plan, run_sequential, run_service, LoadProfile};
 use saber_service::metrics::Metrics;
 use saber_service::snapshot::{lint_prometheus, MetricsSnapshot};
-use saber_service::{
-    Gate, KemService, OpKind, OverloadPolicy, SchedulerKind, ServiceConfig,
-};
+use saber_service::{Gate, KemService, OpKind, ServiceConfig};
 
 /// Debug builds run the slow path; keep sweeps small there.
 const fn scaled(debug: usize, release: usize) -> usize {
@@ -54,37 +51,24 @@ fn spin_until(deadline_ms: u64, mut done: impl FnMut() -> bool) {
 }
 
 #[test]
-fn every_steal_seed_and_scheduler_reproduces_the_sequential_transcript() {
+fn every_steal_seed_reproduces_the_sequential_transcript() {
     let mut profile = LoadProfile::new(&SABER, 0x57EA_15EED, scaled(8, 40));
     profile.keyring = 2;
     let plan = build_plan(&profile);
     let reference = run_sequential(&plan, &mut SchoolbookMultiplier);
 
-    let mut configs: Vec<ServiceConfig> = [0u64, 1, 2, 0xDEAD_BEEF]
-        .into_iter()
-        .map(|steal_seed| ServiceConfig {
+    for steal_seed in [0u64, 1, 2, 0xDEAD_BEEF] {
+        let service = KemService::spawn(&ServiceConfig {
             workers: 4,
             queue_capacity: 16,
-            scheduler: SchedulerKind::WorkSteal,
             steal_seed,
             ..ServiceConfig::default()
-        })
-        .collect();
-    configs.push(ServiceConfig {
-        workers: 4,
-        queue_capacity: 16,
-        scheduler: SchedulerKind::SingleQueue,
-        ..ServiceConfig::default()
-    });
-
-    for config in configs {
-        let service = KemService::spawn(&config);
+        });
         let got = run_service(&plan, &service, 12).expect("load run");
         let report = service.shutdown();
         assert_eq!(
             got, reference,
-            "{:?} seed {:#x} diverged from sequential",
-            config.scheduler, config.steal_seed
+            "seed {steal_seed:#x} diverged from sequential"
         );
         assert_eq!(report.failed, 0);
         assert_eq!(report.completed, plan.ops.len() as u64);
@@ -96,7 +80,6 @@ fn pinned_worker_forces_a_counted_steal() {
     let service = KemService::spawn(&ServiceConfig {
         workers: 2,
         queue_capacity: 32,
-        scheduler: SchedulerKind::WorkSteal,
         ..ServiceConfig::default()
     });
 
@@ -169,15 +152,11 @@ fn shutdown_under_load_drains_every_admitted_job() {
     }
 }
 
-/// One deep batch + many small decaps through one worker; returns the
-/// p99 small-job (decaps) queue wait for the given scheduler.
-fn convoy_p99_wait(scheduler: SchedulerKind) -> u64 {
-    // The batch must dominate the *total* small-job runtime: under the
-    // newest-first owner pop the last small still waits behind every
-    // other small, so the steal-side p99 floor is SMALLS × decaps_time.
-    // A 2× release margin that survives the power-of-two histogram
-    // bucket quantization (quantiles report bucket upper bounds) needs
-    // batch_time ≫ smalls_time, hence few smalls and a deep batch.
+#[test]
+fn convoy_small_jobs_all_overtake_the_deep_batch() {
+    // The batch is deep enough that a FIFO owner would make every small
+    // wait out its whole execution, far longer than the batch's own
+    // wait, so the exact comparison below needs no timing threshold.
     const BATCH: usize = scaled(32, 256);
     const SMALLS: usize = 6;
 
@@ -192,7 +171,6 @@ fn convoy_p99_wait(scheduler: SchedulerKind) -> u64 {
     let service = KemService::spawn(&ServiceConfig {
         workers: 1,
         queue_capacity: 64,
-        scheduler,
         ..ServiceConfig::default()
     });
     // Pin the only worker so the whole convoy queues deterministically:
@@ -219,19 +197,19 @@ fn convoy_p99_wait(scheduler: SchedulerKind) -> u64 {
     }
     batch.wait().expect("batch resolves");
     let report = service.shutdown();
-    report
-        .op_queue_wait(OpKind::Decaps)
-        .expect("decaps wait histogram")
-        .quantile_ns(0.99)
-}
 
-#[test]
-fn convoy_small_job_p99_beats_single_queue_by_over_2x() {
-    let single = convoy_p99_wait(SchedulerKind::SingleQueue);
-    let steal = convoy_p99_wait(SchedulerKind::WorkSteal);
+    // The batch was enqueued before every small. Its queue wait is
+    // therefore the longest of all exactly when it was dequeued after
+    // every small: newest-first owner pops let the whole convoy of
+    // smalls overtake it.
+    let batch_wait = report.op_queue_wait(OpKind::MatVec).expect("mat-vec waits");
+    let small_wait = report.op_queue_wait(OpKind::Decaps).expect("decaps waits");
+    assert_eq!((batch_wait.count, small_wait.count), (1, SMALLS as u64));
     assert!(
-        steal.saturating_mul(2) < single,
-        "convoy not broken: steal p99 {steal}ns vs single-queue p99 {single}ns"
+        batch_wait.max_ns > small_wait.max_ns,
+        "a small job waited behind the batch: batch wait {}ns, longest small wait {}ns",
+        batch_wait.max_ns,
+        small_wait.max_ns
     );
 }
 
@@ -240,7 +218,6 @@ fn steal_counters_round_trip_snapshot_json_and_prometheus() {
     let metrics = Metrics::default();
     metrics.record_steal_attempts(7);
     metrics.record_steal_hit(3);
-    metrics.record_degraded();
     metrics.record_completed(OpKind::Decaps, 1_000, 2_000);
     let report = metrics.snapshot(2, 8, 0);
 
@@ -250,7 +227,6 @@ fn steal_counters_round_trip_snapshot_json_and_prometheus() {
     assert_eq!(back.service.steal_attempts, 7);
     assert_eq!(back.service.steal_hits, 1);
     assert_eq!(back.service.stolen_jobs, 3);
-    assert_eq!(back.service.degraded_admissions, 1);
 
     let text = snap.to_prometheus();
     lint_prometheus(&text).expect("exposition lints clean");
@@ -258,51 +234,7 @@ fn steal_counters_round_trip_snapshot_json_and_prometheus() {
         "saber_steal_attempts_total 7",
         "saber_steal_hits_total 1",
         "saber_stolen_jobs_total 3",
-        "saber_degraded_admissions_total 1",
     ] {
         assert!(text.contains(series), "missing {series:?} in:\n{text}");
     }
-}
-
-#[test]
-fn degrade_policy_admits_past_soft_capacity_and_meters_it() {
-    let service = KemService::spawn(&ServiceConfig {
-        workers: 1,
-        queue_capacity: 2,
-        overload: OverloadPolicy::Degrade,
-        ..ServiceConfig::default()
-    });
-    let gate = Arc::new(Gate::new());
-    let hold = service.submit_hold(Arc::clone(&gate)).expect("hold");
-    spin_until(10_000, || service.report().queue_depth == 0);
-
-    let matrix = Arc::new(gen_matrix(&[0x61; 32], &SABER));
-    let secret = Arc::new(gen_secret(&[0x62; 32], &SABER));
-    // Soft capacity 2, hard cap 8: pushes 3..=8 are degraded
-    // admissions, push 9 is rejected.
-    let mut handles = Vec::new();
-    for i in 0..8 {
-        handles.push(
-            service
-                .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
-                .unwrap_or_else(|e| panic!("push {i} should be admitted: {e}")),
-        );
-    }
-    match service.submit_matvec(Arc::clone(&matrix), Arc::clone(&secret)) {
-        Err(saber_service::SubmitError::QueueFull { capacity }) => {
-            assert_eq!(capacity, 8, "rejection reports the hard cap")
-        }
-        Err(other) => panic!("expected QueueFull, got {other:?}"),
-        Ok(_) => panic!("hard cap must reject"),
-    }
-
-    gate.release();
-    hold.wait().expect("hold resolves");
-    for h in handles {
-        h.wait().expect("degraded admission still completes");
-    }
-    let report = service.shutdown();
-    assert_eq!(report.rejected, 1);
-    assert_eq!(report.degraded_admissions, 6, "{report:?}");
-    assert_eq!(report.queue_capacity, 2, "report shows the soft capacity");
 }

@@ -9,8 +9,18 @@
 //! [`Value::Float`] (the `BENCH_*.json` reports carry measured
 //! `ns_per_*` rates), written back via Rust's shortest round-trip
 //! `f64` formatting.
+//!
+//! The reader recurses once per nested array or object, so it refuses
+//! documents nested deeper than [`MAX_DEPTH`] with a [`ParseError`]
+//! instead of exhausting the stack on hostile input.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// workspace's own documents nest at most about 6 levels (a metrics
+/// snapshot); the limit leaves ample headroom while keeping the
+/// recursion far inside a thread's stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,6 +136,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -171,8 +183,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -181,6 +193,21 @@ impl<'a> Parser<'a> {
             Some(other) => self.error(format!("unexpected byte {:?}", other as char)),
             None => self.error("unexpected end of input"),
         }
+    }
+
+    /// Parses one array or object (`inner`) one level deeper, refusing
+    /// at the opening bracket that would exceed [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.error(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = inner(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -344,6 +371,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.value()?;
     p.skip_ws();
@@ -470,6 +498,40 @@ mod tests {
         assert!(parse("1.").is_err(), "a bare trailing dot is not a number");
         assert!(parse("1e").is_err(), "an empty exponent is not a number");
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_limit() {
+        let arrays = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&arrays).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_refused_at_the_crossing_bracket() {
+        let text = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&text).unwrap_err();
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "the bracket that opens level limit + 1"
+        );
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects and arrays count toward the same limit.
+        let mixed = format!(
+            "{}[]{}",
+            r#"{"a":"#.repeat(MAX_DEPTH),
+            "}".repeat(MAX_DEPTH)
+        );
+        assert_eq!(parse(&mixed).unwrap_err().offset, 5 * MAX_DEPTH);
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let err = parse(&r#"{"a":"#.repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, 5 * MAX_DEPTH);
     }
 
     #[test]

@@ -73,6 +73,17 @@ impl Welford {
     }
 }
 
+impl FromIterator<f64> for Welford {
+    /// Accumulates every sample of the iterator, in order.
+    fn from_iter<I: IntoIterator<Item = f64>>(samples: I) -> Self {
+        let mut w = Welford::new();
+        for x in samples {
+            w.push(x);
+        }
+        w
+    }
+}
+
 /// Welch's t-statistic between two accumulated classes.
 ///
 /// Degenerate cases are pinned down so the detector never divides by
