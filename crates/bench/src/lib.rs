@@ -7,7 +7,6 @@
 //! | bench target | reproduces |
 //! |---|---|
 //! | `table1` | Table 1 (cycles / clock / LUT / FF / DSP) |
-//! | `software_multipliers` | software baselines (schoolbook, Karatsuba, Toom-4, NTT) |
 //! | `lw_schedule` | §4.1 cycle accounting (16 384 compute, memory overhead, HS 213) |
 //! | `macs_sweep` | §4.2 MAC-count trade-off sweep |
 //! | `hs_comparison` | §5.2 high-speed comparisons (−22 %/−24 %/−46 %, \[12\], \[11\]) |

@@ -246,7 +246,7 @@ impl PolyMultiplier for TimingLeakMultiplier {
 }
 
 /// The shipped ct kernel ([`saber_ring::ct::mac_block`], called
-/// verbatim) run as a plain blocked schoolbook — each public half times
+/// verbatim) run as a plain blocked schoolbook — each public limb times
 /// the whole secret, into one `2N` arena, then the negacyclic fold.
 /// `pass` accumulates one block of secret lanes into its window; the
 /// timing mutants differ only in it.
@@ -255,11 +255,11 @@ where
     F: FnMut(&mut [u16; ct::WINDOW], &[u16; ct::PADDED], &[i8]),
 {
     let mut acc = [0u16; 2 * N];
-    for (i, half) in public.coeffs().chunks_exact(ct::HALF).enumerate() {
+    for (i, limb) in public.coeffs().chunks_exact(ct::LIMB).enumerate() {
         let mut padded = [0u16; ct::PADDED];
-        padded[ct::BLOCK - 1..][..ct::HALF].copy_from_slice(half);
+        padded[ct::BLOCK - 1..][..ct::LIMB].copy_from_slice(limb);
         for (j, block) in secret.coeffs().chunks_exact(ct::BLOCK).enumerate() {
-            let start = i * ct::HALF + j * ct::BLOCK;
+            let start = i * ct::LIMB + j * ct::BLOCK;
             let window = (&mut acc[start..start + ct::WINDOW])
                 .try_into()
                 .expect("WINDOW lanes");

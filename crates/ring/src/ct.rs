@@ -1,6 +1,6 @@
-//! Constant-time multiplier: one Karatsuba level over a register-blocked
-//! schoolbook, with a secret-independent scan order and memory access
-//! pattern.
+//! Constant-time multiplier: Toom-4 in wrapping `u16` lanes over a
+//! register-blocked schoolbook, with a secret-independent scan order and
+//! memory access pattern.
 //!
 //! The shortcuts that make a software multiplier fast tend to depend on
 //! the *secret* operand: scanning only the positions that hold each
@@ -12,86 +12,193 @@
 //!
 //! # The kernel
 //!
-//! Each operand splits into halves, `a = a_lo + x^128·a_hi`. One
-//! Karatsuba level turns a product into three 128 × 128 half-products,
-//! `a_lo·s_lo`, `a_hi·s_hi` and `(a_lo + a_hi)·(s_lo + s_hi)`: 3 · 128²
-//! multiply-accumulates instead of 256². Each half-product is a
-//! register-blocked schoolbook ([`mac_block`]): one pass takes [`BLOCK`]
-//! secret lanes and runs once over the [`WINDOW`] arena lanes they
-//! touch, so every arena lane is loaded and stored once per `BLOCK`
-//! MACs. The public half is padded with `BLOCK − 1` zeros on each side
-//! ([`PADDED`]), so every shifted read is a fixed in-bounds slice.
+//! Each operand splits into four [`LIMB`]-coefficient limbs,
+//! `a = a_0 + y·a_1 + y²·a_2 + y³·a_3` with `y = x^64`, and the limb
+//! polynomials are evaluated at the seven points {0, 1, −1, 2, −2, 3, ∞}
+//! of [`toom`](crate::toom), the multiplier of the original Saber
+//! submission. A product becomes seven 64 × 64 limb products
+//! `W_i = a(t_i)·s(t_i)`. Multiply-accumulates per 256 × 256 product:
 //!
-//! [`PolyMultiplier::inner_product`] accumulates the three half-products
-//! of every pair into three stack arenas, then interpolates
-//! (`mid = pm − p0 − p1`) and folds `x^256 ≡ −1` once per output, not
-//! once per product. [`PolyMultiplier::multiply`] is the same code run
-//! on one pair.
+//! | kernel | MACs |
+//! |---|---|
+//! | schoolbook | 65,536 (256²) |
+//! | one Karatsuba level | 49,152 (3 · 128²) |
+//! | Toom-4 (this engine) | 28,672 (7 · 64²) |
+//!
+//! Each limb product is a register-blocked schoolbook ([`mac_block`]):
+//! one pass takes [`BLOCK`] secret lanes and runs once over the
+//! [`WINDOW`] arena lanes they touch, so every arena lane is loaded and
+//! stored once per `BLOCK` MACs. The public limb is padded with
+//! `BLOCK − 1` zeros on each side ([`PADDED`]), so every shifted read is
+//! a fixed in-bounds slice.
+//!
+//! [`PolyMultiplier::inner_product`] accumulates the seven limb products
+//! of every pair in seven stack arenas, then interpolates the degree-6
+//! limb product and folds `x^256 ≡ −1` once per output, not once per
+//! product ("lazy interpolation"). [`PolyMultiplier::multiply`] is the
+//! same code run on one pair. The public operand is evaluated per call,
+//! not cached: evaluating both operands costs about 8 % of a rank-3 inner
+//! product, against about 87 % for its 21 limb products and 5 % for the
+//! interpolation and fold.
 //!
 //! # Exactness
 //!
-//! Every lane is a wrapping `u16`, and every operation on it — the
-//! operand sums `a_lo + a_hi` and `s_lo + s_hi`, the MACs, the
-//! interpolation's subtractions and the fold — is `+`, `−` or `×` mod
-//! 2^16. Karatsuba needs no division: its interpolation is
-//! `mid = pm − p0 − p1`. (Toom-4's divides by 2, 4 and 8 and so spends
-//! 3 of the 16 bits.) The lanes therefore hold the exact integer result
-//! mod 2^16, and reduction mod 2^16 followed by reduction mod
-//! q = 2^13 equals reduction mod 2^13, because 2^13 divides 2^16. No
-//! intermediate bound is needed: `s_lo + s_hi` reaches ±10 and
-//! `a_lo + a_hi` reaches 2^14 − 2, and both are plain ring elements.
-//! This is the paper's HS-I observation (§3.1: 13-bit MAC registers make
-//! the mod-q reduction free) at lane width 16. The `wrapping_*`
-//! operations carry no overflow check even under `overflow-checks =
-//! true`, so LLVM vectorizes [`mac_block`] into 8-lane SSE2
-//! `pmullw`/`paddw` on baseline x86-64.
+//! Every lane is a wrapping `u16`. The evaluations, the MACs, the
+//! interpolation's sums and the fold are `+`, `−` or `×` mod 2^16, so
+//! each arena holds its exact integer sum mod 2^16. Evaluated operands
+//! need no bound: `a(3)` of an all-`0x1fff` public wraps, and the wrap is
+//! harmless, because the evaluation is a ring homomorphism mod 2^16.
+//!
+//! Interpolation is the one step that divides. Row `k` of `toom`'s exact
+//! rational inverse gives limb-product coefficient `c_k = Σ_i inv_ki·W_i`.
+//! Its integer form is `n_k = D_k · inv_k`, with the row's least common
+//! denominator `D_k = 2^e_k · o_k` and `o_k` odd, so
+//! `Σ_i n_ki·W_i = D_k · c_k` over ℤ. Odd `o_k` is invertible mod 2^16,
+//! so each output lane computes
+//!
+//! `((Σ_i n_ki·W_i) · o_k⁻¹ mod 2^16) >> e_k  =  c_k mod 2^(16 − e_k)`,
+//!
+//! with `o_k⁻¹` folded into the row's weights at compile time.
+//!
+//! For these points D = 1, 60, 24, 24, 24, 120, 1 and e = 0, 2, 3, 3, 3,
+//! 3, 0 (`INTERPOLATION`), so every output is exact mod 2^13 = q. That
+//! is all [`PolyQ`] keeps, and more than `inner_product_mod_p` needs
+//! (mod 2^10). The division by 8 spends exactly the 3 bits that
+//! q = 2^13 leaves spare in a 16-bit lane: the paper's HS-I observation
+//! (§3.1: narrow MAC registers make the mod-q reduction free), one step
+//! further.
+//!
+//! Lazy interpolation stays exact: interpolation is linear over ℤ, so
+//! `D_k` divides `Σ_i n_ki·W_i` for the sum of ℓ pairs' evaluated
+//! products as it does for one, and the arenas hold that sum exactly mod
+//! 2^16. The `wrapping_*` operations carry no overflow check even under
+//! `overflow-checks = true`, so LLVM vectorizes [`mac_block`] into 8-lane
+//! SSE2 `pmullw`/`paddw` on baseline x86-64.
 //!
 //! # Secret independence
 //!
 //! The trip count of every loop, and every address read or written, is
 //! a function of `N`, [`BLOCK`] and the number of pairs alone, all of
 //! which are public: each pair is split, evaluated and scanned block by
-//! block in the same order whatever its values. There is no branch on a
-//! secret, no early exit or zero skip, and no secret-indexed table;
-//! secret lanes enter only as multiplicands of `wrapping_mul` and as
-//! addends of `wrapping_add`. The residual assumption, standard for this
-//! style of hardening, is that the CPU's integer multiply has
-//! operand-independent latency (true of every mainstream 64-bit core;
-//! see DESIGN.md §14 for the threat model). The `saber-timing` crate's
-//! dudect-style harness is the *measured* check on that assumption:
-//! this engine is the one backend expected to pass the fixed-vs-random
-//! leakage gate.
+//! block in the same order whatever its values. Evaluation and
+//! interpolation are fixed sequences of additions, multiplications by
+//! constants and shifts by constants. There is no branch on a secret, no
+//! early exit or zero skip, and no secret-indexed table; secret lanes
+//! enter only as multiplicands of `wrapping_mul` and as addends of
+//! `wrapping_add`, and the evaluated operands stay private to this
+//! module. The residual assumption, standard for this style of
+//! hardening, is that the CPU's integer multiply has operand-independent
+//! latency (true of every mainstream 64-bit core; see DESIGN.md §14 for
+//! the threat model). The `saber-timing` crate's dudect-style harness is
+//! the *measured* check on that assumption: this engine is the one
+//! backend expected to pass the fixed-vs-random leakage gate.
 
 use crate::modulus::{EPS_Q, N};
 use crate::mul::PolyMultiplier;
 use crate::poly::PolyQ;
 use crate::secret::SecretPoly;
+use crate::toom::{FINITE_POINTS, LIMBS, POINTS};
 
-// The u16 lanes are exact only while q divides 2^16.
-const _: () = assert!(EPS_Q <= 16);
+// Interpolation divides by up to 2^3, so the u16 lanes are exact only
+// mod 2^(16 − 3), and q must divide that: the 3 is the bits the division
+// by 8 spends.
+const _: () = assert!(EPS_Q + 3 <= 16);
 
 /// Secret lanes per pass of the blocked schoolbook, chosen by paired
-/// measurement against 8 and 16.
+/// measurement against 2 and 8.
 pub const BLOCK: usize = 4;
 
-/// Operand length of each half-product: one Karatsuba level halves `N`.
-pub const HALF: usize = N / 2;
+/// Coefficients per limb: Toom-4 splits each operand into four.
+pub const LIMB: usize = N / LIMBS;
 
-/// Arena lanes one [`mac_block`] pass writes: a half operand shifted by
-/// up to `BLOCK − 1`.
-pub const WINDOW: usize = HALF + BLOCK - 1;
+/// Arena lanes one [`mac_block`] pass writes: a limb shifted by up to
+/// `BLOCK − 1`.
+pub const WINDOW: usize = LIMB + BLOCK - 1;
 
-/// Length of a half operand padded with `BLOCK − 1` zeros on each side.
-pub const PADDED: usize = HALF + 2 * (BLOCK - 1);
+/// Length of a public limb padded with `BLOCK − 1` zeros on each side.
+pub const PADDED: usize = LIMB + 2 * (BLOCK - 1);
 
-/// Lanes of a half-product arena: `2·HALF − 1` are written, the last
+/// Lanes of a limb-product arena: `2·LIMB − 1` are written, the last
 /// stays zero.
-const ARENA: usize = 2 * HALF;
+const ARENA: usize = 2 * LIMB;
 
-const _: () = assert!(HALF.is_multiple_of(BLOCK));
+const _: () = assert!(LIMB.is_multiple_of(BLOCK));
 
-/// Constant-time Karatsuba-over-blocked-schoolbook backend, the
-/// hot-path engine.
+/// Row `i` weighs the four limbs for evaluation point `i`: the powers
+/// `t^0 .. t^3` of `toom`'s finite points mod 2^16, then ∞, which reads
+/// the leading limb.
+const EVALUATION: [[u16; LIMBS]; POINTS] = {
+    let mut rows = [[0u16; LIMBS]; POINTS];
+    let mut i = 0;
+    while i < POINTS - 1 {
+        let mut power: i128 = 1;
+        let mut j = 0;
+        while j < LIMBS {
+            // Truncation keeps the low 16 bits: reduction mod 2^16.
+            rows[i][j] = power as u16;
+            power *= FINITE_POINTS[i];
+            j += 1;
+        }
+        i += 1;
+    }
+    rows[POINTS - 1][LIMBS - 1] = 1;
+    rows
+};
+
+/// Row `k` of the integer interpolation: `num` is `n_k`, and
+/// `D_k = 2^shift · odd` (module doc, "Exactness").
+struct Row {
+    num: [i16; POINTS],
+    odd: u16,
+    shift: u32,
+}
+
+/// `toom`'s exact rational inverse with each row scaled by its least
+/// common denominator; the `interpolation_rows_rebuild_from_toom` test
+/// derives every entry from that inverse.
+#[rustfmt::skip]
+const INTERPOLATION: [Row; POINTS] = [
+    Row { num: [1, 0, 0, 0, 0, 0, 0], odd: 1, shift: 0 },
+    Row { num: [-20, 60, -30, -15, 3, 2, -720], odd: 15, shift: 2 },
+    Row { num: [-30, 16, 16, -1, -1, 0, 96], odd: 3, shift: 3 },
+    Row { num: [10, -14, -1, 7, -1, -1, 360], odd: 3, shift: 3 },
+    Row { num: [6, -4, -4, 1, 1, 0, -120], odd: 3, shift: 3 },
+    Row { num: [-10, 10, 5, -5, -1, 1, -360], odd: 15, shift: 3 },
+    Row { num: [0, 0, 0, 0, 0, 0, 1], odd: 1, shift: 0 },
+];
+
+/// The inverse of an odd `o` mod 2^16 by Newton's iteration: `o·o ≡ 1
+/// (mod 8)` gives 3 correct low bits, and each step doubles them.
+const fn inverse_mod_2_16(odd: u16) -> u16 {
+    let mut inv = odd;
+    let mut correct_bits = 3;
+    while correct_bits < 16 {
+        inv = inv.wrapping_mul(2u16.wrapping_sub(odd.wrapping_mul(inv)));
+        correct_bits *= 2;
+    }
+    inv
+}
+
+/// `n_k · o_k⁻¹ mod 2^16` per row: one multiply per term does the sum
+/// and the odd division together.
+const WEIGHTS: [[u16; POINTS]; POINTS] = {
+    let mut weights = [[0u16; POINTS]; POINTS];
+    let mut k = 0;
+    while k < POINTS {
+        let inv = inverse_mod_2_16(INTERPOLATION[k].odd);
+        let mut i = 0;
+        while i < POINTS {
+            // `as` sign-extends: -1 becomes 0xffff ≡ -1 (mod 2^16).
+            weights[k][i] = (INTERPOLATION[k].num[i] as u16).wrapping_mul(inv);
+            i += 1;
+        }
+        k += 1;
+    }
+    weights
+};
+
+/// Constant-time Toom-4-over-blocked-schoolbook backend, the hot-path
+/// engine.
 ///
 /// # Examples
 ///
@@ -124,7 +231,7 @@ impl CtSchoolbookMultiplier {
 /// `u16` lanes, for `BLOCK` secret lanes (sign-extended to 16 bits).
 ///
 /// Each window lane is loaded and stored once per `BLOCK` MACs. For the
-/// block of secret lanes `j .. j + BLOCK` of a half-product, the window
+/// block of secret lanes `j .. j + BLOCK` of a limb product, the window
 /// is the arena's lanes `j .. j + WINDOW`. It is public so that timing
 /// mutants can reuse the shipped kernel verbatim.
 #[inline]
@@ -143,9 +250,9 @@ pub fn mac_block(window: &mut [u16; WINDOW], padded: &[u16; PADDED], secrets: &[
     }
 }
 
-/// Adds the half-product `padded · secrets` into `arena`, one
+/// Adds the limb product `padded · secrets` into `arena`, one
 /// [`mac_block`] pass per block of secret lanes.
-fn half_product(arena: &mut [u16; ARENA], padded: &[u16; PADDED], secrets: &[u16; HALF]) {
+fn limb_product(arena: &mut [u16; ARENA], padded: &[u16; PADDED], secrets: &[u16; LIMB]) {
     for (j, block) in secrets.chunks_exact(BLOCK).enumerate() {
         let start = j * BLOCK;
         let window = (&mut arena[start..start + WINDOW])
@@ -155,55 +262,73 @@ fn half_product(arena: &mut [u16; ARENA], padded: &[u16; PADDED], secrets: &[u16
     }
 }
 
-/// The three half-product sums of one inner product:
-/// `Σ a_lo·s_lo`, `Σ a_hi·s_hi` and `Σ (a_lo + a_hi)·(s_lo + s_hi)`.
-struct Arenas([[u16; ARENA]; 3]);
+/// Evaluates the four limbs of `coeffs` at the seven points into lanes
+/// `offset .. offset + LIMB` of the rows of `out`; the other lanes are
+/// left as they are.
+fn evaluate<const LANES: usize>(
+    coeffs: &[u16; N],
+    out: &mut [[u16; LANES]; POINTS],
+    offset: usize,
+) {
+    for i in 0..LIMB {
+        let limbs: [u16; LIMBS] = std::array::from_fn(|j| coeffs[j * LIMB + i]);
+        for (row, weights) in out.iter_mut().zip(&EVALUATION) {
+            row[offset + i] = dot(weights, &limbs);
+        }
+    }
+}
+
+/// `Σ weights[i]·lanes[i]` mod 2^16. Called lane by lane with a row of a
+/// constant table, so the compiler folds the row's zero and unit weights
+/// away and vectorizes across lanes.
+fn dot<const L: usize>(weights: &[u16; L], lanes: &[u16; L]) -> u16 {
+    weights
+        .iter()
+        .zip(lanes)
+        .fold(0, |acc, (&w, &v)| acc.wrapping_add(w.wrapping_mul(v)))
+}
+
+/// The seven limb-product sums of one inner product, `Σ a(t_i)·s(t_i)`
+/// over its pairs, one arena per evaluation point.
+struct Arenas([[u16; ARENA]; POINTS]);
 
 impl Arenas {
     fn new() -> Self {
-        Self([[0; ARENA]; 3])
+        Self([[0; ARENA]; POINTS])
     }
 
-    /// Evaluates one pair at the three Karatsuba points and adds their
-    /// half-products.
+    /// Evaluates one pair at the seven points and adds its limb products.
     fn accumulate(&mut self, public: &PolyQ, secret: &SecretPoly) {
-        let (a, s) = (public.coeffs(), secret.coeffs());
-        let mut publics = [[0u16; PADDED]; 3];
-        let mut secrets = [[0u16; HALF]; 3];
-        for i in 0..HALF {
-            let (lo, hi) = (a[i], a[i + HALF]);
-            publics[0][BLOCK - 1 + i] = lo;
-            publics[1][BLOCK - 1 + i] = hi;
-            publics[2][BLOCK - 1 + i] = lo.wrapping_add(hi);
-            // `as` sign-extends: -1 becomes 0xffff ≡ -1 (mod 2^16).
-            let (lo, hi) = (s[i] as u16, s[i + HALF] as u16);
-            secrets[0][i] = lo;
-            secrets[1][i] = hi;
-            secrets[2][i] = lo.wrapping_add(hi);
-        }
+        let mut publics = [[0u16; PADDED]; POINTS];
+        let mut secrets = [[0u16; LIMB]; POINTS];
+        evaluate(public.coeffs(), &mut publics, BLOCK - 1);
+        // `as` sign-extends: -1 becomes 0xffff ≡ -1 (mod 2^16).
+        evaluate(&secret.coeffs().map(|c| c as u16), &mut secrets, 0);
         for ((arena, padded), secrets) in self.0.iter_mut().zip(&publics).zip(&secrets) {
-            half_product(arena, padded, secrets);
+            limb_product(arena, padded, secrets);
         }
     }
 
-    /// Karatsuba interpolation and negacyclic fold in one pass. The
-    /// unreduced sum is `p0 + x^HALF·mid + x^N·p1` with
-    /// `mid = pm − p0 − p1`, and `x^N ≡ −1` folds lanes `N..` onto
-    /// `0..N` with a minus sign:
-    ///
-    /// - `out[k]        = p0[k] − p1[k] − mid[k + HALF]`
-    /// - `out[k + HALF] = p0[k + HALF] − p1[k + HALF] + mid[k]`
-    ///
-    /// for `k < HALF`.
+    /// Interpolation and negacyclic fold. Row `k` turns the arenas into
+    /// limb-product coefficient `c_k` mod 2^(16 − e_k), which lands at
+    /// `x^(64·k)` of the unreduced 511-coefficient product; `x^N ≡ −1`
+    /// then folds lanes `N..` onto `0..N` with a minus sign.
     fn interpolate_fold(&self) -> PolyQ {
-        let [p0, p1, pm] = &self.0;
-        let mid = |i: usize| pm[i].wrapping_sub(p0[i]).wrapping_sub(p1[i]);
-        let mut out = [0u16; N];
-        for k in 0..HALF {
-            out[k] = p0[k].wrapping_sub(p1[k]).wrapping_sub(mid(k + HALF));
-            out[k + HALF] = p0[k + HALF].wrapping_sub(p1[k + HALF]).wrapping_add(mid(k));
+        let mut coeffs = [[0u16; ARENA]; POINTS];
+        for m in 0..ARENA {
+            let products: [u16; POINTS] = std::array::from_fn(|i| self.0[i][m]);
+            for ((c, weights), row) in coeffs.iter_mut().zip(&WEIGHTS).zip(&INTERPOLATION) {
+                c[m] = dot(weights, &products) >> row.shift;
+            }
         }
-        PolyQ::from_coeffs(out)
+        let mut full = [0u16; 2 * N];
+        for (k, c) in coeffs.iter().enumerate() {
+            for (slot, &v) in full[k * LIMB..].iter_mut().zip(c) {
+                *slot = slot.wrapping_add(v);
+            }
+        }
+        let (low, high) = full.split_at(N);
+        PolyQ::from_fn(|k| low[k].wrapping_sub(high[k]))
     }
 }
 
@@ -232,7 +357,30 @@ impl PolyMultiplier for CtSchoolbookMultiplier {
 mod tests {
     use super::*;
     use crate::mul::SchoolbookMultiplier;
+    use crate::toom::{gcd, interpolation_matrix};
     use saber_testkit::Rng;
+
+    #[test]
+    fn interpolation_rows_rebuild_from_toom() {
+        for (k, (inverse, row)) in interpolation_matrix()
+            .iter()
+            .zip(&INTERPOLATION)
+            .enumerate()
+        {
+            let lcd = inverse.iter().fold(1i128, |d, f| {
+                d / gcd(d.unsigned_abs(), f.den.unsigned_abs()) as i128 * f.den
+            });
+            let num: Vec<i128> = inverse.iter().map(|f| f.num * (lcd / f.den)).collect();
+            let shift = lcd.trailing_zeros();
+            let expected: Vec<i128> = row.num.iter().map(|&n| i128::from(n)).collect();
+            assert_eq!(num, expected, "n_{k}");
+            assert_eq!(lcd >> shift, i128::from(row.odd), "o_{k}");
+            assert_eq!(shift, row.shift, "e_{k}");
+            assert!(row.shift <= 3, "row {k} spends more than the 3 spare bits");
+            let inv = inverse_mod_2_16(row.odd);
+            assert_eq!(row.odd.wrapping_mul(inv), 1, "o_{k}⁻¹");
+        }
+    }
 
     #[test]
     fn matches_the_schoolbook_oracle_on_random_operands() {
@@ -268,10 +416,10 @@ mod tests {
 
     #[test]
     fn mac_block_reads_shifted_padded_lanes() {
-        // A unit secret in lane t copies the half operand, shifted by t,
-        // into the window.
+        // A unit secret in lane t copies the limb, shifted by t, into the
+        // window.
         let mut padded = [0u16; PADDED];
-        for (i, lane) in padded[BLOCK - 1..][..HALF].iter_mut().enumerate() {
+        for (i, lane) in padded[BLOCK - 1..][..LIMB].iter_mut().enumerate() {
             *lane = i as u16 + 1;
         }
         for t in 0..BLOCK {
@@ -280,7 +428,7 @@ mod tests {
             let mut window = [0u16; WINDOW];
             mac_block(&mut window, &padded, &secrets);
             for (m, &lane) in window.iter().enumerate() {
-                let expected = if (t..t + HALF).contains(&m) {
+                let expected = if (t..t + LIMB).contains(&m) {
                     (m - t) as u16 + 1
                 } else {
                     0

@@ -1,7 +1,7 @@
 //! The hot-path engine.
 //!
 //! One software backend serves the KEM hot path: the constant-time
-//! Karatsuba-over-blocked-schoolbook engine ([`CtSchoolbookMultiplier`]).
+//! Toom-4-over-blocked-schoolbook engine ([`CtSchoolbookMultiplier`]).
 //! It is the fastest multiplier in the workspace, and its timing is
 //! secret-independent, which the `saber-timing` leakage gate holds it
 //! to. [`EngineKind`] names it and builds boxed shards for the service
@@ -23,7 +23,7 @@ use crate::mul::PolyMultiplier;
 /// Which multiplier backend serves the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// Constant-time Karatsuba over a blocked schoolbook:
+    /// Constant-time Toom-4 over a blocked schoolbook:
     /// secret-independent timing, u16-lane MACs.
     #[default]
     Ct,

@@ -15,8 +15,8 @@
 //! * [`schoolbook`] — the obviously-correct reference multiplier
 //!   (Algorithm 1 of the paper), the oracle every other multiplier is
 //!   checked against;
-//! * [`ct`] — the one hot-path engine: one Karatsuba level over a
-//!   register-blocked schoolbook in wrapping `u16` MAC lanes, folding
+//! * [`ct`] — the one hot-path engine: Toom-4 over a register-blocked
+//!   schoolbook in wrapping `u16` MAC lanes, interpolating and folding
 //!   once per inner product, with a secret-independent scan order and
 //!   memory access pattern, held to that claim by the `saber-timing`
 //!   gate;
@@ -26,8 +26,8 @@
 //!   al.), Toom-Cook 4-way (the original Saber submission and the DAC
 //!   2020 co-processor), and an NTT over a 64-bit prime field (the "NTT
 //!   for NTT-unfriendly rings" approach of Chung et al.). They serve
-//!   `saber-core`'s Karatsuba and Toom models and the §5 benches, never
-//!   the hot path;
+//!   `saber-core`'s Karatsuba and Toom models and the §5 benches; the
+//!   hot path takes only `toom`'s evaluation points, as constants;
 //! * [`rounding`], [`packing`], [`matrix`] — the scaling, serialization
 //!   and module-lattice plumbing required by the Saber KEM;
 //! * [`mul::PolyMultiplier`] — the backend trait implemented both by the

@@ -32,9 +32,9 @@ pub const LIMBS: usize = 4;
 
 /// An exact fraction over `i128`, used only for the tiny 7×7 inversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fraction {
-    num: i128,
-    den: i128, // invariant: den > 0, gcd(num, den) = 1
+pub(crate) struct Fraction {
+    pub(crate) num: i128,
+    pub(crate) den: i128, // invariant: den > 0, gcd(num, den) = 1
 }
 
 impl Fraction {
@@ -83,7 +83,7 @@ impl Fraction {
     }
 }
 
-fn gcd(mut a: u128, mut b: u128) -> u128 {
+pub(crate) fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -96,7 +96,7 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
 ///
 /// Row `k` of the inverse yields limb-product coefficient `w_k` from the
 /// evaluation vector `(w(0), w(1), w(−1), w(2), w(−2), w(3), w_6)`.
-fn interpolation_matrix() -> &'static [[Fraction; POINTS]; POINTS] {
+pub(crate) fn interpolation_matrix() -> &'static [[Fraction; POINTS]; POINTS] {
     static MATRIX: OnceLock<[[Fraction; POINTS]; POINTS]> = OnceLock::new();
     MATRIX.get_or_init(|| {
         // Build the evaluation matrix: row per point, column per power.

@@ -8,9 +8,9 @@
 //! The adversarial shapes lean on what a *broken* constant-time kernel
 //! would get wrong: all-zero secrets (anything with an early exit
 //! degenerates here), single-coefficient secrets at every position (the
-//! negacyclic wrap and the seam between the Karatsuba halves), and
-//! saturated operands (the accumulator bound, and `lo + hi` sums of
-//! ±10).
+//! negacyclic wrap and the limb seams 63/64, 127/128 and 191/192 of the
+//! Toom-4 split), and saturated operands (evaluations at 3 that wrap
+//! mod 2^16, and publics whose four limbs differ).
 
 use saber_ring::{schoolbook, CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::Rng;
@@ -144,11 +144,15 @@ fn inner_product_equals_summed_oracle_for_zero_to_four_pairs() {
 
 #[test]
 fn saturated_operands_stay_exact() {
-    // Every public coefficient is 0x1fff, so `a_lo + a_hi` is 0x3ffe in
-    // every lane. Each secret saturates the bound in every lane, with
-    // equal halves, so the Karatsuba sum `s_lo + s_hi` is +10 or -10 in
-    // every lane: all +10, all -10, alternating, and in runs of 64.
-    let a = PolyQ::from_fn(|_| 0x1fff);
+    // The all-0x1fff public evaluates to 40·0x1fff at 3, which wraps mod
+    // 2^16; the second public has four unequal limbs (0x1fff, 0, 0x1fff,
+    // 1). Each secret saturates the bound in every lane: all +5, all -5,
+    // alternating, and limb by limb (+5, -5, +5, -5), which makes
+    // s(1) = 0 and s(-1) = 20 in every lane.
+    let publics = [
+        PolyQ::from_fn(|_| 0x1fff),
+        PolyQ::from_fn(|i| [0x1fff, 0, 0x1fff, 1][i / 64]),
+    ];
     let secrets = [
         SecretPoly::from_fn(|_| 5),
         SecretPoly::from_fn(|_| -5),
@@ -156,17 +160,19 @@ fn saturated_operands_stay_exact() {
         SecretPoly::from_fn(|i| if i % 128 < 64 { 5 } else { -5 }),
     ];
     let mut engine = CtSchoolbookMultiplier::new();
-    for s in &secrets {
-        assert_eq!(engine.multiply(&a, s), schoolbook::mul_asym(&a, s));
-    }
-    for len in 1..=4 {
+    for a in &publics {
         for s in &secrets {
-            let pairs = vec![(&a, s); len];
-            assert_eq!(
-                engine.inner_product(&pairs),
-                summed_oracle(&pairs),
-                "{len} pairs"
-            );
+            assert_eq!(engine.multiply(a, s), schoolbook::mul_asym(a, s));
+        }
+        for len in 1..=4 {
+            for s in &secrets {
+                let pairs = vec![(a, s); len];
+                assert_eq!(
+                    engine.inner_product(&pairs),
+                    summed_oracle(&pairs),
+                    "{len} pairs"
+                );
+            }
         }
     }
 }
@@ -174,7 +180,7 @@ fn saturated_operands_stay_exact() {
 #[test]
 fn basis_sweep_covers_every_position_and_value() {
     // 256 positions × 11 values = 2,816 products: the negacyclic wrap at
-    // 255 and the 127/128 seam between the Karatsuba halves included.
+    // 255 and the limb seams 63/64, 127/128 and 191/192 included.
     let mut rng = Rng::new(0xBA515);
     let a = PolyQ::from_fn(|_| (rng.next_u32() & 0x1fff) as u16);
     let mut engine = CtSchoolbookMultiplier::new();

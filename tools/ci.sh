@@ -39,18 +39,41 @@ fi
 if want test; then
     echo "==> cargo test -q"
     cargo test -q
+
+    # Every crate's integration-test binary must be run by a stage below:
+    # a whole-crate `cargo test [-q] [--release] -p <pkg>…` line (no
+    # filter), or a `--test <name>` line for its package. Continuation
+    # lines are joined first.
+    echo "==> every crates/*/tests/*.rs binary is run by a stage"
+    runs=$(sed -e ':a' -e '/\\$/N; s/\\\n//; ta' tools/ci.sh |
+        grep -E '^[[:space:]]*([A-Z_]+=[^ ]+ )*cargo test ')
+    unreached=0
+    for file in crates/*/tests/*.rs; do
+        crate=${file%/tests/*}
+        pkg=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$crate/Cargo.toml" | head -n 1)
+        name=$(basename "$file" .rs)
+        if ! printf '%s\n' "$runs" | grep -E -- "-p $pkg( |$)" |
+            grep -Eq -- "--test $name( |$)|cargo test( -q)?( --release)?( -p [a-z0-9-]+)+ *$"; then
+            echo "ci: $file: no stage runs this test binary" >&2
+            unreached=1
+        fi
+    done
+    [ "$unreached" -eq 0 ]
 fi
 
 # KEM non-multiply path: the group bitstream codec against its
 # bit-serial reference at every width, matrix expansion and secret
 # sampling against the bit-serial expansion for all three parameter
-# sets, the per-worker matrix cache, and the pinned KEM regression
-# vectors (release; tier-1 `cargo test -q` runs only the umbrella crate).
+# sets, the per-worker matrix cache, the pinned KEM regression vectors,
+# and the Keccak/SHA-3/SHAKE known-answer and sponge property suites
+# (release; tier-1 `cargo test -q` runs only the umbrella crate).
 if want kem_path; then
     echo "==> kem path: codec + expansion oracles, matrix cache, regression vectors (release)"
     cargo test -q --release -p saber-ring --test group_codec
     cargo test -q --release -p saber-kem --test expansion_oracle --test matrix_cache \
         --test regression_vectors
+    echo "==> kem path: Keccak KATs + sponge properties (release)"
+    cargo test -q --release -p saber-keccak --test kats --test sponge_properties
 fi
 
 # Simulator gate: host-speed work on the cycle-accurate models must
@@ -99,15 +122,18 @@ fi
 # this stage). Then the whole saber-ring suite — the ct unit tests, its
 # property battery (basis sweep, saturated operands, inner products of
 # 0-4 pairs), the mat-vec/inner-product regression suite and the ring
-# properties — and the KEM transcript equivalence (ct against the
-# schoolbook oracle, byte for byte, all three parameter sets), in
+# properties — and the whole saber-kem suite, which drives the engine
+# through every KEM path: the transcript equivalence (ct against the
+# schoolbook oracle, byte for byte, all three parameter sets), the
+# regression vectors, the CCA battery, the KEM properties, the negative
+# paths, serialization, zeroization and the secret distribution, in
 # release (tier-1 `cargo test -q` runs only the umbrella crate).
 if want ct_engine_gate || [ "$STAGE" = "timing_gate" ]; then
     echo "==> ct-engine gate: bit-exactness + mutant invisibility (release)"
     SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test ct_engine_gate
-    echo "==> ct-engine gate: saber-ring suite + KEM transcript equivalence (release)"
+    echo "==> ct-engine gate: saber-ring + saber-kem suites (release)"
     cargo test -q --release -p saber-ring
-    cargo test -q --release -p saber-kem --test engine_equivalence
+    cargo test -q --release -p saber-kem
 fi
 
 # Timing-leakage gate (dudect-style fixed-vs-random Welch t-test):
@@ -117,8 +143,12 @@ fi
 # because its positive controls fire. The seed is pinned so a CI
 # failure reproduces locally with the identical measurement schedule;
 # budgets/threshold are tunable via SABER_TIMING_* (see
-# saber_timing::TimingConfig::from_env).
+# saber_timing::TimingConfig::from_env). The detector's own
+# statistics are checked first on a virtual clock: planted separations
+# found, class-blind spikes cropped, and its trace counters exported.
 if want timing_gate; then
+    echo "==> timing gate: detector self-test + trace counters (release)"
+    cargo test -q --release -p saber-timing --test harness_selftest --test trace_counters
     echo "==> timing gate: ct engine clean + planted mutants flagged (release)"
     SABER_TIMING_SEED=1518301440 cargo test -q --release -p saber-timing --test timing_gate
 fi
@@ -129,13 +159,16 @@ fi
 # races (insertion-order arbitration, unlatched Keccak valid flag) must
 # be caught *and* shrunk to minimal reproducers within the budget, and
 # every cycle model under the event scheduler must match its standalone
-# paper-reconciled total. The frozen cycle-total KATs replay alongside
-# so a timing drift and a schedule race cannot mask each other.
+# paper-reconciled total, and the raw saber-hw primitives must run
+# under the scheduler through the clocked adapter. The frozen
+# cycle-total KATs replay alongside so a timing drift and a schedule
+# race cannot mask each other.
 if want soc_gate; then
     echo "==> soc gate: tick-order fuzz + planted races + equivalence (release)"
     cargo test -q --release -p saber-soc --test tick_fuzz
     cargo test -q --release -p saber-soc --test scheduler_equivalence
     cargo test -q --release -p saber-soc --test cosim_scenario
+    cargo test -q --release -p saber-soc --test clocked_adapter
     echo "==> soc gate: frozen cycle-total KATs replay (release)"
     cargo test -q --release -p saber-verify --test golden_kats cycle_total
 fi
@@ -149,6 +182,12 @@ if want service; then
     # umbrella crate).
     echo "==> service stress: workers 1/2/8 x steal seeds (release)"
     cargo test -q --release -p saber-service --test concurrency_equivalence
+
+    # Worker panics, shutdown races, queue edges, secret wipes at
+    # shutdown and the service report: the exactly-once paths.
+    echo "==> service: fault, shutdown, scheduler-edge and report suites (release)"
+    cargo test -q --release -p saber-service --test fault_injection --test metrics_report \
+        --test scheduler_edges --test shutdown_race --test zeroize_shutdown
 
     # The soak is oracle-spot-checked, so it would catch the engine
     # corrupting state across jobs.
