@@ -9,13 +9,8 @@
 //! 3. **DSP pipeline depth** — cycle cost of the pipeline (131 vs 128)
 //!    against the Fmax it buys.
 
-use saber_bench::microbench::{black_box, Criterion};
-use saber_bench::tables::canonical_operands;
-use saber_core::dsp_packed::{
-    expected_products, pack, unpack, unpack_paper_text_only, DspPackedMultiplier,
-};
+use saber_core::dsp_packed::{expected_products, pack, unpack, unpack_paper_text_only};
 use saber_hw::mac::{baseline_mac_area, centralized_mac_area};
-use saber_ring::PolyMultiplier;
 
 fn split(pa: i64, ps: i64) -> (i64, i64, i64) {
     // Mirror of the private split: low 26 / top, low 17 / top.
@@ -94,24 +89,9 @@ fn pipeline_depth_ablation() {
     println!("  ⇒ 3 extra cycles (2.3%) buy ~1.7× clock: the paper's choice.");
 }
 
-fn bench_ablation(c: &mut Criterion) {
-    let (a, s) = canonical_operands();
-    let mut group = c.benchmark_group("ablation");
-    group.sample_size(20);
-    group.bench_function("hs2_full_network_simulation", |b| {
-        let mut hw = DspPackedMultiplier::new();
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n=== Ablation studies ===\n");
     correction_network_ablation();
     centralization_ablation();
     pipeline_depth_ablation();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_ablation(&mut criterion);
-    criterion.final_summary();
 }

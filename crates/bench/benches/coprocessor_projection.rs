@@ -5,11 +5,7 @@
 //! Drops each multiplier model into the [10]-style coprocessor cost
 //! model and compares full-KEM latency, area and the area×time product.
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::coprocessor::standard_projections;
-use saber_kem::params::SABER;
-use saber_kem::{decaps, encaps, keygen};
-use saber_ring::mul::ToomCook4Multiplier;
 
 fn print_projection() {
     println!(
@@ -34,28 +30,7 @@ fn print_projection() {
     println!(" §5.2: any HS multiplier beats the [7]-style coprocessor on area×time.)");
 }
 
-fn bench_projection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("coprocessor_projection");
-    group.sample_size(10);
-    group.bench_function("projection_generation", |b| {
-        b.iter(|| black_box(standard_projections()));
-    });
-    group.bench_function("software_reference_kem", |b| {
-        let mut backend = ToomCook4Multiplier;
-        let (pk, sk) = keygen(&SABER, &[1; 32], &mut backend);
-        b.iter(|| {
-            let (ct, ss) = encaps(&pk, black_box(&[2; 32]), &mut backend);
-            black_box((decaps(&sk, &ct, &mut backend), ss))
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n=== §5.2 full-coprocessor projection ===\n");
     print_projection();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_projection(&mut criterion);
-    criterion.final_summary();
 }

@@ -4,7 +4,6 @@
 //! twice the performance, 4 coefficient products per DSP per cycle), and
 //! the clock-frequency contrast with the Karatsuba design \[11\].
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::literature::high_speed;
 use saber_bench::tables::canonical_operands;
 use saber_core::{BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, HwMultiplier};
@@ -99,28 +98,9 @@ fn print_karatsuba_contrast() {
     );
 }
 
-fn bench_hs(c: &mut Criterion) {
-    let (a, s) = canonical_operands();
-    let mut group = c.benchmark_group("hs_comparison/simulation_wallclock");
-    group.sample_size(20);
-    group.bench_function("hs1_512", |b| {
-        let mut hw = CentralizedMultiplier::new(512);
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.bench_function("hs2", |b| {
-        let mut hw = DspPackedMultiplier::new();
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n=== §5.2 high-speed comparisons ===\n");
     print_lut_reductions();
     print_dsp_efficiency();
     print_karatsuba_contrast();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_hs(&mut criterion);
-    criterion.final_summary();
 }

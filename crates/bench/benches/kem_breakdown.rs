@@ -2,16 +2,13 @@
 //! the overall computation time" (citing the \[10\] coprocessor).
 //!
 //! Uses the structural cost model of `saber-kem::cost` to decompose each
-//! KEM operation's cycle budget per parameter set and multiplier, then
-//! times the real KEM on the software backend.
+//! KEM operation's cycle budget per parameter set and multiplier, and
+//! cross-checks it against a component-measured keygen.
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::simulated::simulate_keygen;
 use saber_core::CentralizedMultiplier;
 use saber_kem::cost::{decaps_cost, encaps_cost, keygen_cost, CostModel};
 use saber_kem::params::ALL_PARAMS;
-use saber_kem::{decaps, encaps, keygen};
-use saber_ring::mul::ToomCook4Multiplier;
 
 fn print_breakdown() {
     println!("multiplication share of the modeled coprocessor cycle budget:");
@@ -86,29 +83,7 @@ fn print_breakdown() {
     );
 }
 
-fn bench_kem(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kem_breakdown/software_kem");
-    group.sample_size(10);
-    for params in &ALL_PARAMS {
-        group.bench_function(format!("{}_roundtrip", params.name), |b| {
-            let mut backend = ToomCook4Multiplier;
-            let (pk, sk) = keygen(params, &[1; 32], &mut backend);
-            b.iter(|| {
-                let (ct, ss1) = encaps(&pk, black_box(&[2; 32]), &mut backend);
-                let ss2 = decaps(&sk, &ct, &mut backend);
-                assert_eq!(ss1, ss2);
-                black_box(ss2)
-            });
-        });
-    }
-    group.finish();
-}
-
 fn main() {
     println!("\n=== §1 motivation: multiplication share of Saber ===\n");
     print_breakdown();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_kem(&mut criterion);
-    criterion.final_summary();
 }

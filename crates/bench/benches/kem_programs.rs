@@ -5,7 +5,6 @@
 //! strongest form of the §1 motivation reproduction: not a cost model
 //! but an executed schedule.
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_coproc::programs::{encaps_program, keygen_program, run_decaps};
 use saber_coproc::Coprocessor;
 use saber_core::{CentralizedMultiplier, DspPackedMultiplier, HwMultiplier, LightweightMultiplier};
@@ -63,26 +62,7 @@ fn print_program_table() {
     println!("[10] reports ~5.4k/6.6k/8.0k-cycle keygen/encaps/decaps on the 256-MAC coprocessor.");
 }
 
-fn bench_programs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kem_programs");
-    group.sample_size(10);
-    group.bench_function("keygen_program_hs1_256", |b| {
-        b.iter(|| {
-            let mut hw = CentralizedMultiplier::new(256);
-            let mut cpu = Coprocessor::new(&mut hw);
-            cpu.run(&keygen_program(&SABER, black_box(&[42; 32])))
-                .unwrap();
-            black_box(cpu.cycles().total())
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n=== Saber KEM as coprocessor programs ===\n");
     print_program_table();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_programs(&mut criterion);
-    criterion.final_summary();
 }

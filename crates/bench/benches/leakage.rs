@@ -6,10 +6,8 @@
 //! Prints the quantitative evidence: per-cycle value-trace equality
 //! between the baseline and HS-I datapaths, the TVLA control (fixed vs
 //! fixed, t = 0), and the expected value-leakage of any unprotected
-//! datapath (fixed vs different secret, |t| ≫ 4.5) — then times the
-//! trace collection.
+//! datapath (fixed vs different secret, |t| ≫ 4.5).
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_core::leakage::{hamming_trace, leakage_samples, mac_value_trace, TraceStyle};
 use saber_ring::{PolyQ, SecretPoly};
 use saber_timing::{welch_t, Welford};
@@ -60,28 +58,7 @@ fn print_leakage_report() {
     );
 }
 
-fn bench_leakage(c: &mut Criterion) {
-    let a = PolyQ::from_fn(|i| (i as u16).wrapping_mul(97) & 0x1fff);
-    let s = SecretPoly::from_fn(|i| ((i % 9) as i8) - 4);
-    let mut group = c.benchmark_group("leakage");
-    group.sample_size(20);
-    group.bench_function("value_trace_collection", |b| {
-        b.iter(|| {
-            black_box(mac_value_trace(
-                black_box(&a),
-                black_box(&s),
-                TraceStyle::Centralized,
-            ))
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n=== §3.1 side-channel argument, quantified ===\n");
     print_leakage_report();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_leakage(&mut criterion);
-    criterion.final_summary();
 }

@@ -3,11 +3,10 @@
 //! the device-utilization argument (< 7 % LUTs / < 2 % FFs of the small
 //! Artix-7).
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::literature::LIGHTWEIGHT_COMPARISONS;
 use saber_bench::tables::canonical_operands;
 use saber_core::{HwMultiplier, LightweightMultiplier};
-use saber_ring::{ntt, toom, PolyMultiplier};
+use saber_ring::PolyMultiplier;
 
 fn print_comparison() {
     let (a, s) = canonical_operands();
@@ -48,27 +47,7 @@ fn print_comparison() {
     );
 }
 
-fn bench_software_counterparts(c: &mut Criterion) {
-    // Wall-clock of our software Toom-4 and NTT implementations — the
-    // algorithmic counterparts of the [6]/[14] baselines.
-    let (a, s) = canonical_operands();
-    let ai = a.to_i64();
-    let si = s.to_i64();
-    let mut group = c.benchmark_group("lw_comparison/software_counterparts");
-    group.bench_function("toom_cook_4", |b| {
-        b.iter(|| black_box(toom::negacyclic_mul(black_box(&ai), black_box(&si))));
-    });
-    group.bench_function("ntt", |b| {
-        b.iter(|| black_box(ntt::negacyclic_mul(black_box(&ai), black_box(&si))));
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n=== §5.1 lightweight comparisons ===\n");
     print_comparison();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_software_counterparts(&mut criterion);
-    criterion.final_summary();
 }

@@ -3,7 +3,6 @@
 //! logic ≈ 0.001 W. Reproduced by feeding the simulator's measured
 //! activity into the calibrated activity-based power model.
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::tables::canonical_operands;
 use saber_core::{HwMultiplier, LightweightMultiplier};
 use saber_hw::{Fpga, PowerModel};
@@ -55,27 +54,7 @@ fn print_power() {
     );
 }
 
-fn bench_power(c: &mut Criterion) {
-    let (a, s) = canonical_operands();
-    let mut group = c.benchmark_group("lw_power");
-    group.sample_size(20);
-    group.bench_function("activity_capture_and_estimate", |b| {
-        b.iter(|| {
-            let mut hw = LightweightMultiplier::new();
-            let _ = hw.multiply(black_box(&a), black_box(&s));
-            let activity = hw.report().activity.unwrap();
-            let model = PowerModel::for_platform(Fpga::Artix7);
-            black_box(model.estimate(&activity, 100.0))
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n=== §5 power breakdown ===\n");
     print_power();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_power(&mut criterion);
-    criterion.final_summary();
 }

@@ -3,7 +3,6 @@
 //! cycles ⇒ 19 471 total, "less than 16 %"), and the high-speed
 //! contrast (512 MACs: 128 pure vs 213 with memory, 39 % overhead).
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::tables::canonical_operands;
 use saber_core::{CentralizedMultiplier, HwMultiplier, LightweightMultiplier};
 use saber_ring::PolyMultiplier;
@@ -56,22 +55,7 @@ fn print_schedule_table() {
     );
 }
 
-fn bench_schedules(c: &mut Criterion) {
-    let (a, s) = canonical_operands();
-    let mut group = c.benchmark_group("lw_schedule");
-    group.sample_size(20);
-    group.bench_function("lightweight_full_simulation", |b| {
-        let mut hw = LightweightMultiplier::new();
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.finish();
-}
-
 fn main() {
     println!("\n=== §4.1 schedule accounting ===\n");
     print_schedule_table();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_schedules(&mut criterion);
-    criterion.final_summary();
 }

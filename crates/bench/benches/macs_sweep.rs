@@ -3,7 +3,6 @@
 //! wider bus): cycle count roughly halves/quarters while LUTs grow only
 //! mildly.
 
-use saber_bench::microbench::{black_box, Criterion};
 use saber_bench::tables::canonical_operands;
 use saber_core::{HwMultiplier, MemoryStrategy, ScaledLightweightMultiplier};
 use saber_ring::PolyMultiplier;
@@ -47,29 +46,7 @@ fn print_sweep() {
     println!("with \"only minor consequences on the LUTs requirements\".");
 }
 
-fn bench_sweep(c: &mut Criterion) {
-    let (a, s) = canonical_operands();
-    let mut group = c.benchmark_group("macs_sweep");
-    group.sample_size(20);
-    for macs in [4usize, 8, 16] {
-        let strategy = if macs == 4 {
-            MemoryStrategy::DirectStream
-        } else {
-            MemoryStrategy::AccumulatorBuffer
-        };
-        group.bench_function(format!("lw_{macs}_macs"), |b| {
-            let mut hw = ScaledLightweightMultiplier::new(macs, strategy);
-            b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-        });
-    }
-    group.finish();
-}
-
 fn main() {
     println!("\n=== §4.2 MAC-count design space ===\n");
     print_sweep();
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_sweep(&mut criterion);
-    criterion.final_summary();
 }

@@ -2,50 +2,11 @@
 //! multipliers: cycles, clock, LUT, FF, DSP for LW, HS-I-256, HS-I-512,
 //! HS-II and the re-implemented [10] baselines.
 //!
-//! Prints the model-vs-paper table, then times each simulated
-//! architecture (wall-clock of the cycle-accurate simulation, a
-//! secondary metric — the primary reproduction is the table itself).
+//! Prints the model-vs-paper table.
 
-use saber_bench::microbench::{black_box, Criterion};
-use saber_bench::tables::{canonical_operands, format_table1};
-use saber_core::{
-    BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, LightweightMultiplier,
-};
-use saber_ring::PolyMultiplier;
-
-fn bench_simulations(c: &mut Criterion) {
-    let (a, s) = canonical_operands();
-    let mut group = c.benchmark_group("table1/simulation_wallclock");
-    group.sample_size(20);
-
-    group.bench_function("baseline_256", |b| {
-        let mut hw = BaselineMultiplier::new(256);
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.bench_function("hs1_256", |b| {
-        let mut hw = CentralizedMultiplier::new(256);
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.bench_function("hs1_512", |b| {
-        let mut hw = CentralizedMultiplier::new(512);
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.bench_function("hs2_dsp", |b| {
-        let mut hw = DspPackedMultiplier::new();
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.bench_function("lightweight", |b| {
-        let mut hw = LightweightMultiplier::new();
-        b.iter(|| black_box(hw.multiply(black_box(&a), black_box(&s))));
-    });
-    group.finish();
-}
+use saber_bench::tables::format_table1;
 
 fn main() {
     println!("\n=== Reproduction of Table 1 ===\n");
     println!("{}", format_table1());
-
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_simulations(&mut criterion);
-    criterion.final_summary();
 }

@@ -1,8 +1,11 @@
 //! Benchmark and table-generation harness for the DAC 2021 reproduction.
 //!
-//! Each Criterion bench target regenerates one table or figure of the
-//! paper (printing the model-vs-paper comparison before timing the
-//! underlying simulations); see DESIGN.md §4 for the experiment index:
+//! Each bench target (`cargo bench -p saber-bench --bench <name>`)
+//! prints one table or figure of the paper as a model-vs-paper
+//! comparison; see DESIGN.md §4 for the experiment index. The numbers
+//! are cycles, LUTs and watts from the models; only `timing_leakage`
+//! reads a clock, as the leakage detector's input. perfbench
+//! (`perfbench/`) is the repository's only performance timer.
 //!
 //! | bench target | reproduces |
 //! |---|---|
@@ -14,12 +17,15 @@
 //! | `kem_breakdown` | §1 motivation (multiplication share of Saber) |
 //! | `lw_power` | §5 power breakdown (0.106 W, 89 % IO) |
 //! | `coprocessor_projection` | §5.2 full-coprocessor area/performance projection |
+//! | `ablation` | HS-II correction network, centralization and DSP pipeline depth |
+//! | `kem_programs` | §1 motivation, measured on executed coprocessor programs |
+//! | `leakage` | §3.1 side-channel argument (value-trace equality, TVLA) |
+//! | `timing_leakage` | constant-time record of the software engine (`BENCH_timing.json`) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coprocessor;
-pub mod microbench;
 pub mod literature;
 pub mod simulated;
 pub mod tables;

@@ -110,140 +110,6 @@ pub fn format_table1() -> String {
     out
 }
 
-/// One architecture's occupancy/stall summary, derived from the
-/// [`saber_trace::CycleTimeline`] its cycle model records while
-/// simulating (the evidence behind the Table-1 cycle budgets).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OccupancyEntry {
-    /// Timeline track name (`hs1-512`, `hs2-128`, `lw-4`, …).
-    pub arch: String,
-    /// Parallel compute units on the track.
-    pub units: u64,
-    /// Total cycles in the timeline (tiles the model's measured total).
-    pub total_cycles: u64,
-    /// Name of the steady-state compute phase (`compute` or `issue`).
-    pub steady_phase: String,
-    /// Cycles spent in the steady-state phase.
-    pub steady_cycles: u64,
-    /// Coefficient-MACs per unit per steady-state cycle.
-    pub occupancy: f64,
-    /// Whole-run utilization: `ops_total / (units × total_cycles)`.
-    pub utilization: f64,
-    /// Cycles in zero-op phases (memory transfers and stalls).
-    pub stall_cycles: u64,
-    /// Total coefficient-MACs performed (N² = 65,536 per product).
-    pub ops_total: u64,
-}
-
-impl OccupancyEntry {
-    /// Summarizes a recorded timeline around its steady-state phase.
-    #[must_use]
-    pub fn from_timeline(t: &saber_trace::CycleTimeline, steady_phase: &str) -> Self {
-        Self {
-            arch: t.track().to_string(),
-            units: t.units(),
-            total_cycles: t.total_cycles(),
-            steady_phase: steady_phase.to_string(),
-            steady_cycles: t.cycles_in(steady_phase),
-            occupancy: t.occupancy(steady_phase),
-            utilization: t.utilization(),
-            stall_cycles: t.stall_cycles(),
-            ops_total: t.ops_total(),
-        }
-    }
-}
-
-/// Runs every instrumented architecture once and summarizes the
-/// occupancy evidence from its recorded timeline.
-#[must_use]
-pub fn measured_occupancy() -> Vec<OccupancyEntry> {
-    let (a, s) = canonical_operands();
-    let mut entries = Vec::new();
-    let mut push = |hw: &mut dyn HwMultiplier, steady: &str| {
-        let _ = hw.multiply(&a, &s);
-        let t = hw.timeline().expect("instrumented model records a timeline");
-        entries.push(OccupancyEntry::from_timeline(t, steady));
-    };
-    push(&mut BaselineMultiplier::new(256), "compute");
-    push(&mut BaselineMultiplier::new(512), "compute");
-    push(&mut CentralizedMultiplier::new(256), "compute");
-    push(&mut CentralizedMultiplier::new(512), "compute");
-    push(&mut DspPackedMultiplier::new(), "issue");
-    push(&mut DspPackedMultiplier::with_dsps(256), "issue");
-    push(&mut LightweightMultiplier::new(), "compute");
-    entries
-}
-
-/// The `BENCH_trace.json` report: per-architecture occupancy/stall
-/// summaries plus the tracing layer's measured probe costs (the
-/// disabled-path cost is the number the CI gate thresholds).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceBenchReport {
-    /// Occupancy summaries, one per architecture configuration.
-    pub entries: Vec<OccupancyEntry>,
-    /// Mean cost of one *disabled* tracing probe, nanoseconds.
-    pub disabled_probe_ns: f64,
-    /// Mean cost of one *enabled* (recording) span, nanoseconds.
-    pub enabled_probe_ns: f64,
-}
-
-impl TraceBenchReport {
-    /// The entry for one architecture track, if recorded.
-    #[must_use]
-    pub fn arch(&self, arch: &str) -> Option<&OccupancyEntry> {
-        self.entries.iter().find(|e| e.arch == arch)
-    }
-
-    /// Serializes as `BENCH_trace.json`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"bench\": \"trace_occupancy\",\n  \"disabled_probe_ns\": {:.3},\n  \"enabled_probe_ns\": {:.3},\n  \"entries\": [\n",
-            self.disabled_probe_ns, self.enabled_probe_ns
-        );
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"units\": {}, \"total_cycles\": {}, \
-                 \"steady_phase\": \"{}\", \"steady_cycles\": {}, \"occupancy\": {:.4}, \
-                 \"utilization\": {:.4}, \"stall_cycles\": {}, \"ops_total\": {}}}{}\n",
-                e.arch,
-                e.units,
-                e.total_cycles,
-                e.steady_phase,
-                e.steady_cycles,
-                e.occupancy,
-                e.utilization,
-                e.stall_cycles,
-                e.ops_total,
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Formats the report as a printable text table.
-    #[must_use]
-    pub fn format_text(&self) -> String {
-        let mut out = format!(
-            "{:<10} {:>6} {:>13} {:>14} {:>10} {:>12} {:>8}\n",
-            "arch", "units", "total cycles", "steady cycles", "occupancy", "utilization", "stalls"
-        );
-        out.push_str(&format!("{}\n", "-".repeat(80)));
-        for e in &self.entries {
-            out.push_str(&format!(
-                "{:<10} {:>6} {:>13} {:>14} {:>10.3} {:>12.3} {:>8}\n",
-                e.arch, e.units, e.total_cycles, e.steady_cycles, e.occupancy, e.utilization, e.stall_cycles
-            ));
-        }
-        out.push_str(&format!(
-            "probe cost: disabled {:.2} ns, enabled {:.2} ns\n",
-            self.disabled_probe_ns, self.enabled_probe_ns
-        ));
-        out
-    }
-}
-
 /// One leakage-detector run in the timing derby: a target (engine,
 /// KEM pipeline, or planted mutant), its verdict, and the final Welch
 /// t-statistic behind it.
@@ -421,47 +287,5 @@ mod tests {
         ] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn measured_occupancy_reproduces_the_paper_budgets() {
-        let entries = measured_occupancy();
-        assert_eq!(entries.len(), 7);
-        let report = TraceBenchReport {
-            entries,
-            ..TraceBenchReport::default()
-        };
-        // HS-II: ≥ 4 MACs per DSP per issue cycle, 128 issue cycles.
-        let hs2 = report.arch("hs2-128").expect("HS-II entry");
-        assert!(hs2.occupancy >= 4.0 - 1e-9, "{}", hs2.occupancy);
-        assert_eq!(hs2.steady_cycles, 128);
-        assert_eq!(hs2.ops_total, 65_536);
-        // HS-I 512 halves compute at full occupancy.
-        let hs1 = report.arch("hs1-512").expect("HS-I entry");
-        assert_eq!(hs1.steady_cycles, 128);
-        assert!((hs1.occupancy - 1.0).abs() < 1e-12);
-        // LW: 16,384 compute cycles, stalls = everything else.
-        let lw = report.arch("lw-4").expect("LW entry");
-        assert_eq!(lw.steady_cycles, 16_384);
-        assert_eq!(lw.stall_cycles, lw.total_cycles - 16_384);
-    }
-
-    #[test]
-    fn trace_report_json_shape() {
-        let report = TraceBenchReport {
-            entries: measured_occupancy(),
-            disabled_probe_ns: 0.9,
-            enabled_probe_ns: 42.5,
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"trace_occupancy\""));
-        assert!(json.contains("\"disabled_probe_ns\": 0.900"));
-        assert!(json.contains("\"arch\": \"hs2-128\""));
-        assert!(json.contains("\"steady_phase\": \"issue\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let text = report.format_text();
-        assert!(text.contains("probe cost"));
-        assert!(text.contains("lw-4"));
     }
 }

@@ -55,6 +55,14 @@ pub fn bucket_edge_label(index: usize) -> String {
     }
 }
 
+/// Encodes a `u64` count as a JSON integer. The codec's integers are
+/// `i64`, so a count above `i64::MAX` saturates to `i64::MAX` rather
+/// than wrapping negative (which every reader would refuse). Both
+/// [`ServiceReport`] and the snapshot document encode through here.
+pub(crate) fn json_u64(v: u64) -> Value {
+    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
+}
+
 /// The bucket a latency sample falls into.
 #[must_use]
 pub fn bucket_index(ns: u64) -> usize {
@@ -414,10 +422,12 @@ impl ServiceReport {
         self.execute.iter().find(|(k, _)| *k == op).map(|(_, h)| h)
     }
 
-    /// Serializes into the in-tree JSON document model.
+    /// Serializes into the in-tree JSON document model. A count above
+    /// `i64::MAX` is written as `i64::MAX` (the codec's integers are
+    /// `i64`), the same clamp [`crate::MetricsSnapshot`] applies.
     #[must_use]
     pub fn to_json_value(&self) -> Value {
-        let int = |v: u64| Value::Int(v as i64);
+        let int = json_u64;
         let histogram_fields = |h: &HistogramSnapshot| {
             vec![
                 ("count".to_string(), int(h.count)),
@@ -737,6 +747,16 @@ mod tests {
         let r = m.snapshot(1, 4, 0);
         assert_eq!(r.op(OpKind::Keygen).unwrap().total_ns, u64::MAX);
         assert_eq!(r.op(OpKind::Keygen).unwrap().max_ns, u64::MAX);
+        // Both readers load the saturated report; its u64::MAX fields
+        // clamp to i64::MAX instead of serializing as -1.
+        let clamped = i64::MAX as u64;
+        let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
+        assert_eq!(back.op(OpKind::Keygen).unwrap().total_ns, clamped);
+        assert_eq!(back.op(OpKind::Keygen).unwrap().max_ns, clamped);
+        let snapshot = crate::MetricsSnapshot::new(r);
+        let back = crate::MetricsSnapshot::from_json_str(&snapshot.to_json_string()).unwrap();
+        assert_eq!(back.service.op(OpKind::Keygen).unwrap().total_ns, clamped);
+        assert_eq!(back.service.op(OpKind::Keygen).unwrap().max_ns, clamped);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //!
 //! * **JSON** ([`MetricsSnapshot::to_json_string`] /
 //!   [`MetricsSnapshot::from_json_str`]) — lossless round-trip, the
-//!   machine-readable archive format;
+//!   machine-readable archive format. The codec's integers are `i64`,
+//!   so a `u64` count above `i64::MAX` is written as `i64::MAX` (this
+//!   document and the embedded [`ServiceReport`] share one encoder);
 //! * **Prometheus text exposition**
-//!   ([`MetricsSnapshot::to_prometheus`]) — the scrape format a future
-//!   network service would serve at `/metrics` (ROADMAP item 1), linted
-//!   by [`lint_prometheus`].
+//!   ([`MetricsSnapshot::to_prometheus`]) — the scrape format a network
+//!   front end would serve at `/metrics`, linted by [`lint_prometheus`].
 //!
 //! Histogram edges are shared with the JSON report via
 //! [`bucket_edge_label`]: the Prometheus `le` labels and the JSON
@@ -35,7 +36,7 @@
 
 use saber_testkit::json::Value;
 
-use crate::metrics::{bucket_edge_label, ServiceReport, BUCKET_COUNT};
+use crate::metrics::{bucket_edge_label, json_u64, ServiceReport, BUCKET_COUNT};
 use crate::obs;
 
 /// Version of the snapshot document schema.
@@ -147,7 +148,7 @@ impl MetricsSnapshot {
     /// Serializes into the in-tree JSON document model.
     #[must_use]
     pub fn to_json_value(&self) -> Value {
-        let int = |v: u64| Value::Int(i64::try_from(v).unwrap_or(i64::MAX));
+        let int = json_u64;
         let mut fields = vec![
             ("snapshot".into(), Value::Str("saber-metrics".into())),
             ("schema_version".into(), Value::Int(self.schema_version)),
@@ -763,6 +764,7 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::metrics::{Metrics, OpKind};
+    use saber_testkit::Rng;
 
     fn sample_snapshot() -> MetricsSnapshot {
         let m = Metrics::default();
@@ -874,6 +876,46 @@ mod tests {
         let text = "[".repeat(100_000);
         assert!(MetricsSnapshot::from_json_str(&text).is_err());
         assert!(ServiceReport::from_json_str(&text).is_err());
+    }
+
+    /// Both readers on `text`; either may refuse it, neither may panic.
+    fn read_both(text: &str, what: &str) -> [bool; 2] {
+        let outcome = std::panic::catch_unwind(|| {
+            [
+                MetricsSnapshot::from_json_str(text).is_ok(),
+                ServiceReport::from_json_str(text).is_ok(),
+            ]
+        });
+        outcome.unwrap_or_else(|_| panic!("a reader panicked on {what}: {text:?}"))
+    }
+
+    #[test]
+    fn truncated_and_mutated_documents_are_refused_not_panicked_on() {
+        // Structural bytes and digits reach the grammar's edge cases
+        // (signs, exponents, escapes, overflow) more often than uniform
+        // ASCII does; half the mutations draw from here.
+        const ALPHABET: &[u8] = b"{}[]:,\"\\-+.0123456789eEnul ";
+        let snapshot = sample_snapshot();
+        let mut rng = Rng::new(0x5ABE_2026);
+        for doc in [snapshot.to_json_string(), snapshot.service.to_json_string()] {
+            assert!(doc.is_ascii(), "ASCII mutations keep the document UTF-8");
+            // Every proper prefix of the object is incomplete.
+            for len in 0..doc.trim_end().len() {
+                let read = read_both(&doc[..len], &format!("the {len}-byte prefix"));
+                assert_eq!(read, [false, false], "prefix of {len} bytes accepted");
+            }
+            for case in 0..2_000 {
+                let mut bytes = doc.clone().into_bytes();
+                let at = rng.range_usize(0, bytes.len() - 1);
+                bytes[at] = if rng.next_u32() & 1 == 0 {
+                    ALPHABET[rng.range_usize(0, ALPHABET.len() - 1)]
+                } else {
+                    rng.range_u16(0, 0x7f) as u8
+                };
+                let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+                read_both(&text, &format!("mutation {case} (byte {at})"));
+            }
+        }
     }
 
     #[test]

@@ -134,6 +134,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -281,6 +282,7 @@ impl<'a> Parser<'a> {
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok());
                             match hex.and_then(char::from_u32) {
@@ -296,16 +298,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the files are ASCII, but
-                    // stay correct on arbitrary input).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| ParseError {
-                            offset: self.pos,
-                            message: "invalid UTF-8".into(),
-                        })?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // of the input `&str`.
+                    let start = self.pos;
+                    self.pos += self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -369,6 +370,7 @@ impl<'a> Parser<'a> {
 /// Returns a [`ParseError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -488,6 +490,13 @@ mod tests {
             parse(r#""Aé""#).unwrap(),
             Value::Str("Aé".into())
         );
+        // Multi-byte runs on both sides of escapes.
+        let doc = Value::Str("é\\日本\"ü\nñ€".into());
+        assert_eq!(parse(&write(&doc)).unwrap(), doc);
+        assert_eq!(parse(r#""é\u00e9日""#).unwrap(), Value::Str("éé日".into()));
+        // `\u` takes exactly four hex digits: no sign, no short form.
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u041""#).is_err());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   nothing and overwrites oldest-first.
 //! - **Thread-local**: no locks on the record path, and a panic dump
 //!   reads the panicking thread's own recent history.
-//! - **Gated like tracing**: when disabled the probe cost is one relaxed
-//!   atomic load (the `trace_overhead` bench holds it under a hard CI
-//!   threshold, `SABER_FLIGHT_MAX_DISABLED_NS`, default 10 ns).
+//! - **Gated like tracing**: when disabled it adds one relaxed atomic
+//!   load to a probe, after the session flag's (the crate's
+//!   `disabled_path` test holds the whole probe under a fixed 10 ns
+//!   mean).
 //!
 //! Dumps happen on panic (via the hook `saber-service` installs), on a
 //! contained worker fault, or on demand; when the `SABER_FLIGHT_DUMP`

@@ -1,12 +1,14 @@
 //! Wall-clock capture: sessions, spans, counters and instant events.
 //!
 //! The recording side is designed around one invariant: **when no
-//! session is active, a probe is one relaxed atomic load** (and with the
-//! `capture` feature compiled out, not even that — the optimizer deletes
-//! the call entirely). All cost lives behind the branch, so the
-//! instrumented hot paths of `saber-ring` and `saber-service` pay
-//! nothing in production; the `trace_overhead` bench enforces this with
-//! a hard CI threshold.
+//! session is active and the flight recorder is off, a probe is two
+//! relaxed atomic loads** — the session flag, then the flight flag (and
+//! with the `capture` feature compiled out, not even that — the
+//! optimizer deletes the call entirely). All cost lives behind the
+//! branch, so the instrumented hot paths of `saber-ring` and
+//! `saber-service` pay next to nothing in production; the crate's
+//! `disabled_path` test holds a probe under fixed limits (25 ns mean
+//! with no session, 10 ns with the flight recorder off as well).
 //!
 //! Timing is monotonic: every timestamp is nanoseconds since a global
 //! epoch (`Instant`-based, immune to wall-clock steps). Span nesting is
@@ -171,7 +173,8 @@ impl Drop for SpanGuard {
 }
 
 /// Opens a span; it closes (and is recorded) when the returned guard
-/// drops. Disabled-path cost: one relaxed atomic load.
+/// drops. Disabled-path cost: two relaxed atomic loads (the session
+/// flag, then the flight flag).
 ///
 /// # Examples
 ///
@@ -232,7 +235,8 @@ pub fn span_at(category: &'static str, name: &'static str, start_ns: u64, dur_ns
     });
 }
 
-/// Records a counter delta. Disabled-path cost: one relaxed atomic load.
+/// Records a counter delta. Disabled-path cost: two relaxed atomic
+/// loads (the session flag, then the flight flag).
 #[inline]
 pub fn counter(category: &'static str, name: &'static str, value: i64) {
     let to_session = enabled();

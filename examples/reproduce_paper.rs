@@ -5,8 +5,8 @@
 //! cargo run --release --example reproduce_paper
 //! ```
 //!
-//! (The criterion benches in `saber-bench` regenerate the same tables
-//! with wall-clock timing attached; this binary is the quick look.)
+//! (The `saber-bench` bench targets print each table in full, one
+//! target per table or figure; this binary is the quick look.)
 
 use saber::arch::{CentralizedMultiplier, HwMultiplier, LightweightMultiplier};
 use saber::hw::{Fpga, PowerModel};

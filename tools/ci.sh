@@ -3,15 +3,15 @@
 # network access — the workspace has no external dependencies.
 #
 #   tools/ci.sh               # every stage: lint + build + test + fuzz
-#                             # + fault/engine/timing gates + benches
+#                             # + engine/timing gates + benches
 #   tools/ci.sh timing_gate   # one named stage (plus its dependencies)
 #
 # The stage names are listed once, in STAGES below; any other name
 # exits 2 and prints them.
 set -eu
 
-STAGES="lint build test kem_path sim_gate fuzz fault_gate ct_engine_gate
-timing_gate soc_gate service sched_gate trace obs_gate bench_reports bench"
+STAGES="lint build test kem_path sim_gate fuzz ct_engine_gate timing_gate
+soc_gate service sched_gate trace obs_gate bench"
 
 cd "$(dirname "$0")/.."
 
@@ -42,19 +42,30 @@ if want test; then
 
     # Every crate's integration-test binary must be run by a stage below:
     # a whole-crate `cargo test [-q] [--release] -p <pkg>…` line (no
-    # filter), or a `--test <name>` line for its package. Continuation
-    # lines are joined first.
-    echo "==> every crates/*/tests/*.rs binary is run by a stage"
+    # filter), or a `--test <name>` line for its package. Every crate
+    # with `#[test]`s under src/ must be run by a whole-crate line or a
+    # `--lib` line for its package. Continuation lines are joined first.
+    echo "==> every crates/*/tests/*.rs binary and crate unit-test suite is run by a stage"
     runs=$(sed -e ':a' -e '/\\$/N; s/\\\n//; ta' tools/ci.sh |
         grep -E '^[[:space:]]*([A-Z_]+=[^ ]+ )*cargo test ')
+    pkg_of() { sed -n 's/^name = "\(.*\)"$/\1/p' "$1/Cargo.toml" | head -n 1; }
+    # reached <pkg> <target regex>: a line for <pkg> names the target
+    # or runs the whole crate.
+    reached() {
+        printf '%s\n' "$runs" | grep -E -- "-p $1( |$)" |
+            grep -Eq -- "$2|cargo test( -q)?( --release)?( -p [a-z0-9-]+)+ *$"
+    }
     unreached=0
     for file in crates/*/tests/*.rs; do
-        crate=${file%/tests/*}
-        pkg=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$crate/Cargo.toml" | head -n 1)
-        name=$(basename "$file" .rs)
-        if ! printf '%s\n' "$runs" | grep -E -- "-p $pkg( |$)" |
-            grep -Eq -- "--test $name( |$)|cargo test( -q)?( --release)?( -p [a-z0-9-]+)+ *$"; then
+        if ! reached "$(pkg_of "${file%/tests/*}")" "--test $(basename "$file" .rs)( |$)"; then
             echo "ci: $file: no stage runs this test binary" >&2
+            unreached=1
+        fi
+    done
+    for crate in crates/*; do
+        grep -rq '#\[test\]' "$crate/src" || continue
+        if ! reached "$(pkg_of "$crate")" "--lib( |$)"; then
+            echo "ci: $crate/src: no stage runs this crate's unit tests" >&2
             unreached=1
         fi
     done
@@ -65,15 +76,19 @@ fi
 # bit-serial reference at every width, matrix expansion and secret
 # sampling against the bit-serial expansion for all three parameter
 # sets, the per-worker matrix cache, the pinned KEM regression vectors,
-# and the Keccak/SHA-3/SHAKE known-answer and sponge property suites
-# (release; tier-1 `cargo test -q` runs only the umbrella crate).
+# the whole saber-keccak crate (Keccak/SHA-3/SHAKE known-answer and
+# sponge property suites, unit and doc tests) and the whole
+# saber-testkit crate (the JSON and hex codecs the KAT loaders use, and
+# the seeded RNG) (release; tier-1 `cargo test -q` runs only the
+# umbrella crate).
 if want kem_path; then
     echo "==> kem path: codec + expansion oracles, matrix cache, regression vectors (release)"
     cargo test -q --release -p saber-ring --test group_codec
     cargo test -q --release -p saber-kem --test expansion_oracle --test matrix_cache \
         --test regression_vectors
-    echo "==> kem path: Keccak KATs + sponge properties (release)"
-    cargo test -q --release -p saber-keccak --test kats --test sponge_properties
+    echo "==> kem path: saber-keccak (KATs, sponge properties) + saber-testkit (release)"
+    cargo test -q --release -p saber-keccak
+    cargo test -q --release -p saber-testkit
 fi
 
 # Simulator gate: host-speed work on the cycle-accurate models must
@@ -82,8 +97,9 @@ fi
 # cycle reports, activity and timeline phases), the ignored exhaustive
 # HS-II packing sweep, the saber-hw primitive oracles (MAC, BRAM, DSP48
 # P register) and the coprocessor tests, the KEM-on-hardware and
-# Table 1 suites, and the fault-injection sensitivity gate (release;
-# tier-1 `cargo test -q` runs only the umbrella crate).
+# Table 1 suites, and the fault-injection sensitivity gate, where every
+# seeded mutant of the cycle-accurate datapaths must be flagged by the
+# fuzzer (release; tier-1 `cargo test -q` runs only the umbrella crate).
 if want sim_gate; then
     echo "==> sim gate: saber-core incl. sim_fingerprint + exhaustive packing sweep (release)"
     cargo test -q --release -p saber-core
@@ -99,18 +115,13 @@ fi
 # Differential fuzz sweep: a fixed seed and an explicit case budget
 # (2,048 stratified cases per parameter set, every backend against the
 # schoolbook oracle) in release, where the full budget fits the CI
-# window. Plain `cargo test -q` above already ran the debug smoke sweep.
+# window, then saber-verify's own unit tests (the backend registry, the
+# corpus, the KAT framework, the shrinker).
 if want fuzz; then
     echo "==> fuzz sweep: SABER_FUZZ_CASES=2048 (release)"
     SABER_FUZZ_CASES=2048 cargo test -q --release -p saber-verify --test differential_fuzz
-fi
-
-# Fault-injection sensitivity gate: every seeded mutant of the
-# cycle-accurate datapaths must be flagged by the fuzzer — 100 %
-# detection or the corpus has a blind spot.
-if want fault_gate; then
-    echo "==> fault-injection sensitivity gate (release)"
-    cargo test -q --release -p saber-verify --test fault_sensitivity
+    echo "==> fuzz: saber-verify unit tests (release)"
+    cargo test -q --release -p saber-verify --lib
 fi
 
 # Constant-time engine gate: the hot-path engine must stay bit-exact
@@ -145,10 +156,12 @@ fi
 # budgets/threshold are tunable via SABER_TIMING_* (see
 # saber_timing::TimingConfig::from_env). The detector's own
 # statistics are checked first on a virtual clock: planted separations
-# found, class-blind spikes cropped, and its trace counters exported.
+# found, class-blind spikes cropped, and its trace counters exported,
+# with the crate's unit tests (Welford/Welch statistics, the harness,
+# the targets).
 if want timing_gate; then
-    echo "==> timing gate: detector self-test + trace counters (release)"
-    cargo test -q --release -p saber-timing --test harness_selftest --test trace_counters
+    echo "==> timing gate: detector self-test + trace counters + unit tests (release)"
+    cargo test -q --release -p saber-timing --lib --test harness_selftest --test trace_counters
     echo "==> timing gate: ct engine clean + planted mutants flagged (release)"
     SABER_TIMING_SEED=1518301440 cargo test -q --release -p saber-timing --test timing_gate
 fi
@@ -160,15 +173,14 @@ fi
 # be caught *and* shrunk to minimal reproducers within the budget, and
 # every cycle model under the event scheduler must match its standalone
 # paper-reconciled total, and the raw saber-hw primitives must run
-# under the scheduler through the clocked adapter. The frozen
+# under the scheduler through the clocked adapter; the crate's unit
+# tests (bus arbitration, scheduler, probe) run with them. The frozen
 # cycle-total KATs replay alongside so a timing drift and a schedule
 # race cannot mask each other.
 if want soc_gate; then
-    echo "==> soc gate: tick-order fuzz + planted races + equivalence (release)"
-    cargo test -q --release -p saber-soc --test tick_fuzz
-    cargo test -q --release -p saber-soc --test scheduler_equivalence
-    cargo test -q --release -p saber-soc --test cosim_scenario
-    cargo test -q --release -p saber-soc --test clocked_adapter
+    echo "==> soc gate: tick-order fuzz + planted races + equivalence + unit tests (release)"
+    cargo test -q --release -p saber-soc --lib --test tick_fuzz --test scheduler_equivalence \
+        --test cosim_scenario --test clocked_adapter
     echo "==> soc gate: frozen cycle-total KATs replay (release)"
     cargo test -q --release -p saber-verify --test golden_kats cycle_total
 fi
@@ -209,55 +221,48 @@ if want trace; then
     # Observability gates. The trace_profile example records one full
     # KEM round trip plus the cycle-model lanes and validates the
     # exported Chrome trace-event JSON against the schema checker (it
-    # exits nonzero on any violation). The overhead bench then enforces
-    # the tracing layer's core contract: a probe with no session active
-    # stays under SABER_TRACE_MAX_DISABLED_NS (default 25 ns — measured
-    # cost is ~3 ns). The no-default-features build proves the fully
-    # compiled-out configuration (every probe a no-op at compile time)
-    # still builds.
+    # exits nonzero on any violation). The whole saber-trace suite then
+    # runs, including its disabled-path test, which enforces the
+    # tracing layer's core contract: with no session active a probe
+    # costs at most 25 ns on average, and at most 10 ns with the flight
+    # recorder off as well (fixed limits). The no-default-features
+    # build proves the fully compiled-out configuration (every probe a
+    # no-op at compile time) still builds.
     echo "==> trace: profile example + Chrome trace schema validation"
     cargo run -q --release --example trace_profile
 
-    echo "==> trace: disabled-path overhead gate (release)"
-    cargo bench -q -p saber-bench --bench trace_overhead
+    echo "==> trace: saber-trace suite incl. the disabled-path gate (release)"
+    cargo test -q --release -p saber-trace
 
     echo "==> trace: capture feature compiled out still builds"
     cargo build -q -p saber-trace --no-default-features
 fi
 
-# Observability gate. Four checks: (1) the trace_overhead bench's
-# flight-recorder threshold — the probe cost with the recorder OFF must
-# stay under SABER_FLIGHT_MAX_DISABLED_NS (default 10 ns; measured
-# ~4 ns) on top of the 25 ns trace gate it already enforces; (2) the
-# SoC VCD consistency battery — probe non-perturbation, busy/stall
-# wires equal to scheduler totals at both clock ratios, Chrome-vs-VCD
-# cross-format agreement, and the byte-frozen golden 1:1 waveform
-# (regenerate deliberately with SABER_BLESS=1); (3) the MetricsSnapshot
-# JSON round-trip + schema-version refusal; (4) the Prometheus text
-# exposition lint (metric names, single TYPE per family, cumulative
-# histograms ending at le="+Inf" == _count).
+# Observability gate. Two checks: (1) the SoC VCD consistency battery
+# — probe non-perturbation, busy/stall wires equal to scheduler totals
+# at both clock ratios, Chrome-vs-VCD cross-format agreement, and the
+# byte-frozen golden 1:1 waveform (regenerate deliberately with
+# SABER_BLESS=1); (2) saber-service's unit tests: the metrics
+# histograms, the MetricsSnapshot and ServiceReport JSON round-trips,
+# schema-version refusal, truncated and mutated documents refused
+# without a panic, and the Prometheus text exposition lint (metric
+# names, single TYPE per family, cumulative histograms ending at
+# le="+Inf" == _count). The disabled-path gate runs in `trace`.
 if want obs_gate; then
-    echo "==> obs gate: flight-recorder disabled-path threshold (release)"
-    cargo bench -q -p saber-bench --bench trace_overhead
-
     echo "==> obs gate: VCD golden waveform + cross-format consistency (release)"
     cargo test -q --release -p saber-soc --test vcd_consistency
 
-    echo "==> obs gate: metrics snapshot round-trip + Prometheus lint"
-    cargo test -q -p saber-service snapshot::
-    cargo test -q -p saber snapshot
+    echo "==> obs gate: metrics, snapshot round-trip, hostile input + Prometheus lint (release)"
+    cargo test -q --release -p saber-service --lib
 fi
 
-# Bench-report hygiene: every committed BENCH_*.json artifact must
-# parse with the in-tree codec, carry its writer's schema field-by-
-# field, and keep the golden cycle totals — stale or malformed reports
-# fail here instead of silently poisoning later comparisons.
-if want bench_reports; then
-    echo "==> bench reports: schema validation of committed BENCH_*.json"
-    cargo test -q -p saber-bench --test bench_reports_schema
-fi
-
+# The paper-table harness: saber-bench's unit tests (Table 1 cycles
+# exact for the HS rows, every LUT model within 10 %) and the schema of
+# the committed BENCH_timing.json, then every bench target builds.
 if want bench; then
+    echo "==> bench: saber-bench tables + BENCH_timing.json schema (release)"
+    cargo test -q --release -p saber-bench
+
     echo "==> cargo bench --workspace --no-run"
     cargo bench --workspace --no-run
 fi
