@@ -220,7 +220,14 @@ mod tests {
     fn timing_report_checks_controls() {
         let mut r = TimingReport::default();
         r.push("mul/ct", "negative-control", "pass", 0.8, 2000, 160);
-        r.push("mutant/early-exit", "positive-control", "leak", 64.2, 512, 40);
+        r.push(
+            "mutant/early-exit",
+            "positive-control",
+            "leak",
+            64.2,
+            512,
+            40,
+        );
         assert!(r.controls_hold());
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"timing_leakage\""));
@@ -236,7 +243,14 @@ mod tests {
         r.push("mul/ct", "negative-control", "leak", 12.0, 900, 70);
         assert!(!r.controls_hold(), "a leaking ct engine must fail");
         let mut r = TimingReport::default();
-        r.push("mutant/early-exit", "positive-control", "pass", 1.0, 2000, 160);
+        r.push(
+            "mutant/early-exit",
+            "positive-control",
+            "pass",
+            1.0,
+            2000,
+            160,
+        );
         assert!(!r.controls_hold(), "an undetected mutant must fail");
     }
 

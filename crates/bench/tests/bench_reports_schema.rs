@@ -52,7 +52,10 @@ fn check_field(owner: &Value, name: &str, kind: Kind, ctx: &str) {
             let v = field
                 .as_number()
                 .unwrap_or_else(|| panic!("{ctx}: field {name:?} must be a number"));
-            assert!(v.is_finite(), "{ctx}: field {name:?} must be finite, got {v}");
+            assert!(
+                v.is_finite(),
+                "{ctx}: field {name:?} must be finite, got {v}"
+            );
         }
     }
 }
@@ -89,7 +92,11 @@ fn every_committed_bench_report_matches_its_schema() {
 #[test]
 fn timing_report_verdicts_are_pass_or_leak() {
     let doc = load();
-    for entry in doc.get("entries").and_then(Value::as_array).expect("entries") {
+    for entry in doc
+        .get("entries")
+        .and_then(Value::as_array)
+        .expect("entries")
+    {
         let verdict = entry.str_field("verdict").expect("verdict");
         assert!(
             matches!(verdict, "pass" | "leak"),

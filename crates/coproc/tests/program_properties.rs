@@ -50,7 +50,8 @@ fn programs_match_software_for_random_seeds() {
         let pk_bytes = public_key_to_bytes(&pk_sw);
         let mut hw2 = CentralizedMultiplier::new(256);
         let mut cpu2 = Coprocessor::new(&mut hw2);
-        cpu2.run(&encaps_program(&SABER, &pk_bytes, &entropy)).unwrap();
+        cpu2.run(&encaps_program(&SABER, &pk_bytes, &entropy))
+            .unwrap();
         assert_eq!(
             cpu2.output("ct").unwrap(),
             &ciphertext_to_bytes(&ct_sw, &SABER)[..],

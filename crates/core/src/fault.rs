@@ -92,9 +92,9 @@ impl Fault {
     #[must_use]
     pub fn secret_bound(self) -> i8 {
         match self {
-            Fault::HsIICarryFixDropped | Fault::HsIIBorrowRepairDropped | Fault::HsIIPipelineSkew => {
-                MAX_PACKED_MAGNITUDE
-            }
+            Fault::HsIICarryFixDropped
+            | Fault::HsIIBorrowRepairDropped
+            | Fault::HsIIPipelineSkew => MAX_PACKED_MAGNITUDE,
             _ => 5,
         }
     }
@@ -309,7 +309,11 @@ fn ct_sign_branch(public: &PolyQ, secret: &SecretPoly) -> PolyQ {
 }
 
 fn add13(slot: &mut u16, value: u32, negate: bool) {
-    let v = if negate { 0u32.wrapping_sub(value) } else { value };
+    let v = if negate {
+        0u32.wrapping_sub(value)
+    } else {
+        value
+    };
     *slot = (u32::from(*slot).wrapping_add(v) & MASK13) as u16;
 }
 

@@ -155,14 +155,24 @@ impl LightweightMultiplier {
 /// one state step per clock cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LwPhase {
-    SecretLoad { step: u8 },
-    PublicPrefill { step: u8 },
-    AccPrime { step: u8 },
+    SecretLoad {
+        step: u8,
+    },
+    PublicPrefill {
+        step: u8,
+    },
+    AccPrime {
+        step: u8,
+    },
     /// The 3-cycle port-steal stall before a MAC cycle.
-    StreamStall { step: u8 },
+    StreamStall {
+        step: u8,
+    },
     /// One MAC cycle for the current `(i, g)` position.
     Mac,
-    AccDrain { step: u8 },
+    AccDrain {
+        step: u8,
+    },
     Done,
 }
 
@@ -296,7 +306,9 @@ impl LightweightSim {
         match self.phase {
             // --- Load the block's 16 secret coefficients (2 cycles). ---
             LwPhase::SecretLoad { step: 0 } => {
-                self.mem.issue_read(SEC_BASE + self.block).expect("port free");
+                self.mem
+                    .issue_read(SEC_BASE + self.block)
+                    .expect("port free");
                 self.phase = LwPhase::SecretLoad { step: 1 };
             }
             LwPhase::SecretLoad { .. } => {
@@ -314,7 +326,9 @@ impl LightweightSim {
                 self.phase = LwPhase::PublicPrefill { step: 0 };
             }
             // --- Pre-fill the public shift buffer: 2 words (3 cycles). ---
-            LwPhase::PublicPrefill { step: step @ (0 | 1) } => {
+            LwPhase::PublicPrefill {
+                step: step @ (0 | 1),
+            } => {
                 self.mem
                     .issue_read(PUB_BASE + usize::from(step))
                     .expect("port free");

@@ -443,7 +443,10 @@ mod tests {
         // …and the inner stages appear under them: keygen + encaps +
         // decaps (decrypt + re-encrypt) = 4 pke spans, each with a
         // matvec and a rounding phase.
-        assert_eq!(count("pke.keygen") + count("pke.encrypt") + count("pke.decrypt"), 4);
+        assert_eq!(
+            count("pke.keygen") + count("pke.encrypt") + count("pke.decrypt"),
+            4
+        );
         assert_eq!(count("matvec"), 4);
         assert_eq!(count("rounding"), 4);
         // Matrix expansion runs in keygen, encaps and the re-encrypt.

@@ -44,6 +44,6 @@ pub mod serialize;
 
 pub use expand::MatrixCache;
 pub use kem::{decaps, decaps_cached, encaps, encaps_cached, keygen, KemSecretKey, SharedSecret};
-pub use secret::Zeroize;
 pub use params::{SaberParams, ALL_PARAMS, FIRE_SABER, LIGHT_SABER, SABER};
 pub use pke::{Ciphertext, PublicKey};
+pub use secret::Zeroize;

@@ -54,7 +54,11 @@ fn pack_bits_boundary_patterns_roundtrip() {
             (0..N).map(|i| (i as u16) & mask).collect(),
         ] {
             let bytes = packing::pack_bits(&pattern, bits);
-            assert_eq!(packing::unpack_bits(&bytes, bits, N), pattern, "width {bits}");
+            assert_eq!(
+                packing::unpack_bits(&bytes, bits, N),
+                pattern,
+                "width {bits}"
+            );
         }
     }
 }
@@ -119,8 +123,8 @@ fn secret_words_roundtrip_all_bounds() {
         for bound in [3i8, 4, 5] {
             let secret = SecretPoly::from_fn(|_| rng.secret_coeff(bound));
             let words = packing::secret_to_words(&secret);
-            let decoded = packing::secret_from_words(&words)
-                .expect("encoder output is always in range");
+            let decoded =
+                packing::secret_from_words(&words).expect("encoder output is always in range");
             assert_eq!(
                 decoded.coeffs(),
                 secret.coeffs(),
@@ -146,8 +150,7 @@ fn full_framings_roundtrip_for_every_parameter_set() {
             let ct = pke::encrypt(&pk, &rng.bytes32(), &rng.bytes32(), &mut backend);
             let ct_bytes = serialize::ciphertext_to_bytes(&ct, params);
             assert_eq!(ct_bytes.len(), params.ciphertext_bytes());
-            let ct2 =
-                serialize::ciphertext_from_bytes(&ct_bytes, params).expect("valid bytes");
+            let ct2 = serialize::ciphertext_from_bytes(&ct_bytes, params).expect("valid bytes");
             assert_eq!(ct2, ct, "{} (seed {})", params.name, rng.seed());
 
             let sk_bytes = serialize::secret_key_to_bytes(&sk);

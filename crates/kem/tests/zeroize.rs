@@ -68,9 +68,18 @@ fn dropping_secrets_fires_the_zeroize_counters() {
         // key drop emits *both* the kem_sk and cpa counters.
     }
     let trace = session.finish();
-    assert!(trace.counter_total(KEM_SK_ZEROIZED) >= 1, "KemSecretKey drop");
-    assert!(trace.counter_total(CPA_ZEROIZED) >= 1, "nested CpaSecretKey drop");
-    assert!(trace.counter_total(SHARED_ZEROIZED) >= 2, "both SharedSecret drops");
+    assert!(
+        trace.counter_total(KEM_SK_ZEROIZED) >= 1,
+        "KemSecretKey drop"
+    );
+    assert!(
+        trace.counter_total(CPA_ZEROIZED) >= 1,
+        "nested CpaSecretKey drop"
+    );
+    assert!(
+        trace.counter_total(SHARED_ZEROIZED) >= 2,
+        "both SharedSecret drops"
+    );
 }
 
 #[test]
@@ -84,5 +93,8 @@ fn ct_eq_agrees_with_equality_and_rejects_single_bit_flips() {
             assert!(!ct_eq(&a, &b), "flip at byte {byte} bit {bit}");
         }
     }
-    assert!(!ct_eq(&a, &a[..63]), "length mismatch is public and unequal");
+    assert!(
+        !ct_eq(&a, &a[..63]),
+        "length mismatch is public and unequal"
+    );
 }

@@ -57,7 +57,10 @@ fn ct_batch_matches_mapped_and_oracle_across_bounds_and_batch_sizes() {
                 .iter()
                 .map(|(a, s)| mapped_shard.multiply(a, s))
                 .collect();
-            assert_eq!(mapped, expected, "ct mapped path, bound {bound}, batch {batch}");
+            assert_eq!(
+                mapped, expected,
+                "ct mapped path, bound {bound}, batch {batch}"
+            );
         }
     }
 }

@@ -69,7 +69,5 @@ pub use service::{
     Gate, JobError, JobHandle, KemService, OverloadPolicy, SchedulerKind, ServiceConfig,
     SubmitError,
 };
+pub use snapshot::{lint_prometheus, FlightStatus, MetricsSnapshot, SocComponentStats, SocSection};
 pub use steal::{StealTally, WorkStealQueue};
-pub use snapshot::{
-    lint_prometheus, FlightStatus, MetricsSnapshot, SocComponentStats, SocSection,
-};

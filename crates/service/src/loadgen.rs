@@ -32,9 +32,7 @@ use saber_keccak::Sha3_256;
 use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::SaberParams;
 use saber_kem::{serialize, Ciphertext, KemSecretKey, PublicKey};
-use saber_ring::{
-    CtSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyVec, SecretVec,
-};
+use saber_ring::{CtSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyVec, SecretVec};
 use saber_testkit::Rng;
 
 use crate::metrics::OpKind;
@@ -232,7 +230,9 @@ pub fn build_plan(profile: &LoadProfile) -> LoadPlan {
         .map(|_| {
             let mut draw = rng.range_usize(0, mix.total() as usize - 1) as u32;
             if draw < mix.keygen {
-                return PlannedOp::Keygen { seed: rng.bytes32() };
+                return PlannedOp::Keygen {
+                    seed: rng.bytes32(),
+                };
             }
             draw -= mix.keygen;
             if draw < mix.encaps {
@@ -246,8 +246,7 @@ pub fn build_plan(profile: &LoadProfile) -> LoadPlan {
                 // Precompute the ciphertext at plan time so the decaps
                 // job is a single, self-contained unit of service work.
                 let key = rng.range_usize(0, pool - 1);
-                let (ct, _) =
-                    saber_kem::encaps(&keyring[key].0, &rng.bytes32(), &mut backend);
+                let (ct, _) = saber_kem::encaps(&keyring[key].0, &rng.bytes32(), &mut backend);
                 return PlannedOp::Decaps {
                     key,
                     ct: Box::new(ct),
@@ -326,11 +325,7 @@ fn keygen_digest(pk: &PublicKey, sk: &KemSecretKey) -> [u8; 32] {
     ])
 }
 
-fn encaps_digest(
-    params: &SaberParams,
-    ct: &Ciphertext,
-    ss: &saber_kem::SharedSecret,
-) -> [u8; 32] {
+fn encaps_digest(params: &SaberParams, ct: &Ciphertext, ss: &saber_kem::SharedSecret) -> [u8; 32] {
     digest_parts(&[&serialize::ciphertext_to_bytes(ct, params), ss.as_bytes()])
 }
 
@@ -490,7 +485,10 @@ mod tests {
         let plan = build_plan(&LoadProfile::new(&SABER, 3, 8));
         let mut b1 = CtSchoolbookMultiplier::new();
         let mut b2 = CtSchoolbookMultiplier::new();
-        assert_eq!(run_sequential(&plan, &mut b1), run_sequential(&plan, &mut b2));
+        assert_eq!(
+            run_sequential(&plan, &mut b1),
+            run_sequential(&plan, &mut b2)
+        );
     }
 
     #[test]

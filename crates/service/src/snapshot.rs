@@ -318,7 +318,10 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "{name} {v}");
         };
 
-        let _ = writeln!(out, "# HELP saber_snapshot_info Snapshot document metadata.");
+        let _ = writeln!(
+            out,
+            "# HELP saber_snapshot_info Snapshot document metadata."
+        );
         let _ = writeln!(out, "# TYPE saber_snapshot_info gauge");
         let _ = writeln!(
             out,
@@ -327,7 +330,12 @@ impl MetricsSnapshot {
         );
 
         let s = &self.service;
-        gauge(&mut out, "saber_workers", "Worker threads in the pool.", s.workers);
+        gauge(
+            &mut out,
+            "saber_workers",
+            "Worker threads in the pool.",
+            s.workers,
+        );
         gauge(
             &mut out,
             "saber_queue_capacity",
@@ -632,8 +640,10 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
                     if !valid_name(name) {
                         return Err(format!("line {n}: invalid metric name {name:?}"));
                     }
-                    if !matches!(tail, "counter" | "gauge" | "histogram" | "summary" | "untyped")
-                    {
+                    if !matches!(
+                        tail,
+                        "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                    ) {
                         return Err(format!("line {n}: unknown metric type {tail:?}"));
                     }
                     if types.iter().any(|(m, _)| m == name) {
@@ -668,15 +678,13 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
             return Err(format!("line {n}: invalid metric name {name:?}"));
         }
         // Resolve the declaring family: exact, or histogram suffixes.
-        let family = ["_bucket", "_sum", "_count"]
-            .iter()
-            .find_map(|suffix| {
-                let base = name.strip_suffix(suffix)?;
-                types
-                    .iter()
-                    .find(|(m, t)| m == base && t == "histogram")
-                    .map(|_| (base, *suffix))
-            });
+        let family = ["_bucket", "_sum", "_count"].iter().find_map(|suffix| {
+            let base = name.strip_suffix(suffix)?;
+            types
+                .iter()
+                .find(|(m, t)| m == base && t == "histogram")
+                .map(|_| (base, *suffix))
+        });
         let declared = types.iter().any(|(m, _)| m == name);
         if family.is_none() && !declared {
             return Err(format!("line {n}: sample {name} has no preceding # TYPE"));
@@ -809,19 +817,23 @@ mod tests {
     #[test]
     fn unknown_schema_version_is_refused() {
         let snap = sample_snapshot();
-        let text = snap.to_json_string().replace(
-            "\"schema_version\": 3",
-            "\"schema_version\": 4",
-        );
+        let text = snap
+            .to_json_string()
+            .replace("\"schema_version\": 3", "\"schema_version\": 4");
         let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
-        assert!(err.contains("unsupported snapshot schema version 4"), "{err}");
+        assert!(
+            err.contains("unsupported snapshot schema version 4"),
+            "{err}"
+        );
         // Version 2 documents predate the matrix-cache counters.
-        let text = snap.to_json_string().replace(
-            "\"schema_version\": 3",
-            "\"schema_version\": 2",
-        );
+        let text = snap
+            .to_json_string()
+            .replace("\"schema_version\": 3", "\"schema_version\": 2");
         let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
-        assert!(err.contains("unsupported snapshot schema version 2"), "{err}");
+        assert!(
+            err.contains("unsupported snapshot schema version 2"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -856,7 +868,10 @@ mod tests {
             .position(|(k, _)| k == "stolen_jobs")
             .expect("stolen_jobs counter");
         report.insert(stolen + 1, (REMOVED_COUNTER.into(), Value::Int(6)));
-        let soc = fields.iter().position(|(k, _)| k == "soc").expect("soc section");
+        let soc = fields
+            .iter()
+            .position(|(k, _)| k == "soc")
+            .expect("soc section");
         fields.insert(soc, (REMOVED_SECTION.into(), section));
         let old = saber_testkit::json::write(&Value::Object(fields));
 

@@ -260,7 +260,9 @@ impl<T> WorkStealQueue<T> {
             {
                 let mut deque = self.shards[worker].deque.lock().expect("shard lock");
                 if let Some(item) = deque.pop_front() {
-                    self.shards[worker].len.store(deque.len(), Ordering::Relaxed);
+                    self.shards[worker]
+                        .len
+                        .store(deque.len(), Ordering::Relaxed);
                     drop(deque);
                     self.len.fetch_sub(1, Ordering::SeqCst);
                     return Some((item, tally));
@@ -310,7 +312,9 @@ impl<T> WorkStealQueue<T> {
                 }
                 let take = len.div_ceil(2);
                 let stolen = deque.split_off(len - take);
-                self.shards[victim].len.store(deque.len(), Ordering::Relaxed);
+                self.shards[victim]
+                    .len
+                    .store(deque.len(), Ordering::Relaxed);
                 stolen
             };
             // The very back is the oldest: execute it now, keep the

@@ -58,7 +58,11 @@ fn mid_batch_panics_are_contained_counted_once_and_leak_nothing() {
         // Pin both workers so the batch queues deterministically.
         let gate = Arc::new(Gate::new());
         let holds: Vec<_> = (0..WORKERS)
-            .map(|_| service.submit_hold(Arc::clone(&gate)).expect("hold admitted"))
+            .map(|_| {
+                service
+                    .submit_hold(Arc::clone(&gate))
+                    .expect("hold admitted")
+            })
             .collect();
         // Wait until the workers have *dequeued* the holds, so every
         // queue slot below is accounted deterministically (and an
@@ -188,8 +192,7 @@ fn mid_batch_panics_are_contained_counted_once_and_leak_nothing() {
         );
     } else {
         assert_eq!(
-            flight_dumps,
-            PANIC_JOBS as u64,
+            flight_dumps, PANIC_JOBS as u64,
             "each panic dump must flush the flight recorder exactly once"
         );
     }

@@ -172,11 +172,9 @@ fn malformed_reports_are_rejected_with_field_names() {
     });
     let good = service.shutdown().to_json_string();
     let truncated = good.replacen("\"buckets\": [", "\"buckets\": [7, ", 1);
-    assert!(
-        ServiceReport::from_json_str(&truncated)
-            .expect_err("bucket count mismatch")
-            .contains("buckets"),
-    );
+    assert!(ServiceReport::from_json_str(&truncated)
+        .expect_err("bucket count mismatch")
+        .contains("buckets"),);
 }
 
 #[test]

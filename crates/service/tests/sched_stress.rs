@@ -148,7 +148,8 @@ fn shutdown_under_load_drains_every_admitted_job() {
     assert_eq!(report.failed, 0);
     assert_eq!(report.queue_depth, 0, "drain left residue");
     for h in handles {
-        h.wait().expect("admitted job resolved before shutdown returned");
+        h.wait()
+            .expect("admitted job resolved before shutdown returned");
     }
 }
 

@@ -184,7 +184,9 @@ fn worker_panic_does_not_poison_the_pool() {
         ..ServiceConfig::default()
     });
 
-    let poisoned = service.submit_fault_panic("injected fault").expect("admitted");
+    let poisoned = service
+        .submit_fault_panic("injected fault")
+        .expect("admitted");
     match poisoned.wait() {
         Err(JobError::WorkerPanicked { message }) => {
             assert!(message.contains("injected fault"), "payload: {message}")
@@ -208,7 +210,10 @@ fn worker_panic_does_not_poison_the_pool() {
             .expect("still admitting")
             .wait()
             .expect_err("fault job fails");
-        assert!(matches!(e, JobError::WorkerPanicked { .. }), "round {round}");
+        assert!(
+            matches!(e, JobError::WorkerPanicked { .. }),
+            "round {round}"
+        );
     }
     let final_ok = service
         .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))

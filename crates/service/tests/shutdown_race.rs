@@ -93,7 +93,9 @@ fn racing_submissions_are_rejected_never_dropped() {
     assert!(admitted > 0, "no submission won the race; widen the window");
     for handle in handles {
         assert_eq!(
-            handle.wait().expect("admitted job resolves across shutdown"),
+            handle
+                .wait()
+                .expect("admitted job resolves across shutdown"),
             expected
         );
     }

@@ -35,7 +35,11 @@ fn drained_decaps_jobs_zeroize_their_key_buffers() {
         // are provably drained *after* shutdown begins.
         let gate = Arc::new(Gate::new());
         let holds: Vec<_> = (0..WORKERS)
-            .map(|_| service.submit_hold(Arc::clone(&gate)).expect("hold admitted"))
+            .map(|_| {
+                service
+                    .submit_hold(Arc::clone(&gate))
+                    .expect("hold admitted")
+            })
             .collect();
         let handles: Vec<_> = (0..DECAPS_JOBS)
             .map(|_| {

@@ -197,9 +197,9 @@ impl SharedBus {
     /// Number of `id`'s writes committed strictly before cycle `now`.
     #[must_use]
     pub fn write_acks_through(&self, id: ComponentId, now: u64) -> u64 {
-        self.acks
-            .get(&id)
-            .map_or(0, |stamps| stamps.iter().filter(|&&at| at < now).count() as u64)
+        self.acks.get(&id).map_or(0, |stamps| {
+            stamps.iter().filter(|&&at| at < now).count() as u64
+        })
     }
 
     /// Raises the latched flag `name` at cycle `now`.
@@ -291,7 +291,9 @@ impl SharedBus {
             .map(|i| self.writes.remove(i));
 
         if let Some(r) = &read {
-            self.bram.issue_read(r.addr).expect("arbiter owns the read port");
+            self.bram
+                .issue_read(r.addr)
+                .expect("arbiter owns the read port");
         }
         if let Some(w) = &write {
             self.bram
@@ -411,8 +413,7 @@ mod tests {
     #[test]
     fn insertion_order_mutant_leaks_post_order() {
         let run = |first, second, addr_first, addr_second| {
-            let mut bus =
-                SharedBus::with_mutant(8, Some(SocMutant::ArbiterInsertionOrderGrant));
+            let mut bus = SharedBus::with_mutant(8, Some(SocMutant::ArbiterInsertionOrderGrant));
             bus.preload(0, &[10, 20]);
             bus.post_read(first, addr_first, 0);
             bus.post_read(second, addr_second, 0);

@@ -13,9 +13,9 @@
 //! datapaths. The co-simulated scenario components that replace operand
 //! loads and drains with real bus traffic live in [`crate::scenario`].
 
+use saber_coproc::{Coprocessor, Program};
 use saber_core::engine::MacStyle;
 use saber_core::{DspPackedSim, EngineSim, HwMultiplier, LightweightSim};
-use saber_coproc::{Coprocessor, Program};
 use saber_hw::keccak_core::{KeccakCore, PERMUTATION_CYCLES};
 use saber_ring::{packing, PolyQ, SecretPoly};
 

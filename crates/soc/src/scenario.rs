@@ -22,8 +22,8 @@
 //! [`ScenarioOutcome`] — which is what makes differential fuzzing
 //! trivial.
 
-use std::rc::Rc;
 use std::cell::Cell;
+use std::rc::Rc;
 
 use saber_core::engine::MacStyle;
 use saber_core::ComputeKernel;
@@ -264,8 +264,9 @@ impl Component for KeccakXofDma {
                     self.stall += 1;
                 }
                 if got.iter().all(Option::is_some) {
-                    let seed: Vec<u8> =
-                        words_to_le_bytes(&got.iter().map(|w| w.expect("filled")).collect::<Vec<_>>());
+                    let seed: Vec<u8> = words_to_le_bytes(
+                        &got.iter().map(|w| w.expect("filled")).collect::<Vec<_>>(),
+                    );
                     self.phase = XofPhase::Sponge {
                         machine: Box::new(SpongeMachine::shake128(&seed, XOF_BYTES)),
                         writes_posted: 0,

@@ -15,16 +15,16 @@
 //! | Keccak f[1600] | 24      | —      |
 //! | SHAKE-128/416  | 72      | 145    |
 
+use saber_coproc::{programs, Coprocessor};
 use saber_core::engine::MacStyle;
 use saber_core::CentralizedMultiplier;
-use saber_coproc::{programs, Coprocessor};
 use saber_hw::keccak_core::sponge_on_core;
 use saber_keccak::Shake128;
 use saber_kem::SABER;
 use saber_ring::{schoolbook, PolyQ, SecretPoly};
 use saber_soc::{
-    ComponentId, CoprocComponent, DspPackedComponent, EngineComponent, LightweightComponent,
-    Soc, SpongeComponent, SpongeMachine,
+    ComponentId, CoprocComponent, DspPackedComponent, EngineComponent, LightweightComponent, Soc,
+    SpongeComponent, SpongeMachine,
 };
 
 fn operands(seed: u16) -> (PolyQ, SecretPoly) {

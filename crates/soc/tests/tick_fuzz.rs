@@ -53,11 +53,7 @@ fn arbiter_insertion_order_mutant_is_caught_and_shrunk() {
     );
     let mut canonical = order.clone();
     canonical.sort();
-    let transposed = order
-        .iter()
-        .zip(&canonical)
-        .filter(|(a, b)| a != b)
-        .count();
+    let transposed = order.iter().zip(&canonical).filter(|(a, b)| a != b).count();
     assert_eq!(transposed, 2, "one transposition, got {order:?}");
 
     // Replayability: the scripted reproducer still diverges.

@@ -151,7 +151,8 @@ impl Rng {
 /// share no state; a failing assertion should include
 /// [`Rng::seed`] to make the case reproducible in isolation.
 pub fn cases(n: usize) -> impl Iterator<Item = Rng> {
-    (0..n as u64).map(|i| Rng::new(0x0D0C_2021_u64.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15))))
+    (0..n as u64)
+        .map(|i| Rng::new(0x0D0C_2021_u64.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15))))
 }
 
 #[cfg(test)]

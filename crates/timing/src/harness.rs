@@ -287,7 +287,11 @@ pub fn detect<T: TimingTarget>(
     // Warm-up, alternating classes so both sides pay their first-touch
     // costs before measurement begins.
     for i in 0..cfg.warmup {
-        let class = if i % 2 == 0 { Class::Fixed } else { Class::Random };
+        let class = if i % 2 == 0 {
+            Class::Fixed
+        } else {
+            Class::Random
+        };
         let input = target.prepare(class, &mut rng);
         target.execute(&input);
     }
@@ -390,7 +394,11 @@ mod tests {
         };
         let samples: Vec<(Class, u64)> = (1..=10u64)
             .map(|d| {
-                let class = if d % 2 == 0 { Class::Fixed } else { Class::Random };
+                let class = if d % 2 == 0 {
+                    Class::Fixed
+                } else {
+                    Class::Random
+                };
                 (class, d)
             })
             .collect();

@@ -130,7 +130,11 @@ pub fn crop_cutoff(pool: &[u64], percentile: f64) -> u64 {
     );
     let mut sorted: Vec<u64> = pool.to_vec();
     sorted.sort_unstable();
-    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )]
     let idx = (((sorted.len() - 1) as f64) * percentile).floor() as usize;
     sorted[idx.min(sorted.len() - 1)]
 }

@@ -41,7 +41,11 @@ impl TimingTarget for LeakyTarget {
             Class::Random => 1150,
         };
         // Periodic class-blind spike so the crop counter has work.
-        let spike = if self.calls.is_multiple_of(11) { 500_000 } else { 0 };
+        let spike = if self.calls.is_multiple_of(11) {
+            500_000
+        } else {
+            0
+        };
         self.time.set(self.time.get() + base + input.1 + spike);
     }
 }

@@ -37,7 +37,12 @@ const WALL_PID: i64 = 1;
 const CYCLE_PID_BASE: i64 = 2;
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Object(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn int(v: u64) -> Value {
@@ -51,10 +56,7 @@ fn metadata(name: &str, pid: i64, tid: i64, label: &str) -> Value {
         ("ts", Value::Int(0)),
         ("pid", Value::Int(pid)),
         ("tid", Value::Int(tid)),
-        (
-            "args",
-            obj(vec![("name", Value::Str(label.to_string()))]),
-        ),
+        ("args", obj(vec![("name", Value::Str(label.to_string()))])),
     ])
 }
 
@@ -91,10 +93,7 @@ fn wall_events(trace: &Trace, out: &mut Vec<Value>) {
             EventKind::Span { start_ns, dur_ns } => {
                 let mut fields = base("X", start_ns);
                 fields.push(("dur", int(dur_ns)));
-                fields.push((
-                    "args",
-                    obj(vec![("depth", int(u64::from(event.depth)))]),
-                ));
+                fields.push(("args", obj(vec![("depth", int(u64::from(event.depth)))])));
                 obj(fields)
             }
             EventKind::Instant { ts_ns } => {
@@ -104,10 +103,7 @@ fn wall_events(trace: &Trace, out: &mut Vec<Value>) {
             }
             EventKind::Counter { ts_ns, value } => {
                 let mut fields = base("C", ts_ns);
-                fields.push((
-                    "args",
-                    obj(vec![(event.name, Value::Int(value))]),
-                ));
+                fields.push(("args", obj(vec![(event.name, Value::Int(value))])));
                 obj(fields)
             }
         });
@@ -175,10 +171,7 @@ pub fn export(trace: Option<&Trace>, timelines: &[CycleTimeline]) -> Value {
         (
             "otherData",
             obj(vec![
-                (
-                    "generator",
-                    Value::Str("saber-trace".to_string()),
-                ),
+                ("generator", Value::Str("saber-trace".to_string())),
                 (
                     "wall_clock_unit",
                     Value::Str("1 tick = 1 nanosecond since trace epoch (pid 1)".to_string()),
@@ -204,7 +197,9 @@ fn check_event(i: usize, event: &Value) -> Result<(), String> {
     if !matches!(event, Value::Object(_)) {
         return fail("not an object");
     }
-    event.str_field("name").map_err(|e| format!("traceEvents[{i}]: {e}"))?;
+    event
+        .str_field("name")
+        .map_err(|e| format!("traceEvents[{i}]: {e}"))?;
     let ph = event
         .str_field("ph")
         .map_err(|e| format!("traceEvents[{i}]: {e}"))?
@@ -219,7 +214,9 @@ fn check_event(i: usize, event: &Value) -> Result<(), String> {
     }
     match ph.as_str() {
         "X" => {
-            event.str_field("cat").map_err(|e| format!("traceEvents[{i}]: {e}"))?;
+            event
+                .str_field("cat")
+                .map_err(|e| format!("traceEvents[{i}]: {e}"))?;
             let dur = event
                 .int_field("dur")
                 .map_err(|e| format!("traceEvents[{i}]: {e}"))?;
@@ -234,8 +231,7 @@ fn check_event(i: usize, event: &Value) -> Result<(), String> {
         }
         "C" => match event.get("args") {
             Some(Value::Object(entries))
-                if !entries.is_empty()
-                    && entries.iter().all(|(_, v)| v.as_int().is_some()) => {}
+                if !entries.is_empty() && entries.iter().all(|(_, v)| v.as_int().is_some()) => {}
             _ => return fail("counter event needs integer args"),
         },
         "M" => {

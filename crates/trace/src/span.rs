@@ -49,7 +49,9 @@ fn epoch() -> Instant {
 fn lock_events() -> MutexGuard<'static, Vec<TraceEvent>> {
     // A panic while holding the buffer (e.g. a contained worker panic
     // in saber-service) must not disable tracing for everyone else.
-    EVENTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    EVENTS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The compact per-thread id used in trace events (assigned on first
@@ -151,7 +153,12 @@ impl Drop for SpanGuard {
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         let dur_ns = end_ns.saturating_sub(live.start_ns);
         if flight::enabled() {
-            flight::record(live.category, live.name, end_ns, FlightKind::Span { dur_ns });
+            flight::record(
+                live.category,
+                live.name,
+                end_ns,
+                FlightKind::Span { dur_ns },
+            );
         }
         if !live.to_session {
             return;
@@ -324,7 +331,9 @@ pub struct TraceSession {
 /// With the `capture` feature compiled out this still returns a session
 /// (so calling code needs no cfg), but nothing is recorded.
 pub fn start() -> TraceSession {
-    let exclusive = SESSION.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let exclusive = SESSION
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     lock_events().clear();
     epoch(); // pin the epoch before the first probe
     ENABLED.store(true, Ordering::SeqCst);

@@ -68,7 +68,9 @@ pub fn registry() -> Vec<BackendEntry> {
         // The hot-path engine (crates/ring). Its *timing* contract is
         // the saber-timing gate's job; here it is just one more backend
         // that must stay bit-exact.
-        entry("ct-schoolbook", 5, || Box::new(CtSchoolbookMultiplier::new())),
+        entry("ct-schoolbook", 5, || {
+            Box::new(CtSchoolbookMultiplier::new())
+        }),
         // Cycle-accurate hardware models (crates/core).
         entry("baseline-256", 5, || Box::new(BaselineMultiplier::new(256))),
         entry("baseline-512", 5, || Box::new(BaselineMultiplier::new(512))),
@@ -89,9 +91,14 @@ pub fn registry() -> Vec<BackendEntry> {
             ))
         }),
         entry("lw-16mac", 5, || {
-            Box::new(ScaledLightweightMultiplier::new(16, MemoryStrategy::WiderBus))
+            Box::new(ScaledLightweightMultiplier::new(
+                16,
+                MemoryStrategy::WiderBus,
+            ))
         }),
-        entry("karatsuba-hw", 5, || Box::new(KaratsubaHwMultiplier::new(1))),
+        entry("karatsuba-hw", 5, || {
+            Box::new(KaratsubaHwMultiplier::new(1))
+        }),
         entry("toom-hw", 5, || Box::new(ToomCookHwMultiplier::new())),
     ]
 }
@@ -103,7 +110,11 @@ mod tests {
     #[test]
     fn registry_is_stable_and_named_uniquely() {
         let reg = registry();
-        assert_eq!(reg.len(), 17, "keep the registry in sync with the workspace");
+        assert_eq!(
+            reg.len(),
+            17,
+            "keep the registry in sync with the workspace"
+        );
         let mut names: Vec<&str> = reg.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();

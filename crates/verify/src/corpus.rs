@@ -95,11 +95,15 @@ pub fn generate(rng: &mut Rng, index: usize, bound: i8) -> Case {
             SecretPoly::from_fn(|_| rng.secret_coeff(bound)),
         ),
         CaseKind::MaxMagnitude => {
-            let public = PolyQ::from_fn(|_| {
-                BOUNDARY_COEFFS[rng.range_usize(0, BOUNDARY_COEFFS.len() - 1)]
+            let public =
+                PolyQ::from_fn(|_| BOUNDARY_COEFFS[rng.range_usize(0, BOUNDARY_COEFFS.len() - 1)]);
+            let secret = SecretPoly::from_fn(|_| {
+                if rng.next_u64() & 1 == 0 {
+                    bound
+                } else {
+                    -bound
+                }
             });
-            let secret =
-                SecretPoly::from_fn(|_| if rng.next_u64() & 1 == 0 { bound } else { -bound });
             (public, secret)
         }
         CaseKind::SignBoundary => {
@@ -147,8 +151,13 @@ pub fn generate(rng: &mut Rng, index: usize, bound: i8) -> Case {
                 coeffs[rng.range_usize(0, N - 1)] =
                     BOUNDARY_COEFFS[rng.range_usize(0, BOUNDARY_COEFFS.len() - 1)];
             }
-            let secret =
-                SecretPoly::from_fn(|_| if rng.next_u64() & 1 == 0 { bound } else { -bound });
+            let secret = SecretPoly::from_fn(|_| {
+                if rng.next_u64() & 1 == 0 {
+                    bound
+                } else {
+                    -bound
+                }
+            });
             (PolyQ::from_coeffs(coeffs), secret)
         }
         CaseKind::BlockPattern => {
@@ -157,9 +166,21 @@ pub fn generate(rng: &mut Rng, index: usize, bound: i8) -> Case {
             let block = 1 << rng.range_usize(2, 6); // 4..=64
             let a_even = rng.range_u16(0, 8191);
             let a_odd = rng.range_u16(0, 8191);
-            let public = PolyQ::from_fn(|i| if (i / block).is_multiple_of(2) { a_even } else { a_odd });
+            let public = PolyQ::from_fn(|i| {
+                if (i / block).is_multiple_of(2) {
+                    a_even
+                } else {
+                    a_odd
+                }
+            });
             let s_mag = rng.range_i64(1, i64::from(bound)) as i8;
-            let secret = SecretPoly::from_fn(|i| if (i / block).is_multiple_of(2) { s_mag } else { -s_mag });
+            let secret = SecretPoly::from_fn(|i| {
+                if (i / block).is_multiple_of(2) {
+                    s_mag
+                } else {
+                    -s_mag
+                }
+            });
             (public, secret)
         }
     };
@@ -196,7 +217,10 @@ mod tests {
         let mut rng = Rng::new(1);
         for (index, &kind) in CaseKind::ALL.iter().enumerate() {
             assert_eq!(generate(&mut rng, index, 4).kind, kind);
-            assert_eq!(generate(&mut rng, index + CaseKind::ALL.len(), 4).kind, kind);
+            assert_eq!(
+                generate(&mut rng, index + CaseKind::ALL.len(), 4).kind,
+                kind
+            );
         }
     }
 

@@ -22,8 +22,8 @@ use saber_core::engine::MacStyle;
 use saber_core::{DspPackedSim, EngineSim, LightweightSim};
 use saber_hw::keccak_core::{sponge_on_core, KeccakCore};
 use saber_hw::CycleReport;
-use saber_kem::{kem, serialize, ALL_PARAMS};
 use saber_keccak::{Sha3_256, Sha3_512, Shake128, Shake256};
+use saber_kem::{kem, serialize, ALL_PARAMS};
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_ring::packing;
 use saber_ring::{schoolbook, PolyQ, SecretPoly, N};
@@ -97,7 +97,10 @@ pub fn gen_ring() -> Value {
             vectors.push(obj(vec![
                 ("bound", Value::Int(i64::from(bound))),
                 ("kind", s(case.kind.label())),
-                ("public", s(hex::encode(&packing::poly_to_bytes(&case.public)))),
+                (
+                    "public",
+                    s(hex::encode(&packing::poly_to_bytes(&case.public))),
+                ),
                 ("secret", s(hex::encode(&case.secret.to_nibbles()))),
                 ("product", s(hex::encode(&packing::poly_to_bytes(&product)))),
             ]));
@@ -105,7 +108,10 @@ pub fn gen_ring() -> Value {
     }
     obj(vec![
         ("name", s("ring_mul")),
-        ("source", s("saber-verify gen-kats (schoolbook oracle, frozen)")),
+        (
+            "source",
+            s("saber-verify gen-kats (schoolbook oracle, frozen)"),
+        ),
         ("vectors", Value::Array(vectors)),
     ])
 }
@@ -122,8 +128,8 @@ pub fn verify_ring(doc: &Value) -> Result<usize, String> {
         let nibbles: [u8; N] = hex_field(vector, "secret")?
             .try_into()
             .map_err(|_| format!("vector {i}: secret is not {N} nibbles"))?;
-        let secret = SecretPoly::from_nibbles(&nibbles)
-            .map_err(|e| format!("vector {i}: {e:?}"))?;
+        let secret =
+            SecretPoly::from_nibbles(&nibbles).map_err(|e| format!("vector {i}: {e:?}"))?;
         let expected = hex_field(vector, "product")?;
         let got = packing::poly_to_bytes(&schoolbook::mul_asym(&public, &secret));
         if got != expected {
@@ -157,7 +163,10 @@ pub fn verify_keccak(doc: &Value) -> Result<usize, String> {
             other => return Err(format!("keccak vector {i}: unknown alg {other:?}")),
         };
         if got != expected {
-            return Err(format!("keccak vector {i} ({alg}, {} bytes) mismatch", msg.len()));
+            return Err(format!(
+                "keccak vector {i} ({alg}, {} bytes) mismatch",
+                msg.len()
+            ));
         }
     }
     Ok(vectors.len())
@@ -191,12 +200,18 @@ pub fn gen_pke() -> Value {
             ("msg", s(hex::encode(&msg))),
             ("coins", s(hex::encode(&coins))),
             ("pk", s(hex::encode(&serialize::public_key_to_bytes(&pk)))),
-            ("ct", s(hex::encode(&serialize::ciphertext_to_bytes(&ct, params)))),
+            (
+                "ct",
+                s(hex::encode(&serialize::ciphertext_to_bytes(&ct, params))),
+            ),
         ]));
     }
     obj(vec![
         ("name", s("pke")),
-        ("source", s("saber-verify gen-kats (schoolbook backend, frozen)")),
+        (
+            "source",
+            s("saber-verify gen-kats (schoolbook backend, frozen)"),
+        ),
         ("vectors", Value::Array(vectors)),
     ])
 }
@@ -221,8 +236,12 @@ pub fn verify_pke(doc: &Value) -> Result<usize, String> {
                 .try_into()
                 .map_err(|_| format!("pke vector {i}: {key} is not 32 bytes"))
         };
-        let (seed_a, seed_s, msg, coins) =
-            (to32("seed_a")?, to32("seed_s")?, to32("msg")?, to32("coins")?);
+        let (seed_a, seed_s, msg, coins) = (
+            to32("seed_a")?,
+            to32("seed_s")?,
+            to32("msg")?,
+            to32("coins")?,
+        );
         let (pk, sk) = saber_kem::pke::keygen(params, seed_a, &seed_s, &mut backend);
         if serialize::public_key_to_bytes(&pk) != hex_field(vector, "pk")? {
             return Err(format!("pke vector {i} ({set}): public key drifted"));
@@ -268,14 +287,20 @@ pub fn gen_kem() -> Value {
                 ("entropy", s(hex::encode(&entropy))),
                 ("pk", s(hex::encode(&serialize::public_key_to_bytes(&pk)))),
                 ("sk", s(hex::encode(&serialize::secret_key_to_bytes(&sk)))),
-                ("ct", s(hex::encode(&serialize::ciphertext_to_bytes(&ct, params)))),
+                (
+                    "ct",
+                    s(hex::encode(&serialize::ciphertext_to_bytes(&ct, params))),
+                ),
                 ("ss", s(hex::encode(ss.as_bytes()))),
             ]));
         }
     }
     obj(vec![
         ("name", s("kem_roundtrip")),
-        ("source", s("saber-verify gen-kats (schoolbook backend, frozen)")),
+        (
+            "source",
+            s("saber-verify gen-kats (schoolbook backend, frozen)"),
+        ),
         ("vectors", Value::Array(vectors)),
     ])
 }
@@ -377,9 +402,17 @@ pub fn measured_cycles(model: &str) -> Result<(u64, u64), String> {
     let (a, s) = cycle_operands();
     let report = match model {
         "baseline-256" => EngineSim::new(&a, &s, 256, MacStyle::PerMac).finish().1,
-        "hs1-256" => EngineSim::new(&a, &s, 256, MacStyle::Centralized).finish().1,
+        "hs1-256" => {
+            EngineSim::new(&a, &s, 256, MacStyle::Centralized)
+                .finish()
+                .1
+        }
         "baseline-512" => EngineSim::new(&a, &s, 512, MacStyle::PerMac).finish().1,
-        "hs1-512" => EngineSim::new(&a, &s, 512, MacStyle::Centralized).finish().1,
+        "hs1-512" => {
+            EngineSim::new(&a, &s, 512, MacStyle::Centralized)
+                .finish()
+                .1
+        }
         "hs2-128" => DspPackedSim::new(&a, &s, 1).finish().1,
         "hs2-256" => DspPackedSim::new(&a, &s, 2).finish().1,
         "lw-4" => LightweightSim::new(&a, &s).finish().1,

@@ -8,9 +8,7 @@
 //! ```
 
 use saber_kem::params::SABER;
-use saber_service::{
-    build_plan, run_service, KemService, LoadProfile, ServiceConfig,
-};
+use saber_service::{build_plan, run_service, KemService, LoadProfile, ServiceConfig};
 
 fn main() {
     // A fixed pool: 4 workers, each owning its own shard of the

@@ -23,7 +23,9 @@
 
 use std::fs;
 
-use saber::arch::{CentralizedMultiplier, DspPackedMultiplier, HwMultiplier, LightweightMultiplier};
+use saber::arch::{
+    CentralizedMultiplier, DspPackedMultiplier, HwMultiplier, LightweightMultiplier,
+};
 use saber::kem::params::SABER;
 use saber::kem::{decaps, encaps, keygen};
 use saber::ring::{CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly};
@@ -63,14 +65,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fs::write("target/trace_profile.json", &json)?;
 
     // 4. Narrate what the profile shows.
-    println!("captured {} trace events over the KEM round trip", trace.len());
+    println!(
+        "captured {} trace events over the KEM round trip",
+        trace.len()
+    );
     for name in ["kem.keygen", "kem.encaps", "kem.decaps"] {
-        println!(
-            "  {name:<12} {:>9} ns",
-            trace.total_span_ns(name)
-        );
+        println!("  {name:<12} {:>9} ns", trace.total_span_ns(name));
     }
-    for name in ["matvec", "rounding", "hash", "expand.matrix", "expand.secret"] {
+    for name in [
+        "matvec",
+        "rounding",
+        "hash",
+        "expand.matrix",
+        "expand.secret",
+    ] {
         println!(
             "  {name:<13} {:>8} ns across {} span(s)",
             trace.total_span_ns(name),

@@ -55,8 +55,7 @@ mod tests {
         assert_eq!(soc.makespan, 395);
         assert_eq!(soc.contended_cycles, 19);
         assert_eq!(soc.components.len(), 3);
-        for ((name, stats, _), flat) in outcome.fingerprint.components.iter().zip(&soc.components)
-        {
+        for ((name, stats, _), flat) in outcome.fingerprint.components.iter().zip(&soc.components) {
             assert_eq!(&flat.name, name);
             assert_eq!(flat.busy_cycles, stats.busy_cycles);
             assert_eq!(flat.stall_cycles, stats.stall_cycles);

@@ -44,7 +44,10 @@ fn saber_range_backends() -> Vec<Box<dyn PolyMultiplier>> {
         Box::new(CentralizedMultiplier::new(512)),
         Box::new(DspPackedMultiplier::new()),
         Box::new(LightweightMultiplier::new()),
-        Box::new(ScaledLightweightMultiplier::new(16, MemoryStrategy::WiderBus)),
+        Box::new(ScaledLightweightMultiplier::new(
+            16,
+            MemoryStrategy::WiderBus,
+        )),
     ]
 }
 
