@@ -155,12 +155,6 @@ impl<'m> Coprocessor<'m> {
         self.cycles
     }
 
-    /// Instructions retired so far.
-    #[must_use]
-    pub fn instructions_retired(&self) -> u64 {
-        self.instructions_retired
-    }
-
     /// A named output stored by the program, if present.
     #[must_use]
     pub fn output(&self, name: &str) -> Option<&[u8]> {
@@ -441,7 +435,7 @@ mod tests {
             &saber_keccak::Sha3_256::digest(b"abc")[..]
         );
         assert!(cpu.cycles().hashing >= 24);
-        assert_eq!(cpu.instructions_retired(), 3);
+        assert!(format!("{cpu:?}").contains("3 instructions retired"));
     }
 
     #[test]

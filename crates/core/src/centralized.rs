@@ -77,23 +77,6 @@ impl CentralizedMultiplier {
         self.multiplications
     }
 
-    /// Computes the inner product `Σᵢ aᵢ·sᵢ` with the accumulator kept
-    /// resident between terms (the Saber usage pattern; the single drain
-    /// is why Table 1's high-speed rows exclude read-out overhead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` is empty.
-    pub fn inner_product(
-        &mut self,
-        pairs: &[(PolyQ, SecretPoly)],
-    ) -> (PolyQ, saber_hw::CycleReport) {
-        let (sum, cycles) = engine::simulate_inner_product(pairs, self.macs, MacStyle::Centralized);
-        self.last_cycles = cycles;
-        self.multiplications += pairs.len() as u64;
-        (sum, cycles)
-    }
-
     /// Modeled area: selector-only MACs, one multiple generator per
     /// unrolled public coefficient, shared buffers and control.
     #[must_use]

@@ -359,34 +359,6 @@ impl DspPackedMultiplier {
     }
 }
 
-impl DspPackedMultiplier {
-    /// Multiplies a stream of operand pairs back to back: because the
-    /// DSP pipeline has initiation interval 1, the drain of one
-    /// multiplication overlaps the issue of the next, so `n`
-    /// multiplications take `128·n + 3` cycles instead of `131·n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty or any secret exceeds |s| ≤ 4.
-    pub fn multiply_stream(&mut self, ops: &[(PolyQ, SecretPoly)]) -> (Vec<PolyQ>, CycleReport) {
-        assert!(!ops.is_empty(), "stream needs at least one multiplication");
-        // Each operation's accumulator is independent, so the overlapped
-        // execution retires exactly the sequential results; simulate each
-        // through the verified datapath and account the overlapped
-        // schedule.
-        let products = ops
-            .iter()
-            .map(|(a, s)| saber_ring::PolyMultiplier::multiply(self, a, s))
-            .collect();
-        let cycles = CycleReport {
-            compute_cycles: (N as u64 / 2) * ops.len() as u64 + DSP_LATENCY as u64,
-            memory_overhead_cycles: ops.len() as u64 * ((16 + 1) + (13 + 1)) + (52 + 2),
-        };
-        self.last_cycles = cycles;
-        (products, cycles)
-    }
-}
-
 impl Default for DspPackedMultiplier {
     fn default() -> Self {
         Self::new()
@@ -856,32 +828,6 @@ mod tests {
             hw.multiply(&PolyQ::zero(), &SecretPoly::zero()),
             PolyQ::zero()
         );
-    }
-
-    #[test]
-    fn streaming_overlaps_the_pipeline() {
-        let ops: Vec<(PolyQ, SecretPoly)> = (0..3u16)
-            .map(|k| {
-                (
-                    PolyQ::from_fn(|i| (i as u16).wrapping_mul(7 + k) & 0x1fff),
-                    SecretPoly::from_fn(|i| (((i + k as usize) % 9) as i8) - 4),
-                )
-            })
-            .collect();
-        let mut hw = DspPackedMultiplier::new();
-        let (products, cycles) = hw.multiply_stream(&ops);
-        for ((a, s), p) in ops.iter().zip(products.iter()) {
-            assert_eq!(p, &schoolbook::mul_asym(a, s));
-        }
-        // 128·3 + 3 = 387, cheaper than 3 standalone runs (131·3 = 393).
-        assert_eq!(cycles.compute_cycles, 387);
-        assert!(cycles.compute_cycles < 3 * 131);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one multiplication")]
-    fn empty_stream_panics() {
-        let _ = DspPackedMultiplier::new().multiply_stream(&[]);
     }
 
     #[test]

@@ -48,10 +48,8 @@ pub mod leakage;
 pub mod lightweight;
 pub mod lightweight_sliding;
 pub mod report;
-pub mod scheduler;
 pub mod toom_hw;
 pub mod trade_offs;
-pub mod verify;
 
 pub use baseline::BaselineMultiplier;
 pub use centralized::CentralizedMultiplier;
@@ -61,6 +59,5 @@ pub use karatsuba_hw::KaratsubaHwMultiplier;
 pub use lightweight::{LightweightMultiplier, LightweightSim};
 pub use lightweight_sliding::SlidingLightweightMultiplier;
 pub use report::{ArchitectureReport, HwMultiplier};
-pub use scheduler::{MatrixVectorScheduler, ScheduleStrategy};
 pub use toom_hw::ToomCookHwMultiplier;
 pub use trade_offs::{MemoryStrategy, ScaledLightweightMultiplier};

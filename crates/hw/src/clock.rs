@@ -1,22 +1,11 @@
 //! The global-clock abstraction: every sequential primitive advances on
 //! the same edge.
 //!
-//! Architectures in `saber-core` drive their components directly; this
-//! module provides the generic harness used by test benches and
-//! examples — register a set of [`Clocked`] components, step them in
-//! lock-step, and stop on a condition or a watchdog.
-//!
-//! Wall-clock measurement goes through the shared
-//! [`saber_trace::clock::Clock`] abstraction (see
-//! [`Simulation::run_timed`]) rather than a private time source, so
-//! `FakeClock`-driven tests can assert the timing paths
-//! deterministically.
-//!
-//! For runs that need *more* than a single lock-step clock — divided
-//! clocks, event-driven components, a shared bus — the successor harness
-//! is `saber-soc`: its `ClockedComponent` adapter lifts any [`Clocked`]
-//! primitive onto the discrete-event scheduler with the same
-//! borrowed-component style used here.
+//! Architectures in `saber-core` drive their components directly. To
+//! run raw primitives together — on divided clocks, next to full
+//! datapath models, over a shared bus — `saber-soc`'s
+//! `ClockedComponent` lifts any [`Clocked`] primitive onto its
+//! discrete-event scheduler.
 
 /// A sequential component that advances one clock edge at a time.
 pub trait Clocked {
@@ -39,157 +28,5 @@ impl Clocked for crate::dsp::Dsp48 {
 impl Clocked for crate::keccak_core::KeccakCore {
     fn rising_edge(&mut self) {
         self.tick();
-    }
-}
-
-/// A lock-step simulation over borrowed clocked components.
-///
-/// # Examples
-///
-/// ```
-/// use saber_hw::clock::{Clocked, Simulation};
-/// use saber_hw::Dsp48;
-///
-/// let mut dsp = Dsp48::new(3);
-/// dsp.issue(6, 7, 0)?;
-/// let mut sim = Simulation::new();
-/// sim.add(&mut dsp);
-/// let cycles = sim.run_until_or(|_| false, 3); // run exactly 3 edges
-/// assert_eq!(cycles, 3);
-/// drop(sim);
-/// assert_eq!(dsp.output(), Some(42));
-/// # Ok::<(), saber_hw::dsp::OperandWidthError>(())
-/// ```
-#[derive(Default)]
-pub struct Simulation<'a> {
-    components: Vec<&'a mut dyn Clocked>,
-    cycle: u64,
-}
-
-impl<'a> Simulation<'a> {
-    /// Creates an empty simulation at cycle 0.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            components: Vec::new(),
-            cycle: 0,
-        }
-    }
-
-    /// Registers a component; all registered components step together.
-    pub fn add(&mut self, component: &'a mut dyn Clocked) {
-        self.components.push(component);
-    }
-
-    /// Current cycle count.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Applies one global clock edge.
-    pub fn step(&mut self) {
-        for c in self.components.iter_mut() {
-            c.rising_edge();
-        }
-        self.cycle += 1;
-    }
-
-    /// Steps until `done(cycle)` returns true or `watchdog` edges have
-    /// elapsed, returning the number of edges applied.
-    pub fn run_until_or<F: FnMut(u64) -> bool>(&mut self, mut done: F, watchdog: u64) -> u64 {
-        let start = self.cycle;
-        while self.cycle - start < watchdog {
-            if done(self.cycle) {
-                break;
-            }
-            self.step();
-        }
-        self.cycle - start
-    }
-
-    /// [`run_until_or`](Self::run_until_or), with wall time measured
-    /// through the injected [`saber_trace::clock::Clock`]. Returns
-    /// `(edges applied, wall nanoseconds)`; pass a
-    /// `saber_trace::clock::FakeClock` to test the measurement path
-    /// deterministically.
-    pub fn run_timed<F: FnMut(u64) -> bool>(
-        &mut self,
-        done: F,
-        watchdog: u64,
-        clock: &mut dyn saber_trace::clock::Clock,
-    ) -> (u64, u64) {
-        let start_ns = clock.now_ns();
-        let edges = self.run_until_or(done, watchdog);
-        (edges, clock.now_ns().saturating_sub(start_ns))
-    }
-}
-
-impl std::fmt::Debug for Simulation<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Simulation({} components, cycle {})",
-            self.components.len(),
-            self.cycle
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bram::Bram;
-    use crate::dsp::Dsp48;
-
-    #[test]
-    fn lockstep_bram_and_dsp() {
-        let mut mem = Bram::new(4);
-        mem.preload(0, &[5]);
-        mem.issue_read(0).unwrap();
-        let mut dsp = Dsp48::new(1);
-        dsp.issue(3, 4, 0).unwrap();
-        {
-            let mut sim = Simulation::new();
-            sim.add(&mut mem);
-            sim.add(&mut dsp);
-            sim.step();
-            assert_eq!(sim.cycle(), 1);
-        }
-        assert_eq!(mem.read_data(), Some(5));
-        assert_eq!(dsp.output(), Some(12));
-    }
-
-    #[test]
-    fn watchdog_bounds_runaway_conditions() {
-        let mut mem = Bram::new(2);
-        let mut sim = Simulation::new();
-        sim.add(&mut mem);
-        let ran = sim.run_until_or(|_| false, 50);
-        assert_eq!(ran, 50, "watchdog must stop a never-true condition");
-    }
-
-    #[test]
-    fn condition_stops_early() {
-        let mut dsp = Dsp48::new(2);
-        dsp.issue(2, 2, 1).unwrap();
-        let mut sim = Simulation::new();
-        sim.add(&mut dsp);
-        let ran = sim.run_until_or(|c| c >= 2, 100);
-        assert_eq!(ran, 2);
-    }
-
-    #[test]
-    fn run_timed_measures_through_the_injected_clock() {
-        use saber_trace::clock::FakeClock;
-        let mut dsp = Dsp48::new(3);
-        dsp.issue(6, 7, 0).unwrap();
-        let mut sim = Simulation::new();
-        sim.add(&mut dsp);
-        let mut clock = FakeClock::scripted(vec![1_000, 26_000]);
-        let (edges, wall_ns) = sim.run_timed(|_| false, 3, &mut clock);
-        assert_eq!(edges, 3);
-        assert_eq!(wall_ns, 25_000, "scripted timestamps drive the result");
-        assert!(clock.exhausted(), "exactly two now_ns calls");
     }
 }

@@ -17,8 +17,6 @@ pub enum DomainSuffix {
     Sha3,
     /// SHAKE extendable-output functions: suffix bits `1111` → byte `0x1f`.
     Shake,
-    /// Raw Keccak (pre-FIPS padding, no suffix) → byte `0x01`.
-    Keccak,
 }
 
 impl DomainSuffix {
@@ -28,7 +26,6 @@ impl DomainSuffix {
         match self {
             DomainSuffix::Sha3 => 0x06,
             DomainSuffix::Shake => 0x1f,
-            DomainSuffix::Keccak => 0x01,
         }
     }
 }

@@ -92,21 +92,6 @@ impl<const QBITS: u32> PolyVec<QBITS> {
     }
 }
 
-impl PolyVec<13> {
-    /// Rounds every entry from mod `q` to mod `p` (the Saber key/
-    /// ciphertext scaling `>> (ε_q − ε_p)` with centering).
-    #[must_use]
-    pub fn scale_round_to_p(&self) -> PolyVec<10> {
-        PolyVec {
-            polys: self
-                .polys
-                .iter()
-                .map(crate::rounding::scale_round::<13, 10>)
-                .collect(),
-        }
-    }
-}
-
 impl PolyVec<10> {
     /// Inner product with a secret vector, computed mod `p` by running the
     /// 13-bit backend's [`PolyMultiplier::inner_product`] on zero-extended

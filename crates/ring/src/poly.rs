@@ -4,7 +4,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, Neg, Sub, SubAssign};
 
-use crate::modulus::{center, mask, reduce_i64, N};
+use crate::modulus::{center, reduce_i64, N};
 
 /// A polynomial in `Z_{2^QBITS}[x] / (x^256 + 1)`.
 ///
@@ -159,25 +159,6 @@ impl<const QBITS: u32> Poly<QBITS> {
         Poly::<WBITS>::from_fn(|i| self.coeffs[i] << shift)
     }
 
-    /// Right-shifts every coefficient by `shift` bits into a smaller
-    /// modulus (the Saber scaling/rounding step `>> (ε_q − ε_p)`).
-    #[must_use]
-    pub fn shift_down_to<const RBITS: u32>(&self) -> Poly<RBITS> {
-        let shift = QBITS - RBITS;
-        Poly::<RBITS>::from_fn(|i| self.coeffs[i] >> shift)
-    }
-
-    /// The infinity norm of the centered representative: `max |cᵢ|` over
-    /// the coefficients mapped into `(−2^(QBITS−1), 2^(QBITS−1)]` — the
-    /// quantity Saber's noise analysis bounds.
-    #[must_use]
-    pub fn infinity_norm(&self) -> u32 {
-        (0..N)
-            .map(|i| self.coeff_centered(i).unsigned_abs())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Lifts coefficients to `i64` canonical residues (for convolution
     /// algorithms that work over the integers).
     #[must_use]
@@ -288,12 +269,6 @@ impl<const QBITS: u32> Neg for &Poly<QBITS> {
     }
 }
 
-/// The mask constant is also exposed as a function for non-generic callers.
-#[must_use]
-pub fn coeff_mask(qbits: u32) -> u16 {
-    mask(qbits) as u16
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,13 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_up_then_reduce_back() {
-        let a = PolyP::from_fn(|i| i as u16);
-        let widened: PolyQ = a.shift_up_to::<13>();
-        assert_eq!(widened.shift_down_to::<10>(), a);
-    }
-
-    #[test]
     fn display_sparse() {
         let mut p = PolyQ::zero();
         p.set_coeff(0, 5);
@@ -359,16 +327,6 @@ mod tests {
         let p = PolyQ::from_signed(&raw);
         assert_eq!(p.coeff(0), 8191);
         assert_eq!(p.coeff(1), 0);
-    }
-
-    #[test]
-    fn infinity_norm_is_centered() {
-        let mut p = PolyQ::zero();
-        assert_eq!(p.infinity_norm(), 0);
-        p.set_coeff(0, 8191); // −1 centered
-        assert_eq!(p.infinity_norm(), 1);
-        p.set_coeff(1, 4096); // −4096 centered, the extreme
-        assert_eq!(p.infinity_norm(), 4096);
     }
 
     #[test]

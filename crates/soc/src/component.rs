@@ -112,11 +112,9 @@ pub trait Component {
 /// Keccak core) onto the [`Component`] trait for a fixed number of
 /// edges.
 ///
-/// This is the bridge that retires `saber_hw::clock::Simulation` as the
-/// only way to drive raw primitives: the same borrowed-component style
-/// (`&mut dyn Clocked`), but under the event-heap scheduler, where the
-/// primitive can share a run with full datapath models and divided
-/// clocks.
+/// The primitive is borrowed (`&mut dyn Clocked`) and runs under the
+/// event-heap scheduler, where it can share a run with full datapath
+/// models and divided clocks.
 ///
 /// # Examples
 ///

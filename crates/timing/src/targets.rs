@@ -6,10 +6,10 @@
 //! *secret* as the class variable and everything public randomized in
 //! both classes:
 //!
-//! - [`MulTarget`]: fixed class reuses one secret polynomial (the
-//!   all-zero secret by default — the extreme that maximizes the
-//!   signal of support-dependent backends, and a perfectly legal
-//!   input); random class draws a fresh bounded secret per sample.
+//! - [`MulTarget`]: fixed class reuses the all-zero secret (the
+//!   extreme that maximizes the signal of support-dependent backends,
+//!   and a perfectly legal input); random class draws a fresh bounded
+//!   secret per sample.
 //!   Public operands are fresh in *both* classes, so a detected
 //!   difference can only come from the secret.
 //! - [`DecapsTarget`]: fixed class decapsulates one (key, ciphertext)
@@ -34,7 +34,6 @@ type Backend = Box<dyn PolyMultiplier + Send>;
 /// Times one polynomial multiplication per sample on any boxed backend.
 pub struct MulTarget {
     backend: Backend,
-    fixed: SecretPoly,
     bound: i8,
 }
 
@@ -50,24 +49,7 @@ impl MulTarget {
     /// drawing random-class secrets with |s| ≤ `bound`.
     #[must_use]
     pub fn from_backend(backend: Backend, bound: i8) -> Self {
-        Self {
-            backend,
-            fixed: SecretPoly::zero(),
-            bound,
-        }
-    }
-
-    /// Overrides the fixed-class secret (default: all-zero).
-    #[must_use]
-    pub fn with_fixed_secret(mut self, secret: SecretPoly) -> Self {
-        self.fixed = secret;
-        self
-    }
-
-    /// The backend's self-reported name.
-    #[must_use]
-    pub fn backend_name(&self) -> &str {
-        self.backend.name()
+        Self { backend, bound }
     }
 }
 
@@ -79,7 +61,7 @@ impl TimingTarget for MulTarget {
         // distinguishes them.
         let public = PolyQ::from_fn(|_| (rng.next_u32() & 0x1fff) as u16);
         let secret = match class {
-            Class::Fixed => self.fixed.clone(),
+            Class::Fixed => SecretPoly::zero(),
             Class::Random => {
                 let bound = self.bound;
                 SecretPoly::from_fn(|_| rng.secret_coeff(bound))
@@ -230,7 +212,7 @@ mod tests {
         let (_, s_fixed) = target.prepare(Class::Fixed, &mut rng);
         let (_, s_fixed2) = target.prepare(Class::Fixed, &mut rng);
         assert_eq!(s_fixed, s_fixed2, "fixed class reuses one secret");
-        assert_eq!(s_fixed, SecretPoly::zero(), "default fixed secret");
+        assert_eq!(s_fixed, SecretPoly::zero(), "the all-zero fixed secret");
         let (_, s_rand) = target.prepare(Class::Random, &mut rng);
         let (_, s_rand2) = target.prepare(Class::Random, &mut rng);
         assert_ne!(s_rand, s_rand2, "random class draws fresh secrets");
