@@ -6,6 +6,7 @@
 
 use saber_kem::{kem, serialize, ALL_PARAMS};
 use saber_ring::mul::SchoolbookMultiplier;
+use saber_ring::CtSchoolbookMultiplier;
 use saber_testkit::{cases, Rng};
 
 fn transcript(
@@ -187,6 +188,57 @@ fn garbage_ciphertexts_decapsulate_without_panicking() {
                 params.name,
                 case_rng.seed()
             );
+        }
+    }
+}
+
+/// XORs 1–4 seeded non-zero bytes into `bytes` at seeded positions.
+fn flip_bytes(rng: &mut Rng, bytes: &mut [u8]) {
+    for _ in 0..rng.range_usize(1, 4) {
+        let at = rng.range_usize(0, bytes.len() - 1);
+        bytes[at] ^= rng.range_u16(1, 255) as u8;
+    }
+}
+
+#[test]
+fn mutated_keys_and_ciphertexts_of_the_right_length_never_panic() {
+    // Seeded byte flips in a valid public key, secret key and
+    // ciphertext: each decoder answers `Ok` or `Err`, encaps and decaps
+    // finish on whatever decodes, and no mutated ciphertext recovers the
+    // shared secret.
+    let mut backend = CtSchoolbookMultiplier::new();
+    for params in &ALL_PARAMS {
+        let mut rng = Rng::new(0x000B_ADC5);
+        let (pk, sk) = kem::keygen(params, &rng.bytes32(), &mut backend);
+        let (ct, ss) = kem::encaps(&pk, &rng.bytes32(), &mut backend);
+        let pk_bytes = serialize::public_key_to_bytes(&pk);
+        let sk_bytes = serialize::secret_key_to_bytes(&sk);
+        let ct_bytes = serialize::ciphertext_to_bytes(&ct, params);
+        for case in 0..16 {
+            let mut bytes = pk_bytes.clone();
+            flip_bytes(&mut rng, &mut bytes);
+            if let Ok(pk_bad) = serialize::public_key_from_bytes(&bytes, params) {
+                let _ = kem::encaps(&pk_bad, &rng.bytes32(), &mut backend);
+            }
+
+            let mut bytes = sk_bytes.clone();
+            flip_bytes(&mut rng, &mut bytes);
+            if let Ok(sk_bad) = serialize::secret_key_from_bytes(&bytes, params) {
+                let _ = kem::decaps(&sk_bad, &ct, &mut backend);
+            }
+
+            let mut bytes = ct_bytes.clone();
+            flip_bytes(&mut rng, &mut bytes);
+            let ct_bad = serialize::ciphertext_from_bytes(&bytes, params)
+                .expect("length unchanged, decode must succeed");
+            if ct_bad != ct {
+                assert_ne!(
+                    ss.as_bytes(),
+                    kem::decaps(&sk, &ct_bad, &mut backend).as_bytes(),
+                    "{}: mutated ciphertext {case} recovered the shared secret",
+                    params.name
+                );
+            }
         }
     }
 }
