@@ -27,6 +27,8 @@ fi
 want() { [ "$STAGE" = "all" ] || [ "$STAGE" = "$1" ]; }
 
 if want lint; then
+    echo "==> cargo fmt --all --check"
+    cargo fmt --all --check
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
 fi
@@ -240,16 +242,17 @@ fi
 
 # Observability gate. Two checks: (1) the SoC VCD consistency battery
 # — probe non-perturbation, busy/stall wires equal to scheduler totals
-# at both clock ratios, Chrome-vs-VCD cross-format agreement, and the
+# at both clock ratios, Chrome-vs-VCD cross-format agreement, the
 # byte-frozen golden 1:1 waveform (regenerate deliberately with
-# SABER_BLESS=1); (2) saber-service's unit tests: the metrics
+# SABER_BLESS=1), and the VCD reader on truncated and mutated copies of
+# that golden, read or refused without a panic; (2) saber-service's unit tests: the metrics
 # histograms, the MetricsSnapshot and ServiceReport JSON round-trips,
 # schema-version refusal, truncated and mutated documents refused
 # without a panic, and the Prometheus text exposition lint (metric
 # names, single TYPE per family, cumulative histograms ending at
 # le="+Inf" == _count). The disabled-path gate runs in `trace`.
 if want obs_gate; then
-    echo "==> obs gate: VCD golden waveform + cross-format consistency (release)"
+    echo "==> obs gate: VCD golden waveform, cross-format consistency + hostile input (release)"
     cargo test -q --release -p saber-soc --test vcd_consistency
 
     echo "==> obs gate: metrics, snapshot round-trip, hostile input + Prometheus lint (release)"
