@@ -51,7 +51,7 @@ fn record(report: &mut TimingReport, target: &str, role: &str, run: &LeakReport)
 
 fn main() {
     println!("\n=== Timing leakage: fixed-vs-random on the ct engine and its controls ===\n");
-    let cfg = TimingConfig::from_env();
+    let cfg = TimingConfig::standard();
     println!(
         "budget {} samples, |t| gate {}, seed {:#x}\n",
         cfg.samples, cfg.threshold, cfg.seed
@@ -81,13 +81,8 @@ fn main() {
     record(&mut report, "kem/encaps-ct", "negative-control", &run);
 
     // The secret sampler at four times the multiply budget, as in the
-    // CI timing gate.
-    let sampler_cfg = TimingConfig {
-        seed: cfg.seed,
-        threshold: cfg.threshold,
-        crop_percentile: cfg.crop_percentile,
-        ..TimingConfig::with_samples(4 * cfg.samples)
-    };
+    // timing gate.
+    let sampler_cfg = TimingConfig::with_samples(4 * cfg.samples);
     let mut rng = Rng::new(cfg.seed ^ 0x5A3B);
     let mut sampler = SamplerTarget::new(&LIGHT_SABER, &mut rng);
     let run = detect(&mut sampler, &sampler_cfg, &mut MonotonicClock);

@@ -192,14 +192,6 @@ fn garbage_ciphertexts_decapsulate_without_panicking() {
     }
 }
 
-/// XORs 1–4 seeded non-zero bytes into `bytes` at seeded positions.
-fn flip_bytes(rng: &mut Rng, bytes: &mut [u8]) {
-    for _ in 0..rng.range_usize(1, 4) {
-        let at = rng.range_usize(0, bytes.len() - 1);
-        bytes[at] ^= rng.range_u16(1, 255) as u8;
-    }
-}
-
 #[test]
 fn mutated_keys_and_ciphertexts_of_the_right_length_never_panic() {
     // Seeded byte flips in a valid public key, secret key and
@@ -216,19 +208,19 @@ fn mutated_keys_and_ciphertexts_of_the_right_length_never_panic() {
         let ct_bytes = serialize::ciphertext_to_bytes(&ct, params);
         for case in 0..16 {
             let mut bytes = pk_bytes.clone();
-            flip_bytes(&mut rng, &mut bytes);
+            rng.flip_bytes(&mut bytes);
             if let Ok(pk_bad) = serialize::public_key_from_bytes(&bytes, params) {
                 let _ = kem::encaps(&pk_bad, &rng.bytes32(), &mut backend);
             }
 
             let mut bytes = sk_bytes.clone();
-            flip_bytes(&mut rng, &mut bytes);
+            rng.flip_bytes(&mut bytes);
             if let Ok(sk_bad) = serialize::secret_key_from_bytes(&bytes, params) {
                 let _ = kem::decaps(&sk_bad, &ct, &mut backend);
             }
 
             let mut bytes = ct_bytes.clone();
-            flip_bytes(&mut rng, &mut bytes);
+            rng.flip_bytes(&mut bytes);
             let ct_bad = serialize::ciphertext_from_bytes(&bytes, params)
                 .expect("length unchanged, decode must succeed");
             if ct_bad != ct {

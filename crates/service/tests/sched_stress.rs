@@ -1,4 +1,4 @@
-//! Work-stealing scheduler stress battery (`tools/ci.sh sched_gate`).
+//! Work-stealing scheduler stress battery.
 //!
 //! Five properties of the per-worker-deque dispatcher:
 //!

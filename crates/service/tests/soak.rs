@@ -4,30 +4,20 @@
 //! `saber-verify` differential harness trusts (its backend registry
 //! deliberately excludes schoolbook *because* it is the oracle).
 //!
-//! `SABER_SOAK_OPS` bounds the run: small defaults keep local test
-//! time sane (debug builds take the cycle-accurate-slow paths), while
-//! `tools/ci.sh` sets `SABER_SOAK_OPS=10000` for the release-mode
-//! stress stage.
+//! [`SOAK_OPS`] bounds the run: 200 ops keep the debug run short, and
+//! release builds soak 10,000.
 
 use saber_kem::params::SABER;
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_service::loadgen::{build_plan, recompute_entry, run_service, LoadProfile};
 use saber_service::{KemService, OpKind, ServiceConfig};
 
-fn soak_ops() -> usize {
-    if let Ok(v) = std::env::var("SABER_SOAK_OPS") {
-        return v.parse().expect("SABER_SOAK_OPS must be an op count");
-    }
-    if cfg!(debug_assertions) {
-        200
-    } else {
-        2_000
-    }
-}
+/// Mixed KEM ops per soak.
+const SOAK_OPS: usize = if cfg!(debug_assertions) { 200 } else { 10_000 };
 
 #[test]
 fn four_worker_soak_matches_schoolbook_oracle() {
-    let ops = soak_ops();
+    let ops = SOAK_OPS;
     let mut profile = LoadProfile::new(&SABER, 0x50AC_2026, ops);
     profile.keyring = 4;
     let plan = build_plan(&profile);
@@ -97,7 +87,7 @@ fn four_worker_soak_matches_schoolbook_oracle() {
 fn soak_transcript_is_reproducible_across_runs() {
     // Two independent services over the same plan: identical transcripts
     // (determinism is a property of the plan, not the scheduler).
-    let ops = (soak_ops() / 4).max(20);
+    let ops = (SOAK_OPS / 4).max(20);
     let plan = build_plan(&LoadProfile::new(&SABER, 0x5EED_0042, ops));
     let run = |workers: usize| {
         let service = KemService::spawn(&ServiceConfig {

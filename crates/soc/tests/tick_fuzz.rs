@@ -14,9 +14,9 @@
 use saber_soc::scheduler::OrderPolicy;
 use saber_soc::{fuzz_scenario, run_scenario, ScenarioConfig, SocMutant};
 
-/// The pinned CI seed (also used by `tools/ci.sh soc_gate`).
+/// The pinned base seed.
 const BASE_SEED: u64 = 0x5ABE_2026;
-/// The case budget the issue fixes.
+/// Seeded tick orders per sweep.
 const BUDGET: usize = 64;
 
 #[test]

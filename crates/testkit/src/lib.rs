@@ -136,6 +136,19 @@ impl Rng {
         out
     }
 
+    /// XORs 1–4 non-zero bytes into `bytes` at uniform positions: the
+    /// seeded corruption of the decoders' hostile-input tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is empty.
+    pub fn flip_bytes(&mut self, bytes: &mut [u8]) {
+        for _ in 0..self.range_usize(1, 4) {
+            let at = self.range_usize(0, bytes.len() - 1);
+            bytes[at] ^= self.range_u16(1, 255) as u8;
+        }
+    }
+
     /// A uniform byte vector with a length drawn from `0..=max_len`.
     pub fn byte_vec(&mut self, max_len: usize) -> Vec<u8> {
         let len = self.range_usize(0, max_len);

@@ -58,23 +58,20 @@ pub trait TimingTarget {
 /// choice (class sequence, random-class secrets) derives from `seed`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {
-    /// Root seed for the class sequence and random-class inputs
-    /// (`SABER_TIMING_SEED`).
+    /// Root seed for the class sequence and random-class inputs.
     pub seed: u64,
-    /// Total measurement budget (`SABER_TIMING_SAMPLES`).
+    /// Total measurement budget.
     pub samples: usize,
     /// Untimed warm-up iterations before the first measurement.
     pub warmup: usize,
     /// Samples between analysis passes (and `timing.*` counter
     /// emissions).
     pub window: usize,
-    /// Class-blind pooled percentile kept by cropping, in `(0, 1]`
-    /// (`SABER_TIMING_CROP`).
+    /// Class-blind pooled percentile kept by cropping, in `(0, 1]`.
     pub crop_percentile: f64,
-    /// |t| gate (`SABER_TIMING_THRESHOLD`). Generous by design: CI
-    /// machines are noisy neighbors, and the planted positive controls
-    /// score |t| in the hundreds while honest constant-time code stays
-    /// in low single digits.
+    /// |t| gate. Generous by design: CI machines are noisy neighbors,
+    /// and the planted positive controls score |t| in the hundreds while
+    /// honest constant-time code stays in low single digits.
     pub threshold: f64,
     /// Minimum *collected* samples before an early leak verdict — one
     /// unlucky first window must not end the run.
@@ -110,47 +107,6 @@ impl TimingConfig {
     #[must_use]
     pub fn standard() -> Self {
         Self::with_samples(if cfg!(debug_assertions) { 400 } else { 2000 })
-    }
-
-    /// [`TimingConfig::standard`] with `SABER_TIMING_*` environment
-    /// overrides applied: `SABER_TIMING_SAMPLES` (rescales the derived
-    /// floors too), `SABER_TIMING_SEED`, `SABER_TIMING_THRESHOLD`,
-    /// `SABER_TIMING_CROP`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unparseable values — a typo in a CI matrix must fail
-    /// loudly, not silently test at the wrong budget.
-    #[must_use]
-    pub fn from_env() -> Self {
-        fn parsed<T: std::str::FromStr>(var: &str) -> Option<T>
-        where
-            T::Err: std::fmt::Display,
-        {
-            std::env::var(var).ok().map(|raw| {
-                raw.trim()
-                    .parse()
-                    .unwrap_or_else(|e| panic!("{var}={raw:?}: {e}"))
-            })
-        }
-        let mut cfg = match parsed::<usize>("SABER_TIMING_SAMPLES") {
-            Some(samples) => Self::with_samples(samples),
-            None => Self::standard(),
-        };
-        if let Some(seed) = parsed::<u64>("SABER_TIMING_SEED") {
-            cfg.seed = seed;
-        }
-        if let Some(threshold) = parsed::<f64>("SABER_TIMING_THRESHOLD") {
-            cfg.threshold = threshold;
-        }
-        if let Some(crop) = parsed::<f64>("SABER_TIMING_CROP") {
-            assert!(
-                crop > 0.0 && crop <= 1.0,
-                "SABER_TIMING_CROP={crop}: must be in (0, 1]"
-            );
-            cfg.crop_percentile = crop;
-        }
-        cfg
     }
 }
 

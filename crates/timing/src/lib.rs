@@ -24,7 +24,7 @@
 //! harness's own test suite drives a virtual-time target through
 //! [`harness::detect`] and asserts verdicts exactly.
 //!
-//! The CI contract (`tools/ci.sh timing_gate`): the constant-time
+//! The gate (`crates/timing/tests/timing_gate.rs`): the constant-time
 //! engine `saber_ring::ct::CtSchoolbookMultiplier` must **pass**
 //! (|t| under the threshold), and the two planted positive controls in
 //! `saber_core::fault::TimingFault` — bit-exact multipliers with
@@ -32,9 +32,9 @@
 //! budget. A detector that has never caught a planted leak proves
 //! nothing by passing.
 //!
-//! Reproducibility: every run derives from one seed, and the
-//! `SABER_TIMING_{SAMPLES,SEED,THRESHOLD,CROP}` environment knobs are
-//! honored by [`TimingConfig::from_env`].
+//! Reproducibility: every run derives from one seed,
+//! [`DEFAULT_TIMING_SEED`], at a budget fixed per build profile
+//! ([`TimingConfig::standard`]).
 //!
 //! # Example
 //!

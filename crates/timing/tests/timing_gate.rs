@@ -1,4 +1,4 @@
-//! The CI timing gate (`tools/ci.sh timing_gate`).
+//! The timing-leakage gate.
 //!
 //! Two halves, and both matter:
 //!
@@ -13,9 +13,9 @@
 //!   sample budget. A leakage gate that has never caught a planted leak
 //!   proves nothing by passing.
 //!
-//! Budgets and seeds come from `SABER_TIMING_*` (see
-//! [`TimingConfig::from_env`]); CI pins the seed for reproducible
-//! reruns.
+//! Every test runs at [`TimingConfig::standard`]'s budget (400 samples
+//! in debug, 2,000 in release) from its one seed, so a failure reruns
+//! with the identical measurement schedule.
 
 use saber_core::fault::{TimingFault, TimingLeakMultiplier};
 use saber_testkit::Rng;
@@ -26,7 +26,7 @@ use saber_trace::MonotonicClock;
 
 #[test]
 fn ct_engine_is_timing_clean_on_fixed_vs_random_secrets() {
-    let cfg = TimingConfig::from_env();
+    let cfg = TimingConfig::standard();
     let mut target = MulTarget::ct();
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
     assert_eq!(
@@ -38,7 +38,7 @@ fn ct_engine_is_timing_clean_on_fixed_vs_random_secrets() {
 
 #[test]
 fn ct_scan_early_exit_mutant_is_flagged_within_budget() {
-    let cfg = TimingConfig::from_env();
+    let cfg = TimingConfig::standard();
     let mutant = TimingLeakMultiplier::new(TimingFault::CtScanEarlyExit);
     let mut target = MulTarget::from_backend(Box::new(mutant), 5);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
@@ -51,7 +51,7 @@ fn ct_scan_early_exit_mutant_is_flagged_within_budget() {
 
 #[test]
 fn ct_sign_branch_mutant_is_flagged_within_budget() {
-    let cfg = TimingConfig::from_env();
+    let cfg = TimingConfig::standard();
     let mutant = TimingLeakMultiplier::new(TimingFault::CtSignBranch);
     let mut target = MulTarget::from_backend(Box::new(mutant), 5);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);
@@ -66,7 +66,7 @@ fn ct_sign_branch_mutant_is_flagged_within_budget() {
 fn kem_decaps_on_the_ct_engine_is_timing_clean() {
     // Full decapsulations are ~20 multiplies plus hashing, so a quarter
     // of the multiply budget keeps the wall-clock comparable.
-    let mut cfg = TimingConfig::from_env();
+    let mut cfg = TimingConfig::standard();
     cfg = TimingConfig {
         min_leak_samples: (cfg.samples / 8).clamp(32, cfg.samples.max(1)),
         min_kept: cfg.samples / 8,
@@ -85,7 +85,7 @@ fn kem_decaps_on_the_ct_engine_is_timing_clean() {
 
 #[test]
 fn kem_encaps_on_the_ct_engine_is_timing_clean() {
-    let mut cfg = TimingConfig::from_env();
+    let mut cfg = TimingConfig::standard();
     cfg = TimingConfig {
         min_leak_samples: (cfg.samples / 8).clamp(32, cfg.samples.max(1)),
         min_kept: cfg.samples / 8,
@@ -108,13 +108,7 @@ fn secret_sampler_is_timing_clean_on_fixed_vs_random_seeds() {
     // secrets about 2 µs slower than a repeated one and was flagged
     // within 512–1,408 samples. Four times the multiply budget keeps a
     // wide margin over that, and one expansion costs only microseconds.
-    let env = TimingConfig::from_env();
-    let cfg = TimingConfig {
-        seed: env.seed,
-        threshold: env.threshold,
-        crop_percentile: env.crop_percentile,
-        ..TimingConfig::with_samples(4 * env.samples)
-    };
+    let cfg = TimingConfig::with_samples(4 * TimingConfig::standard().samples);
     let mut rng = Rng::new(cfg.seed ^ 0x5A3B);
     let mut target = SamplerTarget::new(&saber_kem::LIGHT_SABER, &mut rng);
     let report = detect(&mut target, &cfg, &mut MonotonicClock);

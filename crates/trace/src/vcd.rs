@@ -303,7 +303,8 @@ impl VcdDoc {
 /// Returns a message describing the first structural problem: missing
 /// header sections, changes referencing undeclared identifier codes,
 /// time going backwards, a `$dumpvars` block after the first `#time`,
-/// malformed value lines, or an empty signal set.
+/// a wire width outside 1..=64, malformed value lines, a vector value
+/// with more bits than its wire, or an empty signal set.
 pub fn parse(text: &str) -> Result<VcdDoc, String> {
     let mut signals: Vec<VcdSignal> = Vec::new();
     let mut scope: Vec<String> = Vec::new();
@@ -344,8 +345,8 @@ pub fn parse(text: &str) -> Result<VcdDoc, String> {
                         return Err(err("malformed $var"));
                     }
                     let width: u32 = tokens[2].parse().map_err(|_| err("bad width"))?;
-                    if width == 0 {
-                        return Err(err("zero-width wire"));
+                    if !(1..=64).contains(&width) {
+                        return Err(err("wire width outside 1..=64"));
                     }
                     let id = tokens[3].to_string();
                     let mut path = scope.join(".");
@@ -393,23 +394,28 @@ pub fn parse(text: &str) -> Result<VcdDoc, String> {
             continue;
         }
 
-        // Value change: `0<id>` / `1<id>` or `b<bits> <id>`.
-        let (value, id) = if let Some(rest) = line.strip_prefix('b') {
+        // Value change: `0<id>` / `1<id>` or `b<bits> <id>`, with no
+        // more bits than the wire is wide.
+        let (bits, id) = if let Some(rest) = line.strip_prefix('b') {
             let (bits, id) = rest
                 .split_once(char::is_whitespace)
                 .ok_or_else(|| err("vector change missing identifier"))?;
-            let value = u64::from_str_radix(bits, 2).map_err(|_| err("bad binary vector"))?;
-            (value, id.trim())
-        } else if let Some(id) = line.strip_prefix('0') {
-            (0, id)
-        } else if let Some(id) = line.strip_prefix('1') {
-            (1, id)
+            if bits.is_empty() || !bits.bytes().all(|b| b == b'0' || b == b'1') {
+                return Err(err("bad binary vector"));
+            }
+            (bits, id.trim())
+        } else if let Some(id) = line.strip_prefix(['0', '1']) {
+            (&line[..1], id)
         } else {
             return Err(err("unrecognized change line"));
         };
         let &index = by_id
             .get(id)
             .ok_or_else(|| err("change references undeclared identifier"))?;
+        if bits.len() > signals[index].width as usize {
+            return Err(err("value wider than its wire"));
+        }
+        let value = u64::from_str_radix(bits, 2).map_err(|_| err("bad binary vector"))?;
         let at = if in_dumpvars { 0 } else { time };
         if !in_dumpvars && !saw_time {
             return Err(err("value change before any #time"));
@@ -540,6 +546,41 @@ mod tests {
         assert!(parse(late_dumpvars)
             .unwrap_err()
             .contains("$dumpvars after #time"));
+        // The writer declares 1..=64-bit wires and emits exactly `width`
+        // bits per vector value.
+        let wire = |width: &str, change: &str| {
+            format!(
+                "$timescale 1ns $end\n$var wire {width} ! x $end\n$enddefinitions $end\n\
+                 #0\n{change}\n"
+            )
+        };
+        for width in ["0", "65", "4294967296"] {
+            assert!(parse(&wire(width, "1!")).is_err(), "width {width}");
+        }
+        assert_eq!(
+            parse(&wire("64", &format!("b{} !", "1".repeat(64))))
+                .unwrap()
+                .final_value("x"),
+            Some(u64::MAX)
+        );
+        assert!(parse(&wire("1", "b111111 !"))
+            .unwrap_err()
+            .contains("value wider than its wire"));
+        assert!(parse(&wire("4", "b00101 !"))
+            .unwrap_err()
+            .contains("value wider than its wire"));
+        assert_eq!(
+            parse(&wire("4", "b101 !")).unwrap().final_value("x"),
+            Some(5)
+        );
+        for vector in ["b !", "b+1 !", "b12 !"] {
+            assert!(
+                parse(&wire("4", vector))
+                    .unwrap_err()
+                    .contains("bad binary vector"),
+                "{vector}"
+            );
+        }
     }
 
     #[test]

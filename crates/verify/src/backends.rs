@@ -6,6 +6,7 @@
 //! them, so adding a backend to the workspace and forgetting to verify
 //! it shows up as a registry-count test failure rather than silence.
 
+use saber_core::dsp_packed::MAX_PACKED_MAGNITUDE;
 use saber_core::{
     BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, KaratsubaHwMultiplier,
     LightweightMultiplier, MemoryStrategy, ScaledLightweightMultiplier,
@@ -76,8 +77,10 @@ pub fn registry() -> Vec<BackendEntry> {
         entry("baseline-512", 5, || Box::new(BaselineMultiplier::new(512))),
         entry("hs1-256", 5, || Box::new(CentralizedMultiplier::new(256))),
         entry("hs1-512", 5, || Box::new(CentralizedMultiplier::new(512))),
-        entry("hs2-128dsp", 4, || Box::new(DspPackedMultiplier::new())),
-        entry("hs2-256dsp", 4, || {
+        entry("hs2-128dsp", MAX_PACKED_MAGNITUDE, || {
+            Box::new(DspPackedMultiplier::new())
+        }),
+        entry("hs2-256dsp", MAX_PACKED_MAGNITUDE, || {
             Box::new(DspPackedMultiplier::with_dsps(256))
         }),
         entry("lw", 5, || Box::new(LightweightMultiplier::new())),

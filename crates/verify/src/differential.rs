@@ -33,19 +33,13 @@ pub struct FuzzConfig {
 pub const DEFAULT_SEED: u64 = 0x5ABE_2021;
 
 impl FuzzConfig {
-    /// The standard configuration: `SABER_FUZZ_CASES` from the
-    /// environment when set, otherwise a small smoke budget under debug
-    /// builds and the full CI sweep (2,048 cases per set) in release.
+    /// The standard configuration: a smoke budget of 48 cases per set
+    /// under debug builds and the full sweep of 2,048 in release.
     #[must_use]
     pub fn standard() -> Self {
-        let default_cases = if cfg!(debug_assertions) { 48 } else { 2048 };
-        let cases_per_set = std::env::var("SABER_FUZZ_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_cases);
         Self {
             seed: DEFAULT_SEED,
-            cases_per_set,
+            cases_per_set: if cfg!(debug_assertions) { 48 } else { 2048 },
         }
     }
 }

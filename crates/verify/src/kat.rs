@@ -26,7 +26,7 @@ use saber_keccak::{Sha3_256, Sha3_512, Shake128, Shake256};
 use saber_kem::{kem, serialize, ALL_PARAMS};
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_ring::packing;
-use saber_ring::{schoolbook, PolyQ, SecretPoly, N};
+use saber_ring::{schoolbook, PolyQ, SecretPoly, EPS_Q, N};
 use saber_testkit::{hex, Rng};
 
 use crate::corpus;
@@ -34,6 +34,10 @@ use saber_testkit::json::Value;
 
 /// Root seed for the Rust-generated vector families.
 const KAT_SEED: u64 = 0x4B41_5453; // "KATS"
+
+/// Bytes of one packed 13-bit polynomial (a ring vector's `public` and
+/// `product`).
+const POLY_Q_BYTES: usize = N * EPS_Q as usize / 8;
 
 /// The checked-in KAT directory (`crates/verify/kats`).
 #[must_use]
@@ -124,7 +128,11 @@ pub fn gen_ring() -> Value {
 pub fn verify_ring(doc: &Value) -> Result<usize, String> {
     let vectors = vectors_of(doc, "ring_mul")?;
     for (i, vector) in vectors.iter().enumerate() {
-        let public: PolyQ = packing::poly_from_bytes(&hex_field(vector, "public")?);
+        let public = hex_field(vector, "public")?;
+        if public.len() != POLY_Q_BYTES {
+            return Err(format!("vector {i}: public is not {POLY_Q_BYTES} bytes"));
+        }
+        let public: PolyQ = packing::poly_from_bytes(&public);
         let nibbles: [u8; N] = hex_field(vector, "secret")?
             .try_into()
             .map_err(|_| format!("vector {i}: secret is not {N} nibbles"))?;

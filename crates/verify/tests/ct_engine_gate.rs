@@ -1,9 +1,9 @@
-//! CI gate for the constant-time engine
+//! Gate for the constant-time engine
 //! (`saber_ring::ct::CtSchoolbookMultiplier`, the hot-path engine).
 //!
 //! The ct engine must be bit-exact
-//! against the schoolbook oracle over the full configured fuzz budget
-//! (2,048 cases per set in release CI), for single products and for the
+//! against the schoolbook oracle over the full fuzz budget
+//! (2,048 cases per set in release), for single products and for the
 //! fold-once inner products that mat-vec and the PKE run on it. The
 //! timing *mutants*, by
 //! contrast, must be functionally invisible here — they compute correct

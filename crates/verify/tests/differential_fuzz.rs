@@ -2,10 +2,9 @@
 //! with the schoolbook oracle on the full stratified corpus, for every
 //! parameter set.
 //!
-//! Budget: `FuzzConfig::standard()` — a small smoke sweep under plain
-//! `cargo test` (debug), the full 2,048-cases-per-set sweep in release,
-//! and whatever `SABER_FUZZ_CASES` requests when set (that is how
-//! `tools/ci.sh` pins the CI budget explicitly).
+//! Budget: `FuzzConfig::standard()` — a smoke sweep of 48 cases per set
+//! under `cargo test` (debug), the full 2,048-cases-per-set sweep under
+//! `cargo test --release`.
 
 use saber_verify::differential::{run, FuzzConfig};
 

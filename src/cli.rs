@@ -11,6 +11,7 @@ use saber_bench::tables::format_table1;
 use saber_coproc::disasm::{disassemble, profile};
 use saber_coproc::programs::{encaps_program, keygen_program, run_decaps};
 use saber_coproc::Coprocessor;
+use saber_core::dsp_packed::MAX_PACKED_MAGNITUDE;
 use saber_core::{
     BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, HwMultiplier,
     KaratsubaHwMultiplier, LightweightMultiplier, MemoryStrategy, ScaledLightweightMultiplier,
@@ -143,6 +144,24 @@ fn parse_params(key: &str) -> Result<&'static SaberParams, ParseCommandError> {
     }
 }
 
+/// Validates a parameter set and architecture for a KEM run: both keys
+/// must be known, and the HS-II datapaths, whose 15-bit packing (§3.2)
+/// holds secrets of magnitude up to [`MAX_PACKED_MAGNITUDE`] only,
+/// refuse LightSaber (|s| ≤ 5).
+fn check_kem_pair(params: &str, arch: &str) -> Result<(), ParseCommandError> {
+    let set = parse_params(params)?;
+    build_architecture(arch)?;
+    if matches!(arch, "hs2" | "hs2-256") && set.secret_bound() > MAX_PACKED_MAGNITUDE {
+        return Err(ParseCommandError(format!(
+            "architecture `{arch}` packs secrets of magnitude up to {MAX_PACKED_MAGNITUDE}; \
+             {} draws up to {}",
+            set.name,
+            set.secret_bound()
+        )));
+    }
+    Ok(())
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -167,8 +186,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCommandError> {
         Some("kem") => {
             let params = flag_value(args, "--params").unwrap_or("saber");
             let arch = flag_value(args, "--arch").unwrap_or("hs1-256");
-            parse_params(params)?;
-            build_architecture(arch)?;
+            check_kem_pair(params, arch)?;
             Ok(Command::Kem {
                 params: params.into(),
                 arch: arch.into(),
@@ -178,8 +196,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCommandError> {
         Some("kem-program") => {
             let params = flag_value(args, "--params").unwrap_or("saber");
             let arch = flag_value(args, "--arch").unwrap_or("hs1-256");
-            parse_params(params)?;
-            build_architecture(arch)?;
+            check_kem_pair(params, arch)?;
             Ok(Command::KemProgram {
                 params: params.into(),
                 arch: arch.into(),
@@ -474,6 +491,15 @@ mod tests {
             .contains("unknown architecture"));
         assert!(parse(&args(&["kem", "--params", "kyber"])).is_err());
         assert!(parse(&args(&["mult"])).is_err());
+        for command in ["kem", "kem-program"] {
+            for arch in ["hs2", "hs2-256"] {
+                let err = parse(&args(&[command, "--params", "lightsaber", "--arch", arch]))
+                    .unwrap_err()
+                    .to_string();
+                assert!(err.contains("magnitude up to 4"), "{command} {arch}: {err}");
+                assert!(parse(&args(&[command, "--params", "saber", "--arch", arch])).is_ok());
+            }
+        }
     }
 
     #[test]
