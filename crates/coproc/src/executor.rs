@@ -228,7 +228,7 @@ impl<'m> Coprocessor<'m> {
     ///
     /// Returns [`ExecError`] on register-file misuse.
     #[allow(clippy::too_many_lines)]
-    pub fn step(&mut self, instruction: &Instruction) -> Result<(), ExecError> {
+    fn step(&mut self, instruction: &Instruction) -> Result<(), ExecError> {
         match instruction {
             Instruction::LoadBytes { dst, bytes } => {
                 self.cycles.data_movement += bus_cycles(bytes.len());
@@ -436,6 +436,34 @@ mod tests {
         );
         assert!(cpu.cycles().hashing >= 24);
         assert!(format!("{cpu:?}").contains("3 instructions retired"));
+    }
+
+    #[test]
+    fn zero_length_shake_squeezes_nothing() {
+        let mut hw = CentralizedMultiplier::new(256);
+        let mut cpu = Coprocessor::new(&mut hw);
+        cpu.step(&Instruction::LoadBytes {
+            dst: Reg(0),
+            bytes: vec![9; 32],
+        })
+        .unwrap();
+        cpu.step(&Instruction::Shake128 {
+            dst: Reg(1),
+            src: Reg(0),
+            len: 0,
+        })
+        .unwrap();
+        cpu.step(&Instruction::Shake256 {
+            dst: Reg(2),
+            src: Reg(0),
+            len: 0,
+        })
+        .unwrap();
+        assert!(cpu.bytes(Reg(1)).unwrap().is_empty());
+        assert!(cpu.bytes(Reg(2)).unwrap().is_empty());
+        // Only the absorb phase costs: one block each, its rate words
+        // written over the bus and permuted.
+        assert_eq!(cpu.cycles().hashing, (21 + 24) + (17 + 24));
     }
 
     #[test]

@@ -333,12 +333,6 @@ impl DspPackedMultiplier {
         }
     }
 
-    /// Number of DSP banks (1 or 2).
-    #[must_use]
-    pub fn banks(&self) -> usize {
-        self.banks
-    }
-
     /// Modeled area (inventory in the module docs' terms): per unit, the
     /// `a0` sign inverter, the small multiplier + C combiner, the
     /// correction network, the odd-position add/sub and the shared
@@ -375,11 +369,9 @@ enum DspPhase {
     Done,
 }
 
-/// A resumable, one-cycle-per-[`step`](Self::step) simulation of the
-/// HS-II DSP-packed datapath — the same schedule
-/// [`DspPackedMultiplier::multiply`] always ran, exposed as a stepper so
-/// a discrete-event scheduler (`saber-soc`) can interleave it with other
-/// components cycle by cycle.
+/// A resumable, one-cycle-per-`step` simulation of the HS-II
+/// DSP-packed datapath — the same schedule
+/// [`DspPackedMultiplier::multiply`] always ran.
 ///
 /// Invariant: driving `step` to completion and calling
 /// [`finish`](Self::finish) yields byte-identical products, cycle
@@ -453,14 +445,14 @@ impl DspPackedSim {
 
     /// True once the writeback drain has completed.
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.phase == DspPhase::Done
     }
 
     /// Advances exactly one clock cycle; returns `true` while the run is
     /// still in progress (a call on a finished sim is a no-op returning
     /// `false`).
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         match self.phase {
             DspPhase::SecretLoad { left } => {
                 self.cycles += 1;

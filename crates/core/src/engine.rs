@@ -168,10 +168,8 @@ enum EnginePhase {
     Done,
 }
 
-/// A resumable, one-cycle-per-[`step`](Self::step) simulation of the
-/// parallel schoolbook datapath — the same schedule [`simulate`] always
-/// ran, exposed as a stepper so a discrete-event scheduler (`saber-soc`)
-/// can interleave it with other components cycle by cycle.
+/// A resumable, one-cycle-per-`step` simulation of the parallel
+/// schoolbook datapath — the same schedule [`simulate`] always ran.
 ///
 /// Invariant: driving `step` to completion and calling
 /// [`finish`](Self::finish) yields byte-identical products, cycle
@@ -226,14 +224,14 @@ impl EngineSim {
 
     /// True once the drain has completed.
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.phase == EnginePhase::Done
     }
 
     /// Advances exactly one clock cycle; returns `true` while the run is
     /// still in progress (a call on a finished sim is a no-op returning
     /// `false`).
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         match self.phase {
             EnginePhase::SecretLoad { left } => {
                 self.cycles += 1;

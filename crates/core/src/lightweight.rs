@@ -176,11 +176,9 @@ enum LwPhase {
     Done,
 }
 
-/// A resumable, one-cycle-per-[`step`](Self::step) simulation of the
-/// lightweight 4-MAC datapath — the same schedule
-/// [`LightweightMultiplier::multiply`] always ran, exposed as a stepper
-/// so a discrete-event scheduler (`saber-soc`) can interleave it with
-/// other components cycle by cycle.
+/// A resumable, one-cycle-per-`step` simulation of the lightweight
+/// 4-MAC datapath — the same schedule
+/// [`LightweightMultiplier::multiply`] always ran.
 ///
 /// Every `step` performs exactly one [`Bram::tick`], so the elapsed
 /// cycle count always equals the memory model's, and the port-conflict
@@ -247,7 +245,7 @@ impl LightweightSim {
 
     /// True once all 16 block passes have drained.
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.phase == LwPhase::Done
     }
 
@@ -302,7 +300,7 @@ impl LightweightSim {
     ///
     /// Panics if the modeled schedule ever double-books a BRAM port —
     /// the same port-conflict contract the run-to-completion loop had.
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         match self.phase {
             // --- Load the block's 16 secret coefficients (2 cycles). ---
             LwPhase::SecretLoad { step: 0 } => {

@@ -34,15 +34,19 @@ enum Phase {
 /// # Examples
 ///
 /// ```
-/// use saber_hw::keccak_core::KeccakCore;
+/// use saber_hw::keccak_core::{sponge_on_core, KeccakCore};
 ///
 /// let mut core = KeccakCore::new();
 /// core.write_word(0, 0x1234);       // absorb over the 64-bit bus
 /// core.start_permutation();
 /// let cycles = core.run_to_completion();
 /// assert_eq!(cycles, 24);
-/// let lane0 = core.read_word(0);    // squeeze over the bus
-/// assert_ne!(lane0, 0x1234);
+/// assert_ne!(core.state()[0], 0x1234);
+///
+/// // A whole SHAKE-128 call on a fresh core: 21 rate words in, 24
+/// // rounds, 4 words read out.
+/// let (digest, cycles) = sponge_on_core(b"abc", 32, 168, 0x1f);
+/// assert_eq!((digest.len(), cycles), (32, 21 + 24 + 4));
 /// ```
 #[derive(Debug, Clone)]
 pub struct KeccakCore {
@@ -98,7 +102,7 @@ impl KeccakCore {
     ///
     /// Panics if `lane ≥ 25` or a permutation is in flight.
     #[must_use]
-    pub fn read_word(&mut self, lane: usize) -> u64 {
+    fn read_word(&mut self, lane: usize) -> u64 {
         assert!(lane < LANES, "lane index out of range");
         assert!(
             !matches!(self.phase, Phase::Permuting { .. }),
@@ -169,11 +173,169 @@ impl Default for KeccakCore {
     }
 }
 
+/// What one [`SpongeMachine::advance`] cycle did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpongeEvent {
+    /// One rate word crossed the 64-bit bus into the state.
+    AbsorbedWord,
+    /// One Keccak round ran.
+    Round,
+    /// One rate word was read out (the squeezed word).
+    SqueezedWord(u64),
+    /// The machine has already squeezed everything.
+    Done,
+}
+
+/// Where the sponge is between cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SpongeState {
+    Absorb,
+    Permute,
+    Squeeze,
+    Done,
+}
+
+/// A full sponge computation on a [`KeccakCore`], one core cycle per
+/// [`advance`](Self::advance): rate words are written over the bus,
+/// each block is permuted one round per cycle, and rate words are read
+/// back until `out_len` bytes are squeezed. [`sponge_on_core`] runs it
+/// to completion; a discrete-event scheduler can instead interleave the
+/// squeezed words with the consumers of the output.
+#[derive(Debug, Clone)]
+pub struct SpongeMachine {
+    core: KeccakCore,
+    /// The input after pad10*1: whole rate blocks.
+    padded: Vec<u8>,
+    /// Bytes of `padded` already written into the core.
+    absorbed: usize,
+    lane: usize,
+    rounds_left: u64,
+    out: Vec<u8>,
+    out_len: usize,
+    rate_lanes: usize,
+    state: SpongeState,
+}
+
+impl SpongeMachine {
+    /// Stages `input` for a sponge with the given `rate` (bytes,
+    /// lane-aligned) and `domain` suffix byte (0x1f for SHAKE, 0x06 for
+    /// SHA-3), squeezing `out_len` bytes. With `out_len` zero the
+    /// machine finishes once the input is absorbed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is not a positive multiple of 8 below 200.
+    #[must_use]
+    pub fn new(input: &[u8], out_len: usize, rate: usize, domain: u8) -> Self {
+        assert!(
+            rate > 0 && rate < 200 && rate.is_multiple_of(8),
+            "invalid sponge rate"
+        );
+        // Pad: domain suffix then pad10*1 up to the rate boundary.
+        let mut padded = input.to_vec();
+        let pad_len = rate - (input.len() % rate);
+        padded.push(domain);
+        padded.extend(std::iter::repeat_n(0u8, pad_len - 1));
+        let last = padded.len() - 1;
+        padded[last] |= 0x80;
+        Self {
+            core: KeccakCore::new(),
+            padded,
+            absorbed: 0,
+            lane: 0,
+            rounds_left: 0,
+            out: Vec::with_capacity(out_len),
+            out_len,
+            rate_lanes: rate / 8,
+            state: SpongeState::Absorb,
+        }
+    }
+
+    /// True once `out_len` bytes have been squeezed.
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        self.state == SpongeState::Done
+    }
+
+    /// The sponge's machine state for the waveform probe: 1 = absorb,
+    /// 2 = permute, 3 = squeeze, 0 = done.
+    #[must_use]
+    pub fn state_code(&self) -> u64 {
+        match self.state {
+            SpongeState::Absorb => 1,
+            SpongeState::Permute => 2,
+            SpongeState::Squeeze => 3,
+            SpongeState::Done => 0,
+        }
+    }
+
+    /// The squeezed bytes so far (all `out_len` once done).
+    #[must_use]
+    pub fn output(&self) -> &[u8] {
+        &self.out
+    }
+
+    /// Advances exactly one core cycle and reports what it did. A call
+    /// on a finished machine is a no-op returning [`SpongeEvent::Done`].
+    // Inlined into `sponge_on_core`'s loop, the machine runs a whole
+    // sponge as fast as a hand-written loop over the core.
+    #[inline]
+    pub fn advance(&mut self) -> SpongeEvent {
+        match self.state {
+            SpongeState::Absorb => {
+                let bytes = &self.padded[self.absorbed..self.absorbed + 8];
+                let word = u64::from_le_bytes(bytes.try_into().expect("8-byte lane"));
+                self.core.write_word(self.lane, word);
+                self.absorbed += 8;
+                self.lane += 1;
+                if self.lane == self.rate_lanes {
+                    self.start_permutation();
+                }
+                SpongeEvent::AbsorbedWord
+            }
+            SpongeState::Permute => {
+                self.core.tick();
+                self.rounds_left -= 1;
+                if self.rounds_left == 0 {
+                    self.state = if self.absorbed < self.padded.len() {
+                        SpongeState::Absorb
+                    } else if self.out.len() < self.out_len {
+                        SpongeState::Squeeze
+                    } else {
+                        SpongeState::Done
+                    };
+                }
+                SpongeEvent::Round
+            }
+            SpongeState::Squeeze => {
+                let word = self.core.read_word(self.lane);
+                self.lane += 1;
+                let take = (self.out_len - self.out.len()).min(8);
+                self.out.extend_from_slice(&word.to_le_bytes()[..take]);
+                if self.out.len() == self.out_len {
+                    self.state = SpongeState::Done;
+                } else if self.lane == self.rate_lanes {
+                    self.start_permutation();
+                }
+                SpongeEvent::SqueezedWord(word)
+            }
+            SpongeState::Done => SpongeEvent::Done,
+        }
+    }
+
+    fn start_permutation(&mut self) {
+        self.lane = 0;
+        self.core.start_permutation();
+        self.rounds_left = PERMUTATION_CYCLES;
+        self.state = SpongeState::Permute;
+    }
+}
+
 /// Runs a full sponge computation on a fresh core: absorbs `input` with
 /// the given `rate` (bytes, lane-aligned) and `domain` suffix byte
 /// (0x1f for SHAKE, 0x06 for SHA-3), squeezes `out_len` bytes, and
 /// returns the output together with the cycles consumed (bus words +
-/// permutation rounds).
+/// permutation rounds). It is a [`SpongeMachine`] run to completion.
 ///
 /// The byte stream is bit-identical to the software sponge in
 /// `saber-keccak` — asserted by tests — so simulations driving this
@@ -184,51 +346,19 @@ impl Default for KeccakCore {
 /// Panics if `rate` is not a positive multiple of 8 below 200.
 #[must_use]
 pub fn sponge_on_core(input: &[u8], out_len: usize, rate: usize, domain: u8) -> (Vec<u8>, u64) {
-    assert!(
-        rate > 0 && rate < 200 && rate.is_multiple_of(8),
-        "invalid sponge rate"
-    );
-    let rate_lanes = rate / 8;
-    let mut core = KeccakCore::new();
-
-    // Pad: domain suffix then pad10*1 up to the rate boundary.
-    let mut padded = input.to_vec();
-    let pad_len = rate - (input.len() % rate);
-    padded.push(domain);
-    padded.extend(std::iter::repeat_n(0u8, pad_len.saturating_sub(1)));
-    let last = padded.len() - 1;
-    padded[last] |= 0x80;
-
-    for block in padded.chunks(rate) {
-        for (lane, chunk) in block.chunks(8).enumerate() {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            core.write_word(lane, u64::from_le_bytes(word));
-        }
-        core.start_permutation();
-        let _ = core.run_to_completion();
+    let mut machine = SpongeMachine::new(input, out_len, rate, domain);
+    while !machine.is_done() {
+        machine.advance();
     }
-
-    let mut out = Vec::with_capacity(out_len);
-    'squeeze: loop {
-        for lane in 0..rate_lanes {
-            for byte in core.read_word(lane).to_le_bytes() {
-                out.push(byte);
-                if out.len() == out_len {
-                    break 'squeeze;
-                }
-            }
-        }
-        core.start_permutation();
-        let _ = core.run_to_completion();
-    }
-    (out, core.cycles())
+    let cycles = machine.core.cycles();
+    (machine.out, cycles)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saber_keccak::keccak_f1600;
+    use saber_keccak::sponge::{DomainSuffix, Sponge};
+    use saber_keccak::{keccak_f1600, Sha3_256, Sha3_512, Shake128, Shake256};
 
     #[test]
     fn matches_the_software_permutation() {
@@ -289,6 +419,92 @@ mod tests {
         core.start_permutation();
         core.tick();
         core.write_word(0, 1);
+    }
+
+    /// Core cycles of one sponge: each padded block is written over the
+    /// bus and permuted, each squeezed word is read, and the state is
+    /// permuted again after every full rate of squeezed words but the
+    /// last.
+    fn sponge_cycles(input_len: usize, out_len: usize, rate: usize) -> u64 {
+        let lanes = rate / 8;
+        let blocks = input_len / rate + 1;
+        let words = out_len.div_ceil(8);
+        let squeeze_permutations = words.saturating_sub(1) / lanes;
+        let rounds = PERMUTATION_CYCLES as usize;
+        (blocks * (lanes + rounds) + words + squeeze_permutations * rounds) as u64
+    }
+
+    #[test]
+    fn sponge_matches_software_keccak_on_every_executor_shape() {
+        // SHAKE-128, SHAKE-256, SHA3-256 and SHA3-512: the rates and
+        // domains of the coprocessor's four hash instructions.
+        let shapes = [
+            (168, DomainSuffix::Shake),
+            (136, DomainSuffix::Shake),
+            (136, DomainSuffix::Sha3),
+            (72, DomainSuffix::Sha3),
+        ];
+        for (rate, suffix) in shapes {
+            for in_len in [0, 32, rate - 1, rate, rate + 1, 2 * rate + 5] {
+                let input: Vec<u8> = (0..in_len).map(|i| (i * 37 + in_len) as u8).collect();
+                for out_len in [0, 1, 32, 64, rate - 1, rate, rate + 1, 3 * rate + 7] {
+                    let (out, cycles) =
+                        sponge_on_core(&input, out_len, rate, suffix.padding_byte());
+                    let mut reference = Sponge::new(rate, suffix);
+                    reference.absorb(&input);
+                    let mut expected = vec![0u8; out_len];
+                    reference.squeeze(&mut expected);
+                    let shape = format!("rate {rate} {suffix:?}, {in_len} in, {out_len} out");
+                    assert_eq!(out, expected, "{shape}");
+                    assert_eq!(cycles, sponge_cycles(in_len, out_len, rate), "{shape}");
+                }
+            }
+        }
+        let seed = [0x5a; 32];
+        assert_eq!(
+            sponge_on_core(&seed, 416, 168, 0x1f),
+            (Shake128::xof(&seed, 416), 145)
+        );
+        assert_eq!(
+            sponge_on_core(&seed, 200, 136, 0x1f).0,
+            Shake256::xof(&seed, 200)
+        );
+        assert_eq!(
+            sponge_on_core(&seed, 32, 136, 0x06).0,
+            Sha3_256::digest(&seed)
+        );
+        assert_eq!(
+            sponge_on_core(&seed, 64, 72, 0x06).0,
+            Sha3_512::digest(&seed)
+        );
+    }
+
+    #[test]
+    fn zero_length_squeeze_ends_after_the_absorb_phase() {
+        // With nothing to squeeze the machine stops once the input is
+        // absorbed; it must not read a word and then look at the length.
+        let (out, cycles) = sponge_on_core(b"abc", 0, 168, 0x1f);
+        assert!(out.is_empty());
+        assert_eq!(out, Shake128::xof(b"abc", 0));
+        assert_eq!(
+            cycles,
+            21 + PERMUTATION_CYCLES,
+            "one block absorbed, nothing read"
+        );
+
+        let mut machine = SpongeMachine::new(&[7; 200], 0, 136, 0x1f);
+        let mut events = Vec::new();
+        while !machine.is_done() {
+            events.push(machine.advance());
+        }
+        let absorbed = events.iter().filter(|e| **e == SpongeEvent::AbsorbedWord);
+        assert_eq!(absorbed.count(), 2 * 17);
+        assert_eq!(events.len() as u64, machine.core.cycles());
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, SpongeEvent::SqueezedWord(_))));
+        assert_eq!(machine.advance(), SpongeEvent::Done);
+        assert_eq!(machine.state_code(), 0);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 
 pub mod area;
 pub mod bram;
-pub mod clock;
 pub mod dsp;
 pub mod keccak_core;
 pub mod mac;
@@ -53,7 +52,6 @@ pub mod sampler;
 
 pub use area::Area;
 pub use bram::Bram;
-pub use clock::Clocked;
 pub use dsp::Dsp48;
 pub use keccak_core::KeccakCore;
 pub use platform::{CriticalPath, Fpga};

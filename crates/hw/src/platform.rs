@@ -63,14 +63,6 @@ impl Fpga {
             Fpga::UltrascalePlus => 2_520,
         }
     }
-
-    /// Whether the DSP slices are the large 27×18 Ultrascale+ variant
-    /// required by the HS-II packing (§5: *"the proposed optimization
-    /// targets exclusively modern FPGAs with 27×18 DSP slices"*).
-    #[must_use]
-    pub fn has_wide_dsp(self) -> bool {
-        matches!(self, Fpga::UltrascalePlus)
-    }
 }
 
 impl fmt::Display for Fpga {
@@ -137,12 +129,6 @@ mod tests {
     fn artix7_is_slower_than_ultrascale() {
         let path = CriticalPath { logic_levels: 6 };
         assert!(path.fmax_mhz(Fpga::Artix7) < path.fmax_mhz(Fpga::UltrascalePlus));
-    }
-
-    #[test]
-    fn only_ultrascale_has_wide_dsps() {
-        assert!(Fpga::UltrascalePlus.has_wide_dsp());
-        assert!(!Fpga::Artix7.has_wide_dsp());
     }
 
     #[test]

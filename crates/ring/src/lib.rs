@@ -20,14 +20,14 @@
 //!   once per inner product, with a secret-independent scan order and
 //!   memory access pattern, held to that claim by the `saber-timing`
 //!   gate;
-//! * [`karatsuba`], [`toom`], [`ntt`] — one scalar reference per
-//!   asymptotically faster algorithm the paper compares against:
+//! * [`karatsuba`], [`toom`] — scalar references for two
+//!   asymptotically faster algorithms the paper compares against:
 //!   recursive Karatsuba (up to the fully-unrolled 8 levels of Zhu et
-//!   al.), Toom-Cook 4-way (the original Saber submission and the DAC
-//!   2020 co-processor), and an NTT over a 64-bit prime field (the "NTT
-//!   for NTT-unfriendly rings" approach of Chung et al.). They serve
-//!   `saber-core`'s Karatsuba and Toom models and the §5 benches; the
-//!   hot path takes only `toom`'s evaluation points, as constants;
+//!   al.) and Toom-Cook 4-way (the original Saber submission and the DAC
+//!   2020 co-processor). They serve `saber-core`'s Karatsuba and Toom
+//!   models and the §5 benches; the hot path takes only `toom`'s
+//!   evaluation points, as constants. The §5.1 NTT row (Chung et al.'s
+//!   "NTT for NTT-unfriendly rings") is a cited figure, not code;
 //! * [`rounding`], [`packing`], [`matrix`] — the scaling, serialization
 //!   and module-lattice plumbing required by the Saber KEM;
 //! * [`mul::PolyMultiplier`] — the backend trait implemented both by the
@@ -54,7 +54,6 @@ pub mod karatsuba;
 pub mod matrix;
 pub mod modulus;
 pub mod mul;
-pub mod ntt;
 pub mod packing;
 pub mod poly;
 pub mod rounding;

@@ -10,7 +10,6 @@
 //! and memory-access statistics across invocations.
 
 use crate::karatsuba;
-use crate::ntt;
 use crate::poly::PolyQ;
 use crate::schoolbook;
 use crate::secret::SecretPoly;
@@ -125,21 +124,6 @@ impl PolyMultiplier for ToomCook4Multiplier {
     }
 }
 
-/// NTT-over-prime backend (the \[14\]-style approach for NTT-unfriendly
-/// rings).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NttMultiplier;
-
-impl PolyMultiplier for NttMultiplier {
-    fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        ntt::mul_asym(public, secret)
-    }
-
-    fn name(&self) -> &str {
-        "ntt-goldilocks (software)"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +144,6 @@ mod tests {
             Box::new(KaratsubaMultiplier { levels: 4 }),
             Box::new(KaratsubaMultiplier { levels: 8 }),
             Box::new(ToomCook4Multiplier),
-            Box::new(NttMultiplier),
         ];
         for backend in backends.iter_mut() {
             assert_eq!(

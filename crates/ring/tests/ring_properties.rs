@@ -6,7 +6,7 @@
 //! seed needed to replay it.
 
 use saber_ring::{
-    karatsuba, modulus::N, ntt, packing, rounding, schoolbook, toom, Poly, PolyP, PolyQ, SecretPoly,
+    karatsuba, modulus::N, packing, rounding, schoolbook, toom, Poly, PolyP, PolyQ, SecretPoly,
 };
 use saber_testkit::{cases, Rng};
 
@@ -111,38 +111,11 @@ fn toom_matches_schoolbook() {
 }
 
 #[test]
-fn ntt_matches_schoolbook() {
-    for mut rng in cases(CASES) {
-        let a = rand_poly_q(&mut rng);
-        let s = rand_secret(&mut rng);
-        assert_eq!(
-            ntt::mul_asym(&a, &s),
-            schoolbook::mul_asym(&a, &s),
-            "case seed {}",
-            rng.seed()
-        );
-    }
-}
-
-#[test]
 fn toom_symmetric_matches_schoolbook() {
     for mut rng in cases(CASES) {
         let (a, b) = (rand_poly_q(&mut rng), rand_poly_q(&mut rng));
         assert_eq!(
             toom::mul(&a, &b),
-            schoolbook::mul(&a, &b),
-            "case seed {}",
-            rng.seed()
-        );
-    }
-}
-
-#[test]
-fn ntt_symmetric_matches_schoolbook() {
-    for mut rng in cases(CASES) {
-        let (a, b) = (rand_poly_q(&mut rng), rand_poly_q(&mut rng));
-        assert_eq!(
-            ntt::mul(&a, &b),
             schoolbook::mul(&a, &b),
             "case seed {}",
             rng.seed()

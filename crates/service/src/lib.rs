@@ -27,13 +27,11 @@
 //!   and the [`ServiceReport`] JSON snapshot;
 //! * [`loadgen`] — the deterministic seeded load generator whose
 //!   transcripts prove N-worker execution ≡ sequential execution;
-//! * [`obs`] — process-wide observability hooks: flight-recorder
-//!   arming and the crash-dump panic hook (both installed by
-//!   [`KemService::spawn`]);
-//! * [`snapshot`] — the unified [`MetricsSnapshot`] registry merging
-//!   the service report, trace counters, flight status, and SoC
-//!   fingerprint into one versioned JSON document
-//!   plus a linted Prometheus text exposition.
+//! * [`obs`] — the process-wide crash-dump panic hook, installed by
+//!   [`KemService::spawn`], which also arms the flight recorder;
+//! * [`snapshot`] — the unified [`MetricsSnapshot`] registry joining
+//!   the service report and the flight recorder's status in one
+//!   versioned JSON document plus a linted Prometheus text exposition.
 //!
 //! # Examples
 //!
@@ -69,5 +67,5 @@ pub use service::{
     Gate, JobError, JobHandle, KemService, OverloadPolicy, SchedulerKind, ServiceConfig,
     SubmitError,
 };
-pub use snapshot::{lint_prometheus, FlightStatus, MetricsSnapshot, SocComponentStats, SocSection};
+pub use snapshot::{lint_prometheus, FlightStatus, MetricsSnapshot};
 pub use steal::{StealTally, WorkStealQueue};

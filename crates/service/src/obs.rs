@@ -1,14 +1,12 @@
-//! Process-wide observability hooks: flight-recorder arming and the
-//! crash-dump panic hook.
+//! The process-wide crash-dump panic hook.
 //!
-//! [`KemService::spawn`](crate::KemService::spawn) calls both
-//! [`arm_flight_recorder`] and [`install_panic_hook`], so any process
-//! that runs the service gets the production observability posture for
-//! free: the flight recorder is on for the process's whole lifetime
-//! (opt out with `SABER_FLIGHT=0`), and every panic — contained worker
-//! panics included — flushes the panicking thread's flight ring to
-//! stderr (and to the `SABER_FLIGHT_DUMP` file when armed) before the
-//! normal panic message prints.
+//! [`KemService::spawn`](crate::KemService::spawn) arms the flight
+//! recorder and calls [`install_panic_hook`], so any process that runs
+//! the service gets the production observability posture for free: the
+//! flight recorder is on for the process's whole lifetime, and every
+//! panic — contained worker panics included — flushes the panicking
+//! thread's flight ring to stderr (and to the `SABER_FLIGHT_DUMP` file
+//! when armed) before the normal panic message prints.
 //!
 //! The hook is installed exactly once per process ([`std::sync::Once`]),
 //! chains to the previously installed hook, and increments the
@@ -48,17 +46,6 @@ pub fn install_panic_hook() {
 #[must_use]
 pub fn panic_dump_count() -> u64 {
     PANIC_DUMPS.load(Ordering::SeqCst)
-}
-
-/// Arms the flight recorder for the process lifetime unless the
-/// `SABER_FLIGHT` environment variable is exactly `"0"`. Returns
-/// whether the recorder is armed after the call.
-pub fn arm_flight_recorder() -> bool {
-    if std::env::var("SABER_FLIGHT").as_deref() == Ok("0") {
-        return saber_trace::flight::enabled();
-    }
-    saber_trace::flight::set_enabled(true);
-    saber_trace::flight::enabled()
 }
 
 #[cfg(test)]

@@ -374,9 +374,9 @@ impl KemService {
     pub fn spawn(config: &ServiceConfig) -> Self {
         assert!(config.workers > 0, "service needs at least one worker");
         // Production observability posture: arm the flight recorder
-        // (opt out with SABER_FLIGHT=0) and install the crash-dump
-        // panic hook — both idempotent, both process-wide.
-        crate::obs::arm_flight_recorder();
+        // and install the crash-dump panic hook — both idempotent, both
+        // process-wide.
+        saber_trace::flight::set_enabled(true);
         crate::obs::install_panic_hook();
         let inner = Arc::new(Inner {
             queue: WorkStealQueue::new(config.queue_capacity, config.workers),

@@ -1,9 +1,8 @@
 //! The unified metrics snapshot registry: one versioned document
 //! merging every observability surface the workspace has grown.
 //!
-//! Each layer already produces its own artifact — [`ServiceReport`]
-//! counters and wait/exec histograms, `saber_trace` counter probes, the
-//! SoC co-simulation fingerprint. A [`MetricsSnapshot`] is the umbrella: a single
+//! A [`MetricsSnapshot`] joins the [`ServiceReport`] counters and
+//! wait/exec histograms with the flight recorder's status in a single
 //! point-in-time document with a `schema_version` field, serialized two
 //! ways from the same data:
 //!
@@ -29,10 +28,11 @@
 //! version N refuses N+1 documents instead of silently dropping
 //! sections. Removed fields keep the version. Within a version, keys the
 //! reader does not know are ignored, so version 3 documents written
-//! while the engine auto-tuner or the degrade overload policy existed
-//! still load; the tuner's section and the policy's admission counter
-//! are dropped. A reader from before a removal refuses the newer
-//! document and names the field it lacks, so it cannot misread it.
+//! while the engine auto-tuner, the degrade overload policy, the trace
+//! counter section or the SoC section existed still load; the tuner's
+//! section, the policy's admission counter, `counters` and `soc` are
+//! dropped. A reader from before a removal refuses the newer document
+//! and names the field it lacks, so it cannot misread it.
 
 use saber_testkit::json::Value;
 
@@ -71,97 +71,37 @@ impl FlightStatus {
     }
 }
 
-/// One co-simulated component's cycle totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SocComponentStats {
-    /// Component name (e.g. `"keccak-xof-dma"`).
-    pub name: String,
-    /// Ticks doing useful work.
-    pub busy_cycles: u64,
-    /// Ticks stalled on the bus or a peer.
-    pub stall_cycles: u64,
-}
-
-/// A plain-data summary of one SoC co-simulation run (the service crate
-/// does not depend on `saber-soc`; the workspace root converts a
-/// `Fingerprint` into this shape).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SocSection {
-    /// One past the last serviced base cycle.
-    pub makespan: u64,
-    /// Bus cycles with more than one eligible read contender.
-    pub contended_cycles: u64,
-    /// Read grants issued by the arbiter.
-    pub read_grants: u64,
-    /// Write grants issued by the arbiter.
-    pub write_grants: u64,
-    /// Per-component totals, in component-id order.
-    pub components: Vec<SocComponentStats>,
-}
-
-/// The unified snapshot: every observability surface in one versioned
-/// document.
+/// The unified snapshot: the service report and the flight recorder in
+/// one versioned document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Document schema version ([`SCHEMA_VERSION`]).
     pub schema_version: i64,
     /// The service's counters and latency histograms.
     pub service: ServiceReport,
-    /// Aggregated `saber_trace` counter totals, sorted by name.
-    pub counters: Vec<(String, i64)>,
     /// Flight-recorder status.
     pub flight: FlightStatus,
-    /// SoC co-simulation summary, when a probed run is attached.
-    pub soc: Option<SocSection>,
 }
 
 impl MetricsSnapshot {
-    /// A snapshot of `service` plus the live flight-recorder state; add
-    /// the optional sections with the `with_*` builders.
+    /// A snapshot of `service` plus the live flight-recorder state.
     #[must_use]
     pub fn new(service: ServiceReport) -> Self {
         MetricsSnapshot {
             schema_version: SCHEMA_VERSION,
             service,
-            counters: Vec::new(),
             flight: FlightStatus::capture(),
-            soc: None,
         }
-    }
-
-    /// Attaches aggregated trace-counter totals (sorted by name for
-    /// deterministic output).
-    #[must_use]
-    pub fn with_counters(mut self, mut counters: Vec<(String, i64)>) -> Self {
-        counters.sort();
-        self.counters = counters;
-        self
-    }
-
-    /// Attaches a SoC co-simulation summary.
-    #[must_use]
-    pub fn with_soc(mut self, soc: SocSection) -> Self {
-        self.soc = Some(soc);
-        self
     }
 
     /// Serializes into the in-tree JSON document model.
     #[must_use]
     pub fn to_json_value(&self) -> Value {
         let int = json_u64;
-        let mut fields = vec![
+        Value::Object(vec![
             ("snapshot".into(), Value::Str("saber-metrics".into())),
             ("schema_version".into(), Value::Int(self.schema_version)),
             ("service".into(), self.service.to_json_value()),
-            (
-                "counters".into(),
-                Value::Object(
-                    self.counters
-                        .iter()
-                        .map(|(name, v)| (name.clone(), Value::Int(*v)))
-                        .collect(),
-                ),
-            ),
             (
                 "flight".into(),
                 Value::Object(vec![
@@ -172,34 +112,7 @@ impl MetricsSnapshot {
                     ("capacity".into(), int(self.flight.capacity)),
                 ]),
             ),
-        ];
-        if let Some(soc) = &self.soc {
-            fields.push((
-                "soc".into(),
-                Value::Object(vec![
-                    ("makespan".into(), int(soc.makespan)),
-                    ("contended_cycles".into(), int(soc.contended_cycles)),
-                    ("read_grants".into(), int(soc.read_grants)),
-                    ("write_grants".into(), int(soc.write_grants)),
-                    (
-                        "components".into(),
-                        Value::Array(
-                            soc.components
-                                .iter()
-                                .map(|c| {
-                                    Value::Object(vec![
-                                        ("name".into(), Value::Str(c.name.clone())),
-                                        ("busy_cycles".into(), int(c.busy_cycles)),
-                                        ("stall_cycles".into(), int(c.stall_cycles)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        Value::Object(fields)
+        ])
     }
 
     /// Serializes as a pretty-printed JSON string.
@@ -231,18 +144,6 @@ impl MetricsSnapshot {
         };
         let service =
             ServiceReport::from_json_value(value.get("service").ok_or("missing service section")?)?;
-        let mut counters = Vec::new();
-        match value.get("counters") {
-            Some(Value::Object(entries)) => {
-                for (name, v) in entries {
-                    counters.push((
-                        name.clone(),
-                        v.as_int().ok_or("counter value must be an integer")?,
-                    ));
-                }
-            }
-            _ => return Err("missing counters object".into()),
-        }
         let flight_value = value.get("flight").ok_or("missing flight section")?;
         let enabled = match flight_value.get("enabled") {
             Some(Value::Bool(b)) => *b,
@@ -255,36 +156,10 @@ impl MetricsSnapshot {
             panic_dumps: uint(flight_value, "panic_dumps")?,
             capacity: uint(flight_value, "capacity")?,
         };
-        let soc = match value.get("soc") {
-            None => None,
-            Some(section) => {
-                let mut components = Vec::new();
-                for entry in section
-                    .get("components")
-                    .and_then(Value::as_array)
-                    .ok_or("missing soc components array")?
-                {
-                    components.push(SocComponentStats {
-                        name: entry.str_field("name")?.to_string(),
-                        busy_cycles: uint(entry, "busy_cycles")?,
-                        stall_cycles: uint(entry, "stall_cycles")?,
-                    });
-                }
-                Some(SocSection {
-                    makespan: uint(section, "makespan")?,
-                    contended_cycles: uint(section, "contended_cycles")?,
-                    read_grants: uint(section, "read_grants")?,
-                    write_grants: uint(section, "write_grants")?,
-                    components,
-                })
-            }
-        };
         Ok(MetricsSnapshot {
             schema_version: version,
             service,
-            counters,
             flight,
-            soc,
         })
     }
 
@@ -501,73 +376,6 @@ impl MetricsSnapshot {
             self.flight.capacity,
         );
 
-        if !self.counters.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP saber_trace_counter_total Aggregated saber_trace counter totals."
-            );
-            let _ = writeln!(out, "# TYPE saber_trace_counter_total counter");
-            for (name, v) in &self.counters {
-                let _ = writeln!(
-                    out,
-                    "saber_trace_counter_total{{name=\"{}\"}} {v}",
-                    escape_label(name)
-                );
-            }
-        }
-
-        if let Some(soc) = &self.soc {
-            gauge(
-                &mut out,
-                "saber_soc_makespan_cycles",
-                "Co-simulation makespan in base cycles.",
-                soc.makespan,
-            );
-            gauge(
-                &mut out,
-                "saber_soc_contended_cycles",
-                "Bus cycles with more than one read contender.",
-                soc.contended_cycles,
-            );
-            gauge(
-                &mut out,
-                "saber_soc_read_grants",
-                "Read grants issued by the arbiter.",
-                soc.read_grants,
-            );
-            gauge(
-                &mut out,
-                "saber_soc_write_grants",
-                "Write grants issued by the arbiter.",
-                soc.write_grants,
-            );
-            let _ = writeln!(
-                out,
-                "# HELP saber_soc_component_busy_cycles Busy cycles per co-simulated component."
-            );
-            let _ = writeln!(out, "# TYPE saber_soc_component_busy_cycles gauge");
-            for c in &soc.components {
-                let _ = writeln!(
-                    out,
-                    "saber_soc_component_busy_cycles{{component=\"{}\"}} {}",
-                    escape_label(&c.name),
-                    c.busy_cycles
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP saber_soc_component_stall_cycles Stall cycles per co-simulated component."
-            );
-            let _ = writeln!(out, "# TYPE saber_soc_component_stall_cycles gauge");
-            for c in &soc.components {
-                let _ = writeln!(
-                    out,
-                    "saber_soc_component_stall_cycles{{component=\"{}\"}} {}",
-                    escape_label(&c.name),
-                    c.stall_cycles
-                );
-            }
-        }
         out
     }
 }
@@ -780,28 +588,6 @@ mod tests {
         m.record_completed(OpKind::Encaps, 1_000, 2_500);
         m.record_completed(OpKind::Decaps, 20_000_000, 999);
         MetricsSnapshot::new(m.snapshot(2, 8, 1))
-            .with_counters(vec![
-                ("panic.dump".into(), 2),
-                ("hs1.bucket_hits".into(), 41),
-            ])
-            .with_soc(SocSection {
-                makespan: 395,
-                contended_cycles: 19,
-                read_grants: 72,
-                write_grants: 104,
-                components: vec![
-                    SocComponentStats {
-                        name: "keccak-xof-dma".into(),
-                        busy_cycles: 150,
-                        stall_cycles: 12,
-                    },
-                    SocComponentStats {
-                        name: "hs1-512-matvec".into(),
-                        busy_cycles: 248,
-                        stall_cycles: 30,
-                    },
-                ],
-            })
     }
 
     #[test]
@@ -810,8 +596,6 @@ mod tests {
         let text = snap.to_json_string();
         let back = MetricsSnapshot::from_json_str(&text).expect("roundtrip parses");
         assert_eq!(back, snap);
-        // Counters came back sorted (with_counters sorted them going in).
-        assert_eq!(back.counters[0].0, "hs1.bucket_hits");
     }
 
     #[test]
@@ -838,15 +622,23 @@ mod tests {
 
     #[test]
     fn v3_snapshots_from_the_auto_tuner_era_still_load() {
-        // Written the way version 3 snapshots were written while the
-        // engine auto-tuner and the degrade overload policy existed: the
-        // tuner's decision as an object between `flight` and `soc`, and
-        // the policy's admission counter in the service report after
-        // `stolen_jobs`, under these keys.
-        const REMOVED_SECTION: &str = "autotune";
-        const REMOVED_COUNTER: &str = "degraded_admissions";
-        let snap = sample_snapshot();
-        let section = saber_testkit::json::parse(
+        // Written the way version 3 snapshots were written before these
+        // fields went: the trace-counter totals between `service` and
+        // `flight`; the engine auto-tuner's decision and the SoC
+        // co-simulation summary after `flight`; the degrade overload
+        // policy's admission counter in the service report after
+        // `stolen_jobs`. Each pair is the removed key and the text it
+        // put in the Prometheus exposition.
+        const REMOVED: [(&str, &str); 4] = [
+            ("counters", "saber_trace_counter_total"),
+            ("autotune", "autotune"),
+            ("soc", "saber_soc_"),
+            ("degraded_admissions", "degraded_admissions"),
+        ];
+        let section =
+            |text: &str| saber_testkit::json::parse(text).expect("the removed section parses");
+        let counters = section(r#"{"hs1.bucket_hits": 41, "panic.dump": 2}"#);
+        let autotune = section(
             r#"{"chosen": "ct", "samples": [
                 {"engine": "cached", "total_nanos": 9130412},
                 {"engine": "swar", "total_nanos": 3904417},
@@ -854,8 +646,15 @@ mod tests {
                 {"engine": "ntt", "total_nanos": 2955030},
                 {"engine": "ct", "total_nanos": 1186902}
             ]}"#,
-        )
-        .expect("the removed section parses");
+        );
+        let soc = section(
+            r#"{"makespan": 395, "contended_cycles": 19, "read_grants": 72,
+                "write_grants": 104, "components": [
+                {"name": "keccak-xof-dma", "busy_cycles": 150, "stall_cycles": 12},
+                {"name": "hs1-512-matvec", "busy_cycles": 248, "stall_cycles": 30}
+            ]}"#,
+        );
+        let snap = sample_snapshot();
         let Value::Object(mut fields) = snap.to_json_value() else {
             panic!("a snapshot serializes to an object");
         };
@@ -867,22 +666,25 @@ mod tests {
             .iter()
             .position(|(k, _)| k == "stolen_jobs")
             .expect("stolen_jobs counter");
-        report.insert(stolen + 1, (REMOVED_COUNTER.into(), Value::Int(6)));
-        let soc = fields
+        report.insert(stolen + 1, ("degraded_admissions".into(), Value::Int(6)));
+        let flight = fields
             .iter()
-            .position(|(k, _)| k == "soc")
-            .expect("soc section");
-        fields.insert(soc, (REMOVED_SECTION.into(), section));
+            .position(|(k, _)| k == "flight")
+            .expect("flight section");
+        fields.insert(flight, ("counters".into(), counters));
+        fields.push(("autotune".into(), autotune));
+        fields.push(("soc".into(), soc));
         let old = saber_testkit::json::write(&Value::Object(fields));
 
         let back = MetricsSnapshot::from_json_str(&old).expect("a v3 document loads");
         assert_eq!(back, snap);
         let rewritten = back.to_json_string();
         let exposition = back.to_prometheus();
-        for removed in [REMOVED_SECTION, REMOVED_COUNTER] {
-            assert!(old.contains(&format!("\"{removed}\"")));
-            assert!(!rewritten.contains(removed), "{rewritten}");
-            assert!(!exposition.contains(removed), "{exposition}");
+        for (key, family) in REMOVED {
+            let key = format!("\"{key}\"");
+            assert!(old.contains(&key), "{old}");
+            assert!(!rewritten.contains(&key), "{rewritten}");
+            assert!(!exposition.contains(family), "{exposition}");
         }
     }
 
@@ -948,8 +750,6 @@ mod tests {
         assert!(text.contains("saber_op_latency_ns_bucket{op=\"encaps\",le=\"2000\"} 0"));
         assert!(text.contains("saber_op_latency_ns_bucket{op=\"encaps\",le=\"4000\"} 1"));
         assert!(text.contains("saber_op_latency_ns_bucket{op=\"encaps\",le=\"8000\"} 1"));
-        assert!(text.contains("saber_soc_component_busy_cycles{component=\"keccak-xof-dma\"} 150"));
-        assert!(text.contains("saber_trace_counter_total{name=\"panic.dump\"} 2"));
     }
 
     #[test]

@@ -182,12 +182,6 @@ impl<T> WorkStealQueue<T> {
         self.len() == 0
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
     /// Attempts to enqueue without ever blocking; on success returns the
     /// global depth *including* the new job.
     ///
@@ -387,7 +381,6 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
-        assert!(q.is_closed());
         let mut r = rng();
         // Either worker drains the admitted job (steal if not local).
         assert_eq!(q.pop(1, &mut r).map(|(v, _)| v), Some(1));

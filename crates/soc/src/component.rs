@@ -98,111 +98,11 @@ pub trait Component {
     }
 
     /// A small machine-state code for the waveform probe's `state` wire
-    /// (8 bits are recorded): phase indices for scenario components,
-    /// sponge states for Keccak, the program counter for the
-    /// coprocessor. The convention is `0` = done/idle, non-zero = the
-    /// component-specific phase. The default reports a constant 1
+    /// (8 bits are recorded): the XOF DMA's phase and sponge state, the
+    /// multiplier's phase. The convention is `0` = done/idle, non-zero =
+    /// the component-specific phase. The default reports a constant 1
     /// (running) — components with internal phases override it.
     fn state_code(&self) -> u64 {
         1
-    }
-}
-
-/// Adapter lifting any [`saber_hw::Clocked`] primitive (BRAM, DSP48,
-/// Keccak core) onto the [`Component`] trait for a fixed number of
-/// edges.
-///
-/// The primitive is borrowed (`&mut dyn Clocked`) and runs under the
-/// event-heap scheduler, where it can share a run with full datapath
-/// models and divided clocks.
-///
-/// # Examples
-///
-/// ```
-/// use saber_hw::Dsp48;
-/// use saber_soc::{ClockedComponent, ComponentId, Soc};
-///
-/// let mut dsp = Dsp48::new(3);
-/// dsp.issue(6, 7, 0).unwrap();
-/// let mut soc = Soc::new();
-/// soc.add(ClockedComponent::new(ComponentId(0), "dsp", &mut dsp, 1, 3));
-/// soc.run(100);
-/// drop(soc);
-/// assert_eq!(dsp.output(), Some(42));
-/// ```
-pub struct ClockedComponent<'a> {
-    id: ComponentId,
-    name: String,
-    inner: &'a mut dyn saber_hw::Clocked,
-    stride: u64,
-    edges_left: u64,
-    busy: u64,
-    done_at: Option<u64>,
-}
-
-impl<'a> ClockedComponent<'a> {
-    /// Wraps `inner`, ticking it every `stride` base cycles for `edges`
-    /// rising edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` or `edges` is zero.
-    pub fn new(
-        id: ComponentId,
-        name: &str,
-        inner: &'a mut dyn saber_hw::Clocked,
-        stride: u64,
-        edges: u64,
-    ) -> Self {
-        assert!(stride > 0, "a clock divider stride must be at least 1");
-        assert!(edges > 0, "a clocked component needs at least one edge");
-        Self {
-            id,
-            name: name.to_string(),
-            inner,
-            stride,
-            edges_left: edges,
-            busy: 0,
-            done_at: None,
-        }
-    }
-}
-
-impl Component for ClockedComponent<'_> {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_tick(&self) -> u64 {
-        0
-    }
-
-    fn tick(&mut self, now: u64, _bus: &mut SharedBus) -> u64 {
-        self.inner.rising_edge();
-        self.busy += 1;
-        self.edges_left -= 1;
-        if self.edges_left == 0 {
-            self.done_at = Some(now);
-            IDLE
-        } else {
-            now + self.stride
-        }
-    }
-
-    fn stats(&self) -> ComponentStats {
-        ComponentStats {
-            busy_cycles: self.busy,
-            stall_cycles: 0,
-            done_at: self.done_at,
-        }
-    }
-
-    fn state_code(&self) -> u64 {
-        // Remaining edges, saturated to the probe's 8-bit state wire.
-        self.edges_left.min(0xff)
     }
 }

@@ -1,10 +1,9 @@
 //! Discrete-event full-SoC co-simulation for the Saber coprocessor.
 //!
-//! Every cycle model in this repository — the baseline \[10\] and HS-I
-//! parallel schoolbook engines, the HS-II DSP-packed multiplier, the
-//! lightweight 4-MAC datapath, the one-round-per-cycle Keccak core and
-//! the coprocessor executor — historically ran its own run-to-completion
-//! loop. This crate puts them on one time axis:
+//! Every cycle model in this repository runs its own run-to-completion
+//! loop, and its standalone cycle totals are frozen by the cycle-total
+//! KATs in `saber-verify`. This crate puts blocks that share a memory on
+//! one time axis:
 //!
 //! * [`Component`] is the unit of co-simulation: a block that is ticked
 //!   at base cycles of its choosing (clock dividers are just strides).
@@ -14,11 +13,11 @@
 //!   cycle-stamped requests and latched grants/acks/signals — the
 //!   structure that makes a correct SoC *provably insensitive* to
 //!   same-cycle service order.
-//! * [`crate::models`] ports all six cycle models onto the trait with
-//!   their standalone cycle totals intact (locked by golden KATs in
-//!   `saber-verify`).
 //! * [`crate::scenario`] co-simulates an HS-I multiplier with the Keccak
-//!   XOF DMA over the shared bus at 1:1 and 2:1 clock ratios.
+//!   XOF DMA over the shared bus at 1:1 and 2:1 clock ratios. The DMA
+//!   drives `saber_hw`'s resumable `SpongeMachine`, the same sponge the
+//!   coprocessor's hash instructions run to completion, one core cycle
+//!   per tick.
 //! * [`crate::fuzz`] permutes same-cycle service order with a
 //!   deterministic seeded shuffle, asserts permutation invariance, and
 //!   shrinks any divergence to a minimal "swap these two components on
@@ -36,18 +35,13 @@
 pub mod bus;
 pub mod component;
 pub mod fuzz;
-pub mod models;
 pub mod probe;
 pub mod scenario;
 pub mod scheduler;
 
 pub use bus::{BusArbiter, BusStats, SharedBus, SocMutant};
-pub use component::{ClockedComponent, Component, ComponentId, ComponentStats, IDLE};
+pub use component::{Component, ComponentId, ComponentStats, IDLE};
 pub use fuzz::{fuzz_scenario, shuffle_seed_for_case, FuzzReport, RaceFinding};
-pub use models::{
-    CoprocComponent, DspPackedComponent, EngineComponent, LightweightComponent, SpongeComponent,
-    SpongeEvent, SpongeMachine,
-};
 pub use probe::{SocProbe, SocTrace};
 pub use scenario::{run_scenario, run_scenario_probed, ScenarioConfig, ScenarioOutcome};
 pub use scheduler::{Fingerprint, OrderPolicy, RunSummary, Soc};

@@ -27,12 +27,12 @@ use std::rc::Rc;
 
 use saber_core::engine::MacStyle;
 use saber_core::ComputeKernel;
+use saber_hw::keccak_core::{SpongeEvent, SpongeMachine};
 use saber_ring::{packing, SecretPoly};
 use saber_testkit::Rng;
 
 use crate::bus::{BusArbiter, SharedBus, SocMutant};
 use crate::component::{Component, ComponentId, ComponentStats, IDLE};
-use crate::models::{words_to_le_bytes, SpongeEvent, SpongeMachine};
 use crate::probe::{SocProbe, SocTrace};
 use crate::scheduler::{Fingerprint, OrderPolicy, Soc};
 
@@ -193,6 +193,12 @@ fn run_scenario_inner(
     (outcome, deviations, ())
 }
 
+/// Flattens 64-bit words into little-endian bytes — the canonical
+/// encoding for component outputs folded into run fingerprints.
+fn words_to_le_bytes(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
 /// DMA engine: seed fetch → SHAKE-128 on the core → streamed writes →
 /// latched `xof_done`.
 struct KeccakXofDma {
@@ -267,8 +273,9 @@ impl Component for KeccakXofDma {
                     let seed: Vec<u8> = words_to_le_bytes(
                         &got.iter().map(|w| w.expect("filled")).collect::<Vec<_>>(),
                     );
+                    // SHAKE-128: rate 168, domain suffix 0x1f.
                     self.phase = XofPhase::Sponge {
-                        machine: Box::new(SpongeMachine::shake128(&seed, XOF_BYTES)),
+                        machine: Box::new(SpongeMachine::new(&seed, XOF_BYTES, 168, 0x1f)),
                         writes_posted: 0,
                     };
                 }

@@ -79,24 +79,20 @@ pub struct Fingerprint {
 }
 
 /// The SoC under simulation: a bus plus registered components.
-///
-/// Lifetime-generic so components may borrow external state (a
-/// [`ClockedComponent`](crate::component::ClockedComponent) borrowing a
-/// DSP, a coprocessor borrowing its multiplier).
-pub struct Soc<'a> {
-    components: Vec<Box<dyn Component + 'a>>,
+pub struct Soc {
+    components: Vec<Box<dyn Component>>,
     bus: SharedBus,
     policy: OrderPolicy,
     deviations: Vec<(u64, Vec<ComponentId>)>,
 }
 
-impl Default for Soc<'_> {
+impl Default for Soc {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<'a> Soc<'a> {
+impl Soc {
     /// An empty SoC with a minimal bus and the canonical order policy.
     #[must_use]
     pub fn new() -> Self {
@@ -125,7 +121,7 @@ impl<'a> Soc<'a> {
     ///
     /// Panics if another component with the same id is already
     /// registered.
-    pub fn add(&mut self, component: impl Component + 'a) {
+    pub fn add(&mut self, component: impl Component + 'static) {
         assert!(
             self.components.iter().all(|c| c.id() != component.id()),
             "duplicate component id {}",
@@ -145,15 +141,6 @@ impl<'a> Soc<'a> {
     #[must_use]
     pub fn deviations(&self) -> &[(u64, Vec<ComponentId>)] {
         &self.deviations
-    }
-
-    /// Stats of the component with `id`, if registered.
-    #[must_use]
-    pub fn component_stats(&self, id: ComponentId) -> Option<ComponentStats> {
-        self.components
-            .iter()
-            .find(|c| c.id() == id)
-            .map(|c| c.stats())
     }
 
     /// The permutation-invariant fingerprint of the finished run (see
@@ -360,10 +347,8 @@ mod tests {
         // id 1 ticks 0..=3; id 2 ticks 0,3,6 → makespan 7.
         assert_eq!(summary.makespan, 7);
         assert_eq!(summary.events, 7);
-        assert_eq!(
-            soc.component_stats(ComponentId(2)).unwrap().done_at,
-            Some(6)
-        );
+        let fingerprint = soc.fingerprint(&summary);
+        assert_eq!(fingerprint.components[1].1.done_at, Some(6));
     }
 
     #[test]

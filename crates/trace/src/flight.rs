@@ -40,7 +40,7 @@ static RECORDED: AtomicU64 = AtomicU64::new(0);
 static DUMPS: AtomicU64 = AtomicU64::new(0);
 
 /// The payload of one flight entry (mirrors [`crate::EventKind`] minus
-/// the start timestamp, which lives in [`FlightEntry::ts_ns`]).
+/// the start timestamp, which [`record`] takes as `ts_ns`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// A completed span of `dur_ns` nanoseconds ending at `ts_ns`.
@@ -59,15 +59,15 @@ pub enum FlightKind {
 
 /// One retained probe.
 #[derive(Debug, Clone, Copy)]
-pub struct FlightEntry {
+struct FlightEntry {
     /// Nanoseconds since the trace epoch when the entry was recorded.
-    pub ts_ns: u64,
+    ts_ns: u64,
     /// Subsystem label.
-    pub category: &'static str,
+    category: &'static str,
     /// Event name.
-    pub name: &'static str,
+    name: &'static str,
     /// The payload.
-    pub kind: FlightKind,
+    kind: FlightKind,
 }
 
 struct Ring {
@@ -110,13 +110,12 @@ thread_local! {
     static RING: RefCell<Ring> = const { RefCell::new(Ring::new()) };
 }
 
-/// True while the flight recorder is on (and the `capture` feature is
-/// compiled in). The single branch every probe takes when no capture
-/// session is active.
+/// True while the flight recorder is on. The single branch every probe
+/// takes when no capture session is active.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    cfg!(feature = "capture") && FLIGHT_ENABLED.load(Ordering::Relaxed)
+    FLIGHT_ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns the recorder on or off process-wide. Rings keep their contents
@@ -143,13 +142,6 @@ pub fn record(category: &'static str, name: &'static str, ts_ns: u64, kind: Flig
             });
         }
     });
-}
-
-/// The calling thread's retained entries, oldest first.
-#[must_use]
-pub fn snapshot_current_thread() -> Vec<FlightEntry> {
-    RING.try_with(|ring| ring.try_borrow().map(|r| r.ordered()).unwrap_or_default())
-        .unwrap_or_default()
 }
 
 /// Empties the calling thread's ring (tests and benches).
@@ -249,9 +241,14 @@ pub fn dump_if_armed(reason: &str) -> Option<String> {
 mod tests {
     use super::*;
 
+    use std::sync::{Mutex, PoisonError};
+
     // Each test clears the thread-local ring; tests within this module
     // share one process but thread-local state keeps them independent
     // as long as each runs on its own test thread (the default harness).
+    // The dump counter is process-wide, so the tests that dump take
+    // turns.
+    static DUMPING: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_recorder_is_off_by_default_and_probe_is_gated() {
@@ -259,26 +256,30 @@ mod tests {
         // thread sees its own ring; the global flag is restored below.)
         set_enabled(false);
         assert!(!enabled());
-        clear_current_thread();
-        // Recording is the caller's choice; enabled() is the gate.
-        assert!(snapshot_current_thread().is_empty());
     }
 
     #[test]
     fn ring_overwrites_oldest_first() {
+        let _turn = DUMPING.lock().unwrap_or_else(PoisonError::into_inner);
         clear_current_thread();
         for i in 0..(CAPACITY as u64 + 10) {
             record("t", "evt", i, FlightKind::Counter { value: 1 });
         }
-        let entries = snapshot_current_thread();
-        assert_eq!(entries.len(), CAPACITY);
-        assert_eq!(entries[0].ts_ns, 10, "oldest 10 were overwritten");
-        assert_eq!(entries[CAPACITY - 1].ts_ns, CAPACITY as u64 + 9);
+        let text = dump_current_thread("overwrite test");
+        assert!(text.contains(&format!("retained {CAPACITY}, dropped 10")));
+        let stamps: Vec<u64> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("  counter "))
+            .map(|rest| rest.split_whitespace().next().unwrap().parse().unwrap())
+            .collect();
+        // The oldest 10 were overwritten; the rest stay in order.
+        assert_eq!(stamps, (10..CAPACITY as u64 + 10).collect::<Vec<_>>());
         clear_current_thread();
     }
 
     #[test]
     fn dump_formats_every_kind_and_counts() {
+        let _turn = DUMPING.lock().unwrap_or_else(PoisonError::into_inner);
         clear_current_thread();
         record("t", "a", 5, FlightKind::Span { dur_ns: 7 });
         record("t", "b", 6, FlightKind::Instant);

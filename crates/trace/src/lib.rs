@@ -13,9 +13,8 @@
 //!   expansion / mat-vec / rounding / hashing stages) and
 //!   `saber-service` (per-job queue-wait vs. execute spans). When no
 //!   session is active and the flight recorder is off, a probe costs
-//!   two relaxed atomic loads (the session flag, then the flight flag),
-//!   and with the `capture` feature disabled it compiles to nothing —
-//!   the `disabled_path` test holds the disabled path under fixed
+//!   two relaxed atomic loads (the session flag, then the flight flag)
+//!   — the `disabled_path` test holds the disabled path under fixed
 //!   limits (25 ns mean per probe; 10 ns with the recorder off).
 //! - **Cycle-domain occupancy** ([`CycleTimeline`]): gap-free per-phase
 //!   breakdowns emitted by the cycle-accurate models in `saber-core`,

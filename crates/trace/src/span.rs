@@ -2,9 +2,8 @@
 //!
 //! The recording side is designed around one invariant: **when no
 //! session is active and the flight recorder is off, a probe is two
-//! relaxed atomic loads** — the session flag, then the flight flag (and
-//! with the `capture` feature compiled out, not even that — the
-//! optimizer deletes the call entirely). All cost lives behind the
+//! relaxed atomic loads** — the session flag, then the flight flag. All
+//! cost lives behind the
 //! branch, so the instrumented hot paths of `saber-ring` and
 //! `saber-service` pay next to nothing in production; the crate's
 //! `disabled_path` test holds a probe under fixed limits (25 ns mean
@@ -65,12 +64,12 @@ fn tid() -> u64 {
     })
 }
 
-/// True while a capture session is active (and the `capture` feature is
-/// compiled in). The single branch every probe takes first.
+/// True while a capture session is active. The single branch every
+/// probe takes first.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    cfg!(feature = "capture") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Nanoseconds since the trace epoch (monotonic).
@@ -327,9 +326,6 @@ pub struct TraceSession {
 
 /// Starts a capture session: clears the event buffer and enables every
 /// probe until the returned session is finished or dropped.
-///
-/// With the `capture` feature compiled out this still returns a session
-/// (so calling code needs no cfg), but nothing is recorded.
 pub fn start() -> TraceSession {
     let exclusive = SESSION
         .lock()
@@ -417,12 +413,6 @@ impl Trace {
             })
             .sum()
     }
-
-    /// The deepest span nesting observed.
-    #[must_use]
-    pub fn max_depth(&self) -> u32 {
-        self.events.iter().map(|e| e.depth).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -467,7 +457,6 @@ mod tests {
         assert!(trace.total_span_ns("outer") >= trace.total_span_ns("inner"));
         assert!(trace.total_span_ns("inner") >= 1_000_000);
         assert_eq!(trace.counter_total("widgets"), 5);
-        assert_eq!(trace.max_depth(), 1);
     }
 
     #[test]

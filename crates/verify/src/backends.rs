@@ -12,7 +12,7 @@ use saber_core::{
     LightweightMultiplier, MemoryStrategy, ScaledLightweightMultiplier,
     SlidingLightweightMultiplier, ToomCookHwMultiplier,
 };
-use saber_ring::mul::{KaratsubaMultiplier, NttMultiplier, ToomCook4Multiplier};
+use saber_ring::mul::{KaratsubaMultiplier, ToomCook4Multiplier};
 use saber_ring::{CtSchoolbookMultiplier, PolyMultiplier};
 
 /// One registered backend: how to build it and what it accepts.
@@ -65,7 +65,6 @@ pub fn registry() -> Vec<BackendEntry> {
             Box::new(KaratsubaMultiplier { levels: 8 })
         }),
         entry("toom-cook-4", 5, || Box::new(ToomCook4Multiplier)),
-        entry("ntt", 5, || Box::new(NttMultiplier)),
         // The hot-path engine (crates/ring). Its *timing* contract is
         // the saber-timing gate's job; here it is just one more backend
         // that must stay bit-exact.
@@ -115,7 +114,7 @@ mod tests {
         let reg = registry();
         assert_eq!(
             reg.len(),
-            17,
+            16,
             "keep the registry in sync with the workspace"
         );
         let mut names: Vec<&str> = reg.iter().map(|e| e.name).collect();

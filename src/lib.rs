@@ -16,13 +16,10 @@
 //!   VCD export, plus the crash-safe flight recorder
 //! * [`service`] — the concurrent KEM service layer
 //! * [`soc`] — the discrete-event full-SoC co-simulation scheduler
-//! * [`obs`] — cross-crate observability glue (SoC fingerprint →
-//!   metrics-snapshot section)
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
-pub mod obs;
 
 pub use saber_coproc as coproc;
 pub use saber_core as arch;

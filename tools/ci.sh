@@ -48,15 +48,10 @@ fi
 
 # The trace_profile example records one full KEM round trip plus the
 # cycle-model lanes and validates the exported Chrome trace-event JSON
-# against the schema checker (it exits nonzero on any violation). The
-# no-default-features build proves the fully compiled-out configuration
-# (every probe a no-op at compile time) still builds.
+# against the schema checker (it exits nonzero on any violation).
 if want trace; then
     echo "==> trace: profile example + Chrome trace schema validation"
     cargo run -q --release --example trace_profile
-
-    echo "==> trace: capture feature compiled out still builds"
-    cargo build -q -p saber-trace --no-default-features
 fi
 
 if want bench; then
