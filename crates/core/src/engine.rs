@@ -121,7 +121,7 @@ impl ComputeKernel {
     /// secret rotated by `x^r` are one contiguous window of the
     /// negacyclic extension built at construction — so the simulation
     /// clones and copies nothing per cycle. The RTL's physical rotation,
-    /// this window and the lane-by-lane [`rotated`] read identical
+    /// this window and the lane-by-lane `rotated` read identical
     /// values.
     pub fn step(&mut self) -> bool {
         if self.is_done() {

@@ -44,10 +44,12 @@ use crate::pke::CpaSecretKey;
 /// Trace counter (category `"kem"`) emitted when a [`CpaSecretKey`] is
 /// wiped by `Drop`.
 pub const CPA_ZEROIZED: &str = "secret.cpa_zeroized";
-/// Trace counter (category `"kem"`) emitted when a [`KemSecretKey`] is
+/// Trace counter (category `"kem"`) emitted when a
+/// [`KemSecretKey`](crate::KemSecretKey) is
 /// wiped by `Drop`.
 pub const KEM_SK_ZEROIZED: &str = "secret.kem_sk_zeroized";
-/// Trace counter (category `"kem"`) emitted when a [`SharedSecret`] is
+/// Trace counter (category `"kem"`) emitted when a
+/// [`SharedSecret`](crate::SharedSecret) is
 /// wiped by `Drop`.
 pub const SHARED_ZEROIZED: &str = "secret.shared_zeroized";
 

@@ -23,15 +23,15 @@
 //!   (backpressure + draining close), the service's dispatch;
 //! * [`service`] — the [`KemService`] pool: typed job handles, panic
 //!   containment, graceful shutdown;
-//! * [`metrics`] — atomic counters, fixed-bucket latency histograms,
-//!   and the [`ServiceReport`] JSON snapshot;
+//! * [`metrics`] — atomic counters and fixed-bucket latency
+//!   histograms, read into the [`ServiceReport`]: the service's one
+//!   report, which also carries the flight recorder's status;
 //! * [`loadgen`] — the deterministic seeded load generator whose
 //!   transcripts prove N-worker execution ≡ sequential execution;
 //! * [`obs`] — the process-wide crash-dump panic hook, installed by
 //!   [`KemService::spawn`], which also arms the flight recorder;
-//! * [`snapshot`] — the unified [`MetricsSnapshot`] registry joining
-//!   the service report and the flight recorder's status in one
-//!   versioned JSON document plus a linted Prometheus text exposition.
+//! * [`snapshot`] — the report's one versioned JSON document, its
+//!   reader, and its linted Prometheus text exposition.
 //!
 //! # Examples
 //!
@@ -67,5 +67,5 @@ pub use service::{
     Gate, JobError, JobHandle, KemService, OverloadPolicy, SchedulerKind, ServiceConfig,
     SubmitError,
 };
-pub use snapshot::{lint_prometheus, FlightStatus, MetricsSnapshot};
+pub use snapshot::{lint_prometheus, FlightStatus};
 pub use steal::{StealTally, WorkStealQueue};

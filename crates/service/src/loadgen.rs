@@ -2,9 +2,9 @@
 //!
 //! A [`LoadProfile`] (seed + op count + operation mix) expands into a
 //! concrete [`LoadPlan`]: every job's inputs — keygen seeds, encaps
-//! entropy, decapsulation ciphertexts, mat-vec operands — are derived
-//! up front from one SplitMix64 stream, so the *work* is fixed before
-//! any of it is scheduled. The same plan can then be executed two ways:
+//! entropy, decapsulation ciphertexts — are derived up front from one
+//! SplitMix64 stream, so the *work* is fixed before any of it is
+//! scheduled. The same plan can then be executed two ways:
 //!
 //! * [`run_sequential`] — one thread, one backend, in op order: the
 //!   reference transcript;
@@ -26,19 +26,17 @@
 //! not just equality of in-memory structs.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use saber_keccak::Sha3_256;
-use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::SaberParams;
 use saber_kem::{serialize, Ciphertext, KemSecretKey, PublicKey};
-use saber_ring::{CtSchoolbookMultiplier, PolyMatrix, PolyMultiplier, PolyVec, SecretVec};
+use saber_ring::{CtSchoolbookMultiplier, PolyMultiplier};
 use saber_testkit::Rng;
 
 use crate::metrics::OpKind;
 use crate::service::{JobError, JobHandle, KemService, SubmitError};
 
-/// Relative weights of the four operations in a generated load.
+/// Relative weights of the three KEM operations in a generated load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpMix {
     /// Weight of key generations.
@@ -47,37 +45,23 @@ pub struct OpMix {
     pub encaps: u32,
     /// Weight of decapsulations.
     pub decaps: u32,
-    /// Weight of raw matrix–vector products.
-    pub matvec: u32,
 }
 
 impl Default for OpMix {
     /// A server-shaped mix: mostly encaps/decaps traffic, occasional
-    /// keygen, a stream of raw mat-vec work.
+    /// keygen — keygen:encaps:decaps 1:4:4, perfbench's `kem_mixed`.
     fn default() -> Self {
         Self {
             keygen: 1,
             encaps: 4,
             decaps: 4,
-            matvec: 3,
         }
     }
 }
 
 impl OpMix {
-    /// A mat-vec-only mix (the throughput-bench shape).
-    #[must_use]
-    pub fn matvec_only() -> Self {
-        Self {
-            keygen: 0,
-            encaps: 0,
-            decaps: 0,
-            matvec: 1,
-        }
-    }
-
     fn total(self) -> u32 {
-        self.keygen + self.encaps + self.decaps + self.matvec
+        self.keygen + self.encaps + self.decaps
     }
 }
 
@@ -91,7 +75,7 @@ pub struct LoadProfile {
     /// Number of operations to generate.
     pub ops: usize,
     /// Size of the pre-generated keypair ring (encaps/decaps draw from
-    /// it) and of the mat-vec operand pool.
+    /// it).
     pub keyring: usize,
     /// Operation mix.
     pub mix: OpMix,
@@ -134,13 +118,6 @@ pub enum PlannedOp {
         /// The ciphertext to decapsulate.
         ct: Box<Ciphertext>,
     },
-    /// Multiply pool matrix `A` by pool secret `s`.
-    MatVec {
-        /// Shared public matrix.
-        matrix: Arc<PolyMatrix>,
-        /// Shared secret vector.
-        secret: Arc<SecretVec>,
-    },
 }
 
 impl PlannedOp {
@@ -151,7 +128,6 @@ impl PlannedOp {
             PlannedOp::Keygen { .. } => OpKind::Keygen,
             PlannedOp::Encaps { .. } => OpKind::Encaps,
             PlannedOp::Decaps { .. } => OpKind::Decaps,
-            PlannedOp::MatVec { .. } => OpKind::MatVec,
         }
     }
 }
@@ -202,8 +178,8 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// Expands a profile into its concrete plan (keyring, operand pools,
-/// op sequence). Deterministic: equal profiles ⇒ equal plans.
+/// Expands a profile into its concrete plan (keyring, op sequence).
+/// Deterministic: equal profiles ⇒ equal plans.
 ///
 /// # Panics
 ///
@@ -217,12 +193,6 @@ pub fn build_plan(profile: &LoadProfile) -> LoadPlan {
     let pool = profile.keyring.max(1);
     let keyring: Vec<(PublicKey, KemSecretKey)> = (0..pool)
         .map(|_| saber_kem::keygen(profile.params, &rng.bytes32(), &mut backend))
-        .collect();
-    let matrices: Vec<Arc<PolyMatrix>> = (0..pool)
-        .map(|_| Arc::new(gen_matrix(&rng.bytes32(), profile.params)))
-        .collect();
-    let secrets: Vec<Arc<SecretVec>> = (0..pool)
-        .map(|_| Arc::new(gen_secret(&rng.bytes32(), profile.params)))
         .collect();
 
     let mix = profile.mix;
@@ -241,20 +211,14 @@ pub fn build_plan(profile: &LoadProfile) -> LoadPlan {
                     entropy: rng.bytes32(),
                 };
             }
-            draw -= mix.encaps;
-            if draw < mix.decaps {
-                // Precompute the ciphertext at plan time so the decaps
-                // job is a single, self-contained unit of service work.
-                let key = rng.range_usize(0, pool - 1);
-                let (ct, _) = saber_kem::encaps(&keyring[key].0, &rng.bytes32(), &mut backend);
-                return PlannedOp::Decaps {
-                    key,
-                    ct: Box::new(ct),
-                };
-            }
-            PlannedOp::MatVec {
-                matrix: Arc::clone(&matrices[rng.range_usize(0, pool - 1)]),
-                secret: Arc::clone(&secrets[rng.range_usize(0, pool - 1)]),
+            // The rest of the weight is decaps. Precompute the
+            // ciphertext at plan time so the decaps job is a single,
+            // self-contained unit of service work.
+            let key = rng.range_usize(0, pool - 1);
+            let (ct, _) = saber_kem::encaps(&keyring[key].0, &rng.bytes32(), &mut backend);
+            PlannedOp::Decaps {
+                key,
+                ct: Box::new(ct),
             }
         })
         .collect();
@@ -272,16 +236,6 @@ fn digest_parts(parts: &[&[u8]]) -> [u8; 32] {
         h.update(part);
     }
     h.finalize()
-}
-
-fn polyvec_bytes(v: &PolyVec<13>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 2 * 256);
-    for poly in v.iter() {
-        for &c in poly.coeffs() {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    out
 }
 
 /// Recomputes one planned op directly on `backend` and returns its
@@ -305,10 +259,6 @@ pub fn recompute_entry<M: PolyMultiplier + ?Sized>(
         PlannedOp::Decaps { key, ct } => {
             let ss = saber_kem::decaps(&plan.keyring[*key].1, ct, backend);
             digest_parts(&[ss.as_bytes()])
-        }
-        PlannedOp::MatVec { matrix, secret } => {
-            let v = matrix.mul_vec(secret, backend);
-            digest_parts(&[&polyvec_bytes(&v)])
         }
     };
     TranscriptEntry {
@@ -342,7 +292,6 @@ enum Pending {
     Keygen(JobHandle<(PublicKey, KemSecretKey)>),
     Encaps(JobHandle<(Ciphertext, saber_kem::SharedSecret)>),
     Decaps(JobHandle<saber_kem::SharedSecret>),
-    MatVec(JobHandle<PolyVec<13>>),
 }
 
 /// Executes the plan through a service pool, keeping at most
@@ -407,9 +356,6 @@ fn submit_op(
         PlannedOp::Decaps { key, ct } => service
             .submit_decaps(plan.keyring[*key].1.clone(), (**ct).clone())
             .map(Pending::Decaps),
-        PlannedOp::MatVec { matrix, secret } => service
-            .submit_matvec(Arc::clone(matrix), Arc::clone(secret))
-            .map(Pending::MatVec),
     }
 }
 
@@ -436,10 +382,6 @@ fn drain_front(
         Pending::Decaps(h) => {
             let ss = h.wait().map_err(LoadError::Job)?;
             (OpKind::Decaps, digest_parts(&[ss.as_bytes()]))
-        }
-        Pending::MatVec(h) => {
-            let v = h.wait().map_err(LoadError::Job)?;
-            (OpKind::MatVec, digest_parts(&[&polyvec_bytes(&v)]))
         }
     };
     transcript.push(TranscriptEntry { index, op, digest });
@@ -499,7 +441,6 @@ mod tests {
             keygen: 0,
             encaps: 0,
             decaps: 0,
-            matvec: 0,
         };
         let _ = build_plan(&profile);
     }

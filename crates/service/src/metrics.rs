@@ -1,5 +1,6 @@
 //! Lock-free service instrumentation: atomic counters, fixed-bucket
-//! latency histograms, and the [`ServiceReport`] JSON snapshot.
+//! latency histograms, and the [`ServiceReport`] they are read into
+//! (written and read by [`crate::snapshot`]).
 //!
 //! The recording side is wait-free (`fetch_add` / `fetch_max` with
 //! relaxed ordering — the numbers are monotone gauges, not
@@ -18,9 +19,9 @@
 //! path (bucket index is a leading-zeros computation).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use saber_testkit::json::Value;
+use crate::service::ServiceConfig;
+use crate::snapshot::FlightStatus;
 
 /// Number of latency buckets (15 geometric + 1 overflow).
 pub const BUCKET_COUNT: usize = 16;
@@ -55,14 +56,6 @@ pub fn bucket_edge_label(index: usize) -> String {
     }
 }
 
-/// Encodes a `u64` count as a JSON integer. The codec's integers are
-/// `i64`, so a count above `i64::MAX` saturates to `i64::MAX` rather
-/// than wrapping negative (which every reader would refuse). Both
-/// [`ServiceReport`] and the snapshot document encode through here.
-pub(crate) fn json_u64(v: u64) -> Value {
-    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
 /// The bucket a latency sample falls into.
 #[must_use]
 pub fn bucket_index(ns: u64) -> usize {
@@ -76,7 +69,7 @@ pub fn bucket_index(ns: u64) -> usize {
     i
 }
 
-/// The four operations the service serves and meters.
+/// The three KEM operations the service serves and meters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// KEM key generation.
@@ -85,18 +78,11 @@ pub enum OpKind {
     Encaps,
     /// KEM decapsulation.
     Decaps,
-    /// Raw matrix–vector product `A·s`.
-    MatVec,
 }
 
 impl OpKind {
     /// Every operation, in report order.
-    pub const ALL: [OpKind; 4] = [
-        OpKind::Keygen,
-        OpKind::Encaps,
-        OpKind::Decaps,
-        OpKind::MatVec,
-    ];
+    pub const ALL: [OpKind; 3] = [OpKind::Keygen, OpKind::Encaps, OpKind::Decaps];
 
     /// Stable label used in JSON reports and test assertions.
     #[must_use]
@@ -105,7 +91,6 @@ impl OpKind {
             OpKind::Keygen => "keygen",
             OpKind::Encaps => "encaps",
             OpKind::Decaps => "decaps",
-            OpKind::MatVec => "matvec",
         }
     }
 
@@ -115,13 +100,9 @@ impl OpKind {
         OpKind::ALL.into_iter().find(|op| op.label() == label)
     }
 
-    fn index(self) -> usize {
-        match self {
-            OpKind::Keygen => 0,
-            OpKind::Encaps => 1,
-            OpKind::Decaps => 2,
-            OpKind::MatVec => 3,
-        }
+    /// Position in [`OpKind::ALL`] (the declaration order).
+    pub(crate) fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -236,13 +217,9 @@ pub struct Metrics {
     stolen_jobs: AtomicU64,
     matrix_cache_hits: AtomicU64,
     matrix_cache_misses: AtomicU64,
-    ops: [LatencyHistogram; 4],
-    queue_wait: [LatencyHistogram; 4],
-    execute: [LatencyHistogram; 4],
-    // The one mutex in the registry: engine labels are recorded once per
-    // worker at startup (and after a panic rebuild), never on the job
-    // hot path, so a lock is fine here where it would not be above.
-    engines: Mutex<Vec<String>>,
+    ops: [LatencyHistogram; OpKind::ALL.len()],
+    queue_wait: [LatencyHistogram; OpKind::ALL.len()],
+    execute: [LatencyHistogram; OpKind::ALL.len()],
 }
 
 impl Metrics {
@@ -311,31 +288,22 @@ impl Metrics {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker shard came up on the named engine. Called once per
-    /// worker at pool startup.
-    pub fn record_engine(&self, label: &str) {
-        self.engines
-            .lock()
-            .expect("engine label lock")
-            .push(label.to_string());
-    }
-
-    /// Snapshots every counter and histogram into a [`ServiceReport`].
+    /// Snapshots every counter and histogram, with the pool shape of
+    /// `config`, the current `queue_depth` and the live flight-recorder
+    /// status, into a [`ServiceReport`]. Every shard is built from
+    /// `config.engine`, so `engines` names it once per worker.
     #[must_use]
-    pub fn snapshot(
-        &self,
-        workers: usize,
-        queue_capacity: usize,
-        queue_depth: usize,
-    ) -> ServiceReport {
-        // Sorted so the report is deterministic regardless of worker
-        // startup order (workers race to record their labels).
-        let mut engines = self.engines.lock().expect("engine label lock").clone();
-        engines.sort_unstable();
+    pub fn snapshot(&self, config: &ServiceConfig, queue_depth: usize) -> ServiceReport {
+        let read = |side: &[LatencyHistogram]| {
+            OpKind::ALL
+                .into_iter()
+                .map(|op| (op, side[op.index()].snapshot()))
+                .collect()
+        };
         ServiceReport {
-            engines,
-            workers: workers as u64,
-            queue_capacity: queue_capacity as u64,
+            engines: vec![config.engine.label().to_string(); config.workers],
+            workers: config.workers as u64,
+            queue_capacity: config.queue_capacity as u64,
             queue_depth: queue_depth as u64,
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
@@ -348,25 +316,19 @@ impl Metrics {
             stolen_jobs: self.stolen_jobs.load(Ordering::Relaxed),
             matrix_cache_hits: self.matrix_cache_hits.load(Ordering::Relaxed),
             matrix_cache_misses: self.matrix_cache_misses.load(Ordering::Relaxed),
-            ops: OpKind::ALL
-                .into_iter()
-                .map(|op| (op, self.ops[op.index()].snapshot()))
-                .collect(),
-            queue_wait: OpKind::ALL
-                .into_iter()
-                .map(|op| (op, self.queue_wait[op.index()].snapshot()))
-                .collect(),
-            execute: OpKind::ALL
-                .into_iter()
-                .map(|op| (op, self.execute[op.index()].snapshot()))
-                .collect(),
+            ops: read(&self.ops),
+            queue_wait: read(&self.queue_wait),
+            execute: read(&self.execute),
+            flight: FlightStatus::capture(),
         }
     }
 }
 
-/// A point-in-time view of the service's counters and latency
-/// histograms — the JSON artifact the service exposes (README shows a
-/// sample).
+/// A point-in-time view of the service: its counters, its latency
+/// histograms and the flight recorder's status. It is the one report
+/// the service writes: [`crate::snapshot`] serializes it as the
+/// versioned `saber-metrics` JSON document (README shows a sample) and
+/// as a Prometheus text exposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceReport {
     /// Worker threads in the pool.
@@ -400,8 +362,7 @@ pub struct ServiceReport {
     /// Encaps/decaps lookups that expanded `A` (and cached it), summed
     /// over workers.
     pub matrix_cache_misses: u64,
-    /// Engine label of each worker shard (sorted; one entry per worker
-    /// startup).
+    /// Engine label of each worker shard, one entry per worker.
     pub engines: Vec<String>,
     /// Per-operation end-to-end (enqueue→completion) latency
     /// histograms, in [`OpKind::ALL`] order.
@@ -410,232 +371,32 @@ pub struct ServiceReport {
     pub queue_wait: Vec<(OpKind, HistogramSnapshot)>,
     /// Per-operation execution (dequeue→completion) histograms.
     pub execute: Vec<(OpKind, HistogramSnapshot)>,
+    /// Flight-recorder status at snapshot time.
+    pub flight: FlightStatus,
+}
+
+/// The histogram of `op` in one side of a report.
+fn find(side: &[(OpKind, HistogramSnapshot)], op: OpKind) -> Option<&HistogramSnapshot> {
+    side.iter().find(|(k, _)| *k == op).map(|(_, h)| h)
 }
 
 impl ServiceReport {
     /// The end-to-end snapshot for one operation, if recorded.
     #[must_use]
     pub fn op(&self, op: OpKind) -> Option<&HistogramSnapshot> {
-        self.ops.iter().find(|(k, _)| *k == op).map(|(_, h)| h)
+        find(&self.ops, op)
     }
 
     /// The queue-wait half of one operation's latency, if recorded.
     #[must_use]
     pub fn op_queue_wait(&self, op: OpKind) -> Option<&HistogramSnapshot> {
-        self.queue_wait
-            .iter()
-            .find(|(k, _)| *k == op)
-            .map(|(_, h)| h)
+        find(&self.queue_wait, op)
     }
 
     /// The execution half of one operation's latency, if recorded.
     #[must_use]
     pub fn op_execute(&self, op: OpKind) -> Option<&HistogramSnapshot> {
-        self.execute.iter().find(|(k, _)| *k == op).map(|(_, h)| h)
-    }
-
-    /// Serializes into the in-tree JSON document model. A count above
-    /// `i64::MAX` is written as `i64::MAX` (the codec's integers are
-    /// `i64`), the same clamp [`crate::MetricsSnapshot`] applies.
-    #[must_use]
-    pub fn to_json_value(&self) -> Value {
-        let int = json_u64;
-        let histogram_fields = |h: &HistogramSnapshot| {
-            vec![
-                ("count".to_string(), int(h.count)),
-                ("total_ns".to_string(), int(h.total_ns)),
-                ("max_ns".to_string(), int(h.max_ns)),
-                ("mean_ns".to_string(), int(h.mean_ns())),
-                (
-                    "buckets".to_string(),
-                    Value::Array(h.counts.iter().map(|&c| int(c)).collect()),
-                ),
-            ]
-        };
-        let split = |op: OpKind, side: &[(OpKind, HistogramSnapshot)]| {
-            let h = side
-                .iter()
-                .find(|(k, _)| *k == op)
-                .map(|(_, h)| h.clone())
-                .unwrap_or_default();
-            Value::Object(histogram_fields(&h))
-        };
-        let ops = self
-            .ops
-            .iter()
-            .map(|(op, h)| {
-                let mut fields = vec![("op".to_string(), Value::Str(op.label().into()))];
-                fields.extend(histogram_fields(h));
-                fields.push(("queue_wait".to_string(), split(*op, &self.queue_wait)));
-                fields.push(("execute".to_string(), split(*op, &self.execute)));
-                Value::Object(fields)
-            })
-            .collect();
-        Value::Object(vec![
-            ("report".into(), Value::Str("saber-service".into())),
-            ("workers".into(), int(self.workers)),
-            ("queue_capacity".into(), int(self.queue_capacity)),
-            ("queue_depth".into(), int(self.queue_depth)),
-            ("submitted".into(), int(self.submitted)),
-            ("completed".into(), int(self.completed)),
-            ("rejected".into(), int(self.rejected)),
-            ("failed".into(), int(self.failed)),
-            ("worker_panics".into(), int(self.worker_panics)),
-            ("queue_high_water".into(), int(self.queue_high_water)),
-            ("steal_attempts".into(), int(self.steal_attempts)),
-            ("steal_hits".into(), int(self.steal_hits)),
-            ("stolen_jobs".into(), int(self.stolen_jobs)),
-            ("matrix_cache_hits".into(), int(self.matrix_cache_hits)),
-            ("matrix_cache_misses".into(), int(self.matrix_cache_misses)),
-            (
-                "engines".into(),
-                Value::Array(
-                    self.engines
-                        .iter()
-                        .map(|label| Value::Str(label.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                // The 15 finite edges as integers; the overflow bucket
-                // as the string "+Inf" — identical to the Prometheus
-                // `le` labels (see `bucket_edge_label`). The old
-                // encoding clamped u64::MAX to i64::MAX here, which
-                // disagreed with the exposition's `+Inf` edge.
-                "bucket_bounds_ns".into(),
-                Value::Array(
-                    BUCKET_BOUNDS_NS
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &b)| {
-                            if b == u64::MAX {
-                                Value::Str(bucket_edge_label(i))
-                            } else {
-                                int(b)
-                            }
-                        })
-                        .collect(),
-                ),
-            ),
-            ("ops".into(), Value::Array(ops)),
-        ])
-    }
-
-    /// Serializes as a pretty-printed JSON string.
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        saber_testkit::json::write(&self.to_json_value())
-    }
-
-    /// Reconstructs a report from its JSON document form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first missing or mistyped field.
-    pub fn from_json_value(value: &Value) -> Result<ServiceReport, String> {
-        if value.str_field("report")? != "saber-service" {
-            return Err("not a saber-service report".into());
-        }
-        let int = |key: &str| -> Result<u64, String> {
-            let v = value.int_field(key)?;
-            u64::try_from(v).map_err(|_| format!("field {key:?} is negative"))
-        };
-        fn histogram_from(entry: &Value) -> Result<HistogramSnapshot, String> {
-            let buckets = entry
-                .get("buckets")
-                .and_then(Value::as_array)
-                .ok_or("missing buckets array")?;
-            if buckets.len() != BUCKET_COUNT {
-                return Err(format!(
-                    "expected {BUCKET_COUNT} buckets, got {}",
-                    buckets.len()
-                ));
-            }
-            let mut counts = [0u64; BUCKET_COUNT];
-            for (out, b) in counts.iter_mut().zip(buckets) {
-                *out = b
-                    .as_int()
-                    .and_then(|v| u64::try_from(v).ok())
-                    .ok_or("bucket count must be a non-negative integer")?;
-            }
-            let field = |key: &str| -> Result<u64, String> {
-                let v = entry.int_field(key)?;
-                u64::try_from(v).map_err(|_| format!("field {key:?} is negative"))
-            };
-            Ok(HistogramSnapshot {
-                counts,
-                count: field("count")?,
-                total_ns: field("total_ns")?,
-                max_ns: field("max_ns")?,
-            })
-        }
-        let mut engines = Vec::new();
-        for entry in value
-            .get("engines")
-            .and_then(Value::as_array)
-            .ok_or("missing engines array")?
-        {
-            engines.push(
-                entry
-                    .as_str()
-                    .ok_or("engine label must be a string")?
-                    .to_string(),
-            );
-        }
-        let mut ops = Vec::new();
-        let mut queue_wait = Vec::new();
-        let mut execute = Vec::new();
-        for entry in value
-            .get("ops")
-            .and_then(Value::as_array)
-            .ok_or("missing ops array")?
-        {
-            let op = OpKind::from_label(entry.str_field("op")?)
-                .ok_or_else(|| format!("unknown op label {:?}", entry.str_field("op")))?;
-            ops.push((op, histogram_from(entry)?));
-            queue_wait.push((
-                op,
-                histogram_from(
-                    entry
-                        .get("queue_wait")
-                        .ok_or("missing queue_wait histogram")?,
-                )?,
-            ));
-            execute.push((
-                op,
-                histogram_from(entry.get("execute").ok_or("missing execute histogram")?)?,
-            ));
-        }
-        Ok(ServiceReport {
-            workers: int("workers")?,
-            queue_capacity: int("queue_capacity")?,
-            queue_depth: int("queue_depth")?,
-            submitted: int("submitted")?,
-            completed: int("completed")?,
-            rejected: int("rejected")?,
-            failed: int("failed")?,
-            worker_panics: int("worker_panics")?,
-            queue_high_water: int("queue_high_water")?,
-            steal_attempts: int("steal_attempts")?,
-            steal_hits: int("steal_hits")?,
-            stolen_jobs: int("stolen_jobs")?,
-            matrix_cache_hits: int("matrix_cache_hits")?,
-            matrix_cache_misses: int("matrix_cache_misses")?,
-            engines,
-            ops,
-            queue_wait,
-            execute,
-        })
-    }
-
-    /// Parses a report from a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the parse or schema failure.
-    pub fn from_json_str(text: &str) -> Result<ServiceReport, String> {
-        let value = saber_testkit::json::parse(text).map_err(|e| e.to_string())?;
-        ServiceReport::from_json_value(&value)
+        find(&self.execute, op)
     }
 
     /// A compact one-line text summary (for logs and bench output).
@@ -690,6 +451,14 @@ impl ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saber_testkit::json::Value;
+
+    fn config(workers: usize) -> ServiceConfig {
+        ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        }
+    }
 
     #[test]
     fn bucket_bounds_are_geometric_then_overflow() {
@@ -744,7 +513,7 @@ mod tests {
     fn record_completed_splits_wait_and_execute() {
         let m = Metrics::default();
         m.record_completed(OpKind::Encaps, 1_500, 900);
-        let r = m.snapshot(1, 4, 0);
+        let r = m.snapshot(&config(1), 0);
         let total = r.op(OpKind::Encaps).unwrap();
         let wait = r.op_queue_wait(OpKind::Encaps).unwrap();
         let exec = r.op_execute(OpKind::Encaps).unwrap();
@@ -765,32 +534,24 @@ mod tests {
     fn split_sum_saturates_instead_of_wrapping() {
         let m = Metrics::default();
         m.record_completed(OpKind::Keygen, u64::MAX, 1);
-        let r = m.snapshot(1, 4, 0);
+        let r = m.snapshot(&config(1), 0);
         assert_eq!(r.op(OpKind::Keygen).unwrap().total_ns, u64::MAX);
         assert_eq!(r.op(OpKind::Keygen).unwrap().max_ns, u64::MAX);
-        // Both readers load the saturated report; its u64::MAX fields
-        // clamp to i64::MAX instead of serializing as -1.
+        // The saturated report loads; its u64::MAX fields clamp to
+        // i64::MAX instead of serializing as -1.
         let clamped = i64::MAX as u64;
         let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back.op(OpKind::Keygen).unwrap().total_ns, clamped);
         assert_eq!(back.op(OpKind::Keygen).unwrap().max_ns, clamped);
-        let snapshot = crate::MetricsSnapshot::new(r);
-        let back = crate::MetricsSnapshot::from_json_str(&snapshot.to_json_string()).unwrap();
-        assert_eq!(back.service.op(OpKind::Keygen).unwrap().total_ns, clamped);
-        assert_eq!(back.service.op(OpKind::Keygen).unwrap().max_ns, clamped);
     }
 
     #[test]
-    fn engine_labels_are_recorded_sorted_and_survive_json() {
-        let m = Metrics::default();
-        m.record_engine("toom");
-        m.record_engine("cached");
-        m.record_engine("cached");
-        let r = m.snapshot(3, 8, 0);
-        assert_eq!(r.engines, ["cached", "cached", "toom"], "sorted snapshot");
+    fn engine_labels_come_from_the_config_and_survive_json() {
+        let r = Metrics::default().snapshot(&config(3), 0);
+        assert_eq!(r.engines, ["ct", "ct", "ct"], "one label per worker");
         let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back.engines, r.engines);
-        assert!(r.format_summary().contains("engines=cached,cached,toom"));
+        assert!(r.format_summary().contains("engines=ct,ct,ct"));
     }
 
     #[test]
@@ -799,10 +560,11 @@ mod tests {
         // Samples planted exactly on edges exercise the exclusive-upper
         // convention end to end.
         m.record_completed(OpKind::Encaps, 1_000, 999);
-        let r = m.snapshot(1, 4, 0);
+        let r = m.snapshot(&config(1), 0);
         let json = r.to_json_value();
         let edges = json
-            .get("bucket_bounds_ns")
+            .get("service")
+            .and_then(|service| service.get("bucket_bounds_ns"))
             .and_then(Value::as_array)
             .expect("bucket_bounds_ns array");
         assert_eq!(edges.len(), BUCKET_COUNT);
@@ -845,7 +607,7 @@ mod tests {
         m.record_steal_attempts(5);
         m.record_steal_hit(3);
         m.record_steal_hit(1);
-        let r = m.snapshot(2, 8, 0);
+        let r = m.snapshot(&config(2), 0);
         assert_eq!(r.steal_attempts, 5);
         assert_eq!(r.steal_hits, 2);
         assert_eq!(r.stolen_jobs, 4);
@@ -865,7 +627,7 @@ mod tests {
         m.record_matrix_lookups(1, 0);
         m.record_matrix_lookups(1, 0);
         m.record_matrix_lookups(0, 0);
-        let r = m.snapshot(2, 8, 0);
+        let r = m.snapshot(&config(2), 0);
         assert_eq!((r.matrix_cache_hits, r.matrix_cache_misses), (2, 1));
         let back = ServiceReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back, r);
@@ -938,5 +700,6 @@ mod tests {
             assert_eq!(OpKind::from_label(op.label()), Some(op));
         }
         assert_eq!(OpKind::from_label("nonsense"), None);
+        assert_eq!(OpKind::from_label("matvec"), None, "a removed op");
     }
 }

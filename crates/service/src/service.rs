@@ -21,9 +21,9 @@
 //! Each worker owns one multiplier shard built from
 //! [`ServiceConfig::engine`], the constant-time u16-lane engine — the
 //! software analogue of the paper replicating a verified datapath per
-//! compute unit. The engine each shard runs is recorded in the
-//! [`ServiceReport`] `engines` field. Each worker also owns a
-//! bounded [`MatrixCache`] of expanded public matrices `A`, keyed by
+//! compute unit. The [`ServiceReport`] `engines` field names that
+//! engine once per worker. Each worker also owns a bounded
+//! [`MatrixCache`] of expanded public matrices `A`, keyed by
 //! `(seed_A, rank)`, which its encaps and decaps jobs share: a server
 //! decapsulating against its own key expands `A` once per worker, not
 //! once per request (hits and misses are in the report). The shard and
@@ -54,7 +54,7 @@ use std::time::Instant;
 
 use saber_kem::params::SaberParams;
 use saber_kem::{Ciphertext, KemSecretKey, MatrixCache, PublicKey, SharedSecret};
-use saber_ring::{EngineKind, PolyMatrix, PolyMultiplier, PolyVec, SecretVec};
+use saber_ring::{EngineKind, PolyMultiplier};
 use saber_testkit::Rng;
 
 use crate::metrics::{Metrics, OpKind, ServiceReport};
@@ -137,17 +137,6 @@ impl Default for ServiceConfig {
             scheduler: SchedulerKind::WorkSteal,
             overload: OverloadPolicy::Reject,
             steal_seed: DEFAULT_STEAL_SEED,
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// A config with `workers` threads and the default queue depth.
-    #[must_use]
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers,
-            ..Self::default()
         }
     }
 }
@@ -236,8 +225,7 @@ impl Gate {
 }
 
 /// What a worker is asked to do. KEM inputs are owned (boxed where
-/// large); mat-vec operands are `Arc`-shared so a burst of products
-/// against one matrix clones pointers, not polynomials.
+/// large).
 enum Request {
     Keygen {
         params: &'static SaberParams,
@@ -251,17 +239,6 @@ enum Request {
         sk: Box<KemSecretKey>,
         ct: Box<Ciphertext>,
     },
-    MatVec {
-        matrix: Arc<PolyMatrix>,
-        secret: Arc<SecretVec>,
-    },
-    /// A deep batch of products against one matrix, executed as one
-    /// indivisible job — the "large job" shape the convoy regression
-    /// parks behind small traffic.
-    MatVecBatch {
-        matrix: Arc<PolyMatrix>,
-        secrets: Vec<Arc<SecretVec>>,
-    },
     /// Fault injection: panics inside the worker (test instrumentation).
     Panic { message: String },
     /// Holds the worker until the gate opens (test instrumentation).
@@ -273,8 +250,6 @@ enum Response {
     Keygen(Box<(PublicKey, KemSecretKey)>),
     Encaps(Box<(Ciphertext, SharedSecret)>),
     Decaps(SharedSecret),
-    MatVec(PolyVec<13>),
-    MatVecBatch(Vec<PolyVec<13>>),
     Unit,
 }
 
@@ -331,10 +306,7 @@ struct Job {
 struct Inner {
     queue: WorkStealQueue<Job>,
     metrics: Metrics,
-    workers: usize,
-    /// The engine every shard builds.
-    engine: EngineKind,
-    steal_seed: u64,
+    config: ServiceConfig,
 }
 
 /// The concurrent KEM service: a fixed pool of workers, each owning an
@@ -381,9 +353,7 @@ impl KemService {
         let inner = Arc::new(Inner {
             queue: WorkStealQueue::new(config.queue_capacity, config.workers),
             metrics: Metrics::default(),
-            workers: config.workers,
-            engine: config.engine,
-            steal_seed: config.steal_seed,
+            config: *config,
         });
         let handles = (0..config.workers)
             .map(|i| {
@@ -395,18 +365,6 @@ impl KemService {
             })
             .collect();
         Self { inner, handles }
-    }
-
-    /// Worker count the pool was sized with.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.inner.workers
-    }
-
-    /// Configured queue capacity: the most jobs admitted at once.
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.inner.queue.capacity()
     }
 
     /// Submits a KEM key generation from a 32-byte master seed.
@@ -478,52 +436,6 @@ impl KemService {
         )
     }
 
-    /// Submits a matrix–vector product `A·s` (operands `Arc`-shared so
-    /// batches against one matrix clone pointers, not polynomials).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] when the queue is full or the service is
-    /// shutting down; the job was not admitted.
-    pub fn submit_matvec(
-        &self,
-        matrix: Arc<PolyMatrix>,
-        secret: Arc<SecretVec>,
-    ) -> Result<JobHandle<PolyVec<13>>, SubmitError> {
-        self.submit(
-            Some(OpKind::MatVec),
-            Request::MatVec { matrix, secret },
-            |r| match r {
-                Response::MatVec(v) => v,
-                _ => unreachable!("matvec job resolves to a matvec response"),
-            },
-        )
-    }
-
-    /// Submits a deep batch of products `A·sᵢ` executed as **one**
-    /// indivisible job on a single worker — the large-job shape whose
-    /// convoy behaviour the scheduler tests measure. Metered as one
-    /// [`OpKind::MatVec`] completion.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] when the queue is full or the service is
-    /// shutting down; the job was not admitted.
-    pub fn submit_matvec_batch(
-        &self,
-        matrix: Arc<PolyMatrix>,
-        secrets: Vec<Arc<SecretVec>>,
-    ) -> Result<JobHandle<Vec<PolyVec<13>>>, SubmitError> {
-        self.submit(
-            Some(OpKind::MatVec),
-            Request::MatVecBatch { matrix, secrets },
-            |r| match r {
-                Response::MatVecBatch(v) => v,
-                _ => unreachable!("batch job resolves to a batch response"),
-            },
-        )
-    }
-
     /// Fault injection: submits a job that panics inside its worker.
     ///
     /// Test instrumentation (the service-layer analogue of
@@ -587,11 +499,9 @@ impl KemService {
     /// A live metrics snapshot (the service keeps running).
     #[must_use]
     pub fn report(&self) -> ServiceReport {
-        self.inner.metrics.snapshot(
-            self.inner.workers,
-            self.inner.queue.capacity(),
-            self.inner.queue.len(),
-        )
+        self.inner
+            .metrics
+            .snapshot(&self.inner.config, self.inner.queue.len())
     }
 
     /// Begins shutdown without blocking: closes the queue, so every
@@ -612,11 +522,7 @@ impl KemService {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        self.inner.metrics.snapshot(
-            self.inner.workers,
-            self.inner.queue.capacity(),
-            self.inner.queue.len(),
-        )
+        self.report()
     }
 }
 
@@ -648,13 +554,6 @@ fn run_request(
         Request::Decaps { sk, ct } => {
             Response::Decaps(saber_kem::decaps_cached(&sk, &ct, matrices, shard))
         }
-        Request::MatVec { matrix, secret } => Response::MatVec(matrix.mul_vec(&secret, shard)),
-        Request::MatVecBatch { matrix, secrets } => Response::MatVecBatch(
-            secrets
-                .iter()
-                .map(|secret| matrix.mul_vec(secret, shard))
-                .collect(),
-        ),
         Request::Panic { message } => panic!("{message}"),
         Request::Hold { gate } => {
             gate.wait_released();
@@ -674,9 +573,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn worker_loop(inner: &Inner, worker: usize) {
-    let kind = inner.engine;
+    let kind = inner.config.engine;
     let mut shard = kind.build();
-    inner.metrics.record_engine(kind.label());
     // The worker's own cache of expanded matrices `A`, which its encaps
     // and decaps jobs share. Entries are public and complete (a panic
     // mid-expansion inserts nothing), so it survives a shard rebuild.
@@ -687,6 +585,7 @@ fn worker_loop(inner: &Inner, worker: usize) {
     // correlate).
     let mut steal_rng = Rng::new(
         inner
+            .config
             .steal_seed
             .wrapping_add((worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
     );

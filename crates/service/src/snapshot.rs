@@ -1,46 +1,57 @@
-//! The unified metrics snapshot registry: one versioned document
-//! merging every observability surface the workspace has grown.
+//! The service's metrics document: the one versioned JSON form of a
+//! [`ServiceReport`], and its Prometheus text exposition.
 //!
-//! A [`MetricsSnapshot`] joins the [`ServiceReport`] counters and
-//! wait/exec histograms with the flight recorder's status in a single
-//! point-in-time document with a `schema_version` field, serialized two
-//! ways from the same data:
+//! A [`ServiceReport`] holds the service's counters, its wait/exec
+//! histograms and the flight recorder's status ([`FlightStatus`]) as of
+//! one point in time. It is serialized two ways from the same data:
 //!
-//! * **JSON** ([`MetricsSnapshot::to_json_string`] /
-//!   [`MetricsSnapshot::from_json_str`]) — lossless round-trip, the
-//!   machine-readable archive format. The codec's integers are `i64`,
-//!   so a `u64` count above `i64::MAX` is written as `i64::MAX` (this
-//!   document and the embedded [`ServiceReport`] share one encoder);
-//! * **Prometheus text exposition**
-//!   ([`MetricsSnapshot::to_prometheus`]) — the scrape format a network
-//!   front end would serve at `/metrics`, linted by [`lint_prometheus`].
+//! * **JSON** ([`ServiceReport::to_json_string`] /
+//!   [`ServiceReport::from_json_str`]) — the `saber-metrics` document:
+//!   a `schema_version` field, a `service` section and a `flight`
+//!   section. The round-trip is lossless; this is the machine-readable
+//!   archive format. The codec's integers are `i64`, so a `u64` count
+//!   above `i64::MAX` is written as `i64::MAX`;
+//! * **Prometheus text exposition** ([`ServiceReport::to_prometheus`])
+//!   — the scrape format a network front end would serve at
+//!   `/metrics`, linted by [`lint_prometheus`].
 //!
-//! Histogram edges are shared with the JSON report via
-//! [`bucket_edge_label`]: the Prometheus `le` labels and the JSON
-//! `bucket_bounds_ns` array serialize every edge identically (15
-//! decimal bounds + `"+Inf"`), and the exposition uses **cumulative**
-//! bucket counts as the `le` semantics require.
+//! Histogram edges come from one function, [`bucket_edge_label`]: the
+//! Prometheus `le` labels and the JSON `bucket_bounds_ns` array
+//! serialize every edge identically (15 decimal bounds + `"+Inf"`), and
+//! the exposition uses **cumulative** bucket counts as the `le`
+//! semantics require.
 //!
-//! Versioning: `SCHEMA_VERSION` is 3 (version 2 added the service
-//! report's steal counters, version 3 its matrix-cache hit/miss
-//! counters). Parsers reject documents with a different version rather
-//! than guessing — additive fields bump the version, and a reader for
-//! version N refuses N+1 documents instead of silently dropping
-//! sections. Removed fields keep the version. Within a version, keys the
-//! reader does not know are ignored, so version 3 documents written
-//! while the engine auto-tuner, the degrade overload policy, the trace
-//! counter section or the SoC section existed still load; the tuner's
-//! section, the policy's admission counter, `counters` and `soc` are
-//! dropped. A reader from before a removal refuses the newer document
-//! and names the field it lacks, so it cannot misread it.
+//! Versioning: [`SCHEMA_VERSION`] is 3 (version 2 added the steal
+//! counters, version 3 the matrix-cache hit/miss counters). The reader
+//! refuses a document with a different version rather than guessing —
+//! additive fields bump the version, and a reader for version N refuses
+//! N+1 documents instead of silently dropping sections. Removed fields
+//! keep the version. Within a version, keys the reader does not know
+//! are ignored, and so is an op entry for a removed operation (the raw
+//! `matvec` job). So version 3 documents written while the engine
+//! auto-tuner, the degrade overload policy, the trace counter section,
+//! the SoC section or the mat-vec job kind existed still load; the
+//! tuner's section, the policy's admission counter, `counters`, `soc`,
+//! the `matvec` op entry and the service section's
+//! `"report": "saber-service"` tag (left from when that section was a
+//! document of its own) are dropped. Every op the reader knows must
+//! appear exactly once. A reader from before a removal refuses the
+//! newer document and names the field it lacks, so it cannot misread
+//! it.
 
 use saber_testkit::json::Value;
 
-use crate::metrics::{bucket_edge_label, json_u64, ServiceReport, BUCKET_COUNT};
+use crate::metrics::{
+    bucket_edge_label, HistogramSnapshot, OpKind, ServiceReport, BUCKET_BOUNDS_NS, BUCKET_COUNT,
+};
 use crate::obs;
 
-/// Version of the snapshot document schema.
+/// Version of the metrics document schema.
 pub const SCHEMA_VERSION: i64 = 3;
+
+/// Op labels of removed operations: an entry under one of them is
+/// dropped on read (see the module docs).
+const REMOVED_OPS: [&str; 1] = ["matvec"];
 
 /// Flight-recorder status at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,37 +82,126 @@ impl FlightStatus {
     }
 }
 
-/// The unified snapshot: the service report and the flight recorder in
-/// one versioned document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Document schema version ([`SCHEMA_VERSION`]).
-    pub schema_version: i64,
-    /// The service's counters and latency histograms.
-    pub service: ServiceReport,
-    /// Flight-recorder status.
-    pub flight: FlightStatus,
+/// Encodes a `u64` count as a JSON integer. The codec's integers are
+/// `i64`, so a count above `i64::MAX` saturates to `i64::MAX` rather
+/// than wrapping negative (which the reader would refuse).
+fn json_u64(v: u64) -> Value {
+    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
 
-impl MetricsSnapshot {
-    /// A snapshot of `service` plus the live flight-recorder state.
-    #[must_use]
-    pub fn new(service: ServiceReport) -> Self {
-        MetricsSnapshot {
-            schema_version: SCHEMA_VERSION,
-            service,
-            flight: FlightStatus::capture(),
-        }
-    }
+/// Reads a non-negative integer field of a JSON object.
+fn json_field_u64(entry: &Value, key: &str) -> Result<u64, String> {
+    let v = entry.int_field(key)?;
+    u64::try_from(v).map_err(|_| format!("field {key:?} is negative"))
+}
 
-    /// Serializes into the in-tree JSON document model.
+fn histogram_from(entry: &Value) -> Result<HistogramSnapshot, String> {
+    let buckets = entry
+        .get("buckets")
+        .and_then(Value::as_array)
+        .ok_or("missing buckets array")?;
+    if buckets.len() != BUCKET_COUNT {
+        return Err(format!(
+            "expected {BUCKET_COUNT} buckets, got {}",
+            buckets.len()
+        ));
+    }
+    let mut counts = [0u64; BUCKET_COUNT];
+    for (out, b) in counts.iter_mut().zip(buckets) {
+        *out = b
+            .as_int()
+            .and_then(|v| u64::try_from(v).ok())
+            .ok_or("bucket count must be a non-negative integer")?;
+    }
+    Ok(HistogramSnapshot {
+        counts,
+        count: json_field_u64(entry, "count")?,
+        total_ns: json_field_u64(entry, "total_ns")?,
+        max_ns: json_field_u64(entry, "max_ns")?,
+    })
+}
+
+impl ServiceReport {
+    /// Serializes into the in-tree JSON document model: the
+    /// `saber-metrics` document at [`SCHEMA_VERSION`].
     #[must_use]
     pub fn to_json_value(&self) -> Value {
         let int = json_u64;
+        let histogram_fields = |h: &HistogramSnapshot| {
+            vec![
+                ("count".to_string(), int(h.count)),
+                ("total_ns".to_string(), int(h.total_ns)),
+                ("max_ns".to_string(), int(h.max_ns)),
+                ("mean_ns".to_string(), int(h.mean_ns())),
+                (
+                    "buckets".to_string(),
+                    Value::Array(h.counts.iter().map(|&c| int(c)).collect()),
+                ),
+            ]
+        };
+        let side = |h: Option<&HistogramSnapshot>| {
+            Value::Object(histogram_fields(&h.cloned().unwrap_or_default()))
+        };
+        let ops = self
+            .ops
+            .iter()
+            .map(|(op, h)| {
+                let mut fields = vec![("op".to_string(), Value::Str(op.label().into()))];
+                fields.extend(histogram_fields(h));
+                fields.push(("queue_wait".to_string(), side(self.op_queue_wait(*op))));
+                fields.push(("execute".to_string(), side(self.op_execute(*op))));
+                Value::Object(fields)
+            })
+            .collect();
+        let service = Value::Object(vec![
+            ("workers".into(), int(self.workers)),
+            ("queue_capacity".into(), int(self.queue_capacity)),
+            ("queue_depth".into(), int(self.queue_depth)),
+            ("submitted".into(), int(self.submitted)),
+            ("completed".into(), int(self.completed)),
+            ("rejected".into(), int(self.rejected)),
+            ("failed".into(), int(self.failed)),
+            ("worker_panics".into(), int(self.worker_panics)),
+            ("queue_high_water".into(), int(self.queue_high_water)),
+            ("steal_attempts".into(), int(self.steal_attempts)),
+            ("steal_hits".into(), int(self.steal_hits)),
+            ("stolen_jobs".into(), int(self.stolen_jobs)),
+            ("matrix_cache_hits".into(), int(self.matrix_cache_hits)),
+            ("matrix_cache_misses".into(), int(self.matrix_cache_misses)),
+            (
+                "engines".into(),
+                Value::Array(
+                    self.engines
+                        .iter()
+                        .map(|label| Value::Str(label.clone()))
+                        .collect(),
+                ),
+            ),
+            (
+                // The 15 finite edges as integers; the overflow bucket
+                // as the string "+Inf" — identical to the Prometheus
+                // `le` labels (see `bucket_edge_label`).
+                "bucket_bounds_ns".into(),
+                Value::Array(
+                    BUCKET_BOUNDS_NS
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &b)| {
+                            if b == u64::MAX {
+                                Value::Str(bucket_edge_label(i))
+                            } else {
+                                int(b)
+                            }
+                        })
+                        .collect(),
+                ),
+            ),
+            ("ops".into(), Value::Array(ops)),
+        ]);
         Value::Object(vec![
             ("snapshot".into(), Value::Str("saber-metrics".into())),
-            ("schema_version".into(), Value::Int(self.schema_version)),
-            ("service".into(), self.service.to_json_value()),
+            ("schema_version".into(), Value::Int(SCHEMA_VERSION)),
+            ("service".into(), service),
             (
                 "flight".into(),
                 Value::Object(vec![
@@ -121,13 +221,13 @@ impl MetricsSnapshot {
         saber_testkit::json::write(&self.to_json_value())
     }
 
-    /// Reconstructs a snapshot from its JSON document form.
+    /// Reconstructs a report from its JSON document form.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing or mistyped field, or
-    /// the unsupported schema version.
-    pub fn from_json_value(value: &Value) -> Result<MetricsSnapshot, String> {
+    /// Returns a message naming the first missing, mistyped, unknown or
+    /// repeated field, or the unsupported schema version.
+    pub fn from_json_value(value: &Value) -> Result<ServiceReport, String> {
         if value.str_field("snapshot")? != "saber-metrics" {
             return Err("not a saber-metrics snapshot".into());
         }
@@ -138,45 +238,96 @@ impl MetricsSnapshot {
                  {SCHEMA_VERSION}); refusing to guess at unknown sections"
             ));
         }
-        let uint = |entry: &Value, key: &str| -> Result<u64, String> {
-            let v = entry.int_field(key)?;
-            u64::try_from(v).map_err(|_| format!("field {key:?} is negative"))
+        let service = value.get("service").ok_or("missing service section")?;
+        let flight = value.get("flight").ok_or("missing flight section")?;
+        let int = |key: &str| json_field_u64(service, key);
+
+        let mut engines = Vec::new();
+        for entry in service
+            .get("engines")
+            .and_then(Value::as_array)
+            .ok_or("missing engines array")?
+        {
+            engines.push(
+                entry
+                    .as_str()
+                    .ok_or("engine label must be a string")?
+                    .to_string(),
+            );
+        }
+
+        // Every known op exactly once; removed ops are skipped.
+        let (mut ops, mut queue_wait, mut execute) = (Vec::new(), Vec::new(), Vec::new());
+        let listed = |ops: &[(OpKind, HistogramSnapshot)], op| ops.iter().any(|(k, _)| *k == op);
+        for entry in service
+            .get("ops")
+            .and_then(Value::as_array)
+            .ok_or("missing ops array")?
+        {
+            let label = entry.str_field("op")?;
+            if REMOVED_OPS.contains(&label) {
+                continue;
+            }
+            let op =
+                OpKind::from_label(label).ok_or_else(|| format!("unknown op label {label:?}"))?;
+            if listed(&ops, op) {
+                return Err(format!("op {label:?} is listed twice"));
+            }
+            let side = |key: &str| entry.get(key).ok_or(format!("missing {key} histogram"));
+            ops.push((op, histogram_from(entry)?));
+            queue_wait.push((op, histogram_from(side("queue_wait")?)?));
+            execute.push((op, histogram_from(side("execute")?)?));
+        }
+        if let Some(op) = OpKind::ALL.into_iter().find(|&op| !listed(&ops, op)) {
+            return Err(format!("op {:?} is missing", op.label()));
+        }
+
+        let Some(&Value::Bool(enabled)) = flight.get("enabled") else {
+            return Err("flight.enabled must be a boolean".into());
         };
-        let service =
-            ServiceReport::from_json_value(value.get("service").ok_or("missing service section")?)?;
-        let flight_value = value.get("flight").ok_or("missing flight section")?;
-        let enabled = match flight_value.get("enabled") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err("flight.enabled must be a boolean".into()),
-        };
-        let flight = FlightStatus {
-            enabled,
-            recorded_total: uint(flight_value, "recorded_total")?,
-            dump_count: uint(flight_value, "dump_count")?,
-            panic_dumps: uint(flight_value, "panic_dumps")?,
-            capacity: uint(flight_value, "capacity")?,
-        };
-        Ok(MetricsSnapshot {
-            schema_version: version,
-            service,
-            flight,
+        Ok(ServiceReport {
+            workers: int("workers")?,
+            queue_capacity: int("queue_capacity")?,
+            queue_depth: int("queue_depth")?,
+            submitted: int("submitted")?,
+            completed: int("completed")?,
+            rejected: int("rejected")?,
+            failed: int("failed")?,
+            worker_panics: int("worker_panics")?,
+            queue_high_water: int("queue_high_water")?,
+            steal_attempts: int("steal_attempts")?,
+            steal_hits: int("steal_hits")?,
+            stolen_jobs: int("stolen_jobs")?,
+            matrix_cache_hits: int("matrix_cache_hits")?,
+            matrix_cache_misses: int("matrix_cache_misses")?,
+            engines,
+            ops,
+            queue_wait,
+            execute,
+            flight: FlightStatus {
+                enabled,
+                recorded_total: json_field_u64(flight, "recorded_total")?,
+                dump_count: json_field_u64(flight, "dump_count")?,
+                panic_dumps: json_field_u64(flight, "panic_dumps")?,
+                capacity: json_field_u64(flight, "capacity")?,
+            },
         })
     }
 
-    /// Parses a snapshot from a JSON string.
+    /// Parses a report from a JSON string.
     ///
     /// # Errors
     ///
     /// Returns a message describing the parse or schema failure.
-    pub fn from_json_str(text: &str) -> Result<MetricsSnapshot, String> {
+    pub fn from_json_str(text: &str) -> Result<ServiceReport, String> {
         let value = saber_testkit::json::parse(text).map_err(|e| e.to_string())?;
-        MetricsSnapshot::from_json_value(&value)
+        ServiceReport::from_json_value(&value)
     }
 
-    /// Renders the snapshot in the Prometheus text exposition format
+    /// Renders the report in the Prometheus text exposition format
     /// (version 0.0.4): `# TYPE` comments, counter/gauge samples, and
     /// cumulative histograms whose `le` edges are exactly the JSON
-    /// report's `bucket_bounds_ns` labels.
+    /// document's `bucket_bounds_ns` labels.
     #[must_use]
     #[allow(clippy::too_many_lines)]
     pub fn to_prometheus(&self) -> String {
@@ -200,101 +351,99 @@ impl MetricsSnapshot {
         let _ = writeln!(out, "# TYPE saber_snapshot_info gauge");
         let _ = writeln!(
             out,
-            "saber_snapshot_info{{schema_version=\"{}\"}} 1",
-            self.schema_version
+            "saber_snapshot_info{{schema_version=\"{SCHEMA_VERSION}\"}} 1"
         );
 
-        let s = &self.service;
         gauge(
             &mut out,
             "saber_workers",
             "Worker threads in the pool.",
-            s.workers,
+            self.workers,
         );
         gauge(
             &mut out,
             "saber_queue_capacity",
             "Configured queue capacity.",
-            s.queue_capacity,
+            self.queue_capacity,
         );
         gauge(
             &mut out,
             "saber_queue_depth",
             "Queue depth at snapshot time.",
-            s.queue_depth,
+            self.queue_depth,
         );
         gauge(
             &mut out,
             "saber_queue_high_water",
             "Highest queue depth observed at submit time.",
-            s.queue_high_water,
+            self.queue_high_water,
         );
         counter(
             &mut out,
             "saber_jobs_submitted_total",
             "Jobs admitted to the queue.",
-            s.submitted,
+            self.submitted,
         );
         counter(
             &mut out,
             "saber_jobs_completed_total",
             "Jobs completed successfully.",
-            s.completed,
+            self.completed,
         );
         counter(
             &mut out,
             "saber_jobs_rejected_total",
             "Submissions rejected by backpressure.",
-            s.rejected,
+            self.rejected,
         );
         counter(
             &mut out,
             "saber_jobs_failed_total",
             "Jobs that failed (worker panic while executing).",
-            s.failed,
+            self.failed,
         );
         counter(
             &mut out,
             "saber_worker_panics_total",
             "Worker panics contained by the pool.",
-            s.worker_panics,
+            self.worker_panics,
         );
         counter(
             &mut out,
             "saber_steal_attempts_total",
             "Victim scans run by workers looking for stealable work.",
-            s.steal_attempts,
+            self.steal_attempts,
         );
         counter(
             &mut out,
             "saber_steal_hits_total",
             "Successful steals (scans that migrated at least one job).",
-            s.steal_hits,
+            self.steal_hits,
         );
         counter(
             &mut out,
             "saber_stolen_jobs_total",
             "Jobs migrated between worker deques by stealing.",
-            s.stolen_jobs,
+            self.stolen_jobs,
         );
         counter(
             &mut out,
             "saber_matrix_cache_hits_total",
             "Encaps/decaps matrix lookups answered by a worker's cache.",
-            s.matrix_cache_hits,
+            self.matrix_cache_hits,
         );
         counter(
             &mut out,
             "saber_matrix_cache_misses_total",
             "Encaps/decaps matrix lookups that expanded the matrix.",
-            s.matrix_cache_misses,
+            self.matrix_cache_misses,
         );
 
-        if !s.engines.is_empty() {
+        if !self.engines.is_empty() {
             let _ = writeln!(out, "# HELP saber_engine_shards Worker shards per engine.");
             let _ = writeln!(out, "# TYPE saber_engine_shards gauge");
             let mut seen: Vec<(String, u64)> = Vec::new();
-            for label in &s.engines {
+            for label in &self.engines {
                 match seen.iter_mut().find(|(l, _)| l == label) {
                     Some((_, n)) => *n += 1,
                     None => seen.push((label.clone(), 1)),
@@ -314,17 +463,17 @@ impl MetricsSnapshot {
             (
                 "saber_op_latency_ns",
                 "End-to-end (enqueue to completion) latency.",
-                &s.ops,
+                &self.ops,
             ),
             (
                 "saber_queue_wait_ns",
                 "Queue-wait (enqueue to dequeue) latency.",
-                &s.queue_wait,
+                &self.queue_wait,
             ),
             (
                 "saber_execute_ns",
                 "Execution (dequeue to completion) latency.",
-                &s.execute,
+                &self.execute,
             ),
         ] {
             let _ = writeln!(out, "# HELP {family} {help}");
@@ -333,7 +482,9 @@ impl MetricsSnapshot {
                 let op = escape_label(op.label());
                 let mut cumulative = 0u64;
                 for i in 0..BUCKET_COUNT {
-                    cumulative += h.counts[i];
+                    // Saturating: a loaded document's counts may sum
+                    // past u64.
+                    cumulative = cumulative.saturating_add(h.counts[i]);
                     let _ = writeln!(
                         out,
                         "{family}_bucket{{op=\"{op}\",le=\"{}\"}} {cumulative}",
@@ -401,8 +552,11 @@ fn escape_label(value: &str) -> String {
 ///   covered by a preceding `# TYPE` (histogram samples via their
 ///   `_bucket`/`_sum`/`_count` suffixes);
 /// * no metric gets two `# TYPE` lines;
-/// * every histogram series has cumulative, non-decreasing buckets, a
-///   final `le="+Inf"` bucket, and a `_count` equal to it.
+/// * every histogram series has buckets whose finite `le` edges
+///   strictly increase, ending in one `le="+Inf"` bucket; its bucket
+///   and `_count` samples are non-negative integers, the buckets
+///   cumulative (non-decreasing); and it has a `_count` equal to the
+///   `+Inf` bucket.
 ///
 /// # Errors
 ///
@@ -420,10 +574,11 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
     // metric name → declared type
     let mut types: Vec<(String, String)> = Vec::new();
     // (histogram family, full label set minus le) → bucket series state
+    #[derive(Default)]
     struct Series {
+        last_le: Option<u64>,
         last_cumulative: u64,
-        saw_inf: bool,
-        inf_value: u64,
+        inf: Option<u64>,
         count: Option<u64>,
     }
     let mut series: Vec<(String, Series)> = Vec::new();
@@ -470,9 +625,9 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
         let (name_and_labels, value_text) = line
             .rsplit_once(' ')
             .ok_or_else(|| format!("line {n}: sample needs a value"))?;
-        let value: f64 = value_text
-            .parse()
-            .map_err(|_| format!("line {n}: unparseable sample value {value_text:?}"))?;
+        if value_text.parse::<f64>().is_err() {
+            return Err(format!("line {n}: unparseable sample value {value_text:?}"));
+        }
         let (name, labels) = match name_and_labels.split_once('{') {
             Some((name, rest)) => {
                 let labels = rest
@@ -518,24 +673,26 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
             let idx = match series.iter().position(|(k, _)| *k == key) {
                 Some(i) => i,
                 None => {
-                    series.push((
-                        key.clone(),
-                        Series {
-                            last_cumulative: 0,
-                            saw_inf: false,
-                            inf_value: 0,
-                            count: None,
-                        },
-                    ));
+                    series.push((key.clone(), Series::default()));
                     series.len() - 1
                 }
             };
             let state = &mut series[idx].1;
+            // Bucket and count samples are counts of observations.
+            let count = || {
+                value_text.parse::<u64>().map_err(|_| {
+                    format!("line {n}: {name} must be a non-negative integer, not {value_text:?}")
+                })
+            };
             match suffix {
                 "_bucket" => {
                     let le = le.ok_or_else(|| format!("line {n}: bucket sample without le"))?;
-                    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-                    let v = value as u64;
+                    let v = count()?;
+                    if state.inf.is_some() {
+                        return Err(format!(
+                            "line {n}: histogram series {key} has a bucket after its +Inf bucket"
+                        ));
+                    }
                     if v < state.last_cumulative {
                         return Err(format!(
                             "line {n}: histogram series {key} is not cumulative \
@@ -545,32 +702,35 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
                     }
                     state.last_cumulative = v;
                     if le == "+Inf" {
-                        state.saw_inf = true;
-                        state.inf_value = v;
-                    } else if le.parse::<u64>().is_err() {
-                        return Err(format!("line {n}: non-numeric finite le {le:?}"));
+                        state.inf = Some(v);
+                    } else {
+                        let edge = le
+                            .parse::<u64>()
+                            .map_err(|_| format!("line {n}: non-numeric finite le {le:?}"))?;
+                        if let Some(last) = state.last_le.filter(|&last| edge <= last) {
+                            return Err(format!(
+                                "line {n}: histogram series {key} has le {edge} after le {last}"
+                            ));
+                        }
+                        state.last_le = Some(edge);
                     }
                 }
-                "_count" => {
-                    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-                    let v = value as u64;
-                    state.count = Some(v);
-                }
+                "_count" => state.count = Some(count()?),
                 _ => {} // _sum: any numeric value is fine
             }
         }
     }
     for (key, state) in &series {
-        if !state.saw_inf {
-            return Err(format!("histogram series {key} is missing its +Inf bucket"));
-        }
-        if let Some(count) = state.count {
-            if count != state.inf_value {
-                return Err(format!(
-                    "histogram series {key}: _count {count} != +Inf bucket {}",
-                    state.inf_value
-                ));
-            }
+        let inf = state
+            .inf
+            .ok_or_else(|| format!("histogram series {key} is missing its +Inf bucket"))?;
+        let count = state
+            .count
+            .ok_or_else(|| format!("histogram series {key} is missing its _count"))?;
+        if count != inf {
+            return Err(format!(
+                "histogram series {key}: _count {count} != +Inf bucket {inf}"
+            ));
         }
     }
     Ok(())
@@ -579,45 +739,94 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Metrics, OpKind};
+    use crate::metrics::Metrics;
+    use crate::service::ServiceConfig;
     use saber_testkit::Rng;
 
-    fn sample_snapshot() -> MetricsSnapshot {
+    fn sample_report() -> ServiceReport {
         let m = Metrics::default();
-        m.record_engine("cached");
         m.record_completed(OpKind::Encaps, 1_000, 2_500);
         m.record_completed(OpKind::Decaps, 20_000_000, 999);
-        MetricsSnapshot::new(m.snapshot(2, 8, 1))
+        let config = ServiceConfig {
+            workers: 2,
+            queue_capacity: 8,
+            ..ServiceConfig::default()
+        };
+        m.snapshot(&config, 1)
+    }
+
+    /// The `service` section of a serialized report, as an object.
+    fn service_section(doc: &mut Value) -> &mut Vec<(String, Value)> {
+        let Value::Object(fields) = doc else {
+            panic!("a report serializes to an object");
+        };
+        match fields.iter_mut().find(|(k, _)| k == "service") {
+            Some((_, Value::Object(section))) => section,
+            _ => panic!("a report carries its service section as an object"),
+        }
+    }
+
+    /// The `ops` array of a `service` section.
+    fn ops_entries(section: &mut [(String, Value)]) -> &mut Vec<Value> {
+        match section.iter_mut().find(|(k, _)| k == "ops") {
+            Some((_, Value::Array(ops))) => ops,
+            _ => panic!("the service section lists its ops in an array"),
+        }
     }
 
     #[test]
     fn json_roundtrip_is_lossless() {
-        let snap = sample_snapshot();
-        let text = snap.to_json_string();
-        let back = MetricsSnapshot::from_json_str(&text).expect("roundtrip parses");
-        assert_eq!(back, snap);
+        let report = sample_report();
+        let text = report.to_json_string();
+        let back = ServiceReport::from_json_str(&text).expect("roundtrip parses");
+        assert_eq!(back, report);
     }
 
     #[test]
     fn unknown_schema_version_is_refused() {
-        let snap = sample_snapshot();
-        let text = snap
+        let report = sample_report();
+        let text = report
             .to_json_string()
             .replace("\"schema_version\": 3", "\"schema_version\": 4");
-        let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
+        let err = ServiceReport::from_json_str(&text).unwrap_err();
         assert!(
             err.contains("unsupported snapshot schema version 4"),
             "{err}"
         );
         // Version 2 documents predate the matrix-cache counters.
-        let text = snap
+        let text = report
             .to_json_string()
             .replace("\"schema_version\": 3", "\"schema_version\": 2");
-        let err = MetricsSnapshot::from_json_str(&text).unwrap_err();
+        let err = ServiceReport::from_json_str(&text).unwrap_err();
         assert!(
             err.contains("unsupported snapshot schema version 2"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn duplicated_or_missing_op_entries_are_refused() {
+        let report = sample_report();
+        let edited = |edit: fn(&mut Vec<Value>)| {
+            let mut doc = report.to_json_value();
+            edit(ops_entries(service_section(&mut doc)));
+            ServiceReport::from_json_str(&saber_testkit::json::write(&doc))
+        };
+        let twice = edited(|ops| ops.push(ops[OpKind::Encaps.index()].clone())).unwrap_err();
+        assert!(twice.contains("\"encaps\" is listed twice"), "{twice}");
+        let missing = edited(|ops| {
+            ops.remove(OpKind::Encaps.index());
+        })
+        .unwrap_err();
+        assert!(missing.contains("\"encaps\" is missing"), "{missing}");
+        let unknown = edited(|ops| {
+            let Value::Object(fields) = &mut ops[0] else {
+                panic!("an op entry is an object");
+            };
+            fields[0].1 = Value::Str("verify".into());
+        })
+        .unwrap_err();
+        assert!(unknown.contains("unknown op label \"verify\""), "{unknown}");
     }
 
     #[test]
@@ -626,14 +835,19 @@ mod tests {
         // fields went: the trace-counter totals between `service` and
         // `flight`; the engine auto-tuner's decision and the SoC
         // co-simulation summary after `flight`; the degrade overload
-        // policy's admission counter in the service report after
-        // `stolen_jobs`. Each pair is the removed key and the text it
-        // put in the Prometheus exposition.
-        const REMOVED: [(&str, &str); 4] = [
-            ("counters", "saber_trace_counter_total"),
-            ("autotune", "autotune"),
-            ("soc", "saber_soc_"),
-            ("degraded_admissions", "degraded_admissions"),
+        // policy's admission counter in the service section after
+        // `stolen_jobs`; and, from when the service section was a
+        // report document of its own and served raw mat-vec jobs, its
+        // `report` tag first and a recorded `matvec` entry last in its
+        // `ops`. Each pair is the removed field's JSON text and the
+        // text it put in the Prometheus exposition.
+        const REMOVED: [(&str, &str); 6] = [
+            ("\"counters\"", "saber_trace_counter_total"),
+            ("\"autotune\"", "autotune"),
+            ("\"soc\"", "saber_soc_"),
+            ("\"degraded_admissions\"", "degraded_admissions"),
+            ("\"report\": \"saber-service\"", "saber-service"),
+            ("\"op\": \"matvec\"", "matvec"),
         ];
         let section =
             |text: &str| saber_testkit::json::parse(text).expect("the removed section parses");
@@ -654,19 +868,25 @@ mod tests {
                 {"name": "hs1-512-matvec", "busy_cycles": 248, "stall_cycles": 30}
             ]}"#,
         );
-        let snap = sample_snapshot();
-        let Value::Object(mut fields) = snap.to_json_value() else {
-            panic!("a snapshot serializes to an object");
-        };
-        let Some((_, Value::Object(report))) = fields.iter_mut().find(|(k, _)| k == "service")
-        else {
-            panic!("a snapshot carries the service report as an object");
-        };
-        let stolen = report
+        let report = sample_report();
+        let mut doc = report.to_json_value();
+        let service = service_section(&mut doc);
+        let stolen = service
             .iter()
             .position(|(k, _)| k == "stolen_jobs")
             .expect("stolen_jobs counter");
-        report.insert(stolen + 1, ("degraded_admissions".into(), Value::Int(6)));
+        service.insert(stolen + 1, ("degraded_admissions".into(), Value::Int(6)));
+        service.insert(0, ("report".into(), Value::Str("saber-service".into())));
+        let ops = ops_entries(service);
+        let mut matvec = ops[OpKind::Decaps.index()].clone();
+        let Value::Object(fields) = &mut matvec else {
+            panic!("an op entry is an object");
+        };
+        fields[0].1 = Value::Str("matvec".into());
+        ops.push(matvec);
+        let Value::Object(fields) = &mut doc else {
+            panic!("a report serializes to an object");
+        };
         let flight = fields
             .iter()
             .position(|(k, _)| k == "flight")
@@ -674,36 +894,30 @@ mod tests {
         fields.insert(flight, ("counters".into(), counters));
         fields.push(("autotune".into(), autotune));
         fields.push(("soc".into(), soc));
-        let old = saber_testkit::json::write(&Value::Object(fields));
+        let old = saber_testkit::json::write(&doc);
 
-        let back = MetricsSnapshot::from_json_str(&old).expect("a v3 document loads");
-        assert_eq!(back, snap);
+        let back = ServiceReport::from_json_str(&old).expect("a v3 document loads");
+        assert_eq!(back, report);
         let rewritten = back.to_json_string();
         let exposition = back.to_prometheus();
-        for (key, family) in REMOVED {
-            let key = format!("\"{key}\"");
-            assert!(old.contains(&key), "{old}");
-            assert!(!rewritten.contains(&key), "{rewritten}");
-            assert!(!exposition.contains(family), "{exposition}");
+        lint_prometheus(&exposition).expect("the reloaded report lints clean");
+        for (json, exposed) in REMOVED {
+            assert!(old.contains(json), "{old}");
+            assert!(!rewritten.contains(json), "{rewritten}");
+            assert!(!exposition.contains(exposed), "{exposition}");
         }
     }
 
     #[test]
     fn deeply_nested_input_is_an_error_not_an_abort() {
         let text = "[".repeat(100_000);
-        assert!(MetricsSnapshot::from_json_str(&text).is_err());
         assert!(ServiceReport::from_json_str(&text).is_err());
     }
 
-    /// Both readers on `text`; either may refuse it, neither may panic.
-    fn read_both(text: &str, what: &str) -> [bool; 2] {
-        let outcome = std::panic::catch_unwind(|| {
-            [
-                MetricsSnapshot::from_json_str(text).is_ok(),
-                ServiceReport::from_json_str(text).is_ok(),
-            ]
-        });
-        outcome.unwrap_or_else(|_| panic!("a reader panicked on {what}: {text:?}"))
+    /// The reader on `text`; it may refuse it, but it may not panic.
+    fn read(text: &str, what: &str) -> bool {
+        std::panic::catch_unwind(|| ServiceReport::from_json_str(text).is_ok())
+            .unwrap_or_else(|_| panic!("the reader panicked on {what}: {text:?}"))
     }
 
     #[test]
@@ -712,33 +926,33 @@ mod tests {
         // (signs, exponents, escapes, overflow) more often than uniform
         // ASCII does; half the mutations draw from here.
         const ALPHABET: &[u8] = b"{}[]:,\"\\-+.0123456789eEnul ";
-        let snapshot = sample_snapshot();
+        let doc = sample_report().to_json_string();
         let mut rng = Rng::new(0x5ABE_2026);
-        for doc in [snapshot.to_json_string(), snapshot.service.to_json_string()] {
-            assert!(doc.is_ascii(), "ASCII mutations keep the document UTF-8");
-            // Every proper prefix of the object is incomplete.
-            for len in 0..doc.trim_end().len() {
-                let read = read_both(&doc[..len], &format!("the {len}-byte prefix"));
-                assert_eq!(read, [false, false], "prefix of {len} bytes accepted");
-            }
-            for case in 0..2_000 {
-                let mut bytes = doc.clone().into_bytes();
-                let at = rng.range_usize(0, bytes.len() - 1);
-                bytes[at] = if rng.next_u32() & 1 == 0 {
-                    ALPHABET[rng.range_usize(0, ALPHABET.len() - 1)]
-                } else {
-                    rng.range_u16(0, 0x7f) as u8
-                };
-                let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
-                read_both(&text, &format!("mutation {case} (byte {at})"));
-            }
+        assert!(doc.is_ascii(), "ASCII mutations keep the document UTF-8");
+        // Every proper prefix of the object is incomplete.
+        for len in 0..doc.trim_end().len() {
+            let prefix = &doc[..len];
+            assert!(
+                !read(prefix, &format!("the {len}-byte prefix")),
+                "prefix of {len} bytes accepted"
+            );
+        }
+        for case in 0..4_000 {
+            let mut bytes = doc.clone().into_bytes();
+            let at = rng.range_usize(0, bytes.len() - 1);
+            bytes[at] = if rng.next_u32() & 1 == 0 {
+                ALPHABET[rng.range_usize(0, ALPHABET.len() - 1)]
+            } else {
+                rng.range_u16(0, 0x7f) as u8
+            };
+            let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            read(&text, &format!("mutation {case} (byte {at})"));
         }
     }
 
     #[test]
     fn prometheus_exposition_lints_clean_and_is_cumulative() {
-        let snap = sample_snapshot();
-        let text = snap.to_prometheus();
+        let text = sample_report().to_prometheus();
         lint_prometheus(&text).expect("exposition lints clean");
         // Cumulative le semantics: the +Inf bucket equals the count.
         assert!(text.contains("saber_op_latency_ns_bucket{op=\"decaps\",le=\"+Inf\"} 1"));
@@ -750,6 +964,13 @@ mod tests {
         assert!(text.contains("saber_op_latency_ns_bucket{op=\"encaps\",le=\"2000\"} 0"));
         assert!(text.contains("saber_op_latency_ns_bucket{op=\"encaps\",le=\"4000\"} 1"));
         assert!(text.contains("saber_op_latency_ns_bucket{op=\"encaps\",le=\"8000\"} 1"));
+        assert!(text.contains("saber_engine_shards{engine=\"ct\"} 2"));
+        // A loaded document may hold counts that sum past u64: the
+        // cumulative buckets saturate instead of overflowing.
+        let mut huge = sample_report();
+        huge.ops[OpKind::Keygen.index()].1.counts = [i64::MAX as u64; BUCKET_COUNT];
+        let top = format!("{{op=\"keygen\",le=\"+Inf\"}} {}", u64::MAX);
+        assert!(huge.to_prometheus().contains(&top));
     }
 
     #[test]
@@ -767,16 +988,38 @@ mod tests {
             lint_prometheus("# TYPE m gauge\n# TYPE m gauge\nm 1\n").is_err(),
             "duplicate TYPE"
         );
-        let non_cumulative = "# TYPE h histogram\n\
-                              h_bucket{le=\"1\"} 5\n\
-                              h_bucket{le=\"+Inf\"} 3\n";
-        assert!(lint_prometheus(non_cumulative).is_err(), "non-cumulative");
-        let no_inf = "# TYPE h histogram\nh_bucket{le=\"1\"} 5\n";
-        assert!(lint_prometheus(no_inf).is_err(), "missing +Inf");
-        let count_mismatch = "# TYPE h histogram\n\
-                              h_bucket{le=\"+Inf\"} 3\n\
-                              h_count 4\n";
-        assert!(lint_prometheus(count_mismatch).is_err(), "count mismatch");
+        // Each histogram below has exactly one fault.
+        for (fault, series) in [
+            (
+                "non-cumulative",
+                "h_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n",
+            ),
+            ("missing +Inf", "h_bucket{le=\"1\"} 5\nh_count 5\n"),
+            ("count mismatch", "h_bucket{le=\"+Inf\"} 3\nh_count 4\n"),
+            (
+                "+Inf before a finite bucket",
+                "h_bucket{le=\"+Inf\"} 3\nh_bucket{le=\"1\"} 3\nh_count 3\n",
+            ),
+            (
+                "decreasing le",
+                "h_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n",
+            ),
+            (
+                "missing _count",
+                "h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\n",
+            ),
+            (
+                "negative bucket",
+                "h_bucket{le=\"1\"} -5\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n",
+            ),
+            (
+                "fractional +Inf bucket",
+                "h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3.7\nh_count 3\n",
+            ),
+        ] {
+            let text = format!("# TYPE h histogram\n{series}");
+            assert!(lint_prometheus(&text).is_err(), "{fault}: {text}");
+        }
         let good = "# HELP h help text\n# TYPE h histogram\n\
                     h_bucket{le=\"1\"} 2\n\
                     h_bucket{le=\"+Inf\"} 3\n\

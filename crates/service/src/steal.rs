@@ -164,12 +164,6 @@ impl<T> WorkStealQueue<T> {
         self.capacity
     }
 
-    /// Number of shards (= workers).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Admitted jobs across all shards (racy by nature; for gauges).
     #[must_use]
     pub fn len(&self) -> usize {

@@ -1,18 +1,15 @@
 //! Concurrency correctness: for fixed seeds, an N-worker service run is
 //! byte-identical to sequential execution — for N in {1, 2, 8}, under
 //! several steal seeds, all three parameter sets, across
-//! keygen/encaps/decaps and mat-vec.
+//! keygen/encaps/decaps.
 //!
 //! The transcripts compare SHA3-256 digests of the *serialized* results
-//! (public/secret key bytes, ciphertext bytes, shared-secret bytes,
-//! mat-vec coefficients), so agreement means bit-identical wire output,
-//! not merely equal structs.
-
-use std::sync::Arc;
+//! (public/secret key bytes, ciphertext bytes, shared-secret bytes), so
+//! agreement means bit-identical wire output, not merely equal structs.
 
 use saber_kem::params::ALL_PARAMS;
 use saber_ring::mul::SchoolbookMultiplier;
-use saber_service::loadgen::{build_plan, run_sequential, run_service, LoadProfile, OpMix};
+use saber_service::loadgen::{build_plan, run_sequential, run_service, LoadProfile};
 use saber_service::service::DEFAULT_STEAL_SEED;
 use saber_service::{KemService, OpKind, ServiceConfig};
 
@@ -101,30 +98,6 @@ fn mixed_kem_load_matches_sequential_for_all_sets_and_worker_counts() {
 }
 
 #[test]
-fn matvec_only_load_matches_sequential() {
-    for params in &ALL_PARAMS {
-        let mut profile = LoadProfile::new(params, 0xAB5E, ops_per_config());
-        profile.mix = OpMix::matvec_only();
-        profile.keyring = 3;
-        let plan = build_plan(&profile);
-        // The oracle transcript runs on plain schoolbook — agreement
-        // also re-proves ct-vs-schoolbook equivalence under load.
-        let reference = run_sequential(&plan, &mut SchoolbookMultiplier);
-
-        for config in config_matrix(8) {
-            let service = KemService::spawn(&config);
-            let got = run_service(&plan, &service, 8).expect("load run");
-            drop(service);
-            assert_eq!(
-                got, reference,
-                "{} mat-vec with {} workers, seed {:#x}, diverged",
-                params.name, config.workers, config.steal_seed
-            );
-        }
-    }
-}
-
-#[test]
 fn typed_submissions_match_direct_calls() {
     // The typed handle API (not just the load generator) returns exactly
     // what a direct single-threaded call returns.
@@ -155,31 +128,5 @@ fn typed_submissions_match_direct_calls() {
         let _ = sk; // sequential sk compared indirectly through ss_dec
         let report = service.shutdown();
         assert_eq!(report.completed, 3);
-    }
-}
-
-#[test]
-fn matvec_handles_resolve_to_backend_products() {
-    use saber_kem::expand::{gen_matrix, gen_secret};
-
-    let params = &ALL_PARAMS[2]; // FireSaber, rank 4: the widest batch
-    let matrix = Arc::new(gen_matrix(&[0x11; 32], params));
-    let secret = Arc::new(gen_secret(&[0x22; 32], params));
-    let expected = matrix.mul_vec(&secret, &mut SchoolbookMultiplier);
-
-    for config in config_matrix(8) {
-        let workers = config.workers;
-        let service = KemService::spawn(&config);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                service
-                    .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
-                    .unwrap()
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.wait().unwrap(), expected, "{workers} workers");
-        }
-        drop(service);
     }
 }

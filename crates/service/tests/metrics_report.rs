@@ -2,14 +2,10 @@
 //! under live traffic, and `ServiceReport` JSON round-trips through the
 //! in-tree codec (`saber_testkit::json`).
 
-use std::sync::Arc;
-
-use saber_kem::expand::{gen_matrix, gen_secret};
 use saber_kem::params::{LIGHT_SABER, SABER};
+use saber_ring::CtSchoolbookMultiplier;
 use saber_service::metrics::{bucket_index, BUCKET_BOUNDS_NS, BUCKET_COUNT};
-use saber_service::{
-    lint_prometheus, KemService, MetricsSnapshot, OpKind, ServiceConfig, ServiceReport,
-};
+use saber_service::{lint_prometheus, KemService, OpKind, ServiceConfig, ServiceReport};
 
 #[test]
 fn bucket_boundaries_partition_the_latency_axis() {
@@ -48,9 +44,11 @@ fn assert_monotone(a: &ServiceReport, b: &ServiceReport, at: &str) {
 
 #[test]
 fn live_snapshots_are_monotone() {
-    let params = &LIGHT_SABER;
-    let matrix = Arc::new(gen_matrix(&[0x61; 32], params));
-    let secret = Arc::new(gen_secret(&[0x62; 32], params));
+    let (pk, _) = saber_kem::keygen(
+        &LIGHT_SABER,
+        &[0x61; 32],
+        &mut CtSchoolbookMultiplier::new(),
+    );
     let service = KemService::spawn(&ServiceConfig {
         workers: 2,
         queue_capacity: 16,
@@ -59,10 +57,10 @@ fn live_snapshots_are_monotone() {
 
     let mut prev = service.report();
     for round in 0..5 {
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
+        let handles: Vec<_> = (0..3u8)
+            .map(|i| {
                 service
-                    .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
+                    .submit_encaps(pk.clone(), [round * 3 + i; 32])
                     .expect("admitted")
             })
             .collect();
@@ -70,7 +68,7 @@ fn live_snapshots_are_monotone() {
         let mid = service.report();
         assert_monotone(&prev, &mid, &format!("round {round} mid"));
         for h in handles {
-            h.wait().expect("matvec");
+            h.wait().expect("encaps");
         }
         let settled = service.report();
         assert_monotone(&mid, &settled, &format!("round {round} settled"));
@@ -79,18 +77,18 @@ fn live_snapshots_are_monotone() {
     let last = service.shutdown();
     assert_monotone(&prev, &last, "final");
     assert_eq!(last.completed, 15);
-    assert_eq!(last.op(OpKind::MatVec).unwrap().count, 15);
+    assert_eq!(last.op(OpKind::Encaps).unwrap().count, 15);
 
     // The split histograms tile the end-to-end one: same sample count on
     // both sides, and wait + execute sums to the combined total exactly
     // (record_completed records the sum, not an independent clock read).
-    let total = last.op(OpKind::MatVec).unwrap();
-    let wait = last.op_queue_wait(OpKind::MatVec).unwrap();
-    let exec = last.op_execute(OpKind::MatVec).unwrap();
+    let total = last.op(OpKind::Encaps).unwrap();
+    let wait = last.op_queue_wait(OpKind::Encaps).unwrap();
+    let exec = last.op_execute(OpKind::Encaps).unwrap();
     assert_eq!(wait.count, 15);
     assert_eq!(exec.count, 15);
     assert_eq!(wait.total_ns + exec.total_ns, total.total_ns);
-    assert!(exec.total_ns > 0, "executing 15 mat-vecs takes time");
+    assert!(exec.total_ns > 0, "executing 15 encapsulations takes time");
     assert!(wait.max_ns <= total.max_ns);
     assert!(exec.max_ns <= total.max_ns);
 }
@@ -122,8 +120,8 @@ fn service_report_roundtrips_through_json() {
     let back = ServiceReport::from_json_str(&text).expect("parse own output");
     assert_eq!(back, report);
 
-    // Every worker recorded the engine its shard runs, and the labels
-    // survive JSON.
+    // The report names the engine of every worker's shard, and the
+    // labels survive JSON.
     assert_eq!(report.engines, ["ct", "ct"], "one label per worker");
     assert!(text.contains("\"engines\""));
     assert_eq!(back.engines, report.engines);
@@ -131,7 +129,9 @@ fn service_report_roundtrips_through_json() {
     // Derived fields in the document agree with the struct.
     let keygen = report.op(OpKind::Keygen).expect("keygen histogram");
     assert_eq!(keygen.count, 1);
-    assert!(text.contains("\"report\": \"saber-service\""));
+    assert!(text.contains("\"snapshot\": \"saber-metrics\""));
+    assert!(text.contains("\"schema_version\": 3"));
+    assert!(text.contains("\"flight\""));
     assert!(text.contains("\"mean_ns\""));
     assert!(text.contains("\"bucket_bounds_ns\""));
 
@@ -152,17 +152,16 @@ fn service_report_roundtrips_through_json() {
 fn malformed_reports_are_rejected_with_field_names() {
     assert!(ServiceReport::from_json_str("{").is_err(), "syntax error");
     assert!(
-        ServiceReport::from_json_str("{\"report\": \"something-else\"}")
+        ServiceReport::from_json_str("{\"snapshot\": \"something-else\"}")
             .unwrap_err()
-            .contains("not a saber-service report"),
+            .contains("not a saber-metrics snapshot"),
         "wrong document tag"
     );
-    let missing = ServiceReport::from_json_str("{\"report\": \"saber-service\"}")
-        .expect_err("missing fields");
-    assert!(
-        missing.contains("ops") || missing.contains("workers") || missing.contains("engines"),
-        "{missing}"
-    );
+    let missing = ServiceReport::from_json_str(
+        "{\"snapshot\": \"saber-metrics\", \"schema_version\": 3, \"flight\": {}}",
+    )
+    .expect_err("missing fields");
+    assert!(missing.contains("service"), "{missing}");
 
     // Truncated bucket arrays are caught, not silently zero-filled.
     let service = KemService::spawn(&ServiceConfig {
@@ -238,12 +237,11 @@ fn matrix_cache_hits_on_repeated_keys_and_not_on_distinct_ones() {
         "every repeated-key lookup hits"
     );
 
-    // The counters travel through the snapshot's JSON and Prometheus
+    // The counters travel through the report's JSON and Prometheus
     // forms.
-    let snap = MetricsSnapshot::new(report);
-    let back = MetricsSnapshot::from_json_str(&snap.to_json_string()).expect("round-trip");
-    assert_eq!(back, snap);
-    let text = snap.to_prometheus();
+    let back = ServiceReport::from_json_str(&report.to_json_string()).expect("round-trip");
+    assert_eq!(back, report);
+    let text = report.to_prometheus();
     lint_prometheus(&text).expect("exposition lints clean");
     for series in [
         "saber_matrix_cache_hits_total 8",

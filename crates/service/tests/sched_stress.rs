@@ -11,24 +11,24 @@
 //!    and the steal counters must advance.
 //! 3. **Shutdown under load** — closing a loaded pool drains every
 //!    admitted job: `completed + failed == submitted`, depth 0.
-//! 4. **Convoy regression** — one deep mat-vec batch queued ahead of
-//!    six small decaps on one pinned worker: newest-first owner pops
-//!    must run every small before the batch, which the exact queue-wait
-//!    maxima prove with no timing threshold.
-//! 5. **Steal-counter round-trip** — steal counters survive
-//!    `MetricsSnapshot` JSON round-trip and appear in the linted
+//! 4. **Convoy regression** — one long job (a FireSaber keygen) queued
+//!    ahead of six small Saber decaps on one pinned worker:
+//!    newest-first owner pops must run every small before the long
+//!    job, which the exact queue-wait maxima prove with no timing
+//!    threshold.
+//! 5. **Steal-counter round-trip** — steal counters survive the
+//!    metrics document's JSON round-trip and appear in the linted
 //!    Prometheus exposition.
 
 use std::sync::Arc;
 
-use saber_kem::expand::{gen_matrix, gen_secret};
-use saber_kem::params::SABER;
+use saber_kem::params::{FIRE_SABER, LIGHT_SABER, SABER};
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_ring::CtSchoolbookMultiplier;
 use saber_service::loadgen::{build_plan, run_sequential, run_service, LoadProfile};
 use saber_service::metrics::Metrics;
-use saber_service::snapshot::{lint_prometheus, MetricsSnapshot};
-use saber_service::{Gate, KemService, OpKind, ServiceConfig};
+use saber_service::snapshot::lint_prometheus;
+use saber_service::{Gate, KemService, OpKind, ServiceConfig, ServiceReport};
 
 /// Debug builds run the slow path; keep sweeps small there.
 const fn scaled(debug: usize, release: usize) -> usize {
@@ -91,13 +91,12 @@ fn pinned_worker_forces_a_counted_steal() {
     let hold_b = service.submit_hold(Arc::clone(&gate_b)).expect("hold b");
     spin_until(10_000, || service.report().queue_depth == 0);
 
-    let matrix = Arc::new(gen_matrix(&[0x31; 32], &SABER));
-    let secret = Arc::new(gen_secret(&[0x32; 32], &SABER));
-    let jobs: Vec<_> = (0..8)
-        .map(|_| {
+    let (pk, _) = saber_kem::keygen(&LIGHT_SABER, &[0x31; 32], &mut SchoolbookMultiplier);
+    let jobs: Vec<_> = (0..8u8)
+        .map(|i| {
             service
-                .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
-                .expect("matvec admitted")
+                .submit_encaps(pk.clone(), [i; 32])
+                .expect("encaps admitted")
         })
         .collect();
 
@@ -127,12 +126,11 @@ fn shutdown_under_load_drains_every_admitted_job() {
         queue_capacity: 64,
         ..ServiceConfig::default()
     });
-    let matrix = Arc::new(gen_matrix(&[0x41; 32], &SABER));
-    let secret = Arc::new(gen_secret(&[0x42; 32], &SABER));
+    let (pk, _) = saber_kem::keygen(&LIGHT_SABER, &[0x41; 32], &mut SchoolbookMultiplier);
     let mut admitted = 0u64;
     let handles: Vec<_> = (0..scaled(16, 48))
-        .filter_map(|_| {
-            let r = service.submit_matvec(Arc::clone(&matrix), Arc::clone(&secret));
+        .filter_map(|i| {
+            let r = service.submit_encaps(pk.clone(), [i as u8; 32]);
             admitted += u64::from(r.is_ok());
             r.ok()
         })
@@ -154,20 +152,16 @@ fn shutdown_under_load_drains_every_admitted_job() {
 }
 
 #[test]
-fn convoy_small_jobs_all_overtake_the_deep_batch() {
-    // The batch is deep enough that a FIFO owner would make every small
-    // wait out its whole execution, far longer than the batch's own
-    // wait, so the exact comparison below needs no timing threshold.
-    const BATCH: usize = scaled(32, 256);
+fn convoy_small_jobs_all_overtake_the_long_job() {
+    // The long job runs longer than every small: a FIFO owner would make
+    // every small wait out its whole execution, far longer than the long
+    // job's own wait, so the exact comparison below needs no timing
+    // threshold.
     const SMALLS: usize = 6;
 
     let mut backend = CtSchoolbookMultiplier::new();
     let (pk, sk) = saber_kem::keygen(&SABER, &[0x51; 32], &mut backend);
     let (ct, _) = saber_kem::encaps(&pk, &[0x52; 32], &mut backend);
-    let matrix = Arc::new(gen_matrix(&[0x53; 32], &SABER));
-    let batch_secrets: Vec<_> = (0..BATCH)
-        .map(|i| Arc::new(gen_secret(&[i as u8; 32], &SABER)))
-        .collect();
 
     let service = KemService::spawn(&ServiceConfig {
         workers: 1,
@@ -175,14 +169,15 @@ fn convoy_small_jobs_all_overtake_the_deep_batch() {
         ..ServiceConfig::default()
     });
     // Pin the only worker so the whole convoy queues deterministically:
-    // batch first, smalls behind it — the adversarial arrival order.
+    // the long job first, smalls behind it — the adversarial arrival
+    // order.
     let gate = Arc::new(Gate::new());
     let hold = service.submit_hold(Arc::clone(&gate)).expect("hold");
     spin_until(10_000, || service.report().queue_depth == 0);
 
-    let batch = service
-        .submit_matvec_batch(Arc::clone(&matrix), batch_secrets)
-        .expect("batch admitted");
+    let long = service
+        .submit_keygen(&FIRE_SABER, [0x53; 32])
+        .expect("keygen admitted");
     let smalls: Vec<_> = (0..SMALLS)
         .map(|_| {
             service
@@ -196,20 +191,20 @@ fn convoy_small_jobs_all_overtake_the_deep_batch() {
     for s in smalls {
         s.wait().expect("small decaps resolves");
     }
-    batch.wait().expect("batch resolves");
+    long.wait().expect("keygen resolves");
     let report = service.shutdown();
 
-    // The batch was enqueued before every small. Its queue wait is
+    // The long job was enqueued before every small. Its queue wait is
     // therefore the longest of all exactly when it was dequeued after
     // every small: newest-first owner pops let the whole convoy of
     // smalls overtake it.
-    let batch_wait = report.op_queue_wait(OpKind::MatVec).expect("mat-vec waits");
+    let long_wait = report.op_queue_wait(OpKind::Keygen).expect("keygen waits");
     let small_wait = report.op_queue_wait(OpKind::Decaps).expect("decaps waits");
-    assert_eq!((batch_wait.count, small_wait.count), (1, SMALLS as u64));
+    assert_eq!((long_wait.count, small_wait.count), (1, SMALLS as u64));
     assert!(
-        batch_wait.max_ns > small_wait.max_ns,
-        "a small job waited behind the batch: batch wait {}ns, longest small wait {}ns",
-        batch_wait.max_ns,
+        long_wait.max_ns > small_wait.max_ns,
+        "a small job waited behind the long job: its wait {}ns, longest small wait {}ns",
+        long_wait.max_ns,
         small_wait.max_ns
     );
 }
@@ -220,16 +215,15 @@ fn steal_counters_round_trip_snapshot_json_and_prometheus() {
     metrics.record_steal_attempts(7);
     metrics.record_steal_hit(3);
     metrics.record_completed(OpKind::Decaps, 1_000, 2_000);
-    let report = metrics.snapshot(2, 8, 0);
+    let report = metrics.snapshot(&ServiceConfig::default(), 0);
 
-    let snap = MetricsSnapshot::new(report);
-    let back = MetricsSnapshot::from_json_str(&snap.to_json_string()).expect("round-trip");
-    assert_eq!(back, snap);
-    assert_eq!(back.service.steal_attempts, 7);
-    assert_eq!(back.service.steal_hits, 1);
-    assert_eq!(back.service.stolen_jobs, 3);
+    let back = ServiceReport::from_json_str(&report.to_json_string()).expect("round-trip");
+    assert_eq!(back, report);
+    assert_eq!(back.steal_attempts, 7);
+    assert_eq!(back.steal_hits, 1);
+    assert_eq!(back.stolen_jobs, 3);
 
-    let text = snap.to_prometheus();
+    let text = report.to_prometheus();
     lint_prometheus(&text).expect("exposition lints clean");
     for series in [
         "saber_steal_attempts_total 7",

@@ -9,11 +9,11 @@
 
 use std::sync::{Arc, Once};
 
-use saber_kem::expand::{gen_matrix, gen_secret};
-use saber_kem::params::{ALL_PARAMS, SABER};
+use saber_kem::params::{LIGHT_SABER, SABER};
+use saber_kem::{Ciphertext, PublicKey, SharedSecret};
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_service::loadgen::{build_plan, run_service, LoadProfile};
-use saber_service::{Gate, JobError, KemService, ServiceConfig, SubmitError};
+use saber_service::{Gate, JobError, KemService, OpKind, ServiceConfig, SubmitError};
 
 /// Silences the default panic-hook stderr spew for *service worker*
 /// threads only — injected panics are expected here, and the pool's
@@ -32,6 +32,15 @@ fn quiet_worker_panics() {
             }
         }));
     });
+}
+
+/// A LightSaber public key (the smallest rank, the fastest jobs) and
+/// the encapsulation of `entropy` against it, computed directly on the
+/// schoolbook oracle.
+fn key_and_encaps(seed: u8, entropy: [u8; 32]) -> (PublicKey, (Ciphertext, SharedSecret)) {
+    let (pk, _) = saber_kem::keygen(&LIGHT_SABER, &[seed; 32], &mut SchoolbookMultiplier);
+    let expected = saber_kem::encaps(&pk, &entropy, &mut SchoolbookMultiplier);
+    (pk, expected)
 }
 
 /// Blocks until every admitted job has been popped off the queue (i.e.
@@ -125,10 +134,7 @@ fn full_queue_rejects_then_recovers() {
 
 #[test]
 fn shutdown_drains_in_flight_jobs() {
-    let params = &ALL_PARAMS[0]; // LightSaber: smallest rank, fastest drain
-    let matrix = Arc::new(gen_matrix(&[0x31; 32], params));
-    let secret = Arc::new(gen_secret(&[0x32; 32], params));
-    let expected = matrix.mul_vec(&secret, &mut SchoolbookMultiplier);
+    let (pk, expected) = key_and_encaps(0x31, [0x32; 32]);
 
     let service = KemService::spawn(&ServiceConfig {
         workers: 1,
@@ -140,7 +146,7 @@ fn shutdown_drains_in_flight_jobs() {
     let pending: Vec<_> = (0..3)
         .map(|_| {
             service
-                .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
+                .submit_encaps(pk.clone(), [0x32; 32])
                 .expect("queued behind the held worker")
         })
         .collect();
@@ -172,10 +178,7 @@ fn shutdown_drains_in_flight_jobs() {
 #[test]
 fn worker_panic_does_not_poison_the_pool() {
     quiet_worker_panics();
-    let params = &ALL_PARAMS[0];
-    let matrix = Arc::new(gen_matrix(&[0x41; 32], params));
-    let secret = Arc::new(gen_secret(&[0x42; 32], params));
-    let expected = matrix.mul_vec(&secret, &mut SchoolbookMultiplier);
+    let (pk, expected) = key_and_encaps(0x41, [0x42; 32]);
 
     // One worker: the same thread that panics must serve the follow-ups.
     let service = KemService::spawn(&ServiceConfig {
@@ -197,7 +200,7 @@ fn worker_panic_does_not_poison_the_pool() {
     // The pool survives: the very same worker keeps serving, with a
     // freshly rebuilt multiplier shard that still computes correctly.
     let after = service
-        .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
+        .submit_encaps(pk.clone(), [0x42; 32])
         .expect("pool still admits work")
         .wait()
         .expect("pool still serves work");
@@ -216,7 +219,7 @@ fn worker_panic_does_not_poison_the_pool() {
         );
     }
     let final_ok = service
-        .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
+        .submit_encaps(pk.clone(), [0x42; 32])
         .expect("still admitting")
         .wait()
         .expect("still serving");
@@ -226,19 +229,14 @@ fn worker_panic_does_not_poison_the_pool() {
     assert_eq!(report.worker_panics, 4);
     assert_eq!(report.failed, 4);
     assert_eq!(report.completed, 2);
-    let matvec = report
-        .op(saber_service::OpKind::MatVec)
-        .expect("matvec histogram");
-    assert_eq!(matvec.count, 2, "only successful jobs record latency");
+    let encaps = report.op(OpKind::Encaps).expect("encaps histogram");
+    assert_eq!(encaps.count, 2, "only successful jobs record latency");
 }
 
 #[test]
 fn panics_do_not_reorder_surviving_jobs() {
     quiet_worker_panics();
-    let params = &ALL_PARAMS[0];
-    let matrix = Arc::new(gen_matrix(&[0x51; 32], params));
-    let secret = Arc::new(gen_secret(&[0x52; 32], params));
-    let expected = matrix.mul_vec(&secret, &mut SchoolbookMultiplier);
+    let (pk, expected) = key_and_encaps(0x51, [0x52; 32]);
 
     let service = KemService::spawn(&ServiceConfig {
         workers: 1,
@@ -254,7 +252,7 @@ fn panics_do_not_reorder_surviving_jobs() {
         } else {
             real.push(
                 service
-                    .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
+                    .submit_encaps(pk.clone(), [0x52; 32])
                     .expect("admit"),
             );
         }

@@ -9,10 +9,9 @@
 //! [`KemService::begin_shutdown`]. No assertion depends on who wins any
 //! individual race; the invariants hold for every interleaving.
 
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 
-use saber_kem::expand::{gen_matrix, gen_secret};
-use saber_kem::params::ALL_PARAMS;
+use saber_kem::params::LIGHT_SABER;
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_service::{KemService, OpKind, ServiceConfig, SubmitError};
 
@@ -22,10 +21,9 @@ const MAX_ATTEMPTS_PER_THREAD: u64 = 5_000_000;
 
 #[test]
 fn racing_submissions_are_rejected_never_dropped() {
-    let params = &ALL_PARAMS[0]; // LightSaber: fastest jobs, most churn
-    let matrix = Arc::new(gen_matrix(&[0x61; 32], params));
-    let secret = Arc::new(gen_secret(&[0x62; 32], params));
-    let expected = matrix.mul_vec(&secret, &mut SchoolbookMultiplier);
+    // LightSaber: fastest jobs, most churn.
+    let (pk, _) = saber_kem::keygen(&LIGHT_SABER, &[0x61; 32], &mut SchoolbookMultiplier);
+    let expected = saber_kem::encaps(&pk, &[0x62; 32], &mut SchoolbookMultiplier);
 
     let service = KemService::spawn(&ServiceConfig {
         workers: 2,
@@ -49,7 +47,7 @@ fn racing_submissions_are_rejected_never_dropped() {
                             attempt < MAX_ATTEMPTS_PER_THREAD,
                             "submitter never observed the queue closing"
                         );
-                        match service.submit_matvec(Arc::clone(&matrix), Arc::clone(&secret)) {
+                        match service.submit_encaps(pk.clone(), [0x62; 32]) {
                             Ok(handle) => admitted.push(handle),
                             Err(SubmitError::QueueFull { .. }) => {
                                 full += 1;
@@ -88,7 +86,7 @@ fn racing_submissions_are_rejected_never_dropped() {
     assert_eq!(shutdown_rejections, SUBMITTERS as u64);
 
     // Every admitted handle resolves — closing the queue drains, it
-    // does not drop — and resolves to the *correct* product.
+    // does not drop — and resolves to the *correct* encapsulation.
     let admitted = handles.len() as u64;
     assert!(admitted > 0, "no submission won the race; widen the window");
     for handle in handles {
@@ -109,15 +107,13 @@ fn racing_submissions_are_rejected_never_dropped() {
     assert_eq!(report.failed, 0);
     assert_eq!(report.rejected, queue_full_rejections);
     assert_eq!(report.queue_depth, 0, "nothing left stranded in the queue");
-    let matvec = report.op(OpKind::MatVec).expect("matvec histogram");
-    assert_eq!(matvec.count, admitted);
+    let encaps = report.op(OpKind::Encaps).expect("encaps histogram");
+    assert_eq!(encaps.count, admitted);
 }
 
 #[test]
 fn submissions_after_begin_shutdown_fail_deterministically() {
-    let params = &ALL_PARAMS[0];
-    let matrix = Arc::new(gen_matrix(&[0x71; 32], params));
-    let secret = Arc::new(gen_secret(&[0x72; 32], params));
+    let (pk, _) = saber_kem::keygen(&LIGHT_SABER, &[0x71; 32], &mut SchoolbookMultiplier);
 
     let service = KemService::spawn(&ServiceConfig {
         workers: 1,
@@ -125,16 +121,14 @@ fn submissions_after_begin_shutdown_fail_deterministically() {
         ..ServiceConfig::default()
     });
     let before = service
-        .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
+        .submit_encaps(pk.clone(), [0x72; 32])
         .expect("open service admits");
     service.begin_shutdown();
     service.begin_shutdown(); // idempotent
 
     for _ in 0..3 {
         assert_eq!(
-            service
-                .submit_matvec(Arc::clone(&matrix), Arc::clone(&secret))
-                .err(),
+            service.submit_encaps(pk.clone(), [0x72; 32]).err(),
             Some(SubmitError::ShutDown)
         );
     }

@@ -29,7 +29,10 @@ fn drained_decaps_jobs_zeroize_their_key_buffers() {
 
     let session = saber_trace::start();
     {
-        let service = KemService::spawn(&ServiceConfig::with_workers(WORKERS));
+        let service = KemService::spawn(&ServiceConfig {
+            workers: WORKERS,
+            ..ServiceConfig::default()
+        });
 
         // Pin every worker on a gate so the decaps jobs queue up and
         // are provably drained *after* shutdown begins.

@@ -21,7 +21,7 @@
 //! serves them in ascending [`ComponentId`] order by default, but — and
 //! this is the contract — **a correct component must not care**. All
 //! cross-component communication goes through the
-//! [`SharedBus`](crate::bus::SharedBus), whose requests, grants and
+//! [`SharedBus`], whose requests, grants and
 //! signal flags are *cycle-stamped and latched*: state posted at cycle
 //! `t` becomes visible strictly after `t`. A component therefore cannot
 //! observe whether a same-cycle peer ticked before or after it. The

@@ -2,10 +2,11 @@
 //! the most recent probes, cheap enough to leave on for a process's
 //! whole lifetime.
 //!
-//! The capture session in [`crate::span`] is exclusive and unbounded —
-//! built for tests and benches that own the whole window. Production
-//! wants the opposite trade: *never* own the window, *never* grow, and
-//! still have the last few hundred events on hand when a worker dies.
+//! The capture session in [`crate::span`](mod@crate::span) is exclusive
+//! and unbounded — built for tests and benches that own the whole
+//! window. Production wants the opposite trade: *never* own the window,
+//! *never* grow, and still have the last few hundred events on hand
+//! when a worker dies.
 //! The flight recorder is that layer:
 //!
 //! - **Fixed capacity** ([`CAPACITY`] entries per thread, `Copy`

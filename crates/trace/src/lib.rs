@@ -7,15 +7,16 @@
 //! crate gives every layer of the stack one vocabulary for both
 //! questions:
 //!
-//! - **Wall-clock capture** ([`span`], [`counter`], [`instant_event`]
-//!   inside a [`start`]/[`TraceSession::finish`] window): thread-local
-//!   span stacks with monotonic timing, used by `saber-kem` (matrix
-//!   expansion / mat-vec / rounding / hashing stages) and
-//!   `saber-service` (per-job queue-wait vs. execute spans). When no
-//!   session is active and the flight recorder is off, a probe costs
-//!   two relaxed atomic loads (the session flag, then the flight flag)
-//!   — the `disabled_path` test holds the disabled path under fixed
-//!   limits (25 ns mean per probe; 10 ns with the recorder off).
+//! - **Wall-clock capture** ([`span`](fn@span), [`counter`],
+//!   [`instant_event`] inside a [`start`]/[`TraceSession::finish`]
+//!   window): thread-local span stacks with monotonic timing, used by
+//!   `saber-kem` (matrix expansion / mat-vec / rounding / hashing
+//!   stages) and `saber-service` (per-job queue-wait vs. execute
+//!   spans). When no session is active and the flight recorder is off,
+//!   a probe costs two relaxed atomic loads (the session flag, then
+//!   the flight flag) — the `disabled_path` test holds the disabled
+//!   path under fixed limits (25 ns mean per probe; 10 ns with the
+//!   recorder off).
 //! - **Cycle-domain occupancy** ([`CycleTimeline`]): gap-free per-phase
 //!   breakdowns emitted by the cycle-accurate models in `saber-core`,
 //!   turning "131 cycles total" into `secret_load=17, issue=128 @ 4

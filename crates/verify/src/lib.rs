@@ -12,7 +12,7 @@
 //!    swept across every [`saber_ring::PolyMultiplier`] backend in the
 //!    workspace ([`backends`]) against the schoolbook oracle, for all
 //!    three parameter sets. Failures shrink to minimal reproducers
-//!    ([`shrink`]).
+//!    ([`shrink`](mod@shrink)).
 //! 2. **Golden KATs** ([`kat`]) — checked-in JSON
 //!    known-answer vectors for ring multiplication, keccak, PKE and full
 //!    KEM round trips, generated once (`gen-kats` binary +

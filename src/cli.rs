@@ -5,6 +5,7 @@
 //! reproduction's entry points.
 
 use std::fmt;
+use std::io;
 
 use saber_bench::coprocessor::standard_projections;
 use saber_bench::tables::format_table1;
@@ -162,48 +163,72 @@ fn check_kem_pair(params: &str, arch: &str) -> Result<(), ParseCommandError> {
     Ok(())
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Reads the arguments after `command` as `--flag value` pairs, each
+/// flag one of `allowed`, given at most once and with a value. Returns
+/// each allowed flag's value, in `allowed` order.
+fn flags<'a, const N: usize>(
+    command: &str,
+    args: &'a [String],
+    allowed: [&str; N],
+) -> Result<[Option<&'a str>; N], ParseCommandError> {
+    let mut values = [None; N];
+    let mut args = args.iter().map(String::as_str);
+    while let Some(flag) = args.next() {
+        let Some(slot) = allowed.iter().position(|&name| name == flag) else {
+            let takes = if N == 0 {
+                "no arguments".to_string()
+            } else {
+                allowed.join(", ")
+            };
+            return Err(ParseCommandError(format!(
+                "`{command}` does not take `{flag}`; it takes {takes}"
+            )));
+        };
+        if values[slot].is_some() {
+            return Err(ParseCommandError(format!("`{flag}` is given twice")));
+        }
+        let value = args.next().filter(|value| !value.starts_with("--"));
+        values[slot] =
+            Some(value.ok_or_else(|| ParseCommandError(format!("`{flag}` needs a value")))?);
+    }
+    Ok(values)
 }
 
 /// Parses an argument list (without the program name).
 ///
 /// # Errors
 ///
-/// Returns [`ParseCommandError`] describing the problem.
+/// Returns [`ParseCommandError`] describing the problem, including any
+/// argument the command does not take and a flag without its value.
 pub fn parse(args: &[String]) -> Result<Command, ParseCommandError> {
-    match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("mult") => {
-            let arch = flag_value(args, "--arch")
-                .ok_or_else(|| ParseCommandError("mult requires --arch <key>".into()))?;
+    let Some((command, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    let command = command.as_str();
+    match command {
+        "help" | "--help" | "-h" => flags(command, rest, []).map(|[]| Command::Help),
+        "mult" => {
+            let [arch] = flags(command, rest, ["--arch"])?;
+            let arch =
+                arch.ok_or_else(|| ParseCommandError("mult requires --arch <key>".into()))?;
             build_architecture(arch)?; // validate early
             Ok(Command::Mult { arch: arch.into() })
         }
-        Some("kem") => {
-            let params = flag_value(args, "--params").unwrap_or("saber");
-            let arch = flag_value(args, "--arch").unwrap_or("hs1-256");
-            check_kem_pair(params, arch)?;
-            Ok(Command::Kem {
-                params: params.into(),
-                arch: arch.into(),
+        "kem" | "kem-program" => {
+            let [params, arch] = flags(command, rest, ["--params", "--arch"])?;
+            let params = params.unwrap_or("saber").to_string();
+            let arch = arch.unwrap_or("hs1-256").to_string();
+            check_kem_pair(&params, &arch)?;
+            Ok(if command == "kem" {
+                Command::Kem { params, arch }
+            } else {
+                Command::KemProgram { params, arch }
             })
         }
-        Some("table1") => Ok(Command::Table1),
-        Some("kem-program") => {
-            let params = flag_value(args, "--params").unwrap_or("saber");
-            let arch = flag_value(args, "--arch").unwrap_or("hs1-256");
-            check_kem_pair(params, arch)?;
-            Ok(Command::KemProgram {
-                params: params.into(),
-                arch: arch.into(),
-            })
-        }
-        Some("disasm") => {
-            let op = flag_value(args, "--op").unwrap_or("keygen");
+        "table1" => flags(command, rest, []).map(|[]| Command::Table1),
+        "disasm" => {
+            let [op] = flags(command, rest, ["--op"])?;
+            let op = op.unwrap_or("keygen");
             if !matches!(op, "keygen" | "encaps") {
                 return Err(ParseCommandError(format!(
                     "unknown program `{op}`; expected keygen or encaps"
@@ -211,10 +236,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCommandError> {
             }
             Ok(Command::Disasm { op: op.into() })
         }
-        Some("coprocessor") => Ok(Command::Coprocessor),
-        Some("power") => Ok(Command::Power),
-        Some("vcd") => {
-            let stride = match flag_value(args, "--stride").unwrap_or("1") {
+        "coprocessor" => flags(command, rest, []).map(|[]| Command::Coprocessor),
+        "power" => flags(command, rest, []).map(|[]| Command::Power),
+        "vcd" => {
+            let [stride, out] = flags(command, rest, ["--stride", "--out"])?;
+            let stride = match stride.unwrap_or("1") {
                 "1" => 1,
                 "2" => 2,
                 other => {
@@ -225,10 +251,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCommandError> {
             };
             Ok(Command::Vcd {
                 stride,
-                out: flag_value(args, "--out").map(String::from),
+                out: out.map(String::from),
             })
         }
-        Some(other) => Err(ParseCommandError(format!(
+        other => Err(ParseCommandError(format!(
             "unknown command `{other}` (try `saber-sim help`)"
         ))),
     }
@@ -258,8 +284,10 @@ pub fn usage() -> String {
 ///
 /// # Errors
 ///
-/// Propagates formatting errors from `out`.
-pub fn run(command: &Command, out: &mut dyn fmt::Write) -> fmt::Result {
+/// Propagates write errors from `out`, and the failure to write the
+/// waveform file of a [`Command::Vcd`] with an `out` path, naming the
+/// path.
+pub fn run(command: &Command, out: &mut dyn io::Write) -> io::Result<()> {
     match command {
         Command::Help => writeln!(out, "{}", usage()),
         Command::Table1 => writeln!(out, "{}", format_table1()),
@@ -303,7 +331,9 @@ pub fn run(command: &Command, out: &mut dyn fmt::Write) -> fmt::Result {
             let (outcome, _, trace) = saber_soc::run_scenario_probed(&cfg);
             match path {
                 Some(path) => {
-                    std::fs::write(path, &trace.vcd).expect("write VCD file");
+                    std::fs::write(path, &trace.vcd).map_err(|e| {
+                        io::Error::new(e.kind(), format!("cannot write {path}: {e}"))
+                    })?;
                     writeln!(
                         out,
                         "wrote {path}: golden co-sim scenario at stride {stride} \
@@ -413,6 +443,13 @@ mod tests {
         list.iter().map(|s| (*s).to_string()).collect()
     }
 
+    /// What `run` writes for `command`.
+    fn output(command: &Command) -> String {
+        let mut out = Vec::new();
+        run(command, &mut out).unwrap();
+        String::from_utf8(out).expect("the CLI writes UTF-8")
+    }
+
     #[test]
     fn parses_every_command() {
         assert_eq!(parse(&args(&[])).unwrap(), Command::Help);
@@ -466,15 +503,10 @@ mod tests {
 
     #[test]
     fn run_vcd_streams_a_waveform_document() {
-        let mut out = String::new();
-        run(
-            &Command::Vcd {
-                stride: 1,
-                out: None,
-            },
-            &mut out,
-        )
-        .unwrap();
+        let out = output(&Command::Vcd {
+            stride: 1,
+            out: None,
+        });
         assert!(out.starts_with("$timescale"), "VCD header first");
         assert!(out.contains("$scope module soc $end"), "{}", &out[..200]);
         assert!(out.contains("c2_hs1_512_matvec"), "component scope present");
@@ -503,6 +535,44 @@ mod tests {
     }
 
     #[test]
+    fn rejects_flags_a_command_does_not_take_and_flags_without_values() {
+        for (list, expected) in [
+            (
+                &["kem", "--param", "firesaber", "--arch", "hs1-512"][..],
+                "`kem` does not take `--param`; it takes --params, --arch",
+            ),
+            (
+                &["mult", "--arch", "hs2", "--params", "saber"],
+                "take `--params`",
+            ),
+            (&["table1", "extra"], "it takes no arguments"),
+            (
+                &["disasm", "--op", "keygen", "--op", "encaps"],
+                "given twice",
+            ),
+            (&["vcd", "--stride"], "`--stride` needs a value"),
+            (
+                &["vcd", "--stride", "--out", "wave.vcd"],
+                "`--stride` needs a value",
+            ),
+            (&["mult", "--arch"], "`--arch` needs a value"),
+        ] {
+            let err = parse(&args(list)).unwrap_err().to_string();
+            assert!(err.contains(expected), "{list:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn run_vcd_reports_a_file_it_cannot_write() {
+        let dir = std::env::temp_dir().join(format!("saber-sim-absent-{}", std::process::id()));
+        assert!(!dir.exists(), "{} must not exist", dir.display());
+        let path = dir.join("wave.vcd").display().to_string();
+        let command = parse(&args(&["vcd", "--out", &path])).unwrap();
+        let err = run(&command, &mut Vec::new()).unwrap_err().to_string();
+        assert!(err.contains(&format!("cannot write {path}")), "{err}");
+    }
+
+    #[test]
     fn every_architecture_key_builds() {
         for key in architecture_keys() {
             assert!(build_architecture(key).is_ok(), "{key}");
@@ -511,36 +581,25 @@ mod tests {
 
     #[test]
     fn run_mult_reports_ok() {
-        let mut out = String::new();
-        run(
-            &Command::Mult {
-                arch: "hs1-256".into(),
-            },
-            &mut out,
-        )
-        .unwrap();
+        let out = output(&Command::Mult {
+            arch: "hs1-256".into(),
+        });
         assert!(out.contains("OK"), "{out}");
         assert!(out.contains("HS-I 256"), "{out}");
     }
 
     #[test]
     fn run_kem_matches() {
-        let mut out = String::new();
-        run(
-            &Command::Kem {
-                params: "saber".into(),
-                arch: "hs1-512".into(),
-            },
-            &mut out,
-        )
-        .unwrap();
+        let out = output(&Command::Kem {
+            params: "saber".into(),
+            arch: "hs1-512".into(),
+        });
         assert!(out.contains("MATCH"), "{out}");
     }
 
     #[test]
     fn run_table1_prints_rows() {
-        let mut out = String::new();
-        run(&Command::Table1, &mut out).unwrap();
+        let out = output(&Command::Table1);
         assert!(out.contains("HS-II"));
         assert!(out.contains("LW"));
     }

@@ -31,6 +31,10 @@ if want lint; then
     cargo fmt --all --check
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+    # Rustdoc warnings fail the stage, so a doc link to a renamed or
+    # deleted item cannot go stale.
+    echo "==> cargo doc --workspace --no-deps (rustdoc -D warnings)"
+    cargo doc --workspace --no-deps --config 'build.rustdocflags=["-D", "warnings"]'
 fi
 
 if want build; then
