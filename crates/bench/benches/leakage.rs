@@ -8,7 +8,8 @@
 //! fixed, t = 0), and the expected value-leakage of any unprotected
 //! datapath (fixed vs different secret, |t| ≫ 4.5).
 
-use saber_core::leakage::{hamming_trace, leakage_samples, mac_value_trace, TraceStyle};
+use saber_core::engine::MacStyle;
+use saber_core::leakage::{hamming_trace, leakage_samples, mac_value_trace};
 use saber_ring::{PolyQ, SecretPoly};
 use saber_timing::{welch_t, Welford};
 
@@ -17,8 +18,8 @@ fn print_leakage_report() {
     let s = SecretPoly::from_fn(|i| (((i * 5) % 9) as i8) - 4);
 
     // Trace equality: the §3.1 claim, verified value-for-value.
-    let baseline = mac_value_trace(&a, &s, TraceStyle::Baseline);
-    let centralized = mac_value_trace(&a, &s, TraceStyle::Centralized);
+    let baseline = mac_value_trace(&a, &s, MacStyle::PerMac);
+    let centralized = mac_value_trace(&a, &s, MacStyle::Centralized);
     let equal = baseline == centralized;
     println!(
         "baseline vs HS-I per-cycle value traces: {} ({} cycles × {} lanes)",

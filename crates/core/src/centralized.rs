@@ -65,12 +65,6 @@ impl CentralizedMultiplier {
         }
     }
 
-    /// Number of MAC units.
-    #[must_use]
-    pub fn macs(&self) -> usize {
-        self.macs
-    }
-
     /// Multiplications simulated so far.
     #[must_use]
     pub fn multiplications(&self) -> u64 {

@@ -359,181 +359,78 @@ impl Default for DspPackedMultiplier {
     }
 }
 
-/// Phase cursor of [`DspPackedSim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DspPhase {
-    SecretLoad { left: u64 },
-    PublicPreload { left: u64 },
-    Core,
-    WritebackDrain { left: u64 },
-    Done,
-}
-
-/// A resumable, one-cycle-per-`step` simulation of the HS-II
-/// DSP-packed datapath — the same schedule
-/// [`DspPackedMultiplier::multiply`] always ran.
+/// Cycle-accurate run of the HS-II datapath on `banks` banks of
+/// [`DSP_COUNT`] units: the secret load and public preload, the core
+/// loop (`N / (2·banks)` issue cycles, then [`DSP_LATENCY`] cycles in
+/// which the pipeline drains), and the writeback drain. Returns the
+/// product, the core-loop cycle report and the per-phase timeline.
 ///
-/// Invariant: driving `step` to completion and calling
-/// [`finish`](Self::finish) yields byte-identical products, cycle
-/// reports and timelines to the historical run-to-completion loop (the
-/// standalone `multiply` is now exactly that thin driver).
-#[derive(Debug, Clone)]
-pub struct DspPackedSim {
-    public: PolyQ,
-    /// The secret's negacyclic extension: the secret rotated by `x^r` is
-    /// the window `ext[N − r..2N − r]`.
-    ext: [i8; 2 * N],
-    dsps: Vec<Dsp48>,
+/// Each core cycle first issues to every DSP, then runs each DSP's
+/// clock edge and, on retire cycles, unpacks and accumulates the result
+/// that edge brought out. The DSPs share no state, so ticking and
+/// retiring unit by unit leaves every DSP, output and accumulator
+/// coefficient exactly as ticking all of them first would.
+///
+/// The rotating secret buffer is modelled as a logical rotation (a
+/// window of the negacyclic extension, whose lanes are what
+/// `engine::rotated` returns), so no per-cycle clone/shift of the
+/// secret is needed; the in-flight metadata is a ring of
+/// `DSP_LATENCY` batches, one entry per DSP each, overwritten in place
+/// every issue cycle.
+///
+/// # Panics
+///
+/// Panics unless `banks` is 1 or 2, or if the secret contains a
+/// coefficient of magnitude 5 (LightSaber); the 15-bit packing of §3.2
+/// requires |s| ≤ 4.
+fn simulate(
+    public: &PolyQ,
+    secret: &SecretPoly,
     banks: usize,
-    /// Rotating ring of in-flight metadata batches, one batch of one
-    /// entry per DSP for each pipeline stage: batch `b` is
-    /// `inflight[b·dsps..(b + 1)·dsps]`, overwritten in place every
-    /// issue cycle.
-    inflight: Vec<InFlight>,
-    acc: [u16; N],
-    core_cycles: u64,
-    outer: usize,   // the outer index pair (2t, 2t+1)
-    issued: usize,  // metadata batches written to the ring
-    retired: usize, // metadata batches consumed
-    phase: DspPhase,
-    cycles: u64,
-    timeline: saber_trace::CycleTimeline,
-}
+) -> (PolyQ, CycleReport, saber_trace::CycleTimeline) {
+    assert!(banks == 1 || banks == 2, "HS-II supports 1 or 2 DSP banks");
+    assert!(
+        secret.max_magnitude() <= MAX_PACKED_MAGNITUDE,
+        "HS-II packing requires |s| ≤ 4 (Saber/FireSaber); got {}",
+        secret.max_magnitude()
+    );
+    let units = DSP_COUNT * banks;
+    let ext = negacyclic_extension(secret);
+    let mut dsps: Vec<Dsp48> = (0..units).map(|_| Dsp48::new(DSP_LATENCY)).collect();
+    let mut inflight = vec![InFlight::default(); DSP_LATENCY * units];
+    let mut acc = [0u16; N];
+    let mut timeline = saber_trace::CycleTimeline::new(
+        if banks == 1 { "hs2-128" } else { "hs2-256" },
+        units as u64,
+    );
+    timeline.push_phase("secret_load", 17, 0);
+    timeline.push_phase("public_preload", 14, 0);
 
-impl DspPackedSim {
-    /// Captures the operands at cycle 0 (nothing has happened yet).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `banks` is 1 or 2, or if the secret contains a
-    /// coefficient of magnitude 5 (LightSaber); the 15-bit packing of
-    /// §3.2 requires |s| ≤ 4.
-    #[must_use]
-    pub fn new(public: &PolyQ, secret: &SecretPoly, banks: usize) -> Self {
-        assert!(banks == 1 || banks == 2, "HS-II supports 1 or 2 DSP banks");
-        assert!(
-            secret.max_magnitude() <= MAX_PACKED_MAGNITUDE,
-            "HS-II packing requires |s| ≤ 4 (Saber/FireSaber); got {}",
-            secret.max_magnitude()
-        );
-        let dsps = DSP_COUNT * banks;
-        Self {
-            public: public.clone(),
-            ext: negacyclic_extension(secret),
-            dsps: (0..dsps).map(|_| Dsp48::new(DSP_LATENCY)).collect(),
-            banks,
-            inflight: vec![InFlight::default(); DSP_LATENCY * dsps],
-            acc: [0u16; N],
-            core_cycles: 0,
-            outer: 0,
-            issued: 0,
-            retired: 0,
-            phase: DspPhase::SecretLoad { left: 17 },
-            cycles: 0,
-            timeline: saber_trace::CycleTimeline::new(
-                if banks == 1 { "hs2-128" } else { "hs2-256" },
-                (DSP_COUNT * banks) as u64,
-            ),
-        }
-    }
-
-    /// Cycles elapsed so far (memory phases included).
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// True once the writeback drain has completed.
-    #[must_use]
-    fn is_done(&self) -> bool {
-        self.phase == DspPhase::Done
-    }
-
-    /// Advances exactly one clock cycle; returns `true` while the run is
-    /// still in progress (a call on a finished sim is a no-op returning
-    /// `false`).
-    fn step(&mut self) -> bool {
-        match self.phase {
-            DspPhase::SecretLoad { left } => {
-                self.cycles += 1;
-                if left == 1 {
-                    self.timeline.push_phase("secret_load", 17, 0);
-                    self.phase = DspPhase::PublicPreload { left: 14 };
-                } else {
-                    self.phase = DspPhase::SecretLoad { left: left - 1 };
-                }
-            }
-            DspPhase::PublicPreload { left } => {
-                self.cycles += 1;
-                if left == 1 {
-                    self.timeline.push_phase("public_preload", 14, 0);
-                    self.phase = DspPhase::Core;
-                } else {
-                    self.phase = DspPhase::PublicPreload { left: left - 1 };
-                }
-            }
-            DspPhase::Core => {
-                self.core_step();
-                self.cycles += 1;
-                // 128/banks issue cycles + DSP_LATENCY drain cycles.
-                if self.core_cycles == (N / (2 * self.banks) + DSP_LATENCY) as u64 {
-                    self.phase = DspPhase::WritebackDrain { left: 54 };
-                }
-            }
-            DspPhase::WritebackDrain { left } => {
-                self.cycles += 1;
-                if left == 1 {
-                    let units = (DSP_COUNT * self.banks) as u64;
-                    self.timeline.push_phase("writeback_drain", 54, 0);
-                    self.timeline
-                        .add_counter("dsp_issues", (N / (2 * self.banks)) as u64 * units);
-                    self.phase = DspPhase::Done;
-                } else {
-                    self.phase = DspPhase::WritebackDrain { left: left - 1 };
-                }
-            }
-            DspPhase::Done => {}
-        }
-        !self.is_done()
-    }
-
-    /// One cycle of the issue → clock-edge → retire core loop.
-    ///
-    /// One pass issues to every DSP; a second runs each DSP's clock
-    /// edge and, on retire cycles, unpacks and accumulates the result
-    /// that edge brought out. The DSPs share no state, so ticking and
-    /// retiring unit by unit leaves every DSP, output and accumulator
-    /// coefficient exactly as ticking all of them first would.
-    ///
-    /// The rotating secret buffer is modelled as a logical rotation (a
-    /// window of the negacyclic extension, whose lanes are what
-    /// `engine::rotated` returns), so no per-cycle clone/shift of the
-    /// secret is needed; the in-flight metadata reuses the sim-owned
-    /// ring of `DSP_LATENCY` batches.
-    fn core_step(&mut self) {
-        let dsps = self.dsps.len();
-        let issuing = self.outer < N;
-        let issue_batch = self.issued % DSP_LATENCY * dsps;
+    let issue_cycles = N / (2 * banks);
+    let core_cycles = issue_cycles + DSP_LATENCY;
+    for cycle in 0..core_cycles {
+        let issuing = cycle < issue_cycles;
         if issuing {
-            self.issued += 1;
-        }
-        self.core_cycles += 1;
-        let retiring = self.core_cycles >= DSP_LATENCY as u64 && self.retired < self.issued;
-        let retire_batch = self.retired % DSP_LATENCY * dsps;
-
-        if issuing {
-            for (bank, bank_dsps) in self.dsps.chunks_exact_mut(DSP_COUNT).enumerate() {
+            // The outer index pair (2t, 2t + 1) of this issue cycle.
+            let outer = 2 * banks * cycle;
+            let batch = &mut inflight[cycle % DSP_LATENCY * units..][..units];
+            for (bank, (bank_dsps, bank_batch)) in dsps
+                .chunks_exact_mut(DSP_COUNT)
+                .zip(batch.chunks_exact_mut(DSP_COUNT))
+                .enumerate()
+            {
                 // Bank `b` handles outer pair (outer + 2b) against the
                 // secret shifted by x^(outer + 2b).
-                let rot = self.outer + 2 * bank;
-                let a0 = self.public.coeff(rot);
-                let a1 = self.public.coeff(rot + 1);
-                let lanes = &self.ext[N - rot..2 * N - rot];
-                let batch = &mut self.inflight[issue_batch + bank * DSP_COUNT..][..DSP_COUNT];
+                let rot = outer + 2 * bank;
+                let a0 = public.coeff(rot);
+                let a1 = public.coeff(rot + 1);
+                let lanes = &ext[N - rot..2 * N - rot];
                 // Unit k sits at odd position j = 2k + 1 and reads lanes
                 // j − 1 and j of the rotated secret: s0 = (σ·x)[j].
-                for ((dsp, pair), meta) in
-                    bank_dsps.iter_mut().zip(lanes.chunks_exact(2)).zip(batch)
+                for ((dsp, pair), meta) in bank_dsps
+                    .iter_mut()
+                    .zip(lanes.chunks_exact(2))
+                    .zip(bank_batch)
                 {
                     let (s0, s1) = (pair[0], pair[1]);
                     let (pa, ps, plan) = pack(a0, a1, s0, s1);
@@ -550,10 +447,15 @@ impl DspPackedSim {
                 }
             }
         }
-        // Clock edge; results emerge DSP_LATENCY edges after issue.
-        if retiring {
-            let batch = &self.inflight[retire_batch..retire_batch + dsps];
-            for (unit, (dsp, info)) in self.dsps.iter_mut().zip(batch).enumerate() {
+        // Clock edge; results emerge DSP_LATENCY edges after issue, so
+        // this cycle's edge retires the batch issued in cycle
+        // `cycle + 1 − DSP_LATENCY`, if there was one.
+        let retiring = (cycle + 1)
+            .checked_sub(DSP_LATENCY)
+            .filter(|&issued_at| issued_at < issue_cycles);
+        if let Some(issued_at) = retiring {
+            let batch = &inflight[issued_at % DSP_LATENCY * units..][..units];
+            for (unit, (dsp, info)) in dsps.iter_mut().zip(batch).enumerate() {
                 dsp.tick();
                 let p = dsp.output().expect("a result emerges every retire cycle");
                 let products = unpack(
@@ -566,48 +468,38 @@ impl DspPackedSim {
                 );
                 // Entry `unit` came from DSP `unit`: unit k of its bank.
                 let j = 2 * (unit % DSP_COUNT) + 1;
-                add13(&mut self.acc[j], products.mid, false);
-                add13(&mut self.acc[j - 1], products.low, false);
+                add13(&mut acc[j], products.mid, false);
+                add13(&mut acc[j - 1], products.low, false);
                 if j + 1 < N {
-                    add13(&mut self.acc[j + 1], products.high, false);
+                    add13(&mut acc[j + 1], products.high, false);
                 } else {
                     // Negacyclic wrap: position 256 folds to −acc[0].
-                    add13(&mut self.acc[0], products.high, true);
+                    add13(&mut acc[0], products.high, true);
                 }
             }
         } else {
-            for dsp in &mut self.dsps {
+            for dsp in &mut dsps {
                 dsp.tick();
             }
         }
-
         if issuing {
-            self.outer += 2 * self.banks;
             // Each DSP accepted one packed operation computing four
             // coefficient products (low, two middles, high).
-            self.timeline.push_phase("issue", 1, 4 * dsps as u64);
+            timeline.push_phase("issue", 1, 4 * units as u64);
         } else {
-            self.timeline.push_phase("pipeline_drain", 1, 0);
-        }
-        if retiring {
-            self.retired += 1;
+            timeline.push_phase("pipeline_drain", 1, 0);
         }
     }
 
-    /// Consumes the finished simulation into the product, the core-loop
-    /// cycle report and the per-phase timeline. Any remaining cycles are
-    /// driven to completion first.
-    #[must_use]
-    pub fn finish(mut self) -> (PolyQ, CycleReport, saber_trace::CycleTimeline) {
-        while self.step() {}
-        let report = CycleReport {
-            compute_cycles: self.core_cycles,
-            // Same memory phases as the other high-speed designs.
-            memory_overhead_cycles: 17 + 14 + 54,
-        };
-        debug_assert!(self.timeline.reconciles_with(report.total()));
-        (PolyQ::from_coeffs(self.acc), report, self.timeline)
-    }
+    timeline.push_phase("writeback_drain", 54, 0);
+    timeline.add_counter("dsp_issues", issue_cycles as u64 * units as u64);
+    let report = CycleReport {
+        compute_cycles: core_cycles as u64,
+        // Same memory phases as the other high-speed designs.
+        memory_overhead_cycles: 17 + 14 + 54,
+    };
+    debug_assert!(timeline.reconciles_with(report.total()));
+    (PolyQ::from_coeffs(acc), report, timeline)
 }
 
 impl PolyMultiplier for DspPackedMultiplier {
@@ -616,7 +508,7 @@ impl PolyMultiplier for DspPackedMultiplier {
     /// Panics if the secret contains a coefficient of magnitude 5
     /// (LightSaber); the 15-bit packing of §3.2 requires |s| ≤ 4.
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        let (product, cycles, timeline) = DspPackedSim::new(public, secret, self.banks).finish();
+        let (product, cycles, timeline) = simulate(public, secret, self.banks);
 
         let area = self.area();
         self.last_cycles = cycles;

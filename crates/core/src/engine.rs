@@ -40,6 +40,13 @@ pub enum MacStyle {
     Centralized,
 }
 
+/// Secret burst: 16 words over the 64-bit port + 1 read latency.
+const SECRET_LOAD_CYCLES: u64 = 16 + 1;
+/// Public preload: 13 words fill the 676-bit buffer + 1 latency.
+const PUBLIC_PRELOAD_CYCLES: u64 = 13 + 1;
+/// Drain: 52 result words + 2 cycles of result/write registers.
+const DRAIN_CYCLES: u64 = 52 + 2;
+
 /// Cycle-accurate run of the parallel schoolbook datapath.
 ///
 /// Returns the product, the Table-1 cycle split, the activity record,
@@ -58,14 +65,52 @@ pub fn simulate(
     macs: usize,
     style: MacStyle,
 ) -> (PolyQ, CycleReport, Activity, CycleTimeline) {
-    EngineSim::new(a, s, macs, style).finish()
+    let track = match style {
+        MacStyle::PerMac => format!("baseline-{macs}"),
+        MacStyle::Centralized => format!("hs1-{macs}"),
+    };
+    let mut kernel = ComputeKernel::new(a, s, macs, style);
+    let mut timeline = CycleTimeline::new(track, macs as u64);
+    timeline.push_phase("secret_load", SECRET_LOAD_CYCLES, 0);
+    timeline.push_phase("public_preload", PUBLIC_PRELOAD_CYCLES, 0);
+    let mut compute_cycles = 0u64;
+    while !kernel.is_done() {
+        kernel.step();
+        compute_cycles += 1;
+        // Every MAC retires one coefficient product this cycle.
+        timeline.push_phase("compute", 1, macs as u64);
+    }
+    timeline.push_phase("drain", DRAIN_CYCLES, 0);
+    // 39 of the 52 public words stream during compute using the
+    // otherwise idle read port.
+    timeline.add_counter("streamed_words", 52 - 13);
+
+    let secret_words = 16u64; // SecretPoly over the 64-bit port
+    let public_words = 52u64; // 256 × 13-bit coefficients
+    let drain_words = public_words;
+    let report = CycleReport {
+        compute_cycles,
+        memory_overhead_cycles: SECRET_LOAD_CYCLES + PUBLIC_PRELOAD_CYCLES + DRAIN_CYCLES,
+    };
+    let activity = Activity {
+        cycles: report.total(),
+        bram_reads: secret_words + public_words,
+        bram_writes: drain_words,
+        // Streamed words are already counted in `public_words`.
+        io_words: secret_words + public_words + drain_words,
+        active_luts: 0, // filled in by the architecture wrapper
+        active_ffs: 0,
+        dsp_ops: 0,
+    };
+    debug_assert!(timeline.reconciles_with(report.total()));
+    (kernel.product(), report, activity, timeline)
 }
 
 /// The compute phase of the parallel schoolbook engine as a resumable
 /// kernel: one call to [`step`](Self::step) performs exactly one compute
 /// cycle (all MACs update, the secret view rotates by `x^U`).
 ///
-/// [`EngineSim`] drives it for the standalone architectures;
+/// [`simulate`] drives it for the standalone architectures;
 /// `saber-soc`'s co-simulated multiplier component drives it directly,
 /// with the operand loads and drains replaced by shared-bus traffic.
 #[derive(Debug, Clone)]
@@ -99,12 +144,6 @@ impl ComputeKernel {
             acc: [0u16; N],
             i: 0,
         }
-    }
-
-    /// MAC units in the datapath (`unroll × N`).
-    #[must_use]
-    pub fn macs(&self) -> usize {
-        self.unroll * N
     }
 
     /// True once every coefficient product has been accumulated.
@@ -155,159 +194,6 @@ impl ComputeKernel {
     #[must_use]
     pub fn product(&self) -> PolyQ {
         PolyQ::from_coeffs(self.acc)
-    }
-}
-
-/// Phase cursor of [`EngineSim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EnginePhase {
-    SecretLoad { left: u64 },
-    PublicPreload { left: u64 },
-    Compute,
-    Drain { left: u64 },
-    Done,
-}
-
-/// A resumable, one-cycle-per-`step` simulation of the parallel
-/// schoolbook datapath — the same schedule [`simulate`] always ran.
-///
-/// Invariant: driving `step` to completion and calling
-/// [`finish`](Self::finish) yields byte-identical products, cycle
-/// reports and timelines to the historical run-to-completion loop (the
-/// standalone [`simulate`] is now exactly that thin wrapper).
-#[derive(Debug, Clone)]
-pub struct EngineSim {
-    kernel: ComputeKernel,
-    macs: usize,
-    phase: EnginePhase,
-    cycles: u64,
-    compute_cycles: u64,
-    timeline: CycleTimeline,
-}
-
-/// Secret burst: 16 words over the 64-bit port + 1 read latency.
-const SECRET_LOAD_CYCLES: u64 = 16 + 1;
-/// Public preload: 13 words fill the 676-bit buffer + 1 latency.
-const PUBLIC_PRELOAD_CYCLES: u64 = 13 + 1;
-/// Drain: 52 result words + 2 cycles of result/write registers.
-const DRAIN_CYCLES: u64 = 52 + 2;
-
-impl EngineSim {
-    /// Sets up the simulation at cycle 0 (nothing has happened yet).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `macs` is not 256, 512 or 1024.
-    #[must_use]
-    pub fn new(a: &PolyQ, s: &SecretPoly, macs: usize, style: MacStyle) -> Self {
-        let track = match style {
-            MacStyle::PerMac => format!("baseline-{macs}"),
-            MacStyle::Centralized => format!("hs1-{macs}"),
-        };
-        Self {
-            kernel: ComputeKernel::new(a, s, macs, style),
-            macs,
-            phase: EnginePhase::SecretLoad {
-                left: SECRET_LOAD_CYCLES,
-            },
-            cycles: 0,
-            compute_cycles: 0,
-            timeline: CycleTimeline::new(track, macs as u64),
-        }
-    }
-
-    /// Cycles elapsed so far.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// True once the drain has completed.
-    #[must_use]
-    fn is_done(&self) -> bool {
-        self.phase == EnginePhase::Done
-    }
-
-    /// Advances exactly one clock cycle; returns `true` while the run is
-    /// still in progress (a call on a finished sim is a no-op returning
-    /// `false`).
-    fn step(&mut self) -> bool {
-        match self.phase {
-            EnginePhase::SecretLoad { left } => {
-                self.cycles += 1;
-                if left == 1 {
-                    self.timeline
-                        .push_phase("secret_load", SECRET_LOAD_CYCLES, 0);
-                    self.phase = EnginePhase::PublicPreload {
-                        left: PUBLIC_PRELOAD_CYCLES,
-                    };
-                } else {
-                    self.phase = EnginePhase::SecretLoad { left: left - 1 };
-                }
-            }
-            EnginePhase::PublicPreload { left } => {
-                self.cycles += 1;
-                if left == 1 {
-                    self.timeline
-                        .push_phase("public_preload", PUBLIC_PRELOAD_CYCLES, 0);
-                    self.phase = EnginePhase::Compute;
-                } else {
-                    self.phase = EnginePhase::PublicPreload { left: left - 1 };
-                }
-            }
-            EnginePhase::Compute => {
-                let more = self.kernel.step();
-                self.cycles += 1;
-                self.compute_cycles += 1;
-                // Every MAC retires one coefficient product this cycle.
-                self.timeline.push_phase("compute", 1, self.macs as u64);
-                if !more {
-                    self.phase = EnginePhase::Drain { left: DRAIN_CYCLES };
-                }
-            }
-            EnginePhase::Drain { left } => {
-                self.cycles += 1;
-                if left == 1 {
-                    self.timeline.push_phase("drain", DRAIN_CYCLES, 0);
-                    // 39 of the 52 public words stream during compute
-                    // using the otherwise idle read port.
-                    self.timeline.add_counter("streamed_words", 52 - 13);
-                    self.phase = EnginePhase::Done;
-                } else {
-                    self.phase = EnginePhase::Drain { left: left - 1 };
-                }
-            }
-            EnginePhase::Done => {}
-        }
-        !self.is_done()
-    }
-
-    /// Consumes the finished simulation into the product, cycle report,
-    /// activity record and per-phase timeline ([`simulate`]'s historical
-    /// return tuple). Any remaining cycles are driven to completion
-    /// first.
-    #[must_use]
-    pub fn finish(mut self) -> (PolyQ, CycleReport, Activity, CycleTimeline) {
-        while self.step() {}
-        let secret_words = 16u64; // SecretPoly over the 64-bit port
-        let public_words = 52u64; // 256 × 13-bit coefficients
-        let drain_words = public_words;
-        let report = CycleReport {
-            compute_cycles: self.compute_cycles,
-            memory_overhead_cycles: SECRET_LOAD_CYCLES + PUBLIC_PRELOAD_CYCLES + DRAIN_CYCLES,
-        };
-        let activity = Activity {
-            cycles: report.total(),
-            bram_reads: secret_words + public_words,
-            bram_writes: drain_words,
-            // Streamed words are already counted in `public_words`.
-            io_words: secret_words + public_words + drain_words,
-            active_luts: 0, // filled in by the architecture wrapper
-            active_ffs: 0,
-            dsp_ops: 0,
-        };
-        debug_assert!(self.timeline.reconciles_with(report.total()));
-        (self.kernel.product(), report, activity, self.timeline)
     }
 }
 

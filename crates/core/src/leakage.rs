@@ -6,9 +6,9 @@
 //! cycles*, so it cannot add attack surface. This module makes that
 //! claim testable:
 //!
-//! * [`mac_value_trace`] reconstructs the per-cycle MAC-output values of
-//!   a parallel schoolbook schedule (identical for the baseline and
-//!   HS-I by construction — asserted in tests);
+//! * [`mac_value_trace`] records the per-cycle MAC-output values of
+//!   the parallel schoolbook compute kernel (identical for the baseline
+//!   and HS-I by construction — asserted in tests);
 //! * [`hamming_trace`] maps a value trace to the Hamming-weight leakage
 //!   proxy standard in power side-channel analysis;
 //! * [`leakage_samples`] turns a fixed secret and a set of public
@@ -21,46 +21,24 @@
 //! power — large t for different secrets, as expected of every
 //! architecture in the paper, which claims constant time, not masking).
 
-use saber_hw::mac::{baseline_mac, multiples, select_multiple};
 use saber_ring::{PolyQ, SecretPoly, N};
 
-/// Which datapath produced the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceStyle {
-    /// The \[10\] per-MAC shift-and-add datapath.
-    Baseline,
-    /// The HS-I centralized-multiple datapath.
-    Centralized,
-}
+use crate::engine::{ComputeKernel, MacStyle};
 
-/// Reconstructs the per-cycle accumulator values of the 256-MAC parallel
-/// schoolbook schedule: entry `[cycle][lane]` is MAC `lane`'s output in
-/// outer iteration `cycle`.
+/// The per-cycle accumulator values of the 256-MAC parallel schoolbook
+/// datapath, recorded by stepping the [`ComputeKernel`] that the Table 1
+/// models run: entry `[cycle][lane]` is MAC `lane`'s output in outer
+/// iteration `cycle`.
 ///
-/// Both datapaths are offered so tests can prove the §3.1 claim that
-/// centralization leaves every intermediate value unchanged.
+/// Both datapath styles are offered so tests can prove the §3.1 claim
+/// that centralization leaves every intermediate value unchanged.
 #[must_use]
-pub fn mac_value_trace(a: &PolyQ, s: &SecretPoly, style: TraceStyle) -> Vec<Vec<u16>> {
-    let mut acc = [0u16; N];
-    let mut sigma = s.clone();
+pub fn mac_value_trace(a: &PolyQ, s: &SecretPoly, style: MacStyle) -> Vec<Vec<u16>> {
+    let mut kernel = ComputeKernel::new(a, s, 256, style);
     let mut trace = Vec::with_capacity(N);
-    for i in 0..N {
-        let ai = a.coeff(i);
-        match style {
-            TraceStyle::Centralized => {
-                let m = multiples(ai);
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    *slot = select_multiple(&m, sigma.coeff(j), *slot);
-                }
-            }
-            TraceStyle::Baseline => {
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    *slot = baseline_mac(ai, sigma.coeff(j), *slot);
-                }
-            }
-        }
-        trace.push(acc.to_vec());
-        sigma = sigma.mul_by_x();
+    while !kernel.is_done() {
+        kernel.step();
+        trace.push(kernel.product().coeffs().to_vec());
     }
     trace
 }
@@ -84,7 +62,7 @@ pub fn leakage_samples(secret: &SecretPoly, seeds: &[u16]) -> Vec<f64> {
         .iter()
         .map(|&seed| {
             let a = PolyQ::from_fn(|i| (i as u16).wrapping_mul(seed).wrapping_add(seed) & 0x1fff);
-            let trace = hamming_trace(&mac_value_trace(&a, secret, TraceStyle::Centralized));
+            let trace = hamming_trace(&mac_value_trace(&a, secret, MacStyle::Centralized));
             trace.iter().sum::<f64>() / trace.len() as f64
         })
         .collect()
@@ -109,8 +87,8 @@ mod tests {
         for seed in [3u16, 911, 4099] {
             let (a, s) = operands(seed);
             assert_eq!(
-                mac_value_trace(&a, &s, TraceStyle::Baseline),
-                mac_value_trace(&a, &s, TraceStyle::Centralized),
+                mac_value_trace(&a, &s, MacStyle::PerMac),
+                mac_value_trace(&a, &s, MacStyle::Centralized),
                 "seed {seed}"
             );
         }
@@ -119,7 +97,7 @@ mod tests {
     #[test]
     fn trace_has_schedule_shape() {
         let (a, s) = operands(17);
-        let trace = mac_value_trace(&a, &s, TraceStyle::Centralized);
+        let trace = mac_value_trace(&a, &s, MacStyle::Centralized);
         assert_eq!(trace.len(), N, "one trace point per outer iteration");
         assert!(trace.iter().all(|c| c.len() == N), "256 lanes per cycle");
         // Final trace point is the finished product.
@@ -162,7 +140,7 @@ mod tests {
         let (a, _) = operands(9);
         for seed in [1i8, 2, 3] {
             let s = SecretPoly::from_fn(|i| (((i as i16 * seed as i16) % 9) - 4) as i8);
-            assert_eq!(mac_value_trace(&a, &s, TraceStyle::Centralized).len(), N);
+            assert_eq!(mac_value_trace(&a, &s, MacStyle::Centralized).len(), N);
         }
     }
 }

@@ -53,10 +53,10 @@ pub mod trade_offs;
 
 pub use baseline::BaselineMultiplier;
 pub use centralized::CentralizedMultiplier;
-pub use dsp_packed::{DspPackedMultiplier, DspPackedSim};
-pub use engine::{ComputeKernel, EngineSim};
+pub use dsp_packed::DspPackedMultiplier;
+pub use engine::ComputeKernel;
 pub use karatsuba_hw::KaratsubaHwMultiplier;
-pub use lightweight::{LightweightMultiplier, LightweightSim};
+pub use lightweight::LightweightMultiplier;
 pub use lightweight_sliding::SlidingLightweightMultiplier;
 pub use report::{ArchitectureReport, HwMultiplier};
 pub use toom_hw::ToomCookHwMultiplier;

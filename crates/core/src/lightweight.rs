@@ -53,13 +53,13 @@ pub const BLOCK_COEFFS: usize = 16;
 /// Number of block passes per multiplication.
 pub const BLOCKS: usize = N / BLOCK_COEFFS;
 
-// Memory map (64-bit word addresses).
-const PUB_BASE: usize = 0;
-const PUB_WORDS: usize = 52;
-const SEC_BASE: usize = PUB_BASE + PUB_WORDS;
+// Memory map (64-bit word addresses), shared with the sliding variant.
+pub(crate) const PUB_BASE: usize = 0;
+pub(crate) const PUB_WORDS: usize = 52;
+pub(crate) const SEC_BASE: usize = PUB_BASE + PUB_WORDS;
 const SEC_WORDS: usize = 16;
-const ACC_BASE: usize = SEC_BASE + SEC_WORDS;
-const ACC_WORDS: usize = 64; // 256 coefficients, 4 × 16-bit fields per word
+pub(crate) const ACC_BASE: usize = SEC_BASE + SEC_WORDS;
+pub(crate) const ACC_WORDS: usize = 64; // 256 coefficients, 4 × 16-bit fields per word
 
 /// The lightweight multiplier.
 ///
@@ -126,267 +126,111 @@ impl LightweightMultiplier {
         let control = Area::luts(260);
         macs + generator + extraction + shift_in + regs + control
     }
-
-    /// Cycle-accurate run against the BRAM model; returns the product and
-    /// the memory statistics.
-    fn simulate(
-        &self,
-        a: &PolyQ,
-        s: &SecretPoly,
-    ) -> (PolyQ, CycleReport, Activity, saber_trace::CycleTimeline) {
-        let (product, report, stats, timeline) = LightweightSim::new(a, s).finish();
-        let area = self.area();
-        let activity = Activity {
-            cycles: stats.cycles,
-            bram_reads: stats.reads,
-            bram_writes: stats.writes,
-            // Every port access crosses the module IO boundary in this
-            // design (the multiplier shares the system memory).
-            io_words: stats.reads + stats.writes,
-            active_luts: u64::from(area.luts),
-            active_ffs: u64::from(area.ffs),
-            dsp_ops: 0,
-        };
-        (product, report, activity, timeline)
-    }
 }
 
-/// Phase cursor of [`LightweightSim`] — the tiny control FSM of Fig. 4,
-/// one state step per clock cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LwPhase {
-    SecretLoad {
-        step: u8,
-    },
-    PublicPrefill {
-        step: u8,
-    },
-    AccPrime {
-        step: u8,
-    },
-    /// The 3-cycle port-steal stall before a MAC cycle.
-    StreamStall {
-        step: u8,
-    },
-    /// One MAC cycle for the current `(i, g)` position.
-    Mac,
-    AccDrain {
-        step: u8,
-    },
-    Done,
-}
-
-/// A resumable, one-cycle-per-`step` simulation of the lightweight
-/// 4-MAC datapath — the same schedule
-/// [`LightweightMultiplier::multiply`] always ran.
+/// Cycle-accurate run of the lightweight 4-MAC datapath against the
+/// BRAM model: the tiny control FSM of Fig. 4 as a loop nest, one
+/// [`Bram::tick`] per clock cycle, so the cycle count is the memory
+/// model's and the port-conflict checks fire on the cycles the schedule
+/// books. Returns the product, the cycle report, the memory statistics
+/// and the per-phase timeline.
 ///
-/// Every `step` performs exactly one [`Bram::tick`], so the elapsed
-/// cycle count always equals the memory model's, and the port-conflict
-/// checks fire on exactly the same cycles as the historical
-/// run-to-completion loop (the standalone `multiply` is now exactly that
-/// thin driver over this stepper).
-#[derive(Debug, Clone)]
-pub struct LightweightSim {
-    a: PolyQ,
-    s: SecretPoly,
-    mem: Bram,
-    acc: [u16; N],
-    timeline: saber_trace::CycleTimeline,
-    compute_cycles: u64,
-    /// MAC cycles since the last non-compute phase, pushed to the
-    /// timeline as one `compute` phase when the run ends.
-    compute_run: u64,
-    block: usize,
-    block_secrets: [i8; BLOCK_COEFFS],
-    /// The shared generator's multiples of public coefficient `i`,
-    /// formed once per coefficient and broadcast to its four MAC cycles.
-    multiples: [u16; 6],
-    pub_loaded: usize,
-    buffer_bits: u32,
-    i: usize,
-    g: usize,
-    phase: LwPhase,
-}
+/// The operands are preloaded into the shared memory: the host wrote
+/// them before starting the multiplier, and those transfers belong to
+/// the caller, exactly as in the paper's accounting.
+///
+/// # Panics
+///
+/// Panics if the modeled schedule ever double-books a BRAM port.
+fn simulate(
+    a: &PolyQ,
+    s: &SecretPoly,
+) -> (
+    PolyQ,
+    CycleReport,
+    saber_hw::bram::BramStats,
+    saber_trace::CycleTimeline,
+) {
+    let mut mem = Bram::new(ACC_BASE + ACC_WORDS);
+    mem.preload(PUB_BASE, &packing::poly13_to_words(a));
+    mem.preload(SEC_BASE, &packing::secret_to_words(s));
+    let mut acc = [0u16; N];
+    let mut timeline = saber_trace::CycleTimeline::new("lw-4", MACS as u64);
+    let mut compute_cycles = 0u64;
+    // MAC cycles since the last non-compute phase, pushed to the
+    // timeline as one `compute` phase when a port steal or the block
+    // drain ends the run.
+    let mut compute_run = 0u64;
 
-impl LightweightSim {
-    /// Preloads the operands into the shared memory (the host wrote them
-    /// before starting the multiplier — those transfers belong to the
-    /// caller, exactly as in the paper's accounting) and parks the FSM
-    /// at the first block's secret load.
-    #[must_use]
-    pub fn new(a: &PolyQ, s: &SecretPoly) -> Self {
-        let mut mem = Bram::new(ACC_BASE + ACC_WORDS);
-        mem.preload(PUB_BASE, &packing::poly13_to_words(a));
-        mem.preload(SEC_BASE, &packing::secret_to_words(s));
-        Self {
-            a: a.clone(),
-            s: s.clone(),
-            mem,
-            acc: [0u16; N],
-            timeline: saber_trace::CycleTimeline::new("lw-4", MACS as u64),
-            compute_cycles: 0,
-            compute_run: 0,
-            block: 0,
-            block_secrets: [0; BLOCK_COEFFS],
-            multiples: [0; 6],
-            pub_loaded: 0,
-            buffer_bits: 0,
-            i: 0,
-            g: 0,
-            phase: LwPhase::SecretLoad { step: 0 },
+    for block in 0..BLOCKS {
+        // --- Load the block's 16 secret coefficients (2 cycles). ---
+        mem.issue_read(SEC_BASE + block).expect("port free");
+        mem.tick();
+        // Latch the word into the secret register.
+        let block_secrets = decode_secret_word(mem.read_data().expect("secret word arrives"));
+        timeline.push_phase("secret_load", 2, 0);
+        debug_assert_eq!(
+            block_secrets,
+            std::array::from_fn(|t| s.coeff(BLOCK_COEFFS * block + t)),
+            "secret register must match the operand"
+        );
+        mem.tick();
+
+        // --- Pre-fill the public shift buffer: 2 words (3 cycles). ---
+        let mut pub_loaded = 0;
+        let mut buffer_bits = 0u32;
+        for _ in 0..2 {
+            mem.issue_read(PUB_BASE + pub_loaded).expect("port free");
+            pub_loaded += 1;
+            buffer_bits += 64;
+            mem.tick();
         }
-    }
+        // Final latch.
+        timeline.push_phase("public_prefill", 3, 0);
+        mem.tick();
 
-    /// Cycles elapsed so far (one per `step`, matching the BRAM model).
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.mem.stats().cycles
-    }
+        // --- Prime the accumulator window (2 cycles). ---
+        mem.issue_read(acc_word_addr(block, 0)).expect("port free");
+        mem.tick();
+        timeline.push_phase("acc_prime", 2, 0);
+        mem.tick();
 
-    /// True once all 16 block passes have drained.
-    #[must_use]
-    fn is_done(&self) -> bool {
-        self.phase == LwPhase::Done
-    }
-
-    /// Stream the next public word when ≥64 bits are free; the load
-    /// steals the read port, so the saturated accumulator pipeline is
-    /// flushed and refilled (3 cycles with this design's minimal
-    /// control). Otherwise the next cycle is a plain MAC cycle.
-    fn begin_coeff_cycle(&mut self) {
-        self.phase = if 128 - self.buffer_bits >= 64 && self.pub_loaded < PUB_WORDS {
-            LwPhase::StreamStall { step: 0 }
-        } else {
-            LwPhase::Mac
-        };
-    }
-
-    /// After the MAC at `(i, g)`: advance to the next position, the
-    /// block drain, or (consuming 13 buffer bits per new coefficient)
-    /// the next coefficient's first cycle.
-    fn advance_position(&mut self) {
-        if self.g < 3 {
-            self.g += 1;
-            self.begin_coeff_cycle();
-        } else if self.i + 1 < N {
-            self.i += 1;
-            self.g = 0;
-            // Consuming coefficient i drains 13 bits of the buffer.
-            self.buffer_bits -= 13;
-            self.multiples = multiples(self.a.coeff(self.i));
-            self.begin_coeff_cycle();
-        } else {
-            self.phase = LwPhase::AccDrain { step: 0 };
-        }
-    }
-
-    /// Records the MAC cycles run since the last non-compute phase as
-    /// one `compute` phase (the merge `push_phase` would do per cycle).
-    fn end_compute_run(&mut self) {
-        self.timeline
-            .push_phase("compute", self.compute_run, MACS as u64 * self.compute_run);
-        self.compute_run = 0;
-    }
-
-    /// Advances exactly one clock cycle (one [`Bram::tick`]); returns
-    /// `true` while the run is still in progress (a call on a finished
-    /// sim is a no-op returning `false`).
-    ///
-    /// Each state issues this cycle's port accesses, and the one clock
-    /// edge at the end commits them: a read issued here is visible to
-    /// the next step's `read_data`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the modeled schedule ever double-books a BRAM port —
-    /// the same port-conflict contract the run-to-completion loop had.
-    fn step(&mut self) -> bool {
-        match self.phase {
-            // --- Load the block's 16 secret coefficients (2 cycles). ---
-            LwPhase::SecretLoad { step: 0 } => {
-                self.mem
-                    .issue_read(SEC_BASE + self.block)
-                    .expect("port free");
-                self.phase = LwPhase::SecretLoad { step: 1 };
-            }
-            LwPhase::SecretLoad { .. } => {
-                // Latch the word into the secret register.
-                let secret_word = self.mem.read_data().expect("secret word arrives");
-                self.block_secrets = decode_secret_word(secret_word);
-                self.timeline.push_phase("secret_load", 2, 0);
-                debug_assert_eq!(
-                    self.block_secrets,
-                    std::array::from_fn(|t| self.s.coeff(BLOCK_COEFFS * self.block + t)),
-                    "secret register must match the operand"
-                );
-                self.pub_loaded = 0;
-                self.buffer_bits = 0;
-                self.phase = LwPhase::PublicPrefill { step: 0 };
-            }
-            // --- Pre-fill the public shift buffer: 2 words (3 cycles). ---
-            LwPhase::PublicPrefill {
-                step: step @ (0 | 1),
-            } => {
-                self.mem
-                    .issue_read(PUB_BASE + usize::from(step))
-                    .expect("port free");
-                self.pub_loaded += 1;
-                self.buffer_bits += 64;
-                self.phase = LwPhase::PublicPrefill { step: step + 1 };
-            }
-            LwPhase::PublicPrefill { .. } => {
-                // Final latch.
-                self.timeline.push_phase("public_prefill", 3, 0);
-                self.phase = LwPhase::AccPrime { step: 0 };
-            }
-            // --- Prime the accumulator window (2 cycles). ---
-            LwPhase::AccPrime { step: 0 } => {
-                self.mem
-                    .issue_read(acc_word_addr(self.block, 0))
-                    .expect("port free");
-                self.phase = LwPhase::AccPrime { step: 1 };
-            }
-            LwPhase::AccPrime { .. } => {
-                self.timeline.push_phase("acc_prime", 2, 0);
-                // --- Compute: 256 coefficients × 4 cycles. ---
-                self.i = 0;
-                self.g = 0;
-                self.buffer_bits -= 13;
-                self.multiples = multiples(self.a.coeff(0));
-                self.begin_coeff_cycle();
-            }
-            LwPhase::StreamStall { step: 0 } => {
-                // The compute run ends; this cycle drains the in-flight
-                // MAC result.
-                self.end_compute_run();
-                self.phase = LwPhase::StreamStall { step: 1 };
-            }
-            LwPhase::StreamStall { step: 1 } => {
-                // The stolen read port fetches the word.
-                self.mem
-                    .issue_read(PUB_BASE + self.pub_loaded)
-                    .expect("port stolen cleanly");
-                self.pub_loaded += 1;
-                self.buffer_bits += 64;
-                self.phase = LwPhase::StreamStall { step: 2 };
-            }
-            LwPhase::StreamStall { .. } => {
-                // Refill the pipeline.
-                self.timeline.push_phase("stream_stall", 3, 0);
-                self.timeline.add_counter("port_steals", 1);
-                self.phase = LwPhase::Mac;
-            }
-            // One MAC cycle: read the window needed next, write the word
-            // finalized last, update 4 coefficients.
-            LwPhase::Mac => {
-                let (i, g, block) = (self.i, self.g, self.block);
+        // --- Compute: 256 coefficients × 4 cycles. ---
+        for i in 0..N {
+            // Consuming coefficient i drains 13 bits of the buffer; the
+            // shared generator forms its multiples once and broadcasts
+            // them to its four MAC cycles.
+            buffer_bits -= 13;
+            let m = multiples(a.coeff(i));
+            for g in 0..4 {
+                // Stream the next public word when ≥64 bits are free;
+                // the load steals the read port, so the saturated
+                // accumulator pipeline is flushed and refilled (3 cycles
+                // with this design's minimal control).
+                if 128 - buffer_bits >= 64 && pub_loaded < PUB_WORDS {
+                    // The compute run ends; this cycle drains the
+                    // in-flight MAC result.
+                    let run = std::mem::take(&mut compute_run);
+                    timeline.push_phase("compute", run, MACS as u64 * run);
+                    mem.tick();
+                    // The stolen read port fetches the word.
+                    mem.issue_read(PUB_BASE + pub_loaded)
+                        .expect("port stolen cleanly");
+                    pub_loaded += 1;
+                    buffer_bits += 64;
+                    mem.tick();
+                    // Refill the pipeline.
+                    timeline.push_phase("stream_stall", 3, 0);
+                    timeline.add_counter("port_steals", 1);
+                    mem.tick();
+                }
+                // One MAC cycle: read the window needed next, write the
+                // word finalized last, update 4 coefficients.
                 let window = (i + 4 * g + 5) / 4 % ACC_WORDS;
-                self.mem
-                    .issue_read(acc_word_addr(block, window))
+                mem.issue_read(acc_word_addr(block, window))
                     .expect("read port free");
                 let prev = (i + 4 * g) / 4 % ACC_WORDS;
-                self.mem
-                    .issue_write(acc_word_addr(block, prev), pack_acc_fields(&self.acc, i))
+                mem.issue_write(acc_word_addr(block, prev), pack_acc_fields(&acc, i))
                     .expect("write port free");
                 for t in 0..MACS {
                     let k = BLOCK_COEFFS * block + 4 * g + t;
@@ -394,61 +238,36 @@ impl LightweightSim {
                     // Past x^255 the product re-enters negated: the wrap
                     // comparator drives the selector's sign line.
                     let wrap = -i8::from(i + k >= N);
-                    let selector = (self.block_secrets[4 * g + t] ^ wrap).wrapping_sub(wrap);
-                    self.acc[pos] = select_multiple(&self.multiples, selector, self.acc[pos]);
+                    let selector = (block_secrets[4 * g + t] ^ wrap).wrapping_sub(wrap);
+                    acc[pos] = select_multiple(&m, selector, acc[pos]);
                 }
-                self.compute_cycles += 1;
-                self.compute_run += 1;
-                self.advance_position();
+                compute_cycles += 1;
+                compute_run += 1;
+                mem.tick();
             }
-            // --- Drain the final window (2 cycles). ---
-            LwPhase::AccDrain { step: 0 } => {
-                self.end_compute_run();
-                self.mem
-                    .issue_write(acc_word_addr(self.block, ACC_WORDS - 1), 0)
-                    .expect("port free");
-                self.phase = LwPhase::AccDrain { step: 1 };
-            }
-            LwPhase::AccDrain { .. } => {
-                self.timeline.push_phase("acc_drain", 2, 0);
-                self.block += 1;
-                self.phase = if self.block == BLOCKS {
-                    LwPhase::Done
-                } else {
-                    LwPhase::SecretLoad { step: 0 }
-                };
-            }
-            LwPhase::Done => return false,
         }
-        self.mem.tick();
-        !self.is_done()
+
+        // --- Drain the final window (2 cycles). ---
+        let run = std::mem::take(&mut compute_run);
+        timeline.push_phase("compute", run, MACS as u64 * run);
+        mem.issue_write(acc_word_addr(block, ACC_WORDS - 1), 0)
+            .expect("port free");
+        mem.tick();
+        timeline.push_phase("acc_drain", 2, 0);
+        mem.tick();
     }
 
-    /// Consumes the finished simulation into the product, cycle report,
-    /// memory statistics and per-phase timeline. Any remaining cycles
-    /// are driven to completion first.
-    #[must_use]
-    pub fn finish(
-        mut self,
-    ) -> (
-        PolyQ,
-        CycleReport,
-        saber_hw::bram::BramStats,
-        saber_trace::CycleTimeline,
-    ) {
-        while self.step() {}
-        let stats = self.mem.stats();
-        let report = CycleReport {
-            compute_cycles: self.compute_cycles,
-            memory_overhead_cycles: stats.cycles - self.compute_cycles,
-        };
-        debug_assert!(self.timeline.reconciles_with(stats.cycles));
-        (PolyQ::from_coeffs(self.acc), report, stats, self.timeline)
-    }
+    let stats = mem.stats();
+    let report = CycleReport {
+        compute_cycles,
+        memory_overhead_cycles: stats.cycles - compute_cycles,
+    };
+    debug_assert!(timeline.reconciles_with(stats.cycles));
+    (PolyQ::from_coeffs(acc), report, stats, timeline)
 }
 
 /// Decodes a 64-bit secret word into its 16 two's-complement nibbles.
-fn decode_secret_word(word: u64) -> [i8; BLOCK_COEFFS] {
+pub(crate) fn decode_secret_word(word: u64) -> [i8; BLOCK_COEFFS] {
     std::array::from_fn(|t| {
         let nibble = ((word >> (4 * t)) & 0xf) as i8;
         if nibble >= 8 {
@@ -466,7 +285,7 @@ fn acc_word_addr(block: usize, window: usize) -> usize {
 }
 
 /// Packs four 16-bit accumulator fields for the write-back stream.
-fn pack_acc_fields(acc: &[u16; N], i: usize) -> u64 {
+pub(crate) fn pack_acc_fields(acc: &[u16; N], i: usize) -> u64 {
     let base = (i / 4) * 4;
     (0..4).fold(0u64, |w, t| {
         w | (u64::from(acc[(base + t) % N]) << (16 * t))
@@ -481,7 +300,19 @@ impl Default for LightweightMultiplier {
 
 impl PolyMultiplier for LightweightMultiplier {
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        let (product, cycles, activity, timeline) = self.simulate(public, secret);
+        let (product, cycles, stats, timeline) = simulate(public, secret);
+        let area = self.area();
+        let activity = Activity {
+            cycles: stats.cycles,
+            bram_reads: stats.reads,
+            bram_writes: stats.writes,
+            // Every port access crosses the module IO boundary in this
+            // design (the multiplier shares the system memory).
+            io_words: stats.reads + stats.writes,
+            active_luts: u64::from(area.luts),
+            active_ffs: u64::from(area.ffs),
+            dsp_ops: 0,
+        };
         self.last_cycles = cycles;
         self.last_timeline = Some(timeline);
         self.activity = self.activity.merge(activity);

@@ -35,13 +35,10 @@ use saber_hw::platform::{CriticalPath, Fpga};
 use saber_hw::{Activity, Area, Bram, CycleReport};
 use saber_ring::{packing, PolyMultiplier, PolyQ, SecretPoly, N};
 
+use crate::lightweight::{
+    decode_secret_word, pack_acc_fields, ACC_BASE, ACC_WORDS, PUB_BASE, PUB_WORDS, SEC_BASE,
+};
 use crate::report::{ArchitectureReport, HwMultiplier};
-
-const PUB_BASE: usize = 0;
-const PUB_WORDS: usize = 52;
-const SEC_BASE: usize = PUB_BASE + PUB_WORDS;
-const ACC_BASE: usize = SEC_BASE + 16;
-const ACC_WORDS: usize = 64;
 
 /// The sliding-window lightweight multiplier (extension).
 ///
@@ -105,14 +102,7 @@ impl SlidingLightweightMultiplier {
             mem.tick();
             let secret_word = mem.read_data().expect("secret arrives");
             mem.tick();
-            let secrets: [i8; 16] = std::array::from_fn(|t| {
-                let nibble = ((secret_word >> (4 * t)) & 0xf) as i8;
-                if nibble >= 8 {
-                    nibble - 16
-                } else {
-                    nibble
-                }
-            });
+            let secrets = decode_secret_word(secret_word);
 
             for group in 0..4usize {
                 // Pass prologue: prime the public buffer (2 words) and
@@ -150,7 +140,7 @@ impl SlidingLightweightMultiplier {
                     if i % 4 == 3 {
                         // A word completed sliding past: write it back.
                         let done = acc_addr(block, group, i / 4);
-                        mem.issue_write(done, pack_word(&acc, i))
+                        mem.issue_write(done, pack_acc_fields(&acc, i))
                             .expect("write port free");
                     }
 
@@ -197,13 +187,6 @@ impl SlidingLightweightMultiplier {
 
 fn acc_addr(block: usize, group: usize, window: usize) -> usize {
     ACC_BASE + (window + 4 * block + group) % ACC_WORDS
-}
-
-fn pack_word(acc: &[u16; N], i: usize) -> u64 {
-    let base = (i / 4) * 4;
-    (0..4).fold(0u64, |w, t| {
-        w | (u64::from(acc[(base + t) % N]) << (16 * t))
-    })
 }
 
 impl Default for SlidingLightweightMultiplier {

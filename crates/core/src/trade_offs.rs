@@ -86,12 +86,6 @@ impl ScaledLightweightMultiplier {
         }
     }
 
-    /// Number of MAC units.
-    #[must_use]
-    pub fn macs(&self) -> usize {
-        self.macs
-    }
-
     /// Modeled area.
     #[must_use]
     pub fn area(&self) -> Area {

@@ -160,46 +160,6 @@ impl HistogramSnapshot {
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
-
-    /// An upper bound on the `q`-quantile latency in nanoseconds
-    /// (`q` in `[0, 1]`), resolved to bucket granularity: the edge of
-    /// the first bucket whose cumulative count reaches `ceil(q·count)`.
-    /// Samples landing in the overflow bucket report `max_ns` (the only
-    /// finite upper bound we hold for them). Returns 0 when empty.
-    #[must_use]
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // ceil(q * count) with a floor of 1 sample.
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= rank {
-                let bound = BUCKET_BOUNDS_NS[i];
-                return if bound == u64::MAX {
-                    self.max_ns
-                } else {
-                    bound
-                };
-            }
-        }
-        self.max_ns
-    }
-
-    /// Accumulates another snapshot into this one (bucket-wise sums,
-    /// max of maxes) — used to aggregate per-op histograms into one
-    /// distribution, e.g. the soak's overall queue-wait quantiles.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
 }
 
 /// The service's full live-metrics registry. One instance per pool,
@@ -636,62 +596,6 @@ mod tests {
             summary.contains("matrix_cache[hits=2 misses=1]"),
             "{summary}"
         );
-    }
-
-    #[test]
-    fn quantile_walks_cumulative_buckets() {
-        let h = LatencyHistogram::default();
-        // 99 samples in bucket 0 (<1µs), one slow sample in bucket 3.
-        for _ in 0..99 {
-            h.record(500);
-        }
-        h.record(5_000);
-        let s = h.snapshot();
-        assert_eq!(
-            s.quantile_ns(0.5),
-            BUCKET_BOUNDS_NS[0],
-            "p50 in the fast bucket"
-        );
-        assert_eq!(
-            s.quantile_ns(0.99),
-            BUCKET_BOUNDS_NS[0],
-            "rank 99 of 100 still fast"
-        );
-        assert_eq!(
-            s.quantile_ns(1.0),
-            BUCKET_BOUNDS_NS[3],
-            "max lands in 4–8µs bucket"
-        );
-        assert_eq!(
-            HistogramSnapshot::default().quantile_ns(0.99),
-            0,
-            "empty → 0"
-        );
-    }
-
-    #[test]
-    fn quantile_overflow_bucket_reports_max() {
-        let h = LatencyHistogram::default();
-        h.record(20_000_000);
-        let s = h.snapshot();
-        assert_eq!(s.quantile_ns(0.99), 20_000_000, "overflow bucket → max_ns");
-    }
-
-    #[test]
-    fn merge_sums_buckets_and_keeps_max() {
-        let a = LatencyHistogram::default();
-        a.record(500);
-        let b = LatencyHistogram::default();
-        b.record(1_500);
-        b.record(20_000_000);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count, 3);
-        assert_eq!(merged.total_ns, 500 + 1_500 + 20_000_000);
-        assert_eq!(merged.max_ns, 20_000_000);
-        assert_eq!(merged.counts[0], 1);
-        assert_eq!(merged.counts[1], 1);
-        assert_eq!(merged.counts[BUCKET_COUNT - 1], 1);
     }
 
     #[test]

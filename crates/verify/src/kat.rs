@@ -18,8 +18,10 @@
 
 use std::path::PathBuf;
 
-use saber_core::engine::MacStyle;
-use saber_core::{DspPackedSim, EngineSim, LightweightSim};
+use saber_core::{
+    BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, HwMultiplier,
+    LightweightMultiplier,
+};
 use saber_hw::keccak_core::{sponge_on_core, KeccakCore};
 use saber_hw::CycleReport;
 use saber_keccak::{Sha3_256, Sha3_512, Shake128, Shake256};
@@ -368,7 +370,7 @@ pub fn verify_kem(doc: &Value) -> Result<usize, String> {
 ///
 /// These constants are *documentation*, asserted by [`gen_cycles`] as a
 /// self-check — the KAT file itself is produced by running the live
-/// models, so a silent drift in any stepper shows up as a generator
+/// models, so a silent drift in any model shows up as a generator
 /// failure, not a quietly regenerated file.
 pub const CYCLE_MODELS: [(&str, u64, u64); 9] = [
     // Baseline [10] and HS-I at 256 MACs: N·N/256 = 256 compute cycles,
@@ -400,6 +402,12 @@ fn cycle_operands() -> (PolyQ, SecretPoly) {
     )
 }
 
+/// One multiplication on `hw`, measured by its own Table-1 report.
+fn multiply_cycles(mut hw: impl HwMultiplier, a: &PolyQ, s: &SecretPoly) -> CycleReport {
+    let _ = hw.multiply(a, s);
+    hw.report().cycles
+}
+
 /// Runs the named cycle model to completion and returns
 /// `(compute cycles, total cycles)` from its own [`CycleReport`].
 ///
@@ -409,21 +417,13 @@ fn cycle_operands() -> (PolyQ, SecretPoly) {
 pub fn measured_cycles(model: &str) -> Result<(u64, u64), String> {
     let (a, s) = cycle_operands();
     let report = match model {
-        "baseline-256" => EngineSim::new(&a, &s, 256, MacStyle::PerMac).finish().1,
-        "hs1-256" => {
-            EngineSim::new(&a, &s, 256, MacStyle::Centralized)
-                .finish()
-                .1
-        }
-        "baseline-512" => EngineSim::new(&a, &s, 512, MacStyle::PerMac).finish().1,
-        "hs1-512" => {
-            EngineSim::new(&a, &s, 512, MacStyle::Centralized)
-                .finish()
-                .1
-        }
-        "hs2-128" => DspPackedSim::new(&a, &s, 1).finish().1,
-        "hs2-256" => DspPackedSim::new(&a, &s, 2).finish().1,
-        "lw-4" => LightweightSim::new(&a, &s).finish().1,
+        "baseline-256" => multiply_cycles(BaselineMultiplier::new(256), &a, &s),
+        "hs1-256" => multiply_cycles(CentralizedMultiplier::new(256), &a, &s),
+        "baseline-512" => multiply_cycles(BaselineMultiplier::new(512), &a, &s),
+        "hs1-512" => multiply_cycles(CentralizedMultiplier::new(512), &a, &s),
+        "hs2-128" => multiply_cycles(DspPackedMultiplier::with_dsps(128), &a, &s),
+        "hs2-256" => multiply_cycles(DspPackedMultiplier::with_dsps(256), &a, &s),
+        "lw-4" => multiply_cycles(LightweightMultiplier::new(), &a, &s),
         "keccak-permutation" => {
             let mut core = KeccakCore::new();
             core.start_permutation();
