@@ -1,97 +1,4 @@
-//! **Ablation studies** of the design choices DESIGN.md calls out:
-//!
-//! 1. **HS-II correction network** — run the packed datapath with only
-//!    the correction the paper's text describes (subtract-one on the
-//!    third field) and count wrong results across the sign/magnitude
-//!    space; the full network (borrow repairs) is provably necessary.
-//! 2. **Centralization** — LUT savings of moving the shift-add
-//!    multiplier out of the MACs, as a function of MAC count.
-//! 3. **DSP pipeline depth** — cycle cost of the pipeline (131 vs 128)
-//!    against the Fmax it buys.
-
-use saber_core::dsp_packed::{expected_products, pack, unpack, unpack_paper_text_only};
-use saber_hw::mac::{baseline_mac_area, centralized_mac_area};
-
-fn split(pa: i64, ps: i64) -> (i64, i64, i64) {
-    // Mirror of the private split: low 26 / top, low 17 / top.
-    let a_lo = pa & ((1 << 26) - 1);
-    let a_hi = pa >> 26;
-    let s_lo = ps & ((1 << 17) - 1);
-    let s_hi = ps >> 17;
-    let c = ((a_hi * s_lo) << 26) + ((a_lo * s_hi) << 17);
-    (a_lo, s_lo, c)
-}
-
-fn correction_network_ablation() {
-    let a_values: Vec<u16> = (0..8192).step_by(37).collect();
-    let mut total = 0u64;
-    let mut full_wrong = 0u64;
-    let mut text_only_wrong = 0u64;
-    for &a0 in &a_values {
-        for &a1 in &[0u16, 1, 4096, 8191] {
-            for s0 in -4i8..=4 {
-                for s1 in -4i8..=4 {
-                    total += 1;
-                    let (pa, ps, plan) = pack(a0, a1, s0, s1);
-                    let (a_lo, s_lo, c) = split(pa, ps);
-                    let p = a_lo * s_lo + c;
-                    let want = expected_products(a0, a1, s0, s1);
-                    let full = unpack(
-                        p,
-                        plan,
-                        a0 == 0,
-                        s0 == 0,
-                        a1 & 1,
-                        u16::from(s1.unsigned_abs()) & 1,
-                    );
-                    let text =
-                        unpack_paper_text_only(p, plan, a1 & 1, u16::from(s1.unsigned_abs()) & 1);
-                    if full != want {
-                        full_wrong += 1;
-                    }
-                    if text != want {
-                        text_only_wrong += 1;
-                    }
-                }
-            }
-        }
-    }
-    println!("HS-II correction-network ablation over {total} operand combinations:");
-    println!("  full network (this model):        {full_wrong} wrong");
-    println!(
-        "  paper-text-only (subtract-one):   {text_only_wrong} wrong ({:.1}% of cases)",
-        100.0 * text_only_wrong as f64 / total as f64
-    );
-    println!("  ⇒ the borrow repairs for negated-a0 operands are necessary, not optional.");
-    assert_eq!(full_wrong, 0, "the full network must be exact");
-    assert!(text_only_wrong > 0, "the ablation must show failures");
-}
-
-fn centralization_ablation() {
-    println!("\ncentralization ablation (LUTs per MAC):");
-    let per_mac = baseline_mac_area().luts;
-    let central = centralized_mac_area().luts;
-    println!("  shift-add inside each MAC: {per_mac} LUT/MAC");
-    println!("  selector-only MAC (HS-I):  {central} LUT/MAC");
-    for macs in [4u32, 256, 512, 1024] {
-        let saved = (per_mac - central) * macs;
-        println!(
-            "  @ {macs:>4} MACs: {saved:>6} LUTs saved (one {}-LUT generator amortized)",
-            29
-        );
-    }
-}
-
-fn pipeline_depth_ablation() {
-    println!("\nDSP pipeline-depth ablation:");
-    println!("  depth 0 (combinational): 128 cycles, DSP limits Fmax (~150 MHz)");
-    println!("  depth 3 (A/B–M–P regs):  131 cycles, full DSP speed (≥250 MHz)");
-    println!("  ⇒ 3 extra cycles (2.3%) buy ~1.7× clock: the paper's choice.");
-}
-
+//! design-choice ablations: prints [`saber_bench::paper::ablation`].
 fn main() {
-    println!("\n=== Ablation studies ===\n");
-    correction_network_ablation();
-    centralization_ablation();
-    pipeline_depth_ablation();
+    print!("{}", saber_bench::paper::ablation());
 }

@@ -1,65 +1,4 @@
-//! **§3.1 security argument** — "from a side-channel security
-//! perspective, the proposed architecture is still constant-time and
-//! does not offer any additional attack surface, since it does not
-//! change the computations that are being computed."
-//!
-//! Prints the quantitative evidence: per-cycle value-trace equality
-//! between the baseline and HS-I datapaths, the TVLA control (fixed vs
-//! fixed, t = 0), and the expected value-leakage of any unprotected
-//! datapath (fixed vs different secret, |t| ≫ 4.5).
-
-use saber_core::engine::MacStyle;
-use saber_core::leakage::{hamming_trace, leakage_samples, mac_value_trace};
-use saber_ring::{PolyQ, SecretPoly};
-use saber_timing::{welch_t, Welford};
-
-fn print_leakage_report() {
-    let a = PolyQ::from_fn(|i| (i as u16).wrapping_mul(2718) & 0x1fff);
-    let s = SecretPoly::from_fn(|i| (((i * 5) % 9) as i8) - 4);
-
-    // Trace equality: the §3.1 claim, verified value-for-value.
-    let baseline = mac_value_trace(&a, &s, MacStyle::PerMac);
-    let centralized = mac_value_trace(&a, &s, MacStyle::Centralized);
-    let equal = baseline == centralized;
-    println!(
-        "baseline vs HS-I per-cycle value traces: {} ({} cycles × {} lanes)",
-        if equal { "IDENTICAL ✓" } else { "DIFFER ✗" },
-        baseline.len(),
-        baseline[0].len()
-    );
-    assert!(equal, "§3.1 trace equality must hold");
-
-    // TVLA-style statistics over the Hamming leakage proxy.
-    let seeds: Vec<u16> = (1..60).collect();
-    let samples =
-        |secret: &SecretPoly| -> Welford { leakage_samples(secret, &seeds).into_iter().collect() };
-    let fixed_a = samples(&s);
-    let fixed_b = samples(&s);
-    // Maximum-contrast secret pair (all +4 vs all 0): the leakage the
-    // Hamming model must expose in any unprotected datapath.
-    let heavy_samples = samples(&SecretPoly::from_fn(|_| 4));
-    let light_samples = samples(&SecretPoly::from_fn(|_| 0));
-    println!(
-        "TVLA control (same secret twice):         t = {:+.2}  (threshold ±4.5)",
-        welch_t(&fixed_a, &fixed_b)
-    );
-    let t_contrast = welch_t(&heavy_samples, &light_samples);
-    println!(
-        "TVLA fixed-vs-fixed (contrasting secrets): t = {:+.2}  — value leakage exists,",
-        t_contrast
-    );
-    println!("as expected of unprotected hardware: the paper claims constant *time*, not masking.");
-    assert!(t_contrast.abs() > 4.5, "contrast pair must separate");
-
-    // Timing channel: trace length is schedule-determined.
-    let hamming = hamming_trace(&baseline);
-    println!(
-        "\ntiming channel: {} trace points for every operand (constant-time schedule ✓)",
-        hamming.len()
-    );
-}
-
+//! §3.1 side-channel argument: prints [`saber_bench::paper::leakage`].
 fn main() {
-    println!("\n=== §3.1 side-channel argument, quantified ===\n");
-    print_leakage_report();
+    print!("{}", saber_bench::paper::leakage());
 }

@@ -1,11 +1,13 @@
 //! Benchmark and table-generation harness for the DAC 2021 reproduction.
 //!
-//! Each bench target (`cargo bench -p saber-bench --bench <name>`)
-//! prints one table or figure of the paper as a model-vs-paper
-//! comparison; see DESIGN.md §4 for the experiment index. The numbers
-//! are cycles, LUTs and watts from the models; only `timing_leakage`
-//! reads a clock, as the leakage detector's input. perfbench
-//! (`perfbench/`) is the repository's only performance timer.
+//! [`paper`] holds one function per table or figure of the paper, each
+//! returning its model-vs-paper text; the bench target of the same name
+//! (`cargo bench -p saber-bench --bench <name>`) prints it, and
+//! `tests/paper_goldens.rs` diffs it against the committed
+//! `golden/<name>.txt`. See DESIGN.md §4 for the experiment index. The
+//! numbers are cycles, LUTs and watts from the models; only
+//! `timing_leakage` reads a clock, as the leakage detector's input.
+//! perfbench (`perfbench/`) is the repository's only performance timer.
 //!
 //! | bench target | reproduces |
 //! |---|---|
@@ -27,5 +29,6 @@
 
 pub mod coprocessor;
 pub mod literature;
+pub mod paper;
 pub mod simulated;
 pub mod tables;

@@ -1,7 +1,12 @@
-//! Table generation: the measured (modeled) counterpart of every figure
-//! the paper's evaluation reports. The benches print these tables; the
-//! functions are also unit-tested so the numbers in EXPERIMENTS.md are
-//! regenerated, not transcribed.
+//! Table 1's measured rows and text, the canonical operands every table
+//! runs on, and the `BENCH_timing.json` record.
+//!
+//! [`format_table1`] is the body of [`crate::paper::table1`]. The
+//! measured columns of EXPERIMENTS.md are copied from the committed
+//! `crates/bench/golden/` files, which `cargo test` regenerates and
+//! diffs (`tests/paper_goldens.rs`): a model change that moves a number
+//! fails there until the golden is rewritten, and the document is
+//! updated with it.
 
 use saber_core::{
     BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, HwMultiplier,

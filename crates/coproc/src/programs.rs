@@ -545,6 +545,69 @@ pub fn run_decaps(
     Ok((key, cpu.cycles()))
 }
 
+/// The outputs and cycle breakdowns of one [`run_kem`] key exchange.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KemRun {
+    /// The public key keygen stores.
+    pub pk: Vec<u8>,
+    /// The ciphertext encapsulation stores.
+    pub ct: Vec<u8>,
+    /// The sender's shared secret, from encapsulation.
+    pub ss_encaps: [u8; 32],
+    /// The receiver's shared secret, from [`run_decaps`].
+    pub ss_decaps: [u8; 32],
+    /// Keygen's cycles.
+    pub keygen: CycleBreakdown,
+    /// Encapsulation's cycles.
+    pub encaps: CycleBreakdown,
+    /// Decapsulation's cycles, the FO tail included.
+    pub decaps: CycleBreakdown,
+}
+
+/// Runs one Saber key exchange as coprocessor programs on `hw`: keygen
+/// from `seed`, encapsulation of `entropy` to its public key, then
+/// decapsulation of that ciphertext.
+///
+/// # Errors
+///
+/// Propagates [`ExecError`] from any of the programs, which is a bug in
+/// the program: every operand here is the right length.
+pub fn run_kem(
+    params: &SaberParams,
+    seed: &[u8; 32],
+    entropy: &[u8; 32],
+    hw: &mut dyn HwMultiplier,
+) -> Result<KemRun, ExecError> {
+    let bytes32 = |cpu: &Coprocessor<'_>, name: &str| -> [u8; 32] {
+        let mut out = [0u8; 32];
+        out.copy_from_slice(cpu.output(name).expect("program stores it"));
+        out
+    };
+
+    let mut cpu = Coprocessor::new(hw);
+    cpu.run(&keygen_program(params, seed))?;
+    let pk = cpu.output("pk").expect("program stores pk").to_vec();
+    let (seed_s, z) = (bytes32(&cpu, "seed_s"), bytes32(&cpu, "z"));
+    let keygen = cpu.cycles();
+
+    let mut cpu = Coprocessor::new(hw);
+    cpu.run(&encaps_program(params, &pk, entropy))?;
+    let ct = cpu.output("ct").expect("program stores ct").to_vec();
+    let ss_encaps = bytes32(&cpu, "shared_secret");
+    let encaps = cpu.cycles();
+
+    let (ss_decaps, decaps) = run_decaps(params, &pk, &seed_s, &z, &ct, hw)?;
+    Ok(KemRun {
+        pk,
+        ct,
+        ss_encaps,
+        ss_decaps,
+        keygen,
+        encaps,
+        decaps,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

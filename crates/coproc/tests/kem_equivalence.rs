@@ -4,7 +4,7 @@
 //! coprocessor economics.
 
 use saber_coproc::executor::Coprocessor;
-use saber_coproc::programs::{decaps_program, encaps_program, keygen_program, run_decaps};
+use saber_coproc::programs::{decaps_program, encaps_program, keygen_program, run_decaps, run_kem};
 use saber_core::{CentralizedMultiplier, DspPackedMultiplier, HwMultiplier};
 use saber_kem::params::{SaberParams, ALL_PARAMS, SABER};
 use saber_kem::serialize::{ciphertext_to_bytes, public_key_to_bytes};
@@ -58,31 +58,19 @@ fn full_kem_flow_on_the_coprocessor() {
     let entropy = [6u8; 32];
     let (pk_sw, ct_sw, ss_sw) = software_reference(params, &seed, &entropy);
 
-    // Keygen.
-    let mut hw = CentralizedMultiplier::new(256);
-    let mut cpu = Coprocessor::new(&mut hw);
-    cpu.run(&keygen_program(params, &seed)).unwrap();
-    let pk = cpu.output("pk").unwrap().to_vec();
-    let mut seed_s = [0u8; 32];
-    seed_s.copy_from_slice(cpu.output("seed_s").unwrap());
-    let mut z = [0u8; 32];
-    z.copy_from_slice(cpu.output("z").unwrap());
-    assert_eq!(pk, pk_sw);
-
-    // Encaps.
-    let mut hw2 = CentralizedMultiplier::new(256);
-    let mut cpu2 = Coprocessor::new(&mut hw2);
-    cpu2.run(&encaps_program(params, &pk, &entropy)).unwrap();
-    let ct = cpu2.output("ct").unwrap().to_vec();
-    let ss_enc = cpu2.output("shared_secret").unwrap().to_vec();
-    assert_eq!(ct, ct_sw, "coprocessor ciphertext differs");
-    assert_eq!(&ss_enc[..], &ss_sw[..], "coprocessor shared secret differs");
-
+    let run = run_kem(
+        params,
+        &seed,
+        &entropy,
+        &mut CentralizedMultiplier::new(256),
+    )
+    .unwrap();
+    assert_eq!(run.pk, pk_sw);
+    assert_eq!(run.ct, ct_sw, "coprocessor ciphertext differs");
+    assert_eq!(run.ss_encaps, ss_sw, "coprocessor shared secret differs");
     // Decaps (host FO comparison around the programs).
-    let mut hw3 = CentralizedMultiplier::new(256);
-    let (ss_dec, cycles) = run_decaps(params, &pk, &seed_s, &z, &ct, &mut hw3).unwrap();
-    assert_eq!(ss_dec, ss_sw);
-    assert!(cycles.total() > 0);
+    assert_eq!(run.ss_decaps, ss_sw);
+    assert!(run.decaps.total() > 0);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! Driven by the deterministic `saber-testkit` harness (the offline
 //! replacement for proptest).
 
-use saber_coproc::programs::{encaps_program, keygen_program, run_decaps};
+use saber_coproc::programs::{encaps_program, keygen_program, run_decaps, run_kem};
 use saber_coproc::Coprocessor;
 use saber_core::CentralizedMultiplier;
 use saber_kem::params::{ALL_PARAMS, SABER};
@@ -32,45 +32,20 @@ fn programs_match_software_for_random_seeds() {
             rng.seed()
         );
 
-        // Coprocessor keygen.
-        let mut hw = CentralizedMultiplier::new(256);
-        let mut cpu = Coprocessor::new(&mut hw);
-        cpu.run(&keygen_program(&SABER, &seed)).unwrap();
-        assert_eq!(
-            cpu.output("pk").unwrap(),
-            &public_key_to_bytes(&pk_sw)[..],
-            "case seed {}",
-            rng.seed()
-        );
-        let mut seed_s = [0u8; 32];
-        seed_s.copy_from_slice(cpu.output("seed_s").unwrap());
-        let mut z = [0u8; 32];
-        z.copy_from_slice(cpu.output("z").unwrap());
-
-        // Coprocessor encaps.
-        let pk_bytes = public_key_to_bytes(&pk_sw);
-        let mut hw2 = CentralizedMultiplier::new(256);
-        let mut cpu2 = Coprocessor::new(&mut hw2);
-        cpu2.run(&encaps_program(&SABER, &pk_bytes, &entropy))
-            .unwrap();
-        assert_eq!(
-            cpu2.output("ct").unwrap(),
-            &ciphertext_to_bytes(&ct_sw, &SABER)[..],
-            "case seed {}",
-            rng.seed()
-        );
-        assert_eq!(
-            cpu2.output("shared_secret").unwrap(),
-            &ss_sw.as_bytes()[..],
-            "case seed {}",
-            rng.seed()
-        );
-
-        // Coprocessor decaps.
-        let ct_bytes = ciphertext_to_bytes(&ct_sw, &SABER);
-        let mut hw3 = CentralizedMultiplier::new(256);
-        let (ss_dec, _) = run_decaps(&SABER, &pk_bytes, &seed_s, &z, &ct_bytes, &mut hw3).unwrap();
-        assert_eq!(&ss_dec, ss_sw.as_bytes(), "case seed {}", rng.seed());
+        // The coprocessor key exchange.
+        let run = run_kem(
+            &SABER,
+            &seed,
+            &entropy,
+            &mut CentralizedMultiplier::new(256),
+        )
+        .unwrap();
+        let case = rng.seed();
+        assert_eq!(run.pk, public_key_to_bytes(&pk_sw), "case seed {case}");
+        let ct_sw = ciphertext_to_bytes(&ct_sw, &SABER);
+        assert_eq!(run.ct, ct_sw, "case seed {case}");
+        assert_eq!(&run.ss_encaps, ss_sw.as_bytes(), "case seed {case}");
+        assert_eq!(&run.ss_decaps, ss_sw.as_bytes(), "case seed {case}");
     }
 }
 

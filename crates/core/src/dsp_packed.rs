@@ -101,8 +101,9 @@ pub struct UnpackedProducts {
 /// and the small-multiplier C-port contribution.
 ///
 /// Returns `(a_lo, s_lo, c)` such that `a_lo·s_lo + c = A·S − a'·s'·2^43`.
+#[must_use]
 #[inline]
-pub(crate) fn split_for_dsp(packed_a: i64, packed_s: i64) -> (i64, i64, i64) {
+pub fn split_for_dsp(packed_a: i64, packed_s: i64) -> (i64, i64, i64) {
     let a_lo = packed_a & ((1 << A_UNSIGNED_WIDTH) - 1); // unsigned 26 bits
     let a_hi = packed_a >> A_UNSIGNED_WIDTH; // signed 2 bits (−2..=1)
     let s_lo = packed_s & ((1 << B_UNSIGNED_WIDTH) - 1); // unsigned 17 bits

@@ -18,6 +18,7 @@
 
 use saber_soc::scenario::{ARBITER_ID, MULT_ID, XOF_ID};
 use saber_soc::{run_scenario, run_scenario_probed, ScenarioConfig, SocTrace};
+use saber_testkit::golden;
 use saber_trace::chrome;
 use saber_trace::vcd::{self, VcdDoc};
 
@@ -195,18 +196,9 @@ fn golden_vcd_file_is_stable() {
         .join("tests")
         .join("golden")
         .join("cosim_1to1.vcd");
-    if std::env::var_os("SABER_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, &trace.vcd).expect("write golden VCD");
-        return;
+    if let Err(drift) = golden::check(&path, &trace.vcd) {
+        panic!("1:1 co-sim waveform: {drift}");
     }
-    let golden =
-        std::fs::read_to_string(&path).expect("golden VCD present (regenerate with SABER_BLESS=1)");
-    assert_eq!(
-        trace.vcd, golden,
-        "1:1 co-sim waveform drifted from tests/golden/cosim_1to1.vcd \
-         (regenerate with SABER_BLESS=1 and review the diff)"
-    );
 }
 
 /// The reader on `text` gives `Ok` or `Err`, and every accessor on an

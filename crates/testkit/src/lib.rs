@@ -10,7 +10,9 @@
 //!   need (`u16` coefficients, `i8` secrets, byte arrays);
 //! * [`cases`] — the property-test driver: a fixed number of
 //!   independently-seeded [`Rng`]s, so every "for random inputs …" test
-//!   is reproducible and its failures name the offending case seed.
+//!   is reproducible and its failures name the offending case seed;
+//! * [`golden`] — committed golden outputs, diffed line by line and
+//!   rewritten on request (`SABER_BLESS=1`).
 //!
 //! Determinism is a feature, not a concession: the same inputs are
 //! exercised on every run and on every machine, which is what a
@@ -38,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod golden;
 pub mod hex;
 pub mod json;
 

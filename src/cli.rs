@@ -7,21 +7,18 @@
 use std::fmt;
 use std::io;
 
-use saber_bench::coprocessor::standard_projections;
-use saber_bench::tables::format_table1;
+use saber_bench::paper;
+use saber_bench::tables::{canonical_operands, format_table1};
 use saber_coproc::disasm::{disassemble, profile};
-use saber_coproc::programs::{encaps_program, keygen_program, run_decaps};
-use saber_coproc::Coprocessor;
+use saber_coproc::programs::{encaps_program, keygen_program, run_kem};
 use saber_core::dsp_packed::MAX_PACKED_MAGNITUDE;
 use saber_core::{
     BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, HwMultiplier,
     KaratsubaHwMultiplier, LightweightMultiplier, MemoryStrategy, ScaledLightweightMultiplier,
     SlidingLightweightMultiplier, ToomCookHwMultiplier,
 };
-use saber_hw::{Fpga, PowerModel};
 use saber_kem::params::{SaberParams, FIRE_SABER, LIGHT_SABER, SABER};
 use saber_kem::{decaps, encaps, keygen};
-use saber_ring::{PolyMultiplier, PolyQ, SecretPoly};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,41 +288,8 @@ pub fn run(command: &Command, out: &mut dyn io::Write) -> io::Result<()> {
     match command {
         Command::Help => writeln!(out, "{}", usage()),
         Command::Table1 => writeln!(out, "{}", format_table1()),
-        Command::Coprocessor => {
-            writeln!(
-                out,
-                "{:<28} {:>8} {:>5} {:>9} {:>9} {:>9}",
-                "multiplier", "LUT", "DSP", "keygen", "encaps", "decaps"
-            )?;
-            for p in standard_projections() {
-                writeln!(
-                    out,
-                    "{:<28} {:>8} {:>5} {:>9} {:>9} {:>9}",
-                    p.multiplier,
-                    p.area.luts,
-                    p.area.dsps,
-                    p.keygen_cycles,
-                    p.encaps_cycles,
-                    p.decaps_cycles
-                )?;
-            }
-            Ok(())
-        }
-        Command::Power => {
-            let mut hw = LightweightMultiplier::new();
-            let (a, s) = demo_operands();
-            let _ = hw.multiply(&a, &s);
-            let activity = hw.report().activity.expect("LW tracks activity");
-            let power = PowerModel::for_platform(Fpga::Artix7).estimate(&activity, 100.0);
-            writeln!(
-                out,
-                "LW @ 100 MHz: total {:.3} W (dynamic {:.3} W, IO share {:.0}%, logic {:.3} W)",
-                power.total_w(),
-                power.dynamic_w(),
-                100.0 * power.io_share(),
-                power.logic_w
-            )
-        }
+        Command::Coprocessor => write!(out, "{}", paper::coprocessor_projection()),
+        Command::Power => write!(out, "{}", paper::lw_power()),
         Command::Vcd { stride, out: path } => {
             let cfg = saber_soc::ScenarioConfig::reference(0xC0DE_CAB1, *stride);
             let (outcome, _, trace) = saber_soc::run_scenario_probed(&cfg);
@@ -363,41 +327,39 @@ pub fn run(command: &Command, out: &mut dyn io::Write) -> io::Result<()> {
         Command::KemProgram { params, arch } => {
             let params = parse_params(params).expect("validated at parse time");
             let mut hw = build_architecture(arch).expect("validated at parse time");
-            let mut cpu = Coprocessor::new(hw.as_mut());
-            cpu.run(&keygen_program(params, &[42; 32]))
-                .expect("keygen program is well-formed");
-            let pk = cpu.output("pk").expect("pk stored").to_vec();
-            let mut seed_s = [0u8; 32];
-            seed_s.copy_from_slice(cpu.output("seed_s").expect("stored"));
-            let mut z = [0u8; 32];
-            z.copy_from_slice(cpu.output("z").expect("stored"));
-            let kg = cpu.cycles();
-
-            let mut hw2 = build_architecture(arch).expect("validated");
-            let mut cpu2 = Coprocessor::new(hw2.as_mut());
-            cpu2.run(&encaps_program(params, &pk, &[7; 32]))
-                .expect("encaps program is well-formed");
-            let ct = cpu2.output("ct").expect("stored").to_vec();
-            let ss1 = cpu2.output("shared_secret").expect("stored").to_vec();
-            let enc = cpu2.cycles();
-
-            let mut hw3 = build_architecture(arch).expect("validated");
-            let (ss2, dec) = run_decaps(params, &pk, &seed_s, &z, &ct, hw3.as_mut())
-                .expect("decaps programs are well-formed");
+            let run = run_kem(params, &[42; 32], &[7; 32], hw.as_mut())
+                .expect("KEM programs are well-formed");
             writeln!(
                 out,
-                "{} as coprocessor programs on {arch}:\n  keygen {} cy, encaps {} cy (mult {:.0}%), decaps {} cy — secrets {}",
+                "{} as coprocessor programs on {arch}: shared secrets {}",
                 params.name,
-                kg.total(),
-                enc.total(),
-                100.0 * enc.multiplication_share(),
-                dec.total(),
-                if ss1 == ss2 { "MATCH" } else { "MISMATCH" }
-            )
+                if run.ss_encaps == run.ss_decaps {
+                    "MATCH"
+                } else {
+                    "MISMATCH"
+                }
+            )?;
+            for (op, c) in [
+                ("keygen", run.keygen),
+                ("encaps", run.encaps),
+                ("decaps", run.decaps),
+            ] {
+                writeln!(
+                    out,
+                    "  {op:<8} {:>9} cycles  (hash {:>6}, mult {:>6} = {:>3.0}%, poly {:>5}, dma {:>5})",
+                    c.total(),
+                    c.hashing,
+                    c.multiplication,
+                    100.0 * c.multiplication_share(),
+                    c.poly_ops,
+                    c.data_movement
+                )?;
+            }
+            Ok(())
         }
         Command::Mult { arch } => {
             let mut hw = build_architecture(arch).expect("validated at parse time");
-            let (a, s) = demo_operands();
+            let (a, s) = canonical_operands();
             let product = hw.multiply(&a, &s);
             let check = saber_ring::schoolbook::mul_asym(&a, &s);
             writeln!(
@@ -426,13 +388,6 @@ pub fn run(command: &Command, out: &mut dyn io::Write) -> io::Result<()> {
             )
         }
     }
-}
-
-fn demo_operands() -> (PolyQ, SecretPoly) {
-    (
-        PolyQ::from_fn(|i| (i as u16).wrapping_mul(2718) & 0x1fff),
-        SecretPoly::from_fn(|i| (((i * 5) % 9) as i8) - 4),
-    )
 }
 
 #[cfg(test)]
@@ -595,6 +550,22 @@ mod tests {
             arch: "hs1-512".into(),
         });
         assert!(out.contains("MATCH"), "{out}");
+    }
+
+    #[test]
+    fn run_kem_program_splits_each_operation() {
+        let out = output(&Command::KemProgram {
+            params: "saber".into(),
+            arch: "hs1-512".into(),
+        });
+        assert!(
+            out.starts_with("Saber as coprocessor programs on hs1-512: shared secrets MATCH\n"),
+            "{out}"
+        );
+        for op in ["keygen", "encaps", "decaps"] {
+            assert!(out.contains(&format!("  {op} ")), "{op} missing in:\n{out}");
+        }
+        assert_eq!(out.matches(" cycles  (hash ").count(), 3, "{out}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn hs_512_with_memory_overhead_is_213() {
     let _ = hw.multiply(&a, &s);
     let cycles = hw.report().cycles;
     assert_eq!(cycles.total(), 213);
-    assert!((cycles.overhead_ratio() - 0.39).abs() < 0.30);
+    assert!((cycles.overhead_ratio() - 0.39).abs() < 0.01);
 }
 
 #[test]
@@ -56,7 +56,7 @@ fn lw_total_close_to_19471_and_overhead_below_16_percent() {
     assert!(deviation < 0.05, "total = {}", cycles.total());
     // §4.1 quotes the overhead against the total: "3,087 cycles, or less
     // than 16 %".
-    let share_of_total = cycles.memory_overhead_cycles as f64 / cycles.total() as f64;
+    let share_of_total = cycles.overhead_ratio();
     assert!(share_of_total < 0.16, "overhead share = {share_of_total}");
 }
 
