@@ -28,7 +28,7 @@
 //! assert_ne!(first, second);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hash;

@@ -22,7 +22,7 @@
 //!
 //! # Scope and honesty
 //!
-//! The workspace forbids `unsafe`, so a volatile write is unavailable;
+//! This crate forbids `unsafe_code`, so a volatile write is unavailable;
 //! the wipe is a plain overwrite followed by [`std::hint::black_box`]
 //! as a best-effort optimization barrier. Likewise, *proving* the heap
 //! bytes are gone after `free` would itself require reading freed

@@ -72,15 +72,32 @@
 //! `D_k` divides `Σ_i n_ki·W_i` for the sum of ℓ pairs' evaluated
 //! products as it does for one, and the arenas hold that sum exactly mod
 //! 2^16. The `wrapping_*` operations carry no overflow check even under
-//! `overflow-checks = true`, so LLVM vectorizes [`mac_block`] into 8-lane
-//! SSE2 `pmullw`/`paddw` on baseline x86-64.
+//! `overflow-checks = true`, so LLVM vectorizes [`mac_block`] across
+//! lanes: 16-lane AVX2 `vpmullw`/`vpaddw` where the host has AVX2, and
+//! the same source as 8-lane SSE2 `pmullw`/`paddw` elsewhere on x86-64
+//! ("Dispatch").
+//!
+//! # Dispatch
+//!
+//! The kernel's functions are written once, in a macro instantiated
+//! twice: [`portable`], compiled for the build target (SSE2 only on
+//! baseline x86-64), and a private `wide` copy whose every function
+//! carries `#[target_feature(enable = "avx2,bmi1,bmi2")]`.
+//! [`CtSchoolbookMultiplier`] asks `is_x86_feature_detected!` on each
+//! call (the standard library caches the answer) and runs the wide copy
+//! where the host has all three features; that call is the one place
+//! this crate allows `unsafe_code`. Both copies compute the same
+//! wrapping `u16` sums in the same order, so their outputs are
+//! identical; the tests run both. [`mac_block`] is the portable copy,
+//! which the timing mutants reuse verbatim.
 //!
 //! # Secret independence
 //!
 //! The trip count of every loop, and every address read or written, is
 //! a function of `N`, [`BLOCK`] and the number of pairs alone, all of
 //! which are public: each pair is split, evaluated and scanned block by
-//! block in the same order whatever its values. Evaluation and
+//! block in the same order whatever its values. The one branch before
+//! them tests the host's CPU features, never an operand. Evaluation and
 //! interpolation are fixed sequences of additions, multiplications by
 //! constants and shifts by constants. There is no branch on a secret, no
 //! early exit or zero skip, and no secret-indexed table; secret lanes
@@ -226,111 +243,156 @@ impl CtSchoolbookMultiplier {
     }
 }
 
-/// One pass of the blocked scan:
-/// `window[m] += Σ_t padded[BLOCK − 1 − t + m] · secrets[t]` in wrapping
-/// `u16` lanes, for `BLOCK` secret lanes (sign-extended to 16 bits).
-///
-/// Each window lane is loaded and stored once per `BLOCK` MACs. For the
-/// block of secret lanes `j .. j + BLOCK` of a limb product, the window
-/// is the arena's lanes `j .. j + WINDOW`. It is public so that timing
-/// mutants can reuse the shipped kernel verbatim.
-#[inline]
-pub fn mac_block(window: &mut [u16; WINDOW], padded: &[u16; PADDED], secrets: &[u16; BLOCK]) {
-    let rows: [&[u16; WINDOW]; BLOCK] = std::array::from_fn(|t| {
-        padded[BLOCK - 1 - t..][..WINDOW]
-            .try_into()
-            .expect("WINDOW lanes")
-    });
-    for (m, slot) in window.iter_mut().enumerate() {
-        let mut acc = *slot;
-        for (row, &s) in rows.iter().zip(secrets) {
-            acc = acc.wrapping_add(row[m].wrapping_mul(s));
-        }
-        *slot = acc;
-    }
-}
+/// One arena per evaluation point: the seven limb-product sums of one
+/// inner product, `Σ a(t_i)·s(t_i)` over its pairs.
+type Arenas = [[u16; ARENA]; POINTS];
 
-/// Adds the limb product `padded · secrets` into `arena`, one
-/// [`mac_block`] pass per block of secret lanes.
-fn limb_product(arena: &mut [u16; ARENA], padded: &[u16; PADDED], secrets: &[u16; LIMB]) {
-    for (j, block) in secrets.chunks_exact(BLOCK).enumerate() {
-        let start = j * BLOCK;
-        let window = (&mut arena[start..start + WINDOW])
-            .try_into()
-            .expect("WINDOW lanes");
-        mac_block(window, padded, block.try_into().expect("BLOCK lanes"));
-    }
-}
-
-/// Evaluates the four limbs of `coeffs` at the seven points into lanes
-/// `offset .. offset + LIMB` of the rows of `out`; the other lanes are
-/// left as they are.
-fn evaluate<const LANES: usize>(
-    coeffs: &[u16; N],
-    out: &mut [[u16; LANES]; POINTS],
-    offset: usize,
-) {
-    for i in 0..LIMB {
-        let limbs: [u16; LIMBS] = std::array::from_fn(|j| coeffs[j * LIMB + i]);
-        for (row, weights) in out.iter_mut().zip(&EVALUATION) {
-            row[offset + i] = dot(weights, &limbs);
-        }
-    }
-}
-
-/// `Σ weights[i]·lanes[i]` mod 2^16. Called lane by lane with a row of a
-/// constant table, so the compiler folds the row's zero and unit weights
-/// away and vectorizes across lanes.
-fn dot<const L: usize>(weights: &[u16; L], lanes: &[u16; L]) -> u16 {
-    weights
-        .iter()
-        .zip(lanes)
-        .fold(0, |acc, (&w, &v)| acc.wrapping_add(w.wrapping_mul(v)))
-}
-
-/// The seven limb-product sums of one inner product, `Σ a(t_i)·s(t_i)`
-/// over its pairs, one arena per evaluation point.
-struct Arenas([[u16; ARENA]; POINTS]);
-
-impl Arenas {
-    fn new() -> Self {
-        Self([[0; ARENA]; POINTS])
-    }
-
-    /// Evaluates one pair at the seven points and adds its limb products.
-    fn accumulate(&mut self, public: &PolyQ, secret: &SecretPoly) {
-        let mut publics = [[0u16; PADDED]; POINTS];
-        let mut secrets = [[0u16; LIMB]; POINTS];
-        evaluate(public.coeffs(), &mut publics, BLOCK - 1);
-        // `as` sign-extends: -1 becomes 0xffff ≡ -1 (mod 2^16).
-        evaluate(&secret.coeffs().map(|c| c as u16), &mut secrets, 0);
-        for ((arena, padded), secrets) in self.0.iter_mut().zip(&publics).zip(&secrets) {
-            limb_product(arena, padded, secrets);
-        }
-    }
-
-    /// Interpolation and negacyclic fold. Row `k` turns the arenas into
-    /// limb-product coefficient `c_k` mod 2^(16 − e_k), which lands at
-    /// `x^(64·k)` of the unreduced 511-coefficient product; `x^N ≡ −1`
-    /// then folds lanes `N..` onto `0..N` with a minus sign.
-    fn interpolate_fold(&self) -> PolyQ {
-        let mut coeffs = [[0u16; ARENA]; POINTS];
-        for m in 0..ARENA {
-            let products: [u16; POINTS] = std::array::from_fn(|i| self.0[i][m]);
-            for ((c, weights), row) in coeffs.iter_mut().zip(&WEIGHTS).zip(&INTERPOLATION) {
-                c[m] = dot(weights, &products) >> row.shift;
+/// The kernel's functions, written once and compiled once per module
+/// below; `$feature` is the attribute every function carries.
+macro_rules! kernel {
+    ($(#[$feature:meta])*) => {
+        /// One pass of the blocked scan:
+        /// `window[m] += Σ_t padded[BLOCK − 1 − t + m] · secrets[t]` in wrapping
+        /// `u16` lanes, for `BLOCK` secret lanes (sign-extended to 16 bits).
+        ///
+        /// Each window lane is loaded and stored once per `BLOCK` MACs. For the
+        /// block of secret lanes `j .. j + BLOCK` of a limb product, the window
+        /// is the arena's lanes `j .. j + WINDOW`.
+        $(#[$feature])*
+        #[inline]
+        pub fn mac_block(
+            window: &mut [u16; WINDOW],
+            padded: &[u16; PADDED],
+            secrets: &[u16; BLOCK],
+        ) {
+            let rows: [&[u16; WINDOW]; BLOCK] = std::array::from_fn(|t| {
+                padded[BLOCK - 1 - t..][..WINDOW]
+                    .try_into()
+                    .expect("WINDOW lanes")
+            });
+            for (m, slot) in window.iter_mut().enumerate() {
+                let mut acc = *slot;
+                for (row, &s) in rows.iter().zip(secrets) {
+                    acc = acc.wrapping_add(row[m].wrapping_mul(s));
+                }
+                *slot = acc;
             }
         }
-        let mut full = [0u16; 2 * N];
-        for (k, c) in coeffs.iter().enumerate() {
-            for (slot, &v) in full[k * LIMB..].iter_mut().zip(c) {
-                *slot = slot.wrapping_add(v);
+
+        /// Adds the limb product `padded · secrets` into `arena`, one
+        /// [`mac_block`] pass per block of secret lanes.
+        $(#[$feature])*
+        fn limb_product(arena: &mut [u16; ARENA], padded: &[u16; PADDED], secrets: &[u16; LIMB]) {
+            for (j, block) in secrets.chunks_exact(BLOCK).enumerate() {
+                let start = j * BLOCK;
+                let window = (&mut arena[start..start + WINDOW])
+                    .try_into()
+                    .expect("WINDOW lanes");
+                mac_block(window, padded, block.try_into().expect("BLOCK lanes"));
             }
         }
-        let (low, high) = full.split_at(N);
-        PolyQ::from_fn(|k| low[k].wrapping_sub(high[k]))
-    }
+
+        /// Evaluates the four limbs of `coeffs` at the seven points into lanes
+        /// `offset .. offset + LIMB` of the rows of `out`; the other lanes are
+        /// left as they are.
+        $(#[$feature])*
+        fn evaluate<const LANES: usize>(
+            coeffs: &[u16; N],
+            out: &mut [[u16; LANES]; POINTS],
+            offset: usize,
+        ) {
+            for i in 0..LIMB {
+                let limbs: [u16; LIMBS] = std::array::from_fn(|j| coeffs[j * LIMB + i]);
+                for (row, weights) in out.iter_mut().zip(&EVALUATION) {
+                    row[offset + i] = dot(weights, &limbs);
+                }
+            }
+        }
+
+        /// `Σ weights[i]·lanes[i]` mod 2^16. Called lane by lane with a row of a
+        /// constant table, so the compiler folds the row's zero and unit weights
+        /// away and vectorizes across lanes.
+        $(#[$feature])*
+        fn dot<const L: usize>(weights: &[u16; L], lanes: &[u16; L]) -> u16 {
+            weights
+                .iter()
+                .zip(lanes)
+                .fold(0, |acc, (&w, &v)| acc.wrapping_add(w.wrapping_mul(v)))
+        }
+
+        /// Evaluates one pair at the seven points and adds its limb products.
+        $(#[$feature])*
+        fn accumulate(arenas: &mut Arenas, public: &PolyQ, secret: &SecretPoly) {
+            let mut publics = [[0u16; PADDED]; POINTS];
+            let mut secrets = [[0u16; LIMB]; POINTS];
+            evaluate(public.coeffs(), &mut publics, BLOCK - 1);
+            // `as` sign-extends: -1 becomes 0xffff ≡ -1 (mod 2^16).
+            evaluate(&secret.coeffs().map(|c| c as u16), &mut secrets, 0);
+            for ((arena, padded), secrets) in arenas.iter_mut().zip(&publics).zip(&secrets) {
+                limb_product(arena, padded, secrets);
+            }
+        }
+
+        /// Interpolation and negacyclic fold. Row `k` turns the arenas into
+        /// limb-product coefficient `c_k` mod 2^(16 − e_k), which lands at
+        /// `x^(64·k)` of the unreduced 511-coefficient product; `x^N ≡ −1`
+        /// then folds lanes `N..` onto `0..N` with a minus sign.
+        $(#[$feature])*
+        fn interpolate_fold(arenas: &Arenas) -> PolyQ {
+            let mut coeffs = [[0u16; ARENA]; POINTS];
+            for m in 0..ARENA {
+                let products: [u16; POINTS] = std::array::from_fn(|i| arenas[i][m]);
+                for ((c, weights), row) in coeffs.iter_mut().zip(&WEIGHTS).zip(&INTERPOLATION) {
+                    c[m] = dot(weights, &products) >> row.shift;
+                }
+            }
+            let mut full = [0u16; 2 * N];
+            for (k, c) in coeffs.iter().enumerate() {
+                for (slot, &v) in full[k * LIMB..].iter_mut().zip(c) {
+                    *slot = slot.wrapping_add(v);
+                }
+            }
+            let (low, high) = full.split_at(N);
+            PolyQ::from_fn(|k| low[k].wrapping_sub(high[k]))
+        }
+
+        /// `Σ public·secret` over `pairs`: evaluates every pair, adds its
+        /// limb products into the arenas, then interpolates and folds once.
+        $(#[$feature])*
+        pub fn inner_product(pairs: &[(&PolyQ, &SecretPoly)]) -> PolyQ {
+            let mut arenas = [[0; ARENA]; POINTS];
+            for (public, secret) in pairs {
+                accumulate(&mut arenas, public, secret);
+            }
+            interpolate_fold(&arenas)
+        }
+    };
 }
+
+/// The kernel for baseline x86-64 and every other target: what
+/// [`CtSchoolbookMultiplier`] runs where the wide copy cannot, and the
+/// [`mac_block`] the timing mutants reuse verbatim.
+pub mod portable {
+    use super::{
+        Arenas, PolyQ, SecretPoly, ARENA, BLOCK, EVALUATION, INTERPOLATION, LIMB, LIMBS, N, PADDED,
+        POINTS, WEIGHTS, WINDOW,
+    };
+
+    kernel!();
+}
+
+/// The same functions compiled for AVX2, BMI1 and BMI2.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use super::{
+        Arenas, PolyQ, SecretPoly, ARENA, BLOCK, EVALUATION, INTERPOLATION, LIMB, LIMBS, N, PADDED,
+        POINTS, WEIGHTS, WINDOW,
+    };
+
+    kernel!(#[target_feature(enable = "avx2,bmi1,bmi2")]);
+}
+
+pub use portable::mac_block;
 
 impl PolyMultiplier for CtSchoolbookMultiplier {
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
@@ -341,11 +403,17 @@ impl PolyMultiplier for CtSchoolbookMultiplier {
     // is already secret-independent — no override.
 
     fn inner_product(&mut self, pairs: &[(&PolyQ, &SecretPoly)]) -> PolyQ {
-        let mut arenas = Arenas::new();
-        for (public, secret) in pairs {
-            arenas.accumulate(public, secret);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("bmi1")
+            && std::arch::is_x86_feature_detected!("bmi2")
+        {
+            // SAFETY: `wide` is compiled for AVX2, BMI1 and BMI2, and
+            // `is_x86_feature_detected!` has just found all three on this host.
+            #[allow(unsafe_code)]
+            return unsafe { wide::inner_product(pairs) };
         }
-        arenas.interpolate_fold()
+        portable::inner_product(pairs)
     }
 
     fn name(&self) -> &str {

@@ -45,7 +45,7 @@
 //! assert_eq!(product.coeff(0), schoolbook::mul_asym(&a, &s).coeff(0));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ct;

@@ -67,8 +67,9 @@ impl SecretPoly {
     /// This is the wipe the KEM layer's drop-time secret hygiene
     /// (`saber_kem::secret`) runs on long-lived key material. The
     /// [`std::hint::black_box`] afterwards is a best-effort barrier
-    /// against the store being elided as dead (the workspace forbids
-    /// `unsafe`, so a volatile write is not available); the KEM tests
+    /// against the store being elided as dead (this crate denies
+    /// `unsafe_code` outside the `ct` kernel's dispatch, so a volatile
+    /// write is not available); the KEM tests
     /// verify the cleared state through this still-live binding.
     ///
     /// `SecretPoly` deliberately has **no** `Drop` impl — transient

@@ -6,7 +6,9 @@
 //!   `saber_ring::ct::CtSchoolbookMultiplier`) must show |t| under the
 //!   threshold on fixed-vs-random secret classes — for the raw
 //!   multiply, for the secret sampler, and for the full KEM pipelines
-//!   built on them.
+//!   built on them. The engine runs the AVX2 copy of its kernel where
+//!   the host has it, so the raw multiply is also gated on the portable
+//!   copy, through `PortableCt`.
 //! - **Positive controls**: the two planted timing mutants
 //!   (`saber_core::fault::TimingFault`) compute bit-exact products with
 //!   secret-dependent timing; the detector must flag both within the
@@ -18,11 +20,29 @@
 //! with the identical measurement schedule.
 
 use saber_core::fault::{TimingFault, TimingLeakMultiplier};
+use saber_ring::{ct, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::Rng;
 use saber_timing::{
     detect, DecapsTarget, EncapsTarget, MulTarget, SamplerTarget, TimingConfig, Verdict,
 };
 use saber_trace::MonotonicClock;
+
+/// The portable copy of the ct kernel as a backend.
+struct PortableCt;
+
+impl PolyMultiplier for PortableCt {
+    fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
+        ct::portable::inner_product(&[(public, secret)])
+    }
+
+    fn inner_product(&mut self, pairs: &[(&PolyQ, &SecretPoly)]) -> PolyQ {
+        ct::portable::inner_product(pairs)
+    }
+
+    fn name(&self) -> &str {
+        "ct portable kernel"
+    }
+}
 
 #[test]
 fn ct_engine_is_timing_clean_on_fixed_vs_random_secrets() {
@@ -33,6 +53,18 @@ fn ct_engine_is_timing_clean_on_fixed_vs_random_secrets() {
         report.verdict,
         Verdict::Pass,
         "constant-time engine failed the leakage gate: {report}"
+    );
+}
+
+#[test]
+fn portable_ct_kernel_is_timing_clean_on_fixed_vs_random_secrets() {
+    let cfg = TimingConfig::standard();
+    let mut target = MulTarget::from_backend(Box::new(PortableCt), 5);
+    let report = detect(&mut target, &cfg, &mut MonotonicClock);
+    assert_eq!(
+        report.verdict,
+        Verdict::Pass,
+        "portable ct kernel failed the leakage gate: {report}"
     );
 }
 

@@ -11,14 +11,18 @@
 //!
 //! Each reading is taken at nominal host speed. A shared host slows
 //! everything it runs together, by up to 2× for seconds at a time, so a
-//! bare mean of one loop cannot tell a slow host from a slow probe. A
-//! reference kernel runs just before and just after each timed loop,
-//! and the loop's mean is scaled by the faster of the two speeds they
-//! read against the kernel's nominal time. The faster one, because a
-//! reading the host stalls reads slow and would otherwise scale a slow
-//! probe down: the estimate errs toward failing. A planted probe with
-//! one extra clock read must read over the 10 ns limit on every run, or
-//! the gate could not see a slow probe at all.
+//! bare mean of one loop cannot tell a slow host from a slow probe. The
+//! timed calls run as [`SUB_LOOPS`] equal loops, with a reference
+//! kernel run before, between and after them. Each loop's mean is
+//! scaled by the faster of the two speeds read on either side of it,
+//! against the kernel's nominal time, and the reading is the median of
+//! those. The faster one, because a reading the host stalls reads slow
+//! and would otherwise scale a slow probe down: the estimate errs
+//! toward failing. The median, because a stall inside one loop falls
+//! between two speed readings, which cannot see it; it costs that loop
+//! its place in the middle and no more. A planted probe with one extra
+//! clock read must read over the 10 ns limit on every run, or the gate
+//! could not see a slow probe at all.
 //!
 //! Keep this the only test in its binary: a parallel test that starts a
 //! session or arms the recorder mid-loop would time the recording path.
@@ -38,8 +42,14 @@ const MAX_FLIGHT_OFF_NS: f64 = 10.0;
 /// Untimed calls before each timed loop.
 const WARMUP: u64 = 10_000;
 
-/// Timed calls per disabled-path mean.
+/// Timed calls per disabled-path reading.
 const TIMED: u64 = 4_000_000;
+
+/// Equal loops the timed calls are split into, each between two speed
+/// readings; odd, so the median is one loop's reading.
+const SUB_LOOPS: u64 = 25;
+
+const _: () = assert!(TIMED.is_multiple_of(SUB_LOOPS) && SUB_LOOPS % 2 == 1);
 
 /// Spans recorded by each functional check.
 const RECORDED: u64 = 200_000;
@@ -97,25 +107,46 @@ fn clock_first_probe(name: &'static str) -> SpanGuard {
     saber_trace::span("bench", name)
 }
 
-/// Mean nanoseconds per `probe` call at nominal host speed: [`WARMUP`]
-/// untimed calls, a speed reading, [`TIMED`] timed calls, a second speed
-/// reading, and the mean scaled by the faster of the two.
+/// Nanoseconds per `probe` call at nominal host speed: [`WARMUP`]
+/// untimed calls, then [`SUB_LOOPS`] timed loops with a speed reading
+/// before, between and after them. Each loop's mean is scaled by the
+/// faster of the readings on either side of it, and the median of
+/// those is the result.
 fn probe_ns(probe: impl Fn(&'static str) -> SpanGuard, name: &'static str) -> f64 {
     for _ in 0..WARMUP {
         let _ = black_box(probe(name));
     }
-    let before = host_speed();
-    let start = Instant::now();
-    for _ in 0..TIMED {
-        let _ = black_box(probe(name));
+    let calls = TIMED / SUB_LOOPS;
+    let mut speeds = vec![host_speed()];
+    let mut raw = Vec::new();
+    let mut scaled = Vec::new();
+    for _ in 0..SUB_LOOPS {
+        let start = Instant::now();
+        for _ in 0..calls {
+            let _ = black_box(probe(name));
+        }
+        let mean = start.elapsed().as_nanos() as f64 / calls as f64;
+        let after = host_speed();
+        let before = speeds[speeds.len() - 1];
+        raw.push(mean);
+        scaled.push(mean * before.max(after));
+        speeds.push(after);
     }
-    let raw = start.elapsed().as_nanos() as f64 / TIMED as f64;
-    let after = host_speed();
-    let nominal = raw * before.max(after);
+    let nominal = median(&mut scaled);
+    let slowest = speeds.iter().copied().fold(f64::INFINITY, f64::min);
+    let fastest = speeds.iter().copied().fold(0.0, f64::max);
     println!(
-        "{name}: {nominal:.3} ns at nominal speed ({raw:.3} ns raw, host speed {before:.3} -> {after:.3})"
+        "{name}: {nominal:.3} ns at nominal speed \
+         (median raw {:.3} ns, host speed {slowest:.3}..{fastest:.3})",
+        median(&mut raw)
     );
     nominal
+}
+
+/// The middle value of an odd-length sample.
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 #[test]

@@ -26,7 +26,7 @@ use saber_hw::keccak_core::{sponge_on_core, KeccakCore};
 use saber_hw::CycleReport;
 use saber_keccak::{Sha3_256, Sha3_512, Shake128, Shake256};
 use saber_kem::{kem, serialize, ALL_PARAMS};
-use saber_ring::mul::SchoolbookMultiplier;
+use saber_ring::mul::{PolyMultiplier, SchoolbookMultiplier};
 use saber_ring::packing;
 use saber_ring::{schoolbook, PolyQ, SecretPoly, EPS_Q, N};
 use saber_testkit::{hex, Rng};
@@ -315,16 +315,15 @@ pub fn gen_kem() -> Value {
     ])
 }
 
-/// Replays the KEM vectors: regenerates the key pair, checks both
-/// serializations, re-encapsulates, and decapsulates through a secret
-/// key deserialized from the stored bytes.
+/// Replays the KEM vectors on `backend`: regenerates the key pair,
+/// checks both serializations, re-encapsulates, and decapsulates through
+/// a secret key deserialized from the stored bytes.
 ///
 /// # Errors
 ///
 /// Returns the first mismatching vector's description.
-pub fn verify_kem(doc: &Value) -> Result<usize, String> {
+pub fn verify_kem(doc: &Value, backend: &mut dyn PolyMultiplier) -> Result<usize, String> {
     let vectors = vectors_of(doc, "kem_roundtrip")?;
-    let mut backend = SchoolbookMultiplier;
     for (i, vector) in vectors.iter().enumerate() {
         let set = vector.str_field("set")?;
         let params = ALL_PARAMS
@@ -336,7 +335,7 @@ pub fn verify_kem(doc: &Value) -> Result<usize, String> {
                 .try_into()
                 .map_err(|_| format!("kem vector {i}: {key} is not 32 bytes"))
         };
-        let (pk, sk) = kem::keygen(params, &to32("keygen_seed")?, &mut backend);
+        let (pk, sk) = kem::keygen(params, &to32("keygen_seed")?, backend);
         if serialize::public_key_to_bytes(&pk) != hex_field(vector, "pk")? {
             return Err(format!("kem vector {i} ({set}): public key drifted"));
         }
@@ -344,7 +343,7 @@ pub fn verify_kem(doc: &Value) -> Result<usize, String> {
         if sk_bytes != hex_field(vector, "sk")? {
             return Err(format!("kem vector {i} ({set}): secret key drifted"));
         }
-        let (ct, ss) = kem::encaps(&pk, &to32("entropy")?, &mut backend);
+        let (ct, ss) = kem::encaps(&pk, &to32("entropy")?, backend);
         if serialize::ciphertext_to_bytes(&ct, params) != hex_field(vector, "ct")? {
             return Err(format!("kem vector {i} ({set}): ciphertext drifted"));
         }
@@ -355,7 +354,7 @@ pub fn verify_kem(doc: &Value) -> Result<usize, String> {
         // vector also pins the secret-key byte framing end to end.
         let sk_decoded = serialize::secret_key_from_bytes(&sk_bytes, params)
             .map_err(|e| format!("kem vector {i} ({set}): {e:?}"))?;
-        if kem::decaps(&sk_decoded, &ct, &mut backend).as_bytes() != ss.as_bytes() {
+        if kem::decaps(&sk_decoded, &ct, backend).as_bytes() != ss.as_bytes() {
             return Err(format!("kem vector {i} ({set}): decapsulation mismatch"));
         }
     }

@@ -10,9 +10,30 @@
 //! the JSON parser and the matching verifier, which must replay or
 //! refuse them, never panic.
 
+use saber_ring::mul::SchoolbookMultiplier;
+use saber_ring::{ct, CtSchoolbookMultiplier, PolyMultiplier, PolyQ, SecretPoly};
 use saber_testkit::json::{self, Value};
 use saber_testkit::Rng;
 use saber_verify::kat;
+
+/// The portable copy of the ct kernel as a backend: on a host with
+/// AVX2, BMI1 and BMI2, `CtSchoolbookMultiplier` runs the wide copy, so
+/// this is how the replay reaches the code other hosts run.
+struct PortableCt;
+
+impl PolyMultiplier for PortableCt {
+    fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
+        ct::portable::inner_product(&[(public, secret)])
+    }
+
+    fn inner_product(&mut self, pairs: &[(&PolyQ, &SecretPoly)]) -> PolyQ {
+        ct::portable::inner_product(pairs)
+    }
+
+    fn name(&self) -> &str {
+        "ct portable kernel"
+    }
+}
 
 #[test]
 fn ring_multiplication_kats_replay() {
@@ -37,9 +58,23 @@ fn pke_kats_replay() {
 
 #[test]
 fn kem_roundtrip_kats_replay() {
+    // Generated on the schoolbook oracle; the shipped engine must
+    // replay them through both copies of its kernel.
     let doc = kat::load("kem_roundtrip").expect("checked-in KAT file");
-    let checked = kat::verify_kem(&doc).expect("frozen KEM transcripts must replay");
-    assert_eq!(checked, 6, "two vectors per parameter set");
+    let backends: [&mut dyn PolyMultiplier; 3] = [
+        &mut SchoolbookMultiplier,
+        &mut CtSchoolbookMultiplier::new(),
+        &mut PortableCt,
+    ];
+    for backend in backends {
+        let checked = kat::verify_kem(&doc, backend).unwrap_or_else(|e| {
+            panic!(
+                "frozen KEM transcripts must replay on {}: {e}",
+                backend.name()
+            )
+        });
+        assert_eq!(checked, 6, "two vectors per parameter set");
+    }
 }
 
 #[test]
@@ -82,7 +117,9 @@ const FILES: [(&str, Verifier); 5] = [
     ("ring_mul", kat::verify_ring),
     ("keccak", kat::verify_keccak),
     ("pke", kat::verify_pke),
-    ("kem_roundtrip", kat::verify_kem),
+    ("kem_roundtrip", |doc| {
+        kat::verify_kem(doc, &mut SchoolbookMultiplier)
+    }),
     ("cycle_totals", kat::verify_cycles),
 ];
 

@@ -4,8 +4,9 @@
 
 use saber::arch::{
     BaselineMultiplier, CentralizedMultiplier, DspPackedMultiplier, HwMultiplier,
-    LightweightMultiplier,
+    KaratsubaHwMultiplier, LightweightMultiplier, SlidingLightweightMultiplier,
 };
+use saber::hw::Area;
 use saber::ring::{PolyMultiplier, PolyQ, SecretPoly};
 
 fn operands() -> (PolyQ, SecretPoly) {
@@ -147,4 +148,60 @@ fn reported_frequencies_are_achievable() {
     let mut lw = LightweightMultiplier::new();
     let _ = lw.multiply(&a, &s);
     assert!(lw.report().fmax_mhz() >= 100.0);
+}
+
+#[test]
+fn model_clocks_are_the_ones_experiments_quotes() {
+    // EXPERIMENTS.md's Table 1 clock column: the model fmax to the MHz,
+    // as `quickstart` prints it. The bounds above leave it free.
+    let (a, s) = operands();
+    let rows: Vec<(Box<dyn HwMultiplier>, &str)> = vec![
+        (Box::new(LightweightMultiplier::new()), "115"),
+        (Box::new(CentralizedMultiplier::new(256)), "303"),
+        (Box::new(CentralizedMultiplier::new(512)), "303"),
+        (Box::new(DspPackedMultiplier::new()), "303"),
+        (Box::new(BaselineMultiplier::new(256)), "265"),
+        (Box::new(BaselineMultiplier::new(512)), "265"),
+    ];
+    for (mut hw, mhz) in rows {
+        let _ = hw.multiply(&a, &s);
+        let model = format!("{:.0}", hw.report().fmax_mhz());
+        assert_eq!(model, mhz, "{} clock, MHz", hw.name());
+    }
+}
+
+#[test]
+fn extension_areas_are_the_ones_experiments_quotes() {
+    // The area figures of EXPERIMENTS.md's extensions table, at the
+    // precision it prints them (`design_space` prints the counts).
+    let area = |hw: &dyn HwMultiplier| -> Area { hw.report().area };
+    let lut_ratio =
+        |wide: Area, base: Area| format!("{:.1}", f64::from(wide.luts) / f64::from(base.luts));
+    assert_eq!(
+        lut_ratio(
+            area(&DspPackedMultiplier::with_dsps(256)),
+            area(&DspPackedMultiplier::new())
+        ),
+        "2.0",
+        "HS-II with 256 DSPs, LUTs over the 128-DSP point"
+    );
+    assert_eq!(
+        lut_ratio(
+            area(&CentralizedMultiplier::new(1024)),
+            area(&CentralizedMultiplier::new(512))
+        ),
+        "2.0",
+        "HS-I 1024, LUTs over HS-I 512"
+    );
+    assert_eq!(
+        area(&SlidingLightweightMultiplier::new()).ffs - area(&LightweightMultiplier::new()).ffs,
+        70,
+        "LW-sliding FFs over LW"
+    );
+    let karatsuba_kluts = f64::from(area(&KaratsubaHwMultiplier::new(8)).luts) / 1000.0;
+    assert_eq!(
+        format!("{karatsuba_kluts:.0}"),
+        "68",
+        "[11] Karatsuba projection, thousands of LUTs"
+    );
 }

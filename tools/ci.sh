@@ -40,6 +40,35 @@ if want lint; then
     # deleted item cannot go stale.
     echo "==> cargo doc --workspace --no-deps (rustdoc -D warnings)"
     cargo doc --workspace --no-deps --config 'build.rustdocflags=["-D", "warnings"]'
+    # `unsafe` lives at exactly two sites: the calls into the AVX2 copies
+    # of the ct kernel (saber-ring) and of Keccak-f[1600] (saber-keccak),
+    # each after runtime feature detection. Those two crates deny
+    # `unsafe_code`, every other crate forbids it, and each site carries
+    # a `// SAFETY:` comment within the four lines above it.
+    echo "==> unsafe audit"
+    for lib in crates/*/src/lib.rs src/lib.rs; do
+        case "$lib" in
+            crates/ring/*|crates/keccak/*) attr='#![deny(unsafe_code)]' ;;
+            *) attr='#![forbid(unsafe_code)]' ;;
+        esac
+        if ! grep -qxF "$attr" "$lib"; then
+            echo "ci: $lib must carry $attr" >&2
+            exit 1
+        fi
+    done
+    sites=$(grep -rnw unsafe crates/*/src src || true)
+    files=$(printf '%s\n' "$sites" | cut -d: -f1 | sort | tr '\n' ' ')
+    if [ "$files" != "crates/keccak/src/permutation.rs crates/ring/src/ct.rs " ]; then
+        echo "ci: \`unsafe\` is allowed only at the two kernel dispatch sites; found:" >&2
+        printf '%s\n' "$sites" >&2
+        exit 1
+    fi
+    printf '%s\n' "$sites" | while IFS=: read -r file line _; do
+        if ! head -n "$((line - 1))" "$file" | tail -n 4 | grep -q '// SAFETY:'; then
+            echo "ci: $file:$line has no // SAFETY: comment in the four lines above it" >&2
+            exit 1
+        fi
+    done
 fi
 
 if want build; then
