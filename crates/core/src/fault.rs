@@ -31,7 +31,8 @@
 //! ```
 
 use saber_hw::mac::multiples;
-use saber_ring::{ct, PolyMultiplier, PolyQ, SecretPoly, N};
+use saber_ring::ct::{self, portable as kernel};
+use saber_ring::{PolyMultiplier, PolyQ, SecretPoly, N};
 
 use crate::dsp_packed::{self, pack, SignPlan, MAX_PACKED_MAGNITUDE, PACK_SHIFT};
 use crate::engine::rotated;
@@ -178,7 +179,7 @@ impl PolyMultiplier for FaultyMultiplier {
 /// product, and these never do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimingFault {
-    /// The shipped constant-time kernel (the u16-lane block pass of
+    /// The shipped constant-time kernel (the u16-lane band pass of
     /// `saber_ring::ct`, called verbatim) with its uniformity removed:
     /// blocks of all-zero secret lanes skip their accumulation pass (a
     /// "harmless-looking" optimization that makes runtime proportional
@@ -245,25 +246,26 @@ impl PolyMultiplier for TimingLeakMultiplier {
     }
 }
 
-/// The shipped ct kernel ([`saber_ring::ct::mac_block`], called
-/// verbatim) run as a plain blocked schoolbook — each public limb times
-/// the whole secret, into one `2N` arena, then the negacyclic fold.
-/// `pass` accumulates one block of secret lanes into its window; the
+/// The shipped ct kernel's pass ([`saber_ring::ct::portable::mac_band`],
+/// called verbatim) run as a plain output-stationary schoolbook — each
+/// public limb times the whole secret, one block of secret lanes at a
+/// time, into one `2N` arena, then the negacyclic fold. `pass`
+/// accumulates one block of secret lanes into its band of windows; the
 /// timing mutants differ only in it.
 fn blocked_schoolbook<F>(public: &PolyQ, secret: &SecretPoly, mut pass: F) -> PolyQ
 where
-    F: FnMut(&mut [u16; ct::WINDOW], &[u16; ct::PADDED], &[i8]),
+    F: FnMut(&mut kernel::Band, &kernel::Padded, &[i8]),
 {
     let mut acc = [0u16; 2 * N];
     for (i, limb) in public.coeffs().chunks_exact(ct::LIMB).enumerate() {
-        let mut padded = [0u16; ct::PADDED];
-        padded[ct::BLOCK - 1..][..ct::LIMB].copy_from_slice(limb);
-        for (j, block) in secret.coeffs().chunks_exact(ct::BLOCK).enumerate() {
-            let start = i * ct::LIMB + j * ct::BLOCK;
-            let window = (&mut acc[start..start + ct::WINDOW])
+        let mut padded: kernel::Padded = [0; _];
+        padded[kernel::LANES - 1..][..ct::LIMB].copy_from_slice(limb);
+        for (j, block) in secret.coeffs().chunks_exact(kernel::LANES).enumerate() {
+            let start = i * ct::LIMB + j * kernel::LANES;
+            let band = (&mut acc[start..][..kernel::BAND * kernel::LANES])
                 .try_into()
-                .expect("WINDOW lanes");
-            pass(window, &padded, block);
+                .expect("BAND windows");
+            pass(band, &padded, block);
         }
     }
     let (low, high) = acc.split_at(N);
@@ -275,33 +277,33 @@ where
 /// is *functionally* free — and makes runtime proportional to the
 /// secret's support.
 fn ct_scan_early_exit(public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-    blocked_schoolbook(public, secret, |window, padded, block| {
+    blocked_schoolbook(public, secret, |band, padded, block| {
         if block.iter().all(|&c| c == 0) {
             return; // the planted leak: work ∝ nonzero blocks
         }
         // `as` sign-extends, as in the engine.
-        let lanes: [u16; ct::BLOCK] = std::array::from_fn(|t| block[t] as u16);
-        ct::mac_block(window, padded, &lanes);
+        let lanes: kernel::Window = std::array::from_fn(|t| block[t] as u16);
+        kernel::mac_band(band, padded, &lanes);
     })
 }
 
 /// The blocked schoolbook with a sign branch: every block first
 /// accumulates its positive lanes, and a block holding a negative lane
-/// takes a second pass — the negative magnitudes into a scratch window,
+/// takes a second pass — the negative magnitudes into a scratch band,
 /// which is then subtracted. The result is exact; the runtime depends on
 /// the secret's sign pattern.
 fn ct_sign_branch(public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-    blocked_schoolbook(public, secret, |window, padded, block| {
-        let positive: [u16; ct::BLOCK] =
+    blocked_schoolbook(public, secret, |band, padded, block| {
+        let positive: kernel::Window =
             std::array::from_fn(|t| u16::from(block[t].max(0).unsigned_abs()));
-        ct::mac_block(window, padded, &positive);
+        kernel::mac_band(band, padded, &positive);
         if block.iter().any(|&c| c < 0) {
             // The planted leak: only blocks with a negative lane pay this pass.
-            let negative: [u16; ct::BLOCK] =
+            let negative: kernel::Window =
                 std::array::from_fn(|t| u16::from(block[t].min(0).unsigned_abs()));
-            let mut scratch = [0u16; ct::WINDOW];
-            ct::mac_block(&mut scratch, padded, &negative);
-            for (slot, &v) in window.iter_mut().zip(&scratch) {
+            let mut scratch: kernel::Band = [0; _];
+            kernel::mac_band(&mut scratch, padded, &negative);
+            for (slot, &v) in band.iter_mut().zip(&scratch) {
                 *slot = slot.wrapping_sub(v);
             }
         }

@@ -9,9 +9,11 @@
 //! preserved; see DESIGN.md §2.
 
 use saber_keccak::Shake128;
-use saber_ring::{packing, PolyMatrix, PolyQ, SecretPoly, SecretVec, EPS_Q, N};
+use saber_ring::{packing, PolyMatrix, PolyQ, PolyVec, SecretPoly, SecretVec, EPS_Q, N};
 
+use crate::kem;
 use crate::params::SaberParams;
+use crate::pke::PublicKey;
 
 /// Domain-separation byte appended to the seed when expanding the matrix.
 const DOMAIN_MATRIX: u8 = 0x41;
@@ -116,7 +118,8 @@ pub fn gen_secret(seed: &[u8; 32], params: &SaberParams) -> SecretVec {
 }
 
 /// A bounded cache of expanded public matrices, keyed by
-/// `(seed_A, rank)`: one per service worker.
+/// `(seed_A, rank)`, each beside the hash of the last public key it
+/// served: one per service worker.
 ///
 /// `A` is a public, pure function of `seed_A` and the rank, so a hit
 /// returns exactly what [`gen_matrix`] would, and outputs cannot change.
@@ -124,9 +127,17 @@ pub fn gen_secret(seed: &[u8; 32], params: &SaberParams) -> SecretVec {
 /// `seed_A` on every request, so after the first miss each worker's
 /// decaps (and encaps against that key) skips the expansion.
 ///
-/// Holds at most [`CAPACITY`](Self::CAPACITY) matrices and replaces them
-/// round-robin once full, so its coefficients take at most
-/// 8 × 16 × 512 B = 64 KiB at FireSaber (`ℓ = 4`).
+/// Encapsulation also needs `H(pk) = SHA3-256(pk)` of the whole public
+/// key, `seed_A` and `b`. [`matrix_and_hash`](Self::matrix_and_hash)
+/// answers both in one lookup: each entry keeps `b` and the hash of the
+/// last public key on its matrix that it served, and recomputes the
+/// hash only when `b` differs. Two keys that share `seed_A` and rank
+/// share the entry and each get their own hash.
+///
+/// Holds at most [`CAPACITY`](Self::CAPACITY) entries and replaces them
+/// round-robin once full. An entry holds `ℓ²` matrix and `ℓ` key
+/// polynomials of 512 B each and a 32-byte hash, so the coefficients
+/// take at most 8 × (16 + 4) × 512 B = 80 KiB at FireSaber (`ℓ = 4`).
 ///
 /// # Examples
 ///
@@ -154,10 +165,13 @@ struct CachedMatrix {
     seed: [u8; 32],
     rank: usize,
     matrix: PolyMatrix,
+    /// `b` and `H(pk)` of the last public key this entry served through
+    /// [`MatrixCache::matrix_and_hash`].
+    key: Option<(PolyVec<10>, [u8; 32])>,
 }
 
 impl MatrixCache {
-    /// Matrices held at most.
+    /// Entries held at most.
     pub const CAPACITY: usize = 8;
 
     /// An empty cache (allocates nothing until the first miss).
@@ -174,6 +188,29 @@ impl MatrixCache {
     /// The matrix of `(seed, params.rank)`: cached, or expanded with
     /// [`gen_matrix`] and cached.
     pub fn matrix(&mut self, seed: &[u8; 32], params: &SaberParams) -> &PolyMatrix {
+        &self.entry(seed, params).matrix
+    }
+
+    /// `pk`'s matrix `A`, as [`matrix`](Self::matrix) returns it, and its
+    /// hash `H(pk) = SHA3-256(pk)`, in one lookup. The hash comes from the
+    /// entry when its last public key had this same `b`; otherwise it is
+    /// computed and kept there, replacing the previous key's.
+    pub fn matrix_and_hash(&mut self, pk: &PublicKey) -> (&PolyMatrix, [u8; 32]) {
+        let entry = self.entry(&pk.seed_a, &pk.params);
+        let hash = match &entry.key {
+            Some((b, hash)) if *b == pk.b => *hash,
+            _ => {
+                let hash = kem::hash_public_key(pk);
+                entry.key = Some((pk.b.clone(), hash));
+                hash
+            }
+        };
+        (&entry.matrix, hash)
+    }
+
+    /// The entry of `(seed, params.rank)`, counted as a hit, or a new one
+    /// holding the expanded matrix, counted as a miss.
+    fn entry(&mut self, seed: &[u8; 32], params: &SaberParams) -> &mut CachedMatrix {
         let found = self
             .entries
             .iter()
@@ -187,6 +224,7 @@ impl MatrixCache {
                 seed: *seed,
                 rank: params.rank,
                 matrix: gen_matrix(seed, params),
+                key: None,
             };
             if self.entries.len() < Self::CAPACITY {
                 self.entries.push(entry);
@@ -198,7 +236,7 @@ impl MatrixCache {
                 slot
             }
         };
-        &self.entries[slot].matrix
+        &mut self.entries[slot]
     }
 
     /// Matrices currently held.

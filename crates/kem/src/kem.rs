@@ -19,8 +19,8 @@
 //! results. The only per-call mutable state is the multiplier backend
 //! and, in [`encaps_cached`]/[`decaps_cached`], the matrix cache, both
 //! of which each worker owns exclusively (`&mut`). The cache holds only
-//! public matrices, each a pure function of its key, so it changes how
-//! fast a call runs, never what it returns.
+//! public matrices and public-key hashes, each a pure function of its
+//! key, so it changes how fast a call runs, never what it returns.
 
 use std::fmt;
 
@@ -184,10 +184,7 @@ pub fn keygen<M: PolyMultiplier + ?Sized>(
     let _span = saber_trace::span("kem", "kem.keygen");
     let (seed_a, seed_s, z) = expand_keygen_seed(seed);
     let (pk, cpa_sk) = pke::keygen(params, seed_a, &seed_s, backend);
-    let pk_hash = {
-        let _hash = saber_trace::span("kem", "hash");
-        Sha3_256::digest(&serialize::public_key_to_bytes(&pk))
-    };
+    let pk_hash = hash_public_key(&pk);
     let sk = KemSecretKey {
         cpa: cpa_sk,
         public_key: pk.clone(),
@@ -195,6 +192,13 @@ pub fn keygen<M: PolyMultiplier + ?Sized>(
         z,
     };
     (pk, sk)
+}
+
+/// `F(pk) = SHA3-256(seed_A ‖ b)`, the public-key hash that the FO
+/// transform binds every shared secret to.
+pub(crate) fn hash_public_key(pk: &PublicKey) -> [u8; 32] {
+    let _hash = saber_trace::span("kem", "hash");
+    Sha3_256::digest(&serialize::public_key_to_bytes(pk))
 }
 
 /// Splits `G(pk_hash ‖ m)` into the pre-key and the encryption coins.
@@ -235,8 +239,9 @@ pub fn encaps<M: PolyMultiplier + ?Sized>(
     encaps_cached(pk, entropy, &mut MatrixCache::new(), backend)
 }
 
-/// [`encaps`] taking `pk`'s matrix `A` from `matrices` (see
-/// [`pke::encrypt_cached`]); the output is byte-identical.
+/// [`encaps`] taking `pk`'s matrix `A` and its hash `H(pk)` from
+/// `matrices`, in one lookup by `pk` itself (see
+/// [`MatrixCache::matrix_and_hash`]); the output is byte-identical.
 #[must_use]
 pub fn encaps_cached<M: PolyMultiplier + ?Sized>(
     pk: &PublicKey,
@@ -245,15 +250,13 @@ pub fn encaps_cached<M: PolyMultiplier + ?Sized>(
     backend: &mut M,
 ) -> (Ciphertext, SharedSecret) {
     let _span = saber_trace::span("kem", "kem.encaps");
-    let (m, pk_hash) = {
+    let (a, pk_hash) = matrices.matrix_and_hash(pk);
+    let m = {
         let _hash = saber_trace::span("kem", "hash");
-        (
-            Sha3_256::digest(entropy),
-            Sha3_256::digest(&serialize::public_key_to_bytes(pk)),
-        )
+        Sha3_256::digest(entropy)
     };
     let (khat, coins) = g_split(&pk_hash, &m);
-    let ct = pke::encrypt_cached(pk, &m, &coins, matrices, backend);
+    let ct = pke::encrypt_with_matrix(pk, a, &m, &coins, backend);
     let ct_bytes = serialize::ciphertext_to_bytes(&ct, &pk.params);
     (ct, final_key(&khat, &ct_bytes))
 }

@@ -7,7 +7,7 @@
 use std::fmt;
 
 use saber_ring::rounding::{h1, h2};
-use saber_ring::{packing, PolyMultiplier, PolyP, PolyVec, SecretVec, EPS_P, N};
+use saber_ring::{packing, PolyMatrix, PolyMultiplier, PolyP, PolyVec, SecretVec, EPS_P, N};
 
 use crate::expand::{gen_matrix, gen_secret, MatrixCache};
 use crate::params::SaberParams;
@@ -179,9 +179,21 @@ pub fn encrypt_cached<M: PolyMultiplier + ?Sized>(
     matrices: &mut MatrixCache,
     backend: &mut M,
 ) -> Ciphertext {
+    let a = matrices.matrix(&pk.seed_a, &pk.params);
+    encrypt_with_matrix(pk, a, message, coins, backend)
+}
+
+/// [`encrypt`] with `a`, which the caller looked up in a [`MatrixCache`]
+/// by `pk` itself, so that it is `pk`'s own matrix.
+pub(crate) fn encrypt_with_matrix<M: PolyMultiplier + ?Sized>(
+    pk: &PublicKey,
+    a: &PolyMatrix,
+    message: &[u8; 32],
+    coins: &[u8; 32],
+    backend: &mut M,
+) -> Ciphertext {
     let _span = saber_trace::span("kem", "pke.encrypt");
     let params = &pk.params;
-    let a = matrices.matrix(&pk.seed_a, params);
     let s_prime = gen_secret(coins, params);
 
     // b' = ((A·s' + h) mod q) >> (ε_q − ε_p) takes one inner product per

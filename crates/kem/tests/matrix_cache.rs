@@ -1,10 +1,13 @@
 //! The per-worker matrix cache (`expand::MatrixCache`): every lookup
 //! returns exactly `gen_matrix`, keys separate the ranks that share a
-//! `seed_A`, the cache never outgrows its capacity, and the cached KEM
-//! paths stay byte-identical to the uncached ones.
+//! `seed_A`, each public key gets its own hash `H(pk)`, the cache never
+//! outgrows its capacity, and the cached KEM paths stay byte-identical
+//! to the uncached ones.
 
+use saber_keccak::Sha3_256;
 use saber_kem::expand::{gen_matrix, MatrixCache};
 use saber_kem::params::{ALL_PARAMS, FIRE_SABER, LIGHT_SABER, SABER};
+use saber_kem::serialize::public_key_to_bytes;
 use saber_kem::{decaps, decaps_cached, encaps, encaps_cached, keygen, pke};
 use saber_ring::mul::SchoolbookMultiplier;
 use saber_ring::CtSchoolbookMultiplier;
@@ -124,4 +127,61 @@ fn keys_sharing_a_seed_never_share_a_matrix() {
         }
     }
     assert_eq!((cache.misses(), cache.hits()), (2, 2));
+}
+
+#[test]
+fn keys_sharing_a_matrix_get_their_own_hashes() {
+    // Two Saber keys on one seed_A with different secrets, so different
+    // `b`: one cache entry serves both matrices, each lookup returns its
+    // own key's hash, and each encapsulation equals the uncached one.
+    let mut backend = CtSchoolbookMultiplier::new();
+    let seed_a = [0x78; 32];
+    let (first, _) = pke::keygen(&SABER, seed_a, &[1; 32], &mut backend);
+    let (second, _) = pke::keygen(&SABER, seed_a, &[2; 32], &mut backend);
+    let hashes = [&first, &second].map(|pk| Sha3_256::digest(&public_key_to_bytes(pk)));
+    assert_ne!(hashes[0], hashes[1]);
+    let mut cache = MatrixCache::new();
+    for round in 0..2u8 {
+        for (pk, hash) in [&first, &second].into_iter().zip(&hashes) {
+            let (a, cached) = cache.matrix_and_hash(pk);
+            assert_eq!(*a, gen_matrix(&seed_a, &SABER), "round {round}");
+            assert_eq!(cached, *hash, "round {round}");
+            let entropy = [round; 32];
+            assert_eq!(
+                encaps_cached(pk, &entropy, &mut cache, &mut backend),
+                encaps(pk, &entropy, &mut backend),
+                "round {round}"
+            );
+        }
+    }
+    assert_eq!(cache.len(), 1, "one entry per (seed_A, rank)");
+    assert_eq!((cache.misses(), cache.hits()), (1, 7));
+}
+
+#[test]
+fn a_hit_on_the_last_key_skips_hashing_it() {
+    // Each encaps opens one `hash` span for H(m), one for G and one for
+    // the final key, plus one for H(pk) unless its entry last served
+    // this key: three encapsulations against one key hash it once.
+    let mut backend = CtSchoolbookMultiplier::new();
+    let (pk, _) = keygen(&SABER, &[0x52; 32], &mut backend);
+    let mut cache = MatrixCache::new();
+    let session = saber_trace::start();
+    saber_trace::instant_event("test", "sentinel.pk_hash");
+    for e in 0..3u8 {
+        let _ = encaps_cached(&pk, &[e; 32], &mut cache, &mut backend);
+    }
+    let trace = session.finish();
+    let tid = trace
+        .events()
+        .iter()
+        .find(|e| e.name == "sentinel.pk_hash")
+        .expect("sentinel recorded")
+        .tid;
+    let hashes = trace
+        .events()
+        .iter()
+        .filter(|e| e.tid == tid && e.name == "hash")
+        .count();
+    assert_eq!(hashes, 3 * 3 + 1);
 }

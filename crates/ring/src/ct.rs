@@ -1,5 +1,5 @@
-//! Constant-time multiplier: Toom-4 in wrapping `u16` lanes over a
-//! register-blocked schoolbook, with a secret-independent scan order and
+//! Constant-time multiplier: Toom-4 in wrapping `u16` lanes over an
+//! output-stationary schoolbook, with a secret-independent scan order and
 //! memory access pattern.
 //!
 //! The shortcuts that make a software multiplier fast tend to depend on
@@ -25,12 +25,36 @@
 //! | one Karatsuba level | 49,152 (3 · 128²) |
 //! | Toom-4 (this engine) | 28,672 (7 · 64²) |
 //!
-//! Each limb product is a register-blocked schoolbook ([`mac_block`]):
-//! one pass takes [`BLOCK`] secret lanes and runs once over the
-//! [`WINDOW`] arena lanes they touch, so every arena lane is loaded and
-//! stored once per `BLOCK` MACs. The public limb is padded with
-//! `BLOCK − 1` zeros on each side ([`PADDED`]), so every shifted read is
-//! a fixed in-bounds slice.
+//! Each limb product is an output-stationary schoolbook, the dataflow
+//! of the paper's baseline and HS-I multipliers. There, every output
+//! coefficient keeps its accumulator in its own MAC while the operand
+//! coefficients are broadcast; LW instead streams its accumulators
+//! through memory and pays for it, 16,384 compute cycles becoming
+//! 19,471 (§4.1). Here the 127 lanes of a 64 × 64 limb product are
+//! windows of one vector register each, `LANES` wide. One pass
+//! ([`portable::mac_band`]) takes a block of `LANES` secret lanes and
+//! holds the `BAND = 64 / LANES + 1` windows they touch in registers:
+//! each secret lane is broadcast once and multiplies the public limb
+//! into every window of the band. The limb is zero-padded
+//! ([`portable::Padded`]), so each lane reads it at a fixed shift, one
+//! in-bounds slice. In the AVX2 copy the four passes of a limb product
+//! compile to one straight-line body in which the windows pass from
+//! band to band in registers, so each arena lane is loaded once per limb
+//! product. Vector multiplies per 64 × 64 limb product (4,096 MACs):
+//!
+//! | copy | window | multiplies per secret lane | per limb product |
+//! |---|---|---|---|
+//! | AVX2 | 16 lanes | 5 | 320 |
+//! | baseline x86-64 (SSE2) | 8 lanes | 9 | 576 |
+//!
+//! The multiplies that fall on padding are the price of fixed shifts:
+//! 320 × 16 lanes hold the 4,096 MACs at 80 % occupancy, 576 × 8 at
+//! 89 %. What the windows buy is the memory round trip that a scan
+//! pays when it loads and stores its accumulators every few MACs, as LW
+//! pays BRAM cycles. The SSE2 copy holds one 9-window band at a time in
+//! its 16 registers and is bound by its multiplies and adds, not by
+//! memory, so there the windows gain nothing (EXPERIMENTS.md, "Host
+//! software").
 //!
 //! [`PolyMultiplier::inner_product`] accumulates the seven limb products
 //! of every pair in seven stack arenas, then interpolates the degree-6
@@ -72,10 +96,16 @@
 //! `D_k` divides `Σ_i n_ki·W_i` for the sum of ℓ pairs' evaluated
 //! products as it does for one, and the arenas hold that sum exactly mod
 //! 2^16. The `wrapping_*` operations carry no overflow check even under
-//! `overflow-checks = true`, so LLVM vectorizes [`mac_block`] across
-//! lanes: 16-lane AVX2 `vpmullw`/`vpaddw` where the host has AVX2, and
-//! the same source as 8-lane SSE2 `pmullw`/`paddw` elsewhere on x86-64
-//! ("Dispatch").
+//! `overflow-checks = true`, so LLVM vectorizes [`portable::mac_band`]
+//! across output lanes: 16-lane AVX2 `vpmullw`/`vpaddw` where the host
+//! has AVX2, and the same source as 8-lane SSE2 `pmullw`/`paddw`
+//! elsewhere on x86-64 ("Dispatch"). The pass runs its inner loop over
+//! the whole band as one run of `BAND · LANES` lanes. Written window by
+//! window, with `LANES`-trip inner loops that LLVM unrolls before it
+//! vectorizes, the pass was vectorized across *secret* lanes instead,
+//! with a horizontal reduction per output lane, and ran 3–4× slower
+//! with every test green; `tools/ci.sh build` audits the AVX2 limb
+//! product's disassembly for that shape.
 //!
 //! # Dispatch
 //!
@@ -87,17 +117,18 @@
 //! call (the standard library caches the answer) and runs the wide copy
 //! where the host has all three features; that call is the one place
 //! this crate allows `unsafe_code`. Both copies compute the same
-//! wrapping `u16` sums in the same order, so their outputs are
-//! identical; the tests run both. [`mac_block`] is the portable copy,
-//! which the timing mutants reuse verbatim.
+//! wrapping `u16` sums, so their outputs are identical; the tests run
+//! both. Each copy's window is one of its vector registers, given as
+//! the macro's argument. The timing mutants reuse the portable
+//! [`mac_band`](portable::mac_band) verbatim.
 //!
 //! # Secret independence
 //!
 //! The trip count of every loop, and every address read or written, is
-//! a function of `N`, [`BLOCK`] and the number of pairs alone, all of
-//! which are public: each pair is split, evaluated and scanned block by
-//! block in the same order whatever its values. The one branch before
-//! them tests the host's CPU features, never an operand. Evaluation and
+//! a function of `N`, the copy's `LANES` and the number of pairs alone,
+//! all of which are public: each pair is split, evaluated and scanned
+//! block by block in the same order whatever its values. The one branch
+//! before them tests the host's CPU features, never an operand. Evaluation and
 //! interpolation are fixed sequences of additions, multiplications by
 //! constants and shifts by constants. There is no branch on a secret, no
 //! early exit or zero skip, and no secret-indexed table; secret lanes
@@ -121,25 +152,12 @@ use crate::toom::{FINITE_POINTS, LIMBS, POINTS};
 // by 8 spends.
 const _: () = assert!(EPS_Q + 3 <= 16);
 
-/// Secret lanes per pass of the blocked schoolbook, chosen by paired
-/// measurement against 2 and 8.
-pub const BLOCK: usize = 4;
-
 /// Coefficients per limb: Toom-4 splits each operand into four.
 pub const LIMB: usize = N / LIMBS;
-
-/// Arena lanes one [`mac_block`] pass writes: a limb shifted by up to
-/// `BLOCK − 1`.
-pub const WINDOW: usize = LIMB + BLOCK - 1;
-
-/// Length of a public limb padded with `BLOCK − 1` zeros on each side.
-pub const PADDED: usize = LIMB + 2 * (BLOCK - 1);
 
 /// Lanes of a limb-product arena: `2·LIMB − 1` are written, the last
 /// stays zero.
 const ARENA: usize = 2 * LIMB;
-
-const _: () = assert!(LIMB.is_multiple_of(BLOCK));
 
 /// Row `i` weighs the four limbs for evaluation point `i`: the powers
 /// `t^0 .. t^3` of `toom`'s finite points mod 2^16, then ∞, which reads
@@ -248,47 +266,67 @@ impl CtSchoolbookMultiplier {
 type Arenas = [[u16; ARENA]; POINTS];
 
 /// The kernel's functions, written once and compiled once per module
-/// below; `$feature` is the attribute every function carries.
+/// below. `$lanes` is the copy's window width, one vector register of
+/// `u16` lanes, and `$feature` is the attribute every function carries.
 macro_rules! kernel {
-    ($(#[$feature:meta])*) => {
-        /// One pass of the blocked scan:
-        /// `window[m] += Σ_t padded[BLOCK − 1 − t + m] · secrets[t]` in wrapping
-        /// `u16` lanes, for `BLOCK` secret lanes (sign-extended to 16 bits).
+    ($lanes:literal $(, #[$feature:meta])*) => {
+        /// Window width in `u16` lanes: one vector register of this copy.
+        pub const LANES: usize = $lanes;
+
+        /// Windows that one block of secret lanes touches: a limb shifted by
+        /// up to `LANES − 1` lanes spans `LIMB / LANES + 1` windows.
+        pub const BAND: usize = LIMB / LANES + 1;
+
+        /// `LANES` lanes: one window, or one block of secret lanes.
+        pub type Window = [u16; LANES];
+
+        /// The `BAND` consecutive windows that one [`mac_band`] pass
+        /// accumulates into, as one run of lanes.
+        pub type Band = [u16; BAND * LANES];
+
+        /// A public limb with `LANES − 1` zeros before it and `LANES` after,
+        /// so that every shifted read in [`mac_band`] is a fixed in-bounds
+        /// slice.
+        pub type Padded = [u16; LIMB + 2 * LANES - 1];
+
+        const _: () = assert!(LIMB % LANES == 0);
+
+        /// One pass of the output-stationary scan: one block of `LANES` secret
+        /// lanes (sign-extended to 16 bits) against its band of windows,
+        /// `band[m] += Σ_r padded[LANES − 1 − r + m] · secrets[r]` in wrapping
+        /// `u16` lanes.
         ///
-        /// Each window lane is loaded and stored once per `BLOCK` MACs. For the
-        /// block of secret lanes `j .. j + BLOCK` of a limb product, the window
-        /// is the arena's lanes `j .. j + WINDOW`.
+        /// The band stays in registers for the whole block: each secret lane
+        /// is broadcast once, against the `BAND` windows its shifted limb
+        /// touches, and reads the padded limb at a fixed shift. For the block
+        /// of secret lanes `LANES·b ..` of a limb product, the band is the
+        /// product's lanes `LANES·b ..`, windows `b .. b + BAND`.
         $(#[$feature])*
         #[inline]
-        pub fn mac_block(
-            window: &mut [u16; WINDOW],
-            padded: &[u16; PADDED],
-            secrets: &[u16; BLOCK],
-        ) {
-            let rows: [&[u16; WINDOW]; BLOCK] = std::array::from_fn(|t| {
-                padded[BLOCK - 1 - t..][..WINDOW]
-                    .try_into()
-                    .expect("WINDOW lanes")
-            });
-            for (m, slot) in window.iter_mut().enumerate() {
-                let mut acc = *slot;
-                for (row, &s) in rows.iter().zip(secrets) {
-                    acc = acc.wrapping_add(row[m].wrapping_mul(s));
+        pub fn mac_band(band: &mut Band, padded: &Padded, secrets: &Window) {
+            // A local copy: accumulating through `band` itself stores every
+            // window after each secret lane, LW's memory round trip.
+            let mut acc = *band;
+            for (r, &s) in secrets.iter().enumerate() {
+                let shifted = &padded[LANES - 1 - r..][..BAND * LANES];
+                for (slot, &p) in acc.iter_mut().zip(shifted) {
+                    *slot = slot.wrapping_add(p.wrapping_mul(s));
                 }
-                *slot = acc;
             }
+            *band = acc;
         }
 
         /// Adds the limb product `padded · secrets` into `arena`, one
-        /// [`mac_block`] pass per block of secret lanes.
+        /// [`mac_band`] pass per block of secret lanes. Out of line, so that
+        /// `tools/ci.sh build` finds its code under one symbol per copy.
         $(#[$feature])*
-        fn limb_product(arena: &mut [u16; ARENA], padded: &[u16; PADDED], secrets: &[u16; LIMB]) {
-            for (j, block) in secrets.chunks_exact(BLOCK).enumerate() {
-                let start = j * BLOCK;
-                let window = (&mut arena[start..start + WINDOW])
+        #[inline(never)]
+        fn limb_product(arena: &mut [u16; ARENA], padded: &Padded, secrets: &[u16; LIMB]) {
+            for (b, block) in secrets.chunks_exact(LANES).enumerate() {
+                let band = (&mut arena[b * LANES..][..BAND * LANES])
                     .try_into()
-                    .expect("WINDOW lanes");
-                mac_block(window, padded, block.try_into().expect("BLOCK lanes"));
+                    .expect("BAND windows");
+                mac_band(band, padded, block.try_into().expect("LANES lanes"));
             }
         }
 
@@ -296,9 +334,9 @@ macro_rules! kernel {
         /// `offset .. offset + LIMB` of the rows of `out`; the other lanes are
         /// left as they are.
         $(#[$feature])*
-        fn evaluate<const LANES: usize>(
+        fn evaluate<const LEN: usize>(
             coeffs: &[u16; N],
-            out: &mut [[u16; LANES]; POINTS],
+            out: &mut [[u16; LEN]; POINTS],
             offset: usize,
         ) {
             for i in 0..LIMB {
@@ -323,9 +361,9 @@ macro_rules! kernel {
         /// Evaluates one pair at the seven points and adds its limb products.
         $(#[$feature])*
         fn accumulate(arenas: &mut Arenas, public: &PolyQ, secret: &SecretPoly) {
-            let mut publics = [[0u16; PADDED]; POINTS];
+            let mut publics: [Padded; POINTS] = [[0; _]; POINTS];
             let mut secrets = [[0u16; LIMB]; POINTS];
-            evaluate(public.coeffs(), &mut publics, BLOCK - 1);
+            evaluate(public.coeffs(), &mut publics, LANES - 1);
             // `as` sign-extends: -1 becomes 0xffff ≡ -1 (mod 2^16).
             evaluate(&secret.coeffs().map(|c| c as u16), &mut secrets, 0);
             for ((arena, padded), secrets) in arenas.iter_mut().zip(&publics).zip(&secrets) {
@@ -369,30 +407,30 @@ macro_rules! kernel {
     };
 }
 
-/// The kernel for baseline x86-64 and every other target: what
-/// [`CtSchoolbookMultiplier`] runs where the wide copy cannot, and the
-/// [`mac_block`] the timing mutants reuse verbatim.
+/// The kernel for baseline x86-64 and every other target, in 8-lane
+/// windows (one SSE2 register): what [`CtSchoolbookMultiplier`] runs
+/// where the wide copy cannot, and the [`mac_band`](portable::mac_band)
+/// the timing mutants reuse verbatim.
 pub mod portable {
     use super::{
-        Arenas, PolyQ, SecretPoly, ARENA, BLOCK, EVALUATION, INTERPOLATION, LIMB, LIMBS, N, PADDED,
-        POINTS, WEIGHTS, WINDOW,
+        Arenas, PolyQ, SecretPoly, ARENA, EVALUATION, INTERPOLATION, LIMB, LIMBS, N, POINTS,
+        WEIGHTS,
     };
 
-    kernel!();
+    kernel!(8);
 }
 
-/// The same functions compiled for AVX2, BMI1 and BMI2.
+/// The same functions compiled for AVX2, BMI1 and BMI2, in 16-lane
+/// windows (one AVX2 register).
 #[cfg(target_arch = "x86_64")]
 mod wide {
     use super::{
-        Arenas, PolyQ, SecretPoly, ARENA, BLOCK, EVALUATION, INTERPOLATION, LIMB, LIMBS, N, PADDED,
-        POINTS, WEIGHTS, WINDOW,
+        Arenas, PolyQ, SecretPoly, ARENA, EVALUATION, INTERPOLATION, LIMB, LIMBS, N, POINTS,
+        WEIGHTS,
     };
 
-    kernel!(#[target_feature(enable = "avx2,bmi1,bmi2")]);
+    kernel!(16, #[target_feature(enable = "avx2,bmi1,bmi2")]);
 }
-
-pub use portable::mac_block;
 
 impl PolyMultiplier for CtSchoolbookMultiplier {
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
@@ -483,26 +521,56 @@ mod tests {
     }
 
     #[test]
-    fn mac_block_reads_shifted_padded_lanes() {
-        // A unit secret in lane t copies the limb, shifted by t, into the
-        // window.
-        let mut padded = [0u16; PADDED];
-        for (i, lane) in padded[BLOCK - 1..][..LIMB].iter_mut().enumerate() {
+    fn mac_band_places_a_unit_secret_lane_at_its_shift() {
+        // The pass the timing mutants call: a unit secret in lane r of a
+        // block copies the limb, shifted by r, into the band.
+        let mut padded: portable::Padded = [0; _];
+        for (i, lane) in padded[portable::LANES - 1..][..LIMB].iter_mut().enumerate() {
             *lane = i as u16 + 1;
         }
-        for t in 0..BLOCK {
-            let mut secrets = [0u16; BLOCK];
-            secrets[t] = 1;
-            let mut window = [0u16; WINDOW];
-            mac_block(&mut window, &padded, &secrets);
-            for (m, &lane) in window.iter().enumerate() {
-                let expected = if (t..t + LIMB).contains(&m) {
-                    (m - t) as u16 + 1
+        for r in 0..portable::LANES {
+            let mut secrets = [0u16; portable::LANES];
+            secrets[r] = 1;
+            let mut band: portable::Band = [0; _];
+            portable::mac_band(&mut band, &padded, &secrets);
+            for (m, &lane) in band.iter().enumerate() {
+                let expected = if (r..r + LIMB).contains(&m) {
+                    (m - r) as u16 + 1
                 } else {
                     0
                 };
-                assert_eq!(lane, expected, "lane {m}, secret lane {t}");
+                assert_eq!(lane, expected, "lane {m}, secret lane {r}");
             }
+        }
+    }
+
+    #[test]
+    fn unit_secrets_on_window_seams_shift_the_public_operand() {
+        // A unit secret in lane j < LIMB evaluates to x^j at every finite
+        // point, so each limb product must place its public limb, shifted
+        // by j, in the right windows. j covers both ends of every 8-lane
+        // window, and so of every 16-lane one: 0, 7, 8, 15, 16, … 63.
+        let lanes = portable::LANES;
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(wide::LANES % lanes, 0, "every wide seam is a portable one");
+        let a = PolyQ::from_fn(|i| (i as u16).wrapping_mul(37).wrapping_add(1));
+        let mut engine = CtSchoolbookMultiplier::new();
+        for j in (0..LIMB).filter(|j| j % lanes == 0 || j % lanes == lanes - 1) {
+            let s = SecretPoly::from_fn(|i| i8::from(i == j));
+            let shifted = PolyQ::from_fn(|k| {
+                if k >= j {
+                    a.coeff(k - j)
+                } else {
+                    a.coeff(k + N - j).wrapping_neg()
+                }
+            });
+            // The engine runs the wide copy where the host has AVX2.
+            assert_eq!(engine.multiply(&a, &s), shifted, "engine, lane {j}");
+            assert_eq!(
+                portable::inner_product(&[(&a, &s)]),
+                shifted,
+                "portable, lane {j}"
+            );
         }
     }
 }

@@ -26,7 +26,8 @@
 //! [`MatrixCache`] of expanded public matrices `A`, keyed by
 //! `(seed_A, rank)`, which its encaps and decaps jobs share: a server
 //! decapsulating against its own key expands `A` once per worker, not
-//! once per request (hits and misses are in the report). The shard and
+//! once per request (hits and misses are in the report), and an encaps
+//! against a key the entry last served reuses its hash `H(pk)`. The shard and
 //! the cache are worker-local, so the hot path (the multiply lane
 //! scans, Keccak) runs with **no lock held and no sharing**; the
 //! only synchronized structures are the O(1) queue operations and the

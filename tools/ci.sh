@@ -74,6 +74,27 @@ fi
 if want build; then
     echo "==> cargo build --release"
     cargo build --release
+    # The AVX2 limb product of the ct kernel must vectorize across output
+    # lanes: ymm `vpmullw` and no `vextracti128`. The extract is the
+    # horizontal reduction LLVM emits when it vectorizes across secret
+    # lanes instead, which every test passes and which runs 3-4x slower.
+    if [ "$(uname -m)" = "x86_64" ]; then
+        echo "==> codegen audit: saber_ring::ct::wide::limb_product"
+        if ! command -v objdump >/dev/null 2>&1; then
+            echo "ci: the codegen audit needs objdump (binutils)" >&2
+            exit 1
+        fi
+        rlib=$(ls -t "${CARGO_TARGET_DIR:-target}"/release/deps/libsaber_ring-*.rlib | head -n 1)
+        body=$(objdump -d -C --no-show-raw-insn "$rlib" |
+            awk '/<saber_ring::ct::wide::limb_product>:$/ { on = 1; next } on && /^$/ { exit } on')
+        muls=$(printf '%s\n' "$body" | grep -c 'vpmullw.*%ymm' || true)
+        extracts=$(printf '%s\n' "$body" | grep -c 'vextracti128' || true)
+        echo "    $muls ymm vpmullw, $extracts vextracti128"
+        if [ "$muls" -eq 0 ] || [ "$extracts" -ne 0 ]; then
+            echo "ci: saber_ring::ct::wide::limb_product in $rlib is not vectorized across output lanes" >&2
+            exit 1
+        fi
+    fi
 fi
 
 # The whole suite at its release budgets (2,048 fuzz cases per set,
