@@ -45,7 +45,7 @@
 //! paper targets the Saber set).
 
 use saber_hw::area::{self, Area};
-use saber_hw::dsp::{Dsp48, A_UNSIGNED_WIDTH, B_UNSIGNED_WIDTH};
+use saber_hw::dsp::{DspBank, A_UNSIGNED_WIDTH, B_UNSIGNED_WIDTH};
 use saber_hw::platform::{CriticalPath, Fpga};
 use saber_hw::{Activity, CycleReport};
 use saber_ring::{PolyMultiplier, PolyQ, SecretPoly, N};
@@ -142,6 +142,12 @@ pub fn pack(a0: u16, a1: u16, s0: i8, s1: i8) -> (i64, i64, SignPlan) {
         s0.unsigned_abs() <= max && s1.unsigned_abs() <= max,
         "secret magnitude exceeds the 15-bit packing budget (|s| ≤ 4)"
     );
+    pack_in_range(a0, a1, s0, s1)
+}
+
+/// [`pack`] on operands already checked against its bounds.
+#[inline(always)]
+fn pack_in_range(a0: u16, a1: u16, s0: i8, s1: i8) -> (i64, i64, SignPlan) {
     let plan = SignPlan::for_secrets(s0, s1);
     // The ±a0 packer is a conditional negate driven by the sign plan:
     // `invert` is all ones when a0 is negated, and `(a0 ^ invert) −
@@ -261,16 +267,22 @@ pub fn expected_products(a0: u16, a1: u16, s0: i8, s1: i8) -> UnpackedProducts {
     }
 }
 
-/// Metadata accompanying one in-flight DSP operation. The unit's odd
-/// accumulator position `j = 2k + 1` follows from its index `k` within
-/// the bank.
+/// Side-band bits of one unit's in-flight operation, carried down the
+/// pipeline beside its DSP operands: the unit's [`SignPlan`] and the
+/// zero and LSB taps of its secret pair's magnitudes. The public pair's
+/// taps are shared by the whole bank ([`PublicTaps`]).
+const INVERT_A0: u8 = 1;
+const NEGATE_MID: u8 = 1 << 1;
+const NEGATE_OUTER: u8 = 1 << 2;
+const S0_MAG_ZERO: u8 = 1 << 3;
+const S1_MAG_LSB: u8 = 1 << 4;
+
+/// The side-band taps of one bank's broadcast public pair `(a0, a1)`
+/// for one in-flight batch.
 #[derive(Debug, Clone, Copy, Default)]
-struct InFlight {
-    plan: SignPlan,
+struct PublicTaps {
     a0_is_zero: bool,
-    s0_mag_is_zero: bool,
     a1_lsb: u16,
-    s1_mag_lsb: u16,
 }
 
 /// The HS-II multiplier: 128 DSP-MAC units, 131-cycle multiplication.
@@ -366,18 +378,21 @@ impl Default for DspPackedMultiplier {
 /// which the pipeline drains), and the writeback drain. Returns the
 /// product, the core-loop cycle report and the per-phase timeline.
 ///
-/// Each core cycle first issues to every DSP, then runs each DSP's
-/// clock edge and, on retire cycles, unpacks and accumulates the result
-/// that edge brought out. The DSPs share no state, so ticking and
-/// retiring unit by unit leaves every DSP, output and accumulator
-/// coefficient exactly as ticking all of them first would.
+/// All `DSP_COUNT · banks` slices are one [`DspBank`] on one clock.
+/// Each core cycle packs every unit's operands ([`pack_bank`]), issues
+/// them to the bank in one call, runs the bank's clock edge and, on
+/// retire cycles, unpacks and accumulates every result that edge
+/// brought out ([`retire_bank`]). Each of those passes tests its checks
+/// once, folded over the bank's lanes.
 ///
 /// The rotating secret buffer is modelled as a logical rotation (a
 /// window of the negacyclic extension, whose lanes are what
 /// `engine::rotated` returns), so no per-cycle clone/shift of the
-/// secret is needed; the in-flight metadata is a ring of
-/// `DSP_LATENCY` batches, one entry per DSP each, overwritten in place
-/// every issue cycle.
+/// secret is needed; the side-band ring holds `DSP_LATENCY` batches,
+/// one entry per unit each, overwritten in place every issue cycle. The
+/// accumulator is kept as its even and odd positions, so that a unit's
+/// three fields land on three contiguous runs, and interleaved into the
+/// product at the end.
 ///
 /// # Panics
 ///
@@ -397,9 +412,13 @@ fn simulate(
     );
     let units = DSP_COUNT * banks;
     let ext = negacyclic_extension(secret);
-    let mut dsps: Vec<Dsp48> = (0..units).map(|_| Dsp48::new(DSP_LATENCY)).collect();
-    let mut inflight = vec![InFlight::default(); DSP_LATENCY * units];
-    let mut acc = [0u16; N];
+    let mut dsps = DspBank::new(units, DSP_LATENCY);
+    // The operands presented to the bank's A, B and C ports this cycle.
+    let mut ports = vec![0i64; 3 * units];
+    let mut sideband = vec![0u8; DSP_LATENCY * units];
+    let mut taps = [PublicTaps::default(); 2 * DSP_LATENCY];
+    let mut even = [0u16; DSP_COUNT];
+    let mut odd = [0u16; DSP_COUNT];
     let mut timeline = saber_trace::CycleTimeline::new(
         if banks == 1 { "hs2-128" } else { "hs2-256" },
         units as u64,
@@ -414,73 +433,53 @@ fn simulate(
         if issuing {
             // The outer index pair (2t, 2t + 1) of this issue cycle.
             let outer = 2 * banks * cycle;
-            let batch = &mut inflight[cycle % DSP_LATENCY * units..][..units];
-            for (bank, (bank_dsps, bank_batch)) in dsps
+            let slot = cycle % DSP_LATENCY;
+            let (a, rest) = ports.split_at_mut(units);
+            let (b, c) = rest.split_at_mut(units);
+            let batch = &mut sideband[slot * units..][..units];
+            for (bank, (((a, b), c), side)) in a
                 .chunks_exact_mut(DSP_COUNT)
+                .zip(b.chunks_exact_mut(DSP_COUNT))
+                .zip(c.chunks_exact_mut(DSP_COUNT))
                 .zip(batch.chunks_exact_mut(DSP_COUNT))
                 .enumerate()
             {
                 // Bank `b` handles outer pair (outer + 2b) against the
                 // secret shifted by x^(outer + 2b).
                 let rot = outer + 2 * bank;
-                let a0 = public.coeff(rot);
-                let a1 = public.coeff(rot + 1);
-                let lanes = &ext[N - rot..2 * N - rot];
-                // Unit k sits at odd position j = 2k + 1 and reads lanes
-                // j − 1 and j of the rotated secret: s0 = (σ·x)[j].
-                for ((dsp, pair), meta) in bank_dsps
-                    .iter_mut()
-                    .zip(lanes.chunks_exact(2))
-                    .zip(bank_batch)
-                {
-                    let (s0, s1) = (pair[0], pair[1]);
-                    let (pa, ps, plan) = pack(a0, a1, s0, s1);
-                    let (a_lo, s_lo, c) = split_for_dsp(pa, ps);
-                    dsp.issue(a_lo, s_lo, c)
-                        .expect("split operands fit the DSP ports by construction");
-                    *meta = InFlight {
-                        plan,
-                        a0_is_zero: a0 == 0,
-                        s0_mag_is_zero: s0 == 0,
-                        a1_lsb: a1 & 1,
-                        s1_mag_lsb: u16::from(s1.unsigned_abs()) & 1,
-                    };
-                }
+                let (a0, a1) = (public.coeff(rot), public.coeff(rot + 1));
+                let lanes: &[i8; N] = ext[N - rot..2 * N - rot]
+                    .try_into()
+                    .expect("a rotation window holds N lanes");
+                pack_bank(a0, a1, lanes, a, b, c, side);
+                taps[slot * 2 + bank] = PublicTaps {
+                    a0_is_zero: a0 == 0,
+                    a1_lsb: a1 & 1,
+                };
             }
+            let (a, rest) = ports.split_at(units);
+            let (b, c) = rest.split_at(units);
+            dsps.issue(a, b, c)
+                .expect("split operands fit the DSP ports by construction");
         }
         // Clock edge; results emerge DSP_LATENCY edges after issue, so
         // this cycle's edge retires the batch issued in cycle
         // `cycle + 1 − DSP_LATENCY`, if there was one.
+        dsps.tick();
         let retiring = (cycle + 1)
             .checked_sub(DSP_LATENCY)
             .filter(|&issued_at| issued_at < issue_cycles);
         if let Some(issued_at) = retiring {
-            let batch = &inflight[issued_at % DSP_LATENCY * units..][..units];
-            for (unit, (dsp, info)) in dsps.iter_mut().zip(batch).enumerate() {
-                dsp.tick();
-                let p = dsp.output().expect("a result emerges every retire cycle");
-                let products = unpack(
-                    p,
-                    info.plan,
-                    info.a0_is_zero,
-                    info.s0_mag_is_zero,
-                    info.a1_lsb,
-                    info.s1_mag_lsb,
-                );
-                // Entry `unit` came from DSP `unit`: unit k of its bank.
-                let j = 2 * (unit % DSP_COUNT) + 1;
-                add13(&mut acc[j], products.mid, false);
-                add13(&mut acc[j - 1], products.low, false);
-                if j + 1 < N {
-                    add13(&mut acc[j + 1], products.high, false);
-                } else {
-                    // Negacyclic wrap: position 256 folds to −acc[0].
-                    add13(&mut acc[0], products.high, true);
-                }
-            }
-        } else {
-            for dsp in &mut dsps {
-                dsp.tick();
+            let slot = issued_at % DSP_LATENCY;
+            let p = dsps.output().expect("a result emerges every retire cycle");
+            let batch = &sideband[slot * units..][..units];
+            // Entry `unit` came from slice `unit`: unit k of its bank.
+            for (bank, (p, side)) in p
+                .chunks_exact(DSP_COUNT)
+                .zip(batch.chunks_exact(DSP_COUNT))
+                .enumerate()
+            {
+                retire_bank(p, side, taps[slot * 2 + bank], &mut even, &mut odd);
             }
         }
         if issuing {
@@ -500,7 +499,94 @@ fn simulate(
         memory_overhead_cycles: 17 + 14 + 54,
     };
     debug_assert!(timeline.reconciles_with(report.total()));
-    (PolyQ::from_coeffs(acc), report, timeline)
+    let product = PolyQ::from_fn(|j| if j % 2 == 0 { even[j / 2] } else { odd[j / 2] });
+    (product, report, timeline)
+}
+
+/// Packs one bank's units for the broadcast outer pair `(a0, a1)`: unit
+/// `k` sits at odd position `j = 2k + 1` and reads lanes `2k` and
+/// `2k + 1` of the rotated secret `lanes` (`s0 = (σ·x)[j]`), and its
+/// split operands and side-band bits go to entry `k` of `a`, `b`, `c`
+/// and `sideband`.
+///
+/// [`pack`]'s checks (`a0, a1 < 2^13`, `|s| ≤ 4`) are folded over the
+/// bank and tested once, before any operand is formed; a rejected batch
+/// re-runs `pack` unit by unit to panic at the first offending unit.
+fn pack_bank(
+    a0: u16,
+    a1: u16,
+    lanes: &[i8; N],
+    a: &mut [i64],
+    b: &mut [i64],
+    c: &mut [i64],
+    sideband: &mut [u8],
+) {
+    let magnitudes = lanes.iter().fold(0u8, |max, s| max.max(s.unsigned_abs()));
+    if u32::from(a0.max(a1)) > MASK13 || magnitudes > MAX_PACKED_MAGNITUDE.unsigned_abs() {
+        // Rejected input only: locating the offender may branch.
+        for pair in lanes.chunks_exact(2) {
+            let _ = pack(a0, a1, pair[0], pair[1]);
+        }
+        unreachable!("pack accepted every unit of a rejected batch");
+    }
+    for ((((pair, a), b), c), side) in lanes.chunks_exact(2).zip(a).zip(b).zip(c).zip(sideband) {
+        let (s0, s1) = (pair[0], pair[1]);
+        let (packed_a, packed_s, plan) = pack_in_range(a0, a1, s0, s1);
+        (*a, *b, *c) = split_for_dsp(packed_a, packed_s);
+        *side = (u8::from(plan.invert_a0) * INVERT_A0)
+            | (u8::from(plan.negate_mid) * NEGATE_MID)
+            | (u8::from(plan.negate_outer) * NEGATE_OUTER)
+            | (u8::from(s0 == 0) * S0_MAG_ZERO)
+            | ((s1.unsigned_abs() & 1) * S1_MAG_LSB);
+    }
+}
+
+/// Unpacks one bank's retiring results and accumulates them: unit `k`'s
+/// middle field goes to odd position `2k + 1`, its low field to even
+/// position `2k` and its high field to even position `2k + 2`, where
+/// unit 127's position 256 folds to `−acc[0]` (negacyclic wrap).
+///
+/// The correction network ([`unpack`]) and the 13-bit adds are masks,
+/// not branches, so the pass has no branch per unit.
+#[inline(never)]
+fn retire_bank(
+    p: &[i64],
+    sideband: &[u8],
+    taps: PublicTaps,
+    even: &mut [u16; DSP_COUNT],
+    odd: &mut [u16; DSP_COUNT],
+) {
+    let mut high = [0u16; DSP_COUNT];
+    for ((((&p, &side), even), odd), high) in p
+        .iter()
+        .zip(sideband)
+        .zip(even.iter_mut())
+        .zip(odd.iter_mut())
+        .zip(&mut high)
+    {
+        let plan = SignPlan {
+            invert_a0: side & INVERT_A0 != 0,
+            negate_mid: side & NEGATE_MID != 0,
+            negate_outer: side & NEGATE_OUTER != 0,
+        };
+        let products = unpack(
+            p,
+            plan,
+            taps.a0_is_zero,
+            side & S0_MAG_ZERO != 0,
+            taps.a1_lsb,
+            u16::from(side & S1_MAG_LSB != 0),
+        );
+        *odd = add13(*odd, products.mid);
+        *even = add13(*even, products.low);
+        *high = products.high;
+    }
+    let wrapped = high[DSP_COUNT - 1];
+    for (even, &high) in even[1..].iter_mut().zip(&high) {
+        *even = add13(*even, high);
+    }
+    // Negacyclic wrap: position 256 folds to −acc[0].
+    even[0] = add13(even[0], 0u16.wrapping_sub(wrapped));
 }
 
 impl PolyMultiplier for DspPackedMultiplier {
@@ -536,18 +622,12 @@ impl PolyMultiplier for DspPackedMultiplier {
     }
 }
 
-// Accumulation in Z_{2^13}: both the negation (0 − v) and the running
-// sum deliberately wrap in u32 — the trailing `& MASK13` reduces every
-// intermediate exactly because 2^13 divides 2^32, so wrapped values are
-// congruent mod q.
-#[inline]
-fn add13(slot: &mut u16, value: u16, negate: bool) {
-    let v = if negate {
-        0u32.wrapping_sub(u32::from(value))
-    } else {
-        u32::from(value)
-    };
-    *slot = ((u32::from(*slot).wrapping_add(v)) & MASK13) as u16;
+/// `slot + value mod 2^13`; the `u16` sum wraps, and the mask reduces
+/// it exactly because 2^13 divides 2^16 (so a wrapped negation
+/// `0 − v` adds `−v`).
+#[inline(always)]
+fn add13(slot: u16, value: u16) -> u16 {
+    slot.wrapping_add(value) & MASK13 as u16
 }
 
 impl HwMultiplier for DspPackedMultiplier {
@@ -647,6 +727,53 @@ mod tests {
         let s = SecretPoly::from_fn(|i| (((i * 5) % 9) as i8) - 4);
         let mut hw = DspPackedMultiplier::new();
         assert_eq!(hw.multiply(&a, &s), schoolbook::mul_asym(&a, &s));
+    }
+
+    /// Both bank counts against schoolbook: seeded random operands, and
+    /// saturated ones (every public coefficient 8191, secrets at ±4 in
+    /// every sign pattern of neighbouring lanes, where the middle sums
+    /// overflow their field and the borrows fire).
+    #[test]
+    fn both_bank_counts_match_schoolbook_on_random_and_saturated_operands() {
+        let mut cases = Vec::new();
+        for mut rng in saber_testkit::cases(8) {
+            let a = PolyQ::from_fn(|_| rng.range_i64(0, 8191) as u16);
+            let s = SecretPoly::from_fn(|_| rng.range_i64(-4, 4) as i8);
+            cases.push((a, s));
+        }
+        let full = PolyQ::from_fn(|_| 8191);
+        for pattern in 0..4usize {
+            let s = SecretPoly::from_fn(|i| {
+                let negative = (pattern >> (i % 2)) & 1 == 1;
+                if negative {
+                    -4
+                } else {
+                    4
+                }
+            });
+            cases.push((full.clone(), s));
+        }
+        cases.push((full.clone(), SecretPoly::from_fn(|i| [4, -4, 0, 3][i % 4])));
+        for (a, s) in &cases {
+            let expected = schoolbook::mul_asym(a, s);
+            for dsps in [128, 256] {
+                let mut hw = DspPackedMultiplier::with_dsps(dsps);
+                assert_eq!(hw.multiply(a, s), expected, "{dsps} DSPs");
+            }
+        }
+    }
+
+    /// `pack`'s magnitude check, folded over a bank, still panics with
+    /// its message when one unit mid-bank carries a 5.
+    #[test]
+    #[should_panic(expected = "exceeds the 15-bit packing budget")]
+    fn pack_bank_rejects_a_wide_secret_mid_bank() {
+        let mut lanes = [1i8; N];
+        lanes[155] = -5; // unit 77's s1
+        let mut ports = [[0i64; DSP_COUNT]; 3];
+        let mut sideband = [0u8; DSP_COUNT];
+        let [a, b, c] = &mut ports;
+        pack_bank(17, 42, &lanes, a, b, c, &mut sideband);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! resident between the multiplications of an inner product); the
 //! [`saber_hw::CycleReport`] carries both numbers.
 
-use saber_hw::mac::{baseline_mac, multiples, select_multiple};
+use saber_hw::mac::{baseline_mac, multiples, select_multiple, MAX_MULTIPLE};
 use saber_hw::{Activity, Area, CycleReport};
 use saber_ring::{PolyQ, SecretPoly, N};
 use saber_trace::CycleTimeline;
@@ -162,27 +162,30 @@ impl ComputeKernel {
     /// clones and copies nothing per cycle. The RTL's physical rotation,
     /// this window and the lane-by-lane `rotated` read identical
     /// values.
+    ///
+    /// Each unrolled public coefficient updates all `N` MACs in one call
+    /// to the style's lane function (`centralized_lanes` or
+    /// `baseline_lanes`), whose range checks are folded across the lanes
+    /// and tested once.
+    ///
+    /// # Panics
+    ///
+    /// As [`select_multiple`] (HS-I) or [`baseline_mac`] (baseline) on
+    /// the first lane whose operands they reject.
     pub fn step(&mut self) -> bool {
         if self.is_done() {
             return false;
         }
         for r in self.i..self.i + self.unroll {
-            let lanes = &self.ext[N - r..2 * N - r];
+            let lanes: &[i8; N] = self.ext[N - r..2 * N - r]
+                .try_into()
+                .expect("a rotation window holds N lanes");
             match self.style {
+                // One shared multiple set per unrolled public coefficient.
                 MacStyle::Centralized => {
-                    // One shared multiple set per unrolled public
-                    // coefficient.
-                    let m = multiples(self.a.coeff(r));
-                    for (slot, &sel) in self.acc.iter_mut().zip(lanes) {
-                        *slot = select_multiple(&m, sel, *slot);
-                    }
+                    centralized_lanes(&multiples(self.a.coeff(r)), lanes, &mut self.acc);
                 }
-                MacStyle::PerMac => {
-                    let ai = self.a.coeff(r);
-                    for (slot, &sel) in self.acc.iter_mut().zip(lanes) {
-                        *slot = baseline_mac(ai, sel, *slot);
-                    }
-                }
+                MacStyle::PerMac => baseline_lanes(self.a.coeff(r), lanes, &mut self.acc),
             }
         }
         self.i += self.unroll;
@@ -195,6 +198,113 @@ impl ComputeKernel {
     pub fn product(&self) -> PolyQ {
         PolyQ::from_coeffs(self.acc)
     }
+}
+
+/// 13-bit coefficient mask.
+const MASK13: u16 = (1 << 13) - 1;
+
+/// HS-I's `N` selector MACs in one compute cycle: lane `j` selects
+/// `m[|sel[j]|]` from the broadcast multiple set and adds it to, or
+/// subtracts it from, `acc[j]`.
+///
+/// The lane body is [`select_lane`], the AND-OR form of the mux that
+/// [`select_multiple`] reads as a table lookup. The range checks of
+/// `select_multiple` (`|s| ≤ 5`, `acc < 2^13`) are folded across the
+/// lanes into a maximum and an OR and tested once, before any lane is
+/// written, so neither loop has a branch and LLVM vectorizes both; out
+/// of line, the update compiles to packed compares, ANDs, ORs and adds
+/// (`tools/ci.sh build` audits the adds). Only a rejected cycle takes
+/// the scalar path, which updates the lanes before the offending one
+/// and panics there, as the lane-by-lane loop did.
+///
+/// # Panics
+///
+/// With `select_multiple`'s message on the first lane where
+/// `|sel[j]| > 5` or `acc[j] ≥ 2^13`.
+#[inline(never)]
+fn centralized_lanes(m: &[u16; 6], sel: &[i8; N], acc: &mut [u16; N]) {
+    let mut magnitudes = 0u8;
+    let mut accumulators = 0u16;
+    for (&slot, &s) in acc.iter().zip(sel) {
+        magnitudes = magnitudes.max(s.unsigned_abs());
+        accumulators |= slot;
+    }
+    if magnitudes > MAX_MULTIPLE || accumulators > MASK13 {
+        // Rejected input only: locating the offender may branch.
+        for (slot, &s) in acc.iter_mut().zip(sel) {
+            *slot = select_multiple(m, s, *slot);
+        }
+        unreachable!("select_multiple accepted every lane of a rejected cycle");
+    }
+    for (slot, &s) in acc.iter_mut().zip(sel) {
+        *slot = select_lane(m, s, *slot);
+    }
+}
+
+/// The baseline's `N` MACs in one compute cycle: every lane multiplies
+/// the broadcast public coefficient `a` by `|sel[j]|` in its own
+/// Algorithm 2 shift-and-add unit and accumulates the signed product.
+///
+/// The lane body is [`shift_add_lane`]. As in [`centralized_lanes`],
+/// the checks of [`baseline_mac`] (`a < 2^13`, `|s| ≤ 5`) are folded and
+/// tested once per call before any lane is written, and a rejected
+/// cycle re-runs `baseline_mac` lane by lane to panic at the first
+/// offending lane.
+///
+/// # Panics
+///
+/// With `baseline_mac`'s message if `a ≥ 2^13` or on the first lane
+/// where `|sel[j]| > 5`.
+#[inline(never)]
+fn baseline_lanes(a: u16, sel: &[i8; N], acc: &mut [u16; N]) {
+    let magnitudes = sel.iter().fold(0u8, |max, s| max.max(s.unsigned_abs()));
+    if a > MASK13 || magnitudes > MAX_MULTIPLE {
+        // Rejected input only: locating the offender may branch.
+        for (slot, &s) in acc.iter_mut().zip(sel) {
+            *slot = baseline_mac(a, s, *slot);
+        }
+        unreachable!("baseline_mac accepted every lane of a rejected cycle");
+    }
+    for (slot, &s) in acc.iter_mut().zip(sel) {
+        *slot = shift_add_lane(a, s, *slot);
+    }
+}
+
+/// One HS-I MAC on operands [`centralized_lanes`] has range-checked: an
+/// AND-OR mux over the six multiples (each input gated by an equality
+/// mask on `|s|`), then the sign-masked add or subtract.
+#[inline(always)]
+fn select_lane(m: &[u16; 6], s: i8, acc: u16) -> u16 {
+    let magnitude = u16::from(s.unsigned_abs());
+    let mut chosen = 0u16;
+    for (k, &multiple) in (0u16..).zip(m) {
+        chosen |= multiple & 0u16.wrapping_sub(u16::from(magnitude == k));
+    }
+    accumulate_signed(acc, chosen, s)
+}
+
+/// One baseline MAC on operands [`baseline_lanes`] has range-checked:
+/// Algorithm 2's shift-and-add, `a`, `a ≪ 1` and `a ≪ 2` each gated by
+/// one bit of `|s|` (so `r3 = a + (a ≪ 1)` and `r5 = a + (a ≪ 2)`), then
+/// the sign-masked add or subtract.
+#[inline(always)]
+fn shift_add_lane(a: u16, s: i8, acc: u16) -> u16 {
+    let magnitude = u16::from(s.unsigned_abs());
+    let bit = |k: u32| 0u16.wrapping_sub((magnitude >> k) & 1);
+    let product = (a & bit(0))
+        .wrapping_add((a << 1) & bit(1))
+        .wrapping_add((a << 2) & bit(2));
+    accumulate_signed(acc, product, s)
+}
+
+/// `acc ± m mod 2^13` in `u16` lanes, subtracting when `s < 0`: `neg`
+/// is all ones for a negative selector and `(m ^ neg) − neg` is then
+/// `−m`; the wrapping arithmetic is exact mod 2^13 because 2^13
+/// divides 2^16.
+#[inline(always)]
+fn accumulate_signed(acc: u16, m: u16, s: i8) -> u16 {
+    let neg = (i16::from(s) >> 15) as u16;
+    acc.wrapping_add((m ^ neg).wrapping_sub(neg)) & MASK13
 }
 
 /// Coefficient `j` of the rotated secret `x^r · s` — what the hardware's
@@ -269,6 +379,95 @@ mod tests {
                 assert_eq!(lane, rotated(&s, r, j), "r = {r}, j = {j}");
             }
         }
+    }
+
+    /// Every lane of a call against its scalar MAC: every 13-bit public
+    /// coefficient, every selector in −5..=5 (each lane's selector is
+    /// `lane mod 11 − 5`, so every selector sits on 23 or 24 lanes) and
+    /// the accumulator values {0, 1, 0x1000, 0x1fff}.
+    #[test]
+    fn lane_functions_equal_their_scalar_macs_exhaustively() {
+        let sel: [i8; N] = std::array::from_fn(|j| (j % 11) as i8 - 5);
+        for a in 0u16..1 << 13 {
+            let m = multiples(a);
+            for start in [0u16, 1, 0x1000, 0x1fff] {
+                let mut centralized = [start; N];
+                centralized_lanes(&m, &sel, &mut centralized);
+                let mut baseline = [start; N];
+                baseline_lanes(a, &sel, &mut baseline);
+                for (j, &s) in sel.iter().enumerate() {
+                    assert_eq!(
+                        centralized[j],
+                        select_multiple(&m, s, start),
+                        "HS-I: a = {a}, s = {s}, acc = {start}"
+                    );
+                    assert_eq!(
+                        baseline[j],
+                        baseline_mac(a, s, start),
+                        "baseline: a = {a}, s = {s}, acc = {start}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Runs `f` on `acc` and returns its panic message and what it left
+    /// in `acc`.
+    fn panic_and_state(mut acc: [u16; N], f: impl FnOnce(&mut [u16; N])) -> (String, [u16; N]) {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut acc)));
+        let payload = caught.expect_err("the call must panic");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload");
+        (message, acc)
+    }
+
+    /// A violation planted mid-cycle raises the scalar MAC's message and
+    /// leaves the lanes before it updated and the rest untouched, as
+    /// the lane-by-lane loop did.
+    #[test]
+    fn planted_violations_mid_cycle_panic_as_the_scalar_macs_do() {
+        let m = multiples(1234);
+        let legal: [i8; N] = std::array::from_fn(|j| (j % 9) as i8 - 4);
+        let start: [u16; N] = std::array::from_fn(|j| (j as u16 * 37) & 0x1fff);
+        let lane_by_lane = |sel: [i8; N], mac: &dyn Fn(i8, u16) -> u16| {
+            panic_and_state(start, |acc| {
+                for (slot, &s) in acc.iter_mut().zip(&sel) {
+                    *slot = mac(s, *slot);
+                }
+            })
+        };
+
+        let mut sel = legal;
+        sel[137] = -6;
+        let got = panic_and_state(start, |acc| centralized_lanes(&m, &sel, acc));
+        assert_eq!(got.0, "selector exceeds range");
+        assert_eq!(
+            got,
+            lane_by_lane(sel, &|s, acc| select_multiple(&m, s, acc))
+        );
+        assert_eq!(got.1[137..], start[137..]);
+        assert_ne!(got.1[..137], start[..137]);
+
+        let got = panic_and_state(start, |acc| baseline_lanes(1234, &sel, acc));
+        assert_eq!(got.0, "selector exceeds Algorithm 2 range");
+        assert_eq!(got, lane_by_lane(sel, &|s, acc| baseline_mac(1234, s, acc)));
+
+        let mut wide = start;
+        wide[200] = 1 << 13;
+        let got = panic_and_state(wide, |acc| centralized_lanes(&m, &legal, acc));
+        assert_eq!(got.0, "accumulator exceeds 13 bits");
+        let reference = panic_and_state(wide, |acc| {
+            for (slot, &s) in acc.iter_mut().zip(&legal) {
+                *slot = select_multiple(&m, s, *slot);
+            }
+        });
+        assert_eq!(got, reference);
+
+        let got = panic_and_state(start, |acc| baseline_lanes(1 << 13, &legal, acc));
+        assert_eq!(got, (String::from("operand exceeds 13 bits"), start));
     }
 
     #[test]

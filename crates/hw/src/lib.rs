@@ -8,9 +8,10 @@
 //! * [`bram::Bram`] — 64-bit synchronous RAM with **one read and one
 //!   write port** (the bottleneck that shapes the lightweight multiplier
 //!   of §4);
-//! * [`dsp::Dsp48`] — the 27×18 + 48-bit DSP48E2 slice with its 3-stage
-//!   pipeline and strict operand-width checks (the constraints behind the
-//!   HS-II packing of §3.2);
+//! * [`dsp::DspBank`] — DSP48E2 slices on one clock (27×18 multiplier,
+//!   48-bit post-adder, 3-stage pipeline) with strict operand-width
+//!   checks (the constraints behind the HS-II packing of §3.2), modelled
+//!   structure-of-arrays so one pass serves every slice of the bank;
 //! * [`mac`] — the Algorithm-2 shift-and-add multiplier and the
 //!   centralized-multiple MAC of §3.1;
 //! * [`area`] — the analytical LUT/FF/DSP model replacing Vivado
@@ -52,7 +53,7 @@ pub mod sampler;
 
 pub use area::Area;
 pub use bram::Bram;
-pub use dsp::Dsp48;
+pub use dsp::DspBank;
 pub use keccak_core::KeccakCore;
 pub use platform::{CriticalPath, Fpga};
 pub use power::{Activity, PowerModel, PowerReport};

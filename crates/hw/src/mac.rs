@@ -8,10 +8,16 @@
 //!   per public coefficient ([`multiples`]) and each MAC only selects and
 //!   accumulates ([`select_multiple`]);
 //! * the **DSP MAC** of HS-II — lives in `saber-core::dsp_packed`, built
-//!   on [`crate::dsp::Dsp48`].
+//!   on [`crate::dsp::DspBank`].
 //!
 //! All functions here are *combinational* (pure): sequencing is the
-//! architecture's job.
+//! architecture's job. Each checks its operands' widths and panics on a
+//! violation. These scalar forms are the reference for every MAC in the
+//! workspace: LW's four MACs call them directly, while the 256-lane
+//! datapaths of the baseline and HS-I (`saber-core::engine`) run the
+//! same selection and shift-and-add as branch-free lane loops that test
+//! these checks once per cycle, folded over the lanes, and fall back to
+//! the functions here to raise a violation on the lane that caused it.
 
 use crate::area::{self, Area};
 

@@ -6,7 +6,7 @@
 //! harness (the offline replacement for proptest).
 
 use saber_hw::bram::{Bram, PortKind};
-use saber_hw::dsp::Dsp48;
+use saber_hw::dsp::DspBank;
 use saber_hw::mac::{multiples, select_multiple};
 use saber_hw::platform::{CriticalPath, Fpga};
 use saber_hw::power::{Activity, PowerModel};
@@ -64,7 +64,8 @@ fn conflicting_streams_are_detected() {
 fn bram_to_dsp_pipeline() {
     let mut mem = Bram::new(4);
     mem.preload(0, &[123, 456]);
-    let mut dsp = Dsp48::new(2);
+    // One slice: a one-lane bank.
+    let mut dsp = DspBank::new(1, 2);
 
     mem.issue_read(0).unwrap();
     mem.tick();
@@ -73,11 +74,11 @@ fn bram_to_dsp_pipeline() {
     mem.tick();
     let b = mem.read_data().unwrap() as i64;
 
-    dsp.issue(a, b, 7).unwrap();
+    dsp.issue(&[a], &[b], &[7]).unwrap();
     dsp.tick();
     assert_eq!(dsp.output(), None);
     dsp.tick();
-    assert_eq!(dsp.output(), Some(123 * 456 + 7));
+    assert_eq!(dsp.output(), Some(&[123 * 456 + 7][..]));
 }
 
 /// The centralized-MAC broadcast works for a full 256-lane row.
@@ -128,10 +129,15 @@ fn dsp_computes_any_legal_operands() {
         let a = rng.range_i64(-(1i64 << 26), (1i64 << 26) - 1);
         let b = rng.range_i64(-(1i64 << 17), (1i64 << 17) - 1);
         let c = rng.range_i64(-(1i64 << 40), (1i64 << 40) - 1);
-        let mut dsp = Dsp48::new(1);
-        dsp.issue(a, b, c).unwrap();
+        let mut dsp = DspBank::new(1, 1);
+        dsp.issue(&[a], &[b], &[c]).unwrap();
         dsp.tick();
-        assert_eq!(dsp.output(), Some(a * b + c), "case seed {}", rng.seed());
+        assert_eq!(
+            dsp.output(),
+            Some(&[a * b + c][..]),
+            "case seed {}",
+            rng.seed()
+        );
     }
 }
 

@@ -27,7 +27,7 @@ use std::fmt;
 use saber_keccak::{Sha3_256, Sha3_512, Shake256};
 use saber_ring::PolyMultiplier;
 
-use crate::expand::MatrixCache;
+use crate::expand::{gen_matrix, MatrixCache};
 use crate::params::SaberParams;
 use crate::pke::{self, Ciphertext, CpaSecretKey, PublicKey};
 use crate::serialize;
@@ -228,15 +228,15 @@ fn final_key(khat: &[u8; 32], ct_bytes: &[u8]) -> SharedSecret {
 ///
 /// `entropy` is the caller-supplied randomness; it is hashed before use
 /// (`m = SHA3-256(entropy)`) exactly as the spec hashes the sampled
-/// message to de-bias it. Expands `A` afresh: this is
-/// [`encaps_cached`] with an empty cache.
+/// message to de-bias it. Expands `A` with [`gen_matrix`] and hashes
+/// `pk` afresh; the output is byte-identical to [`encaps_cached`]'s.
 #[must_use]
 pub fn encaps<M: PolyMultiplier + ?Sized>(
     pk: &PublicKey,
     entropy: &[u8; 32],
     backend: &mut M,
 ) -> (Ciphertext, SharedSecret) {
-    encaps_cached(pk, entropy, &mut MatrixCache::new(), backend)
+    encaps_with(pk, entropy, None, backend)
 }
 
 /// [`encaps`] taking `pk`'s matrix `A` and its hash `H(pk)` from
@@ -249,8 +249,26 @@ pub fn encaps_cached<M: PolyMultiplier + ?Sized>(
     matrices: &mut MatrixCache,
     backend: &mut M,
 ) -> (Ciphertext, SharedSecret) {
+    encaps_with(pk, entropy, Some(matrices), backend)
+}
+
+/// The one encapsulation body: `A` and `H(pk)` from `matrices` when
+/// given, otherwise expanded and hashed for this call alone.
+fn encaps_with<M: PolyMultiplier + ?Sized>(
+    pk: &PublicKey,
+    entropy: &[u8; 32],
+    matrices: Option<&mut MatrixCache>,
+    backend: &mut M,
+) -> (Ciphertext, SharedSecret) {
     let _span = saber_trace::span("kem", "kem.encaps");
-    let (a, pk_hash) = matrices.matrix_and_hash(pk);
+    let expanded;
+    let (a, pk_hash) = match matrices {
+        Some(matrices) => matrices.matrix_and_hash(pk),
+        None => {
+            expanded = gen_matrix(&pk.seed_a, &pk.params);
+            (&expanded, hash_public_key(pk))
+        }
+    };
     let m = {
         let _hash = saber_trace::span("kem", "hash");
         Sha3_256::digest(entropy)
@@ -263,15 +281,15 @@ pub fn encaps_cached<M: PolyMultiplier + ?Sized>(
 
 /// Decapsulation with implicit rejection: an invalid ciphertext yields a
 /// pseudorandom secret derived from `z` instead of an error. Expands `A`
-/// afresh for the re-encryption: this is [`decaps_cached`] with an empty
-/// cache.
+/// afresh for the re-encryption ([`pke::encrypt`]); the output is
+/// byte-identical to [`decaps_cached`]'s.
 #[must_use]
 pub fn decaps<M: PolyMultiplier + ?Sized>(
     sk: &KemSecretKey,
     ct: &Ciphertext,
     backend: &mut M,
 ) -> SharedSecret {
-    decaps_cached(sk, ct, &mut MatrixCache::new(), backend)
+    decaps_with(sk, ct, None, backend)
 }
 
 /// [`decaps`] taking the re-encryption's matrix `A` from `matrices`,
@@ -286,10 +304,25 @@ pub fn decaps_cached<M: PolyMultiplier + ?Sized>(
     matrices: &mut MatrixCache,
     backend: &mut M,
 ) -> SharedSecret {
+    decaps_with(sk, ct, Some(matrices), backend)
+}
+
+/// The one decapsulation body: the re-encryption takes `A` from
+/// `matrices` when given, otherwise expands it for this call alone.
+fn decaps_with<M: PolyMultiplier + ?Sized>(
+    sk: &KemSecretKey,
+    ct: &Ciphertext,
+    matrices: Option<&mut MatrixCache>,
+    backend: &mut M,
+) -> SharedSecret {
     let _span = saber_trace::span("kem", "kem.decaps");
     let m_prime = pke::decrypt(&sk.cpa, ct, backend);
     let (khat_prime, coins_prime) = g_split(&sk.pk_hash, &m_prime);
-    let ct_prime = pke::encrypt_cached(&sk.public_key, &m_prime, &coins_prime, matrices, backend);
+    let pk = &sk.public_key;
+    let ct_prime = match matrices {
+        Some(matrices) => pke::encrypt_cached(pk, &m_prime, &coins_prime, matrices, backend),
+        None => pke::encrypt(pk, &m_prime, &coins_prime, backend),
+    };
     let ct_bytes = serialize::ciphertext_to_bytes(ct, sk.params());
     // FO re-encryption check in constant time: a short-circuiting `==`
     // would leak how long a forged ciphertext's matching prefix is.

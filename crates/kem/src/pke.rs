@@ -155,8 +155,9 @@ pub fn keygen<M: PolyMultiplier + ?Sized>(
 }
 
 /// IND-CPA encryption of a 32-byte message with explicit coins
-/// (Algorithm 18), expanding `A` from `pk.seed_a` afresh: this is
-/// [`encrypt_cached`] with an empty cache.
+/// (Algorithm 18), expanding `A` from `pk.seed_a` afresh with
+/// [`gen_matrix`]; the ciphertext is byte-identical to
+/// [`encrypt_cached`]'s.
 #[must_use]
 pub fn encrypt<M: PolyMultiplier + ?Sized>(
     pk: &PublicKey,
@@ -164,7 +165,8 @@ pub fn encrypt<M: PolyMultiplier + ?Sized>(
     coins: &[u8; 32],
     backend: &mut M,
 ) -> Ciphertext {
-    encrypt_cached(pk, message, coins, &mut MatrixCache::new(), backend)
+    let a = gen_matrix(&pk.seed_a, &pk.params);
+    encrypt_with_matrix(pk, &a, message, coins, backend)
 }
 
 /// [`encrypt`] taking `A` from `matrices`, which looks it up by the

@@ -134,8 +134,12 @@ pub fn pack_bits_into(values: &[u16], bits: u32, out: &mut [u8]) {
             .expect("an oversized value was flagged");
         panic!("value {v} exceeds {bits} bits");
     }
-    // Saber's two hot widths get copies with constant shifts.
+    // Saber's widths get copies with constant shifts (see `unpack_bits_into`).
     match bits {
+        3 => pack_groups(values, 3, out),
+        4 => pack_groups(values, 4, out),
+        6 => pack_groups(values, 6, out),
+        8 => pack_groups(values, 8, out),
         10 => pack_groups(values, 10, out),
         13 => pack_groups(values, 13, out),
         _ => pack_groups(values, bits as usize, out),
@@ -174,7 +178,14 @@ pub fn unpack_bits_into(bytes: &[u8], bits: u32, out: &mut [u16]) {
         needed_bits,
         bytes.len() * 8
     );
+    // Saber's widths get copies with constant shifts: ε_q = 13 and
+    // ε_p = 10, the secret sampler's µ = 10, 8, 6, and the c_m widths
+    // ε_T = 3, 4, 6.
     match bits {
+        3 => unpack_groups(bytes, 3, out),
+        4 => unpack_groups(bytes, 4, out),
+        6 => unpack_groups(bytes, 6, out),
+        8 => unpack_groups(bytes, 8, out),
         10 => unpack_groups(bytes, 10, out),
         13 => unpack_groups(bytes, 13, out),
         _ => unpack_groups(bytes, bits as usize, out),

@@ -94,6 +94,27 @@ if want build; then
             echo "ci: saber_ring::ct::wide::limb_product in $rlib is not vectorized across output lanes" >&2
             exit 1
         fi
+        # The cycle models' lane passes are baseline x86-64 code whose
+        # per-lane checks are folded, so LLVM vectorizes them: each must
+        # add in packed SSE2 lanes (`padd*` on xmm). The folded checks
+        # themselves compile to packed max/OR without an add, so a
+        # per-lane `assert!` put back into a lane loop leaves it scalar
+        # and fails here while every test still passes.
+        for lane_pass in saber_core::engine::centralized_lanes saber_core::engine::baseline_lanes \
+            saber_core::dsp_packed::retire_bank saber_hw::dsp::p_registers; do
+            crate=${lane_pass%%::*}
+            echo "==> codegen audit: $lane_pass"
+            rlib=$(ls -t "${CARGO_TARGET_DIR:-target}"/release/deps/lib"$crate"-*.rlib | head -n 1)
+            body=$(objdump -d -C --no-show-raw-insn "$rlib" |
+                awk -v sym="<$lane_pass>:" '$2 == sym { on = 1; next } on && /^$/ { exit } on')
+            adds=$(printf '%s\n' "$body" | grep -cE '[[:space:]]padd[bwdq][[:space:]].*%xmm' || true)
+            packed=$(printf '%s\n' "$body" | grep -cE '[[:space:]]p[a-z]+[[:space:]].*%xmm' || true)
+            echo "    $adds packed adds, $packed packed integer ops"
+            if [ "$adds" -eq 0 ]; then
+                echo "ci: $lane_pass in $rlib does not run in packed lanes" >&2
+                exit 1
+            fi
+        done
     fi
 fi
 
