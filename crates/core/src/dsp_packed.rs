@@ -51,6 +51,7 @@ use saber_hw::{Activity, CycleReport};
 use saber_ring::{PolyMultiplier, PolyQ, SecretPoly, N};
 
 use crate::engine::negacyclic_extension;
+use crate::fault::{Fault, NO_DEFECT};
 use crate::report::{ArchitectureReport, HwMultiplier};
 
 /// Packing offset: coefficient pairs are packed 15 bits apart.
@@ -177,6 +178,24 @@ pub fn unpack(
     a1_lsb: u16,
     s1_mag_lsb: u16,
 ) -> UnpackedProducts {
+    unpack_seeded::<NO_DEFECT>(p, plan, a0_is_zero, s0_mag_is_zero, a1_lsb, s1_mag_lsb)
+}
+
+/// [`unpack`] with the correction network seeded with `DEFECT`: a
+/// [`Fault`] as `u8`, or [`NO_DEFECT`]. `HsIICarryFixDropped` leaves the
+/// third field unrepaired; `HsIIBorrowRepairDropped` is the network the
+/// paper's text spells out, with no borrow repair and a fixed −1 step.
+#[inline]
+pub(crate) fn unpack_seeded<const DEFECT: u8>(
+    p: i64,
+    plan: SignPlan,
+    a0_is_zero: bool,
+    s0_mag_is_zero: bool,
+    a1_lsb: u16,
+    s1_mag_lsb: u16,
+) -> UnpackedProducts {
+    let repairs_borrows = DEFECT != Fault::HsIIBorrowRepairDropped as u8;
+    let repairs_carries = DEFECT != Fault::HsIICarryFixDropped as u8;
     let r0 = (p & MASK15) as u32;
     let r1 = ((p >> PACK_SHIFT) & MASK15) as u32;
     let r2 = ((p >> (2 * PACK_SHIFT)) & i64::from(MASK13)) as u32;
@@ -184,7 +203,7 @@ pub fn unpack(
     // Borrow repair: the low field a0·s0 is negative exactly when a0 was
     // negated and neither operand is zero; its borrow stole 1 from the
     // middle field.
-    let borrow = u32::from(plan.invert_a0 & !a0_is_zero & !s0_mag_is_zero);
+    let borrow = u32::from(repairs_borrows & plan.invert_a0 & !a0_is_zero & !s0_mag_is_zero);
     let r1 = (r1 + borrow) & MASK15 as u32;
     // Carry/borrow repair on the third field via the paper's LSB check:
     // the true LSB of a1·|s1| is a1[0] & s1[0]. Coherent middle sums can
@@ -194,8 +213,8 @@ pub fn unpack(
     // wraps to q − 1 under the mask (the field is a residue mod
     // q = 2^13, not a count).
     let expected_lsb = u32::from(a1_lsb & s1_mag_lsb & 1);
-    let mismatch = 0u32.wrapping_sub((r2 & 1) ^ expected_lsb);
-    let step = (u32::from(plan.invert_a0) << 1).wrapping_sub(1);
+    let mismatch = 0u32.wrapping_sub(((r2 & 1) ^ expected_lsb) & u32::from(repairs_carries));
+    let step = (u32::from(repairs_borrows & plan.invert_a0) << 1).wrapping_sub(1);
     let r2 = r2.wrapping_add(mismatch & step) & MASK13;
 
     UnpackedProducts {
@@ -223,7 +242,8 @@ fn negate_if(v: u32, negate: bool) -> u16 {
 /// counts how many operand combinations this version gets wrong (mixed
 /// sign pairs with borrows across the packed fields), demonstrating that
 /// the fabricated RTL necessarily contains the full network even though
-/// the author's version only describes the carry case.
+/// the author's version only describes the carry case. It is [`unpack`]
+/// as the `HsIIBorrowRepairDropped` mutant runs it.
 #[must_use]
 pub fn unpack_paper_text_only(
     p: i64,
@@ -231,29 +251,10 @@ pub fn unpack_paper_text_only(
     a1_lsb: u16,
     s1_mag_lsb: u16,
 ) -> UnpackedProducts {
-    let r0 = (p & MASK15) as u32;
-    let r1 = ((p >> PACK_SHIFT) & MASK15) as u32;
-    let mut r2 = ((p >> (2 * PACK_SHIFT)) & i64::from(MASK13)) as u32;
-    let expected_lsb = u32::from(a1_lsb & s1_mag_lsb & 1);
-    if (r2 & 1) != expected_lsb {
-        // "subtract one if not [correct]" — the only fix the text gives.
-        // Decrement mod 2^13 (wrap-then-mask, as in `unpack`).
-        r2 = r2.wrapping_sub(1) & MASK13;
-    }
-    let fix_sign = |v: u32, negate: bool| -> u16 {
-        let v = v & MASK13;
-        if negate {
-            // Negation mod 2^13 (wrap-then-mask, as in `unpack`).
-            (0u32.wrapping_sub(v) & MASK13) as u16
-        } else {
-            v as u16
-        }
-    };
-    UnpackedProducts {
-        low: fix_sign(r0, plan.negate_outer),
-        mid: fix_sign(r1, plan.negate_mid),
-        high: fix_sign(r2, plan.negate_outer),
-    }
+    // The zero taps feed only the borrow repair this network leaves out.
+    unpack_seeded::<{ Fault::HsIIBorrowRepairDropped as u8 }>(
+        p, plan, false, false, a1_lsb, s1_mag_lsb,
+    )
 }
 
 /// Reference for the packed datapath: what the three fields *should* be.
@@ -307,7 +308,6 @@ pub struct DspPackedMultiplier {
     last_cycles: CycleReport,
     last_timeline: Option<saber_trace::CycleTimeline>,
     activity: Activity,
-    multiplications: u64,
 }
 
 /// Number of DSP-MAC units per bank (one unit per odd accumulator
@@ -342,7 +342,6 @@ impl DspPackedMultiplier {
             last_cycles: CycleReport::default(),
             last_timeline: None,
             activity: Activity::default(),
-            multiplications: 0,
         }
     }
 
@@ -386,20 +385,24 @@ impl Default for DspPackedMultiplier {
 /// once, folded over the bank's lanes.
 ///
 /// The rotating secret buffer is modelled as a logical rotation (a
-/// window of the negacyclic extension, whose lanes are what
-/// `engine::rotated` returns), so no per-cycle clone/shift of the
-/// secret is needed; the side-band ring holds `DSP_LATENCY` batches,
+/// window of the negacyclic extension), so no per-cycle clone/shift of
+/// the secret is needed; the side-band ring holds `DSP_LATENCY` batches,
 /// one entry per unit each, overwritten in place every issue cycle. The
 /// accumulator is kept as its even and odd positions, so that a unit's
 /// three fields land on three contiguous runs, and interleaved into the
 /// product at the end.
+///
+/// `DEFECT` is a [`Fault`] as `u8`, or [`NO_DEFECT`]. The correction
+/// faults live in [`unpack_seeded`]; `HsIIPipelineSkew` retires each
+/// batch with the side-band bits and [`PublicTaps`] of the batch issued
+/// after it, and skips the last batch, whose partner was never issued.
 ///
 /// # Panics
 ///
 /// Panics unless `banks` is 1 or 2, or if the secret contains a
 /// coefficient of magnitude 5 (LightSaber); the 15-bit packing of §3.2
 /// requires |s| ≤ 4.
-fn simulate(
+pub(crate) fn simulate<const DEFECT: u8>(
     public: &PolyQ,
     secret: &SecretPoly,
     banks: usize,
@@ -411,7 +414,8 @@ fn simulate(
         secret.max_magnitude()
     );
     let units = DSP_COUNT * banks;
-    let ext = negacyclic_extension(secret);
+    let skew = usize::from(DEFECT == Fault::HsIIPipelineSkew as u8);
+    let ext = negacyclic_extension::<NO_DEFECT>(secret);
     let mut dsps = DspBank::new(units, DSP_LATENCY);
     // The operands presented to the bank's A, B and C ports this cycle.
     let mut ports = vec![0i64; 3 * units];
@@ -468,9 +472,9 @@ fn simulate(
         dsps.tick();
         let retiring = (cycle + 1)
             .checked_sub(DSP_LATENCY)
-            .filter(|&issued_at| issued_at < issue_cycles);
+            .filter(|&issued_at| issued_at + skew < issue_cycles);
         if let Some(issued_at) = retiring {
-            let slot = issued_at % DSP_LATENCY;
+            let slot = (issued_at + skew) % DSP_LATENCY;
             let p = dsps.output().expect("a result emerges every retire cycle");
             let batch = &sideband[slot * units..][..units];
             // Entry `unit` came from slice `unit`: unit k of its bank.
@@ -479,7 +483,7 @@ fn simulate(
                 .zip(batch.chunks_exact(DSP_COUNT))
                 .enumerate()
             {
-                retire_bank(p, side, taps[slot * 2 + bank], &mut even, &mut odd);
+                retire_bank::<DEFECT>(p, side, taps[slot * 2 + bank], &mut even, &mut odd);
             }
         }
         if issuing {
@@ -549,7 +553,7 @@ fn pack_bank(
 /// The correction network ([`unpack`]) and the 13-bit adds are masks,
 /// not branches, so the pass has no branch per unit.
 #[inline(never)]
-fn retire_bank(
+fn retire_bank<const DEFECT: u8>(
     p: &[i64],
     sideband: &[u8],
     taps: PublicTaps,
@@ -569,7 +573,7 @@ fn retire_bank(
             negate_mid: side & NEGATE_MID != 0,
             negate_outer: side & NEGATE_OUTER != 0,
         };
-        let products = unpack(
+        let products = unpack_seeded::<DEFECT>(
             p,
             plan,
             taps.a0_is_zero,
@@ -595,7 +599,7 @@ impl PolyMultiplier for DspPackedMultiplier {
     /// Panics if the secret contains a coefficient of magnitude 5
     /// (LightSaber); the 15-bit packing of §3.2 requires |s| ≤ 4.
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        let (product, cycles, timeline) = simulate(public, secret, self.banks);
+        let (product, cycles, timeline) = simulate::<NO_DEFECT>(public, secret, self.banks);
 
         let area = self.area();
         self.last_cycles = cycles;
@@ -609,7 +613,6 @@ impl PolyMultiplier for DspPackedMultiplier {
             active_ffs: u64::from(area.ffs),
             dsp_ops: (N as u64 / 2) * DSP_COUNT as u64, // total ops independent of banking
         });
-        self.multiplications += 1;
         product
     }
 

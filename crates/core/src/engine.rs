@@ -30,6 +30,8 @@ use saber_hw::{Activity, Area, CycleReport};
 use saber_ring::{PolyQ, SecretPoly, N};
 use saber_trace::CycleTimeline;
 
+use crate::fault::{Fault, NO_DEFECT};
+
 /// Where the coefficient multiplier lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacStyle {
@@ -65,17 +67,28 @@ pub fn simulate(
     macs: usize,
     style: MacStyle,
 ) -> (PolyQ, CycleReport, Activity, CycleTimeline) {
+    simulate_seeded::<NO_DEFECT>(a, s, macs, style)
+}
+
+/// [`simulate`] with the compute kernel seeded with `DEFECT`: a
+/// [`Fault`] as `u8`, or [`NO_DEFECT`].
+pub(crate) fn simulate_seeded<const DEFECT: u8>(
+    a: &PolyQ,
+    s: &SecretPoly,
+    macs: usize,
+    style: MacStyle,
+) -> (PolyQ, CycleReport, Activity, CycleTimeline) {
     let track = match style {
         MacStyle::PerMac => format!("baseline-{macs}"),
         MacStyle::Centralized => format!("hs1-{macs}"),
     };
-    let mut kernel = ComputeKernel::new(a, s, macs, style);
+    let mut kernel = ComputeKernel::new_seeded::<DEFECT>(a, s, macs, style);
     let mut timeline = CycleTimeline::new(track, macs as u64);
     timeline.push_phase("secret_load", SECRET_LOAD_CYCLES, 0);
     timeline.push_phase("public_preload", PUBLIC_PRELOAD_CYCLES, 0);
     let mut compute_cycles = 0u64;
     while !kernel.is_done() {
-        kernel.step();
+        kernel.step_seeded::<DEFECT>();
         compute_cycles += 1;
         // Every MAC retires one coefficient product this cycle.
         timeline.push_phase("compute", 1, macs as u64);
@@ -132,13 +145,24 @@ impl ComputeKernel {
     /// Panics if `macs` is not 256, 512 or 1024.
     #[must_use]
     pub fn new(a: &PolyQ, s: &SecretPoly, macs: usize, style: MacStyle) -> Self {
+        Self::new_seeded::<NO_DEFECT>(a, s, macs, style)
+    }
+
+    /// [`new`](Self::new) for a kernel seeded with `DEFECT`, which every
+    /// [`step_seeded`](Self::step_seeded) call on it must pass too.
+    pub(crate) fn new_seeded<const DEFECT: u8>(
+        a: &PolyQ,
+        s: &SecretPoly,
+        macs: usize,
+        style: MacStyle,
+    ) -> Self {
         assert!(
             matches!(macs, 256 | 512 | 1024),
             "engine supports 256, 512 or 1024 MACs"
         );
         Self {
             a: a.clone(),
-            ext: negacyclic_extension(s),
+            ext: negacyclic_extension::<DEFECT>(s),
             style,
             unroll: macs / N,
             acc: [0u16; N],
@@ -159,9 +183,9 @@ impl ComputeKernel {
     /// buffer is modelled as a *logical* rotation — the `N` lanes of the
     /// secret rotated by `x^r` are one contiguous window of the
     /// negacyclic extension built at construction — so the simulation
-    /// clones and copies nothing per cycle. The RTL's physical rotation,
-    /// this window and the lane-by-lane `rotated` read identical
-    /// values.
+    /// clones and copies nothing per cycle. The RTL's physical rotation
+    /// and this window read identical values (a unit test checks every
+    /// window against a lane-by-lane reference).
     ///
     /// Each unrolled public coefficient updates all `N` MACs in one call
     /// to the style's lane function (`centralized_lanes` or
@@ -173,6 +197,12 @@ impl ComputeKernel {
     /// As [`select_multiple`] (HS-I) or [`baseline_mac`] (baseline) on
     /// the first lane whose operands they reject.
     pub fn step(&mut self) -> bool {
+        self.step_seeded::<NO_DEFECT>()
+    }
+
+    /// [`step`](Self::step) on a kernel built by
+    /// [`new_seeded`](Self::new_seeded) with the same `DEFECT`.
+    pub(crate) fn step_seeded<const DEFECT: u8>(&mut self) -> bool {
         if self.is_done() {
             return false;
         }
@@ -183,7 +213,7 @@ impl ComputeKernel {
             match self.style {
                 // One shared multiple set per unrolled public coefficient.
                 MacStyle::Centralized => {
-                    centralized_lanes(&multiples(self.a.coeff(r)), lanes, &mut self.acc);
+                    centralized_lanes::<DEFECT>(&multiples(self.a.coeff(r)), lanes, &mut self.acc);
                 }
                 MacStyle::PerMac => baseline_lanes(self.a.coeff(r), lanes, &mut self.acc),
             }
@@ -222,7 +252,7 @@ const MASK13: u16 = (1 << 13) - 1;
 /// With `select_multiple`'s message on the first lane where
 /// `|sel[j]| > 5` or `acc[j] ≥ 2^13`.
 #[inline(never)]
-fn centralized_lanes(m: &[u16; 6], sel: &[i8; N], acc: &mut [u16; N]) {
+fn centralized_lanes<const DEFECT: u8>(m: &[u16; 6], sel: &[i8; N], acc: &mut [u16; N]) {
     let mut magnitudes = 0u8;
     let mut accumulators = 0u16;
     for (&slot, &s) in acc.iter().zip(sel) {
@@ -237,7 +267,7 @@ fn centralized_lanes(m: &[u16; 6], sel: &[i8; N], acc: &mut [u16; N]) {
         unreachable!("select_multiple accepted every lane of a rejected cycle");
     }
     for (slot, &s) in acc.iter_mut().zip(sel) {
-        *slot = select_lane(m, s, *slot);
+        *slot = select_lane::<DEFECT>(m, s, *slot);
     }
 }
 
@@ -274,8 +304,10 @@ fn baseline_lanes(a: u16, sel: &[i8; N], acc: &mut [u16; N]) {
 /// AND-OR mux over the six multiples (each input gated by an equality
 /// mask on `|s|`), then the sign-masked add or subtract.
 #[inline(always)]
-fn select_lane(m: &[u16; 6], s: i8, acc: u16) -> u16 {
-    let magnitude = u16::from(s.unsigned_abs());
+fn select_lane<const DEFECT: u8>(m: &[u16; 6], s: i8, acc: u16) -> u16 {
+    // `HsIMuxSelectFlip` inverts the select line's LSB (`|s| ⊕ 1`).
+    let flip = u16::from(DEFECT == Fault::HsIMuxSelectFlip as u8);
+    let magnitude = u16::from(s.unsigned_abs()) ^ flip;
     let mut chosen = 0u16;
     for (k, &multiple) in (0u16..).zip(m) {
         chosen |= multiple & 0u16.wrapping_sub(u16::from(magnitude == k));
@@ -307,35 +339,21 @@ fn accumulate_signed(acc: u16, m: u16, s: i8) -> u16 {
     acc.wrapping_add((m ^ neg).wrapping_sub(neg)) & MASK13
 }
 
-/// Coefficient `j` of the rotated secret `x^r · s` — what the hardware's
-/// physically rotating secret buffer holds in lane `j` after `r` shifts.
-///
-/// The rotation group has order `2N` (`x^256 = −1`, `x^512 = 1`): indices
-/// that wrap past the top re-enter negated. This lane-by-lane form is the
-/// reference the fault mutants replay; the simulators read the same
-/// values from [`negacyclic_extension`].
-#[inline]
-pub(crate) fn rotated(s: &SecretPoly, r: usize, j: usize) -> i8 {
-    let t = (j + 2 * N - (r % (2 * N))) % (2 * N);
-    if t < N {
-        s.coeff(t)
-    } else {
-        // Negacyclic wrap: x^256 = −1.
-        -s.coeff(t - N)
-    }
-}
-
 /// The secret's negacyclic extension `[−s, s]`, built once per
 /// multiplication: for `0 ≤ r ≤ N`, lane `j` of the rotated secret
 /// `x^r · s` is `ext[N + j − r]`, so all `N` lanes of one rotation are
-/// the contiguous window `ext[N − r..2N − r]` — the values [`rotated`]
-/// computes one lane at a time.
-pub(crate) fn negacyclic_extension(s: &SecretPoly) -> [i8; 2 * N] {
+/// the contiguous window `ext[N − r..2N − r]` — what the hardware's
+/// physically rotating secret buffer holds after `r` shifts.
+///
+/// A buffer seeded with `HsIRotationSignDropped` re-enters wrapped
+/// coefficients un-negated and builds `[s, s]`.
+pub(crate) fn negacyclic_extension<const DEFECT: u8>(s: &SecretPoly) -> [i8; 2 * N] {
+    let sign_dropped = DEFECT == Fault::HsIRotationSignDropped as u8;
     let mut ext = [0i8; 2 * N];
     let (wrapped, direct) = ext.split_at_mut(N);
     for ((w, d), &c) in wrapped.iter_mut().zip(direct).zip(s.coeffs()) {
         // Negacyclic wrap: x^256 = −1.
-        *w = -c;
+        *w = if sign_dropped { c } else { -c };
         *d = c;
     }
     ext
@@ -369,10 +387,24 @@ mod tests {
         )
     }
 
+    /// Coefficient `j` of the rotated secret `x^r · s`, one lane at a
+    /// time: the rotation group has order `2N` (`x^256 = −1`,
+    /// `x^512 = 1`), so indices that wrap past the top re-enter negated.
+    /// The reference the extension's windows are tested against.
+    fn rotated(s: &SecretPoly, r: usize, j: usize) -> i8 {
+        let t = (j + 2 * N - (r % (2 * N))) % (2 * N);
+        if t < N {
+            s.coeff(t)
+        } else {
+            // Negacyclic wrap: x^256 = −1.
+            -s.coeff(t - N)
+        }
+    }
+
     #[test]
     fn negacyclic_extension_windows_equal_rotated_lanes() {
         let s = SecretPoly::from_fn(|i| ((((i as u32 + 1) * 37) % 11) as i8) - 5);
-        let ext = negacyclic_extension(&s);
+        let ext = negacyclic_extension::<NO_DEFECT>(&s);
         for r in 0..=N {
             let window = &ext[N - r..2 * N - r];
             for (j, &lane) in window.iter().enumerate() {
@@ -392,7 +424,7 @@ mod tests {
             let m = multiples(a);
             for start in [0u16, 1, 0x1000, 0x1fff] {
                 let mut centralized = [start; N];
-                centralized_lanes(&m, &sel, &mut centralized);
+                centralized_lanes::<NO_DEFECT>(&m, &sel, &mut centralized);
                 let mut baseline = [start; N];
                 baseline_lanes(a, &sel, &mut baseline);
                 for (j, &s) in sel.iter().enumerate() {
@@ -442,7 +474,7 @@ mod tests {
 
         let mut sel = legal;
         sel[137] = -6;
-        let got = panic_and_state(start, |acc| centralized_lanes(&m, &sel, acc));
+        let got = panic_and_state(start, |acc| centralized_lanes::<NO_DEFECT>(&m, &sel, acc));
         assert_eq!(got.0, "selector exceeds range");
         assert_eq!(
             got,
@@ -457,7 +489,7 @@ mod tests {
 
         let mut wide = start;
         wide[200] = 1 << 13;
-        let got = panic_and_state(wide, |acc| centralized_lanes(&m, &legal, acc));
+        let got = panic_and_state(wide, |acc| centralized_lanes::<NO_DEFECT>(&m, &legal, acc));
         assert_eq!(got.0, "accumulator exceeds 13 bits");
         let reference = panic_and_state(wide, |acc| {
             for (slot, &s) in acc.iter_mut().zip(&legal) {

@@ -5,18 +5,21 @@
 //! fails when the hardware is wrong. This module provides a catalogue of
 //! single-point faults — each one a realistic bug in an HS-I, HS-II or
 //! LW datapath — and a [`FaultyMultiplier`] that runs the affected
-//! dataflow with exactly that fault seeded. The `saber-verify`
+//! model with exactly that fault seeded. The `saber-verify`
 //! differential fuzzer is required (and CI-gated) to detect **every**
 //! variant: a mutation-style check proving the test corpus exercises the
 //! sign handling, the negacyclic wrap, the HS-II carry/borrow correction
 //! network and the DSP pipeline alignment, rather than merely passing on
 //! easy inputs.
 //!
-//! The mutants replay the *functional* dataflow of their parent
-//! architecture (same operand walk, same packing, same correction
-//! network) with one deviation; cycle accounting is not simulated — a
-//! seeded fault is about computing the wrong product, not the wrong
-//! cycle count.
+//! The mutants are the shipped models, not copies of them: HS-I 256
+//! (`engine::simulate`), one-bank HS-II (`dsp_packed::simulate`) and LW
+//! (`lightweight::simulate`) each take a compile-time defect parameter,
+//! `Fault as u8` for a mutant and `NO_DEFECT` for the shipped
+//! multipliers, and the seeded code is the shipped code everywhere but
+//! at the defect. A mutant runs its model's whole cycle schedule: a
+//! seeded fault computes the wrong product in the right number of
+//! cycles.
 //!
 //! # Examples
 //!
@@ -30,15 +33,18 @@
 //! assert_ne!(mutant.multiply(&a, &s), schoolbook::mul_asym(&a, &s));
 //! ```
 
-use saber_hw::mac::multiples;
+use saber_hw::CycleReport;
 use saber_ring::ct::{self, portable as kernel};
 use saber_ring::{PolyMultiplier, PolyQ, SecretPoly, N};
+use saber_trace::CycleTimeline;
 
-use crate::dsp_packed::{self, pack, SignPlan, MAX_PACKED_MAGNITUDE, PACK_SHIFT};
-use crate::engine::rotated;
+use crate::dsp_packed::{self, MAX_PACKED_MAGNITUDE};
+use crate::engine::{self, MacStyle};
+use crate::lightweight;
 
-const MASK13: u32 = (1 << 13) - 1;
-const MASK15: i64 = (1 << 15) - 1;
+/// The defect parameter of the shipped models: no fault seeded. A
+/// mutant passes its [`Fault`] as `u8` instead.
+pub(crate) const NO_DEFECT: u8 = u8::MAX;
 
 /// The catalogue of seeded single-point faults.
 ///
@@ -146,21 +152,41 @@ impl PolyMultiplier for FaultyMultiplier {
     /// The HS-II mutants panic, like their parent, on secrets with
     /// |s| > 4 (see [`Fault::secret_bound`]).
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        match self.fault {
-            Fault::HsIMuxSelectFlip => hs1_mux_select_flip(public, secret),
-            Fault::HsIRotationSignDropped => hs1_rotation_sign_dropped(public, secret),
-            Fault::HsIICarryFixDropped => hs2_with_unpack(public, secret, unpack_no_correction),
-            Fault::HsIIBorrowRepairDropped => hs2_with_unpack(public, secret, |p, plan, info| {
-                dsp_packed::unpack_paper_text_only(p, plan, info.a1_lsb, info.s1_mag_lsb)
-            }),
-            Fault::HsIIPipelineSkew => hs2_pipeline_skew(public, secret),
-            Fault::LwWrapSignDropped => lw_wrap_sign_dropped(public, secret),
-            Fault::LwSecretSignIgnored => lw_secret_sign_ignored(public, secret),
-        }
+        run_seeded(self.fault, public, secret).0
     }
 
     fn name(&self) -> &str {
         &self.name
+    }
+}
+
+/// A seeded model run: the product, cycle report and timeline.
+type SeededRun = (PolyQ, CycleReport, CycleTimeline);
+
+/// Runs the model `fault` lives in — HS-I 256, HS-II on one bank, or
+/// LW — with `fault` seeded.
+fn run_seeded(fault: Fault, public: &PolyQ, secret: &SecretPoly) -> SeededRun {
+    use Fault::*;
+    fn hs_i<const DEFECT: u8>(a: &PolyQ, s: &SecretPoly) -> SeededRun {
+        let (product, cycles, _, timeline) =
+            engine::simulate_seeded::<DEFECT>(a, s, 256, MacStyle::Centralized);
+        (product, cycles, timeline)
+    }
+    fn hs_ii<const DEFECT: u8>(a: &PolyQ, s: &SecretPoly) -> SeededRun {
+        dsp_packed::simulate::<DEFECT>(a, s, 1)
+    }
+    fn lw<const DEFECT: u8>(a: &PolyQ, s: &SecretPoly) -> SeededRun {
+        let (product, cycles, _, timeline) = lightweight::simulate::<DEFECT>(a, s);
+        (product, cycles, timeline)
+    }
+    match fault {
+        HsIMuxSelectFlip => hs_i::<{ HsIMuxSelectFlip as u8 }>(public, secret),
+        HsIRotationSignDropped => hs_i::<{ HsIRotationSignDropped as u8 }>(public, secret),
+        HsIICarryFixDropped => hs_ii::<{ HsIICarryFixDropped as u8 }>(public, secret),
+        HsIIBorrowRepairDropped => hs_ii::<{ HsIIBorrowRepairDropped as u8 }>(public, secret),
+        HsIIPipelineSkew => hs_ii::<{ HsIIPipelineSkew as u8 }>(public, secret),
+        LwWrapSignDropped => lw::<{ LwWrapSignDropped as u8 }>(public, secret),
+        LwSecretSignIgnored => lw::<{ LwSecretSignIgnored as u8 }>(public, secret),
     }
 }
 
@@ -310,212 +336,10 @@ fn ct_sign_branch(public: &PolyQ, secret: &SecretPoly) -> PolyQ {
     })
 }
 
-fn add13(slot: &mut u16, value: u32, negate: bool) {
-    let v = if negate {
-        0u32.wrapping_sub(value)
-    } else {
-        value
-    };
-    *slot = (u32::from(*slot).wrapping_add(v) & MASK13) as u16;
-}
-
-/// HS-I dataflow with the select LSB inverted: lane `j` reads
-/// `multiples[|s| ⊕ 1]` but keeps the correct sign.
-fn hs1_mux_select_flip(a: &PolyQ, s: &SecretPoly) -> PolyQ {
-    let mut acc = [0u16; N];
-    for i in 0..N {
-        let m = multiples(a.coeff(i));
-        for (j, slot) in acc.iter_mut().enumerate() {
-            let sel = rotated(s, i, j);
-            let value = u32::from(m[(sel.unsigned_abs() ^ 1) as usize]);
-            add13(slot, value, sel < 0);
-        }
-    }
-    PolyQ::from_coeffs(acc)
-}
-
-/// HS-I dataflow where the rotating secret buffer re-enters coefficients
-/// *un*-negated past the wrap (`x^256 = +1`).
-fn hs1_rotation_sign_dropped(a: &PolyQ, s: &SecretPoly) -> PolyQ {
-    let mut acc = [0u16; N];
-    for i in 0..N {
-        let m = multiples(a.coeff(i));
-        for (j, slot) in acc.iter_mut().enumerate() {
-            let t = (j + 2 * N - (i % (2 * N))) % (2 * N);
-            // Fault: both halves of the rotation group read positively.
-            let sel = if t < N { s.coeff(t) } else { s.coeff(t - N) };
-            let value = u32::from(m[sel.unsigned_abs() as usize]);
-            add13(slot, value, sel < 0);
-        }
-    }
-    PolyQ::from_coeffs(acc)
-}
-
-/// Side-band metadata of one packed HS-II operation (mirror of the
-/// parent's in-flight record).
-#[derive(Clone, Copy)]
-struct PackedInfo {
-    a0_is_zero: bool,
-    s0_mag_is_zero: bool,
-    a1_lsb: u16,
-    s1_mag_lsb: u16,
-}
-
-/// The §3.2 unpack with the third-field LSB correction removed entirely
-/// (the borrow repair on the middle field is kept — this isolates the
-/// carry fix).
-fn unpack_no_correction(p: i64, plan: SignPlan, info: PackedInfo) -> dsp_packed::UnpackedProducts {
-    let r0 = (p & MASK15) as u32;
-    let mut r1 = ((p >> PACK_SHIFT) & MASK15) as u32;
-    let r2 = ((p >> (2 * PACK_SHIFT)) & i64::from(MASK13)) as u32;
-    if plan.invert_a0 && !info.a0_is_zero && !info.s0_mag_is_zero {
-        r1 = (r1 + 1) & MASK15 as u32;
-    }
-    let fix_sign = |v: u32, negate: bool| -> u16 {
-        let v = v & MASK13;
-        if negate {
-            (0u32.wrapping_sub(v) & MASK13) as u16
-        } else {
-            v as u16
-        }
-    };
-    dsp_packed::UnpackedProducts {
-        low: fix_sign(r0, plan.negate_outer),
-        mid: fix_sign(r1, plan.negate_mid),
-        high: fix_sign(r2, plan.negate_outer),
-    }
-}
-
-/// Replays the HS-II packed dataflow (same operand walk as the parent's
-/// single-bank schedule) with `unpack` swapped for a faulted variant.
-fn hs2_with_unpack<F>(a: &PolyQ, s: &SecretPoly, unpack: F) -> PolyQ
-where
-    F: Fn(i64, SignPlan, PackedInfo) -> dsp_packed::UnpackedProducts,
-{
-    assert!(
-        s.max_magnitude() <= MAX_PACKED_MAGNITUDE,
-        "HS-II packing requires |s| ≤ 4"
-    );
-    let mut acc = [0u16; N];
-    let mut outer = 0usize;
-    while outer < N {
-        let a0 = a.coeff(outer);
-        let a1 = a.coeff(outer + 1);
-        for k in 0..N / 2 {
-            let j = 2 * k + 1;
-            let s1 = rotated(s, outer, j);
-            let s0 = rotated(s, outer, j - 1);
-            let (pa, ps, plan) = pack(a0, a1, s0, s1);
-            let p = dsp_product(pa, ps);
-            let info = PackedInfo {
-                a0_is_zero: a0 == 0,
-                s0_mag_is_zero: s0 == 0,
-                a1_lsb: a1 & 1,
-                s1_mag_lsb: u16::from(s1.unsigned_abs()) & 1,
-            };
-            let products = unpack(p, plan, info);
-            accumulate_packed(&mut acc, j, products);
-        }
-        outer += 2;
-    }
-    PolyQ::from_coeffs(acc)
-}
-
-/// HS-II with the metadata ring skewed one slot: the DSP result of issue
-/// `t` is unpacked with the side-band signals of issue `t + 1` (the last
-/// issue's result is dropped, as a real one-slot skew would).
-fn hs2_pipeline_skew(a: &PolyQ, s: &SecretPoly) -> PolyQ {
-    assert!(
-        s.max_magnitude() <= MAX_PACKED_MAGNITUDE,
-        "HS-II packing requires |s| ≤ 4"
-    );
-    let units = N / 2;
-    let mut acc = [0u16; N];
-    let mut prev: Vec<Option<i64>> = vec![None; units];
-    let mut outer = 0usize;
-    while outer < N {
-        let a0 = a.coeff(outer);
-        let a1 = a.coeff(outer + 1);
-        for (k, prev_slot) in prev.iter_mut().enumerate() {
-            let j = 2 * k + 1;
-            let s1 = rotated(s, outer, j);
-            let s0 = rotated(s, outer, j - 1);
-            let (pa, ps, plan) = pack(a0, a1, s0, s1);
-            let p_now = dsp_product(pa, ps);
-            // Fault: this issue's metadata meets the previous issue's
-            // product emerging from the pipeline.
-            if let Some(p_old) = prev_slot.replace(p_now) {
-                let products = dsp_packed::unpack(
-                    p_old,
-                    plan,
-                    a0 == 0,
-                    s0 == 0,
-                    a1 & 1,
-                    u16::from(s1.unsigned_abs()) & 1,
-                );
-                accumulate_packed(&mut acc, j, products);
-            }
-        }
-        outer += 2;
-    }
-    PolyQ::from_coeffs(acc)
-}
-
-/// What the DSP computes for one packed pair: the 26×17 unsigned product
-/// plus the small-multiplier C-port contribution.
-fn dsp_product(packed_a: i64, packed_s: i64) -> i64 {
-    let (a_lo, s_lo, c) = dsp_packed::split_for_dsp(packed_a, packed_s);
-    a_lo * s_lo + c
-}
-
-/// Routes the three unpacked fields into the accumulator exactly as the
-/// parent does (odd position `j`, neighbours `j ± 1`, negacyclic fold at
-/// the top).
-fn accumulate_packed(acc: &mut [u16; N], j: usize, products: dsp_packed::UnpackedProducts) {
-    add13(&mut acc[j], u32::from(products.mid), false);
-    add13(&mut acc[j - 1], u32::from(products.low), false);
-    if j + 1 < N {
-        add13(&mut acc[j + 1], u32::from(products.high), false);
-    } else {
-        add13(&mut acc[0], u32::from(products.high), true);
-    }
-}
-
-/// LW dataflow with the wrap comparator removed: selectors past the wrap
-/// keep their positive sign.
-fn lw_wrap_sign_dropped(a: &PolyQ, s: &SecretPoly) -> PolyQ {
-    let mut acc = [0u16; N];
-    for i in 0..N {
-        let m = multiples(a.coeff(i));
-        for k in 0..N {
-            let pos = (i + k) % N;
-            // Fault: `wraps` is never consulted.
-            let sel = s.coeff(k);
-            let value = u32::from(m[sel.unsigned_abs() as usize]);
-            add13(&mut acc[pos], value, sel < 0);
-        }
-    }
-    PolyQ::from_coeffs(acc)
-}
-
-/// LW dataflow with the MAC's add/sub line stuck at *add*.
-fn lw_secret_sign_ignored(a: &PolyQ, s: &SecretPoly) -> PolyQ {
-    let mut acc = [0u16; N];
-    for i in 0..N {
-        let m = multiples(a.coeff(i));
-        for k in 0..N {
-            let pos = (i + k) % N;
-            let sel = s.coeff(k);
-            let value = u32::from(m[sel.unsigned_abs() as usize]);
-            add13(&mut acc[pos], value, false);
-        }
-    }
-    PolyQ::from_coeffs(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CentralizedMultiplier, DspPackedMultiplier, HwMultiplier, LightweightMultiplier};
     use saber_ring::schoolbook;
 
     fn operands(bound: i8) -> (PolyQ, SecretPoly) {
@@ -570,18 +394,39 @@ mod tests {
         // faulted unpack is indistinguishable there, which is exactly
         // why the corpus needs max-magnitude and sign-boundary cases.
         let (a0, a1, s0, s1) = (6u16, 5u16, 2i8, 3i8);
-        let (pa, ps, plan) = pack(a0, a1, s0, s1);
-        let p = dsp_product(pa, ps);
-        let info = PackedInfo {
-            a0_is_zero: false,
-            s0_mag_is_zero: false,
-            a1_lsb: a1 & 1,
-            s1_mag_lsb: u16::from(s1.unsigned_abs()) & 1,
-        };
+        let (pa, ps, plan) = dsp_packed::pack(a0, a1, s0, s1);
+        let (a_lo, s_lo, c) = dsp_packed::split_for_dsp(pa, ps);
+        let (a1_lsb, s1_lsb) = (a1 & 1, u16::from(s1.unsigned_abs()) & 1);
+        let unpack = dsp_packed::unpack_seeded::<{ Fault::HsIICarryFixDropped as u8 }>;
         assert_eq!(
-            unpack_no_correction(p, plan, info),
+            unpack(a_lo * s_lo + c, plan, false, false, a1_lsb, s1_lsb),
             dsp_packed::expected_products(a0, a1, s0, s1)
         );
+    }
+
+    /// A seeded fault changes the product, never the schedule: each
+    /// mutant's cycle report and timeline (track, phases, counters)
+    /// equal its shipped model's on the same operands.
+    #[test]
+    fn every_mutant_runs_the_shipped_schedule() {
+        for fault in Fault::ALL {
+            let (a, s) = operands(fault.secret_bound().min(4));
+            let (_, cycles, timeline) = run_seeded(fault, &a, &s);
+            let mut shipped: Box<dyn HwMultiplier> = match fault {
+                Fault::HsIMuxSelectFlip | Fault::HsIRotationSignDropped => {
+                    Box::new(CentralizedMultiplier::new(256))
+                }
+                Fault::HsIICarryFixDropped
+                | Fault::HsIIBorrowRepairDropped
+                | Fault::HsIIPipelineSkew => Box::new(DspPackedMultiplier::new()),
+                Fault::LwWrapSignDropped | Fault::LwSecretSignIgnored => {
+                    Box::new(LightweightMultiplier::new())
+                }
+            };
+            let _ = shipped.multiply(&a, &s);
+            assert_eq!(cycles, shipped.report().cycles, "{fault:?}");
+            assert_eq!(Some(&timeline), shipped.timeline(), "{fault:?}");
+        }
     }
 
     #[test]

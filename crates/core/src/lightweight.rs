@@ -42,6 +42,7 @@ use saber_hw::platform::{CriticalPath, Fpga};
 use saber_hw::{Activity, Area, Bram, CycleReport};
 use saber_ring::{packing, PolyMultiplier, PolyQ, SecretPoly, N};
 
+use crate::fault::{Fault, NO_DEFECT};
 use crate::report::{ArchitectureReport, HwMultiplier};
 
 /// Number of MAC units.
@@ -139,10 +140,14 @@ impl LightweightMultiplier {
 /// them before starting the multiplier, and those transfers belong to
 /// the caller, exactly as in the paper's accounting.
 ///
+/// `DEFECT` is a [`Fault`] as `u8`, or [`NO_DEFECT`]:
+/// `LwWrapSignDropped` removes the wrap comparator and
+/// `LwSecretSignIgnored` sticks the MAC's sign line at *add*.
+///
 /// # Panics
 ///
 /// Panics if the modeled schedule ever double-books a BRAM port.
-fn simulate(
+pub(crate) fn simulate<const DEFECT: u8>(
     a: &PolyQ,
     s: &SecretPoly,
 ) -> (
@@ -151,6 +156,8 @@ fn simulate(
     saber_hw::bram::BramStats,
     saber_trace::CycleTimeline,
 ) {
+    let has_wrap_comparator = DEFECT != Fault::LwWrapSignDropped as u8;
+    let sign_stuck_at_add = DEFECT == Fault::LwSecretSignIgnored as u8;
     let mut mem = Bram::new(ACC_BASE + ACC_WORDS);
     mem.preload(PUB_BASE, &packing::poly13_to_words(a));
     mem.preload(SEC_BASE, &packing::secret_to_words(s));
@@ -237,8 +244,13 @@ fn simulate(
                     let pos = (i + k) % N;
                     // Past x^255 the product re-enters negated: the wrap
                     // comparator drives the selector's sign line.
-                    let wrap = -i8::from(i + k >= N);
+                    let wrap = -i8::from(has_wrap_comparator && i + k >= N);
                     let selector = (block_secrets[4 * g + t] ^ wrap).wrapping_sub(wrap);
+                    let selector = if sign_stuck_at_add {
+                        selector.abs()
+                    } else {
+                        selector
+                    };
                     acc[pos] = select_multiple(&m, selector, acc[pos]);
                 }
                 compute_cycles += 1;
@@ -300,7 +312,7 @@ impl Default for LightweightMultiplier {
 
 impl PolyMultiplier for LightweightMultiplier {
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
-        let (product, cycles, stats, timeline) = simulate(public, secret);
+        let (product, cycles, stats, timeline) = simulate::<NO_DEFECT>(public, secret);
         let area = self.area();
         let activity = Activity {
             cycles: stats.cycles,

@@ -99,19 +99,32 @@ if want build; then
         # add in packed SSE2 lanes (`padd*` on xmm). The folded checks
         # themselves compile to packed max/OR without an add, so a
         # per-lane `assert!` put back into a lane loop leaves it scalar
-        # and fails here while every test still passes.
+        # and fails here while every test still passes. A lane pass that
+        # takes the seeded-fault parameter has one instance per defect it
+        # is built with, and legacy mangling prints them all under one
+        # name, so every instance is audited.
         for lane_pass in saber_core::engine::centralized_lanes saber_core::engine::baseline_lanes \
             saber_core::dsp_packed::retire_bank saber_hw::dsp::p_registers; do
             crate=${lane_pass%%::*}
             echo "==> codegen audit: $lane_pass"
             rlib=$(ls -t "${CARGO_TARGET_DIR:-target}"/release/deps/lib"$crate"-*.rlib | head -n 1)
-            body=$(objdump -d -C --no-show-raw-insn "$rlib" |
-                awk -v sym="<$lane_pass>:" '$2 == sym { on = 1; next } on && /^$/ { exit } on')
-            adds=$(printf '%s\n' "$body" | grep -cE '[[:space:]]padd[bwdq][[:space:]].*%xmm' || true)
-            packed=$(printf '%s\n' "$body" | grep -cE '[[:space:]]p[a-z]+[[:space:]].*%xmm' || true)
-            echo "    $adds packed adds, $packed packed integer ops"
-            if [ "$adds" -eq 0 ]; then
-                echo "ci: $lane_pass in $rlib does not run in packed lanes" >&2
+            # One "adds packed" line per instance.
+            counts=$(objdump -d -C --no-show-raw-insn "$rlib" |
+                awk -v sym="<$lane_pass>:" '
+                    $2 == sym { on = 1; n++; adds[n] = 0; packed[n] = 0; next }
+                    on && /^$/ { on = 0; next }
+                    on && /[[:space:]]padd[bwdq][[:space:]].*%xmm/ { adds[n]++ }
+                    on && /[[:space:]]p[a-z]+[[:space:]].*%xmm/ { packed[n]++ }
+                    END { for (i = 1; i <= n; i++) print adds[i], packed[i] }')
+            instances=$(printf '%s' "$counts" | grep -c . || true)
+            echo "    $instances instances (packed adds, packed integer ops):" \
+                "$(printf '%s' "$counts" | tr ' \n' '/ ' | sed 's/ *$//')"
+            if [ "$instances" -eq 0 ]; then
+                echo "ci: $lane_pass not found in $rlib" >&2
+                exit 1
+            fi
+            if printf '%s\n' "$counts" | grep -q '^0 '; then
+                echo "ci: an instance of $lane_pass in $rlib does not run in packed lanes" >&2
                 exit 1
             fi
         done
