@@ -138,12 +138,6 @@ impl FaultyMultiplier {
             name: format!("mutant: {}", fault.label()),
         }
     }
-
-    /// The seeded fault.
-    #[must_use]
-    pub fn fault(&self) -> Fault {
-        self.fault
-    }
 }
 
 impl PolyMultiplier for FaultyMultiplier {
@@ -250,12 +244,6 @@ impl TimingLeakMultiplier {
             fault,
             name: format!("timing mutant: {}", fault.label()),
         }
-    }
-
-    /// The seeded timing fault.
-    #[must_use]
-    pub fn fault(&self) -> TimingFault {
-        self.fault
     }
 }
 

@@ -32,12 +32,13 @@
 //! scheduler is not published — see EXPERIMENTS.md), with the memory
 //! overhead below 16 % of the total, matching §4.1's characterization.
 //!
-//! The simulator splits timing from data in the standard way: port
-//! arbitration, stalls and latencies are simulated exactly against the
-//! BRAM model, while MAC results are applied functionally (the dataflow
-//! equivalence is verified against the schoolbook oracle on every run).
+//! The accumulator is the BRAM's own words (coefficient `4w + t` in bits
+//! `16t..16t + 13` of word `w`): a compute cycle's four MACs are one
+//! update of the two-word window at field offset `i mod 4`, and each cycle
+//! writes a word back through the BRAM model. The words are not read back.
 
-use saber_hw::mac::{multiples, select_multiple};
+use saber_hw::bram::BramStats;
+use saber_hw::mac::MAX_MULTIPLE;
 use saber_hw::platform::{CriticalPath, Fpga};
 use saber_hw::{Activity, Area, Bram, CycleReport};
 use saber_ring::{packing, PolyMultiplier, PolyQ, SecretPoly, N};
@@ -62,6 +63,9 @@ const SEC_WORDS: usize = 16;
 pub(crate) const ACC_BASE: usize = SEC_BASE + SEC_WORDS;
 pub(crate) const ACC_WORDS: usize = 64; // 256 coefficients, 4 × 16-bit fields per word
 
+/// The 13-bit coefficient in each 16-bit field of an accumulator word.
+const FIELDS13: u64 = 0x1fff_1fff_1fff_1fff;
+
 /// The lightweight multiplier.
 ///
 /// # Examples
@@ -79,7 +83,7 @@ pub(crate) const ACC_WORDS: usize = 64; // 256 coefficients, 4 × 16-bit fields 
 /// assert_eq!(r.cycles.compute_cycles, 16_384);
 /// assert!(r.cycles.total() < 20_000);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LightweightMultiplier {
     last_cycles: CycleReport,
     last_timeline: Option<saber_trace::CycleTimeline>,
@@ -91,12 +95,7 @@ impl LightweightMultiplier {
     /// Creates the 4-MAC architecture.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            last_cycles: CycleReport::default(),
-            last_timeline: None,
-            activity: Activity::default(),
-            multiplications: 0,
-        }
+        Self::default()
     }
 
     /// Multiplications simulated so far.
@@ -150,18 +149,11 @@ impl LightweightMultiplier {
 pub(crate) fn simulate<const DEFECT: u8>(
     a: &PolyQ,
     s: &SecretPoly,
-) -> (
-    PolyQ,
-    CycleReport,
-    saber_hw::bram::BramStats,
-    saber_trace::CycleTimeline,
-) {
-    let has_wrap_comparator = DEFECT != Fault::LwWrapSignDropped as u8;
-    let sign_stuck_at_add = DEFECT == Fault::LwSecretSignIgnored as u8;
+) -> (PolyQ, CycleReport, BramStats, saber_trace::CycleTimeline) {
     let mut mem = Bram::new(ACC_BASE + ACC_WORDS);
     mem.preload(PUB_BASE, &packing::poly13_to_words(a));
     mem.preload(SEC_BASE, &packing::secret_to_words(s));
-    let mut acc = [0u16; N];
+    let mut acc = [0u64; ACC_WORDS];
     let mut timeline = saber_trace::CycleTimeline::new("lw-4", MACS as u64);
     let mut compute_cycles = 0u64;
     // MAC cycles since the last non-compute phase, pushed to the
@@ -203,13 +195,11 @@ pub(crate) fn simulate<const DEFECT: u8>(
         mem.tick();
 
         // --- Compute: 256 coefficients × 4 cycles. ---
+        let groups = block_operands(&block_secrets, &acc, a.coeffs());
         for i in 0..N {
-            // Consuming coefficient i drains 13 bits of the buffer; the
-            // shared generator forms its multiples once and broadcasts
-            // them to its four MAC cycles.
+            // Consuming coefficient i drains 13 bits of the buffer.
             buffer_bits -= 13;
-            let m = multiples(a.coeff(i));
-            for g in 0..4 {
+            for (g, &group) in groups.iter().enumerate() {
                 // Stream the next public word when ≥64 bits are free;
                 // the load steals the read port, so the saturated
                 // accumulator pipeline is flushed and refilled (3 cycles
@@ -237,22 +227,10 @@ pub(crate) fn simulate<const DEFECT: u8>(
                 mem.issue_read(acc_word_addr(block, window))
                     .expect("read port free");
                 let prev = (i + 4 * g) / 4 % ACC_WORDS;
-                mem.issue_write(acc_word_addr(block, prev), pack_acc_fields(&acc, i))
+                mem.issue_write(acc_word_addr(block, prev), acc[i / 4])
                     .expect("write port free");
-                for t in 0..MACS {
-                    let k = BLOCK_COEFFS * block + 4 * g + t;
-                    let pos = (i + k) % N;
-                    // Past x^255 the product re-enters negated: the wrap
-                    // comparator drives the selector's sign line.
-                    let wrap = -i8::from(has_wrap_comparator && i + k >= N);
-                    let selector = (block_secrets[4 * g + t] ^ wrap).wrapping_sub(wrap);
-                    let selector = if sign_stuck_at_add {
-                        selector.abs()
-                    } else {
-                        selector
-                    };
-                    acc[pos] = select_multiple(&m, selector, acc[pos]);
-                }
+                let pos = i + BLOCK_COEFFS * block + 4 * g;
+                mac_word::<DEFECT>(&mut acc, a.coeff(i), group, pos);
                 compute_cycles += 1;
                 compute_run += 1;
                 mem.tick();
@@ -275,7 +253,8 @@ pub(crate) fn simulate<const DEFECT: u8>(
         memory_overhead_cycles: stats.cycles - compute_cycles,
     };
     debug_assert!(timeline.reconciles_with(stats.cycles));
-    (PolyQ::from_coeffs(acc), report, stats, timeline)
+    let product = PolyQ::from_fn(|p| (acc[p / 4] >> (16 * (p % 4))) as u16);
+    (product, report, stats, timeline)
 }
 
 /// Decodes a 64-bit secret word into its 16 two's-complement nibbles.
@@ -292,42 +271,96 @@ pub(crate) fn decode_secret_word(word: u64) -> [i8; BLOCK_COEFFS] {
 
 /// Accumulator word address for the window `w` of block pass `b` (the
 /// stream rotates with the pass so addresses differ per block).
-fn acc_word_addr(block: usize, window: usize) -> usize {
+pub(crate) fn acc_word_addr(block: usize, window: usize) -> usize {
     ACC_BASE + (window + 4 * block) % ACC_WORDS
 }
 
-/// Packs four 16-bit accumulator fields for the write-back stream.
-pub(crate) fn pack_acc_fields(acc: &[u16; N], i: usize) -> u64 {
-    let base = (i / 4) * 4;
-    (0..4).fold(0u64, |w, t| {
-        w | (u64::from(acc[(base + t) % N]) << (16 * t))
+/// A word of four 16-bit fields, field `t` holding `f(t)`.
+fn fields(f: impl Fn(usize) -> u64) -> u64 {
+    (0..4).fold(0, |word, t| word | f(t) << (16 * t))
+}
+
+/// Latches a block's secrets as [`mac_word`] operands: per group of four,
+/// `|s|` and the sign line (`0xffff` where `s < 0`) in 16-bit fields. The
+/// width checks of `select_multiple` and `multiples` are folded here,
+/// once per block pass, with their messages; all state is local to the
+/// simulation, so a panic here is as observable as one at a MAC.
+pub(crate) fn block_operands(
+    secrets: &[i8; BLOCK_COEFFS],
+    acc: &[u64; ACC_WORDS],
+    public: &[u16; N],
+) -> [(u64, u64); 4] {
+    let magnitude = secrets.iter().fold(0, |max, s| max.max(s.unsigned_abs()));
+    assert!(magnitude <= MAX_MULTIPLE, "selector exceeds range");
+    let accumulators = acc.iter().fold(0, |or, w| or | w);
+    assert!(accumulators & !FIELDS13 == 0, "accumulator exceeds 13 bits");
+    let operands = public.iter().fold(0, |or, c| or | c);
+    assert!(operands >> 13 == 0, "operand exceeds 13 bits");
+    std::array::from_fn(|g| {
+        let s = |t: usize| secrets[4 * g + t];
+        let magnitudes = fields(|t| u64::from(s(t).unsigned_abs()));
+        (magnitudes, fields(|t| u64::from(s(t) < 0) * 0xffff))
     })
 }
 
-impl Default for LightweightMultiplier {
-    fn default() -> Self {
-        Self::new()
+/// One compute cycle's four MACs as one update of the accumulator words:
+/// `±a·|s|` for the group's secrets into coefficients `pos..pos + 4`
+/// (mod `N`; `pos < 2N`). One multiply forms `a·|s|` in every field
+/// (below 2^16, as [`block_operands`] checked `a < 2^13`, `|s| ≤ 5`). A
+/// field is negated mod 2^13 where its sign line, the secret's sign XOR
+/// the wrap comparator (`pos + t ≥ N`), is set. No field's sum reaches
+/// 2^14, so none carries before the mask. `LwWrapSignDropped` zeroes the
+/// wrap lines; `LwSecretSignIgnored` sticks the whole line at *add*.
+#[inline(always)]
+pub(crate) fn mac_word<const DEFECT: u8>(
+    acc: &mut [u64; ACC_WORDS],
+    a: u16,
+    (magnitudes, signs): (u64, u64),
+    pos: usize,
+) {
+    // The wrap comparators `pos + t ≥ N` set the fields from `N - pos` up.
+    let wrap = if pos + 3 < N {
+        0
+    } else if pos >= N {
+        u64::MAX
+    } else {
+        u64::MAX << (16 * (N - pos))
+    };
+    let neg = match DEFECT {
+        d if d == Fault::LwWrapSignDropped as u8 => signs,
+        d if d == Fault::LwSecretSignIgnored as u8 => 0,
+        _ => signs ^ wrap,
+    };
+    let term = u64::from(a).wrapping_mul(magnitudes) & FIELDS13;
+    let term = (term ^ (neg & FIELDS13)).wrapping_add(neg & 0x0001_0001_0001_0001);
+    let (w0, w1) = (pos / 4 % ACC_WORDS, (pos / 4 + 1) % ACC_WORDS);
+    let window = u128::from(acc[w1]) << 64 | u128::from(acc[w0]);
+    let window = window.wrapping_add(u128::from(term) << (16 * (pos % 4)));
+    acc[w0] = window as u64 & FIELDS13;
+    acc[w1] = (window >> 64) as u64 & FIELDS13;
+}
+
+/// The power model's activity for a run of `area` whose memory traffic
+/// is `stats`. Every port access crosses the module IO boundary in the
+/// LW designs (the multiplier shares the system memory).
+pub(crate) fn bram_activity(stats: BramStats, area: Area) -> Activity {
+    Activity {
+        cycles: stats.cycles,
+        bram_reads: stats.reads,
+        bram_writes: stats.writes,
+        io_words: stats.reads + stats.writes,
+        active_luts: u64::from(area.luts),
+        active_ffs: u64::from(area.ffs),
+        dsp_ops: 0,
     }
 }
 
 impl PolyMultiplier for LightweightMultiplier {
     fn multiply(&mut self, public: &PolyQ, secret: &SecretPoly) -> PolyQ {
         let (product, cycles, stats, timeline) = simulate::<NO_DEFECT>(public, secret);
-        let area = self.area();
-        let activity = Activity {
-            cycles: stats.cycles,
-            bram_reads: stats.reads,
-            bram_writes: stats.writes,
-            // Every port access crosses the module IO boundary in this
-            // design (the multiplier shares the system memory).
-            io_words: stats.reads + stats.writes,
-            active_luts: u64::from(area.luts),
-            active_ffs: u64::from(area.ffs),
-            dsp_ops: 0,
-        };
         self.last_cycles = cycles;
         self.last_timeline = Some(timeline);
-        self.activity = self.activity.merge(activity);
+        self.activity = self.activity.merge(bram_activity(stats, self.area()));
         self.multiplications += 1;
         product
     }
@@ -359,6 +392,7 @@ impl HwMultiplier for LightweightMultiplier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saber_hw::mac::{multiples, select_multiple};
     use saber_ring::schoolbook;
 
     fn operands(seed: u16) -> (PolyQ, SecretPoly) {
@@ -366,6 +400,139 @@ mod tests {
             PolyQ::from_fn(|i| (i as u16).wrapping_mul(seed).wrapping_add(seed) & 0x1fff),
             SecretPoly::from_fn(|i| ((((i as u32).wrapping_mul(seed as u32) >> 2) % 11) as i8) - 5),
         )
+    }
+
+    /// Field `p mod 4` of word `p / 4` (mod `N`).
+    fn field(acc: &[u64; ACC_WORDS], p: usize) -> u16 {
+        (acc[p % N / 4] >> (16 * (p % 4))) as u16
+    }
+
+    /// Runs one word MAC on accumulator fields all equal to `start` and
+    /// checks every field of its two-word window against the four scalar
+    /// MACs of the loop it replaced: the wrap comparator negates the
+    /// selector, and each defect acts as it did there.
+    fn check_word_mac<const DEFECT: u8>(
+        a: u16,
+        start: u16,
+        secrets: &[i8; 4],
+        group: (u64, u64),
+        pos: usize,
+    ) {
+        let m = multiples(a);
+        let mut acc = [fields(|_| u64::from(start)); ACC_WORDS];
+        mac_word::<DEFECT>(&mut acc, a, group, pos);
+        for p in pos - pos % 4..pos - pos % 4 + 8 {
+            let expected = match p.checked_sub(pos).filter(|&t| t < MACS) {
+                Some(t) => {
+                    let has_wrap_comparator = DEFECT != Fault::LwWrapSignDropped as u8;
+                    let wrap = -i8::from(has_wrap_comparator && p >= N);
+                    let selector = (secrets[t] ^ wrap).wrapping_sub(wrap);
+                    let selector = if DEFECT == Fault::LwSecretSignIgnored as u8 {
+                        selector.abs()
+                    } else {
+                        selector
+                    };
+                    select_multiple(&m, selector, start)
+                }
+                None => start,
+            };
+            assert_eq!(
+                field(&acc, p),
+                expected,
+                "defect {DEFECT}: a = {a}, acc = {start}, s = {secrets:?}, pos = {pos}, field {p}"
+            );
+        }
+    }
+
+    /// The word MAC equals the four scalar MACs it replaces on every
+    /// public coefficient, with every selector in −5..=5 in every field,
+    /// at every field offset with 0–4 wrapped fields, on boundary
+    /// accumulators, shipped and with both LW defects.
+    #[test]
+    fn word_mac_equals_four_scalar_macs_exhaustively() {
+        // Offsets 0–3 unwrapped; 1–3 wrapped fields across the top word
+        // into word 0; offsets 0–3 all wrapped.
+        let positions = [28, 29, 30, 31, 253, 254, 255, 300, 301, 302, 303];
+        let rotations: Vec<([i8; 4], (u64, u64))> = (0..11)
+            .map(|r| {
+                let secrets = std::array::from_fn(|j| ((j + r) % 11) as i8 - 5);
+                let group = block_operands(&secrets, &[0; ACC_WORDS], &[0; N])[0];
+                (std::array::from_fn(|t| secrets[t]), group)
+            })
+            .collect();
+        for a in 0u16..1 << 13 {
+            for start in [0u16, 1, 0x1000, 0x1fff] {
+                for (secrets, group) in &rotations {
+                    for pos in positions {
+                        check_word_mac::<NO_DEFECT>(a, start, secrets, *group, pos);
+                        check_word_mac::<{ Fault::LwWrapSignDropped as u8 }>(
+                            a, start, secrets, *group, pos,
+                        );
+                        check_word_mac::<{ Fault::LwSecretSignIgnored as u8 }>(
+                            a, start, secrets, *group, pos,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The panic message of `f`.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
+    }
+
+    /// Each folded check of a block pass raises the message of the scalar
+    /// MAC check it folds.
+    #[test]
+    fn folded_width_checks_panic_as_the_scalar_macs_do() {
+        let legal: [i8; BLOCK_COEFFS] = std::array::from_fn(|j| (j % 11) as i8 - 5);
+        let m = multiples(1234);
+
+        let mut wide = legal;
+        wide[9] = -6;
+        let got = panic_message(|| {
+            let _ = block_operands(&wide, &[0; ACC_WORDS], &[0; N]);
+        });
+        assert_eq!(got, "selector exceeds range");
+        assert_eq!(
+            got,
+            panic_message(|| {
+                let _ = select_multiple(&m, -6, 0);
+            })
+        );
+
+        let mut acc = [0; ACC_WORDS];
+        acc[37] = 1 << (16 * 2 + 13);
+        let got = panic_message(|| {
+            let _ = block_operands(&legal, &acc, &[0; N]);
+        });
+        assert_eq!(got, "accumulator exceeds 13 bits");
+        assert_eq!(
+            got,
+            panic_message(|| {
+                let _ = select_multiple(&m, 1, 1 << 13);
+            })
+        );
+
+        let mut public = [0; N];
+        public[200] = 1 << 13;
+        let got = panic_message(|| {
+            let _ = block_operands(&legal, &[0; ACC_WORDS], &public);
+        });
+        assert_eq!(got, "operand exceeds 13 bits");
+        assert_eq!(
+            got,
+            panic_message(|| {
+                let _ = multiples(1 << 13);
+            })
+        );
     }
 
     #[test]

@@ -30,13 +30,14 @@
 //! ~70 extra flip-flops. A worked example of the area/performance/power
 //! methodology the paper proposes, applied to a new design point.
 
-use saber_hw::mac::{multiples, select_multiple};
 use saber_hw::platform::{CriticalPath, Fpga};
 use saber_hw::{Activity, Area, Bram, CycleReport};
 use saber_ring::{packing, PolyMultiplier, PolyQ, SecretPoly, N};
 
+use crate::fault::NO_DEFECT;
 use crate::lightweight::{
-    decode_secret_word, pack_acc_fields, ACC_BASE, ACC_WORDS, PUB_BASE, PUB_WORDS, SEC_BASE,
+    acc_word_addr, block_operands, bram_activity, decode_secret_word, mac_word,
+    LightweightMultiplier, ACC_BASE, ACC_WORDS, PUB_BASE, PUB_WORDS, SEC_BASE,
 };
 use crate::report::{ArchitectureReport, HwMultiplier};
 
@@ -55,7 +56,7 @@ use crate::report::{ArchitectureReport, HwMultiplier};
 /// assert_eq!(hw.multiply(&a, &s), schoolbook::mul_asym(&a, &s));
 /// assert!(hw.report().cycles.total() < 17_000);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SlidingLightweightMultiplier {
     last_cycles: CycleReport,
     activity: Activity,
@@ -65,25 +66,16 @@ impl SlidingLightweightMultiplier {
     /// Creates the architecture.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            last_cycles: CycleReport::default(),
-            activity: Activity::default(),
-        }
+        Self::default()
     }
 
-    /// Area: the §4.1 datapath plus a slightly larger accumulator window
-    /// (the slide holds up to two partial words) and a second address
-    /// generator for the rotated pass pattern.
+    /// Area: the §4.1 datapath plus a second accumulator window word (the
+    /// slide holds up to two partial words), 6 more control bits and a
+    /// second address generator (40 LUTs) for the rotated pass pattern.
     #[must_use]
     pub fn area(&self) -> Area {
-        use saber_hw::area::{adder, mux, register};
-        let macs = (mux(6, 13) + adder(16)) * 4;
-        let generator = adder(14) + adder(15);
-        let extraction = mux(12, 13);
-        let shift_in = mux(2, 64);
-        let regs = register(88) + register(128) + register(128) + register(27);
-        let control = Area::luts(300);
-        macs + generator + extraction + shift_in + regs + control
+        let second_window = saber_hw::area::register(64 + 6);
+        LightweightMultiplier::new().area() + second_window + Area::luts(40)
     }
 
     fn simulate(&self, a: &PolyQ, s: &SecretPoly) -> (PolyQ, CycleReport, Activity) {
@@ -91,7 +83,7 @@ impl SlidingLightweightMultiplier {
         mem.preload(PUB_BASE, &packing::poly13_to_words(a));
         mem.preload(SEC_BASE, &packing::secret_to_words(s));
 
-        let mut acc = [0u16; N];
+        let mut acc = [0u64; ACC_WORDS];
         let mut compute_cycles = 0u64;
         let mut stalls = 0u64;
 
@@ -102,9 +94,9 @@ impl SlidingLightweightMultiplier {
             mem.tick();
             let secret_word = mem.read_data().expect("secret arrives");
             mem.tick();
-            let secrets = decode_secret_word(secret_word);
+            let groups = block_operands(&decode_secret_word(secret_word), &acc, a.coeffs());
 
-            for group in 0..4usize {
+            for (group, &operands) in groups.iter().enumerate() {
                 // Pass prologue: prime the public buffer (2 words) and
                 // the first accumulator window.
                 let mut pub_loaded = 2usize;
@@ -129,7 +121,7 @@ impl SlidingLightweightMultiplier {
                     // every 4th cycle, otherwise stream the next public
                     // word if the buffer has room.
                     if i % 4 == 0 {
-                        let window = acc_addr(block, group, i / 4);
+                        let window = acc_word_addr(block, i / 4 + group);
                         mem.issue_read(window).expect("read port free");
                     } else if 128 - buffer_bits >= 64 && pub_loaded < PUB_WORDS {
                         mem.issue_read(PUB_BASE + pub_loaded)
@@ -139,27 +131,19 @@ impl SlidingLightweightMultiplier {
                     }
                     if i % 4 == 3 {
                         // A word completed sliding past: write it back.
-                        let done = acc_addr(block, group, i / 4);
-                        mem.issue_write(done, pack_acc_fields(&acc, i))
-                            .expect("write port free");
+                        let done = acc_word_addr(block, i / 4 + group);
+                        mem.issue_write(done, acc[i / 4]).expect("write port free");
                     }
 
-                    // The 4 MACs: public coefficient i against the
-                    // group's 4 secret coefficients.
-                    let m = multiples(a.coeff(i));
-                    for t in 0..4usize {
-                        let k = 16 * block + 4 * group + t;
-                        let pos = (i + k) % N;
-                        let sk = secrets[4 * group + t];
-                        let selector = if i + k >= N { -sk } else { sk };
-                        acc[pos] = select_multiple(&m, selector, acc[pos]);
-                    }
+                    // The 4 MACs: coefficient i against the group's 4 secrets.
+                    let pos = i + 16 * block + 4 * group;
+                    mac_word::<NO_DEFECT>(&mut acc, a.coeff(i), operands, pos);
                     mem.tick();
                     compute_cycles += 1;
                 }
 
                 // Pass epilogue: drain the last partial word.
-                mem.issue_write(acc_addr(block, group, 63), 0)
+                mem.issue_write(acc_word_addr(block, 63 + group), 0)
                     .expect("port free");
                 mem.tick();
             }
@@ -171,27 +155,9 @@ impl SlidingLightweightMultiplier {
             compute_cycles,
             memory_overhead_cycles: stats.cycles - compute_cycles,
         };
-        let area = self.area();
-        let activity = Activity {
-            cycles: stats.cycles,
-            bram_reads: stats.reads,
-            bram_writes: stats.writes,
-            io_words: stats.reads + stats.writes,
-            active_luts: u64::from(area.luts),
-            active_ffs: u64::from(area.ffs),
-            dsp_ops: 0,
-        };
-        (PolyQ::from_coeffs(acc), cycles, activity)
-    }
-}
-
-fn acc_addr(block: usize, group: usize, window: usize) -> usize {
-    ACC_BASE + (window + 4 * block + group) % ACC_WORDS
-}
-
-impl Default for SlidingLightweightMultiplier {
-    fn default() -> Self {
-        Self::new()
+        let activity = bram_activity(stats, self.area());
+        let product = PolyQ::from_fn(|p| (acc[p / 4] >> (16 * (p % 4))) as u16);
+        (product, cycles, activity)
     }
 }
 

@@ -149,7 +149,7 @@ fn check_timeline(label: &str, got: Option<&CycleTimeline>, want: Option<&Frozen
         let phases: Vec<(&str, u64, u64, u64)> = got
             .phases()
             .iter()
-            .map(|p| (p.name.as_str(), p.start_cycle, p.end_cycle, p.ops))
+            .map(|p| (p.name, p.start_cycle, p.end_cycle, p.ops))
             .collect();
         assert_eq!(phases, want.phases, "{label}: phases");
     }

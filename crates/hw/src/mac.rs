@@ -13,11 +13,14 @@
 //! All functions here are *combinational* (pure): sequencing is the
 //! architecture's job. Each checks its operands' widths and panics on a
 //! violation. These scalar forms are the reference for every MAC in the
-//! workspace: LW's four MACs call them directly, while the 256-lane
-//! datapaths of the baseline and HS-I (`saber-core::engine`) run the
-//! same selection and shift-and-add as branch-free lane loops that test
-//! these checks once per cycle, folded over the lanes, and fall back to
-//! the functions here to raise a violation on the lane that caused it.
+//! workspace: the §4.2 trade-off model calls them directly, while the
+//! 256-lane datapaths of the baseline and HS-I (`saber-core::engine`)
+//! run the same selection and shift-and-add as branch-free lane loops
+//! that test these checks once per cycle, folded over the lanes, and fall
+//! back to the functions here to raise a violation on the lane that
+//! caused it. LW's four MACs are one update of its 64-bit accumulator
+//! words (`saber-core::lightweight`), with these checks folded once per
+//! block pass and their messages kept.
 
 use crate::area::{self, Area};
 

@@ -108,7 +108,9 @@ impl SecretPoly {
     /// every coefficient's violation flag and branches once, after the
     /// loop, so a valid secret's check takes the same path whatever its
     /// values. (A per-coefficient `abs` test compiles to a sign branch
-    /// whose prediction history differs between secrets.)
+    /// whose prediction history differs between secrets; so does
+    /// `unsigned_abs` in an unoptimized build, so the magnitude is
+    /// formed with the sign as a mask.)
     ///
     /// # Errors
     ///
@@ -118,7 +120,8 @@ impl SecretPoly {
         let bound = MAX_SECRET_MAGNITUDE.unsigned_abs();
         let mut out_of_range = false;
         for &value in &raw {
-            out_of_range |= value.unsigned_abs() > bound;
+            let sign = value >> 7;
+            out_of_range |= (value ^ sign).wrapping_sub(sign) as u8 > bound;
         }
         if out_of_range {
             // Rejected input only: locating the offender may branch.

@@ -125,7 +125,7 @@ fn cycle_events(index: usize, timeline: &CycleTimeline, out: &mut Vec<Value>) {
     out.push(metadata("thread_name", pid, 1, "phases"));
     for phase in timeline.phases() {
         out.push(obj(vec![
-            ("name", Value::Str(phase.name.clone())),
+            ("name", Value::Str(phase.name.to_owned())),
             ("cat", Value::Str("cycles".to_string())),
             ("ph", Value::Str("X".to_string())),
             ("ts", int(phase.start_cycle)),

@@ -29,7 +29,7 @@
 pub struct CyclePhase {
     /// Phase name (`"compute"`, `"secret_load"`, `"pipeline_drain"`, …).
     /// Names may repeat; queries aggregate over same-named phases.
-    pub name: String,
+    pub name: &'static str,
     /// First cycle of the phase.
     pub start_cycle: u64,
     /// One past the last cycle of the phase.
@@ -106,10 +106,11 @@ impl CycleTimeline {
     /// starting where the previous phase ended. Zero-length phases are
     /// ignored (they arise naturally from loop bookkeeping).
     ///
-    /// The name is copied only when the phase starts a new entry, so a
-    /// cycle loop may push one cycle at a time without allocating.
+    /// The name is a static string from the model's phase vocabulary, so
+    /// no phase allocates for its name, whether it merges into the
+    /// previous entry or starts a new one.
     #[inline]
-    pub fn push_phase(&mut self, name: &str, cycles: u64, ops: u64) {
+    pub fn push_phase(&mut self, name: &'static str, cycles: u64, ops: u64) {
         if cycles == 0 {
             return;
         }
@@ -125,7 +126,7 @@ impl CycleTimeline {
             }
         }
         self.phases.push(CyclePhase {
-            name: name.to_owned(),
+            name,
             start_cycle: start,
             end_cycle: start + cycles,
             ops,
